@@ -13,7 +13,10 @@ import (
 	"os"
 	"testing"
 
+	"crystalnet/internal/core"
 	"crystalnet/internal/experiments"
+	"crystalnet/internal/scenario"
+	"crystalnet/internal/topo"
 )
 
 func full() bool { return os.Getenv("CRYSTALNET_FULL") != "" }
@@ -141,4 +144,86 @@ func BenchmarkSec9_CrossValidation(b *testing.B) {
 		}
 		b.ReportMetric(float64(r.StrictDiffs), "strict-diffs")
 	}
+}
+
+// sdcFlapSpec is the warm-rehearsal shape on S-DC: one ToR uplink down and
+// back up, the fabric re-converged after each, under the no-blackhole
+// invariant (a full-fabric sweep at every convergence point).
+func sdcFlapSpec() *scenario.Spec {
+	down, up := false, true
+	return &scenario.Spec{
+		Name:       "bench-flap-sdc",
+		Seed:       1,
+		Topology:   scenario.Topology{DC: "sdc", WANPerGroup: 2},
+		Invariants: []scenario.Step{{Op: scenario.OpAssertNoBlackhole}},
+		Steps: []scenario.Step{
+			{Op: scenario.OpSetLink, A: "tor-p0-0:et0", B: "leaf-p0-0:et2", Up: &down},
+			{Op: scenario.OpWaitConverge},
+			{Op: scenario.OpSetLink, A: "tor-p0-0:et0", B: "leaf-p0-0:et2", Up: &up},
+			{Op: scenario.OpWaitConverge},
+		},
+	}
+}
+
+// BenchmarkForkSDC forks a converged, checkpointed S-DC: the fixed cost
+// every warm rehearsal pays before its first step. It shares the routing
+// state with the checkpoint, so it should track the device count, not the
+// route count (allocs/op is the figure TestForkCostTracksWrites bounds).
+func BenchmarkForkSDC(b *testing.B) {
+	spec := topo.SDC()
+	n := topo.GenerateClos(spec)
+	topo.AttachWAN(n, spec, 2)
+	o := core.New(core.Options{Seed: 1})
+	prep, err := o.Prepare(core.PrepareInput{Network: n})
+	if err != nil {
+		b.Fatal(err)
+	}
+	em, err := o.Mockup(prep, false)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := em.RunUntilConverged(0); err != nil {
+		b.Fatal(err)
+	}
+	snap, err := em.Checkpoint()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fork, err := o.Fork(snap)
+		if err != nil {
+			b.Fatal(err)
+		}
+		forkSink = fork
+	}
+}
+
+var forkSink *core.Emulation
+
+// BenchmarkForkFlapSweepSDC is one whole warm rehearsal against a converged
+// S-DC baseline, as crystald serves a pool hit: fork, flap a ToR uplink,
+// re-converge, sweep the no-blackhole invariant, restore, sweep again. The
+// reported cow-copies/op is what the flap made the fork copy.
+func BenchmarkForkFlapSweepSDC(b *testing.B) {
+	sp := sdcFlapSpec()
+	cv, err := scenario.Converge(sp, scenario.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	copies := 0
+	for i := 0; i < b.N; i++ {
+		rep, err := cv.Run(sp, scenario.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !rep.Passed {
+			b.Fatalf("rehearsal failed: %s", rep.JSON())
+		}
+		copies += rep.CowCopies.Total()
+	}
+	b.ReportMetric(float64(copies)/float64(b.N), "cow-copies/op")
 }

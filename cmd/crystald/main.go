@@ -39,6 +39,18 @@ import (
 	"crystalnet"
 )
 
+// Connection timeouts. They bound how long a client may hold a connection
+// without sending: a request's headers, then its whole body (at most 4 MB,
+// see serve), then the quiet between keep-alive requests. There is
+// deliberately no write timeout — a rehearsal's report is written when its
+// emulation finishes, which on a cold M-DC pool miss is minutes after the
+// request was read.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = time.Minute
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("crystald: ")
@@ -87,7 +99,12 @@ func main() {
 	log.Printf("listening on %s (pool %d, maxinflight %d, tenantinflight %d)",
 		bound, *pool, *maxInFlight, *tenantInFlight)
 
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := &http.Server{
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.Serve(ln) }()
 

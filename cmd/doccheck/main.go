@@ -246,7 +246,7 @@ func registeredMetrics(dir string) ([]string, error) {
 				return true
 			}
 			switch fn {
-			case "Counter", "Gauge", "Histogram", "counter", "gauge", "histogram":
+			case "Counter", "Gauge", "Histogram", "HistogramWith", "counter", "gauge", "histogram":
 			default:
 				return true
 			}

@@ -75,23 +75,6 @@ type Peer struct {
 	// re-advertise identical routes forever).
 	adjIn      rib.Dense[struct{}]
 	advertised rib.Dense[*Attrs]
-	// mapRIBs switches the session to the pre-§10 per-route map layout.
-	// It latches !interningEnabled() at session start: the non-interned
-	// baseline the scale benchmark measures against is the seed's memory
-	// model — per-route hash maps AND unshared attrs — so disabling
-	// interning disables the compact layout with it. Behaviour is
-	// identical in both layouts (flush output is sorted either way); only
-	// the bytes per route differ.
-	mapRIBs     bool
-	adjInM      map[netpkt.Prefix]*Attrs
-	advertisedM map[netpkt.Prefix]*Attrs
-	// exportCacheM is the pre-§10 export-template memo: per peer, keyed on
-	// the best candidate's attrs pointer. Baseline sessions keep it so the
-	// ablation pays the seed's full memory bill — without interning every
-	// received route carries a distinct attrs pointer, so the memo grows
-	// with the table. Interned sessions use the router-level exportCache
-	// instead and leave this nil.
-	exportCacheM map[*Attrs]exportVal
 	// The dirty set is a bitset addressed by ribEntry.id plus the insertion-
 	// order list of prefixes to visit at the next flush; marking a prefix
 	// dirty on every peer is on the decide hot path, and the bit test is far
@@ -111,87 +94,14 @@ type Peer struct {
 func (p *Peer) State() SessionState { return p.state }
 
 // AdjInLen returns the number of routes accepted from this peer.
-func (p *Peer) AdjInLen() int {
-	if p.mapRIBs {
-		return len(p.adjInM)
-	}
-	return p.adjIn.Len()
-}
+func (p *Peer) AdjInLen() int { return p.adjIn.Len() }
 
 // AdvertisedLen returns the number of routes currently announced to this
 // peer.
-func (p *Peer) AdvertisedLen() int {
-	if p.mapRIBs {
-		return len(p.advertisedM)
-	}
-	return p.advertised.Len()
-}
+func (p *Peer) AdvertisedLen() int { return p.advertised.Len() }
 
-// The adj*/adv* helpers below are the layout seam between the compact dense
-// tables and the baseline per-route maps (see mapRIBs). Both Adj-RIBs are
-// addressed by (prefix, Loc-RIB entry id); the dense layout uses the id,
-// the map layout the prefix.
-
-func (p *Peer) adjSet(pfx netpkt.Prefix, id int, a *Attrs) {
-	if p.mapRIBs {
-		if p.adjInM == nil {
-			p.adjInM = map[netpkt.Prefix]*Attrs{}
-		}
-		p.adjInM[pfx] = a
-		return
-	}
-	p.adjIn.Set(id, struct{}{})
-}
-
-func (p *Peer) adjDelete(pfx netpkt.Prefix, id int) bool {
-	if p.mapRIBs {
-		if _, ok := p.adjInM[pfx]; ok {
-			delete(p.adjInM, pfx)
-			return true
-		}
-		return false
-	}
-	return p.adjIn.Delete(id)
-}
-
-func (p *Peer) advGet(pfx netpkt.Prefix, id int) (*Attrs, bool) {
-	if p.mapRIBs {
-		a, ok := p.advertisedM[pfx]
-		return a, ok
-	}
-	return p.advertised.Get(id)
-}
-
-func (p *Peer) advSet(pfx netpkt.Prefix, id int, a *Attrs) {
-	if p.mapRIBs {
-		if p.advertisedM == nil {
-			p.advertisedM = map[netpkt.Prefix]*Attrs{}
-		}
-		p.advertisedM[pfx] = a
-		return
-	}
-	p.advertised.Set(id, a)
-}
-
-func (p *Peer) advDelete(pfx netpkt.Prefix, id int) bool {
-	if p.mapRIBs {
-		if _, ok := p.advertisedM[pfx]; ok {
-			delete(p.advertisedM, pfx)
-			return true
-		}
-		return false
-	}
-	return p.advertised.Delete(id)
-}
-
-// clearRIBs empties both Adj-RIBs in whichever layout is active.
+// clearRIBs empties both Adj-RIBs.
 func (p *Peer) clearRIBs() {
-	if p.mapRIBs {
-		p.adjInM = nil
-		p.advertisedM = nil
-		p.exportCacheM = nil
-		return
-	}
 	p.adjIn.Clear()
 	p.advertised.Clear()
 }
@@ -215,9 +125,6 @@ func (p *Peer) Start() {
 		return
 	}
 	p.localGen = connGen.Add(1)
-	// The baseline layout latches here: a session started while interning
-	// is off runs the seed's per-route map Adj-RIBs for its lifetime.
-	p.mapRIBs = !interningEnabled()
 	p.clearRIBs()
 	p.clearDirty()
 	if p.Config.Passive {
@@ -275,18 +182,10 @@ func (p *Peer) reset(reason string) {
 		p.flushTimer = nil
 	}
 	p.staleScratch = p.staleScratch[:0]
-	if p.mapRIBs {
-		for pfx := range p.adjInM {
-			p.staleScratch = append(p.staleScratch, pfx)
-		}
-		// Map iteration order is random; sort so teardown stays deterministic.
-		sortPrefixes(p.staleScratch)
-	} else {
-		p.adjIn.Range(func(id int, _ struct{}) bool {
-			p.staleScratch = append(p.staleScratch, p.router.prefixByID[id])
-			return true
-		})
-	}
+	p.adjIn.Range(func(id int, _ struct{}) bool {
+		p.staleScratch = append(p.staleScratch, p.router.prefixByID[id])
+		return true
+	})
 	p.clearRIBs()
 	p.clearDirty()
 	p.setState(StateIdle)
@@ -368,11 +267,7 @@ func (p *Peer) handleKeepalive() {
 // advertisement.
 func (p *Peer) establish() {
 	p.setState(StateEstablished)
-	for pfx, e := range p.router.locRIB {
-		if len(e.best) > 0 {
-			p.markDirty(pfx, e)
-		}
-	}
+	p.markAllDirty()
 	p.scheduleFlush()
 }
 
@@ -393,7 +288,7 @@ func (p *Peer) handleUpdate(u *Update) {
 	for _, pfx := range u.Withdrawn {
 		p.WithdrawsIn++
 		p.router.mWithdrawsIn.Inc()
-		if e := p.router.locRIB[pfx]; e != nil && p.adjDelete(pfx, e.id) {
+		if e := p.router.lookup(pfx); e != nil && p.adjIn.Delete(e.id) {
 			p.router.removeCandidate(pfx, p)
 		}
 	}
@@ -416,13 +311,17 @@ func (p *Peer) handleUpdate(u *Update) {
 		}
 		if !permit {
 			// Treat as unfeasible: remove any previous acceptance.
-			if e := p.router.locRIB[pfx]; e != nil && p.adjDelete(pfx, e.id) {
+			if e := p.router.lookup(pfx); e != nil && p.adjIn.Delete(e.id) {
 				p.router.removeCandidate(pfx, p)
 			}
 			continue
 		}
 		e := p.router.upsertCandidate(pfx, p, attrs)
-		p.adjSet(pfx, e.id, attrs)
+		// A replacement leaves the presence bit as it is; skipping the Set
+		// keeps a forked session from copying its Adj-RIB-In for nothing.
+		if _, had := p.adjIn.Get(e.id); !had {
+			p.adjIn.Set(e.id, struct{}{})
+		}
 	}
 }
 
@@ -433,9 +332,14 @@ func (p *Peer) handleUpdate(u *Update) {
 // under the old policy simply become unreachable — no invalidation needed.
 func (p *Peer) SetExportPolicy(pol *Policy) {
 	p.Config.ExportPolicy = pol
-	for pfx, e := range p.router.locRIB {
+	p.markAllDirty()
+}
+
+// markAllDirty queues every usable prefix for (re-)advertisement.
+func (p *Peer) markAllDirty() {
+	for id, e := range p.router.entries {
 		if len(e.best) > 0 {
-			p.markDirty(pfx, e)
+			p.markDirty(p.router.prefixByID[id], e)
 		}
 	}
 }
@@ -488,13 +392,13 @@ func (p *Peer) flush() {
 	groups := map[string]*group{}
 
 	for _, pfx := range p.dirtyList {
-		e := p.router.locRIB[pfx]
+		e := p.router.lookup(pfx)
 		if e == nil {
 			continue // markDirty only queues prefixes with a Loc-RIB entry
 		}
 		attrs, ok := p.router.exportRoute(p, pfx)
 		if !ok {
-			if p.advDelete(pfx, e.id) {
+			if p.advertised.Delete(e.id) {
 				withdrawals = append(withdrawals, pfx)
 			}
 			continue
@@ -502,10 +406,10 @@ func (p *Peer) flush() {
 		// Interning makes the no-change test a pointer compare in the common
 		// case; the attrsKey fallback keeps the MRAI loop convergent when
 		// interning is off (equal bytes, different pointers).
-		if prev, adv := p.advGet(pfx, e.id); adv && (prev == attrs || attrsKey(prev) == attrsKey(attrs)) {
+		if prev, adv := p.advertised.Get(e.id); adv && (prev == attrs || attrsKey(prev) == attrsKey(attrs)) {
 			continue // no visible change
 		}
-		p.advSet(pfx, e.id, attrs)
+		p.advertised.Set(e.id, attrs)
 		key := attrsKey(attrs)
 		g := groups[key]
 		if g == nil {

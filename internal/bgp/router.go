@@ -3,6 +3,7 @@ package bgp
 import (
 	"encoding/binary"
 	"fmt"
+	"strings"
 	"time"
 
 	"crystalnet/internal/netpkt"
@@ -134,13 +135,24 @@ type Router struct {
 	hooks Hooks
 	peers []*Peer
 
-	locRIB map[netpkt.Prefix]*ribEntry
-	seq    uint32
-	nextID int
-	// prefixByID maps a ribEntry's dense id back to its prefix (ids are
-	// assigned in creation order and never reused), letting the peers' dense
-	// Adj-RIB tables recover the prefix without storing it per route.
+	// The Loc-RIB is addressed by dense entry id: ids are assigned in
+	// creation order and entries are never deleted, so entries[id] is the
+	// entry, prefixByID[id] its prefix (which lets the peers' dense Adj-RIB
+	// tables recover the prefix without storing it per route) and index the
+	// way in from a prefix. Addressing by id rather than by *ribEntry is
+	// what lets a fork share entries with its checkpoint and replace one on
+	// first write (see fork.go and DESIGN.md §6).
+	index      map[netpkt.Prefix]int32
+	entries    []*ribEntry
 	prefixByID []netpkt.Prefix
+	seq        uint32
+	// cow is set once the router has been sealed or is a fork: entries whose
+	// bit is not in owned, and the index map while indexShared, may be
+	// reachable from other routers and are replaced instead of written.
+	cow         bool
+	indexShared bool
+	owned       []uint64
+	entryCopies int
 	// prependCache memoizes Prepend(cfg.AS) per source path: every export
 	// through this router prepends the same AS, so the per-export path
 	// allocation collapses to a map hit. Bounded; cleared when full.
@@ -184,9 +196,10 @@ func (r *Router) bindMetrics(rec *obs.Recorder) {
 type aggState struct {
 	spec   AggregateSpec
 	active bool
-	// covered indexes the Loc-RIB entries under the aggregate's range, so
-	// re-evaluating the aggregate no longer scans the whole Loc-RIB.
-	covered map[netpkt.Prefix]*ribEntry
+	// covered lists the ids of the Loc-RIB entries under the aggregate's
+	// range, in creation order, so re-evaluating the aggregate no longer
+	// scans the whole Loc-RIB. Append-only, like the ids themselves.
+	covered []int32
 }
 
 // New creates a router. Defaults: MaxPaths 1, MRAI 50ms.
@@ -205,7 +218,7 @@ func New(cfg Config, clock Clock, hooks Hooks) *Router {
 	}
 	r := &Router{
 		cfg: cfg, clock: clock, hooks: hooks,
-		locRIB:       map[netpkt.Prefix]*ribEntry{},
+		index:        map[netpkt.Prefix]int32{},
 		prependCache: map[*ASPath]*ASPath{},
 	}
 	for _, a := range cfg.Aggregates {
@@ -263,7 +276,7 @@ func (r *Router) WithdrawLocal(p netpkt.Prefix) {
 // LocRIB returns the number of prefixes with at least one usable candidate.
 func (r *Router) LocRIB() int {
 	n := 0
-	for _, e := range r.locRIB {
+	for _, e := range r.entries {
 		if len(e.best) > 0 {
 			n++
 		}
@@ -271,9 +284,18 @@ func (r *Router) LocRIB() int {
 	return n
 }
 
+// lookup returns the Loc-RIB entry for p for reading, or nil. The entry may
+// be shared with a checkpoint and its forks: writers go through writable.
+func (r *Router) lookup(p netpkt.Prefix) *ribEntry {
+	if id, ok := r.index[p]; ok {
+		return r.entries[id]
+	}
+	return nil
+}
+
 // BestRoute returns the primary best attrs for p and whether p is reachable.
 func (r *Router) BestRoute(p netpkt.Prefix) (*Attrs, bool) {
-	e := r.locRIB[p]
+	e := r.lookup(p)
 	if e == nil || len(e.best) == 0 {
 		return nil, false
 	}
@@ -283,7 +305,7 @@ func (r *Router) BestRoute(p netpkt.Prefix) (*Attrs, bool) {
 // BestPeers returns the peers providing the current multipath set for p
 // (nil entries for locally originated candidates).
 func (r *Router) BestPeers(p netpkt.Prefix) []*Peer {
-	e := r.locRIB[p]
+	e := r.lookup(p)
 	if e == nil {
 		return nil
 	}
@@ -303,39 +325,80 @@ func (r *Router) candPeer(c *candidate) *Peer {
 	return r.peers[c.peerIdx]
 }
 
-// Prefixes returns all prefixes with a usable best path, in map order.
+// Prefixes returns all prefixes with a usable best path, in the order the
+// router first saw them.
 func (r *Router) Prefixes() []netpkt.Prefix {
-	out := make([]netpkt.Prefix, 0, len(r.locRIB))
-	for p, e := range r.locRIB {
+	out := make([]netpkt.Prefix, 0, len(r.entries))
+	for id, e := range r.entries {
 		if len(e.best) > 0 {
-			out = append(out, p)
+			out = append(out, r.prefixByID[id])
 		}
 	}
 	return out
 }
 
-// entryFor returns the Loc-RIB entry for p, creating it (with a fresh dense
-// id, the prefixByID reverse mapping and aggregate coverage indexing) on
-// first sight. Entries are never deleted, so ids stay stable for the
-// router's lifetime.
+// entryFor returns the Loc-RIB entry for p ready for writing, creating it
+// (with a fresh dense id, the prefixByID reverse mapping and aggregate
+// coverage indexing) on first sight. Entries are never deleted, so ids stay
+// stable for the router's lifetime.
 func (r *Router) entryFor(p netpkt.Prefix) *ribEntry {
-	e := r.locRIB[p]
-	if e == nil {
-		e = &ribEntry{id: r.nextID}
-		r.nextID++
-		r.locRIB[p] = e
-		r.prefixByID = append(r.prefixByID, p)
-		for i := range r.aggState {
-			st := &r.aggState[i]
-			if st.spec.Prefix != p && st.spec.Prefix.ContainsPrefix(p) {
-				if st.covered == nil {
-					st.covered = map[netpkt.Prefix]*ribEntry{}
-				}
-				st.covered[p] = e
-			}
+	if id, ok := r.index[p]; ok {
+		return r.writable(id)
+	}
+	id := int32(len(r.entries))
+	e := &ribEntry{id: int(id)}
+	if r.indexShared {
+		// The prefix index is shared with the checkpoint until the first
+		// prefix this router adds on its own.
+		own := make(map[netpkt.Prefix]int32, len(r.index)+1)
+		for q, i := range r.index {
+			own[q] = i
+		}
+		r.index, r.indexShared = own, false
+	}
+	r.index[p] = id
+	r.entries = append(r.entries, e)
+	r.prefixByID = append(r.prefixByID, p)
+	if r.cow {
+		r.setOwned(id)
+	}
+	for i := range r.aggState {
+		st := &r.aggState[i]
+		if st.spec.Prefix != p && st.spec.Prefix.ContainsPrefix(p) {
+			st.covered = append(st.covered, id)
 		}
 	}
 	return e
+}
+
+// writable returns entry id for writing in place. On a sealed or forked
+// router the entry may be shared, so the first write replaces it with a
+// private copy — the struct plus its candidates and best arrays, which
+// decide edits in place; the attrs and hop group it points at are immutable
+// and stay shared.
+func (r *Router) writable(id int32) *ribEntry {
+	e := r.entries[id]
+	if !r.cow {
+		return e
+	}
+	if w := int(id >> 6); w < len(r.owned) && r.owned[w]&(1<<(uint(id)&63)) != 0 {
+		return e
+	}
+	c := *e
+	c.candidates = append([]candidate(nil), e.candidates...)
+	c.best = append([]int32(nil), e.best...)
+	r.entries[id] = &c
+	r.setOwned(id)
+	r.entryCopies++
+	return &c
+}
+
+func (r *Router) setOwned(id int32) {
+	w := int(id >> 6)
+	for len(r.owned) <= w {
+		r.owned = append(r.owned, 0)
+	}
+	r.owned[w] |= 1 << (uint(id) & 63)
 }
 
 // upsertCandidate installs or replaces the candidate from the given source
@@ -363,7 +426,7 @@ func (r *Router) upsertCandidate(p netpkt.Prefix, peer *Peer, a *Attrs) *ribEntr
 
 // removeCandidate drops the candidate from the given source.
 func (r *Router) removeCandidate(p netpkt.Prefix, peer *Peer) {
-	e := r.locRIB[p]
+	e := r.lookup(p)
 	if e == nil {
 		return
 	}
@@ -373,6 +436,7 @@ func (r *Router) removeCandidate(p netpkt.Prefix, peer *Peer) {
 	}
 	for i := range e.candidates {
 		if e.candidates[i].peerIdx == idx {
+			e = r.writable(int32(e.id))
 			e.candidates = append(e.candidates[:i], e.candidates[i+1:]...)
 			r.decide(p, e)
 			return
@@ -581,7 +645,7 @@ func (r *Router) updateAggregates(p netpkt.Prefix) {
 
 // localCandidate returns the locally originated attrs for p, if any.
 func (r *Router) localCandidate(p netpkt.Prefix) (*Attrs, bool) {
-	e := r.locRIB[p]
+	e := r.lookup(p)
 	if e == nil {
 		return nil, false
 	}
@@ -601,7 +665,8 @@ func (r *Router) buildAggregate(st *aggState) (*Attrs, int) {
 	var selected *candidate
 	var selectedP netpkt.Prefix
 	n := 0
-	for p, e := range st.covered {
+	for _, id := range st.covered {
+		p, e := r.prefixByID[id], r.entries[id]
 		if len(e.best) == 0 {
 			continue
 		}
@@ -634,11 +699,12 @@ func (r *Router) buildAggregate(st *aggState) (*Attrs, int) {
 // setSuppression flips the suppressed flag of contributors under a
 // summary-only aggregate, queueing re-advertisement where it changed.
 func (r *Router) setSuppression(st *aggState, suppress bool) {
-	for p, e := range st.covered {
-		if e.suppressed != suppress {
+	for _, id := range st.covered {
+		if r.entries[id].suppressed != suppress {
+			e := r.writable(id)
 			e.suppressed = suppress
 			for _, peer := range r.peers {
-				peer.markDirty(p, e)
+				peer.markDirty(r.prefixByID[id], e)
 			}
 		}
 	}
@@ -673,7 +739,7 @@ type exportKey struct {
 // interning: its keys are canonical pointers, and with interning off a
 // best-path pointer no longer identifies an attribute value across updates.
 func (r *Router) exportRoute(peer *Peer, p netpkt.Prefix) (*Attrs, bool) {
-	e := r.locRIB[p]
+	e := r.lookup(p)
 	if e == nil || len(e.best) == 0 || e.suppressed {
 		return nil, false
 	}
@@ -699,16 +765,6 @@ func (r *Router) exportRoute(peer *Peer, p netpkt.Prefix) (*Attrs, bool) {
 		if v, hit := r.exportCache[key]; hit {
 			return v.attrs, v.ok
 		}
-	} else if peer.mapRIBs && pol.prefixIndependent() {
-		// Baseline sessions keep the pre-§10 memo: per peer, keyed on the
-		// best candidate's attrs pointer. The pointer identifies the value
-		// (attrs are never mutated once in a RIB) and, for a prefix-
-		// independent policy, fully determines the template — a locally
-		// originated attrs pointer is never shared with a learned route, so
-		// the MED-strip distinction rides the pointer too.
-		if v, hit := peer.exportCacheM[best.attrs]; hit {
-			return v.attrs, v.ok
-		}
 	}
 	a, ok := r.exportTemplate(p, best, pol)
 	if cacheable {
@@ -716,11 +772,6 @@ func (r *Router) exportRoute(peer *Peer, p netpkt.Prefix) (*Attrs, bool) {
 			r.exportCache = make(map[exportKey]exportVal, 256)
 		}
 		r.exportCache[key] = exportVal{attrs: a, ok: ok}
-	} else if peer.mapRIBs && pol.prefixIndependent() {
-		if peer.exportCacheM == nil || len(peer.exportCacheM) >= maxExportCache {
-			peer.exportCacheM = make(map[*Attrs]exportVal, 256)
-		}
-		peer.exportCacheM[best.attrs] = exportVal{attrs: a, ok: ok}
 	}
 	return a, ok
 }
@@ -845,6 +896,51 @@ func (r *Router) Stats() Stats {
 		}
 	}
 	return st
+}
+
+// DumpRIBs renders the Loc-RIB (every entry in id order, with its
+// candidates, winners, programmed hops and flags) and each peer's session
+// state, Adj-RIB-In and Adj-RIB-Out as text. Two routers in the same routing
+// state dump the same bytes, whatever they share underneath, which is what
+// the fork-isolation tests compare.
+func (r *Router) DumpRIBs() string {
+	var b strings.Builder
+	// Interning leaves a router a handful of distinct attrs under thousands
+	// of routes, so each is formatted once.
+	memo := map[*Attrs]string{nil: "<nil>"}
+	str := func(a *Attrs) string {
+		s, ok := memo[a]
+		if !ok {
+			s = a.String()
+			memo[a] = s
+		}
+		return s
+	}
+	fmt.Fprintf(&b, "%s seq=%d\n", r, r.seq)
+	for id, e := range r.entries {
+		fmt.Fprintf(&b, "loc %d %s best=%v installed=%v suppressed=%v last={%s}\n",
+			id, r.prefixByID[id], e.best, e.installed, e.suppressed, str(e.lastBest))
+		for _, c := range e.candidates {
+			fmt.Fprintf(&b, "  cand peer=%d seq=%d {%s}\n", c.peerIdx, c.seq, str(c.attrs))
+		}
+	}
+	for i := range r.aggState {
+		st := &r.aggState[i]
+		fmt.Fprintf(&b, "agg %s active=%v covered=%v\n", st.spec.Prefix, st.active, st.covered)
+	}
+	for _, p := range r.peers {
+		fmt.Fprintf(&b, "peer %d %s %s in=%d out=%d msgs=%d/%d routes=%d/%d\n", p.Index, p.Config.Name, p.state,
+			p.adjIn.Len(), p.advertised.Len(), p.MsgsIn, p.MsgsOut, p.RoutesIn, p.WithdrawsIn)
+		p.adjIn.Range(func(id int, _ struct{}) bool {
+			fmt.Fprintf(&b, "  in %d\n", id)
+			return true
+		})
+		p.advertised.Range(func(id int, a *Attrs) bool {
+			fmt.Fprintf(&b, "  out %d {%s}\n", id, str(a))
+			return true
+		})
+	}
+	return b.String()
 }
 
 // String identifies the router in logs.

@@ -14,11 +14,14 @@ import (
 
 // Checkpoint captures the emulation at quiescence so it can be forked.
 //
-// The snapshot itself is cheap: it records the engine's serializable state
-// and freezes a reference to this emulation; the deep copy happens in
-// Orchestrator.Fork. Until every intended fork has been taken, the parent
-// emulation must not be advanced, reconfigured or cleared — forks read it
-// as an immutable baseline.
+// The snapshot records the engine's serializable state, freezes a reference
+// to this emulation and seals every device's routing state for sharing;
+// Orchestrator.Fork then shares that state and copies the rest. Until every
+// intended fork has been taken, the parent emulation must not be advanced,
+// reconfigured or cleared — a fork starts from the parent as it is when
+// Fork runs, and Fork refuses (panics in the table being cloned) a parent
+// written since its checkpoint. Once the forks exist the parent is free to
+// move on: its writes copy what they touch, like a fork's.
 //
 // It fails unless the event queue is empty (RunUntilConverged drains it):
 // pending events are closures that cannot be duplicated into a fork, and
@@ -42,13 +45,14 @@ func (em *Emulation) Checkpoint() (*checkpoint.Snapshot, error) {
 			return nil, fmt.Errorf("core: checkpoint requires a quiescent emulation: %w", err)
 		}
 	}
-	// Seal the BGP attribute-fingerprint memos now, single-threaded: after
-	// this every shared *Attrs is fully immutable, so concurrent forks can
-	// alias the parent's attribute objects instead of cloning them.
+	// Seal the bulk routing state now, single-threaded: FIB tries are built
+	// and given up for sharing, Loc-RIB entries and Adj-RIB tables marked
+	// shared, attribute-fingerprint memos forced. After this neither the
+	// parent nor any fork writes state the other can reach, and nothing
+	// shared is filled lazily on read, so concurrent forks only read the
+	// parent (DESIGN.md §6).
 	for _, d := range em.Devices {
-		if r := d.BGP(); r != nil {
-			r.SealAttrs()
-		}
+		d.Seal()
 	}
 	return &checkpoint.Snapshot{TakenAt: st.Now, Engine: st, Shards: shardStates, Origin: em}, nil
 }
@@ -60,11 +64,13 @@ func (em *Emulation) Orchestrator() *Orchestrator { return em.orch }
 
 // Fork materializes an independent emulation from a snapshot taken on this
 // orchestrator: a fresh engine restored to the captured clock and RNG
-// stream, plus deep copies of every piece of mutable state — cloud VMs,
-// the phynet overlay, device firmware with its routing stacks, speakers,
-// the management plane and telemetry counters. Heavy immutable structures
-// (topology, parsed configs, BGP policies and path attributes' AS paths)
-// are shared copy-on-write with the parent.
+// stream, plus copies of the small mutable state — cloud VMs, the phynet
+// overlay, device firmware shells, speakers, the management plane and
+// telemetry counters. The bulk is shared with the parent: immutable
+// structures (topology, parsed configs, BGP policies, path attributes)
+// outright, and the routing state sealed at Checkpoint — FIB tries and
+// entries, Loc-RIB entries, Adj-RIB tables — copy-on-write, so a fork costs
+// O(devices) plus what its steps go on to write (CowCopies counts that).
 //
 // Fork only reads the parent, so any number of forks can be taken from one
 // snapshot concurrently. Each fork then behaves exactly as a fresh same-
@@ -169,6 +175,21 @@ func (o *Orchestrator) Fork(snap *checkpoint.Snapshot) (*Emulation, error) {
 	cloudFork.OnReplace = em.onVMReplaced
 	cloudFork.OnBootAborted = em.onBootAborted
 	return em, nil
+}
+
+// CowCopies counts copy-on-write copies by kind (see firmware.CowCopies).
+type CowCopies = firmware.CowCopies
+
+// CowCopies sums the copy-on-write cost of every device: how much shared
+// routing state this emulation's writes have had to copy since it was forked
+// (for a checkpointed parent, since it was sealed). A rehearsal is cheap
+// while this stays near what its steps perturb.
+func (em *Emulation) CowCopies() CowCopies {
+	var c CowCopies
+	for _, d := range em.Devices {
+		c.Add(d.CowCopies())
+	}
+	return c
 }
 
 // fork deep-copies the preparation's mutable bookkeeping for a forked

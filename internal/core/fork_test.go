@@ -7,6 +7,7 @@ import (
 
 	"crystalnet/internal/firmware"
 	"crystalnet/internal/parallel"
+	"crystalnet/internal/rib"
 )
 
 func TestCheckpointRequiresQuiescence(t *testing.T) {
@@ -90,7 +91,13 @@ func TestForkMatchesFreshRun(t *testing.T) {
 	}
 }
 
-func TestForkIsDeepCopy(t *testing.T) {
+// TestForkIsolation pins what a fork owns and what it shares. Owned: every
+// object a step can mutate in place — devices, containers, VMs, fabric,
+// engine. Shared outright: immutable state (topology, configs). Shared
+// copy-on-write, deliberately: the bulk routing state sealed at Checkpoint —
+// FIB entries and trie nodes here; the BGP RIBs behind CowCopies — which a
+// write replaces on the writer's side only.
+func TestForkIsolation(t *testing.T) {
 	o, parent := fullEmulation(t, Options{Seed: 3})
 	snap, err := parent.Checkpoint()
 	if err != nil {
@@ -103,6 +110,9 @@ func TestForkIsDeepCopy(t *testing.T) {
 	for name, d := range forked.Devices {
 		if d == parent.Devices[name] {
 			t.Fatalf("device %s shared with parent", name)
+		}
+		if d.FIB() == parent.Devices[name].FIB() || d.BGP() == parent.Devices[name].BGP() {
+			t.Fatalf("device %s shares its FIB or BGP router object with parent", name)
 		}
 	}
 	for name, ct := range forked.containers {
@@ -118,7 +128,7 @@ func TestForkIsDeepCopy(t *testing.T) {
 	if forked.Fabric == parent.Fabric || forked.orch == parent.orch || forked.orch.Eng == parent.orch.Eng {
 		t.Fatal("fabric/orchestrator/engine shared with parent")
 	}
-	// Heavy immutable state is shared copy-on-write.
+	// Heavy immutable state is shared outright.
 	if forked.Network() != parent.Network() {
 		t.Fatal("topology should be shared, not copied")
 	}
@@ -126,6 +136,104 @@ func TestForkIsDeepCopy(t *testing.T) {
 		if cfg != parent.prep.Configs[name] {
 			t.Fatalf("config %s copied, want shared pointer", name)
 		}
+	}
+
+	// Routing state is shared until written: every FIB entry of every device
+	// is the parent's own object, and nothing has been copied yet.
+	shared := 0
+	for name, d := range forked.Devices {
+		pf := parent.Devices[name].FIB()
+		d.FIB().Walk(func(e *rib.Entry) bool {
+			if pe, ok := pf.Get(e.Prefix); !ok || pe != e {
+				t.Fatalf("%s: entry %s copied at fork, want shared with parent", name, e.Prefix)
+			}
+			shared++
+			return true
+		})
+	}
+	if shared == 0 {
+		t.Fatal("no FIB entries to share; the check checks nothing")
+	}
+	if c := forked.CowCopies(); c.Total() != 0 {
+		t.Fatalf("an unwritten fork has copied state: %+v", c)
+	}
+
+	// A write separates exactly what it touches, on the writer's side.
+	parentFIBs := parent.PullFIBs()
+	cutFirstUplink(t, forked)
+	c := forked.CowCopies()
+	if c.TrieNodes == 0 || c.FIBEntries == 0 || c.RIBEntries == 0 || c.DenseTables == 0 {
+		t.Fatalf("an uplink cut must copy some of each kind of shared state: %+v", c)
+	}
+	if !reflect.DeepEqual(parent.PullFIBs(), parentFIBs) {
+		t.Fatal("parent FIBs changed by the fork's writes")
+	}
+	if c := parent.CowCopies(); c.Total() != 0 {
+		t.Fatalf("parent copied state it never wrote: %+v", c)
+	}
+	// A device the cut never reached still shares every entry.
+	far, pfar := forked.Devices["tor-p1-1"].FIB(), parent.Devices["tor-p1-1"].FIB()
+	changed := 0
+	far.Walk(func(e *rib.Entry) bool {
+		if pe, _ := pfar.Get(e.Prefix); pe != e {
+			changed++
+		}
+		return true
+	})
+	if changed >= far.Len() {
+		t.Fatalf("tor-p1-1: all %d entries replaced by a cut in another pod", far.Len())
+	}
+}
+
+// TestForkCostTracksWrites is the structural guard on the O(touched) fork:
+// counts, not timings, so it repeats exactly. Forking S-DC allocates a
+// bounded number of objects — the eager deep copy this replaced allocated
+// 113,977 (one per Loc-RIB entry, candidate list, FIB entry and map bucket),
+// more than ten times the bound — and a one-link flap on the fork copies on
+// the order of 10^3 entries, not the fabric's 26,304 routes.
+func TestForkCostTracksWrites(t *testing.T) {
+	o, parent := sdcEmulation(t, 1)
+	snap, err := parent.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	routes := 0
+	for _, d := range parent.Devices {
+		routes += d.FIB().Len()
+	}
+	const maxForkAllocs = 11000
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := o.Fork(snap); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > maxForkAllocs {
+		t.Fatalf("Fork of S-DC (%d routes) made %.0f allocations, want <= %d: something is copied per route again",
+			routes, allocs, maxForkAllocs)
+	}
+
+	flap := func() CowCopies {
+		fork, err := o.Fork(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cutFirstUplink(t, fork)
+		return fork.CowCopies()
+	}
+	c := flap()
+	if again := flap(); again != c {
+		t.Fatalf("copy counts do not repeat: %+v then %+v", c, again)
+	}
+	t.Logf("S-DC: %d routes, fork %.0f allocs, one-link flap copies %+v", routes, allocs, c)
+	if c.FIBEntries == 0 || c.FIBEntries > routes/10 {
+		t.Fatalf("flap copied %d FIB entries of %d routes, want a small non-zero share", c.FIBEntries, routes)
+	}
+	if c.RIBEntries == 0 || c.RIBEntries > routes/4 {
+		t.Fatalf("flap copied %d Loc-RIB entries of %d routes, want a small non-zero share", c.RIBEntries, routes)
+	}
+	// A path copy is at most the trie's depth per written prefix.
+	if c.TrieNodes > 33*(c.FIBEntries+len(parent.Devices)) {
+		t.Fatalf("flap copied %d trie nodes for %d rewritten entries", c.TrieNodes, c.FIBEntries)
 	}
 }
 

@@ -85,10 +85,11 @@ func Scale(cfg ScaleConfig) []ScaleResult {
 }
 
 func runScaleOnce(cfg ScaleConfig, interned bool) ScaleResult {
-	// The ablation toggles the whole §10 memory model, not just attrs:
-	// hop-group sharing in the FIBs rides the same switch, and sessions
-	// latch the per-route map layout from it (bgp.Peer.mapRIBs), so the
-	// baseline pass reproduces the seed's bytes-per-route end to end.
+	// The ablation switches off attrs interning and, on the same switch,
+	// hop-group sharing and the lazy trie in the FIBs. The Adj-RIBs keep the
+	// dense layout in both passes: the seed's per-route map layout was
+	// deleted once the fork came to share the dense tables (EXPERIMENTS.md
+	// records the figures it produced and the commit that reproduces them).
 	bgp.SetInterning(interned)
 	rib.SetHopSharing(interned)
 	// Run both passes at GOGC=50 so peak heap tracks retained state rather

@@ -11,12 +11,60 @@ import (
 	"crystalnet/internal/sim"
 )
 
-// Fork returns a deep copy of the device for a forked emulation: bound to
-// the fork's engine, fabric, container clone and VM clone, with all routing
-// and dataplane state deep-copied and every protocol hook closure rebuilt
-// against the clone (the hooks constructed at boot close over the parent
-// and must not leak into the fork). The source device is read strictly
-// read-only, so concurrent forks are safe.
+// Seal freezes the device's bulk routing state — the FIB and the BGP
+// router's RIBs — so that forks can share it (rib.FIB.Seal, bgp.Router.Seal;
+// DESIGN.md §6). It writes the device, so Emulation.Checkpoint calls it
+// single-threaded before the first Fork.
+func (d *Device) Seal() {
+	if d.fib != nil {
+		d.fib.Seal()
+	}
+	if d.bgp != nil {
+		d.bgp.Seal()
+	}
+}
+
+// CowCopies is the copy-on-write cost a device or emulation has paid since
+// it was forked: what its writes had to copy because a checkpoint or another
+// fork shared it.
+type CowCopies struct {
+	TrieNodes   int // FIB trie nodes path-copied
+	FIBEntries  int // FIB entries allocated in place of shared ones
+	RIBEntries  int // BGP Loc-RIB entries replaced by private copies
+	DenseTables int // Adj-RIB tables that copied their backing arrays
+}
+
+// Total is the sum over all four kinds.
+func (c CowCopies) Total() int { return c.TrieNodes + c.FIBEntries + c.RIBEntries + c.DenseTables }
+
+// Add accumulates o into c.
+func (c *CowCopies) Add(o CowCopies) {
+	c.TrieNodes += o.TrieNodes
+	c.FIBEntries += o.FIBEntries
+	c.RIBEntries += o.RIBEntries
+	c.DenseTables += o.DenseTables
+}
+
+// CowCopies reports the device's copy-on-write cost so far.
+func (d *Device) CowCopies() CowCopies {
+	var c CowCopies
+	if d.fib != nil {
+		c.TrieNodes, c.FIBEntries = d.fib.Copies()
+	}
+	if d.bgp != nil {
+		c.RIBEntries, c.DenseTables = d.bgp.Copies()
+	}
+	return c
+}
+
+// Fork returns the device of a forked emulation: bound to the fork's
+// engine, fabric, container clone and VM clone, with every protocol hook
+// closure rebuilt against the clone (the hooks constructed at boot close
+// over the parent and must not leak into the fork). The bulk routing state
+// — FIB and BGP RIBs — is shared with the parent and copied on write, which
+// requires Seal to have run; the small per-device maps, OSPF and dataplane
+// state are deep-copied. The source device is read strictly read-only, so
+// concurrent forks are safe.
 //
 // The device's configuration pointer is shared copy-on-write: config
 // reloads replace the pointer (ReloadConfig installs a fresh

@@ -257,6 +257,14 @@ func (h *LiveHistogram) Quantile(q float64) float64 {
 // Histogram returns the histogram registered under (name, label) with the
 // default wall-clock bounds, creating it on first use.
 func (l *Live) Histogram(name, label string) *LiveHistogram {
+	return l.HistogramWith(name, label, liveBuckets)
+}
+
+// HistogramWith is Histogram for a series that is not a latency: bounds are
+// its ascending bucket bounds, in the series' own unit. They take effect
+// when the series is first registered; later calls return that series
+// whatever bounds they pass.
+func (l *Live) HistogramWith(name, label string, bounds []float64) *LiveHistogram {
 	if l == nil {
 		return nil
 	}
@@ -271,7 +279,7 @@ func (l *Live) Histogram(name, label string) *LiveHistogram {
 	}
 	h := &LiveHistogram{
 		name: name, label: label,
-		bounds: liveBuckets, bucket: make([]uint64, len(liveBuckets)+1),
+		bounds: bounds, bucket: make([]uint64, len(bounds)+1),
 	}
 	l.hists[k] = h
 	l.noteName(name)

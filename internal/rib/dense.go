@@ -69,10 +69,48 @@ func OverBudget() bool {
 // The zero value is an empty table ready for use. Dense is not safe for
 // concurrent mutation; in the sharded convergence engine each table is owned
 // by exactly one device, which is owned by exactly one shard.
+//
+// Tables fork copy-on-write (DESIGN.md §6): Seal marks the backing arrays
+// shared, Clone then copies three words, and the first Set, Delete or Clear
+// on either side replaces that side's arrays with private ones.
 type Dense[T any] struct {
 	vals    []T
 	present []uint64
 	live    int
+	// shared is set while vals/present may be reachable from another table;
+	// writers call unshare first. copies counts how often this table has
+	// replaced shared arrays with private ones.
+	shared bool
+	copies int
+}
+
+// Copies returns how many times the table has paid for private arrays
+// because its own were shared — the copy-on-write cost paid so far.
+func (d *Dense[T]) Copies() int { return d.copies }
+
+// Seal marks the table's arrays shared so that it can be cloned. It is the
+// only step of sharing that writes the receiver: call it from one goroutine
+// before the first Clone.
+func (d *Dense[T]) Seal() { d.shared = true }
+
+// adopt installs freshly allocated private arrays, booking the bytes they
+// add over the ones they replace — all of their bytes when those were shared
+// and so never this table's.
+func (d *Dense[T]) adopt(nv []T, nb []uint64) {
+	oldVals, oldWords := len(d.vals), len(d.present)
+	if d.shared {
+		oldVals, oldWords = 0, 0
+		d.shared = false
+		d.copies++
+	}
+	denseBytes.Add(elemBytes[T](len(nv)-oldVals) + int64(len(nb)-oldWords)*8)
+	denseSlots.Add(int64(len(nv) - oldVals))
+	d.vals, d.present = nv, nb
+}
+
+// unshare gives the table private copies of its arrays before a write.
+func (d *Dense[T]) unshare() {
+	d.adopt(append([]T(nil), d.vals...), append([]uint64(nil), d.present...))
 }
 
 func elemBytes[T any](n int) int64 {
@@ -93,9 +131,7 @@ func (d *Dense[T]) grow(id int) {
 	copy(nv, d.vals)
 	nb := make([]uint64, (newCap+63)/64)
 	copy(nb, d.present)
-	denseBytes.Add(elemBytes[T](newCap-len(d.vals)) + int64(len(nb)-len(d.present))*8)
-	denseSlots.Add(int64(newCap - len(d.vals)))
-	d.vals, d.present = nv, nb
+	d.adopt(nv, nb)
 }
 
 // Set stores v under id, growing the table as needed. ids must be small and
@@ -103,6 +139,8 @@ func (d *Dense[T]) grow(id int) {
 func (d *Dense[T]) Set(id int, v T) {
 	if id >= len(d.vals) {
 		d.grow(id)
+	} else if d.shared {
+		d.unshare()
 	}
 	w, b := id/64, uint64(1)<<(id%64)
 	if d.present[w]&b == 0 {
@@ -131,6 +169,9 @@ func (d *Dense[T]) Delete(id int) bool {
 	w, b := id/64, uint64(1)<<(id%64)
 	if d.present[w]&b == 0 {
 		return false
+	}
+	if d.shared {
+		d.unshare()
 	}
 	d.present[w] &^= b
 	var zero T
@@ -163,6 +204,14 @@ func (d *Dense[T]) Clear() {
 	if d.live == 0 {
 		return
 	}
+	denseLive.Add(-int64(d.live))
+	d.live = 0
+	if d.shared {
+		// Nothing of the shared arrays survives a clear: start from zeroed
+		// private ones of the same capacity instead of copying first.
+		d.adopt(make([]T, len(d.vals)), make([]uint64, len(d.present)))
+		return
+	}
 	var zero T
 	for w, bm := range d.present {
 		for bm != 0 {
@@ -172,21 +221,21 @@ func (d *Dense[T]) Clear() {
 		}
 		d.present[w] = 0
 	}
-	denseLive.Add(-int64(d.live))
-	d.live = 0
 }
 
-// Clone returns a deep copy of the table (values are copied shallowly — for
-// the Adj-RIB use the values are immutable interned pointers).
-func (d *Dense[T]) Clone() *Dense[T] {
-	c := &Dense[T]{
-		vals:    append([]T(nil), d.vals...),
-		present: append([]uint64(nil), d.present...),
-		live:    d.live,
+// Clone returns a table sharing d's backing arrays (the values are copied
+// shallowly when a write finally separates the two — for the Adj-RIB use
+// they are immutable interned pointers). It only reads d, so concurrent
+// forks may clone one sealed table at once. d must be sealed with no write
+// since, or it would go on writing arrays the clone reads; Clone panics if
+// it is not.
+func (d *Dense[T]) Clone() Dense[T] {
+	if !d.shared {
+		panic("rib: Clone of a Dense written since its last Seal")
 	}
-	denseBytes.Add(elemBytes[T](len(c.vals)) + int64(len(c.present))*8)
-	denseSlots.Add(int64(len(c.vals)))
-	denseLive.Add(int64(c.live))
+	denseLive.Add(int64(d.live))
+	c := *d
+	c.copies = 0
 	return c
 }
 
@@ -209,8 +258,6 @@ func (d *Dense[T]) Compact() {
 	copy(nv, d.vals[:need])
 	nb := make([]uint64, (need+63)/64)
 	copy(nb, d.present[:len(nb)])
-	denseBytes.Add(-(elemBytes[T](len(d.vals)-need) + int64(len(d.present)-len(nb))*8))
-	denseSlots.Add(int64(need - len(d.vals)))
-	d.vals, d.present = nv, nb
+	d.adopt(nv, nb)
 	compactions.Add(1)
 }

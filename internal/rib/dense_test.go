@@ -44,6 +44,7 @@ func TestDenseCloneClearCompact(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		d.Set(i, i*i)
 	}
+	d.Seal()
 	c := d.Clone()
 	c.Set(5, -1)
 	if v, _ := d.Get(5); v != 25 {
@@ -78,6 +79,72 @@ func TestDenseCloneClearCompact(t *testing.T) {
 		t.Fatal("clear")
 	}
 	c.Range(func(int, int) bool { t.Fatal("range over cleared table"); return false })
+}
+
+// TestDenseSharesUntilWritten pins the copy-on-write contract: a clone costs
+// no arrays, the first write on either side pays for one private copy, and
+// neither side ever sees the other's writes.
+func TestDenseSharesUntilWritten(t *testing.T) {
+	var parent Dense[int]
+	for i := 0; i < 70; i++ {
+		parent.Set(i, i)
+	}
+	parent.Seal()
+	before := Stats()
+	a, b, c, g := parent.Clone(), parent.Clone(), parent.Clone(), parent.Clone()
+	if got := Stats(); got.DenseBytes != before.DenseBytes || got.DenseSlots != before.DenseSlots {
+		t.Fatalf("cloning allocated arrays: %+v -> %+v", before, got)
+	}
+	if &a.vals[0] != &parent.vals[0] || &a.present[0] != &parent.present[0] {
+		t.Fatal("an unwritten clone must share its parent's arrays")
+	}
+
+	// Reads never copy.
+	if v, ok := a.Get(7); !ok || v != 7 || a.Len() != 70 || a.Copies() != 0 {
+		t.Fatalf("read through a clone: %d %v len=%d copies=%d", v, ok, a.Len(), a.Copies())
+	}
+	a.Set(7, -7)    // overwrite
+	b.Delete(8)     // delete
+	c.Clear()       // clear starts from zeroed arrays of the same capacity
+	g.Set(1000, 42) // grow
+	a.Set(9, -9)    // a second write is in place
+	for name, tbl := range map[string]*Dense[int]{"set": &a, "delete": &b, "clear": &c, "grow": &g} {
+		if tbl.Copies() != 1 {
+			t.Errorf("%s: copies = %d, want 1", name, tbl.Copies())
+		}
+	}
+	if b.Delete(8) || b.Copies() != 1 {
+		t.Fatal("deleting an absent id must not copy")
+	}
+	if len(c.vals) != len(parent.vals) || c.Len() != 0 {
+		t.Fatalf("clear of a shared table: cap %d (parent %d), len %d", len(c.vals), len(parent.vals), c.Len())
+	}
+	for i := 0; i < 70; i++ {
+		if v, ok := parent.Get(i); !ok || v != i {
+			t.Fatalf("parent[%d] = %d,%v after its clones wrote", i, v, ok)
+		}
+	}
+	if _, ok := parent.Get(1000); ok || parent.Copies() != 0 {
+		t.Fatal("a clone's grow reached the parent")
+	}
+	if v, _ := g.Get(69); v != 69 {
+		t.Fatal("grow of a shared table lost its contents")
+	}
+
+	// The parent moving on copies too, and leaves its clones alone.
+	d := parent.Clone()
+	parent.Set(3, 333)
+	if v, _ := d.Get(3); v != 3 || parent.Copies() != 1 {
+		t.Fatalf("parent write after clone: clone sees %d, parent copies %d", v, parent.Copies())
+	}
+
+	// Cloning a table written since its seal is a bug, not a silent alias.
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Clone of a written-since-seal table did not panic")
+		}
+	}()
+	parent.Clone()
 }
 
 func TestDenseBudget(t *testing.T) {

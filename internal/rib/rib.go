@@ -197,21 +197,32 @@ func hopSlicesEqual(a, b []NextHop) bool {
 	return true
 }
 
-// FIB is a device's forwarding table.
+// FIB is a device's forwarding table. It has two states, told apart by
+// whether byPrefix exists (DESIGN.md §6):
+//
+// A converging (unsealed) table is a prefix map with a lazily built LPM
+// trie beside it, tuned for the millions of installs a mockup performs
+// before anything routes. Seal — at Emulation.Checkpoint — builds the trie
+// once, drops the map and makes the trie authoritative; a sealed table and
+// its Clones share trie nodes and entries, and from then on no write edits
+// an *Entry in place: InstallHops allocates a replacement and the trie
+// copies the path to it.
 type FIB struct {
-	// t is the longest-prefix-match trie, built lazily from byPrefix on the
-	// first LPM or ordered-walk operation (nil until then). A converging
-	// fabric performs millions of installs before the first data-plane
-	// query — and a control-plane-only workload like the §10 scale
-	// benchmark never queries at all — so the trie nodes are not paid for
-	// until something actually routes. Trie results are insertion-order
+	// t is the longest-prefix-match trie. Unsealed, it is built lazily from
+	// byPrefix on the first LPM or ordered-walk operation (nil until then):
+	// a converging fabric performs millions of installs before the first
+	// data-plane query — and a control-plane-only workload like the §10
+	// scale benchmark never queries at all — so the trie nodes are not paid
+	// for until something actually routes. Trie results are insertion-order
 	// independent (lookups return the longest match, walks visit in prefix
-	// order), so deferring the build never changes an answer.
+	// order), so deferring the build never changes an answer. Sealed, it is
+	// the table.
 	t *trie.Trie[*Entry]
-	// byPrefix is the authoritative table, keyed for exact-match
-	// operations: a map probe is several times cheaper than a trie
-	// descent, and during BGP path hunting the same prefix is reprogrammed
-	// many times before the table reaches steady state (see InstallHops).
+	// byPrefix is the unsealed table's authoritative index, keyed for
+	// exact-match operations: a map probe is several times cheaper than a
+	// trie descent, and during BGP path hunting the same prefix is
+	// reprogrammed many times before the table reaches steady state (see
+	// InstallHops). nil once sealed.
 	byPrefix map[netpkt.Prefix]*Entry
 	// Capacity limits the number of entries; 0 means unlimited. When full,
 	// Install's behaviour depends on the device firmware — the FIB itself
@@ -223,6 +234,9 @@ type FIB struct {
 	// sort buffer InstallHops canonicalizes into.
 	hopSets HopSetTable
 	scratch []NextHop
+	// entryCopies counts the entries a sealed table allocated in place of
+	// ones it may not edit.
+	entryCopies int
 }
 
 // ErrFull is returned by Install when the FIB is at capacity.
@@ -240,7 +254,8 @@ func NewFIB() *FIB {
 	return f
 }
 
-// lpm returns the LPM trie, building it from byPrefix on first use.
+// lpm returns the LPM trie, building it from byPrefix on first use. A sealed
+// table always has its trie, so reads of shared state never fill anything in.
 func (f *FIB) lpm() *trie.Trie[*Entry] {
 	if f.t == nil {
 		f.t = trie.New[*Entry]()
@@ -251,8 +266,27 @@ func (f *FIB) lpm() *trie.Trie[*Entry] {
 	return f.t
 }
 
+// sealed reports whether the trie is the table (see FIB).
+func (f *FIB) sealed() bool { return f.byPrefix == nil }
+
+// Seal freezes the table's current contents for sharing: the trie is built
+// if no query has built it yet, becomes authoritative, and gives up
+// ownership of its nodes; the prefix map is dropped. Clone may then be
+// called from any number of goroutines. Seal itself writes the table, so it
+// runs single-threaded, at Emulation.Checkpoint; sealing again after further
+// writes re-freezes them.
+func (f *FIB) Seal() {
+	f.lpm().Seal()
+	f.byPrefix = nil
+}
+
 // Len returns the number of installed prefixes.
-func (f *FIB) Len() int { return len(f.byPrefix) }
+func (f *FIB) Len() int {
+	if f.sealed() {
+		return f.t.Len()
+	}
+	return len(f.byPrefix)
+}
 
 // Install adds or replaces the entry for e.Prefix. Replacing never fails;
 // adding a new prefix to a full table returns ErrFull. The FIB owns e after
@@ -260,15 +294,17 @@ func (f *FIB) Len() int { return len(f.byPrefix) }
 func (f *FIB) Install(e *Entry) error {
 	e.Prefix.Addr &= e.Prefix.MaskIP()
 	e.canonicalize()
-	if f.Capacity > 0 && len(f.byPrefix) >= f.Capacity {
-		if _, exists := f.byPrefix[e.Prefix]; !exists {
+	if f.Capacity > 0 && f.Len() >= f.Capacity {
+		if _, exists := f.Get(e.Prefix); !exists {
 			return ErrFull
 		}
 	}
 	if f.t != nil {
 		f.t.Insert(e.Prefix, e)
 	}
-	f.byPrefix[e.Prefix] = e
+	if !f.sealed() {
+		f.byPrefix[e.Prefix] = e
+	}
 	return nil
 }
 
@@ -278,10 +314,26 @@ func (f *FIB) Install(e *Entry) error {
 // trie descent on reprogram (the dominant case while BGP hunts paths), and
 // no per-prefix hop storage once the group has been seen before. nhs is not
 // retained or mutated.
+//
+// A sealed table may share the existing entry with a checkpoint and its
+// other forks, so there a reprogram installs a fresh entry instead of
+// editing the old one; rehearsal steps reprogram thousands of routes where
+// a mockup installs millions, so the allocation is off the hot path.
 func (f *FIB) InstallHops(p netpkt.Prefix, proto Proto, nhs []NextHop) error {
 	p.Addr &= p.MaskIP()
 	f.scratch = append(f.scratch[:0], nhs...)
 	sortHops(f.scratch)
+	if f.sealed() {
+		if f.Capacity > 0 && f.t.Len() >= f.Capacity {
+			if _, exists := f.t.Get(p); !exists {
+				return ErrFull
+			}
+		}
+		if !f.t.Insert(p, &Entry{Prefix: p, Proto: proto, NextHops: f.canonicalHops(f.scratch)}) {
+			f.entryCopies++ // replaced an entry it may not edit
+		}
+		return nil
+	}
 	if e, ok := f.byPrefix[p]; ok {
 		e.Proto = proto
 		e.NextHops = f.canonicalHops(f.scratch)
@@ -315,6 +367,9 @@ func (f *FIB) canonicalHops(nhs []NextHop) []NextHop {
 // Remove deletes the entry for p, reporting whether it was present.
 func (f *FIB) Remove(p netpkt.Prefix) bool {
 	p.Addr &= p.MaskIP()
+	if f.sealed() {
+		return f.t.Delete(p)
+	}
 	if _, ok := f.byPrefix[p]; !ok {
 		return false
 	}
@@ -325,9 +380,13 @@ func (f *FIB) Remove(p netpkt.Prefix) bool {
 	return true
 }
 
-// Get returns the entry for exactly p.
+// Get returns the entry for exactly p. The entry may be shared with other
+// tables; treat it as read-only.
 func (f *FIB) Get(p netpkt.Prefix) (*Entry, bool) {
 	p.Addr &= p.MaskIP()
+	if f.sealed() {
+		return f.t.Get(p)
+	}
 	e, ok := f.byPrefix[p]
 	return e, ok
 }
@@ -346,7 +405,7 @@ func (f *FIB) Walk(fn func(*Entry) bool) {
 // Snapshot returns a deep copy of all entries, sorted by prefix — the
 // payload of the paper's PullStates API.
 func (f *FIB) Snapshot() Snapshot {
-	out := make(Snapshot, 0, len(f.byPrefix))
+	out := make(Snapshot, 0, f.Len())
 	f.Walk(func(e *Entry) bool {
 		out = append(out, e.Clone())
 		return true
@@ -536,22 +595,30 @@ func nextHopsMatch(a, b []NextHop, mode CompareMode) bool {
 	return false
 }
 
-// Clone returns a deep copy of the FIB for a forked emulation. Each entry
-// is copied exactly once; the clone's LPM trie is left unbuilt and
-// reassembles itself from the copied table on the fork's first data-plane
-// query (see FIB.t), which keeps forks cheap for rehearsals that never
-// inject traffic.
+// Clone returns the table of a forked emulation: it shares every trie node
+// and entry with f, in O(1), and diverges from it one path and one entry at
+// a time as either side writes. It only reads f, so concurrent forks may
+// clone one table at once. f must be sealed with no write since (Seal);
+// Clone panics otherwise, because f would go on editing state the clone
+// reads.
+//
+// Stored hop groups are immutable — InstallHops replaces the slice
+// wholesale, never edits it — so the shared entries keep aliasing them (same
+// policy as the attrs); the clone interns the groups it installs itself in a
+// table of its own.
 func (f *FIB) Clone() *FIB {
-	c := &FIB{
-		byPrefix: make(map[netpkt.Prefix]*Entry, len(f.byPrefix)),
-		Capacity: f.Capacity,
+	if !f.sealed() {
+		panic("rib: Clone of an unsealed FIB")
 	}
-	for p, e := range f.byPrefix {
-		// The entry struct is copied; its hop group is aliased. Stored hop
-		// groups are immutable — InstallHops replaces the slice wholesale,
-		// never edits it — so forks share them (same policy as the attrs).
-		ce := *e
-		c.byPrefix[p] = &ce
+	return &FIB{t: f.t.Clone(), Capacity: f.Capacity}
+}
+
+// Copies returns the copy-on-write cost the table has paid since it was
+// cloned or created: trie nodes path-copied, and entries allocated in place
+// of shared ones.
+func (f *FIB) Copies() (trieNodes, entries int) {
+	if f.t != nil {
+		trieNodes = f.t.Copies()
 	}
-	return c
+	return trieNodes, f.entryCopies
 }

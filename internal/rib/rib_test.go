@@ -303,3 +303,93 @@ func TestPropertyCompareSymmetricCount(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSealedFIBSharesEntries pins the sealed state of a FIB: the trie is the
+// table, a clone shares every node and entry, and neither the parent nor a
+// clone ever edits an *Entry the other can see.
+func TestSealedFIBSharesEntries(t *testing.T) {
+	parent := NewFIB()
+	parent.Capacity = 4
+	parent.InstallHops(pfx("10.0.0.0/8"), ProtoBGP, entry("0.0.0.0/0", 0, "1.1.1.1", "2.2.2.2").NextHops)
+	parent.InstallHops(pfx("10.1.0.0/16"), ProtoBGP, entry("0.0.0.0/0", 0, "1.1.1.1").NextHops)
+	parent.Install(entry("192.168.0.0/24", ProtoConnected, "0.0.0.0"))
+	if parent.t != nil {
+		t.Fatal("trie built before Seal or any query")
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("Clone of an unsealed FIB did not panic")
+			}
+		}()
+		parent.Clone()
+	}()
+
+	parent.Seal()
+	if parent.byPrefix != nil || parent.t == nil || parent.Len() != 3 {
+		t.Fatalf("sealed FIB: map %v, trie %v, len %d", parent.byPrefix != nil, parent.t != nil, parent.Len())
+	}
+	before := parent.Snapshot().String()
+	a, b := parent.Clone(), parent.Clone()
+	pe, _ := parent.Get(pfx("10.0.0.0/8"))
+	ae, _ := a.Get(pfx("10.0.0.0/8"))
+	if pe != ae {
+		t.Fatal("a clone must share its parent's entries until it writes them")
+	}
+
+	// Reprogram, add, remove on a.
+	a.InstallHops(pfx("10.0.0.0/8"), ProtoBGP, entry("0.0.0.0/0", 0, "3.3.3.3").NextHops)
+	a.InstallHops(pfx("10.2.0.0/16"), ProtoBGP, entry("0.0.0.0/0", 0, "3.3.3.3").NextHops)
+	if !a.Remove(pfx("10.1.0.0/16")) || a.Remove(pfx("10.1.0.0/16")) {
+		t.Fatal("Remove on a sealed clone")
+	}
+	if pe.NextHops[0].IP != netpkt.MustParseIP("1.1.1.1") || len(pe.NextHops) != 2 {
+		t.Fatalf("a clone's reprogram edited the shared entry: %v", pe.NextHops)
+	}
+	if got := parent.Snapshot().String(); got != before {
+		t.Fatalf("parent changed by a clone's writes:\n%s", got)
+	}
+	if got := b.Snapshot().String(); got != before {
+		t.Fatalf("sibling changed by a clone's writes:\n%s", got)
+	}
+	if e, ok := a.Lookup(netpkt.MustParseIP("10.1.2.3")); !ok || e.Prefix != pfx("10.0.0.0/8") || e.NextHops[0].IP != netpkt.MustParseIP("3.3.3.3") {
+		t.Fatalf("clone LPM after its writes: %v", e)
+	}
+	if a.Len() != 3 || parent.Len() != 3 {
+		t.Fatalf("len: clone %d parent %d", a.Len(), parent.Len())
+	}
+	nodes, entries := a.Copies()
+	if entries != 1 || nodes == 0 || nodes > 3*33 {
+		t.Fatalf("clone copies: %d nodes, %d entries; want one entry and a few paths", nodes, entries)
+	}
+	if n, e := b.Copies(); n != 0 || e != 0 {
+		t.Fatalf("unwritten clone paid %d nodes, %d entries", n, e)
+	}
+
+	// Capacity counts the trie once the map is gone.
+	b.InstallHops(pfx("10.3.0.0/16"), ProtoBGP, entry("0.0.0.0/0", 0, "3.3.3.3").NextHops)
+	if err := b.InstallHops(pfx("10.4.0.0/16"), ProtoBGP, nil); err != ErrFull {
+		t.Fatalf("full sealed table: err = %v", err)
+	}
+	if err := b.Install(entry("10.5.0.0/16", ProtoBGP, "1.1.1.1")); err != ErrFull {
+		t.Fatalf("full sealed table Install: err = %v", err)
+	}
+	if err := b.InstallHops(pfx("10.3.0.0/16"), ProtoBGP, nil); err != nil {
+		t.Fatalf("reprogram in a full table: %v", err)
+	}
+
+	// The parent moving on after its clones were taken reaches none of them,
+	// and re-sealing makes the new state cloneable.
+	afterA := a.Snapshot().String()
+	parent.InstallHops(pfx("10.0.0.0/8"), ProtoBGP, entry("0.0.0.0/0", 0, "4.4.4.4").NextHops)
+	if a.Snapshot().String() != afterA {
+		t.Fatal("a parent's write after cloning reached a clone")
+	}
+	if pe.NextHops[0].IP != netpkt.MustParseIP("1.1.1.1") {
+		t.Fatal("a sealed parent edited an entry in place")
+	}
+	parent.Seal()
+	if e, _ := parent.Clone().Get(pfx("10.0.0.0/8")); e.NextHops[0].IP != netpkt.MustParseIP("4.4.4.4") {
+		t.Fatal("clone of a re-sealed parent misses the parent's later write")
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"crystalnet/internal/core"
 	"crystalnet/internal/obs"
 	"crystalnet/internal/traffic"
 )
@@ -72,6 +73,12 @@ type Report struct {
 	PendingFaults int `json:"pendingFaults,omitempty"`
 	// Error is set when the run aborted before completing all steps.
 	Error string `json:"error,omitempty"`
+	// CowCopies is how much routing state shared with the converged
+	// baseline the run's steps had to copy (core.Emulation.CowCopies): all
+	// zero on a fresh run, which shares nothing. It is a cost of how the run
+	// was served, not a result of it, so it is never serialized — forked and
+	// fresh reports stay byte-identical.
+	CowCopies core.CowCopies `json:"-"`
 }
 
 // JSON marshals the report with stable indentation.

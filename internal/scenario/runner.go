@@ -179,6 +179,7 @@ func (r *runner) drive() (*Report, error) {
 	r.report.Degraded = append([]string(nil), r.em.Degraded()...)
 	r.report.PendingFaults = r.em.FaultsPending()
 	r.report.Passed = r.passed()
+	r.report.CowCopies = r.em.CowCopies()
 	return r.report, nil
 }
 

@@ -39,6 +39,10 @@ import (
 // maxSpecBytes bounds a request body; hand-written specs are a few KB.
 const maxSpecBytes = 4 << 20
 
+// cowCopyBounds are the buckets of serve.fork_cow_copies, in copies: powers
+// of four from a quiet step (tens) past a whole M-DC fabric's FIB entries.
+var cowCopyBounds = []float64{16, 64, 256, 1024, 4096, 16384, 65536, 262144, 1048576}
+
 // Config tunes a Server. Zero values take the documented defaults.
 type Config struct {
 	// PoolSize caps the warm checkpoint pool (default 4).
@@ -239,13 +243,34 @@ func writeError(w http.ResponseWriter, code int, err error) {
 	_ = json.NewEncoder(w).Encode(ErrorResponse{Error: err.Error()})
 }
 
-// readSpec parses a request body as a scenario spec.
-func readSpec(r *http.Request) (*scenario.Spec, error) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxSpecBytes))
+// readBody reads a request body of at most maxSpecBytes. On failure it
+// returns the status to answer with: 413 for a larger body — which a plain
+// LimitReader would have cut short into a baffling JSON syntax error — and
+// 400 for a body that could not be read.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, int, error) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 	if err != nil {
-		return nil, fmt.Errorf("serve: read body: %w", err)
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			return nil, http.StatusRequestEntityTooLarge, fmt.Errorf("serve: request body exceeds %d bytes", tooBig.Limit)
+		}
+		return nil, http.StatusBadRequest, fmt.Errorf("serve: read body: %w", err)
 	}
-	return scenario.Parse(body)
+	return body, 0, nil
+}
+
+// readSpec parses a request body as a scenario spec, returning the status
+// to answer with on failure.
+func readSpec(w http.ResponseWriter, r *http.Request) (*scenario.Spec, int, error) {
+	body, code, err := readBody(w, r)
+	if err != nil {
+		return nil, code, err
+	}
+	sp, err := scenario.Parse(body)
+	if err != nil {
+		return nil, http.StatusBadRequest, err
+	}
+	return sp, 0, nil
 }
 
 // handleRehearse runs one scenario and returns the batch-identical report.
@@ -259,9 +284,9 @@ func (s *Server) handleRehearse(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, errors.New("serve: POST only"))
 		return
 	}
-	sp, err := readSpec(r)
+	sp, code, err := readSpec(w, r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		writeError(w, code, err)
 		return
 	}
 	sess, code, err := s.begin("rehearse", r.Header.Get(TenantHeader), sp.Name)
@@ -290,7 +315,11 @@ func (s *Server) handleRehearse(w http.ResponseWriter, r *http.Request) {
 		} else {
 			mode = "miss"
 		}
-		rep, err = cv.Run(sp, opts)
+		if rep, err = cv.Run(sp, opts); err == nil {
+			// How much of the shared baseline this request had to copy: the
+			// figure that says a spec has stopped being cheap to rehearse.
+			s.live.HistogramWith("serve.fork_cow_copies", "", cowCopyBounds).Observe(float64(rep.CowCopies.Total()))
+		}
 	} else {
 		rep, err = scenario.Run(sp, opts)
 	}
@@ -332,9 +361,9 @@ func (s *Server) handleChaos(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, errors.New("serve: POST only"))
 		return
 	}
-	sp, err := readSpec(r)
+	sp, code, err := readSpec(w, r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		writeError(w, code, err)
 		return
 	}
 	var cfg scenario.CampaignConfig
@@ -428,9 +457,9 @@ func (s *Server) handleInvalidate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, errors.New("serve: POST only"))
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxSpecBytes))
+	body, code, err := readBody(w, r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: read body: %w", err))
+		writeError(w, code, err)
 		return
 	}
 	var sp *scenario.Spec

@@ -276,7 +276,7 @@ func TestStatusAndMetricsEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"http_requests", "pool_misses", "http_latency_bucket"} {
+	for _, want := range []string{"http_requests", "pool_misses", "http_latency_bucket", "serve_fork_cow_copies_bucket"} {
 		if !strings.Contains(string(prom), want) {
 			t.Fatalf("/metrics missing %q:\n%s", want, prom)
 		}
@@ -304,6 +304,49 @@ func TestRehearseBadRequests(t *testing.T) {
 	r2.Body.Close()
 	if r2.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET rehearse = %d, want 405", r2.StatusCode)
+	}
+}
+
+// TestOversizedBodyGets413 pins the body bound on every route that reads a
+// spec: one byte over maxSpecBytes is refused as too large — not truncated
+// into a JSON syntax error — with the uniform error body, and the refusal
+// holds no session slot.
+func TestOversizedBodyGets413(t *testing.T) {
+	s, ts := newTestServer(t, Config{TenantInFlight: 1})
+	// A spec that would parse if only it ended: the old LimitReader cut it
+	// at the bound and reported "unexpected end of JSON input".
+	huge := append([]byte(`{"name":"`), bytes.Repeat([]byte{'a'}, maxSpecBytes+1-len(`{"name":"`))...)
+	for _, route := range []string{"/v1/rehearse", "/v1/chaos", "/v1/pool/invalidate", "/v1/plan"} {
+		resp, err := http.Post(ts.URL+route, "application/json", bytes.NewReader(huge))
+		if err != nil {
+			t.Fatalf("%s: %v", route, err)
+		}
+		var e ErrorResponse
+		derr := json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge || derr != nil || !strings.Contains(e.Error, "exceeds") {
+			t.Errorf("%s with %d bytes: status %d, body %+v (%v); want 413 with an ErrorResponse",
+				route, len(huge), resp.StatusCode, e, derr)
+		}
+		// At the bound the body is read whole and fails on its own merits.
+		resp, err = http.Post(ts.URL+route, "application/json", bytes.NewReader(huge[:maxSpecBytes]))
+		if err != nil {
+			t.Fatalf("%s: %v", route, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s with exactly %d bytes: status %d, want 400", route, maxSpecBytes, resp.StatusCode)
+		}
+	}
+	s.mu.Lock()
+	inFlight, sessions, tenants := s.inFlight, len(s.sessions), len(s.tenants)
+	s.mu.Unlock()
+	if inFlight != 0 || sessions != 0 || tenants != 0 {
+		t.Fatalf("refused bodies left sessions behind: inFlight=%d sessions=%d tenants=%d", inFlight, sessions, tenants)
+	}
+	// The tenant's single slot is still free.
+	if resp, body := rehearse(t, ts, tinySpec("after-413", 3), ""); resp.StatusCode != http.StatusOK {
+		t.Fatalf("rehearsal after refusals: %d: %s", resp.StatusCode, body)
 	}
 }
 

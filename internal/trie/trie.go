@@ -4,12 +4,17 @@
 // walks, all allocation-lean so that L-DC-scale tables (Table 3: O(20M)
 // entries across the fabric) stay affordable.
 //
+// The trie is persistent across Seal/Clone: a sealed trie and its clones
+// share nodes, and a write copies only the nodes on its descent path that
+// the writing trie does not own (DESIGN.md §6, the ownership invariant).
+//
 // DESIGN.md §4 records the allocation-lean trie as a key performance
 // decision.
 package trie
 
 import (
 	"math/bits"
+	"sync/atomic"
 
 	"crystalnet/internal/netpkt"
 )
@@ -20,6 +25,11 @@ type node[V any] struct {
 	prefix   netpkt.Prefix
 	children [2]*node[V]
 	value    V
+	// edit is the token of the trie that allocated the node and may
+	// therefore write it in place; every other trie reaching the node copies
+	// it first. The field rides in the padding the node's size class already
+	// had, so ownership costs no bytes per prefix.
+	edit     uint64
 	hasValue bool
 }
 
@@ -28,11 +38,69 @@ type node[V any] struct {
 type Trie[V any] struct {
 	root *node[V]
 	size int
+	// edit is this trie's ownership token: nodes carrying it are private to
+	// the trie. 0 means sealed — the trie owns none of its nodes — and the
+	// first write draws a fresh token.
+	edit uint64
+	// copies counts nodes path-copied by writes since the trie was created.
+	copies int
 }
+
+// lastEdit hands out ownership tokens. Tokens only need to be distinct, so
+// one process-wide counter serves every trie without coordination beyond
+// the atomic add.
+var lastEdit atomic.Uint64
 
 // New returns an empty trie.
 func New[V any]() *Trie[V] {
-	return &Trie[V]{root: &node[V]{prefix: netpkt.Prefix{Addr: 0, Len: 0}}}
+	e := lastEdit.Add(1)
+	return &Trie[V]{root: &node[V]{prefix: netpkt.Prefix{Addr: 0, Len: 0}, edit: e}, edit: e}
+}
+
+// Seal gives up ownership of every node, so that the trie can be cloned:
+// from here on a write to this trie copies the nodes on its path instead of
+// editing them. Seal is the only step of sharing that writes the receiver;
+// call it from one goroutine before the first Clone.
+func (t *Trie[V]) Seal() { t.edit = 0 }
+
+// Clone returns a trie sharing every node with t, in O(1). It only reads t,
+// so any number of goroutines may clone one sealed trie at once. t must be
+// sealed with no write since — otherwise t would go on editing, in place,
+// nodes the clone can see — and Clone panics if it is not.
+func (t *Trie[V]) Clone() *Trie[V] {
+	if t.edit != 0 {
+		panic("trie: Clone of a trie written since its last Seal")
+	}
+	return &Trie[V]{root: t.root, size: t.size}
+}
+
+// Copies returns how many nodes writes to this trie have copied because
+// another trie shared them — the copy-on-write cost paid so far.
+func (t *Trie[V]) Copies() int { return t.copies }
+
+// own returns the node in *slot ready for an in-place write, replacing it
+// with a private copy first when another trie may share it. The slot must
+// itself be owned (the root field, or a child pointer of an owned node),
+// which a top-down descent guarantees.
+func (t *Trie[V]) own(slot **node[V]) *node[V] {
+	n := *slot
+	if n.edit != t.edit {
+		c := *n
+		c.edit = t.edit
+		n = &c
+		*slot = n
+		t.copies++
+	}
+	return n
+}
+
+// writableRoot starts a write: it draws the trie's ownership token if this
+// is the first write after New or Seal, and returns the root owned.
+func (t *Trie[V]) writableRoot() *node[V] {
+	if t.edit == 0 {
+		t.edit = lastEdit.Add(1)
+	}
+	return t.own(&t.root)
 }
 
 // Len returns the number of prefixes stored.
@@ -67,7 +135,7 @@ func commonPrefixLen(a, b netpkt.IP, maxLen uint8) uint8 {
 // prefix was newly added, false if an existing value was replaced.
 func (t *Trie[V]) Insert(p netpkt.Prefix, v V) bool {
 	p.Addr &= maskTab[p.Len]
-	n := t.root
+	n := t.writableRoot()
 	for {
 		if n.prefix.Len == p.Len && n.prefix.Addr == p.Addr {
 			added := !n.hasValue
@@ -81,7 +149,7 @@ func (t *Trie[V]) Insert(p netpkt.Prefix, v V) bool {
 		dir := bitAt(p.Addr, n.prefix.Len)
 		child := n.children[dir]
 		if child == nil {
-			n.children[dir] = &node[V]{prefix: p, value: v, hasValue: true}
+			n.children[dir] = &node[V]{prefix: p, value: v, hasValue: true, edit: t.edit}
 			t.size++
 			return true
 		}
@@ -89,21 +157,22 @@ func (t *Trie[V]) Insert(p netpkt.Prefix, v V) bool {
 		common := commonPrefixLen(p.Addr, child.prefix.Addr, min8(p.Len, child.prefix.Len))
 		if common == child.prefix.Len {
 			// p lies below child; descend.
-			n = child
+			n = t.own(&n.children[dir])
 			continue
 		}
 		if common == p.Len {
 			// p is an ancestor of child: splice p in between n and child.
-			mid := &node[V]{prefix: p, value: v, hasValue: true}
+			// child itself is only pointed at, never written, so it stays shared.
+			mid := &node[V]{prefix: p, value: v, hasValue: true, edit: t.edit}
 			mid.children[bitAt(child.prefix.Addr, p.Len)] = child
 			n.children[dir] = mid
 			t.size++
 			return true
 		}
 		// Diverge: create a glue node at the common length.
-		glue := &node[V]{prefix: netpkt.Prefix{Addr: p.Addr & maskTab[common], Len: common}}
+		glue := &node[V]{prefix: netpkt.Prefix{Addr: p.Addr & maskTab[common], Len: common}, edit: t.edit}
 		glue.children[bitAt(child.prefix.Addr, common)] = child
-		leaf := &node[V]{prefix: p, value: v, hasValue: true}
+		leaf := &node[V]{prefix: p, value: v, hasValue: true, edit: t.edit}
 		glue.children[bitAt(p.Addr, common)] = leaf
 		n.children[dir] = glue
 		t.size++
@@ -149,25 +218,20 @@ func (t *Trie[V]) Get(p netpkt.Prefix) (V, bool) {
 // Structural glue nodes are left in place; they are cheap and simplify
 // deletion, and tables in the emulator are rebuilt wholesale on reload.
 func (t *Trie[V]) Delete(p netpkt.Prefix) bool {
-	addr := p.Addr & maskTab[p.Len]
-	n := t.root
-	for n != nil {
-		nl := n.prefix.Len
-		if nl == p.Len && n.prefix.Addr == addr {
-			if !n.hasValue {
-				return false
-			}
-			var zero V
-			n.value, n.hasValue = zero, false
-			t.size--
-			return true
-		}
-		if nl >= p.Len {
-			return false
-		}
-		n = n.children[(addr>>(31-nl))&1]
+	// An absent prefix must not copy its would-be path, so presence is
+	// settled read-only first.
+	if _, ok := t.Get(p); !ok {
+		return false
 	}
-	return false
+	addr := p.Addr & maskTab[p.Len]
+	n := t.writableRoot()
+	for n.prefix.Len != p.Len {
+		n = t.own(&n.children[(addr>>(31-n.prefix.Len))&1])
+	}
+	var zero V
+	n.value, n.hasValue = zero, false
+	t.size--
+	return true
 }
 
 // Lookup performs longest-prefix match for ip, returning the most specific
@@ -216,28 +280,6 @@ func (t *Trie[V]) walk(n *node[V], fn func(p netpkt.Prefix, v V) bool) bool {
 		return false
 	}
 	return t.walk(n.children[1], fn)
-}
-
-// Clone returns a structural copy of the trie, with every stored value
-// passed through cloneV (identity for shared values, a deep copy for owned
-// ones). Copying nodes directly skips the per-prefix descents and path
-// splits a rebuild via Insert would redo, which is what keeps forking a
-// fabric's worth of FIBs cheap.
-func (t *Trie[V]) Clone(cloneV func(p netpkt.Prefix, v V) V) *Trie[V] {
-	return &Trie[V]{root: cloneNode(t.root, cloneV), size: t.size}
-}
-
-func cloneNode[V any](n *node[V], cloneV func(p netpkt.Prefix, v V) V) *node[V] {
-	if n == nil {
-		return nil
-	}
-	c := &node[V]{prefix: n.prefix, hasValue: n.hasValue}
-	if n.hasValue {
-		c.value = cloneV(n.prefix, n.value)
-	}
-	c.children[0] = cloneNode(n.children[0], cloneV)
-	c.children[1] = cloneNode(n.children[1], cloneV)
-	return c
 }
 
 // WalkCovered visits every stored prefix contained in p (including p itself).

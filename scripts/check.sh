@@ -27,14 +27,25 @@ go test ./...
 
 echo "== go test -race (concurrency-touching packages)"
 go test -race ./internal/parallel/ ./internal/sim/ ./internal/experiments/ ./internal/checkpoint/ \
-    ./internal/obs/ ./internal/serve/ ./internal/bgp/ ./internal/rib/ ./internal/traffic/ \
+    ./internal/obs/ ./internal/serve/ ./internal/bgp/ ./internal/rib/ ./internal/trie/ ./internal/traffic/ \
     ./internal/boundary/
 
 echo "== sealed-attrs immutability assertions (-tags crystaldebug)"
 go test -tags crystaldebug ./internal/bgp/
 
-echo "== concurrent-fork smoke under -race"
-go test -race ./internal/core/ -run 'TestCheckpoint|TestFork|TestClearAfterFork|TestConcurrentForks'
+# TestFork* covers the copy-on-write fork: TestForkIsolation (what is shared,
+# what is not), TestForkSharingIsIsolated (S-DC, one fork per operation kind
+# vs parent, idle sibling and fresh run) and TestForkCostTracksWrites (the
+# structural O(touched) guard). serve's TestConcurrentForkStorm ran above.
+echo "== concurrent-fork, fork-isolation and fork-cost smokes under -race"
+go test -race ./internal/core/ -run 'TestCheckpoint|TestFork|TestClearAfterFork|TestConcurrentForks' -timeout 10m
+
+if [ "${SHORT:-}" != "1" ]; then
+    echo "== persistent-trie fuzz (clone vs map model, parent Walk frozen; 5s)"
+    go test ./internal/trie -run '^$' -fuzz=FuzzTriePersistent -fuzztime=5s
+else
+    echo "== persistent-trie fuzz skipped (SHORT=1)"
+fi
 
 echo "== scenario smoke under -race"
 go test -race ./internal/scenario/ -run 'TestSmoke|TestChaosSerialParallelIdentical'
