@@ -5,9 +5,8 @@
 // Usage:
 //
 //	crystalbench [-reps N] [-ldcscale N] [-quick] [-workers N]
-//	             [-only table1,figure8,...] [-scale sdc|mdc|ldcdiv] [-shards N]
-//	             [-traffic N] [-nobaseline] [-json] [-trace FILE]
-//	             [-memstats FILE] [-cpuprofile FILE] [-memprofile FILE]
+//	             [-only table1,figure8,...] [-json] [-trace FILE]
+//	             [-cpuprofile FILE] [-memprofile FILE]
 //
 // -quick runs a reduced sweep (fewer repetitions, no M-DC/L-DC in the
 // latency figures). -ldcscale divides L-DC's pod count; 1 attempts the full
@@ -16,19 +15,8 @@
 // -json emits the raw experiment structs as one JSON object instead of the
 // formatted tables.
 //
-// -scale runs the DESIGN.md §10 scale benchmark on one fabric (sdc, mdc, or
-// ldcdiv — L-DC at the -ldcscale divisor): wall-clock to route-ready, peak
-// and live heap, allocation volume and peak RSS, for an interned pass and a
-// non-interned baseline pass (-nobaseline skips the latter). -shards
-// additionally runs it with sharded convergence at that worker count.
-// -memstats writes the process's closing runtime.MemStats
-// (HeapAlloc/TotalAlloc/HeapSys/NumGC) as JSON for benchjson -memstats to
-// embed.
-//
-// -traffic N runs the traffic-plane benchmark (docs/TRAFFIC.md): converge
-// the -scale fabric (default sdc), attach an N-flow matrix and time
-// re-settles, reporting flows-settled/s. benchjson -traffic embeds the
-// -json form.
+// Wall-clock, memory and throughput are not measured here: the repo's one
+// perf harness is bench/ (`go run ./bench`, bench/README.md).
 //
 // -cpuprofile / -memprofile write pprof profiles covering
 // the selected experiments, so perf work is reproducible without editing
@@ -50,6 +38,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 
 	"crystalnet"
@@ -88,22 +77,47 @@ func tracedMockup(path string) error {
 	return rec.WriteChrome(f)
 }
 
+// experimentKeys are the values -only accepts, in output order.
+var experimentKeys = []string{
+	"table1", "figure1", "figure7", "table3", "figure8", "figure9",
+	"sec83", "table4", "table4solve", "sec9",
+}
+
+// parseOnly turns the -only argument into the set of selected experiments.
+// An empty argument selects everything (a nil set); a key outside
+// experimentKeys is an error rather than a silently empty run.
+func parseOnly(arg string) (map[string]bool, error) {
+	if arg == "" {
+		return nil, nil
+	}
+	want := map[string]bool{}
+	for _, k := range strings.Split(arg, ",") {
+		k = strings.TrimSpace(k)
+		if !slices.Contains(experimentKeys, k) {
+			return nil, fmt.Errorf("unknown experiment %q (valid: %s)", k, strings.Join(experimentKeys, ","))
+		}
+		want[k] = true
+	}
+	return want, nil
+}
+
 func main() {
 	reps := flag.Int("reps", 5, "repetitions per Figure 8 configuration (paper: 10)")
 	ldcScale := flag.Int("ldcscale", 8, "L-DC downscale divisor (1 = full fabric)")
 	quick := flag.Bool("quick", false, "reduced sweep: S-DC only, 2 reps")
 	workers := flag.Int("workers", 0, "worker pool size for independent emulation runs (0 = GOMAXPROCS)")
-	only := flag.String("only", "", "comma-separated subset: table1,figure1,figure7,table3,figure8,figure9,sec83,table4,table4solve,sec9")
+	only := flag.String("only", "", "comma-separated subset: "+strings.Join(experimentKeys, ","))
 	jsonOut := flag.Bool("json", false, "emit raw experiment structs as JSON instead of formatted tables")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the selected experiments to `file`")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile (taken after the runs) to `file`")
 	traceOut := flag.String("trace", "", "run one traced S-DC mockup cycle and write a Chrome trace_event file to `file`")
-	scale := flag.String("scale", "", "run the §10 scale benchmark on one fabric: sdc, mdc, or ldcdiv (L-DC at the -ldcscale divisor)")
-	trafficFlows := flag.Uint64("traffic", 0, "run the traffic-plane benchmark with this many flows on the -scale fabric (default sdc); reports flows-settled/s")
-	shards := flag.Int("shards", 0, "worker count for sharded convergence in -scale (0 = classic single engine)")
-	noBaseline := flag.Bool("nobaseline", false, "skip the non-interned baseline pass in -scale (halves the wall-clock; for smoke tests)")
-	memStats := flag.String("memstats", "", "write closing runtime.MemStats as JSON to `file` (for benchjson -memstats)")
 	flag.Parse()
+
+	want, err := parseOnly(*only)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "crystalbench: -only: %v\n", err)
+		os.Exit(2)
+	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -119,21 +133,7 @@ func main() {
 		defer pprof.StopCPUProfile()
 	}
 
-	want := map[string]bool{}
-	if *only != "" {
-		for _, k := range strings.Split(*only, ",") {
-			want[strings.TrimSpace(k)] = true
-		}
-	}
-	// -scale without -only runs just the scale benchmark: it exists to be a
-	// bounded, single-fabric measurement (scripts/check.sh smokes M-DC with
-	// it under a timeout).
-	run := func(key string) bool {
-		if (*scale != "" || *trafficFlows > 0) && len(want) == 0 {
-			return false
-		}
-		return len(want) == 0 || want[key]
-	}
+	run := func(key string) bool { return want == nil || want[key] }
 	section := func(title string) { fmt.Printf("\n==== %s ====\n\n", title) }
 
 	// With -json, collect every selected experiment's raw structs here and
@@ -148,40 +148,6 @@ func main() {
 		fmt.Print(formatted)
 	}
 
-	if *scale != "" {
-		var spec topo.ClosSpec
-		switch *scale {
-		case "sdc":
-			spec = topo.SDC()
-		case "mdc":
-			spec = topo.MDC()
-		case "ldcdiv":
-			spec = topo.LDCScaled(*ldcScale)
-		default:
-			fmt.Fprintf(os.Stderr, "crystalbench: -scale must be sdc, mdc or ldcdiv (got %q)\n", *scale)
-			os.Exit(1)
-		}
-		rs := experiments.Scale(experiments.ScaleConfig{Spec: spec, Shards: *shards, Baseline: !*noBaseline})
-		emit("scale", fmt.Sprintf("§10 scale benchmark — %s wall-clock and memory (interned vs baseline)", spec.Name),
-			experiments.FormatScale(rs), rs)
-	}
-	if *trafficFlows > 0 {
-		// The traffic benchmark reuses -scale's fabric selection; without
-		// -scale it measures S-DC, the fabric docs/TRAFFIC.md quotes.
-		spec := topo.SDC()
-		switch *scale {
-		case "", "sdc":
-		case "mdc":
-			spec = topo.MDC()
-		case "ldcdiv":
-			spec = topo.LDCScaled(*ldcScale)
-		}
-		r := experiments.Traffic(experiments.TrafficConfig{
-			Spec: spec, Flows: *trafficFlows, Shards: *shards,
-		})
-		emit("traffic", fmt.Sprintf("traffic-plane benchmark — %d flows re-settled on %s", r.Flows, spec.Name),
-			experiments.FormatTraffic(r), r)
-	}
 	if run("table1") {
 		rows := experiments.Table1()
 		emit("table1", "Table 1 — incident root causes: emulation vs verification coverage",
@@ -255,29 +221,6 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Fprintf(os.Stderr, "crystalbench: wrote %s (open in ui.perfetto.dev)\n", *traceOut)
-	}
-
-	if *memStats != "" {
-		var m runtime.MemStats
-		runtime.ReadMemStats(&m)
-		stats := map[string]uint64{
-			"heap_alloc":  m.HeapAlloc,
-			"total_alloc": m.TotalAlloc,
-			"heap_sys":    m.HeapSys,
-			"num_gc":      uint64(m.NumGC),
-		}
-		f, err := os.Create(*memStats)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "crystalbench: -memstats: %v\n", err)
-			os.Exit(1)
-		}
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(stats); err != nil {
-			fmt.Fprintf(os.Stderr, "crystalbench: -memstats: %v\n", err)
-			os.Exit(1)
-		}
-		f.Close()
 	}
 
 	if *memProfile != "" {

@@ -13,8 +13,12 @@
 // (internal/serve.Routes), and docs/OBSERVABILITY.md must list every
 // metric name registered anywhere under internal/ (every string literal
 // passed to a Counter/Gauge/Histogram constructor), so a new metric cannot
-// ship undocumented. scripts/check.sh runs it, so documentation drift
-// fails verification the same way a broken test does.
+// ship undocumented. And every scripts/<name>.sh or cmd/<name> that
+// README.md, DESIGN.md or a docs/*.md file mentions must exist on disk, so
+// deleting a tool fails the gate until the recipes that advertise it are
+// gone too (EXPERIMENTS.md, CHANGES.md and bench/README.md are history and
+// are not scanned). scripts/check.sh runs it, so documentation drift fails
+// verification the same way a broken test does.
 //
 // Usage:
 //
@@ -83,6 +87,7 @@ func main() {
 
 	problems = append(problems, apiDocProblems(root)...)
 	problems = append(problems, metricDocProblems(root)...)
+	problems = append(problems, toolRefProblems(root)...)
 
 	if len(problems) > 0 {
 		sort.Strings(problems)
@@ -161,6 +166,37 @@ func docsFileProblems(root, rel, doc string) []string {
 		if _, err := os.Stat(filepath.Join(root, "docs", m[1])); err != nil {
 			problems = append(problems,
 				fmt.Sprintf("%s: package doc references docs/%s, which does not exist", rel, m[1]))
+		}
+	}
+	return problems
+}
+
+// toolRef matches the repository tools prose docs advertise: a script under
+// scripts/ or a command directory under cmd/.
+var toolRef = regexp.MustCompile(`\b(scripts/[A-Za-z0-9_.-]+\.sh|cmd/[A-Za-z0-9_-]+)`)
+
+// toolRefProblems verifies that every scripts/<name>.sh and cmd/<name> the
+// living docs mention (README.md, DESIGN.md, docs/*.md) exists on disk.
+func toolRefProblems(root string) []string {
+	files, _ := filepath.Glob(filepath.Join(root, "docs", "*.md"))
+	files = append(files, filepath.Join(root, "README.md"), filepath.Join(root, "DESIGN.md"))
+	var problems []string
+	for _, path := range files {
+		rel, _ := filepath.Rel(root, path)
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			problems = append(problems, fmt.Sprintf("%s: %v", rel, err))
+			continue
+		}
+		seen := map[string]bool{}
+		for _, ref := range toolRef.FindAllString(string(raw), -1) {
+			if seen[ref] {
+				continue
+			}
+			seen[ref] = true
+			if _, err := os.Stat(filepath.Join(root, filepath.FromSlash(ref))); err != nil {
+				problems = append(problems, fmt.Sprintf("%s: mentions %s, which does not exist", rel, ref))
+			}
 		}
 	}
 	return problems

@@ -13,8 +13,7 @@ import (
 // reset the fingerprint memo would silently poison UPDATE grouping and the
 // intern table. Under -tags crystaldebug the next attrsKey touch panics.
 func TestSealedMutationCaught(t *testing.T) {
-	SetInterning(true)
-	defer SetInterning(true)
+	resetInternTable()
 
 	a := Intern(&Attrs{Origin: OriginIGP, Path: NewPath(65001), NextHop: netpkt.IPFromBytes(10, 0, 0, 9)})
 

@@ -45,38 +45,18 @@ type internKey struct {
 }
 
 var (
-	internHits     atomic.Uint64
-	internMisses   atomic.Uint64
-	internSize     atomic.Int64
-	internDisabled atomic.Bool
+	internHits   atomic.Uint64
+	internMisses atomic.Uint64
+	internSize   atomic.Int64
 )
-
-// SetInterning toggles the global intern table (on by default). Disabling
-// it makes Intern the identity function — the non-interned baseline the
-// M-DC memory experiment measures against. Toggling clears the table and
-// resets the hit/miss counters so measurements do not bleed across modes.
-func SetInterning(on bool) {
-	internTab.Lock()
-	internDisabled.Store(!on)
-	internTab.m = make(map[internKey]*Attrs)
-	internSize.Store(0)
-	internHits.Store(0)
-	internMisses.Store(0)
-	internTab.Unlock()
-}
 
 // InternStats reports the intern table's lifetime hits and misses and its
 // current size. The counters are process-global accumulators, so they are
-// reported by the bench harness (crystalbench -scale) rather than recorded
-// into the deterministic per-emulation obs trace.
+// reported by the bench harness (bench/: bgp.intern_hit_ratio) rather than
+// recorded into the deterministic per-emulation obs trace.
 func InternStats() (hits, misses uint64, size int) {
 	return internHits.Load(), internMisses.Load(), int(internSize.Load())
 }
-
-// interningEnabled reports whether the global intern table is active —
-// memoization layers whose keys are canonical pointers (the router export
-// cache) must bypass themselves while it is off.
-func interningEnabled() bool { return !internDisabled.Load() }
 
 // Intern returns the canonical *Attrs equal to a, registering a as the
 // canonical object if none exists. The returned value must be treated as
@@ -84,7 +64,7 @@ func interningEnabled() bool { return !internDisabled.Load() }
 // must not be mutated after the call either (it may have become canonical).
 // A nil a is returned unchanged.
 func Intern(a *Attrs) *Attrs {
-	if a == nil || internDisabled.Load() {
+	if a == nil {
 		return a
 	}
 	// Fill the fingerprint memo before publication: after this the object

@@ -6,9 +6,19 @@ import (
 	"crystalnet/internal/netpkt"
 )
 
+// resetInternTable empties the process-wide intern table and zeroes its
+// counters, so a test's hit/miss/size assertions start from a known state.
+func resetInternTable() {
+	internTab.Lock()
+	internTab.m = make(map[internKey]*Attrs)
+	internSize.Store(0)
+	internHits.Store(0)
+	internMisses.Store(0)
+	internTab.Unlock()
+}
+
 func TestInternCanonicalizes(t *testing.T) {
-	SetInterning(true)
-	defer SetInterning(true)
+	resetInternTable()
 
 	mk := func() *Attrs {
 		return &Attrs{Origin: OriginIGP, Path: NewPath(65001, 65002), NextHop: netpkt.IPFromBytes(10, 0, 0, 1)}
@@ -31,8 +41,7 @@ func TestInternDistinguishesAggID(t *testing.T) {
 	// The wire-grouping fingerprint omits the AGGREGATOR router ID, but two
 	// attribute sets differing only in AggID are different route attributes
 	// and must not unify in the intern table.
-	SetInterning(true)
-	defer SetInterning(true)
+	resetInternTable()
 
 	mk := func(id netpkt.IP) *Attrs {
 		return &Attrs{Origin: OriginIGP, Path: EmptyPath, AggAS: 65010, AggID: id}
@@ -47,26 +56,8 @@ func TestInternDistinguishesAggID(t *testing.T) {
 	}
 }
 
-func TestInternDisableIsIdentity(t *testing.T) {
-	SetInterning(false)
-	defer SetInterning(true)
-
-	a := &Attrs{Origin: OriginIGP, Path: EmptyPath, NextHop: 7}
-	if Intern(a) != a {
-		t.Fatalf("disabled interning must be the identity function")
-	}
-	b := &Attrs{Origin: OriginIGP, Path: EmptyPath, NextHop: 7}
-	if Intern(b) == a {
-		t.Fatalf("disabled interning must not unify")
-	}
-	if hits, misses, size := InternStats(); hits != 0 || misses != 0 || size != 0 {
-		t.Fatalf("disabled interning must not account: hits=%d misses=%d size=%d", hits, misses, size)
-	}
-}
-
 func TestDecodeInternsUpdateAttrs(t *testing.T) {
-	SetInterning(true)
-	defer SetInterning(true)
+	resetInternTable()
 
 	attrs := &Attrs{Origin: OriginIGP, Path: NewPath(65100), NextHop: netpkt.IPFromBytes(10, 1, 2, 3)}
 	wire := MarshalUpdate(&Update{Attrs: attrs, NLRI: []netpkt.Prefix{{Addr: netpkt.IPFromBytes(10, 9, 0, 0), Len: 16}}})

@@ -548,13 +548,7 @@ func (r *Router) decide(p netpkt.Prefix, e *ribEntry) {
 			}
 			e.installed = nil
 		} else {
-			if interningEnabled() {
-				e.installed = r.hopSets.Canonical(hops)
-			} else {
-				// Baseline layout for the §10 ablation: a private copy
-				// per entry, as the pre-interning router stored it.
-				e.installed = append(make([]rib.NextHop, 0, len(hops)), hops...)
-			}
+			e.installed = r.hopSets.Canonical(hops)
 			if r.hooks.InstallRoute != nil {
 				if err := r.hooks.InstallRoute(p, e.installed); err != nil {
 					r.hooks.Logf("bgp %s: FIB install %s failed: %v", r.cfg.Name, p, err)
@@ -735,9 +729,9 @@ type exportKey struct {
 // allocation-free and run on every call; the expensive part — policy
 // evaluation, the attribute copy, the AS prepend, interning — is a pure
 // function of (best attrs, policy, locally-originated) and is memoized at
-// router level when the policy is prefix-independent. The memo requires
-// interning: its keys are canonical pointers, and with interning off a
-// best-path pointer no longer identifies an attribute value across updates.
+// router level when the policy is prefix-independent. The memo's keys are
+// canonical (interned) pointers, so a best-path pointer identifies an
+// attribute value across updates.
 func (r *Router) exportRoute(peer *Peer, p netpkt.Prefix) (*Attrs, bool) {
 	e := r.lookup(p)
 	if e == nil || len(e.best) == 0 || e.suppressed {
@@ -758,7 +752,7 @@ func (r *Router) exportRoute(peer *Peer, p netpkt.Prefix) (*Attrs, bool) {
 		return nil, false
 	}
 	pol := peer.Config.ExportPolicy
-	cacheable := interningEnabled() && pol.prefixIndependent()
+	cacheable := pol.prefixIndependent()
 	var key exportKey
 	if cacheable {
 		key = exportKey{attrs: best.attrs, pol: pol, local: best.peerIdx < 0}
@@ -864,19 +858,6 @@ func computeAttrsKey(a *Attrs) string {
 		}
 	}
 	return string(b)
-}
-
-// Compact releases memoization state and trims the dense Adj-RIB tables to
-// their live extent. Called post-convergence when the process-wide RIB
-// accounting is over budget (rib.OverBudget); caches refill on demand, so
-// compaction trades a warm-up against peak RSS and never changes output.
-func (r *Router) Compact() {
-	r.prependCache = map[*ASPath]*ASPath{}
-	r.exportCache = nil
-	for _, p := range r.peers {
-		p.adjIn.Compact()
-		p.advertised.Compact()
-	}
 }
 
 // Stats summarizes router state for PullStates.

@@ -21,7 +21,6 @@ import (
 	"crystalnet/internal/netpkt"
 	"crystalnet/internal/obs"
 	"crystalnet/internal/phynet"
-	"crystalnet/internal/rib"
 	"crystalnet/internal/sim"
 	"crystalnet/internal/speaker"
 	"crystalnet/internal/topo"
@@ -81,10 +80,6 @@ type Options struct {
 	// single-engine schedule, which orders events differently (per-domain
 	// RNG streams) and therefore is not comparable byte-for-byte.
 	Shards int
-	// RIBBudget, when positive, sets the process-wide Adj-RIB memory budget
-	// in bytes (rib.SetBudget): a convergence drive that ends over budget
-	// compacts every router's RIB storage.
-	RIBBudget int64
 }
 
 func (o *Options) defaults() {
@@ -110,9 +105,6 @@ type Orchestrator struct {
 // New creates an orchestrator with a fresh engine and cloud.
 func New(opts Options) *Orchestrator {
 	opts.defaults()
-	if opts.RIBBudget > 0 {
-		rib.SetBudget(opts.RIBBudget)
-	}
 	eng := sim.NewEngine(opts.Seed)
 	eng.SetRecorder(opts.Rec)
 	c := cloud.NewProvider(eng)

@@ -327,7 +327,6 @@ func (em *Emulation) RunUntilConverged(maxEvents uint64) (Metrics, error) {
 		return Metrics{}, err
 	}
 	em.tracePhases()
-	em.recordScaleStats()
 	em.settleTraffic()
 	return em.Metrics(), nil
 }
@@ -350,29 +349,6 @@ func (em *Emulation) runSharded(maxEvents uint64) error {
 	}
 	_, err := em.shards.Run(maxEvents)
 	return err
-}
-
-// recordScaleStats closes out a convergence drive with the §10 memory
-// work: when the process-wide RIB budget is exceeded, every router's RIB
-// storage is compacted. The interning and RIB byte counters themselves are
-// process-global accumulators (they span emulations), so they are reported
-// by the bench harness rather than recorded into the deterministic trace —
-// and for the same reason budget-triggered compaction is advisory: whether
-// it fires can depend on what else the process has emulated.
-func (em *Emulation) recordScaleStats() {
-	if !rib.OverBudget() {
-		return
-	}
-	names := make([]string, 0, len(em.Devices))
-	for n := range em.Devices {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		if r := em.Devices[n].BGP(); r != nil {
-			r.Compact()
-		}
-	}
 }
 
 // runCancelable drives the engine in cancelCheckEvents chunks, polling the

@@ -37,21 +37,6 @@ func TestSpreadFlowsConserves(t *testing.T) {
 	}
 }
 
-func TestSpreadFlowsStableUnderHopSharingAblation(t *testing.T) {
-	// The spread is keyed on the group's *content* hash (rib.HashHops), so
-	// interned and private hop-group layouts must split identically — the
-	// §10 ablation cannot move traffic.
-	nhs := ecmpHops()
-	want := SpreadFlows(1234, nhs, 10)
-	rib.SetHopSharing(false)
-	defer rib.SetHopSharing(true)
-	// A fresh, non-interned copy of the same hops.
-	private := append([]rib.NextHop(nil), nhs...)
-	if got := SpreadFlows(1234, private, 10); !reflect.DeepEqual(got, want) {
-		t.Fatalf("spread moved under hop-sharing ablation: %v != %v", got, want)
-	}
-}
-
 func TestSpreadFlowsReanchorsOnGroupChange(t *testing.T) {
 	// Same key, different hop-group content: at least some key re-anchors
 	// its remainder rotation — flows visibly re-spread after a FIB

@@ -264,9 +264,8 @@ func (f *Forwarder) ForwardBatch(ingress string, m *PacketMeta, n uint64, key ui
 // buckets: every bucket gets n/k, and the n%k remainder lands on a rotation
 // anchored by mixing the aggregate key with rib.HashHops over the group's
 // *content*. Hashing values rather than the slice identity keeps the split
-// byte-identical whether hop groups are interned or private
-// (rib.SetHopSharing ablation), and any FIB reprogram that changes the
-// group re-anchors the rotation — flows visibly re-spread, as real ECMP
+// byte-identical across forks and runs, and any FIB reprogram that changes
+// the group re-anchors the rotation — flows visibly re-spread, as real ECMP
 // rehashing does.
 func SpreadFlows(key uint64, nhs []rib.NextHop, n uint64) []uint64 {
 	k := uint64(len(nhs))

@@ -4,8 +4,8 @@ import "testing"
 
 // The disabled-tracer contract: a nil recorder (and the nil handles it
 // vends) must cost a predictable branch and zero allocations, so wiring
-// observability through the BGP/forwarding hot paths leaves the
-// BENCH_20260806.json numbers untouched when tracing is off.
+// observability through the BGP/forwarding hot paths leaves the untraced
+// benchmark numbers (bench/baseline.json) untouched when tracing is off.
 
 func BenchmarkNilCounterInc(b *testing.B) {
 	var r *Recorder

@@ -9,19 +9,15 @@ import (
 // Process-wide accounting for every Dense table in the emulator. At M-DC
 // scale the per-device Adj-RIB maps dominate the heap, so the scale work
 // (DESIGN.md §10) replaces them with Dense tables and meters their footprint
-// here: one atomic add per grow/compact, no per-operation cost.
+// here: one atomic add per grow, no per-operation cost.
 //
-// The counters meter allocations and explicit compactions; a Dense that is
-// dropped wholesale (e.g. a discarded fork) is reclaimed by the GC without
-// being subtracted, so the budget is advisory high-water pressure, not an
-// exact live-heap figure. That is the right trade for its only consumer:
-// deciding, post-convergence, whether to compact the current emulation.
+// The counters meter allocations; a Dense that is dropped wholesale (e.g. a
+// discarded fork) is reclaimed by the GC without being subtracted, so the
+// figures are high-water pressure, not an exact live-heap figure.
 var (
-	denseBytes  atomic.Int64
-	denseSlots  atomic.Int64
-	denseLive   atomic.Int64
-	compactions atomic.Uint64
-	budgetBytes atomic.Int64
+	denseBytes atomic.Int64
+	denseSlots atomic.Int64
+	denseLive  atomic.Int64
 )
 
 // MemStats is a snapshot of the process-wide Dense accounting.
@@ -33,30 +29,15 @@ type MemStats struct {
 	DenseSlots int64
 	// DenseLive is the number of present entries across all Dense tables.
 	DenseLive int64
-	// Compactions counts Compact calls that actually shrank a table.
-	Compactions uint64
-	// BudgetBytes is the configured budget; 0 means unlimited.
-	BudgetBytes int64
 }
 
 // Stats returns the current process-wide Dense accounting.
 func Stats() MemStats {
 	return MemStats{
-		DenseBytes:  denseBytes.Load(),
-		DenseSlots:  denseSlots.Load(),
-		DenseLive:   denseLive.Load(),
-		Compactions: compactions.Load(),
-		BudgetBytes: budgetBytes.Load(),
+		DenseBytes: denseBytes.Load(),
+		DenseSlots: denseSlots.Load(),
+		DenseLive:  denseLive.Load(),
 	}
-}
-
-// SetBudget sets the process-wide Dense byte budget. 0 disables the budget.
-func SetBudget(b int64) { budgetBytes.Store(b) }
-
-// OverBudget reports whether Dense allocations exceed the configured budget.
-func OverBudget() bool {
-	b := budgetBytes.Load()
-	return b > 0 && denseBytes.Load() > b
 }
 
 // Dense is a presence-tracked slice keyed by small stable integer ids — the
@@ -237,27 +218,4 @@ func (d *Dense[T]) Clone() Dense[T] {
 	c := *d
 	c.copies = 0
 	return c
-}
-
-// Compact shrinks the backing array to the highest present id, returning
-// slack from grow-by-doubling (and from churn that deleted the tail). Called
-// post-convergence when the process is over budget.
-func (d *Dense[T]) Compact() {
-	hi := -1
-	for w := len(d.present) - 1; w >= 0; w-- {
-		if d.present[w] != 0 {
-			hi = w*64 + 63 - bits.LeadingZeros64(d.present[w])
-			break
-		}
-	}
-	need := hi + 1
-	if need >= len(d.vals) {
-		return
-	}
-	nv := make([]T, need)
-	copy(nv, d.vals[:need])
-	nb := make([]uint64, (need+63)/64)
-	copy(nb, d.present[:len(nb)])
-	d.adopt(nv, nb)
-	compactions.Add(1)
 }

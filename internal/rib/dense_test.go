@@ -39,7 +39,7 @@ func TestDenseBasics(t *testing.T) {
 	}
 }
 
-func TestDenseCloneClearCompact(t *testing.T) {
+func TestDenseCloneClear(t *testing.T) {
 	var d Dense[int]
 	for i := 0; i < 100; i++ {
 		d.Set(i, i*i)
@@ -53,26 +53,17 @@ func TestDenseCloneClearCompact(t *testing.T) {
 	for i := 10; i < 100; i++ {
 		d.Delete(i)
 	}
-	before := Stats()
-	d.Compact()
-	after := Stats()
-	if after.DenseBytes >= before.DenseBytes {
-		t.Fatalf("compact did not shrink: %d -> %d", before.DenseBytes, after.DenseBytes)
-	}
-	if after.Compactions != before.Compactions+1 {
-		t.Fatalf("compactions %d -> %d", before.Compactions, after.Compactions)
-	}
-	if d.Len() != 10 {
-		t.Fatalf("len after compact=%d want 10", d.Len())
+	if d.Len() != 10 || c.Len() != 100 {
+		t.Fatalf("len after delete: original %d want 10, clone %d want 100", d.Len(), c.Len())
 	}
 	for i := 0; i < 10; i++ {
 		if v, ok := d.Get(i); !ok || v != i*i {
-			t.Fatalf("get(%d) after compact", i)
+			t.Fatalf("get(%d) after delete", i)
 		}
 	}
-	d.Set(200, 1) // regrow after compact
+	d.Set(200, 1) // grow past the cloned capacity
 	if v, ok := d.Get(200); !ok || v != 1 {
-		t.Fatal("set after compact")
+		t.Fatal("set after delete")
 	}
 	c.Clear()
 	if c.Len() != 0 {
@@ -145,18 +136,4 @@ func TestDenseSharesUntilWritten(t *testing.T) {
 		}
 	}()
 	parent.Clone()
-}
-
-func TestDenseBudget(t *testing.T) {
-	defer SetBudget(0)
-	SetBudget(1) // anything allocated is over budget
-	var d Dense[uint64]
-	d.Set(0, 7)
-	if !OverBudget() {
-		t.Fatal("expected over budget")
-	}
-	SetBudget(0)
-	if OverBudget() {
-		t.Fatal("budget 0 must mean unlimited")
-	}
 }

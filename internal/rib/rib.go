@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync/atomic"
 
 	"crystalnet/internal/netpkt"
 	"crystalnet/internal/trie"
@@ -111,20 +110,6 @@ func nhLess(a, b NextHop) bool {
 	return a.Interface < b.Interface
 }
 
-// hopSharingOff disables the §10 FIB memory layout process-wide when set.
-// It exists for the §10 memory ablation only: the non-interned baseline
-// must reproduce the seed's layout — a private []NextHop per FIB entry,
-// and an LPM trie built eagerly at construction and maintained on every
-// install (rather than lazily on first query) — so the measured difference
-// covers the whole §10 memory model, not just attrs.
-var hopSharingOff atomic.Bool
-
-// SetHopSharing toggles the §10 FIB layout (hop-group interning plus the
-// lazy LPM trie; on by default). The §10 scale benchmark switches it
-// together with bgp.SetInterning; everything else should leave it alone.
-// Toggling only affects FIBs constructed and groups stored afterwards.
-func SetHopSharing(on bool) { hopSharingOff.Store(!on) }
-
 // HopSetTable interns next-hop groups: a fabric device forwards thousands of
 // prefixes over a handful of distinct ECMP groups (the up-fabric multipath
 // set, one single-hop group per down-link), so letting every entry alias one
@@ -159,9 +144,9 @@ func (t *HopSetTable) Canonical(nhs []NextHop) []NextHop {
 // HashHops is FNV-1a over a hop group's addresses and interface names —
 // the content hash the HopSetTable interns groups by. It is exported for
 // the traffic plane's ECMP hash-bucket spreading (internal/dataplane
-// SpreadFlows): keying bucket assignment on the group's *values* keeps the
-// spread identical whether or not the group is interned (SetHopSharing),
-// and makes flows re-spread when a FIB reprogram changes the group.
+// SpreadFlows): keying bucket assignment on the group's *values*, not the
+// canonical slice's identity, keeps the spread identical across forks and
+// makes flows re-spread when a FIB reprogram changes the group.
 func HashHops(nhs []NextHop) uint64 { return hashHops(nhs) }
 
 // hashHops is FNV-1a over the group's hop addresses and interface names.
@@ -244,14 +229,7 @@ var ErrFull = fmt.Errorf("rib: FIB capacity exceeded")
 
 // NewFIB returns an empty forwarding table with unlimited capacity.
 func NewFIB() *FIB {
-	f := &FIB{byPrefix: map[netpkt.Prefix]*Entry{}}
-	if hopSharingOff.Load() {
-		// §10 ablation: the seed built the trie up front and paid its nodes
-		// for every prefix whether or not anything routed; a non-nil t makes
-		// every install maintain it, reproducing that bill.
-		f.t = trie.New[*Entry]()
-	}
-	return f
+	return &FIB{byPrefix: map[netpkt.Prefix]*Entry{}}
 }
 
 // lpm returns the LPM trie, building it from byPrefix on first use. A sealed
@@ -329,39 +307,25 @@ func (f *FIB) InstallHops(p netpkt.Prefix, proto Proto, nhs []NextHop) error {
 				return ErrFull
 			}
 		}
-		if !f.t.Insert(p, &Entry{Prefix: p, Proto: proto, NextHops: f.canonicalHops(f.scratch)}) {
+		if !f.t.Insert(p, &Entry{Prefix: p, Proto: proto, NextHops: f.hopSets.Canonical(f.scratch)}) {
 			f.entryCopies++ // replaced an entry it may not edit
 		}
 		return nil
 	}
 	if e, ok := f.byPrefix[p]; ok {
 		e.Proto = proto
-		e.NextHops = f.canonicalHops(f.scratch)
+		e.NextHops = f.hopSets.Canonical(f.scratch)
 		return nil
 	}
 	if f.Capacity > 0 && len(f.byPrefix) >= f.Capacity {
 		return ErrFull
 	}
-	e := &Entry{Prefix: p, Proto: proto, NextHops: f.canonicalHops(f.scratch)}
+	e := &Entry{Prefix: p, Proto: proto, NextHops: f.hopSets.Canonical(f.scratch)}
 	if f.t != nil {
 		f.t.Insert(p, e)
 	}
 	f.byPrefix[p] = e
 	return nil
-}
-
-// canonicalHops returns the hop group to store for nhs: the table's shared
-// canonical slice when hop-set sharing is on (the default), or a fresh
-// per-entry copy when SetHopSharing has switched the process to the
-// baseline layout for the §10 memory ablation.
-func (f *FIB) canonicalHops(nhs []NextHop) []NextHop {
-	if hopSharingOff.Load() {
-		if len(nhs) == 0 {
-			return nil
-		}
-		return append(make([]NextHop, 0, len(nhs)), nhs...)
-	}
-	return f.hopSets.Canonical(nhs)
 }
 
 // Remove deletes the entry for p, reporting whether it was present.

@@ -253,6 +253,13 @@ func (r *runner) mockup(seed int64) error {
 			must = append(must, d.Name)
 		}
 	}
+	for _, names := range [][]string{must, r.sp.Emulate} {
+		for _, name := range names {
+			if net.Device(name) == nil {
+				return fmt.Errorf("scenario %s: %w: unknown device %q", r.sp.Name, ErrBadSpec, name)
+			}
+		}
+	}
 
 	r.orch = core.New(core.Options{
 		Seed: seed, Rec: r.opts.Rec,

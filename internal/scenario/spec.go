@@ -20,6 +20,7 @@ package scenario
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"time"
@@ -354,6 +355,12 @@ func (s *Step) Validate() error {
 	return nil
 }
 
+// ErrBadSpec marks a fault in a spec that Validate cannot see because it
+// only shows against the built fabric: a pinned device the topology does not
+// contain. Run, Converge and everything that passes their errors on keep it
+// errors.Is-able, so a server can answer 400 rather than 500.
+var ErrBadSpec = errors.New("bad spec")
+
 // Validate checks the whole spec.
 func (sp *Spec) Validate() error {
 	if sp.Name == "" {
@@ -367,6 +374,24 @@ func (sp *Spec) Validate() error {
 		case "sdc", "mdc", "ldc":
 		default:
 			return fmt.Errorf("scenario %s: unknown dc %q", sp.Name, sp.Topology.DC)
+		}
+	}
+	if sp.Topology.DC == "" {
+		c := sp.Topology.Clos
+		// Every dimension sizes a slice or bounds a loop in topo.GenerateClos:
+		// a negative one panics there and a zero one yields an empty fabric
+		// that vacuously passes every invariant.
+		for _, dim := range []struct {
+			name string
+			v    int
+		}{
+			{"pods", c.Pods}, {"torsPerPod", c.ToRsPerPod}, {"leavesPerPod", c.LeavesPerPod},
+			{"spineGroups", c.SpineGroups}, {"spinesPerPlane", c.SpinesPerPlane},
+			{"bordersPerGroup", c.BordersPerGroup}, {"prefixesPerToR", c.PrefixesPerToR},
+		} {
+			if dim.v < 1 {
+				return fmt.Errorf("scenario %s: clos %s must be at least 1 (got %d)", sp.Name, dim.name, dim.v)
+			}
 		}
 	}
 	if len(sp.Emulate) > 0 && (len(sp.MustEmulate) > 0 || len(sp.MustEmulatePods) > 0) {

@@ -3,6 +3,8 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"log"
+	"runtime/debug"
 	"sync"
 
 	"crystalnet/internal/core"
@@ -30,6 +32,8 @@ type Pool struct {
 	maxEvents uint64
 	rewarm    bool
 	live      *obs.Live
+	// converge is scenario.Converge; tests swap it to fail a warm on demand.
+	converge func(*scenario.Spec, scenario.Options) (*scenario.Converged, error)
 
 	mu        sync.Mutex
 	entries   map[string]*poolEntry
@@ -70,6 +74,7 @@ func NewPool(size int, maxEvents uint64, rewarm bool, live *obs.Live) *Pool {
 		maxEvents: maxEvents,
 		rewarm:    rewarm,
 		live:      live,
+		converge:  scenario.Converge,
 		entries:   map[string]*poolEntry{},
 		stop:      make(chan struct{}),
 	}
@@ -182,7 +187,7 @@ func (p *Pool) insertLocked(key string, base *scenario.Spec) *poolEntry {
 // A failed convergence removes the entry so later requests retry.
 func (p *Pool) warm(e *poolEntry) {
 	defer p.wg.Done()
-	cv, err := scenario.Converge(e.base, scenario.Options{MaxEvents: p.maxEvents, Cancel: p.stop})
+	cv, err := p.convergeContained(e.base)
 	p.mu.Lock()
 	e.cv, e.err = cv, err
 	if err != nil && p.entries[e.key] == e {
@@ -193,6 +198,21 @@ func (p *Pool) warm(e *poolEntry) {
 	maybeInvalidateLocked(e)
 	p.mu.Unlock()
 	close(e.ready)
+}
+
+// convergeContained converges base, turning a panic into that entry's
+// error. warm runs on a bare goroutine, where an uncontained panic exits the
+// process and takes every tenant's warm baseline with it; contained, a spec
+// that slipped past validation costs its own waiters one failed request.
+func (p *Pool) convergeContained(base *scenario.Spec) (cv *scenario.Converged, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			p.live.Counter("pool.warm_panics", "").Inc()
+			cv, err = nil, fmt.Errorf("serve: warming %s panicked: %v", fabricName(base), r)
+			log.Printf("%v\n%s", err, debug.Stack())
+		}
+	}()
+	return p.converge(base, scenario.Options{MaxEvents: p.maxEvents, Cancel: p.stop})
 }
 
 // release drops one borrower ref; the last ref out of an evicted entry

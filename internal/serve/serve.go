@@ -273,6 +273,16 @@ func readSpec(w http.ResponseWriter, r *http.Request) (*scenario.Spec, int, erro
 	return sp, 0, nil
 }
 
+// runErrorStatus is the status for a rehearsal that failed after its spec
+// parsed: 400 when the fault is still the spec's (scenario.ErrBadSpec — a
+// device name the fabric does not have), 500 otherwise.
+func runErrorStatus(err error) int {
+	if errors.Is(err, scenario.ErrBadSpec) {
+		return http.StatusBadRequest
+	}
+	return http.StatusInternalServerError
+}
+
 // handleRehearse runs one scenario and returns the batch-identical report.
 //
 //	POST /v1/rehearse          body: scenario spec JSON
@@ -306,7 +316,7 @@ func (s *Server) handleRehearse(w http.ResponseWriter, r *http.Request) {
 			if errors.Is(aerr, core.ErrCanceled) {
 				return // client gone; nothing to write
 			}
-			writeError(w, http.StatusInternalServerError, aerr)
+			writeError(w, runErrorStatus(aerr), aerr)
 			return
 		}
 		defer release()
@@ -327,7 +337,7 @@ func (s *Server) handleRehearse(w http.ResponseWriter, r *http.Request) {
 		if errors.Is(err, core.ErrCanceled) {
 			return // torn down deterministically; client gone
 		}
-		writeError(w, http.StatusInternalServerError, err)
+		writeError(w, runErrorStatus(err), err)
 		return
 	}
 	w.Header().Set(PoolHeader, mode)

@@ -285,17 +285,36 @@ func TestStatusAndMetricsEndpoints(t *testing.T) {
 
 func TestRehearseBadRequests(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	resp, err := http.Post(ts.URL+"/v1/rehearse", "application/json", strings.NewReader("{not json"))
-	if err != nil {
-		t.Fatal(err)
+	marshal := func(edit func(*scenario.Spec)) string {
+		sp := tinySpec("bad", 3)
+		edit(sp)
+		b, err := json.Marshal(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
 	}
-	var e ErrorResponse
-	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest || e.Error == "" {
-		t.Fatalf("bad body: %d %+v", resp.StatusCode, e)
+	for _, tc := range []struct{ name, body string }{
+		{"not json", "{not json"},
+		// A negative dimension used to reach make() inside the warm goroutine
+		// and exit the process; an all-zero fabric used to PASS with nothing
+		// emulated.
+		{"negative clos dimension", marshal(func(sp *scenario.Spec) { sp.Topology.Clos.SpineGroups = -1 })},
+		{"all-zero clos", marshal(func(sp *scenario.Spec) { sp.Topology.Clos = &scenario.ClosSpec{Name: "void"} })},
+		// Faults only the built fabric can show are still the client's.
+		{"unknown emulate device", marshal(func(sp *scenario.Spec) { sp.Emulate = []string{"nope"} })},
+		{"unknown mustEmulate device", marshal(func(sp *scenario.Spec) { sp.MustEmulate = []string{"nope"} })},
+	} {
+		resp, err := http.Post(ts.URL+"/v1/rehearse", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e ErrorResponse
+		derr := json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || derr != nil || e.Error == "" {
+			t.Errorf("%s: status %d, body %+v (%v); want 400 with an ErrorResponse", tc.name, resp.StatusCode, e, derr)
+		}
 	}
 	r2, err := http.Get(ts.URL + "/v1/rehearse")
 	if err != nil {
@@ -304,6 +323,42 @@ func TestRehearseBadRequests(t *testing.T) {
 	r2.Body.Close()
 	if r2.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET rehearse = %d, want 405", r2.StatusCode)
+	}
+	// The daemon is still serving after all of the above.
+	if resp, body := rehearse(t, ts, tinySpec("after-bad", 3), ""); resp.StatusCode != http.StatusOK {
+		t.Fatalf("rehearsal after bad requests: %d: %s", resp.StatusCode, body)
+	}
+}
+
+// TestWarmPanicIsContained bypasses validation through the pool's converge
+// seam: a convergence that panics on the warm goroutine must fail its own
+// waiters and nothing else.
+func TestWarmPanicIsContained(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	s.pool.converge = func(*scenario.Spec, scenario.Options) (*scenario.Converged, error) {
+		panic("makeslice: len out of range")
+	}
+	resp, body := rehearse(t, ts, tinySpec("boom", 3), "")
+	if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(body), "panicked") {
+		t.Fatalf("panicking warm: %d: %s; want 500 naming the panic", resp.StatusCode, body)
+	}
+	if got := s.live.Counter("pool.warm_panics", "").Value(); got != 1 {
+		t.Errorf("pool.warm_panics = %v, want 1", got)
+	}
+	if st := s.pool.Status(); len(st.Entries) != 0 {
+		t.Errorf("failed warm left entries behind: %+v", st.Entries)
+	}
+	hz, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hz.Body.Close()
+	if hz.StatusCode != http.StatusOK {
+		t.Fatalf("/healthz after a warm panic = %d", hz.StatusCode)
+	}
+	s.pool.converge = scenario.Converge
+	if resp, body := rehearse(t, ts, tinySpec("boom", 3), ""); resp.StatusCode != http.StatusOK {
+		t.Fatalf("rehearsal after a warm panic: %d: %s", resp.StatusCode, body)
 	}
 }
 

@@ -118,17 +118,25 @@ grep -q "safe-boundary solve" "$tmp/solve1.out"
 echo "== docs gate (every package carries a doc comment linking the design docs)"
 go run ./cmd/doccheck
 
-# M-DC smoke: converge the 580-device fabric once, sharded, interned-only
-# (no baseline pass — that doubles the wall-clock and is a bench concern,
-# not a correctness gate). Skipped under SHORT=1 for quick iteration.
+# M-DC smoke: the benchmark's own sharded M-DC workload, with its output
+# checks (event counts, route totals, report bytes), not just an exit code.
+# Skipped under SHORT=1 for quick iteration.
 if [ "${SHORT:-}" != "1" ]; then
-    echo "== M-DC smoke (crystalbench -scale mdc, sharded, bounded)"
-    timeout 600 go run ./cmd/crystalbench -scale mdc -shards 4 -nobaseline >/dev/null
+    echo "== M-DC smoke (bench workload cold_mdc_sharded; last line must say correct)"
+    timeout 600 bash bench/run.sh --workload cold_mdc_sharded --seed 1 --seconds 6 --trace 0 >"$tmp/mdc.out"
+    if ! tail -n 1 "$tmp/mdc.out" | grep -q '"correct":true'; then
+        echo "cold_mdc_sharded did not report correct; last line:" >&2
+        tail -n 1 "$tmp/mdc.out" >&2
+        exit 1
+    fi
+
+    echo "== bench smoke (real crystald: pool hit, byte-identical re-send, HTTP vs batch)"
+    go run ./bench -smoke >/dev/null
 
     echo "== traffic smoke (S-DC campaign under a 1M-flow matrix with assert-flow-slo)"
     timeout 600 "$tmp/crystalctl" run-scenario scenarios/traffic_slo.json >/dev/null
 else
-    echo "== M-DC and traffic smokes skipped (SHORT=1)"
+    echo "== M-DC, bench and traffic smokes skipped (SHORT=1)"
 fi
 
 echo "OK"
