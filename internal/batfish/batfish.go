@@ -424,32 +424,19 @@ func sortPrefixes(ps []netpkt.Prefix) {
 	})
 }
 
-// Reachable walks the computed FIBs from a device toward an address,
-// answering the reachability queries verification tools are used for.
-// It returns the device path and whether delivery succeeds. For many
-// queries over the same state, build a Walker once instead.
-func Reachable(fibs map[string]rib.Snapshot, cfgs map[string]*config.DeviceConfig, from string, dst netpkt.IP) ([]string, bool) {
-	return NewWalker(fibs, cfgs).Reachable(from, dst)
-}
-
-// Walker answers repeated reachability queries against one pulled state.
-// It hoists the interface-owner index out of the per-query path and builds
-// a longest-prefix-match trie per device the first time that device is
-// walked through, which is what makes fabric-wide sweeps (every device x
-// every prefix x every hop) affordable. The lazy indexing makes a Walker
-// unsafe for concurrent use; build one per goroutine.
+// Walker answers repeated reachability queries against one forwarding
+// state. It hoists the interface-owner index out of the per-query path and
+// memoizes Delivered verdicts, which is what makes fabric-wide sweeps (every
+// device x every prefix x every hop) affordable. The memo (and a snapshot
+// walker's lazy indexing) makes a Walker unsafe for concurrent use; build
+// one per goroutine.
 type Walker struct {
-	fibs map[string]rib.Snapshot
 	cfgs map[string]*config.DeviceConfig
 	// owner maps a session/interface IP to the device that owns it (to
 	// follow next hops).
 	owner map[netpkt.IP]string
-	// lpm holds the per-device longest-prefix-match index, built on first
-	// lookup (a sweep rarely routes through every device it starts from).
-	lpm map[string]*trie.Trie[*rib.Entry]
-	// live, when set, resolves lookups against live FIB tries instead of
-	// indexed snapshots (see NewLiveWalker).
-	live LookupFunc
+	// lookup resolves a longest-prefix match in one device's FIB.
+	lookup LookupFunc
 	// devIdx interns device names so Delivered's memo can be a flat array
 	// per destination instead of a string-keyed map.
 	devIdx map[string]int
@@ -467,12 +454,35 @@ type Walker struct {
 // state; it must return false for unknown devices.
 type LookupFunc func(dev string, dst netpkt.IP) (*rib.Entry, bool)
 
-// NewWalker indexes pulled FIBs and configurations for repeated queries.
+// NewWalker answers queries against pulled FIB snapshots, building a
+// longest-prefix-match trie per device the first time that device is walked
+// through (a sweep rarely routes through every device it starts from).
 func NewWalker(fibs map[string]rib.Snapshot, cfgs map[string]*config.DeviceConfig) *Walker {
+	lpm := map[string]*trie.Trie[*rib.Entry]{}
+	return NewLiveWalker(func(dev string, dst netpkt.IP) (*rib.Entry, bool) {
+		t, ok := lpm[dev]
+		if !ok {
+			t = trie.New[*rib.Entry]()
+			for _, e := range fibs[dev] {
+				t.Insert(e.Prefix, e)
+			}
+			lpm[dev] = t
+		}
+		_, e, ok := t.Lookup(dst)
+		return e, ok
+	}, cfgs)
+}
+
+// NewLiveWalker answers queries through fn — typically straight off live
+// per-device FIB tries (device FIBs are tries already, so re-indexing pulled
+// snapshots would only duplicate them). The caller guarantees the forwarding
+// state does not change for the walker's lifetime — sweeps between mutations
+// qualify.
+func NewLiveWalker(fn LookupFunc, cfgs map[string]*config.DeviceConfig) *Walker {
 	w := &Walker{
-		fibs: fibs, cfgs: cfgs,
+		cfgs:   cfgs,
 		owner:  map[netpkt.IP]string{},
-		lpm:    map[string]*trie.Trie[*rib.Entry]{},
+		lookup: fn,
 		devIdx: make(map[string]int, len(cfgs)),
 	}
 	for name, c := range cfgs {
@@ -484,36 +494,9 @@ func NewWalker(fibs map[string]rib.Snapshot, cfgs map[string]*config.DeviceConfi
 	return w
 }
 
-// NewLiveWalker answers queries straight off live per-device FIB tries
-// (device FIBs are tries already, so re-indexing pulled snapshots would
-// only duplicate them). The caller guarantees the forwarding state does
-// not change for the walker's lifetime — sweeps between mutations qualify.
-func NewLiveWalker(fn LookupFunc, cfgs map[string]*config.DeviceConfig) *Walker {
-	w := NewWalker(nil, cfgs)
-	w.live = fn
-	return w
-}
-
-// lookup longest-prefix-matches dst in a device's FIB snapshot, indexing
-// the snapshot on first use.
-func (w *Walker) lookup(dev string, dst netpkt.IP) (*rib.Entry, bool) {
-	if w.live != nil {
-		return w.live(dev, dst)
-	}
-	t, ok := w.lpm[dev]
-	if !ok {
-		t = trie.New[*rib.Entry]()
-		for _, e := range w.fibs[dev] {
-			t.Insert(e.Prefix, e)
-		}
-		w.lpm[dev] = t
-	}
-	_, e, ok := t.Lookup(dst)
-	return e, ok
-}
-
-// Reachable walks from a device toward an address, returning the device
-// path and whether delivery succeeds.
+// Reachable walks from a device toward an address — the reachability query
+// verification tools are used for — returning the device path and whether
+// delivery succeeds.
 func (w *Walker) Reachable(from string, dst netpkt.IP) ([]string, bool) {
 	cur := from
 	var path []string

@@ -123,7 +123,8 @@ func TestReachableWalk(t *testing.T) {
 	n, cfgs := small()
 	fibs := Simulate(n, cfgs)
 	dst := n.MustDevice("tor-p1-1").Originated[0].Addr + 5
-	path, ok := Reachable(fibs, cfgs, "tor-p0-0", dst)
+	w := NewWalker(fibs, cfgs)
+	path, ok := w.Reachable("tor-p0-0", dst)
 	if !ok {
 		t.Fatalf("unreachable, path %v", path)
 	}
@@ -131,7 +132,7 @@ func TestReachableWalk(t *testing.T) {
 		t.Fatalf("path = %v", path)
 	}
 	// Unknown destination fails.
-	if _, ok := Reachable(fibs, cfgs, "tor-p0-0", netpkt.MustParseIP("203.0.113.1")); ok {
+	if _, ok := w.Reachable("tor-p0-0", netpkt.MustParseIP("203.0.113.1")); ok {
 		t.Fatal("bogus destination reachable")
 	}
 }

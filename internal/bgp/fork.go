@@ -89,13 +89,12 @@ func (r *Router) Fork(clock Clock, hooks Hooks) *Router {
 		// length, with the capacity clipped so the fork's first append moves
 		// it to a private array; the parent appends beyond every fork's
 		// length, which no fork reads.
-		index:        r.index,
-		indexShared:  true,
-		entries:      append([]*ribEntry(nil), r.entries...),
-		prefixByID:   r.prefixByID[:len(r.prefixByID):len(r.prefixByID)],
-		cow:          true,
-		prependCache: map[*ASPath]*ASPath{},
-		aggState:     append([]aggState(nil), r.aggState...),
+		index:       r.index,
+		indexShared: true,
+		entries:     append([]*ribEntry(nil), r.entries...),
+		prefixByID:  r.prefixByID[:len(r.prefixByID):len(r.prefixByID)],
+		cow:         true,
+		aggState:    append([]aggState(nil), r.aggState...),
 	}
 	for i := range c.aggState {
 		cov := c.aggState[i].covered

@@ -404,8 +404,11 @@ func (p *Peer) flush() {
 			continue
 		}
 		// Interning makes the no-change test a pointer compare in the common
-		// case; the attrsKey fallback keeps the MRAI loop convergent when
-		// interning is off (equal bytes, different pointers).
+		// case; the attrsKey fallback covers canonical pointers that straddle
+		// the intern table's wholesale clear at maxInternTable (equal bytes,
+		// different pointers). The table is process-wide, so without it
+		// whether a redundant UPDATE goes out would depend on what other
+		// emulations in the process had interned.
 		if prev, adv := p.advertised.Get(e.id); adv && (prev == attrs || attrsKey(prev) == attrsKey(attrs)) {
 			continue // no visible change
 		}

@@ -153,17 +153,15 @@ type Router struct {
 	indexShared bool
 	owned       []uint64
 	entryCopies int
-	// prependCache memoizes Prepend(cfg.AS) per source path: every export
-	// through this router prepends the same AS, so the per-export path
-	// allocation collapses to a map hit. Bounded; cleared when full.
-	prependCache map[*ASPath]*ASPath
 	// exportCache memoizes the export template per (best attrs, policy,
 	// locally-originated). One cached template serves every peer of the
 	// router: with next-hop carried per-Update instead of per-Attrs, the
 	// exported attribute set no longer varies by session, and the per-peer
 	// differences (split horizon, loop avoidance, AdvertiseLocalOnly) are
-	// allocation-free predicates checked before the cache. Valid only while
-	// interning is on — the keys are canonical pointers. Bounded; cleared
+	// allocation-free predicates checked before the cache. The keys are
+	// canonical (interned) pointers, so a pointer stands for an attribute
+	// value; when the intern table's wholesale clear re-issues a value under
+	// a new pointer, that is a miss here, not a wrong hit. Bounded; cleared
 	// wholesale when full.
 	exportCache map[exportKey]exportVal
 	// nhScratch is the reusable buffer nextHops fills on every decide; the
@@ -218,8 +216,7 @@ func New(cfg Config, clock Clock, hooks Hooks) *Router {
 	}
 	r := &Router{
 		cfg: cfg, clock: clock, hooks: hooks,
-		index:        map[netpkt.Prefix]int32{},
-		prependCache: map[*ASPath]*ASPath{},
+		index: map[netpkt.Prefix]int32{},
 	}
 	for _, a := range cfg.Aggregates {
 		r.aggState = append(r.aggState, aggState{spec: a})
@@ -704,13 +701,10 @@ func (r *Router) setSuppression(st *aggState, suppress bool) {
 	}
 }
 
-// maxExportCache bounds the router's export-template memo; maxPrependCache
-// bounds the router's path-prepend memo. Both are cleared wholesale when
-// full — the working sets in even L-DC mockups sit far below these limits.
-const (
-	maxExportCache  = 8192
-	maxPrependCache = 8192
-)
+// maxExportCache bounds the router's export-template memo. It is cleared
+// wholesale when full — the working set in even L-DC mockups sits far below
+// the limit.
+const maxExportCache = 8192
 
 // exportKey identifies one export-template computation: the best candidate's
 // attrs, the export policy applied to them, and whether the route is locally
@@ -780,7 +774,7 @@ func (r *Router) exportTemplate(p netpkt.Prefix, best *candidate, pol *Policy) (
 		return nil, false
 	}
 	c := *out
-	c.Path = r.prependOwn(c.Path)
+	c.Path = c.Path.Prepend(r.cfg.AS)
 	c.NextHop = 0
 	c.HasLP, c.LocalPref = false, 0
 	if best.peerIdx >= 0 {
@@ -791,20 +785,6 @@ func (r *Router) exportTemplate(p netpkt.Prefix, best *candidate, pol *Policy) (
 	// produces the same attribute set, so the per-export allocation
 	// collapses to the canonical object everyone shares.
 	return Intern(&c), true
-}
-
-// prependOwn returns path with the router's own AS prepended, memoized per
-// source path pointer (the prepended AS is the same for every export).
-func (r *Router) prependOwn(path *ASPath) *ASPath {
-	if np, ok := r.prependCache[path]; ok {
-		return np
-	}
-	np := path.Prepend(r.cfg.AS)
-	if len(r.prependCache) >= maxPrependCache {
-		clear(r.prependCache)
-	}
-	r.prependCache[path] = np
-	return np
 }
 
 func prefixLess(a, b netpkt.Prefix) bool {

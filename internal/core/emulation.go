@@ -715,7 +715,9 @@ func (em *Emulation) PullStates() map[string]firmware.Stats {
 	return out
 }
 
-// PullFIBs snapshots every emulated device's forwarding table.
+// PullFIBs snapshots every emulated device's forwarding table. The entries
+// are the devices' own — shared and read-only — and still a stable
+// point-in-time view: a FIB replaces entries, it never edits them.
 func (em *Emulation) PullFIBs() map[string]rib.Snapshot {
 	out := map[string]rib.Snapshot{}
 	for name, d := range em.Devices {
@@ -762,13 +764,15 @@ func (em *Emulation) List() []string { return em.allNames() }
 type State struct {
 	// Configs are the rendered per-device configurations.
 	Configs map[string]string
-	// FIBs are per-device forwarding-table snapshots.
+	// FIBs are per-device forwarding-table snapshots; their entries are
+	// shared with the live tables and read-only (see PullFIBs).
 	FIBs map[string]rib.Snapshot
 	// TakenAt is the virtual time of the snapshot.
 	TakenAt sim.Time
 }
 
-// Save captures the emulation's current state.
+// Save captures the emulation's current state. FIB entries are shared and
+// read-only, not copied (see PullFIBs).
 func (em *Emulation) Save() *State {
 	return &State{
 		Configs: em.PullConfig(),

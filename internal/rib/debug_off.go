@@ -1,0 +1,17 @@
+//go:build !crystaldebug
+
+package rib
+
+// debugEntries gates the installed-entry mutation assertions. In release
+// builds the checks compile away; build with -tags crystaldebug to enable
+// them (scripts/check.sh does for this package).
+const debugEntries = false
+
+// entrySum takes no space in release builds.
+type entrySum struct{}
+
+// stamp is a no-op in release builds.
+func (e *Entry) stamp() {}
+
+// verify is a no-op in release builds.
+func (e *Entry) verify() {}

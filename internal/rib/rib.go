@@ -74,19 +74,22 @@ func (nh NextHop) String() string {
 }
 
 // Entry is one FIB entry. NextHops with more than one element form an ECMP
-// group. NextHops may alias a canonical hop group shared with other entries
-// of the same table (see HopSetTable); treat the slice as immutable.
+// group.
+//
+// An Entry is immutable once installed: a FIB never edits an entry it holds —
+// reprogramming a prefix installs a fresh one — and neither may anyone it
+// hands the entry to. That is what lets tables, their forks, snapshots and
+// diffs all share entries instead of copying them (DESIGN.md §6). NextHops
+// may in turn alias a canonical hop group shared with other entries of the
+// same table (see HopSetTable). Build with -tags crystaldebug to have the
+// FIB verify this at Snapshot, Seal and DiffAgainst.
 type Entry struct {
+	// sum is the crystaldebug content hash; zero-sized in release builds.
+	sum entrySum
+
 	Prefix   netpkt.Prefix
 	NextHops []NextHop
 	Proto    Proto
-}
-
-// Clone returns a deep copy of the entry.
-func (e *Entry) Clone() *Entry {
-	c := *e
-	c.NextHops = append([]NextHop(nil), e.NextHops...)
-	return &c
 }
 
 // canonicalize sorts next hops so entry comparison is order-insensitive.
@@ -182,16 +185,20 @@ func hopSlicesEqual(a, b []NextHop) bool {
 	return true
 }
 
-// FIB is a device's forwarding table. It has two states, told apart by
-// whether byPrefix exists (DESIGN.md §6):
+// FIB is a device's forwarding table. It has one write rule and two index
+// states (DESIGN.md §6).
 //
-// A converging (unsealed) table is a prefix map with a lazily built LPM
-// trie beside it, tuned for the millions of installs a mockup performs
-// before anything routes. Seal — at Emulation.Checkpoint — builds the trie
-// once, drops the map and makes the trie authoritative; a sealed table and
-// its Clones share trie nodes and entries, and from then on no write edits
-// an *Entry in place: InstallHops allocates a replacement and the trie
-// copies the path to it.
+// The write rule: an installed *Entry is never edited. Install and
+// InstallHops put a fresh entry in place of the one they supersede, so
+// whoever still holds the old one — a Snapshot, a saved State, a checkpoint,
+// another fork — keeps a stable point-in-time view without a copy.
+//
+// The index states are told apart by whether byPrefix exists. A converging
+// (unsealed) table is a prefix map with a lazily built LPM trie beside it,
+// tuned for the millions of installs a mockup performs before anything
+// routes. Seal — at Emulation.Checkpoint — builds the trie once, drops the
+// map and makes the trie authoritative; a sealed table and its Clones share
+// trie nodes, and a write copies the path to the entry it replaces.
 type FIB struct {
 	// t is the longest-prefix-match trie. Unsealed, it is built lazily from
 	// byPrefix on the first LPM or ordered-walk operation (nil until then):
@@ -219,8 +226,8 @@ type FIB struct {
 	// sort buffer InstallHops canonicalizes into.
 	hopSets HopSetTable
 	scratch []NextHop
-	// entryCopies counts the entries a sealed table allocated in place of
-	// ones it may not edit.
+	// entryCopies counts the entries replaced in a sealed table — the entry
+	// half of the table's copy-on-write cost (see Copies).
 	entryCopies int
 }
 
@@ -254,6 +261,9 @@ func (f *FIB) sealed() bool { return f.byPrefix == nil }
 // runs single-threaded, at Emulation.Checkpoint; sealing again after further
 // writes re-freezes them.
 func (f *FIB) Seal() {
+	if debugEntries {
+		f.Walk(func(e *Entry) bool { e.verify(); return true })
+	}
 	f.lpm().Seal()
 	f.byPrefix = nil
 }
@@ -268,64 +278,57 @@ func (f *FIB) Len() int {
 
 // Install adds or replaces the entry for e.Prefix. Replacing never fails;
 // adding a new prefix to a full table returns ErrFull. The FIB owns e after
-// the call.
+// the call, and e is immutable from then on (see Entry).
 func (f *FIB) Install(e *Entry) error {
 	e.Prefix.Addr &= e.Prefix.MaskIP()
 	e.canonicalize()
-	if f.Capacity > 0 && f.Len() >= f.Capacity {
-		if _, exists := f.Get(e.Prefix); !exists {
-			return ErrFull
-		}
+	if f.full(e.Prefix) {
+		return ErrFull
 	}
-	if f.t != nil {
-		f.t.Insert(e.Prefix, e)
-	}
-	if !f.sealed() {
-		f.byPrefix[e.Prefix] = e
-	}
+	f.put(e)
 	return nil
 }
 
 // InstallHops adds or reprograms the route for p without the caller
-// allocating an Entry: the hops are sorted into a reusable scratch buffer
-// and the entry points at the table's canonical copy of that group — no
-// trie descent on reprogram (the dominant case while BGP hunts paths), and
-// no per-prefix hop storage once the group has been seen before. nhs is not
-// retained or mutated.
-//
-// A sealed table may share the existing entry with a checkpoint and its
-// other forks, so there a reprogram installs a fresh entry instead of
-// editing the old one; rehearsal steps reprogram thousands of routes where
-// a mockup installs millions, so the allocation is off the hot path.
+// building an Entry: the hops are sorted into a reusable scratch buffer and
+// the new entry points at the table's canonical copy of that group, so there
+// is no per-prefix hop storage once the group has been seen before. nhs is
+// not retained or mutated.
 func (f *FIB) InstallHops(p netpkt.Prefix, proto Proto, nhs []NextHop) error {
 	p.Addr &= p.MaskIP()
-	f.scratch = append(f.scratch[:0], nhs...)
-	sortHops(f.scratch)
-	if f.sealed() {
-		if f.Capacity > 0 && f.t.Len() >= f.Capacity {
-			if _, exists := f.t.Get(p); !exists {
-				return ErrFull
-			}
-		}
-		if !f.t.Insert(p, &Entry{Prefix: p, Proto: proto, NextHops: f.hopSets.Canonical(f.scratch)}) {
-			f.entryCopies++ // replaced an entry it may not edit
-		}
-		return nil
-	}
-	if e, ok := f.byPrefix[p]; ok {
-		e.Proto = proto
-		e.NextHops = f.hopSets.Canonical(f.scratch)
-		return nil
-	}
-	if f.Capacity > 0 && len(f.byPrefix) >= f.Capacity {
+	if f.full(p) {
 		return ErrFull
 	}
-	e := &Entry{Prefix: p, Proto: proto, NextHops: f.hopSets.Canonical(f.scratch)}
-	if f.t != nil {
-		f.t.Insert(p, e)
-	}
-	f.byPrefix[p] = e
+	f.scratch = append(f.scratch[:0], nhs...)
+	sortHops(f.scratch)
+	f.put(&Entry{Prefix: p, Proto: proto, NextHops: f.hopSets.Canonical(f.scratch)})
 	return nil
+}
+
+// full reports whether the table is at capacity and p would be a new prefix.
+func (f *FIB) full(p netpkt.Prefix) bool {
+	if f.Capacity == 0 || f.Len() < f.Capacity {
+		return false
+	}
+	_, exists := f.Get(p)
+	return !exists
+}
+
+// put makes e — normalised, and not yet visible to anyone else — the entry
+// for its prefix. An unsealed table with no trie yet pays one map store: no
+// trie descent on reprogram, the dominant case while BGP hunts paths.
+func (f *FIB) put(e *Entry) {
+	e.stamp()
+	if f.sealed() {
+		if !f.t.Insert(e.Prefix, e) {
+			f.entryCopies++
+		}
+		return
+	}
+	if f.t != nil {
+		f.t.Insert(e.Prefix, e)
+	}
+	f.byPrefix[e.Prefix] = e
 }
 
 // Remove deletes the entry for p, reporting whether it was present.
@@ -344,8 +347,7 @@ func (f *FIB) Remove(p netpkt.Prefix) bool {
 	return true
 }
 
-// Get returns the entry for exactly p. The entry may be shared with other
-// tables; treat it as read-only.
+// Get returns the entry for exactly p: shared, read-only (see Entry).
 func (f *FIB) Get(p netpkt.Prefix) (*Entry, bool) {
 	p.Addr &= p.MaskIP()
 	if f.sealed() {
@@ -366,18 +368,22 @@ func (f *FIB) Walk(fn func(*Entry) bool) {
 	f.lpm().Walk(func(_ netpkt.Prefix, e *Entry) bool { return fn(e) })
 }
 
-// Snapshot returns a deep copy of all entries, sorted by prefix — the
-// payload of the paper's PullStates API.
+// Snapshot returns all entries, sorted by prefix — the payload of the
+// paper's PullStates API. The entries are the table's own, shared and
+// read-only; the snapshot is still a stable point-in-time view, because later
+// writes to the table replace entries rather than edit them.
 func (f *FIB) Snapshot() Snapshot {
 	out := make(Snapshot, 0, f.Len())
 	f.Walk(func(e *Entry) bool {
-		out = append(out, e.Clone())
+		e.verify()
+		out = append(out, e)
 		return true
 	})
 	return out
 }
 
-// Snapshot is an ordered dump of a FIB.
+// Snapshot is an ordered dump of a FIB. Its entries are shared with the table
+// they came from (and with every other snapshot of it): read-only.
 type Snapshot []*Entry
 
 // Len returns the number of entries in the snapshot.
@@ -483,24 +489,31 @@ func Compare(left, right Snapshot, mode CompareMode) []Diff {
 // DiffAgainst diffs a saved snapshot (sorted, as Snapshot returns it)
 // against the FIB's live contents in one ordered merge — no pulled copy of
 // the table, no index maps — producing exactly what Compare(base, Snapshot())
-// would. Only differing entries are cloned; the common case (no drift)
-// allocates nothing. Diff output order matches Compare's sorted order
-// because both sides are walked in ascending (address, length) order.
+// would. The diffs point at the snapshot's and the table's own entries
+// (shared, read-only); the common case (no drift) allocates nothing. Diff
+// output order matches Compare's sorted order because both sides are walked
+// in ascending (address, length) order.
 func (f *FIB) DiffAgainst(base Snapshot, mode CompareMode) []Diff {
+	if debugEntries {
+		for _, b := range base {
+			b.verify()
+		}
+	}
 	var out []Diff
 	i := 0
 	f.Walk(func(e *Entry) bool {
+		e.verify()
 		for i < len(base) && prefixBefore(base[i].Prefix, e.Prefix) {
 			out = append(out, Diff{Kind: DiffMissingRight, Prefix: base[i].Prefix, Left: base[i]})
 			i++
 		}
 		if i < len(base) && base[i].Prefix == e.Prefix {
 			if !nextHopsMatch(base[i].NextHops, e.NextHops, mode) {
-				out = append(out, Diff{Kind: DiffNextHops, Prefix: e.Prefix, Left: base[i], Right: e.Clone()})
+				out = append(out, Diff{Kind: DiffNextHops, Prefix: e.Prefix, Left: base[i], Right: e})
 			}
 			i++
 		} else {
-			out = append(out, Diff{Kind: DiffMissingLeft, Prefix: e.Prefix, Right: e.Clone()})
+			out = append(out, Diff{Kind: DiffMissingLeft, Prefix: e.Prefix, Right: e})
 		}
 		return true
 	})
@@ -566,9 +579,8 @@ func nextHopsMatch(a, b []NextHop, mode CompareMode) bool {
 // Clone panics otherwise, because f would go on editing state the clone
 // reads.
 //
-// Stored hop groups are immutable — InstallHops replaces the slice
-// wholesale, never edits it — so the shared entries keep aliasing them (same
-// policy as the attrs); the clone interns the groups it installs itself in a
+// Entries and the hop groups they alias are immutable (see Entry), so the
+// clone goes on sharing both; it interns the groups it installs itself in a
 // table of its own.
 func (f *FIB) Clone() *FIB {
 	if !f.sealed() {
@@ -578,8 +590,8 @@ func (f *FIB) Clone() *FIB {
 }
 
 // Copies returns the copy-on-write cost the table has paid since it was
-// cloned or created: trie nodes path-copied, and entries allocated in place
-// of shared ones.
+// cloned or created: trie nodes path-copied, and entries replaced while
+// sealed.
 func (f *FIB) Copies() (trieNodes, entries int) {
 	if f.t != nil {
 		trieNodes = f.t.Copies()

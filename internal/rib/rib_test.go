@@ -1,6 +1,8 @@
 package rib
 
 import (
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -119,14 +121,56 @@ func TestRemove(t *testing.T) {
 	}
 }
 
-func TestSnapshotDeepCopy(t *testing.T) {
-	f := NewFIB()
-	f.Install(entry("10.0.0.0/8", ProtoBGP, "1.1.1.1"))
-	snap := f.Snapshot()
-	snap[0].NextHops[0].IP = 0
-	got, _ := f.Get(pfx("10.0.0.0/8"))
-	if got.NextHops[0].IP == 0 {
-		t.Fatal("snapshot aliases live FIB")
+// TestSnapshotStableUnderWrites is the property sharing rests on: a
+// Snapshot hands out the table's own entries, so it stays a point-in-time
+// view only if no later write — reprogram, replace, remove, in any index
+// state — edits what it points at.
+func TestSnapshotStableUnderWrites(t *testing.T) {
+	hops := func(rng *rand.Rand) []NextHop {
+		nhs := make([]NextHop, rng.Intn(4))
+		for i := range nhs {
+			nhs[i] = NextHop{IP: netpkt.IP(1 + rng.Intn(6)), Interface: fmt.Sprintf("et%d", rng.Intn(3))}
+		}
+		return nhs
+	}
+	prefix := func(rng *rand.Rand) netpkt.Prefix {
+		return netpkt.Prefix{Addr: netpkt.IP(rng.Intn(32)) << 24, Len: uint8(4 + rng.Intn(5))}
+	}
+	write := func(f *FIB, rng *rand.Rand) {
+		switch p := prefix(rng); rng.Intn(3) {
+		case 0:
+			f.InstallHops(p, ProtoBGP, hops(rng))
+		case 1:
+			f.Install(&Entry{Prefix: p, Proto: ProtoStatic, NextHops: hops(rng)})
+		case 2:
+			f.Remove(p)
+		}
+	}
+	states := map[string]func(*FIB) *FIB{
+		"unsealed": func(f *FIB) *FIB { return f },
+		"sealed":   func(f *FIB) *FIB { f.Seal(); return f },
+		"clone":    func(f *FIB) *FIB { f.Seal(); return f.Clone() },
+	}
+	for name, enter := range states {
+		for seed := int64(1); seed <= 20; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			f := NewFIB()
+			for i := 0; i < 40; i++ {
+				write(f, rng)
+			}
+			f = enter(f)
+			snap := f.Snapshot()
+			want := snap.String()
+			for i := 0; i < 200; i++ {
+				write(f, rng)
+				if i%50 == 49 && snap.String() != want {
+					t.Fatalf("%s, seed %d: snapshot changed after %d writes:\n%s\nwant:\n%s", name, seed, i+1, snap, want)
+				}
+			}
+			if f.Snapshot().String() == want {
+				t.Fatalf("%s, seed %d: 200 random writes left the table unchanged", name, seed)
+			}
+		}
 	}
 }
 

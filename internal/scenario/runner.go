@@ -88,8 +88,10 @@ type runner struct {
 	em   *core.Emulation
 	net  *topo.Network
 
-	// origConfigs are the post-mockup device configurations; reload-config
-	// patches clone from here and fromBaseline rolls back to here.
+	// origConfigs are the post-mockup device configurations — the devices'
+	// own values, shared with the running firmware and every fork, never
+	// written: reload-config patches a clone and fromBaseline rolls back to
+	// one.
 	origConfigs map[string]*config.DeviceConfig
 	baselines   map[string]*core.State
 	lastFlow    uint64
@@ -301,7 +303,7 @@ func (r *runner) mockup(seed int64) error {
 	r.report.MockupLatency = metrics.Mockup.String()
 
 	for name, d := range em.Devices {
-		r.origConfigs[name] = d.Config().Clone()
+		r.origConfigs[name] = d.Config()
 	}
 	r.baselines[DefaultBaseline] = em.Save()
 
@@ -610,7 +612,7 @@ func (r *runner) check(st *Step) Check {
 			fail("%v", err)
 			return c
 		}
-		path, ok := batfish.Reachable(r.em.PullFIBs(), r.liveConfigs(), st.From, dst)
+		path, ok := batfish.NewLiveWalker(r.liveLookup, r.liveConfigs()).Reachable(st.From, dst)
 		want := st.Expect == nil || *st.Expect
 		if ok != want {
 			fail("reachable(%s -> %s) = %v, want %v (path %s)",
@@ -857,6 +859,17 @@ func (r *runner) liveConfigs() map[string]*config.DeviceConfig {
 	return cfgs
 }
 
+// liveLookup resolves a longest-prefix match in a device's live FIB trie, in
+// place: the emulation is quiescent while a check runs, so pulling FIB
+// snapshots just to index them again would only duplicate the tries.
+func (r *runner) liveLookup(dev string, dst netpkt.IP) (*rib.Entry, bool) {
+	d := r.em.Devices[dev]
+	if d == nil || d.FIB() == nil {
+		return nil, false
+	}
+	return d.FIB().Lookup(dst)
+}
+
 // blackholes sweeps reachability from every emulated fabric device toward
 // a host in every server prefix the fabric originates, returning failing
 // pairs. Speakers are excluded on both sides: they replay recorded
@@ -897,17 +910,8 @@ func (r *runner) blackholes(st *Step) []string {
 		}
 	}
 
-	// The sweep walks the devices' live FIB tries in place: the emulation
-	// is quiescent between steps, so snapshotting every FIB just to index
-	// the snapshots again would double the sweep's cost for nothing.
 	var failures []string
-	w := batfish.NewLiveWalker(func(dev string, dst netpkt.IP) (*rib.Entry, bool) {
-		d := r.em.Devices[dev]
-		if d == nil {
-			return nil, false
-		}
-		return d.FIB().Lookup(dst)
-	}, cfgs)
+	w := batfish.NewLiveWalker(r.liveLookup, cfgs)
 	for _, src := range sources {
 		for _, d := range dests {
 			if d.owner == src {

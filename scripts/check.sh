@@ -30,8 +30,8 @@ go test -race ./internal/parallel/ ./internal/sim/ ./internal/experiments/ ./int
     ./internal/obs/ ./internal/serve/ ./internal/bgp/ ./internal/rib/ ./internal/trie/ ./internal/traffic/ \
     ./internal/boundary/
 
-echo "== sealed-attrs immutability assertions (-tags crystaldebug)"
-go test -tags crystaldebug ./internal/bgp/
+echo "== sealed-attrs and installed-FIB-entry immutability assertions (-tags crystaldebug)"
+go test -tags crystaldebug ./internal/bgp/ ./internal/rib/
 
 # TestFork* covers the copy-on-write fork: TestForkIsolation (what is shared,
 # what is not), TestForkSharingIsIsolated (S-DC, one fork per operation kind
@@ -50,8 +50,8 @@ fi
 echo "== scenario smoke under -race"
 go test -race ./internal/scenario/ -run 'TestSmoke|TestChaosSerialParallelIdentical'
 
-echo "== fork-determinism smoke under -race (fresh vs forked, byte-compare)"
-go test -race ./internal/scenario/ -run 'TestForkedRunMatchesFreshRun|TestChaosReuse'
+echo "== fork-determinism smoke under -race (fresh vs forked, byte-compare; shared baseline configs)"
+go test -race ./internal/scenario/ -run 'TestForkedRunMatchesFreshRun|TestChaosReuse|TestReloadConfigLeavesSharedBaselineIntact'
 
 echo "== sharded-convergence determinism under -race (serial vs sharded, byte-compare)"
 go test -race ./internal/scenario/ -run 'TestSharded' -timeout 10m
