@@ -17,8 +17,9 @@
 // README.md, DESIGN.md or a docs/*.md file mentions must exist on disk, so
 // deleting a tool fails the gate until the recipes that advertise it are
 // gone too (EXPERIMENTS.md, CHANGES.md and bench/README.md are history and
-// are not scanned). scripts/check.sh runs it, so documentation drift fails
-// verification the same way a broken test does.
+// are not scanned). The same files may only name obs.<Ident> for identifiers
+// internal/obs still exports. scripts/check.sh runs it, so documentation
+// drift fails verification the same way a broken test does.
 //
 // Usage:
 //
@@ -88,6 +89,7 @@ func main() {
 	problems = append(problems, apiDocProblems(root)...)
 	problems = append(problems, metricDocProblems(root)...)
 	problems = append(problems, toolRefProblems(root)...)
+	problems = append(problems, obsRefProblems(root)...)
 
 	if len(problems) > 0 {
 		sort.Strings(problems)
@@ -178,6 +180,55 @@ var toolRef = regexp.MustCompile(`\b(scripts/[A-Za-z0-9_.-]+\.sh|cmd/[A-Za-z0-9_
 // toolRefProblems verifies that every scripts/<name>.sh and cmd/<name> the
 // living docs mention (README.md, DESIGN.md, docs/*.md) exists on disk.
 func toolRefProblems(root string) []string {
+	return livingDocRefProblems(root, toolRef, func(ref string) bool {
+		_, err := os.Stat(filepath.Join(root, filepath.FromSlash(ref)))
+		return err == nil
+	})
+}
+
+// obsRef matches an exported identifier qualified with the obs package.
+var obsRef = regexp.MustCompile(`\bobs\.[A-Z][A-Za-z0-9_]*`)
+
+// obsRefProblems verifies that every obs.<Ident> the living docs mention is
+// a top-level identifier internal/obs exports, so a deleted type cannot
+// survive in prose.
+func obsRefProblems(root string) []string {
+	pkgs, err := parser.ParseDir(token.NewFileSet(), filepath.Join(root, "internal", "obs"), func(fi os.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, parser.SkipObjectResolution)
+	if err != nil {
+		return []string{fmt.Sprintf("internal/obs: %v", err)}
+	}
+	exported := map[string]bool{}
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			for _, decl := range f.Decls {
+				switch d := decl.(type) {
+				case *ast.FuncDecl:
+					if d.Recv == nil {
+						exported["obs."+d.Name.Name] = true
+					}
+				case *ast.GenDecl:
+					for _, spec := range d.Specs {
+						switch sp := spec.(type) {
+						case *ast.TypeSpec:
+							exported["obs."+sp.Name.Name] = true
+						case *ast.ValueSpec:
+							for _, n := range sp.Names {
+								exported["obs."+n.Name] = true
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	return livingDocRefProblems(root, obsRef, func(ref string) bool { return exported[ref] })
+}
+
+// livingDocRefProblems reports every distinct match of ref in README.md,
+// DESIGN.md and docs/*.md for which exists is false.
+func livingDocRefProblems(root string, ref *regexp.Regexp, exists func(string) bool) []string {
 	files, _ := filepath.Glob(filepath.Join(root, "docs", "*.md"))
 	files = append(files, filepath.Join(root, "README.md"), filepath.Join(root, "DESIGN.md"))
 	var problems []string
@@ -189,13 +240,13 @@ func toolRefProblems(root string) []string {
 			continue
 		}
 		seen := map[string]bool{}
-		for _, ref := range toolRef.FindAllString(string(raw), -1) {
-			if seen[ref] {
+		for _, m := range ref.FindAllString(string(raw), -1) {
+			if seen[m] {
 				continue
 			}
-			seen[ref] = true
-			if _, err := os.Stat(filepath.Join(root, filepath.FromSlash(ref))); err != nil {
-				problems = append(problems, fmt.Sprintf("%s: mentions %s, which does not exist", rel, ref))
+			seen[m] = true
+			if !exists(m) {
+				problems = append(problems, fmt.Sprintf("%s: mentions %s, which does not exist", rel, m))
 			}
 		}
 	}

@@ -317,17 +317,17 @@ type (
 	// TracePart names one recorder in a multi-run Chrome trace export
 	// (one trace-viewer process per part).
 	TracePart = obs.Part
-	// LiveMetrics is the wall-clock, concurrency-safe metrics registry the
-	// rehearsal service exposes at /metrics (sibling of the deterministic
-	// sim-time Recorder).
-	LiveMetrics = obs.Live
+	// LiveMetrics is the metrics registry type. The rehearsal service
+	// exposes a wall-clock instance at /metrics; every Recorder holds a
+	// sim-time instance of its own, and the two never mix.
+	LiveMetrics = obs.Registry
 )
 
 // NewRecorder returns an empty trace recorder.
 func NewRecorder() *Recorder { return obs.New() }
 
 // NewLiveMetrics returns an empty wall-clock metrics registry.
-func NewLiveMetrics() *LiveMetrics { return obs.NewLive() }
+func NewLiveMetrics() *LiveMetrics { return obs.NewRegistry(obs.WallBuckets) }
 
 // WriteChromeTrace renders one or more recorders as a single Chrome
 // trace_event file — open it in Perfetto (ui.perfetto.dev) or

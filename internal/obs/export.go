@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -9,10 +10,11 @@ import (
 	"time"
 )
 
-// Exporters. All three outputs are deterministic: spans and events are
-// emitted in their (deterministic) record order, metrics are sorted by
-// (name, label), and maps never reach the encoder unsorted — so two
-// same-seed runs produce byte-identical files.
+// Exporters. The Recorder's three outputs are deterministic: spans and
+// events are emitted in their (deterministic) record order, metrics come
+// from the registry's one sorted view, and maps never reach the encoder
+// unsorted — so two same-seed runs produce byte-identical files. The
+// Prometheus exposition starts from the same view.
 
 type counterJSON struct {
 	Name  string `json:"name"`
@@ -49,37 +51,12 @@ type traceJSON struct {
 	Histograms []histJSON    `json:"histograms,omitempty"`
 }
 
-func (r *Recorder) sortedCounters() []*Counter {
-	cs := append([]*Counter(nil), r.counters...)
-	sort.Slice(cs, func(i, j int) bool {
-		if cs[i].Name != cs[j].Name {
-			return cs[i].Name < cs[j].Name
-		}
-		return cs[i].Label < cs[j].Label
-	})
-	return cs
-}
-
-func (r *Recorder) sortedGauges() []*Gauge {
-	gs := append([]*Gauge(nil), r.gauges...)
-	sort.Slice(gs, func(i, j int) bool {
-		if gs[i].Name != gs[j].Name {
-			return gs[i].Name < gs[j].Name
-		}
-		return gs[i].Label < gs[j].Label
-	})
-	return gs
-}
-
-func (r *Recorder) sortedHists() []*Histogram {
-	hs := append([]*Histogram(nil), r.hists...)
-	sort.Slice(hs, func(i, j int) bool {
-		if hs[i].Name != hs[j].Name {
-			return hs[i].Name < hs[j].Name
-		}
-		return hs[i].Label < hs[j].Label
-	})
-	return hs
+// le renders bucket i's upper bound the way every exporter prints it.
+func (s *histState) le(i int) string {
+	if i < len(s.bounds) {
+		return fmt.Sprintf("%g", s.bounds[i])
+	}
+	return "+Inf"
 }
 
 // WriteJSON writes the native trace file: spans and events in record
@@ -94,22 +71,20 @@ func (r *Recorder) WriteJSON(w io.Writer) error {
 	if out.Spans == nil {
 		out.Spans = []SpanData{}
 	}
-	for _, c := range r.sortedCounters() {
-		out.Counters = append(out.Counters, counterJSON{c.Name, c.Label, c.n})
-	}
-	for _, g := range r.sortedGauges() {
-		out.Gauges = append(out.Gauges, gaugeJSON{g.Name, g.Label, g.v})
-	}
-	for _, h := range r.sortedHists() {
-		hj := histJSON{Name: h.Name, Label: h.Label, Count: h.count, Sum: h.sum, Min: h.min, Max: h.max}
-		for i, n := range h.bucket {
-			le := "+Inf"
-			if i < len(h.bounds) {
-				le = fmt.Sprintf("%g", h.bounds[i])
+	for _, s := range r.reg.sorted() {
+		switch h := s.handle.(type) {
+		case *Counter:
+			out.Counters = append(out.Counters, counterJSON{s.name, s.label, h.Value()})
+		case *Gauge:
+			out.Gauges = append(out.Gauges, gaugeJSON{s.name, s.label, h.Value()})
+		case *Histogram:
+			st := h.state()
+			hj := histJSON{Name: s.name, Label: s.label, Count: st.count, Sum: st.sum, Min: st.min, Max: st.max}
+			for i, n := range st.bucket {
+				hj.Buckets = append(hj.Buckets, histBucketJSON{st.le(i), n})
 			}
-			hj.Buckets = append(hj.Buckets, histBucketJSON{le, n})
+			out.Histograms = append(out.Histograms, hj)
 		}
-		out.Histograms = append(out.Histograms, hj)
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
@@ -285,42 +260,112 @@ func (r *Recorder) Summary() string {
 		}
 	}
 
-	// Counter totals grouped by series name, labels counted.
-	if len(r.counters) > 0 {
-		type agg struct {
-			total  uint64
-			labels int
-		}
-		totals := map[string]*agg{}
-		for _, c := range r.counters {
-			a := totals[c.Name]
-			if a == nil {
-				a = &agg{}
-				totals[c.Name] = a
-			}
-			a.total += c.n
-			a.labels++
-		}
-		names := make([]string, 0, len(totals))
-		for n := range totals {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		b.WriteString("counters:\n")
-		for _, n := range names {
-			a := totals[n]
-			fmt.Fprintf(&b, "  %-28s %12d  (%d labels)\n", n, a.total, a.labels)
-		}
+	// Counter totals grouped by series name, labels counted. The view is
+	// sorted by name, so a name's counters are adjacent.
+	view := r.reg.sorted()
+	type total struct {
+		name   string
+		n      uint64
+		labels int
 	}
-	for _, g := range r.sortedGauges() {
-		fmt.Fprintf(&b, "gauge %s{%s} = %g\n", g.Name, g.Label, g.v)
-	}
-	for _, h := range r.sortedHists() {
-		if h.count == 0 {
+	var totals []total
+	for _, s := range view {
+		c, ok := s.handle.(*Counter)
+		if !ok {
 			continue
 		}
-		fmt.Fprintf(&b, "hist %s{%s}: n=%d avg=%.3fs min=%.3fs max=%.3fs\n",
-			h.Name, h.Label, h.count, h.sum/float64(h.count), h.min, h.max)
+		if k := len(totals); k == 0 || totals[k-1].name != s.name {
+			totals = append(totals, total{name: s.name})
+		}
+		t := &totals[len(totals)-1]
+		t.n += c.Value()
+		t.labels++
+	}
+	if len(totals) > 0 {
+		b.WriteString("counters:\n")
+		for _, t := range totals {
+			fmt.Fprintf(&b, "  %-28s %12d  (%d labels)\n", t.name, t.n, t.labels)
+		}
+	}
+	for _, s := range view {
+		if g, ok := s.handle.(*Gauge); ok {
+			fmt.Fprintf(&b, "gauge %s{%s} = %g\n", s.name, s.label, g.Value())
+		}
+	}
+	for _, s := range view {
+		h, ok := s.handle.(*Histogram)
+		if !ok {
+			continue
+		}
+		if st := h.state(); st.count > 0 {
+			fmt.Fprintf(&b, "hist %s{%s}: n=%d avg=%.3fs min=%.3fs max=%.3fs\n",
+				s.name, s.label, st.count, st.sum/float64(st.count), st.min, st.max)
+		}
 	}
 	return b.String()
+}
+
+// promName sanitizes a dotted series name into the Prometheus exposition
+// charset ("http.requests" → "http_requests").
+func promName(name string) string {
+	return strings.Map(func(r rune) rune {
+		switch {
+		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '_', r == ':':
+			return r
+		}
+		return '_'
+	}, name)
+}
+
+func promLabel(label, extra string) string {
+	parts := make([]string, 0, 2)
+	if label != "" {
+		parts = append(parts, fmt.Sprintf("label=%q", label))
+	}
+	if extra != "" {
+		parts = append(parts, extra)
+	}
+	if len(parts) == 0 {
+		return ""
+	}
+	return "{" + strings.Join(parts, ",") + "}"
+}
+
+// WriteProm renders every registered series in the Prometheus text
+// exposition format: names in the order they were first registered, each
+// name's series by kind and then label, so scrapes are stable.
+func (r *Registry) WriteProm(w io.Writer) error {
+	view := r.sorted()
+	first := map[string]int{} // name → lowest registration index
+	for _, s := range view {
+		if seq, ok := first[s.name]; !ok || s.seq < seq {
+			first[s.name] = s.seq
+		}
+	}
+	sort.SliceStable(view, func(i, j int) bool { return first[view[i].name] < first[view[j].name] })
+
+	var b bytes.Buffer
+	for i, s := range view {
+		pn := promName(s.name)
+		if i == 0 || view[i-1].name != s.name || view[i-1].kind != s.kind {
+			fmt.Fprintf(&b, "# TYPE %s %s\n", pn, [...]string{"counter", "gauge", "histogram"}[s.kind])
+		}
+		switch h := s.handle.(type) {
+		case *Counter:
+			fmt.Fprintf(&b, "%s%s %d\n", pn, promLabel(s.label, ""), h.Value())
+		case *Gauge:
+			fmt.Fprintf(&b, "%s%s %g\n", pn, promLabel(s.label, ""), h.Value())
+		case *Histogram:
+			st := h.state()
+			var cum uint64
+			for bi, n := range st.bucket {
+				cum += n
+				fmt.Fprintf(&b, "%s_bucket%s %d\n", pn, promLabel(s.label, fmt.Sprintf("le=%q", st.le(bi))), cum)
+			}
+			fmt.Fprintf(&b, "%s_sum%s %g\n%s_count%s %d\n",
+				pn, promLabel(s.label, ""), st.sum, pn, promLabel(s.label, ""), st.count)
+		}
+	}
+	_, err := w.Write(b.Bytes())
+	return err
 }

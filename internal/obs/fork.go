@@ -14,41 +14,13 @@ func (r *Recorder) Fork() *Recorder {
 	if r == nil {
 		return nil
 	}
-	c := &Recorder{
-		spans:  append([]SpanData(nil), r.spans...),
-		events: append([]EventData(nil), r.events...),
-	}
 	// Attrs slices are recorded once and never mutated, so aliasing them
 	// is safe; the containers themselves must not be shared.
-	if len(r.counters) > 0 {
-		c.counters = make([]*Counter, len(r.counters))
-		c.cIdx = make(map[metricKey]*Counter, len(r.counters))
-		for i, src := range r.counters {
-			dup := *src
-			c.counters[i] = &dup
-			c.cIdx[metricKey{src.Name, src.Label}] = &dup
-		}
+	return &Recorder{
+		spans:  append([]SpanData(nil), r.spans...),
+		events: append([]EventData(nil), r.events...),
+		reg:    r.reg.clone(),
 	}
-	if len(r.gauges) > 0 {
-		c.gauges = make([]*Gauge, len(r.gauges))
-		c.gIdx = make(map[metricKey]*Gauge, len(r.gauges))
-		for i, src := range r.gauges {
-			dup := *src
-			c.gauges[i] = &dup
-			c.gIdx[metricKey{src.Name, src.Label}] = &dup
-		}
-	}
-	if len(r.hists) > 0 {
-		c.hists = make([]*Histogram, len(r.hists))
-		c.hIdx = make(map[metricKey]*Histogram, len(r.hists))
-		for i, src := range r.hists {
-			dup := *src
-			dup.bucket = append([]uint64(nil), src.bucket...)
-			c.hists[i] = &dup
-			c.hIdx[metricKey{src.Name, src.Label}] = &dup
-		}
-	}
-	return c
 }
 
 // Adopt moves src's contents into r, replacing whatever r held. The

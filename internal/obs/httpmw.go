@@ -26,7 +26,7 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 	return w.ResponseWriter.Write(b)
 }
 
-// Middleware instruments an HTTP handler with the live registry's
+// Middleware instruments an HTTP handler with the registry's
 // standard families, labeled by route:
 //
 //	http.requests  (counter)  requests completed
@@ -34,9 +34,9 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 //	http.latency   (histogram) wall-clock seconds per request
 //	http.in_flight (gauge)    requests currently being served
 //
-// A nil *Live vends nil handles, so the wrapper degrades to plain
+// A nil *Registry vends nil handles, so the wrapper degrades to plain
 // status-code capture with no locking.
-func (l *Live) Middleware(route string, next http.Handler) http.Handler {
+func (l *Registry) Middleware(route string, next http.Handler) http.Handler {
 	requests := l.Counter("http.requests", route)
 	errors := l.Counter("http.errors", route)
 	latency := l.Histogram("http.latency", route)

@@ -9,7 +9,7 @@ import (
 )
 
 func TestNilLiveIsNoOp(t *testing.T) {
-	var l *Live
+	var l *Registry
 	c := l.Counter("x", "")
 	c.Inc()
 	c.Add(5)
@@ -33,7 +33,7 @@ func TestNilLiveIsNoOp(t *testing.T) {
 }
 
 func TestLiveHandlesAreStable(t *testing.T) {
-	l := NewLive()
+	l := NewRegistry(WallBuckets)
 	if l.Counter("a", "x") != l.Counter("a", "x") {
 		t.Fatal("same key vended distinct counters")
 	}
@@ -49,7 +49,7 @@ func TestLiveHandlesAreStable(t *testing.T) {
 }
 
 func TestLiveConcurrentUpdates(t *testing.T) {
-	l := NewLive()
+	l := NewRegistry(WallBuckets)
 	c := l.Counter("reqs", "")
 	h := l.Histogram("lat", "")
 	g := l.Gauge("inflight", "")
@@ -79,7 +79,7 @@ func TestLiveConcurrentUpdates(t *testing.T) {
 }
 
 func TestLiveQuantile(t *testing.T) {
-	l := NewLive()
+	l := NewRegistry(WallBuckets)
 	h := l.Histogram("lat", "")
 	// 100 observations spread across two buckets: 50 at 2ms, 50 at 100ms.
 	for i := 0; i < 50; i++ {
@@ -100,7 +100,7 @@ func TestLiveQuantile(t *testing.T) {
 }
 
 func TestWritePromFormat(t *testing.T) {
-	l := NewLive()
+	l := NewRegistry(WallBuckets)
 	l.Counter("http.requests", "/v1/rehearse").Add(3)
 	l.Gauge("pool.size", "").Set(2)
 	l.Histogram("http.latency", "/v1/rehearse").Observe(0.5)
@@ -125,7 +125,7 @@ func TestWritePromFormat(t *testing.T) {
 }
 
 func TestMiddlewareRecords(t *testing.T) {
-	l := NewLive()
+	l := NewRegistry(WallBuckets)
 	h := l.Middleware("/boom", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusInternalServerError)
 	}))
@@ -157,7 +157,7 @@ func TestMiddlewareRecords(t *testing.T) {
 }
 
 func TestNilMiddlewarePassesThrough(t *testing.T) {
-	var l *Live
+	var l *Registry
 	h := l.Middleware("/x", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusTeapot)
 	}))

@@ -14,10 +14,12 @@
 // pointer check and nothing else. Hot paths cache *Counter handles at
 // construction so the disabled cost stays at one predictable branch.
 //
-// A Recorder is single-goroutine, like the engine that feeds it: each
-// emulation (fresh or forked) owns its own recorder, and campaigns that
-// run emulations in parallel give each run a private recorder and merge
-// the results after the pool drains.
+// A Recorder's spans and events are single-goroutine, like the engine that
+// feeds it: each emulation (fresh or forked) owns its own recorder, and
+// campaigns that run emulations in parallel give each run a private
+// recorder and merge the results after the pool drains. Its metrics live in
+// a Registry — the same concurrency-safe type crystald serves at /metrics,
+// but never the same instance, so no wall-clock value can reach a trace.
 package obs
 
 // Attr is one key/value annotation on a span or event.
@@ -45,26 +47,43 @@ type EventData struct {
 	Attrs []Attr `json:"attrs,omitempty"`
 }
 
-// Recorder accumulates spans, events and metrics for one emulation. The
-// zero value is usable; New is the conventional constructor. A nil
-// *Recorder is the disabled tracer — every method no-ops.
+// Recorder accumulates spans, events and metrics for one emulation; New
+// constructs one. A nil *Recorder is the disabled tracer — every method
+// no-ops.
 type Recorder struct {
 	now func() int64
 
 	spans  []SpanData
 	events []EventData
-
-	counters []*Counter
-	gauges   []*Gauge
-	hists    []*Histogram
-	cIdx     map[metricKey]*Counter
-	gIdx     map[metricKey]*Gauge
-	hIdx     map[metricKey]*Histogram
+	reg    *Registry
 }
 
 // New returns an empty recorder with no clock bound. Engine.SetRecorder
 // binds the virtual clock; until then timestamps read as 0.
-func New() *Recorder { return &Recorder{} }
+func New() *Recorder { return &Recorder{reg: NewRegistry(DefBuckets)} }
+
+// Metrics returns the registry behind Counter, Gauge and Histogram: this
+// emulation's own, with DefBuckets bounds. A nil recorder returns the nil
+// registry, which vends nil (no-op) handles.
+func (r *Recorder) Metrics() *Registry {
+	if r == nil {
+		return nil
+	}
+	return r.reg
+}
+
+// Counter returns the recorder's counter for (name, label); see
+// Registry.Counter.
+func (r *Recorder) Counter(name, label string) *Counter { return r.Metrics().Counter(name, label) }
+
+// Gauge returns the recorder's gauge for (name, label); see Registry.Gauge.
+func (r *Recorder) Gauge(name, label string) *Gauge { return r.Metrics().Gauge(name, label) }
+
+// Histogram returns the recorder's histogram for (name, label); see
+// Registry.Histogram.
+func (r *Recorder) Histogram(name, label string) *Histogram {
+	return r.Metrics().Histogram(name, label)
+}
 
 // SetClock binds the virtual-time source. The engine calls this from
 // SetRecorder; tests may bind any monotone int64 source.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -191,22 +192,76 @@ func TestForkDeepCopies(t *testing.T) {
 	if f.now != nil {
 		t.Fatal("fork inherited a clock")
 	}
-	// Diverge both sides; neither should see the other's writes.
-	r.Counter("bgp.msgs_out", "dev1").Inc()
-	f.Counter("bgp.msgs_out", "dev1").Add(10)
-	if r.Counter("bgp.msgs_out", "dev1").Value() != 8 {
-		t.Fatal("parent counter saw fork write")
+	// Same (name, label), distinct handles, equal starting values.
+	pc, fc := r.Counter("bgp.msgs_out", "dev1"), f.Counter("bgp.msgs_out", "dev1")
+	pg, fg := r.Gauge("vms", ""), f.Gauge("vms", "")
+	ph, fh := r.Histogram("recovery", ""), f.Histogram("recovery", "")
+	if pc == fc || pg == fg || ph == fh || r.Metrics() == f.Metrics() {
+		t.Fatal("fork shares a handle or the registry with its parent")
 	}
-	if f.Counter("bgp.msgs_out", "dev1").Value() != 17 {
-		t.Fatal("fork counter lost parent baseline")
+	if fc.Value() != 7 || fg.Value() != 2 || fh.Count() != 1 || fh.Sum() != 0.01 {
+		t.Fatalf("fork lost the parent baseline: counter %d, gauge %g, hist n=%d sum=%g",
+			fc.Value(), fg.Value(), fh.Count(), fh.Sum())
+	}
+	// Diverge both sides; neither should see the other's writes.
+	pc.Inc()
+	fc.Add(10)
+	if pc.Value() != 8 || fc.Value() != 17 {
+		t.Fatalf("counters did not diverge independently: parent %d, fork %d", pc.Value(), fc.Value())
+	}
+	pg.Set(5)
+	fg.Add(1)
+	if pg.Value() != 5 || fg.Value() != 3 {
+		t.Fatalf("gauges did not diverge independently: parent %g, fork %g", pg.Value(), fg.Value())
+	}
+	fh.Observe(1) // 0.256 < 1 <= 1.024: a bucket the parent never touched
+	ph.ObserveN(500, 2)
+	pst, fst := ph.state(), fh.state()
+	if pst.count != 3 || pst.bucket[5] != 0 || pst.bucket[len(pst.bucket)-1] != 2 {
+		t.Fatalf("parent histogram saw the fork's observation: %+v", pst)
+	}
+	if fst.count != 2 || fst.bucket[5] != 1 || fst.bucket[len(fst.bucket)-1] != 0 || fst.max != 1 {
+		t.Fatalf("fork histogram saw the parent's observations: %+v", fst)
 	}
 	r.SpanAt("t", "parent-only", 1, 2)
 	if len(f.Spans()) != len(r.Spans())-1 {
 		t.Fatal("fork shares span slice with parent")
 	}
-	f.Histogram("recovery", "").Observe(1)
-	if r.Histogram("recovery", "").Count() != 1 {
-		t.Fatal("parent histogram saw fork observation")
+}
+
+// TestRecorderHandlesAreConcurrencySafe hammers one handle of each kind,
+// vended by a recorder's registry, from several goroutines: the emulation
+// and the daemon use the same types, so the totals must be exact here too.
+// Meaningful under -race (scripts/check.sh).
+func TestRecorderHandlesAreConcurrencySafe(t *testing.T) {
+	reg := New().Metrics()
+	c, g, h := reg.Counter("c", ""), reg.Gauge("g", ""), reg.Histogram("h", "")
+	const workers, rounds = 8, 1000
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				c.Add(3)
+				g.Add(0.5)
+				h.ObserveN(0.002, 4)
+				// Lookups race with updates in crystald; same handle each time.
+				if reg.Counter("c", "") != c {
+					t.Error("registry vended a second handle for the same key")
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got := c.Value(); got != 3*workers*rounds {
+		t.Errorf("counter = %d, want %d", got, 3*workers*rounds)
+	}
+	if got := g.Value(); got != 0.5*workers*rounds {
+		t.Errorf("gauge = %g, want %g", got, 0.5*workers*rounds)
+	}
+	if st := h.state(); st.count != 4*workers*rounds || st.bucket[1] != st.count {
+		t.Errorf("histogram count = %d (bucket[1] = %d), want %d in the 4ms bucket", st.count, st.bucket[1], 4*workers*rounds)
 	}
 }
 

@@ -11,11 +11,18 @@ import (
 	"crystalnet/internal/topo"
 )
 
+// DefaultChaosRuns and DefaultChaosFaults are what a non-positive
+// CampaignConfig.N and FaultsPerRun mean.
+const (
+	DefaultChaosRuns   = 20
+	DefaultChaosFaults = 6
+)
+
 // CampaignConfig parameterizes a chaos campaign: N randomized fault
 // sequences expanded from one base spec, seeded so the whole campaign is
 // reproducible, fanned across cores with the experiment worker pool.
 type CampaignConfig struct {
-	// N is the number of fault sequences (runs).
+	// N is the number of fault sequences (runs; default 20).
 	N int
 	// Seed seeds the campaign; run i derives its own seed from it, so
 	// reports are identical for any worker count.
@@ -106,10 +113,10 @@ func Chaos(base *Spec, cfg CampaignConfig) (*CampaignReport, error) {
 		return nil, err
 	}
 	if cfg.N <= 0 {
-		cfg.N = 20
+		cfg.N = DefaultChaosRuns
 	}
 	if cfg.FaultsPerRun <= 0 {
-		cfg.FaultsPerRun = 6
+		cfg.FaultsPerRun = DefaultChaosFaults
 	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 1

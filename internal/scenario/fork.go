@@ -102,6 +102,10 @@ func (cv *Converged) Run(sp *Spec, opts Options) (*Report, error) {
 		opts.Rec.Adopt(em.Orchestrator().Eng.Recorder())
 		em.Orchestrator().Eng.SetRecorder(opts.Rec)
 	}
+	// Start from the whole header Converge recorded, so a field added to
+	// Report reaches forked reports the way it reaches fresh ones.
+	report := cv.header
+	report.Scenario = sp.Name
 	r := &runner{
 		sp: sp, opts: opts,
 		orch:        em.Orchestrator(),
@@ -109,17 +113,7 @@ func (cv *Converged) Run(sp *Spec, opts Options) (*Report, error) {
 		net:         cv.net,
 		origConfigs: cv.origConfigs,
 		baselines:   map[string]*core.State{DefaultBaseline: cv.baseline},
-		report: &Report{
-			Scenario:      sp.Name,
-			Seed:          cv.seed,
-			Fabric:        cv.header.Fabric,
-			Emulated:      cv.header.Emulated,
-			Speakers:      cv.header.Speakers,
-			VMs:           cv.header.VMs,
-			NetworkReady:  cv.header.NetworkReady,
-			RouteReady:    cv.header.RouteReady,
-			MockupLatency: cv.header.MockupLatency,
-		},
+		report:      &report,
 	}
 	step0 := cv.step0
 	step0.Diffs = checkpoint.CloneSlice(cv.step0.Diffs)

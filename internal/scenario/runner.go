@@ -347,11 +347,16 @@ func (r *runner) sweepInvariants(res *StepResult) {
 // failed but do not abort the run: a rehearsal wants the full trajectory.
 func (r *runner) step(st *Step, res *StepResult) {
 	if st.IsAssert() {
-		c := r.check(st)
-		res.Pass, res.Detail = c.Pass, c.Detail
+		var c Check
 		if st.Op == OpAssertFIBDiff {
-			res.Diffs = r.fibDiffStrings(st)
+			// One whole-fabric diff serves the verdict and the report lines.
+			diffs := r.fibDiffs(st)
+			c = r.fibDiffCheck(st, diffs)
+			res.Diffs = fibDiffStrings(diffs)
+		} else {
+			c = r.check(st)
 		}
+		res.Pass, res.Detail = c.Pass, c.Detail
 		return
 	}
 	res.Pass = true
@@ -622,25 +627,7 @@ func (r *runner) check(st *Step) Check {
 		}
 
 	case OpAssertFIBDiff:
-		diffs := r.fibDiffs(st)
-		total := 0
-		for _, d := range diffs {
-			total += len(d)
-		}
-		if total > st.MaxDiffs {
-			names := make([]string, 0, len(diffs))
-			for n := range diffs {
-				names = append(names, n)
-			}
-			sort.Strings(names)
-			if len(names) > maxDetail {
-				names = names[:maxDetail]
-			}
-			fail("%d FIB differences vs baseline %q (max %d) on %s",
-				total, r.baselineName(st), st.MaxDiffs, strings.Join(names, ", "))
-		} else {
-			c.Detail = fmt.Sprintf("%d differences (max %d)", total, st.MaxDiffs)
-		}
+		return r.fibDiffCheck(st, r.fibDiffs(st))
 
 	case OpAssertNoBlackhole:
 		failures := r.blackholes(st)
@@ -820,9 +807,34 @@ func (r *runner) fibDiffs(st *Step) map[string][]rib.Diff {
 	return diffs
 }
 
+// fibDiffCheck judges diffs (as fibDiffs returned them) against the step's
+// difference budget.
+func (r *runner) fibDiffCheck(st *Step, diffs map[string][]rib.Diff) Check {
+	c := Check{Op: st.Op, Pass: true}
+	total := 0
+	for _, d := range diffs {
+		total += len(d)
+	}
+	if total > st.MaxDiffs {
+		names := make([]string, 0, len(diffs))
+		for n := range diffs {
+			names = append(names, n)
+		}
+		sort.Strings(names)
+		if len(names) > maxDetail {
+			names = names[:maxDetail]
+		}
+		c.Pass = false
+		c.Detail = fmt.Sprintf("%d FIB differences vs baseline %q (max %d) on %s",
+			total, r.baselineName(st), st.MaxDiffs, strings.Join(names, ", "))
+	} else {
+		c.Detail = fmt.Sprintf("%d differences (max %d)", total, st.MaxDiffs)
+	}
+	return c
+}
+
 // fibDiffStrings renders bounded, deterministic diff lines for the report.
-func (r *runner) fibDiffStrings(st *Step) []string {
-	diffs := r.fibDiffs(st)
+func fibDiffStrings(diffs map[string][]rib.Diff) []string {
 	names := make([]string, 0, len(diffs))
 	for n := range diffs {
 		names = append(names, n)

@@ -31,17 +31,14 @@ type Pool struct {
 	size      int
 	maxEvents uint64
 	rewarm    bool
-	live      *obs.Live
+	live      *obs.Registry // the one bookkeeper of hits, misses, evictions
 	// converge is scenario.Converge; tests swap it to fail a warm on demand.
 	converge func(*scenario.Spec, scenario.Options) (*scenario.Converged, error)
 
-	mu        sync.Mutex
-	entries   map[string]*poolEntry
-	clock     uint64 // logical LRU clock; bumped on every acquire
-	hits      uint64
-	misses    uint64
-	evictions uint64
-	closed    bool
+	mu      sync.Mutex
+	entries map[string]*poolEntry
+	clock   uint64 // logical LRU clock; bumped on every acquire
+	closed  bool
 
 	stop chan struct{}  // closed by Close; cancels in-flight warms
 	wg   sync.WaitGroup // tracks warm goroutines
@@ -63,11 +60,15 @@ type poolEntry struct {
 
 // NewPool returns a pool holding up to size warm baselines. maxEvents
 // caps each convergence drive (0 = scenario default); rewarm re-converges
-// invalidated entries in the background; live (nil-safe) receives
-// pool.hits / pool.misses / pool.evictions / pool.entries metrics.
-func NewPool(size int, maxEvents uint64, rewarm bool, live *obs.Live) *Pool {
+// invalidated entries in the background; live receives the pool.hits /
+// pool.misses / pool.evictions / pool.entries metrics Status reads back
+// (nil gets the pool a private registry).
+func NewPool(size int, maxEvents uint64, rewarm bool, live *obs.Registry) *Pool {
 	if size <= 0 {
 		size = 1
+	}
+	if live == nil {
+		live = obs.NewRegistry(obs.WallBuckets)
 	}
 	return &Pool{
 		size:      size,
@@ -137,10 +138,8 @@ func (p *Pool) Acquire(sp *scenario.Spec, opts scenario.Options, cancel <-chan s
 	}
 	e, hit := p.entries[key]
 	if hit {
-		p.hits++
 		p.live.Counter("pool.hits", "").Inc()
 	} else {
-		p.misses++
 		p.live.Counter("pool.misses", "").Inc()
 		e = p.insertLocked(key, baseSpec(sp, opts))
 	}
@@ -250,7 +249,6 @@ func (p *Pool) evictLRULocked(keep string) {
 	}
 	delete(p.entries, victim.key)
 	victim.evicted = true
-	p.evictions++
 	p.live.Counter("pool.evictions", "").Inc()
 	maybeInvalidateLocked(victim)
 }
@@ -315,9 +313,9 @@ func (p *Pool) Status() PoolStatus {
 	st := PoolStatus{
 		Capacity:  p.size,
 		Rewarm:    p.rewarm,
-		Hits:      p.hits,
-		Misses:    p.misses,
-		Evictions: p.evictions,
+		Hits:      p.live.Counter("pool.hits", "").Value(),
+		Misses:    p.live.Counter("pool.misses", "").Value(),
+		Evictions: p.live.Counter("pool.evictions", "").Value(),
 	}
 	order := make([]*poolEntry, 0, len(p.entries))
 	for _, e := range p.entries {

@@ -39,6 +39,11 @@ import (
 // maxSpecBytes bounds a request body; hand-written specs are a few KB.
 const maxSpecBytes = 4 << 20
 
+// maxChaosFaultSteps caps n × faults of one /v1/chaos request — the fault
+// steps, each with its convergence and invariant sweep, that a single
+// request may queue. The defaults (20 × 6) use about 1% of it.
+const maxChaosFaultSteps = 10000
+
 // cowCopyBounds are the buckets of serve.fork_cow_copies, in copies: powers
 // of four from a quiet step (tens) past a whole M-DC fabric's FIB entries.
 var cowCopyBounds = []float64{16, 64, 256, 1024, 4096, 16384, 65536, 262144, 1048576}
@@ -60,7 +65,7 @@ type Config struct {
 	NoRewarm bool
 	// Live receives operational metrics; nil gets the server a fresh
 	// private registry (so /metrics always works).
-	Live *obs.Live
+	Live *obs.Registry
 }
 
 func (c Config) withDefaults() Config {
@@ -74,7 +79,7 @@ func (c Config) withDefaults() Config {
 		c.TenantInFlight = 4
 	}
 	if c.Live == nil {
-		c.Live = obs.NewLive()
+		c.Live = obs.NewRegistry(obs.WallBuckets)
 	}
 	return c
 }
@@ -92,7 +97,7 @@ type session struct {
 // Handler, stop with Drain.
 type Server struct {
 	cfg  Config
-	live *obs.Live
+	live *obs.Registry
 	pool *Pool
 	mux  http.Handler
 
@@ -366,6 +371,7 @@ func queryInt(r *http.Request, name string, def int64) (int64, error) {
 //
 // reuse defaults to true (converge once, fork per run) and silently
 // falls back to per-run convergence when the spec is not forkable.
+// n × faults above maxChaosFaultSteps is a 400.
 func (s *Server) handleChaos(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, errors.New("serve: POST only"))
@@ -385,14 +391,25 @@ func (s *Server) handleChaos(w http.ResponseWriter, r *http.Request) {
 		}
 		return n
 	}
-	cfg.N = int(geti("n", 0))
-	cfg.FaultsPerRun = int(geti("faults", 0))
+	n, faults := geti("n", 0), geti("faults", 0)
 	cfg.Seed = geti("seed", 0)
 	cfg.Workers = int(geti("workers", 0))
 	if qerr != nil {
 		writeError(w, http.StatusBadRequest, qerr)
 		return
 	}
+	if n <= 0 {
+		n = scenario.DefaultChaosRuns
+	}
+	if faults <= 0 {
+		faults = scenario.DefaultChaosFaults
+	}
+	// Each factor is checked first so the product cannot overflow.
+	if n > maxChaosFaultSteps || faults > maxChaosFaultSteps || n*faults > maxChaosFaultSteps {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: chaos n=%d x faults=%d exceeds the %d fault steps one request may queue", n, faults, maxChaosFaultSteps))
+		return
+	}
+	cfg.N, cfg.FaultsPerRun = int(n), int(faults)
 	cfg.MaxEvents = s.cfg.MaxEvents
 	cfg.Cancel = r.Context().Done()
 	cfg.Reuse = r.URL.Query().Get("reuse") != "false" &&

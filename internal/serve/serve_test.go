@@ -283,6 +283,35 @@ func TestStatusAndMetricsEndpoints(t *testing.T) {
 	}
 }
 
+// TestPoolStatusMatchesMetrics: /v1/status and /metrics read the same
+// counters, so after a miss, a hit and an eviction they cannot disagree.
+func TestPoolStatusMatchesMetrics(t *testing.T) {
+	s, ts := newTestServer(t, Config{PoolSize: 1})
+	for _, sp := range []*scenario.Spec{tinySpec("miss", 7), tinySpec("hit", 7), tinySpec("evict", 8)} {
+		if resp, body := rehearse(t, ts, sp, ""); resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: %d: %s", sp.Name, resp.StatusCode, body)
+		}
+	}
+	st := s.Pool().Status()
+	if st.Hits != 1 || st.Misses != 2 || st.Evictions != 1 {
+		t.Fatalf("pool status = %d hits, %d misses, %d evictions; want 1, 2, 1", st.Hits, st.Misses, st.Evictions)
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prom, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"\npool_hits 1\n", "\npool_misses 2\n", "\npool_evictions 1\n"} {
+		if !strings.Contains(string(prom), want) {
+			t.Errorf("/metrics missing %q:\n%s", want, prom)
+		}
+	}
+}
+
 func TestRehearseBadRequests(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	marshal := func(edit func(*scenario.Spec)) string {
@@ -327,6 +356,41 @@ func TestRehearseBadRequests(t *testing.T) {
 	// The daemon is still serving after all of the above.
 	if resp, body := rehearse(t, ts, tinySpec("after-bad", 3), ""); resp.StatusCode != http.StatusOK {
 		t.Fatalf("rehearsal after bad requests: %d: %s", resp.StatusCode, body)
+	}
+}
+
+// TestChaosWorkIsBounded: n × faults has a ceiling, checked before a session
+// opens; non-positive values still mean the defaults.
+func TestChaosWorkIsBounded(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for _, tc := range []struct {
+		query string
+		want  int
+	}{
+		{"n=10001&faults=1", http.StatusBadRequest},
+		{"n=1&faults=10001", http.StatusBadRequest},
+		{"n=101&faults=100", http.StatusBadRequest},
+		{"n=0&faults=2000", http.StatusBadRequest}, // default n = 20
+		{"n=4294967296&faults=4294967296", http.StatusBadRequest},
+		{"n=nine", http.StatusBadRequest},
+		{"n=1&faults=-3&workers=1", http.StatusOK}, // default faults = 6
+	} {
+		resp, err := http.Post(ts.URL+"/v1/chaos?"+tc.query, "application/json", specBody(t, tinySpec("bounded", 7)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s: status %d, want %d: %s", tc.query, resp.StatusCode, tc.want, body)
+			continue
+		}
+		if tc.want == http.StatusBadRequest {
+			var e ErrorResponse
+			if err := json.Unmarshal(body, &e); err != nil || e.Error == "" {
+				t.Errorf("%s: body %q is not an ErrorResponse (%v)", tc.query, body, err)
+			}
+		}
 	}
 }
 
