@@ -8,6 +8,7 @@ import (
 	"crystalnet/internal/cloud"
 	"crystalnet/internal/firmware"
 	"crystalnet/internal/phynet"
+	"crystalnet/internal/rib"
 	"crystalnet/internal/sim"
 	"crystalnet/internal/speaker"
 )
@@ -120,8 +121,9 @@ func (o *Orchestrator) Fork(snap *checkpoint.Snapshot) (*Emulation, error) {
 		recoveries:   checkpoint.CloneSlice(parent.recoveries),
 		degraded:     checkpoint.CloneSlice(parent.degraded),
 		phasesTraced: parent.phasesTraced,
-		// The traffic matrix is all value-typed state, so the fork's copy
-		// settles exactly as a fresh same-seed run would from here.
+		// The fork's copy of the traffic matrix settles exactly as a fresh
+		// same-seed run would from here; once the devices below are forked
+		// its settle memo is rebound to their tables.
 		traffic: parent.traffic.Fork(),
 
 		// Quiescence guarantees no recovery episode is in flight (a pending
@@ -170,6 +172,12 @@ func (o *Orchestrator) Fork(snap *checkpoint.Snapshot) (*Emulation, error) {
 	for name, sp := range parent.Speakers {
 		em.Speakers[name] = sp.Fork(em.Devices[name])
 	}
+	// Wherever the parent's table is still what its last settle saw, the
+	// fork's clone of it is too, so the fork's first settle walks only the
+	// aggregates its own steps move.
+	em.traffic.Rebind(func(name string) (*rib.FIB, *rib.FIB) {
+		return parent.table(name), em.table(name)
+	})
 	em.Mgmt = parent.Mgmt.Fork(func(name string) *firmware.Device { return em.Devices[name] })
 	cloudFork.OnFailure = em.onVMFailure
 	cloudFork.OnReplace = em.onVMReplaced

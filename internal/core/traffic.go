@@ -3,6 +3,7 @@ package core
 import (
 	"crystalnet/internal/config"
 	"crystalnet/internal/dataplane"
+	"crystalnet/internal/rib"
 	"crystalnet/internal/traffic"
 )
 
@@ -29,7 +30,8 @@ func (em *Emulation) Traffic() *traffic.Matrix { return em.traffic }
 // traffic benchmark and crystalctl, which measure settles in isolation.
 func (em *Emulation) SettleTraffic() { em.settleTraffic() }
 
-// settleTraffic re-walks the attached matrix against the live FIBs. It
+// settleTraffic settles the attached matrix against the live FIBs, walking
+// the aggregates whose paths the writes since the last settle touched. It
 // runs outside the event queue — no events scheduled, no randomness drawn
 // — so it never perturbs convergence order and the emulation stays
 // checkpointable right after.
@@ -48,6 +50,15 @@ func (em *Emulation) settleTraffic() {
 		},
 		Configs: em.liveConfigs(),
 	})
+}
+
+// table returns a device's live forwarding table, nil when the device is
+// absent or down.
+func (em *Emulation) table(name string) *rib.FIB {
+	if d := em.Devices[name]; d != nil {
+		return d.FIB()
+	}
+	return nil
 }
 
 // liveConfigs returns the active per-device configurations. The prepared

@@ -229,7 +229,21 @@ type FIB struct {
 	// entryCopies counts the entries replaced in a sealed table — the entry
 	// half of the table's copy-on-write cost (see Copies).
 	entryCopies int
+	// version counts the writes the table has taken (see Version). A sealed
+	// table also remembers which prefix each of its last writeLogCap writes
+	// touched: log is a ring in which the write that took the table from
+	// version v to v+1 sits at (v-logStart)%writeLogCap, and logStart is the
+	// version at which the table was sealed or cloned (see WritesSince).
+	version  uint64
+	logStart uint64
+	log      []netpkt.Prefix
 }
+
+// writeLogCap bounds a sealed table's write log. A verifier reads the log
+// once per convergence point, so it has to hold one step's writes to one
+// table — a handful for a link flap, a table's worth for a session reset —
+// and a reader that falls further behind is told so and starts over.
+const writeLogCap = 4096
 
 // ErrFull is returned by Install when the FIB is at capacity.
 var ErrFull = fmt.Errorf("rib: FIB capacity exceeded")
@@ -265,7 +279,10 @@ func (f *FIB) Seal() {
 		f.Walk(func(e *Entry) bool { e.verify(); return true })
 	}
 	f.lpm().Seal()
-	f.byPrefix = nil
+	if !f.sealed() {
+		f.byPrefix = nil
+		f.logStart = f.version
+	}
 }
 
 // Len returns the number of installed prefixes.
@@ -319,6 +336,7 @@ func (f *FIB) full(p netpkt.Prefix) bool {
 // trie descent on reprogram, the dominant case while BGP hunts paths.
 func (f *FIB) put(e *Entry) {
 	e.stamp()
+	f.wrote(e.Prefix)
 	if f.sealed() {
 		if !f.t.Insert(e.Prefix, e) {
 			f.entryCopies++
@@ -335,16 +353,63 @@ func (f *FIB) put(e *Entry) {
 func (f *FIB) Remove(p netpkt.Prefix) bool {
 	p.Addr &= p.MaskIP()
 	if f.sealed() {
-		return f.t.Delete(p)
+		if !f.t.Delete(p) {
+			return false
+		}
+		f.wrote(p)
+		return true
 	}
 	if _, ok := f.byPrefix[p]; !ok {
 		return false
 	}
+	f.wrote(p)
 	delete(f.byPrefix, p)
 	if f.t != nil {
 		f.t.Delete(p)
 	}
 	return true
+}
+
+// wrote counts one write to p's slot and, sealed, logs it.
+func (f *FIB) wrote(p netpkt.Prefix) {
+	if f.sealed() {
+		if i := f.version - f.logStart; i < writeLogCap {
+			f.log = append(f.log, p)
+		} else {
+			f.log[i%writeLogCap] = p
+		}
+	}
+	f.version++
+}
+
+// Version counts the writes the table has taken, sealed or not: every
+// Install, InstallHops or Remove that changed it (ErrFull and a Remove of an
+// absent prefix change nothing). Equal versions of one table mean equal
+// contents. A Clone starts at its parent's version.
+func (f *FIB) Version() uint64 { return f.version }
+
+// WritesSince returns the prefix of every write the table has taken since it
+// was at version, oldest first. Entries are immutable, so together with
+// pointer equality of the table this is an exact account of what changed: a
+// longest-prefix match for an address no returned prefix contains resolves to
+// the entry it resolved to at version.
+//
+// ok is false when the table cannot give the whole history — only a sealed
+// table logs, so version must not predate Seal (or Clone), and the log keeps
+// the last writeLogCap writes. It never returns part of one; a caller told
+// false has to treat the whole table as changed.
+func (f *FIB) WritesSince(version uint64) (writes []netpkt.Prefix, ok bool) {
+	if !f.sealed() || version < f.logStart || version > f.version || f.version-version > writeLogCap {
+		return nil, false
+	}
+	if version == f.version {
+		return nil, true
+	}
+	writes = make([]netpkt.Prefix, 0, f.version-version)
+	for v := version; v < f.version; v++ {
+		writes = append(writes, f.log[(v-f.logStart)%writeLogCap])
+	}
+	return writes, true
 }
 
 // Get returns the entry for exactly p: shared, read-only (see Entry).
@@ -581,12 +646,13 @@ func nextHopsMatch(a, b []NextHop, mode CompareMode) bool {
 //
 // Entries and the hop groups they alias are immutable (see Entry), so the
 // clone goes on sharing both; it interns the groups it installs itself in a
-// table of its own.
+// table of its own. It continues f's version count with a write log of its
+// own, empty: WritesSince(f.Version()) on the clone is what the clone wrote.
 func (f *FIB) Clone() *FIB {
 	if !f.sealed() {
 		panic("rib: Clone of an unsealed FIB")
 	}
-	return &FIB{t: f.t.Clone(), Capacity: f.Capacity}
+	return &FIB{t: f.t.Clone(), Capacity: f.Capacity, version: f.version, logStart: f.version}
 }
 
 // Copies returns the copy-on-write cost the table has paid since it was

@@ -78,6 +78,16 @@ func Converge(sp *Spec, opts Options) (*Converged, error) {
 // different convergence) and must not contain attach-device steps — those
 // grow the topology, which forks share copy-on-write with the parent.
 func (cv *Converged) Run(sp *Spec, opts Options) (*Report, error) {
+	r, err := cv.fork(sp, opts)
+	if err != nil {
+		return nil, err
+	}
+	return r.drive()
+}
+
+// fork is Run up to the first step: the checks, the forked emulation and a
+// runner holding the baseline's step-0 report, ready to drive.
+func (cv *Converged) fork(sp *Spec, opts Options) (*runner, error) {
 	if err := sp.Validate(); err != nil {
 		return nil, err
 	}
@@ -119,7 +129,7 @@ func (cv *Converged) Run(sp *Spec, opts Options) (*Report, error) {
 	step0.Diffs = checkpoint.CloneSlice(cv.step0.Diffs)
 	step0.Invariants = checkpoint.CloneSlice(cv.step0.Invariants)
 	r.report.Steps = append(r.report.Steps, step0)
-	return r.drive()
+	return r, nil
 }
 
 // Seed returns the resolved seed the baseline converged with. Specs run

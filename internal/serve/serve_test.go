@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"crystalnet/internal/scenario"
+	"crystalnet/internal/traffic"
 )
 
 func boolp(v bool) *bool { return &v }
@@ -333,6 +335,21 @@ func TestRehearseBadRequests(t *testing.T) {
 		// Faults only the built fabric can show are still the client's.
 		{"unknown emulate device", marshal(func(sp *scenario.Spec) { sp.Emulate = []string{"nope"} })},
 		{"unknown mustEmulate device", marshal(func(sp *scenario.Spec) { sp.MustEmulate = []string{"nope"} })},
+		// flows x share used to wrap to zero and leave a worker handing out
+		// the 2^63 "remaining" flows one at a time.
+		{"2^63 flows", marshal(func(sp *scenario.Spec) {
+			sp.Traffic = &traffic.Spec{Flows: 1 << 63, Classes: []traffic.ClassSpec{{Name: "x", Share: 4}}}
+		})},
+		{"2^63 flows injected mid-run", marshal(func(sp *scenario.Spec) {
+			sp.Steps = append(sp.Steps, scenario.Step{Op: scenario.OpInjectTraffic,
+				Traffic: &traffic.Spec{Flows: 1 << 63, Classes: []traffic.ClassSpec{{Name: "x", Share: 4}}}})
+		})},
+		{"too many classes", marshal(func(sp *scenario.Spec) {
+			sp.Traffic = &traffic.Spec{Flows: 1000}
+			for i := 0; i <= traffic.MaxClasses; i++ {
+				sp.Traffic.Classes = append(sp.Traffic.Classes, traffic.ClassSpec{Name: fmt.Sprint("c", i), Share: 1})
+			}
+		})},
 	} {
 		resp, err := http.Post(ts.URL+"/v1/rehearse", "application/json", strings.NewReader(tc.body))
 		if err != nil {

@@ -20,8 +20,14 @@
 // aggregate identity, hop-group content) — and walks devices in sorted
 // order, so reports are byte-identical across worker counts, shard counts
 // and fork-vs-fresh, and attaching traffic never perturbs convergence
-// event order. All matrix state is plain values, so Fork is a slice copy
-// and forked rehearsals carry their load with them.
+// event order. A forked rehearsal carries its load with it: Fork copies the
+// per-aggregate results and shares the rest.
+//
+// A settle walks only what moved (memo.go): each aggregate remembers the
+// devices its last walk consulted, and is walked again only when one of
+// them has a new table or logged a write (rib.FIB.WritesSince) to a prefix
+// containing the aggregate's destination. Everything else keeps its last
+// result, so settle cost scales with the aggregates a change touched.
 //
 // DESIGN.md §11 is the full traffic-plane write-up; docs/TRAFFIC.md is the
 // user-facing guide (flow model, SLO assert ops, metrics).
@@ -29,6 +35,7 @@ package traffic
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"time"
 
@@ -49,6 +56,14 @@ const HopLatency = time.Millisecond
 // DefaultMaxHops bounds a flow's walk; an aggregate still in flight after
 // this many hops is looping and counts as blackholed.
 const DefaultMaxHops = 32
+
+// Spec ceilings: a matrix is built and settled inside a rehearsal request,
+// so what a spec can ask for is bounded. MaxFlows also keeps every flow
+// sum (hops × flows, flows × share) far inside uint64.
+const (
+	MaxFlows   = 1 << 40
+	MaxClasses = 16
+)
 
 // startTTL is the TTL the modeled flows carry; high enough that the
 // MaxHops loop bound fires before TTL expiry under any sane MaxHops.
@@ -84,6 +99,12 @@ type Spec struct {
 func (s *Spec) Validate() error {
 	if s.Flows == 0 {
 		return fmt.Errorf("traffic: spec needs flows > 0")
+	}
+	if s.Flows > MaxFlows {
+		return fmt.Errorf("traffic: %d flows exceeds the limit of %d", s.Flows, uint64(MaxFlows))
+	}
+	if len(s.Classes) > MaxClasses {
+		return fmt.Errorf("traffic: %d classes exceeds the limit of %d", len(s.Classes), MaxClasses)
 	}
 	if s.MaxHops < 0 {
 		return fmt.Errorf("traffic: negative maxHops")
@@ -146,11 +167,16 @@ type View struct {
 	Now sim.Time
 	Rec *obs.Recorder
 	// Forwarder returns a device's live forwarding engine, nil when the
-	// device is stopped/crashed (its flows blackhole).
+	// device is stopped/crashed (its flows blackhole). The settle memo takes
+	// the identity of the engine's table to stand for the engine's ACL
+	// bindings and local addresses: whoever changes those hands out a new
+	// forwarder over a new table, as firmware does on every boot.
 	Forwarder func(name string) *dataplane.Forwarder
 	// Configs are the live per-device configurations: delivery is "the
 	// device's Networks contain the destination", the same convention the
-	// batfish walker uses, and interface addresses resolve next hops.
+	// batfish walker uses, and interface addresses resolve next hops. A
+	// config is immutable once a settle has seen it; a change is a new
+	// pointer.
 	Configs map[string]*config.DeviceConfig
 }
 
@@ -164,22 +190,32 @@ type aggregate struct {
 	flows        uint64
 	key          uint64 // seeded identity; anchors ECMP spreading
 
-	// Last-settle results.
+	result              // of the last walk
+	blackSince sim.Time // first settle of the current black-hole streak
+	// What the last walk read, as spans of the matrix's arenas of the same
+	// names: the devices it consulted and the latency observations it made,
+	// in order.
+	consulted, latency span
+}
+
+// result is what one walk of an aggregate yields.
+type result struct {
 	delivered, blackholed, lost uint64
 	hopSum                      uint64 // Σ path-hops weighted by delivered flows
 	fp                          uint64 // path fingerprint; a change means rerouted
-	blackSince                  sim.Time
 }
 
-// Matrix is an attached traffic load: the aggregates plus cumulative
-// accounting across settles. It is mutated only by Settle, which the core
-// layer calls at each convergence point, single-threaded.
+// Matrix is an attached traffic load: the aggregates, cumulative accounting
+// across settles, and the memo that lets a settle skip what did not move.
+// It is mutated only by Settle, which the core layer calls at each
+// convergence point, single-threaded.
 type Matrix struct {
 	spec      Spec // normalized
 	aggs      []aggregate
 	settles   uint64
 	settledAt sim.Time
 	rerouted  []uint64 // cumulative flows rerouted, per class
+	memo
 }
 
 // endpoint is one originated server prefix, represented by a host inside it.
@@ -240,12 +276,16 @@ func NewMatrix(spec Spec, configs map[string]*config.DeviceConfig) (*Matrix, err
 	classFlows := make([]uint64, len(sp.Classes))
 	var assigned uint64
 	for i, c := range sp.Classes {
-		classFlows[i] = sp.Flows * uint64(c.Share) / totalShare
+		// 128-bit product: flows × share need not fit in 64 bits. The
+		// quotient does (share <= totalShare), so Div64 cannot overflow.
+		hi, lo := bits.Mul64(sp.Flows, uint64(c.Share))
+		classFlows[i], _ = bits.Div64(hi, lo, totalShare)
 		assigned += classFlows[i]
 	}
-	for i := 0; assigned < sp.Flows; i++ {
-		classFlows[i%len(classFlows)]++
-		assigned++
+	// Each floor above gave up less than one flow, so fewer than
+	// len(classes) are left over.
+	for i := uint64(0); i < sp.Flows-assigned; i++ {
+		classFlows[i]++
 	}
 
 	m := &Matrix{spec: sp, rerouted: make([]uint64, len(sp.Classes))}
@@ -288,8 +328,12 @@ func inRotation(i, start, rem, n uint64) bool {
 	return d < rem
 }
 
-// Fork deep-copies the matrix for a forked emulation. Nil-safe: a parent
-// without traffic forks to a child without traffic.
+// Fork copies the matrix for a forked emulation: the aggregates and the
+// cumulative counters are the child's own, the memo is shared under the
+// write rule (memo.fork). The memo still names the parent's tables, so the
+// child's first settle walks everything unless Rebind has moved it onto the
+// fork's. Fork only reads m, so concurrent forks of one matrix are safe.
+// Nil-safe: a parent without traffic forks to a child without traffic.
 func (m *Matrix) Fork() *Matrix {
 	if m == nil {
 		return nil
@@ -298,6 +342,7 @@ func (m *Matrix) Fork() *Matrix {
 	c.spec.Classes = append([]ClassSpec(nil), m.spec.Classes...)
 	c.aggs = append([]aggregate(nil), m.aggs...)
 	c.rerouted = append([]uint64(nil), m.rerouted...)
+	c.memo = m.memo.fork()
 	return &c
 }
 
@@ -338,27 +383,17 @@ type ownerRef struct{ dev, iface string }
 // interface the flows arrived on (ingress ACLs bind per interface).
 type nodeKey struct{ dev, iface string }
 
-// Settle re-walks every aggregate through the current FIBs, updating
+// Settle brings every aggregate up to date with the current FIBs —
 // delivery/black-hole/loss accounting, reroute fingerprints and the
-// traffic.* metrics. Call at quiescence; it schedules no events and draws
-// no randomness, so it is checkpoint-safe and invisible to convergence.
+// traffic.* metrics — walking the aggregates the memo cannot vouch for and
+// keeping the last result of the rest. Call at quiescence; it schedules no
+// events and draws no randomness, so it is checkpoint-safe and invisible to
+// convergence.
 func (m *Matrix) Settle(v View) {
 	if m == nil {
 		return
 	}
-	owners := make(map[netpkt.IP]ownerRef)
-	names := make([]string, 0, len(v.Configs))
-	for n := range v.Configs {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		for _, ic := range v.Configs[n].Interfaces {
-			if ic.Addr.Addr != 0 {
-				owners[ic.Addr.Addr] = ownerRef{dev: n, iface: ic.Name}
-			}
-		}
-	}
+	ch := m.observe(v)
 
 	reroutedNow := make([]uint64, len(m.spec.Classes))
 	hists := make([]*obs.Histogram, len(m.spec.Classes))
@@ -367,10 +402,28 @@ func (m *Matrix) Settle(v View) {
 			hists[ci] = v.Rec.Histogram("traffic.flow_latency", c.Name)
 		}
 	}
+	var w walkLog
 	for i := range m.aggs {
 		a := &m.aggs[i]
 		prevFP, prevSettled := a.fp, m.settles > 0
-		m.walk(a, v, owners, hists[a.class])
+		if m.moved(a, ch) {
+			a.result = m.walk(a, v, &w)
+			a.consulted = m.consulted.put(a.consulted, w.devs)
+			a.latency = m.latency.put(a.latency, w.lat)
+			m.walked++
+		} else {
+			m.reused++
+			if debugMemo {
+				m.crossCheck(a, v, &w)
+			}
+		}
+		// Walked or reused, the histogram sees the same observations in the
+		// same order: float sums depend on it, and trace bytes on them.
+		if h := hists[a.class]; h != nil {
+			for _, o := range m.latency.get(a.latency) {
+				h.ObserveN(float64(o.hop)*HopLatency.Seconds(), o.flows)
+			}
+		}
 		if prevSettled && a.fp != prevFP {
 			reroutedNow[a.class] += a.flows
 		}
@@ -382,6 +435,7 @@ func (m *Matrix) Settle(v View) {
 			a.blackSince = 0
 		}
 	}
+	m.compact()
 	m.settles++
 	m.settledAt = v.Now
 
@@ -405,15 +459,21 @@ func (m *Matrix) Settle(v View) {
 	}
 }
 
-// walk drives one aggregate's flows hop by hop through the live FIBs,
-// filling the aggregate's last-settle results. The frontier is a set of
-// (device, ingress interface) → flow-count buckets; each hop forwards
-// every bucket with one batched decision. The fingerprint hashes every
-// decision the walk observes, so any path change — different hops,
-// different split, new loss point — changes it.
-func (m *Matrix) walk(a *aggregate, v View, owners map[netpkt.IP]ownerRef, hist *obs.Histogram) {
+// walk drives one aggregate's flows hop by hop through the live FIBs and
+// returns what became of them; log receives the devices consulted and the
+// latency observations made. The frontier is a set of (device, ingress
+// interface) → flow-count buckets; each hop forwards every bucket with one
+// batched decision. The fingerprint hashes every decision the walk
+// observes, so any path change — different hops, different split, new loss
+// point — changes it.
+//
+// Everything a walk reads of a device — whether it is up, its ACL bindings,
+// local addresses and Networks, the FIB entry matching dstIP — it reads
+// after log.consult(device); the memo's staleness rule rests on that.
+func (m *Matrix) walk(a *aggregate, v View, log *walkLog) result {
 	cls := &m.spec.Classes[a.class]
-	a.delivered, a.blackholed, a.lost, a.hopSum = 0, 0, 0, 0
+	var r result
+	log.devs, log.lat = log.devs[:0], log.lat[:0]
 	fp := fnvOffset
 
 	frontier := map[nodeKey]uint64{{dev: a.src}: a.flows}
@@ -435,9 +495,10 @@ func (m *Matrix) walk(a *aggregate, v View, owners map[netpkt.IP]ownerRef, hist 
 			fp = fnvStr(fp, k.dev)
 			fp = fnvStr(fp, k.iface)
 			fp = fnvU64(fp, n)
+			log.consult(m.ids, k.dev)
 			fwd := v.Forwarder(k.dev)
 			if fwd == nil {
-				a.blackholed += n
+				r.blackholed += n
 				fp = fnvU64(fp, 'X')
 				continue
 			}
@@ -449,36 +510,36 @@ func (m *Matrix) walk(a *aggregate, v View, owners map[netpkt.IP]ownerRef, hist 
 			// Ingress ACLs bind ahead of delivery in the Forward prologue;
 			// mirror that before the destination short-circuit below.
 			if name, denied := fwd.DeniesIngress(k.iface, &meta); denied {
-				a.lost += n
+				r.lost += n
 				fp = fnvStr(fp, name)
 				fp = fnvU64(fp, 'A')
 				continue
 			}
 			if cfg := v.Configs[k.dev]; cfg != nil && containsHost(cfg.Networks, cfg.Loopback, a.dstIP) {
-				a.delivered += n
-				a.hopSum += uint64(hop) * n
+				r.delivered += n
+				r.hopSum += uint64(hop) * n
 				fp = fnvU64(fp, 'D')
-				hist.ObserveN(float64(hop)*HopLatency.Seconds(), n)
+				log.observe(hop, n)
 				continue
 			}
 			dec, shares := fwd.ForwardBatch(k.iface, &meta, n, a.key)
 			fp = fnvU64(fp, uint64(dec.Verdict))
 			switch dec.Verdict {
 			case dataplane.VerdictLocal:
-				a.delivered += n
-				a.hopSum += uint64(hop) * n
-				hist.ObserveN(float64(hop)*HopLatency.Seconds(), n)
+				r.delivered += n
+				r.hopSum += uint64(hop) * n
+				log.observe(hop, n)
 			case dataplane.VerdictNoRoute:
-				a.blackholed += n
+				r.blackholed += n
 			case dataplane.VerdictACLDenied, dataplane.VerdictTTLExpired:
-				a.lost += n
+				r.lost += n
 			case dataplane.VerdictForward:
 				for _, s := range shares {
 					fp = fnvU64(fp, uint64(s.Hop.IP))
 					fp = fnvStr(fp, s.Hop.Interface)
 					fp = fnvU64(fp, s.Flows)
 					if s.Denied {
-						a.lost += s.Flows
+						r.lost += s.Flows
 						fp = fnvStr(fp, s.ACL)
 						continue
 					}
@@ -486,18 +547,18 @@ func (m *Matrix) walk(a *aggregate, v View, owners map[netpkt.IP]ownerRef, hist 
 						// Connected route: the destination subnet is on-link.
 						// An emulated device owning the address picks the
 						// flows up; otherwise they reach a server — delivered.
-						if o, ok := owners[a.dstIP]; ok {
+						if o, ok := m.owners[a.dstIP]; ok {
 							next[nodeKey{dev: o.dev, iface: o.iface}] += s.Flows
 						} else {
-							a.delivered += s.Flows
-							a.hopSum += uint64(hop+1) * s.Flows
-							hist.ObserveN(float64(hop+1)*HopLatency.Seconds(), s.Flows)
+							r.delivered += s.Flows
+							r.hopSum += uint64(hop+1) * s.Flows
+							log.observe(hop+1, s.Flows)
 						}
 						continue
 					}
-					o, ok := owners[s.Hop.IP]
+					o, ok := m.owners[s.Hop.IP]
 					if !ok {
-						a.blackholed += s.Flows
+						r.blackholed += s.Flows
 						continue
 					}
 					next[nodeKey{dev: o.dev, iface: o.iface}] += s.Flows
@@ -508,10 +569,11 @@ func (m *Matrix) walk(a *aggregate, v View, owners map[netpkt.IP]ownerRef, hist 
 	}
 	// Flows still in flight hit the hop bound: a forwarding loop.
 	for _, n := range frontier {
-		a.blackholed += n
+		r.blackholed += n
 		fp = fnvU64(fp, 'L')
 	}
-	a.fp = fp
+	r.fp = fp
+	return r
 }
 
 // containsHost reports whether ip falls in any non-loopback network.

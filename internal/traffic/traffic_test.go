@@ -3,6 +3,8 @@ package traffic
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -69,10 +71,73 @@ func TestSpecValidate(t *testing.T) {
 		{"zero share", Spec{Flows: 10, Classes: []ClassSpec{{Name: "x"}}}, false},
 		{"dup class", Spec{Flows: 10, Classes: []ClassSpec{{Name: "x", Share: 1}, {Name: "x", Share: 2}}}, false},
 		{"two classes", Spec{Flows: 10, Classes: []ClassSpec{{Name: "x", Share: 1}, {Name: "y", Share: 3}}}, true},
+		{"most flows allowed", Spec{Flows: MaxFlows}, true},
+		{"too many flows", Spec{Flows: MaxFlows + 1}, false},
+		{"most classes allowed", Spec{Flows: 10, Classes: manyClasses(MaxClasses)}, true},
+		{"too many classes", Spec{Flows: 10, Classes: manyClasses(MaxClasses + 1)}, false},
 	} {
 		if err := tc.spec.Validate(); (err == nil) != tc.ok {
 			t.Errorf("%s: Validate() = %v, want ok=%v", tc.name, err, tc.ok)
 		}
+	}
+}
+
+func manyClasses(n int) []ClassSpec {
+	cs := make([]ClassSpec, n)
+	for i := range cs {
+		cs[i] = ClassSpec{Name: fmt.Sprint("c", i), Share: 1}
+	}
+	return cs
+}
+
+// TestNewMatrixSplitsHugeBudgets: flows x share is a 128-bit product. In 64
+// bits {flows: 2^63, share: 4} wrapped to zero and the remainder loop handed
+// the whole budget out one flow at a time — a request that never returned.
+func TestNewMatrixSplitsHugeBudgets(t *testing.T) {
+	cfgs, _ := twoNode(t)
+	type split struct {
+		flows  uint64
+		shares []uint32
+		want   []uint64 // per class
+	}
+	const maxShare = 1<<32 - 1
+	cases := []split{
+		{MaxFlows, []uint32{4}, []uint64{MaxFlows}},
+		{MaxFlows, []uint32{maxShare, maxShare}, []uint64{MaxFlows / 2, MaxFlows / 2}},
+		{MaxFlows, []uint32{maxShare, maxShare, maxShare}, []uint64{MaxFlows/3 + 1, MaxFlows / 3, MaxFlows / 3}},
+		{10, []uint32{1, 1, 1, 1}, []uint64{3, 3, 2, 2}},
+		{1001, []uint32{3, 1}, []uint64{751, 250}},
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for _, c := range cases {
+			spec := Spec{Flows: c.flows}
+			for i, s := range c.shares {
+				spec.Classes = append(spec.Classes, ClassSpec{Name: fmt.Sprint("c", i), Share: s})
+			}
+			m, err := NewMatrix(spec, cfgs)
+			if err != nil {
+				t.Errorf("%+v: %v", c, err)
+				continue
+			}
+			got := make([]uint64, len(c.shares))
+			for i := range m.aggs {
+				got[m.aggs[i].class] += m.aggs[i].flows
+			}
+			if !slices.Equal(got, c.want) {
+				t.Errorf("flows %d shares %v split %v, want %v", c.flows, c.shares, got, c.want)
+			}
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("NewMatrix still splitting after 10s")
+	}
+	// What Validate turns away never reaches the split.
+	if _, err := NewMatrix(Spec{Flows: 1 << 63, Classes: []ClassSpec{{Name: "x", Share: 4}}}, cfgs); err == nil {
+		t.Fatal("NewMatrix accepted 2^63 flows")
 	}
 }
 

@@ -33,6 +33,13 @@ go test -race ./internal/parallel/ ./internal/sim/ ./internal/experiments/ ./int
 echo "== sealed-attrs and installed-FIB-entry immutability assertions (-tags crystaldebug)"
 go test -tags crystaldebug ./internal/bgp/ ./internal/rib/
 
+# Under the tag every aggregate a settle reuses is re-walked and compared
+# (traffic.Matrix.crossCheck), so these runs are the memo against its oracle.
+echo "== settle memo vs full walk: traffic plane, chaos campaigns, fork-vs-fresh (-tags crystaldebug)"
+go test -tags crystaldebug ./internal/traffic/
+go test -tags crystaldebug ./internal/core/ -run 'Traffic'
+go test -tags crystaldebug ./internal/scenario/ -run 'TestTraffic|TestChaos|TestForkedRunMatchesFreshRun'
+
 # TestFork* covers the copy-on-write fork: TestForkIsolation (what is shared,
 # what is not), TestForkSharingIsIsolated (S-DC, one fork per operation kind
 # vs parent, idle sibling and fresh run) and TestForkCostTracksWrites (the
@@ -57,8 +64,9 @@ echo "== sharded-convergence determinism under -race (serial vs sharded, byte-co
 go test -race ./internal/scenario/ -run 'TestSharded' -timeout 10m
 go test -race ./internal/sim/ -run 'TestShardSet' -timeout 10m
 
-echo "== traffic-plane determinism under -race (workers/shards/fork, byte-compare)"
+echo "== traffic-plane determinism under -race (workers/shards/fork, 8 concurrent forks of one loaded baseline)"
 go test -race ./internal/scenario/ -run 'TestTraffic' -timeout 10m
+go test -race ./internal/core/ -run 'Traffic'
 
 echo "== trace-determinism smoke (same-seed traces byte-identical, incl. across a fork)"
 go test ./internal/scenario/ -run 'TestTraceDeterminism|TestTraceSurvivesFork|TestChaosTraceDeterminism'
@@ -135,8 +143,11 @@ if [ "${SHORT:-}" != "1" ]; then
 
     echo "== traffic smoke (S-DC campaign under a 1M-flow matrix with assert-flow-slo)"
     timeout 600 "$tmp/crystalctl" run-scenario scenarios/traffic_slo.json >/dev/null
+
+    echo "== settle memo vs full walk on M-DC (forked flap under a 319,200-aggregate matrix; -tags crystaldebug)"
+    go test -tags crystaldebug ./internal/scenario/ -run 'TestMemoOracleOnMDC' -timeout 20m
 else
-    echo "== M-DC, bench and traffic smokes skipped (SHORT=1)"
+    echo "== M-DC, bench, traffic and M-DC memo-oracle smokes skipped (SHORT=1)"
 fi
 
 echo "OK"
