@@ -17,9 +17,11 @@
 // README.md, DESIGN.md or a docs/*.md file mentions must exist on disk, so
 // deleting a tool fails the gate until the recipes that advertise it are
 // gone too (EXPERIMENTS.md, CHANGES.md and bench/README.md are history and
-// are not scanned). The same files may only name obs.<Ident> for identifiers
-// internal/obs still exports. scripts/check.sh runs it, so documentation
-// drift fails verification the same way a broken test does.
+// are not scanned). The same files may only name <pkg>.<Ident> — and
+// <pkg>.<Type>.<member> — for a package under internal/ when that package
+// still declares it, so a deleted function, type, field or method cannot
+// survive in prose. scripts/check.sh runs it, so documentation drift fails
+// verification the same way a broken test does.
 //
 // Usage:
 //
@@ -89,7 +91,7 @@ func main() {
 	problems = append(problems, apiDocProblems(root)...)
 	problems = append(problems, metricDocProblems(root)...)
 	problems = append(problems, toolRefProblems(root)...)
-	problems = append(problems, obsRefProblems(root)...)
+	problems = append(problems, identRefProblems(root)...)
 
 	if len(problems) > 0 {
 		sort.Strings(problems)
@@ -180,55 +182,78 @@ var toolRef = regexp.MustCompile(`\b(scripts/[A-Za-z0-9_.-]+\.sh|cmd/[A-Za-z0-9_
 // toolRefProblems verifies that every scripts/<name>.sh and cmd/<name> the
 // living docs mention (README.md, DESIGN.md, docs/*.md) exists on disk.
 func toolRefProblems(root string) []string {
-	return livingDocRefProblems(root, toolRef, func(ref string) bool {
-		_, err := os.Stat(filepath.Join(root, filepath.FromSlash(ref)))
+	return livingDocRefProblems(root, toolRef, func(m []string) bool {
+		_, err := os.Stat(filepath.Join(root, filepath.FromSlash(m[1])))
 		return err == nil
 	})
 }
 
-// obsRef matches an exported identifier qualified with the obs package.
-var obsRef = regexp.MustCompile(`\bobs\.[A-Z][A-Za-z0-9_]*`)
-
-// obsRefProblems verifies that every obs.<Ident> the living docs mention is
-// a top-level identifier internal/obs exports, so a deleted type cannot
-// survive in prose.
-func obsRefProblems(root string) []string {
-	pkgs, err := parser.ParseDir(token.NewFileSet(), filepath.Join(root, "internal", "obs"), func(fi os.FileInfo) bool {
+// declared returns every name the non-test files of one package directory
+// declare: top-level identifiers, methods, struct fields, interface methods.
+func declared(dir string) (map[string]bool, error) {
+	pkgs, err := parser.ParseDir(token.NewFileSet(), dir, func(fi os.FileInfo) bool {
 		return !strings.HasSuffix(fi.Name(), "_test.go")
 	}, parser.SkipObjectResolution)
-	if err != nil {
-		return []string{fmt.Sprintf("internal/obs: %v", err)}
-	}
-	exported := map[string]bool{}
+	names := map[string]bool{}
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
-			for _, decl := range f.Decls {
-				switch d := decl.(type) {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
 				case *ast.FuncDecl:
-					if d.Recv == nil {
-						exported["obs."+d.Name.Name] = true
+					names[n.Name.Name] = true
+					return false // parameters and locals are not declarations prose can name
+				case *ast.TypeSpec:
+					names[n.Name.Name] = true
+				case *ast.ValueSpec:
+					for _, id := range n.Names {
+						names[id.Name] = true
 					}
-				case *ast.GenDecl:
-					for _, spec := range d.Specs {
-						switch sp := spec.(type) {
-						case *ast.TypeSpec:
-							exported["obs."+sp.Name.Name] = true
-						case *ast.ValueSpec:
-							for _, n := range sp.Names {
-								exported["obs."+n.Name] = true
-							}
-						}
+				case *ast.Field:
+					for _, id := range n.Names {
+						names[id.Name] = true
 					}
 				}
-			}
+				return true
+			})
 		}
 	}
-	return livingDocRefProblems(root, obsRef, func(ref string) bool { return exported[ref] })
+	return names, err
+}
+
+// identRefProblems verifies that every <pkg>.<Ident> and <pkg>.<Type>.<member>
+// the living docs mention, for <pkg> a package under internal/ and <Ident>
+// exported, names things the package still declares, so a deleted function,
+// type, field or method cannot survive in prose. A member is looked up in the
+// package, not in its type — enough to catch a deletion. Lower-case second
+// components are left alone: metric names (`sim.events`) have that shape.
+func identRefProblems(root string) []string {
+	entries, err := os.ReadDir(filepath.Join(root, "internal"))
+	if err != nil {
+		return []string{fmt.Sprintf("internal: %v", err)}
+	}
+	decls := map[string]map[string]bool{}
+	var pkgs []string
+	for _, e := range entries {
+		if !e.IsDir() {
+			continue
+		}
+		if decls[e.Name()], err = declared(filepath.Join(root, "internal", e.Name())); err != nil {
+			return []string{fmt.Sprintf("internal/%s: %v", e.Name(), err)}
+		}
+		pkgs = append(pkgs, regexp.QuoteMeta(e.Name()))
+	}
+	// Not preceded by a path or selector character, so `internal/rib/rib.go`
+	// and `em.config.X` are not references to a package.
+	ref := regexp.MustCompile(`(?:^|[^\w./-])((` + strings.Join(pkgs, "|") + `)\.([A-Z]\w*)(?:\.(\w+))?)`)
+	return livingDocRefProblems(root, ref, func(m []string) bool {
+		return decls[m[2]][m[3]] && (m[4] == "" || decls[m[2]][m[4]])
+	})
 }
 
 // livingDocRefProblems reports every distinct match of ref in README.md,
-// DESIGN.md and docs/*.md for which exists is false.
-func livingDocRefProblems(root string, ref *regexp.Regexp, exists func(string) bool) []string {
+// DESIGN.md and docs/*.md for which exists is false. exists receives the
+// match's submatches; the first capture group is the reference reported.
+func livingDocRefProblems(root string, ref *regexp.Regexp, exists func(m []string) bool) []string {
 	files, _ := filepath.Glob(filepath.Join(root, "docs", "*.md"))
 	files = append(files, filepath.Join(root, "README.md"), filepath.Join(root, "DESIGN.md"))
 	var problems []string
@@ -240,13 +265,13 @@ func livingDocRefProblems(root string, ref *regexp.Regexp, exists func(string) b
 			continue
 		}
 		seen := map[string]bool{}
-		for _, m := range ref.FindAllString(string(raw), -1) {
-			if seen[m] {
+		for _, m := range ref.FindAllStringSubmatch(string(raw), -1) {
+			if seen[m[1]] {
 				continue
 			}
-			seen[m] = true
+			seen[m[1]] = true
 			if !exists(m) {
-				problems = append(problems, fmt.Sprintf("%s: mentions %s, which does not exist", rel, m))
+				problems = append(problems, fmt.Sprintf("%s: mentions %s, which does not exist", rel, m[1]))
 			}
 		}
 	}

@@ -71,17 +71,13 @@ func Simulate(n *topo.Network, cfgs map[string]*config.DeviceConfig) map[string]
 		devs[name] = sd
 	}
 	// Wire neighbors by configured session addresses.
-	ipOwner := map[netpkt.IP]*simDevice{}
-	ifOwner := map[netpkt.IP]string{}
-	for _, sd := range devs {
-		for _, ic := range sd.cfg.Interfaces {
-			ipOwner[ic.Addr.Addr] = sd
-			ifOwner[ic.Addr.Addr] = ic.Name
-		}
-	}
+	ix := config.NewIndex(cfgs)
 	for _, sd := range devs {
 		for _, nb := range sd.cfg.Neighbors {
-			remote := ipOwner[nb.IP]
+			var remote *simDevice
+			if o, ok := ix.Owner(nb.IP); ok {
+				remote = devs[ix.Name(o.Dev)]
+			}
 			sd.neighbors = append(sd.neighbors, simNeighbor{cfg: nb, remote: remote})
 		}
 	}
@@ -137,7 +133,7 @@ func Simulate(n *topo.Network, cfgs map[string]*config.DeviceConfig) map[string]
 	// Emit FIB snapshots.
 	out := map[string]rib.Snapshot{}
 	for _, name := range names {
-		out[name] = devs[name].snapshot(ifOwner)
+		out[name] = devs[name].snapshot()
 	}
 	return out
 }
@@ -378,7 +374,7 @@ func intsEqual(a, b []int) bool {
 
 // snapshot converts the device's best routes into a FIB snapshot:
 // connected interfaces plus BGP-selected next hops.
-func (sd *simDevice) snapshot(ifOwner map[netpkt.IP]string) rib.Snapshot {
+func (sd *simDevice) snapshot() rib.Snapshot {
 	var snap rib.Snapshot
 	for _, ic := range sd.cfg.Interfaces {
 		sub := netpkt.Prefix{Addr: ic.Addr.Addr & ic.Addr.MaskIP(), Len: ic.Addr.Len}
@@ -425,22 +421,20 @@ func sortPrefixes(ps []netpkt.Prefix) {
 }
 
 // Walker answers repeated reachability queries against one forwarding
-// state. It hoists the interface-owner index out of the per-query path and
+// state. It resolves devices and address owners through the fabric's index,
+// built once by whoever owns the fabric rather than per query or per sweep, and
 // memoizes Delivered verdicts, which is what makes fabric-wide sweeps (every
 // device x every prefix x every hop) affordable. The memo (and a snapshot
 // walker's lazy indexing) makes a Walker unsafe for concurrent use; build
 // one per goroutine.
 type Walker struct {
-	cfgs map[string]*config.DeviceConfig
-	// owner maps a session/interface IP to the device that owns it (to
-	// follow next hops).
-	owner map[netpkt.IP]string
+	// ix is the fabric the walk resolves against: device ids for the memo,
+	// each device's Networks for delivery, address owners to follow next
+	// hops.
+	ix *config.Index
 	// lookup resolves a longest-prefix match in one device's FIB.
 	lookup LookupFunc
-	// devIdx interns device names so Delivered's memo can be a flat array
-	// per destination instead of a string-keyed map.
-	devIdx map[string]int
-	// verdicts memoizes Delivered per (dst, device): 0 unknown, 1
+	// verdicts memoizes Delivered per (dst, device id): 0 unknown, 1
 	// delivered, 2 undelivered. Fabric walks from different sources
 	// converge onto the same downstream devices after a hop or two, so a
 	// sweep resolves each (device, dst) pair once.
@@ -473,25 +467,19 @@ func NewWalker(fibs map[string]rib.Snapshot, cfgs map[string]*config.DeviceConfi
 	}, cfgs)
 }
 
-// NewLiveWalker answers queries through fn — typically straight off live
-// per-device FIB tries (device FIBs are tries already, so re-indexing pulled
-// snapshots would only duplicate them). The caller guarantees the forwarding
-// state does not change for the walker's lifetime — sweeps between mutations
-// qualify.
+// NewLiveWalker answers queries through fn over the fabric cfgs describes;
+// callers that already hold the fabric's index use NewIndexWalker.
 func NewLiveWalker(fn LookupFunc, cfgs map[string]*config.DeviceConfig) *Walker {
-	w := &Walker{
-		cfgs:   cfgs,
-		owner:  map[netpkt.IP]string{},
-		lookup: fn,
-		devIdx: make(map[string]int, len(cfgs)),
-	}
-	for name, c := range cfgs {
-		w.devIdx[name] = len(w.devIdx)
-		for _, ic := range c.Interfaces {
-			w.owner[ic.Addr.Addr] = name
-		}
-	}
-	return w
+	return NewIndexWalker(fn, config.NewIndex(cfgs))
+}
+
+// NewIndexWalker answers queries through fn — typically straight off live
+// per-device FIB tries (device FIBs are tries already, so re-indexing pulled
+// snapshots would only duplicate them) — resolving devices and next hops
+// against ix. The caller guarantees the forwarding state does not change for
+// the walker's lifetime — sweeps between mutations qualify.
+func NewIndexWalker(fn LookupFunc, ix *config.Index) *Walker {
+	return &Walker{ix: ix, lookup: fn}
 }
 
 // Reachable walks from a device toward an address — the reachability query
@@ -523,14 +511,14 @@ func (w *Walker) Delivered(from string, dst netpkt.IP) bool {
 	}
 	vs := w.verdicts[dst]
 	if vs == nil {
-		vs = make([]int8, len(w.devIdx))
+		vs = make([]int8, w.ix.Len())
 		w.verdicts[dst] = vs
 	}
 	w.visited = w.visited[:0]
 	cur := from
 	delivered := false
 	for hops := 0; hops < 64; hops++ {
-		if idx, tracked := w.devIdx[cur]; tracked {
+		if idx, tracked := w.ix.ID(cur); tracked {
 			if v := vs[idx]; v != 0 {
 				delivered = v == 1
 				break
@@ -561,7 +549,7 @@ func (w *Walker) Delivered(from string, dst netpkt.IP) bool {
 // local origination or delivery to an unowned (host) address, ok=false a
 // forwarding failure, and otherwise next is the downstream device.
 func (w *Walker) hop(cur string, dst netpkt.IP) (next string, delivered, ok bool) {
-	if c := w.cfgs[cur]; c != nil {
+	if c := w.ix.Config(cur); c != nil {
 		for _, p := range c.Networks {
 			if p.Contains(dst) {
 				return "", true, true
@@ -575,12 +563,15 @@ func (w *Walker) hop(cur string, dst netpkt.IP) (next string, delivered, ok bool
 	nh := best.NextHops[0]
 	if nh.IP == 0 {
 		// Connected: delivered if no device owns it (it is a host).
-		next, ok := w.owner[dst]
+		o, ok := w.ix.Owner(dst)
 		if !ok {
 			return "", true, true
 		}
-		return next, false, true
+		return w.ix.Name(o.Dev), false, true
 	}
-	next, ok = w.owner[nh.IP]
-	return next, false, ok
+	o, ok := w.ix.Owner(nh.IP)
+	if !ok {
+		return "", false, false
+	}
+	return w.ix.Name(o.Dev), false, true
 }

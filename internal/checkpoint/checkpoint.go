@@ -75,29 +75,3 @@ func (s *Snapshot) Invalidate() { s.invalid.Store(true) }
 
 // Invalidated reports whether Invalidate has been called.
 func (s *Snapshot) Invalidated() bool { return s.invalid.Load() }
-
-// CloneMap returns a shallow copy of m, preserving nil.
-//
-// It is the workhorse of the fork paths: most per-device maps (interface
-// addressing, ARP caches, peer bookkeeping) have value types that are
-// plain data, so a key/value copy is a deep copy.
-func CloneMap[K comparable, V any](m map[K]V) map[K]V {
-	if m == nil {
-		return nil
-	}
-	c := make(map[K]V, len(m))
-	for k, v := range m {
-		c[k] = v
-	}
-	return c
-}
-
-// CloneSlice returns a copy of s, preserving nil.
-func CloneSlice[S ~[]E, E any](s S) S {
-	if s == nil {
-		return nil
-	}
-	c := make(S, len(s))
-	copy(c, s)
-	return c
-}

@@ -7,31 +7,6 @@ import (
 	"crystalnet/internal/sim"
 )
 
-func TestCloneMap(t *testing.T) {
-	if CloneMap[string, int](nil) != nil {
-		t.Fatal("nil map did not stay nil")
-	}
-	m := map[string]int{"a": 1, "b": 2}
-	c := CloneMap(m)
-	c["a"] = 9
-	c["c"] = 3
-	if m["a"] != 1 || len(m) != 2 {
-		t.Fatalf("clone mutation leaked into source: %v", m)
-	}
-}
-
-func TestCloneSlice(t *testing.T) {
-	if CloneSlice[[]int](nil) != nil {
-		t.Fatal("nil slice did not stay nil")
-	}
-	s := []int{1, 2, 3}
-	c := CloneSlice(s)
-	c[0] = 9
-	if s[0] != 1 {
-		t.Fatalf("clone mutation leaked into source: %v", s)
-	}
-}
-
 func TestSnapshotCarriesEngineState(t *testing.T) {
 	eng := sim.NewEngine(11)
 	eng.After(time.Second, func() {})

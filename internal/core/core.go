@@ -157,7 +157,10 @@ type vmAssignment struct {
 	index int // VM index within the group
 }
 
-// Preparation is Prepare's output and Mockup's input.
+// Preparation is Prepare's output and Mockup's input. A forked emulation
+// shares all of it but the VM placements (fork), so what grows after Prepare
+// — the config and image maps, the plan and its name lists — is replaced,
+// never edited (AttachNewDevice).
 type Preparation struct {
 	Input   PrepareInput
 	Plan    *boundary.Plan

@@ -3,6 +3,8 @@ package core
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -94,10 +96,10 @@ type Emulation struct {
 	vmsPending    int
 	buildsPending int
 
-	// cancel, when non-nil, aborts convergence drives between event chunks
-	// (SetCancel). The serving path wires a request context's Done channel
-	// here so an abandoned rehearsal stops burning CPU mid-convergence.
-	cancel <-chan struct{}
+	// index caches Index()'s result: the configurations the devices run now.
+	// Checkpoint brings it up to date and a fork starts from its parent's
+	// pointer, so reading it after a checkpoint writes nothing shared.
+	index *config.Index
 }
 
 // Mockup executes the paper's Mockup API on a preparation: PhyNet build,
@@ -293,89 +295,51 @@ func (em *Emulation) allNames() []string {
 // (SetCancel) fired. Callers are expected to Teardown the emulation.
 var ErrCanceled = errors.New("core: emulation canceled")
 
-// cancelCheckEvents is how many events a cancelable convergence drive
-// fires between cancel-channel polls: coarse enough to keep the poll off
-// the hot loop, fine enough that an abandoned request stops within
-// milliseconds of wall time.
-const cancelCheckEvents = 1 << 15
-
 // SetCancel arms cancellation for this emulation's convergence drives:
-// once ch fires, RunUntilConverged returns ErrCanceled at the next chunk
-// boundary instead of driving to quiescence. The channel does not cross a
-// Checkpoint/Fork — each fork arms its own. With a cancel channel armed
-// and a recorder attached, a drive records one engine/run span per chunk
-// rather than one per drive, so cancelable runs are not trace-byte-
-// comparable to batch runs (reports are unaffected: event order, clock
-// and RNG draws are identical).
-func (em *Emulation) SetCancel(ch <-chan struct{}) { em.cancel = ch }
-
-// RunUntilConverged drives the engine until the event queue drains (the
-// emulation is stable) and returns the §8.1 latency metrics.
-func (em *Emulation) RunUntilConverged(maxEvents uint64) (Metrics, error) {
-	if maxEvents == 0 {
-		maxEvents = 500_000_000
-	}
-	if em.shards != nil {
-		if err := em.runSharded(maxEvents); err != nil {
-			return Metrics{}, err
-		}
-	} else if em.cancel == nil {
-		if _, err := em.orch.Eng.Run(maxEvents); err != nil {
-			return Metrics{}, err
-		}
-	} else if err := em.runCancelable(maxEvents); err != nil {
-		return Metrics{}, err
-	}
-	em.tracePhases()
-	em.settleTraffic()
-	return em.Metrics(), nil
-}
-
-// runSharded drives the shard ensemble to global quiescence. The shard
-// set polls the cancel channel once per virtual instant, which replaces
-// the classic path's event-count chunking.
-func (em *Emulation) runSharded(maxEvents uint64) error {
-	if em.cancel != nil {
-		em.shards.Check = func() error {
+// once ch fires, RunUntilConverged returns ErrCanceled at the driver's next
+// poll (sim.Engine.Check, sim.ShardSet.Check) instead of driving to
+// quiescence; nil disarms it. The serving path wires a request context's
+// Done channel here so an abandoned rehearsal stops burning CPU
+// mid-convergence. The channel does not cross a Checkpoint/Fork — each fork
+// arms its own. Polling changes nothing observable: events fire in the same
+// order, the clock and RNG streams are untouched, and a drive is still one
+// engine/run span, so reports and traces match an unarmed run byte for byte.
+func (em *Emulation) SetCancel(ch <-chan struct{}) {
+	var check func() error
+	if ch != nil {
+		check = func() error {
 			select {
-			case <-em.cancel:
+			case <-ch:
 				return ErrCanceled
 			default:
 				return nil
 			}
 		}
-	} else {
-		em.shards.Check = nil
 	}
-	_, err := em.shards.Run(maxEvents)
-	return err
+	if em.shards != nil {
+		em.shards.Check = check
+	} else {
+		em.orch.Eng.Check = check
+	}
 }
 
-// runCancelable drives the engine in cancelCheckEvents chunks, polling the
-// cancel channel between them. Chunking changes nothing observable in the
-// emulation: events fire in the same order, the clock and RNG streams are
-// untouched, and quiescence is detected identically.
-func (em *Emulation) runCancelable(maxEvents uint64) error {
-	var fired uint64
-	for {
-		select {
-		case <-em.cancel:
-			return ErrCanceled
-		default:
-		}
-		chunk := uint64(cancelCheckEvents)
-		if rem := maxEvents - fired; chunk > rem {
-			chunk = rem
-		}
-		n, err := em.orch.Eng.Run(chunk)
-		fired += n
-		if err == nil {
-			return nil // quiescent
-		}
-		if fired >= maxEvents {
-			return fmt.Errorf("sim: event cap %d reached at t=%s (possible livelock)", maxEvents, em.orch.Eng.Now())
-		}
+// RunUntilConverged drives the engine — under sharding, the shard ensemble
+// — until the event queue drains (the emulation is stable) and returns the
+// §8.1 latency metrics.
+func (em *Emulation) RunUntilConverged(maxEvents uint64) (Metrics, error) {
+	if maxEvents == 0 {
+		maxEvents = 500_000_000
 	}
+	drive := em.orch.Eng.Run
+	if em.shards != nil {
+		drive = em.shards.Run
+	}
+	if _, err := drive(maxEvents); err != nil {
+		return Metrics{}, err
+	}
+	em.tracePhases()
+	em.settleTraffic()
+	return em.Metrics(), nil
 }
 
 // Teardown aborts an emulation deterministically, whatever state it is in:
@@ -390,10 +354,12 @@ func (em *Emulation) Teardown() {
 	if em.cleared {
 		return
 	}
+	// The cancel that brought us here has fired for good; the drain below
+	// must not stop at it.
+	em.SetCancel(nil)
 	if em.shards != nil {
 		em.shards.CancelAll()
 		em.Clear(nil)
-		em.shards.Check = nil
 		em.shards.Run(0)
 		return
 	}
@@ -599,9 +565,14 @@ func (em *Emulation) AttachNewDevice(name string, img firmware.VendorImage, cfg 
 			}
 		}
 	}
-	em.prep.Configs[name] = cfg
-	em.prep.Images[name] = img
-	em.prep.Plan.Emulated[name] = true
+	// The preparation's maps, plan and name lists are shared with every fork
+	// of this emulation (Preparation.fork), so growing them means replacing
+	// them: nothing another emulation can reach is edited.
+	plan := *em.prep.Plan
+	plan.Emulated = withEntry(plan.Emulated, name, true)
+	em.prep.Plan = &plan
+	em.prep.Configs = withEntry(em.prep.Configs, name, cfg)
+	em.prep.Images = withEntry(em.prep.Images, name, img)
 	attach := func(vm *cloud.VM) {
 		em.vmOf[name] = vm
 		host := em.Fabric.Host(vm.Name)
@@ -642,11 +613,13 @@ func (em *Emulation) AttachNewDevice(name string, img firmware.VendorImage, cfg 
 				isBoundary = true
 			}
 		}
+		plan := *em.prep.Plan
 		if isBoundary {
-			em.prep.Plan.Boundary = append(em.prep.Plan.Boundary, name)
+			plan.Boundary = append(slices.Clone(plan.Boundary), name)
 		} else {
-			em.prep.Plan.Internal = append(em.prep.Plan.Internal, name)
+			plan.Internal = append(slices.Clone(plan.Internal), name)
 		}
+		em.prep.Plan = &plan
 	}
 	if vm != nil {
 		attach(vm)
@@ -657,11 +630,18 @@ func (em *Emulation) AttachNewDevice(name string, img firmware.VendorImage, cfg 
 		sku = cloud.SKUNested
 	}
 	fresh := em.orch.Cloud.Provision(1, sku, img.Name, nil)
-	em.prep.groupVMs[img.Name] = fresh
+	em.prep.groupVMs[img.Name] = fresh // placements are this emulation's own
 	// The waiter receives whichever VM actually came up — under a retry
 	// policy that can be a replacement for fresh[0].
 	fresh[0].WhenRunning(func(vm *cloud.VM) { attach(vm) })
 	return nil
+}
+
+// withEntry returns a copy of m that also maps k to v.
+func withEntry[K comparable, V any](m map[K]V, k K, v V) map[K]V {
+	c := maps.Clone(m)
+	c[k] = v
+	return c
 }
 
 // SetLink raises or cuts the link between two topology interfaces and
@@ -758,12 +738,16 @@ func (em *Emulation) Login(name string) (*mgmt.Session, error) {
 func (em *Emulation) List() []string { return em.allNames() }
 
 // State is a saved emulation snapshot (§3.2: "saving and restoring
-// emulation state"): rendered configurations plus forwarding tables. It is
-// the artifact a validation workflow saves before a risky step and diffs
-// against after, and what a rollback restores from.
+// emulation state"): configurations plus forwarding tables. It is the
+// artifact a validation workflow saves before a risky step and diffs
+// against after, and what a rollback restores from. Nothing in it is a
+// copy: installed configurations and FIB entries are never edited, so
+// holding the pointers is holding the content (PullConfig renders the text
+// backup).
 type State struct {
-	// Configs are the rendered per-device configurations.
-	Configs map[string]string
+	// Configs are the configurations the devices ran, by device name: the
+	// live index's map at the time, shared and read-only.
+	Configs map[string]*config.DeviceConfig
 	// FIBs are per-device forwarding-table snapshots; their entries are
 	// shared with the live tables and read-only (see PullFIBs).
 	FIBs map[string]rib.Snapshot
@@ -771,11 +755,10 @@ type State struct {
 	TakenAt sim.Time
 }
 
-// Save captures the emulation's current state. FIB entries are shared and
-// read-only, not copied (see PullFIBs).
+// Save captures the emulation's current state.
 func (em *Emulation) Save() *State {
 	return &State{
-		Configs: em.PullConfig(),
+		Configs: em.Configs(),
 		FIBs:    em.PullFIBs(),
 		TakenAt: em.orch.Eng.Now(),
 	}
@@ -808,30 +791,21 @@ func (em *Emulation) DiffAgainst(s *State) map[string][]rib.Diff {
 	return out
 }
 
-// RestoreConfigs rolls every device whose rendered configuration differs
-// from the snapshot back to it via Reload, returning the devices reloaded.
+// RestoreConfigs rolls every device that no longer runs the snapshot's
+// configuration back to it via Reload, returning the devices reloaded.
 func (em *Emulation) RestoreConfigs(s *State) ([]string, error) {
 	var reloaded []string
-	cur := em.PullConfig()
 	names := make([]string, 0, len(s.Configs))
 	for name := range s.Configs {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		if cur[name] == s.Configs[name] {
-			continue
-		}
 		dev := em.Devices[name]
-		if dev == nil {
+		if dev == nil || dev.Config() == s.Configs[name] {
 			continue
 		}
-		c := dev.Config()
-		parsed, err := config.Parse(s.Configs[name], config.Dialect{Vendor: c.Vendor, Version: c.Version})
-		if err != nil {
-			return reloaded, fmt.Errorf("core: restore %s: %w", name, err)
-		}
-		if err := em.ReloadDevice(name, parsed, nil); err != nil {
+		if err := em.ReloadDevice(name, s.Configs[name], nil); err != nil {
 			return reloaded, err
 		}
 		reloaded = append(reloaded, name)
@@ -839,9 +813,35 @@ func (em *Emulation) RestoreConfigs(s *State) ([]string, error) {
 	return reloaded, nil
 }
 
-// Configs returns the active configurations by device name (shared, not
-// copied — callers must not mutate).
-func (em *Emulation) Configs() map[string]*config.DeviceConfig { return em.prep.Configs }
+// Index returns the live fabric index: the configurations the devices run
+// now — which reloads, attaches and rollbacks change after Prepare — with
+// dense device ids and address owners. Reachability sweeps,
+// traffic settles and Configs all resolve against this one value. It is
+// cached and revalidated by a pointer compare per device, so the pointer
+// changes exactly when some device's configuration or the device set did.
+func (em *Emulation) Index() *config.Index {
+	if em.index == nil || !em.index.Same(len(em.prep.Configs), em.runningConfig) {
+		cfgs := make(map[string]*config.DeviceConfig, len(em.prep.Configs))
+		for name := range em.prep.Configs {
+			cfgs[name] = em.runningConfig(name)
+		}
+		em.index = config.NewIndex(cfgs)
+	}
+	return em.index
+}
+
+// runningConfig returns what the named device runs: its firmware's
+// configuration once it has booted, the prepared one until then.
+func (em *Emulation) runningConfig(name string) *config.DeviceConfig {
+	if d := em.Devices[name]; d != nil {
+		return d.Config()
+	}
+	return em.prep.Configs[name]
+}
+
+// Configs returns the active configurations by device name (the live
+// index's map: shared, not copied — callers must not mutate).
+func (em *Emulation) Configs() map[string]*config.DeviceConfig { return em.Index().Configs() }
 
 // Network returns the emulated topology.
 func (em *Emulation) Network() *topo.Network { return em.prep.Plan.Network }

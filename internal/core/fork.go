@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 
 	"crystalnet/internal/checkpoint"
@@ -55,6 +57,9 @@ func (em *Emulation) Checkpoint() (*checkpoint.Snapshot, error) {
 	for _, d := range em.Devices {
 		d.Seal()
 	}
+	// Likewise the fabric index: brought up to date here, it is what every
+	// fork starts from, and no fork has to write the parent to get one.
+	em.Index()
 	return &checkpoint.Snapshot{TakenAt: st.Now, Engine: st, Shards: shardStates, Origin: em}, nil
 }
 
@@ -117,10 +122,11 @@ func (o *Orchestrator) Fork(snap *checkpoint.Snapshot) (*Emulation, error) {
 		NetworkReadyAt: parent.NetworkReadyAt,
 		ClearedAt:      parent.ClearedAt,
 
-		Alerts:       checkpoint.CloneSlice(parent.Alerts),
-		recoveries:   checkpoint.CloneSlice(parent.recoveries),
-		degraded:     checkpoint.CloneSlice(parent.degraded),
+		Alerts:       slices.Clone(parent.Alerts),
+		recoveries:   slices.Clone(parent.recoveries),
+		degraded:     slices.Clone(parent.degraded),
 		phasesTraced: parent.phasesTraced,
+		index:        parent.index,
 		// The fork's copy of the traffic matrix settles exactly as a fresh
 		// same-seed run would from here; once the devices below are forked
 		// its settle memo is rebound to their tables.
@@ -134,7 +140,7 @@ func (o *Orchestrator) Fork(snap *checkpoint.Snapshot) (*Emulation, error) {
 		// cannot cross a fork (cloud.Fork documents this).
 		recovering:    map[*cloud.VM]*vmRecovery{},
 		pendingFaults: make(map[*cloud.VM]int, len(parent.pendingFaults)),
-		linkDown:      make(map[linkKey]int, len(parent.linkDown)),
+		linkDown:      maps.Clone(parent.linkDown),
 	}
 	if parent.shards != nil {
 		// Restore the domain ensemble before devices fork: each forked
@@ -145,9 +151,6 @@ func (o *Orchestrator) Fork(snap *checkpoint.Snapshot) (*Emulation, error) {
 	}
 	for vm, n := range parent.pendingFaults {
 		em.pendingFaults[vmMap[vm]] = n
-	}
-	for k, n := range parent.linkDown {
-		em.linkDown[k] = n
 	}
 	for name, ct := range parent.containers {
 		em.containers[name] = ctMap[ct]
@@ -200,39 +203,21 @@ func (em *Emulation) CowCopies() CowCopies {
 	return c
 }
 
-// fork deep-copies the preparation's mutable bookkeeping for a forked
-// emulation, remapping VM placements through vmMap. The heavyweight values
-// — topology, parsed configs, vendor images, recorded speaker routes — are
-// shared: mutations go through pointer replacement (config reloads) or are
-// additive on the copied containers (device attachment), never in-place.
+// fork returns the preparation of a forked emulation. Everything but the VM
+// placements is shared with the parent — topology, plan, parsed configs,
+// vendor images, recorded speaker routes, device assignments: whoever grows
+// one replaces it (AttachNewDevice), nobody edits it. The placements name
+// VM objects, which are per emulation, so they are remapped through vmMap
+// and are the fork's own to edit (onVMReplaced).
 func (p *Preparation) fork(vmMap map[*cloud.VM]*cloud.VM) *Preparation {
-	c := &Preparation{
-		Input:       p.Input,
-		Configs:     checkpoint.CloneMap(p.Configs),
-		Images:      checkpoint.CloneMap(p.Images),
-		Routes:      checkpoint.CloneMap(p.Routes),
-		assignments: checkpoint.CloneMap(p.assignments),
-		hardware:    checkpoint.CloneMap(p.hardware),
-		SafetyErr:   p.SafetyErr,
-	}
-	if p.Plan != nil {
-		plan := *p.Plan
-		plan.Emulated = checkpoint.CloneMap(p.Plan.Emulated)
-		plan.Internal = checkpoint.CloneSlice(p.Plan.Internal)
-		plan.Boundary = checkpoint.CloneSlice(p.Plan.Boundary)
-		plan.Speakers = checkpoint.CloneSlice(p.Plan.Speakers)
-		plan.Excluded = checkpoint.CloneSlice(p.Plan.Excluded)
-		c.Plan = &plan
-	}
-	if p.groupVMs != nil {
-		c.groupVMs = make(map[string][]*cloud.VM, len(p.groupVMs))
-		for g, vms := range p.groupVMs {
-			nv := make([]*cloud.VM, len(vms))
-			for i, vm := range vms {
-				nv[i] = vmMap[vm]
-			}
-			c.groupVMs[g] = nv
+	c := *p
+	c.groupVMs = make(map[string][]*cloud.VM, len(p.groupVMs))
+	for g, vms := range p.groupVMs {
+		nv := make([]*cloud.VM, len(vms))
+		for i, vm := range vms {
+			nv[i] = vmMap[vm]
 		}
+		c.groupVMs[g] = nv
 	}
-	return c
+	return &c
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"crystalnet/internal/config"
 	"crystalnet/internal/dataplane"
 	"crystalnet/internal/rib"
 	"crystalnet/internal/traffic"
@@ -13,7 +12,7 @@ import (
 // matrix's accounting samples user impact at each convergence point.
 // Attaching replaces any previous matrix.
 func (em *Emulation) AttachTraffic(spec traffic.Spec) error {
-	m, err := traffic.NewMatrix(spec, em.liveConfigs())
+	m, err := traffic.NewMatrix(spec, em.Index())
 	if err != nil {
 		return err
 	}
@@ -48,7 +47,7 @@ func (em *Emulation) settleTraffic() {
 			}
 			return nil
 		},
-		Configs: em.liveConfigs(),
+		Index: em.Index(),
 	})
 }
 
@@ -59,21 +58,4 @@ func (em *Emulation) table(name string) *rib.FIB {
 		return d.FIB()
 	}
 	return nil
-}
-
-// liveConfigs returns the active per-device configurations. The prepared
-// snapshot goes stale after reload-config and attach-device, so traffic
-// walks (like the scenario layer's reachability sweeps) resolve against
-// what each device is running now.
-func (em *Emulation) liveConfigs() map[string]*config.DeviceConfig {
-	cfgs := make(map[string]*config.DeviceConfig, len(em.Devices))
-	for name, c := range em.prep.Configs {
-		cfgs[name] = c
-	}
-	for name, d := range em.Devices {
-		if c := d.Config(); c != nil {
-			cfgs[name] = c
-		}
-	}
-	return cfgs
 }

@@ -115,7 +115,8 @@ func CrossValidate(workers ...int) CrossValidateResult {
 	// Healthy fabric vs the idealized verifier, restricted to ToR server
 	// prefixes (config-derived state on both sides).
 	em, fibs := runs[2].em, runs[2].fibs
-	ideal := batfish.Simulate(em.Network(), em.Configs())
+	cfgs := em.Configs()
+	ideal := batfish.Simulate(em.Network(), cfgs)
 	var torPrefixes []netpkt.Prefix
 	for _, d := range em.Network().DevicesByLayer(topo.LayerToR) {
 		torPrefixes = append(torPrefixes, d.Originated...)
@@ -124,7 +125,7 @@ func CrossValidate(workers ...int) CrossValidateResult {
 	for name, snap := range fibs {
 		emuIdx := indexByPrefix(snap)
 		verIdx := indexByPrefix(ideal[name])
-		cfg := em.Configs()[name]
+		cfg := cfgs[name]
 		for _, p := range torPrefixes {
 			if originates(cfg, p) {
 				continue // own attached subnet; the verifier has no FIB row

@@ -1,8 +1,10 @@
 package firmware
 
 import (
+	"maps"
+	"slices"
+
 	"crystalnet/internal/bgp"
-	"crystalnet/internal/checkpoint"
 	"crystalnet/internal/cloud"
 	"crystalnet/internal/netpkt"
 	"crystalnet/internal/ospf"
@@ -83,19 +85,19 @@ func (d *Device) Fork(eng *sim.Engine, fabric *phynet.Fabric, container *phynet.
 		state: d.state,
 		epoch: d.epoch,
 
-		peerIface:   checkpoint.CloneMap(d.peerIface),
-		peerIP:      checkpoint.CloneMap(d.peerIP),
-		localIPs:    checkpoint.CloneMap(d.localIPs),
-		ifaceAddr:   checkpoint.CloneMap(d.ifaceAddr),
-		ospfIfaces:  checkpoint.CloneMap(d.ospfIfaces),
-		arp:         checkpoint.CloneMap(d.arp),
-		arpAttempts: checkpoint.CloneMap(d.arpAttempts),
-		peerWasUp:   checkpoint.CloneMap(d.peerWasUp),
+		peerIface:   maps.Clone(d.peerIface),
+		peerIP:      maps.Clone(d.peerIP),
+		localIPs:    maps.Clone(d.localIPs),
+		ifaceAddr:   maps.Clone(d.ifaceAddr),
+		ospfIfaces:  maps.Clone(d.ospfIfaces),
+		arp:         maps.Clone(d.arp),
+		arpAttempts: maps.Clone(d.arpAttempts),
+		peerWasUp:   maps.Clone(d.peerWasUp),
 
 		flaps: d.flaps,
 
-		Captures:       checkpoint.CloneSlice(d.Captures),
-		Logs:           checkpoint.CloneSlice(d.Logs),
+		Captures:       slices.Clone(d.Captures),
+		Logs:           slices.Clone(d.Logs),
 		BGPUpdatesSent: d.BGPUpdatesSent,
 		LastFIBChange:  d.LastFIBChange,
 	}

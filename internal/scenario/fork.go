@@ -2,9 +2,9 @@ package scenario
 
 import (
 	"fmt"
+	"slices"
 
 	"crystalnet/internal/checkpoint"
-	"crystalnet/internal/config"
 	"crystalnet/internal/core"
 	"crystalnet/internal/topo"
 )
@@ -24,10 +24,9 @@ type Converged struct {
 	snap *checkpoint.Snapshot
 	net  *topo.Network
 
-	origConfigs map[string]*config.DeviceConfig
-	baseline    *core.State
-	step0       StepResult
-	header      Report
+	baseline *core.State // its Configs are the rollback anchors of every fork
+	step0    StepResult
+	header   Report
 }
 
 // Converge builds sp's fabric and drives it to route-ready, returning a
@@ -43,9 +42,8 @@ func Converge(sp *Spec, opts Options) (*Converged, error) {
 	seed := resolveSeed(sp, opts)
 	r := &runner{
 		sp: sp, opts: opts,
-		origConfigs: map[string]*config.DeviceConfig{},
-		baselines:   map[string]*core.State{},
-		report:      &Report{Scenario: sp.Name, Seed: seed},
+		baselines: map[string]*core.State{},
+		report:    &Report{Scenario: sp.Name, Seed: seed},
 	}
 	if err := r.mockup(seed); err != nil {
 		return nil, err
@@ -57,14 +55,13 @@ func Converge(sp *Spec, opts Options) (*Converged, error) {
 	header := *r.report
 	header.Steps = nil
 	return &Converged{
-		seed:        seed,
-		orch:        r.orch,
-		snap:        snap,
-		net:         r.net,
-		origConfigs: r.origConfigs,
-		baseline:    r.baselines[DefaultBaseline],
-		step0:       r.report.Steps[0],
-		header:      header,
+		seed:     seed,
+		orch:     r.orch,
+		snap:     snap,
+		net:      r.net,
+		baseline: r.baselines[DefaultBaseline],
+		step0:    r.report.Steps[0],
+		header:   header,
 	}, nil
 }
 
@@ -121,13 +118,13 @@ func (cv *Converged) fork(sp *Spec, opts Options) (*runner, error) {
 		orch:        em.Orchestrator(),
 		em:          em,
 		net:         cv.net,
-		origConfigs: cv.origConfigs,
+		origConfigs: cv.baseline.Configs,
 		baselines:   map[string]*core.State{DefaultBaseline: cv.baseline},
 		report:      &report,
 	}
 	step0 := cv.step0
-	step0.Diffs = checkpoint.CloneSlice(cv.step0.Diffs)
-	step0.Invariants = checkpoint.CloneSlice(cv.step0.Invariants)
+	step0.Diffs = slices.Clone(cv.step0.Diffs)
+	step0.Invariants = slices.Clone(cv.step0.Invariants)
 	r.report.Steps = append(r.report.Steps, step0)
 	return r, nil
 }

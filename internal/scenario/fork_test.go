@@ -57,6 +57,50 @@ func TestForkedRunMatchesFreshRun(t *testing.T) {
 	}
 }
 
+// TestForkedReloadChecksMatchFreshRun: reload-config swaps what a device
+// runs, so the checks after it resolve against a fabric index the fork had
+// to build for itself rather than the one it inherited. Reachability through
+// the reloaded leaf (mid-reload, reloaded, rolled back) and the no-blackhole
+// sweeps must report the same bytes either way.
+func TestForkedReloadChecksMatchFreshRun(t *testing.T) {
+	reach := Step{Op: OpAssertReachable, From: "tor-p0-0", DstDevice: "tor-p1-1", DstOffset: 1}
+	steps := func() []Step {
+		return []Step{
+			reach,
+			{Op: OpSetLink, A: "tor-p0-0:et1", B: "leaf-p0-1:et2", Up: boolp(false)},
+			{Op: OpWaitConverge},
+			{Op: OpReloadConfig, Device: "leaf-p0-0",
+				ACL: &ACLPatch{Name: "GUARD", DenySrc: "203.0.113.0/24", BindIngress: true}},
+			{Op: OpAssertReachable, From: "tor-p0-0", DstDevice: "tor-p1-1", DstOffset: 1, Expect: boolp(false)},
+			{Op: OpWaitConverge},
+			reach,
+			{Op: OpAssertNoBlackhole},
+			{Op: OpReloadConfig, Device: "leaf-p0-0", FromBaseline: true},
+			{Op: OpWaitConverge},
+			reach,
+			{Op: OpAssertNoBlackhole, Devices: []string{"leaf-p0-0", "tor-p0-0"}},
+		}
+	}
+	fresh, err := Run(tinySpec(steps()...), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !fresh.Passed {
+		t.Fatalf("fresh run failed:\n%s", fresh.JSON())
+	}
+	conv, err := Converge(tinySpec(steps()...), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	forked, err := conv.Run(tinySpec(steps()...), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(fresh.JSON(), forked.JSON()) {
+		t.Fatalf("forked report differs from fresh run\nfresh:\n%s\nforked:\n%s", fresh.JSON(), forked.JSON())
+	}
+}
+
 func TestConvergedRunsConcurrently(t *testing.T) {
 	// One Converged serving parallel forks (the campaign shape) must give
 	// every fork the same bytes a serial fork gets; scripts/check.sh runs

@@ -88,10 +88,11 @@ type runner struct {
 	em   *core.Emulation
 	net  *topo.Network
 
-	// origConfigs are the post-mockup device configurations — the devices'
-	// own values, shared with the running firmware and every fork, never
-	// written: reload-config patches a clone and fromBaseline rolls back to
-	// one.
+	// origConfigs are the post-mockup device configurations — the initial
+	// baseline's map, whatever save-baseline later stores under that name.
+	// The values are the devices' own, shared with the running firmware and
+	// every fork, never written: reload-config patches a clone and
+	// fromBaseline rolls back to one.
 	origConfigs map[string]*config.DeviceConfig
 	baselines   map[string]*core.State
 	lastFlow    uint64
@@ -112,9 +113,8 @@ func Run(sp *Spec, opts Options) (*Report, error) {
 
 	r := &runner{
 		sp: sp, opts: opts,
-		origConfigs: map[string]*config.DeviceConfig{},
-		baselines:   map[string]*core.State{},
-		report:      &Report{Scenario: sp.Name, Seed: seed},
+		baselines: map[string]*core.State{},
+		report:    &Report{Scenario: sp.Name, Seed: seed},
 	}
 	if err := r.mockup(seed); err != nil {
 		return nil, err
@@ -302,10 +302,8 @@ func (r *runner) mockup(seed int64) error {
 	r.report.RouteReady = metrics.RouteReady.String()
 	r.report.MockupLatency = metrics.Mockup.String()
 
-	for name, d := range em.Devices {
-		r.origConfigs[name] = d.Config()
-	}
-	r.baselines[DefaultBaseline] = em.Save()
+	base := em.Save()
+	r.baselines[DefaultBaseline], r.origConfigs = base, base.Configs
 
 	// Attach the spec's traffic matrix at the converged baseline, before
 	// the first invariant sweep: assert-flow-slo invariants see settled
@@ -617,7 +615,7 @@ func (r *runner) check(st *Step) Check {
 			fail("%v", err)
 			return c
 		}
-		path, ok := batfish.NewLiveWalker(r.liveLookup, r.liveConfigs()).Reachable(st.From, dst)
+		path, ok := batfish.NewIndexWalker(r.liveLookup, r.em.Index()).Reachable(st.From, dst)
 		want := st.Expect == nil || *st.Expect
 		if ok != want {
 			fail("reachable(%s -> %s) = %v, want %v (path %s)",
@@ -853,24 +851,6 @@ func fibDiffStrings(diffs map[string][]rib.Diff) []string {
 	return out
 }
 
-// liveConfigs returns the active per-device configurations for FIB walks.
-// The prepared-config snapshot goes stale after reload-config and
-// attach-device (hot-added peering interfaces live only in the running
-// firmware's config), so reachability must resolve next hops against what
-// each device is running now.
-func (r *runner) liveConfigs() map[string]*config.DeviceConfig {
-	cfgs := make(map[string]*config.DeviceConfig, len(r.em.Devices))
-	for name, c := range r.em.Configs() {
-		cfgs[name] = c
-	}
-	for name, d := range r.em.Devices {
-		if c := d.Config(); c != nil {
-			cfgs[name] = c
-		}
-	}
-	return cfgs
-}
-
 // liveLookup resolves a longest-prefix match in a device's live FIB trie, in
 // place: the emulation is quiescent while a check runs, so pulling FIB
 // snapshots just to index them again would only duplicate the tries.
@@ -887,7 +867,6 @@ func (r *runner) liveLookup(dev string, dst netpkt.IP) (*rib.Entry, bool) {
 // pairs. Speakers are excluded on both sides: they replay recorded
 // boundary routes, not their own state. st.Devices scopes the source set.
 func (r *runner) blackholes(st *Step) []string {
-	cfgs := r.liveConfigs()
 	plan := r.em.Plan()
 	fabric := append(append([]string{}, plan.Internal...), plan.Boundary...)
 	sort.Strings(fabric)
@@ -923,7 +902,7 @@ func (r *runner) blackholes(st *Step) []string {
 	}
 
 	var failures []string
-	w := batfish.NewLiveWalker(r.liveLookup, cfgs)
+	w := batfish.NewIndexWalker(r.liveLookup, r.em.Index())
 	for _, src := range sources {
 		for _, d := range dests {
 			if d.owner == src {

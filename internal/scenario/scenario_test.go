@@ -3,8 +3,11 @@ package scenario
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"testing"
 	"time"
+
+	"crystalnet/internal/topo"
 )
 
 // tinyClos is the smallest fabric that still has redundancy on every tier.
@@ -205,6 +208,27 @@ func TestSpecValidation(t *testing.T) {
 			sp.Steps = []Step{{Op: OpAttachDevice, NewDevice: &NewDevice{
 				Name: "x", Layer: "blimp", Vendor: "ctnrb", Peers: []string{"y"}}}}
 		}},
+		// Ceilings on what a spec's own numbers can make the daemon build. The
+		// first is a 400-byte body that used to generate 168,136 devices.
+		{"clos over the device ceiling", func(sp *Spec) {
+			sp.Topology.Clos = &ClosSpec{Pods: 3000, ToRsPerPod: 48, LeavesPerPod: 8,
+				SpineGroups: 4, SpinesPerPlane: 4, BordersPerGroup: 2, PrefixesPerToR: 4}
+		}},
+		{"clos one device over", func(sp *Spec) {
+			c := lDCSizedClos()
+			c.BordersPerGroup++
+			sp.Topology = Topology{Clos: c}
+		}},
+		{"clos dimension that overflows the product", func(sp *Spec) { sp.Topology.Clos.Pods = math.MaxInt }},
+		{"clos prefixesPerToR unbounded", func(sp *Spec) { sp.Topology.Clos.PrefixesPerToR = math.MaxInt }},
+		{"wanPerGroup unbounded", func(sp *Spec) { sp.Topology.WANPerGroup = math.MaxInt }},
+		{"wan routers over the device ceiling", func(sp *Spec) {
+			sp.Topology = Topology{DC: "ldc", WANPerGroup: MaxDevices/2 + 1}
+		}},
+		{"inject-packets count", func(sp *Spec) {
+			sp.Steps = []Step{{Op: OpInjectPackets, From: "a", Dst: "10.0.0.1", Count: 2_000_000_000}}
+		}},
+		{"too many steps", func(sp *Spec) { sp.Steps = make([]Step, MaxSteps+1) }},
 	}
 	for _, tc := range cases {
 		sp := tinySpec(Step{Op: OpWaitConverge})
@@ -213,6 +237,24 @@ func TestSpecValidation(t *testing.T) {
 			t.Errorf("%s: validation passed, want error", tc.name)
 		}
 	}
+
+	// The ceilings admit what they are named after.
+	if got := topo.LDC().NumDevices(); got != MaxDevices {
+		t.Errorf("MaxDevices = %d, full L-DC has %d devices", MaxDevices, got)
+	}
+	atCeiling := tinySpec(Step{Op: OpInjectPackets, From: "a", Dst: "10.0.0.1", Count: MaxProbes})
+	atCeiling.Topology = Topology{Clos: lDCSizedClos()}
+	if err := atCeiling.Validate(); err != nil {
+		t.Errorf("an L-DC-sized custom clos with %d probes: %v", MaxProbes, err)
+	}
+}
+
+// lDCSizedClos is the full L-DC written as a custom clos: exactly MaxDevices.
+func lDCSizedClos() *ClosSpec {
+	l := topo.LDC()
+	return &ClosSpec{Name: "l-dc", Pods: l.Pods, ToRsPerPod: l.ToRsPerPod, LeavesPerPod: l.LeavesPerPod,
+		SpineGroups: l.SpineGroups, SpinesPerPlane: l.SpinesPerPlane, BordersPerGroup: l.BordersPerGroup,
+		PrefixesPerToR: l.PrefixesPerToR}
 }
 
 func TestParseRejectsUnknownFields(t *testing.T) {

@@ -61,7 +61,7 @@ func TestReloadConfigLeavesSharedBaselineIntact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shared := cv.origConfigs["leaf-p0-0"]
+	shared := cv.baseline.Configs["leaf-p0-0"]
 	before := shared.Clone()
 
 	var wg sync.WaitGroup
@@ -83,7 +83,7 @@ func TestReloadConfigLeavesSharedBaselineIntact(t *testing.T) {
 	}
 	wg.Wait()
 
-	if cv.origConfigs["leaf-p0-0"] != shared {
+	if cv.baseline.Configs["leaf-p0-0"] != shared {
 		t.Fatal("baseline configuration pointer was rebound")
 	}
 	// Clone normalises nil maps to empty ones, so compare clone to clone.

@@ -54,6 +54,23 @@ const (
 	OpAssertFlowSLO         = "assert-flow-slo"
 )
 
+// Spec ceilings: a spec arrives in a request body and everything it sizes is
+// built before the first step runs, so what it can ask for is bounded
+// (traffic.MaxFlows bounds the flow matrix the same way).
+const (
+	// MaxDevices caps the devices a spec's own numbers ask for — custom clos
+	// dimensions and WAN routers — at the size of the largest fabric the
+	// repo names: topo.LDC().NumDevices().
+	MaxDevices = 4636
+	// MaxProbes caps one inject-packets step's count: every probe is an
+	// event scheduled up front.
+	MaxProbes = 10_000
+	// MaxSteps caps len(steps). It leaves room for the longest spec the
+	// daemon generates itself: a /v1/chaos variant at that endpoint's own
+	// cap is four steps for each of 10,000 faults.
+	MaxSteps = 1 << 16
+)
+
 // DefaultBaseline is the snapshot the runner saves automatically after the
 // initial convergence; assert-fib-diff steps reference it when they name no
 // explicit baseline.
@@ -295,6 +312,9 @@ func (s *Step) Validate() error {
 		if s.From == "" || (s.Dst == "" && s.DstDevice == "") {
 			return fmt.Errorf("inject-packets needs from and dst or dstDevice")
 		}
+		if s.Count > MaxProbes {
+			return fmt.Errorf("inject-packets count %d exceeds the limit of %d", s.Count, MaxProbes)
+		}
 	case OpInjectVMFailure:
 		if s.Device == "" {
 			return fmt.Errorf("inject-vm-failure needs device")
@@ -376,11 +396,15 @@ func (sp *Spec) Validate() error {
 			return fmt.Errorf("scenario %s: unknown dc %q", sp.Name, sp.Topology.DC)
 		}
 	}
+	// devices counts what the spec's own numbers ask for: WAN routers and,
+	// for a custom clos, the fabric. A named dc is a fixed, known size.
+	var devices int64
 	if sp.Topology.DC == "" {
 		c := sp.Topology.Clos
 		// Every dimension sizes a slice or bounds a loop in topo.GenerateClos:
 		// a negative one panics there and a zero one yields an empty fabric
-		// that vacuously passes every invariant.
+		// that vacuously passes every invariant. Bounding each by MaxDevices
+		// also keeps the device count below far inside int64.
 		for _, dim := range []struct {
 			name string
 			v    int
@@ -389,10 +413,20 @@ func (sp *Spec) Validate() error {
 			{"spineGroups", c.SpineGroups}, {"spinesPerPlane", c.SpinesPerPlane},
 			{"bordersPerGroup", c.BordersPerGroup}, {"prefixesPerToR", c.PrefixesPerToR},
 		} {
-			if dim.v < 1 {
-				return fmt.Errorf("scenario %s: clos %s must be at least 1 (got %d)", sp.Name, dim.name, dim.v)
+			if dim.v < 1 || dim.v > MaxDevices {
+				return fmt.Errorf("scenario %s: clos %s must be between 1 and %d (got %d)", sp.Name, dim.name, MaxDevices, dim.v)
 			}
 		}
+		devices = int64(c.Pods)*int64(c.ToRsPerPod+c.LeavesPerPod) +
+			int64(c.SpineGroups)*(int64(c.LeavesPerPod)*int64(c.SpinesPerPlane)+int64(c.BordersPerGroup))
+	}
+	if w := sp.Topology.WANPerGroup; w > MaxDevices {
+		return fmt.Errorf("scenario %s: wanPerGroup %d exceeds the limit of %d", sp.Name, w, MaxDevices)
+	} else if w > 0 {
+		devices += int64(sp.closSpec().SpineGroups) * int64(w)
+	}
+	if devices > int64(MaxDevices) {
+		return fmt.Errorf("scenario %s: topology asks for %d devices, the limit is %d", sp.Name, devices, MaxDevices)
 	}
 	if len(sp.Emulate) > 0 && (len(sp.MustEmulate) > 0 || len(sp.MustEmulatePods) > 0) {
 		return fmt.Errorf("scenario %s: emulate (an exact set) is mutually exclusive with mustEmulate/mustEmulatePods", sp.Name)
@@ -413,6 +447,9 @@ func (sp *Spec) Validate() error {
 	}
 	if len(sp.Steps) == 0 {
 		return fmt.Errorf("scenario %s: no steps", sp.Name)
+	}
+	if len(sp.Steps) > MaxSteps {
+		return fmt.Errorf("scenario %s: %d steps exceeds the limit of %d", sp.Name, len(sp.Steps), MaxSteps)
 	}
 	for i := range sp.Steps {
 		if err := sp.Steps[i].Validate(); err != nil {
@@ -513,34 +550,41 @@ func cloneSteps(steps []Step) []Step {
 // chaos layer also calls this at expansion time to enumerate flappable
 // links).
 func (sp *Spec) BuildNetwork() (*topo.Network, topo.ClosSpec, error) {
-	var clos topo.ClosSpec
-	switch {
-	case sp.Topology.DC == "sdc":
-		clos = topo.SDC()
-	case sp.Topology.DC == "mdc":
-		clos = topo.MDC()
-	case sp.Topology.DC == "ldc":
-		scale := sp.Topology.LDCScale
-		if scale <= 0 {
-			scale = 8
-		}
-		clos = topo.LDCScaled(scale)
-	case sp.Topology.Clos != nil:
-		c := sp.Topology.Clos
-		clos = topo.ClosSpec{
-			Name: c.Name, Pods: c.Pods, ToRsPerPod: c.ToRsPerPod,
-			LeavesPerPod: c.LeavesPerPod, SpineGroups: c.SpineGroups,
-			SpinesPerPlane: c.SpinesPerPlane, BordersPerGroup: c.BordersPerGroup,
-			PrefixesPerToR: c.PrefixesPerToR,
-		}
-	default:
-		return nil, clos, fmt.Errorf("scenario %s: no topology", sp.Name)
+	if sp.Topology.DC == "" && sp.Topology.Clos == nil {
+		return nil, topo.ClosSpec{}, fmt.Errorf("scenario %s: no topology", sp.Name)
 	}
+	clos := sp.closSpec()
 	n := topo.GenerateClos(clos)
 	if w := sp.Topology.WANPerGroup; w > 0 {
 		topo.AttachWAN(n, clos, w)
 	}
 	return n, clos, nil
+}
+
+// closSpec resolves the topology block to the fabric it names: a named dc,
+// else the custom clos (the zero spec when neither is set).
+func (sp *Spec) closSpec() topo.ClosSpec {
+	switch sp.Topology.DC {
+	case "sdc":
+		return topo.SDC()
+	case "mdc":
+		return topo.MDC()
+	case "ldc":
+		scale := sp.Topology.LDCScale
+		if scale <= 0 {
+			scale = 8
+		}
+		return topo.LDCScaled(scale)
+	}
+	if c := sp.Topology.Clos; c != nil {
+		return topo.ClosSpec{
+			Name: c.Name, Pods: c.Pods, ToRsPerPod: c.ToRsPerPod,
+			LeavesPerPod: c.LeavesPerPod, SpineGroups: c.SpineGroups,
+			SpinesPerPlane: c.SpinesPerPlane, BordersPerGroup: c.BordersPerGroup,
+			PrefixesPerToR: c.PrefixesPerToR,
+		}
+	}
+	return topo.ClosSpec{}
 }
 
 func parseLayer(s string) (topo.Layer, error) {

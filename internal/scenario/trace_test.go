@@ -45,6 +45,44 @@ func TestTraceDeterminism(t *testing.T) {
 	}
 }
 
+// TestTraceSameWithCancelArmed: a cancel channel that never fires must not
+// show in the trace. A drive is one engine/run span however often the engine
+// polls the channel, so a cancelable run — every rehearsal crystald serves —
+// is trace-byte-comparable to a batch run of the same seeded spec. S-DC,
+// because its mockup drive is long enough to be polled more than once.
+func TestTraceSameWithCancelArmed(t *testing.T) {
+	spec := func() *Spec {
+		sp := tinySpec(
+			Step{Op: OpInjectVMFailure, Device: "tor-p0-0"},
+			Step{Op: OpWaitConverge},
+			Step{Op: OpAssertFIBDiff},
+		)
+		sp.Topology = Topology{DC: "sdc", WANPerGroup: 1}
+		return sp
+	}
+	run := func(cancel <-chan struct{}) []byte {
+		rec := obs.New()
+		rep, err := Run(spec(), Options{Rec: rec, Cancel: cancel})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rep.Passed {
+			t.Fatalf("run failed:\n%s", rep.JSON())
+		}
+		return traceBytes(t, rec)
+	}
+	if !bytes.Equal(run(nil), run(make(chan struct{}))) {
+		t.Fatal("arming Options.Cancel changed the trace bytes")
+	}
+	cv, err := Converge(spec(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fired := cv.orch.Eng.Fired(); fired < 2<<15 {
+		t.Fatalf("mockup fired %d events: too few for the engine to have polled mid-drive", fired)
+	}
+}
+
 func TestTraceSurvivesFork(t *testing.T) {
 	// A forked run's trace must be byte-identical to a fresh same-seed
 	// run's: the fork deep-copies the recorder at the checkpoint and its

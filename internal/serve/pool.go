@@ -1,10 +1,12 @@
 package serve
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"log"
 	"runtime/debug"
+	"slices"
 	"sync"
 
 	"crystalnet/internal/core"
@@ -323,11 +325,7 @@ func (p *Pool) Status() PoolStatus {
 	}
 	// Most recently used first; lastUse values are unique (monotonic
 	// clock), so the order is deterministic.
-	for i := 1; i < len(order); i++ {
-		for j := i; j > 0 && order[j].lastUse > order[j-1].lastUse; j-- {
-			order[j], order[j-1] = order[j-1], order[j]
-		}
-	}
+	slices.SortFunc(order, func(a, b *poolEntry) int { return cmp.Compare(b.lastUse, a.lastUse) })
 	for _, e := range order {
 		state := "warming"
 		select {

@@ -21,12 +21,14 @@
 package serve
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -462,11 +464,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Unlock()
 	// Oldest session first; IDs are monotonic so this is by admission.
-	for i := 1; i < len(st.Sessions); i++ {
-		for j := i; j > 0 && st.Sessions[j].ID < st.Sessions[j-1].ID; j-- {
-			st.Sessions[j], st.Sessions[j-1] = st.Sessions[j-1], st.Sessions[j]
-		}
-	}
+	slices.SortFunc(st.Sessions, func(a, b SessionInfo) int { return cmp.Compare(a.ID, b.ID) })
 	st.Pool = s.pool.Status()
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)

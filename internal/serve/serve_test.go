@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -332,6 +333,19 @@ func TestRehearseBadRequests(t *testing.T) {
 		// emulated.
 		{"negative clos dimension", marshal(func(sp *scenario.Spec) { sp.Topology.Clos.SpineGroups = -1 })},
 		{"all-zero clos", marshal(func(sp *scenario.Spec) { sp.Topology.Clos = &scenario.ClosSpec{Name: "void"} })},
+		// This one validated, and BuildNetwork made 168,136 devices of it
+		// (1.2 s, 287 MB) before Prepare had even started.
+		{"clos over the device ceiling", `{"name":"big","topology":{"clos":{"pods":3000,"torsPerPod":48,"leavesPerPod":8,` +
+			`"spineGroups":4,"spinesPerPlane":4,"bordersPerGroup":2,"prefixesPerToR":4}},"steps":[{"op":"wait-converge"}]}`},
+		{"unbounded wanPerGroup", marshal(func(sp *scenario.Spec) { sp.Topology.WANPerGroup = 2_000_000_000 })},
+		// Every probe is a closure scheduled up front.
+		{"inject-packets count", marshal(func(sp *scenario.Spec) {
+			sp.Steps = append(sp.Steps, scenario.Step{Op: scenario.OpInjectPackets,
+				From: "tor-p0-0", DstDevice: "tor-p1-0", Count: 2_000_000_000})
+		})},
+		{"too many steps", marshal(func(sp *scenario.Spec) {
+			sp.Steps = slices.Repeat(sp.Steps[1:2], scenario.MaxSteps+1)
+		})},
 		// Faults only the built fabric can show are still the client's.
 		{"unknown emulate device", marshal(func(sp *scenario.Spec) { sp.Emulate = []string{"nope"} })},
 		{"unknown mustEmulate device", marshal(func(sp *scenario.Spec) { sp.MustEmulate = []string{"nope"} })},

@@ -206,7 +206,19 @@ type Engine struct {
 	maxed   bool
 	halted  bool
 	rec     *obs.Recorder // nil unless tracing is enabled
+
+	// Check, when non-nil, is polled by Run before the first event and then
+	// every checkEvents events; a non-nil error aborts the run with that
+	// error (the cancellation hook, as ShardSet.Check is for sharded runs).
+	// It must not touch the engine: a run that is never aborted fires the
+	// same events whether or not a Check is set.
+	Check func() error
 }
+
+// checkEvents is how many events Run fires between Check polls: coarse
+// enough to keep the poll off the hot loop, fine enough that an abandoned
+// request stops within milliseconds of wall time.
+const checkEvents = 1 << 15
 
 // NewEngine returns an engine whose random source is seeded with seed.
 // Two engines built with the same seed and fed the same schedule produce
@@ -390,10 +402,10 @@ func (e *Engine) Step() bool {
 }
 
 // Run executes events until the queue drains to quiescence (no events, or
-// only daemon events, remain), Halt is called, or maxEvents fire (0 means
-// no limit). It returns the number of events
-// executed and an error if the event cap was hit — which in an emulation
-// almost always means a routing loop or livelock.
+// only daemon events, remain), Halt is called, Check returns an error, or
+// maxEvents fire (0 means no limit). It returns the number of events
+// executed and an error if Check gave one or the event cap was hit — which
+// in an emulation almost always means a routing loop or livelock.
 //
 // When a recorder is attached, each Run call records one "engine/run"
 // span tagged with the number of events it fired — the coarse unit of
@@ -416,6 +428,11 @@ func (e *Engine) run(maxEvents uint64) (uint64, error) {
 		if maxEvents > 0 && n >= maxEvents {
 			e.maxed = true
 			return n, fmt.Errorf("sim: event cap %d reached at t=%s (possible livelock)", maxEvents, e.now)
+		}
+		if e.Check != nil && n%checkEvents == 0 {
+			if err := e.Check(); err != nil {
+				return n, err
+			}
 		}
 		// Quiescent when only daemon events (recurring background timers)
 		// remain: the emulation has no real work left, so Run converges

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 	"time"
@@ -121,6 +122,42 @@ func TestRunEventCap(t *testing.T) {
 	}
 	if n != 100 {
 		t.Fatalf("Run executed %d events, want 100", n)
+	}
+}
+
+// TestRunCheckAborts: Run polls Check before the first event and then every
+// checkEvents events, stops at the first error with the queue intact, and a
+// Check that never errs changes nothing about the run.
+func TestRunCheckAborts(t *testing.T) {
+	spinning := func() *Engine {
+		e := NewEngine(1)
+		var spin func()
+		spin = func() { e.After(time.Millisecond, spin) }
+		e.At(0, spin)
+		return e
+	}
+	e := spinning()
+	canceled := errors.New("canceled")
+	polls := 0
+	e.Check = func() error {
+		if polls++; polls > 3 {
+			return canceled
+		}
+		return nil
+	}
+	if n, err := e.Run(0); err != canceled || n != 3*checkEvents {
+		t.Fatalf("Run = %d, %v; want %d events and the check's error", n, err, 3*checkEvents)
+	}
+	if e.Pending() != 1 {
+		t.Fatalf("%d events pending after the abort, want the spinner's next one", e.Pending())
+	}
+
+	plain, checked := spinning(), spinning()
+	checked.Check = func() error { return nil }
+	n1, err1 := plain.Run(2*checkEvents + 5)
+	n2, err2 := checked.Run(2*checkEvents + 5)
+	if n1 != n2 || err1 == nil || err2 == nil || err1.Error() != err2.Error() || plain.Now() != checked.Now() {
+		t.Fatalf("a passing Check changed the run: %d %v at %s vs %d %v at %s", n1, err1, plain.Now(), n2, err2, checked.Now())
 	}
 }
 

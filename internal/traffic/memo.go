@@ -3,7 +3,6 @@ package traffic
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"unsafe"
 
 	"crystalnet/internal/config"
@@ -12,8 +11,8 @@ import (
 )
 
 // memo is what lets a settle walk only the aggregates a change moved
-// (DESIGN.md §11). Per device it holds what the last settle saw — the config
-// pointer, the table and the table's version; per aggregate (in the
+// (DESIGN.md §11). It holds the fabric index the last settle saw and, per
+// device of it, the table and the table's version; per aggregate (in the
 // aggregate itself, as spans of the two arenas here) the devices its last
 // walk consulted and the latency observations it made.
 //
@@ -21,24 +20,23 @@ import (
 // consulted now has a different table object, has a table that cannot
 // account for its writes since (rib.FIB.WritesSince) or wrote more than
 // maxScannedWrites times, or logged a write to a prefix containing the
-// aggregate's destination. Any changed config pointer
-// or device set discards the memo whole. The rule is exact, not a heuristic,
-// because of three facts held elsewhere: installed FIB entries are immutable
-// (so an unwritten slot still holds the same route), installed configs are
-// immutable (so pointer equality is content equality), and a device's
-// forwarder — ACL bindings, local addresses — is rebuilt from its config
+// aggregate's destination. A different index pointer — some config pointer
+// or the device set changed (config.Index.Same) — discards the memo whole.
+// The rule is exact, not a heuristic, because of three facts held elsewhere:
+// installed FIB entries are immutable (so an unwritten slot still holds the
+// same route), installed configs are immutable (so pointer equality is
+// content equality), and a device's forwarder — ACL bindings, local addresses — is rebuilt from its config
 // together with a fresh table on every boot (so the table pointer stands for
 // all of it). A walk is a pure function of what it reads, everything it
 // reads of a device it reads after consulting it, so unchanged consulted
 // devices mean the same walk, which consults the same devices.
 //
-// Everything here follows the repo's write rule (DESIGN.md §6): devs is
-// replaced by each settle, ids and owners by each re-index, arena records by
-// appending a successor — nothing a fork may share is edited.
+// Everything here follows the repo's write rule (DESIGN.md §6): the index is
+// immutable, devs is replaced by each settle, arena records by appending a
+// successor — nothing a fork may share is edited.
 type memo struct {
-	devs   []devMemo         // sorted by name; consulted-device ids index it
-	ids    map[string]uint32 // device name → index in devs
-	owners map[netpkt.IP]ownerRef
+	ix   *config.Index
+	devs []devMemo // by the index's device id, as consulted-device ids are
 
 	consulted arena[uint32]
 	latency   arena[latObs]
@@ -48,8 +46,6 @@ type memo struct {
 
 // devMemo is what the last settle saw of one device.
 type devMemo struct {
-	name    string
-	cfg     *config.DeviceConfig
 	fib     *rib.FIB // nil while the device is down
 	version uint64
 }
@@ -82,16 +78,18 @@ const maxScannedWrites = 64
 // its tables — the memo is discarded up front instead of being superseded
 // record by record.
 func (m *Matrix) observe(v View) changes {
-	fresh := !m.sameFabric(v.Configs)
+	fresh := v.Index != m.ix
 	if fresh {
-		m.index(v.Configs)
+		// Device ids change with the index: nothing recorded under the old
+		// ones survives (discard, below).
+		m.ix, m.devs = v.Index, make([]devMemo, v.Index.Len())
 	}
 	ch := changes{stale: make([]bool, len(m.devs)), writes: make([][]netpkt.Prefix, len(m.devs))}
 	devs := make([]devMemo, len(m.devs))
 	survivors := false
 	for i, d := range m.devs {
 		var fib *rib.FIB
-		if fwd := v.Forwarder(d.name); fwd != nil {
+		if fwd := v.Forwarder(m.ix.Name(i)); fwd != nil {
 			fib = fwd.FIB()
 		}
 		switch {
@@ -128,44 +126,6 @@ func (m *Matrix) discard() {
 	}
 }
 
-// sameFabric reports whether cfgs is, pointer for pointer, the device set
-// the memo was indexed from.
-func (m *memo) sameFabric(cfgs map[string]*config.DeviceConfig) bool {
-	if m.ids == nil || len(cfgs) != len(m.devs) {
-		return false
-	}
-	for _, d := range m.devs {
-		if cfgs[d.name] != d.cfg {
-			return false
-		}
-	}
-	return true
-}
-
-// index rebuilds everything derived from the configs: device ids in name
-// order and the address → owning interface map next-hop resolution uses.
-// Device ids change with it, so the caller discards what was recorded
-// under the old ones.
-func (m *memo) index(cfgs map[string]*config.DeviceConfig) {
-	names := make([]string, 0, len(cfgs))
-	for n := range cfgs {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	m.devs = make([]devMemo, len(names))
-	m.ids = make(map[string]uint32, len(names))
-	m.owners = make(map[netpkt.IP]ownerRef)
-	for i, n := range names {
-		m.devs[i] = devMemo{name: n, cfg: cfgs[n]}
-		m.ids[n] = uint32(i)
-		for _, ic := range cfgs[n].Interfaces {
-			if ic.Addr.Addr != 0 {
-				m.owners[ic.Addr.Addr] = ownerRef{dev: n, iface: ic.Name}
-			}
-		}
-	}
-}
-
 // moved reports whether a has to be walked again: it never was, or ch
 // touches something its last walk read.
 func (m *memo) moved(a *aggregate, ch changes) bool {
@@ -196,7 +156,7 @@ func (m *Matrix) crossCheck(a *aggregate, v View, w *walkLog) {
 	}
 }
 
-// fork returns the memo of a forked matrix: the device memo, index maps and
+// fork returns the memo of a forked matrix: the index, the device memo and
 // arena records are shared (none is ever edited), the counters restart.
 func (m memo) fork() memo {
 	m.consulted, m.latency = m.consulted.fork(), m.latency.fork()
@@ -216,7 +176,7 @@ func (m *Matrix) Rebind(tables func(dev string) (parent, child *rib.FIB)) {
 	}
 	devs := make([]devMemo, len(m.devs))
 	for i, d := range m.devs {
-		if p, c := tables(d.name); p != nil && p == d.fib && p.Version() == d.version {
+		if p, c := tables(m.ix.Name(i)); p != nil && p == d.fib && p.Version() == d.version {
 			d.fib = c
 		}
 		devs[i] = d
@@ -273,10 +233,10 @@ type walkLog struct {
 
 // consult notes that the walk is about to read device dev. A name the index
 // does not know has no state to go stale: it appears only by a device-set
-// change, which discards the memo.
-func (l *walkLog) consult(ids map[string]uint32, dev string) {
-	if id, ok := ids[dev]; ok && !slices.Contains(l.devs, id) {
-		l.devs = append(l.devs, id)
+// change, which is a new index and discards the memo.
+func (l *walkLog) consult(ix *config.Index, dev string) {
+	if id, ok := ix.ID(dev); ok && !slices.Contains(l.devs, uint32(id)) {
+		l.devs = append(l.devs, uint32(id))
 	}
 }
 

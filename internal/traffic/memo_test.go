@@ -2,6 +2,7 @@ package traffic
 
 import (
 	"bytes"
+	"maps"
 	"testing"
 	"time"
 
@@ -27,6 +28,7 @@ import (
 type diamond struct {
 	t    *testing.T
 	cfgs map[string]*config.DeviceConfig
+	ix   *config.Index
 	fwds map[string]*dataplane.Forwarder
 	now  sim.Time
 }
@@ -100,9 +102,19 @@ func (d *diamond) boot(name string) *rib.FIB {
 
 func (d *diamond) fib(name string) *rib.FIB { return d.fwds[name].FIB() }
 
+// index returns the fabric's index the way core.Emulation.Index keeps it:
+// cached, and rebuilt once a config pointer has been swapped.
+func (d *diamond) index() *config.Index {
+	live := func(name string) *config.DeviceConfig { return d.cfgs[name] }
+	if d.ix == nil || !d.ix.Same(len(d.cfgs), live) {
+		d.ix = config.NewIndex(maps.Clone(d.cfgs))
+	}
+	return d.ix
+}
+
 func (d *diamond) view(rec *obs.Recorder) View {
 	d.now += sim.Time(time.Second)
-	v := view(d.cfgs, d.fwds, d.now)
+	v := view(d.index(), d.fwds, d.now)
 	v.Rec = rec
 	return v
 }
@@ -115,7 +127,7 @@ func (d *diamond) settle(m *Matrix, spec Spec) uint64 {
 	before, _ := m.Walks()
 	v := d.view(nil)
 	m.Settle(v)
-	fresh, err := NewMatrix(spec, d.cfgs)
+	fresh, err := NewMatrix(spec, d.index())
 	if err != nil {
 		d.t.Fatal(err)
 	}
@@ -139,7 +151,7 @@ func (d *diamond) settle(m *Matrix, spec Spec) uint64 {
 func TestMemoWalksOnlyWhatMoved(t *testing.T) {
 	d := newDiamond(t)
 	spec := Spec{Flows: 8000, Seed: 3}
-	m, err := NewMatrix(spec, d.cfgs)
+	m, err := NewMatrix(spec, d.index())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +251,7 @@ func TestMemoWalksOnlyWhatMoved(t *testing.T) {
 
 	// inject-traffic replaces the matrix: the new one starts with no memo.
 	spec = Spec{Flows: 500, Seed: 9, Classes: []ClassSpec{{Name: "web", Share: 1}, {Name: "bulk", Share: 1}}}
-	if m, err = NewMatrix(spec, d.cfgs); err != nil {
+	if m, err = NewMatrix(spec, d.index()); err != nil {
 		t.Fatal(err)
 	}
 	expect("replacement matrix", 16)
@@ -252,7 +264,7 @@ func TestMemoWalksOnlyWhatMoved(t *testing.T) {
 func TestMemoForkRebind(t *testing.T) {
 	d := newDiamond(t)
 	spec := Spec{Flows: 8000, Seed: 3}
-	m, err := NewMatrix(spec, d.cfgs)
+	m, err := NewMatrix(spec, d.index())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +272,7 @@ func TestMemoForkRebind(t *testing.T) {
 	parentAggs := append([]aggregate(nil), m.aggs...)
 
 	fork := func(rebind bool) (*diamond, *Matrix) {
-		c := &diamond{t: t, cfgs: d.cfgs, fwds: map[string]*dataplane.Forwarder{}, now: d.now}
+		c := &diamond{t: t, cfgs: d.cfgs, ix: d.ix, fwds: map[string]*dataplane.Forwarder{}, now: d.now}
 		for name, fwd := range d.fwds {
 			c.fwds[name] = fwd.Clone(fwd.FIB().Clone())
 		}
@@ -324,7 +336,7 @@ func TestMemoReplaysLatencyInOrder(t *testing.T) {
 		}
 		return buf.Bytes()
 	}
-	m, err := NewMatrix(spec, d.cfgs)
+	m, err := NewMatrix(spec, d.index())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +348,7 @@ func TestMemoReplaysLatencyInOrder(t *testing.T) {
 		t.Fatalf("Walks() = %d, %d; want 16 walked (8 pairs x 2 classes) then 16 reused", walked, reused)
 	}
 
-	fresh, err := NewMatrix(spec, d.cfgs)
+	fresh, err := NewMatrix(spec, d.index())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +370,7 @@ func TestMemoReplaysLatencyInOrder(t *testing.T) {
 func TestMemoStaysBounded(t *testing.T) {
 	d := newDiamond(t)
 	spec := Spec{Flows: 8000, Seed: 3}
-	m, err := NewMatrix(spec, d.cfgs)
+	m, err := NewMatrix(spec, d.index())
 	if err != nil {
 		t.Fatal(err)
 	}

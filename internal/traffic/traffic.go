@@ -172,12 +172,12 @@ type View struct {
 	// bindings and local addresses: whoever changes those hands out a new
 	// forwarder over a new table, as firmware does on every boot.
 	Forwarder func(name string) *dataplane.Forwarder
-	// Configs are the live per-device configurations: delivery is "the
+	// Index is the live fabric (core.Emulation.Index): delivery is "the
 	// device's Networks contain the destination", the same convention the
-	// batfish walker uses, and interface addresses resolve next hops. A
-	// config is immutable once a settle has seen it; a change is a new
-	// pointer.
-	Configs map[string]*config.DeviceConfig
+	// batfish walker uses, and its address owners resolve next hops. The
+	// index is immutable and its pointer is the fabric's identity: the settle
+	// memo stands while the pointer does.
+	Index *config.Index
 }
 
 // aggregate is one (ingress device, prefix pair, class) bundle of flows —
@@ -225,24 +225,20 @@ type endpoint struct {
 }
 
 // NewMatrix builds the aggregate set from the spec against the emulation's
-// configurations: every device originating server prefixes (Networks
-// beyond the loopback) is an endpoint, flows are spread all-to-all with
-// seeded remainder placement. The matrix is empty of results until the
-// first Settle.
-func NewMatrix(spec Spec, configs map[string]*config.DeviceConfig) (*Matrix, error) {
+// live fabric: every device originating server prefixes (Networks beyond
+// the loopback) is an endpoint, flows are spread all-to-all with seeded
+// remainder placement. The matrix is empty of results until the first
+// Settle.
+func NewMatrix(spec Spec, ix *config.Index) (*Matrix, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
 	sp := spec.normalized()
 
-	names := make([]string, 0, len(configs))
-	for n := range configs {
-		names = append(names, n)
-	}
-	sort.Strings(names)
 	var eps []endpoint
-	for _, n := range names {
-		cfg := configs[n]
+	for id := 0; id < ix.Len(); id++ {
+		n := ix.Name(id)
+		cfg := ix.Config(n)
 		for _, p := range cfg.Networks {
 			if p == cfg.Loopback {
 				continue
@@ -376,9 +372,6 @@ func (m *Matrix) Aggregates() int {
 	return len(m.aggs)
 }
 
-// ownerRef locates the device interface owning an address.
-type ownerRef struct{ dev, iface string }
-
 // nodeKey addresses one step of a flow walk: a device plus the ingress
 // interface the flows arrived on (ingress ACLs bind per interface).
 type nodeKey struct{ dev, iface string }
@@ -495,7 +488,7 @@ func (m *Matrix) walk(a *aggregate, v View, log *walkLog) result {
 			fp = fnvStr(fp, k.dev)
 			fp = fnvStr(fp, k.iface)
 			fp = fnvU64(fp, n)
-			log.consult(m.ids, k.dev)
+			log.consult(v.Index, k.dev)
 			fwd := v.Forwarder(k.dev)
 			if fwd == nil {
 				r.blackholed += n
@@ -515,7 +508,7 @@ func (m *Matrix) walk(a *aggregate, v View, log *walkLog) result {
 				fp = fnvU64(fp, 'A')
 				continue
 			}
-			if cfg := v.Configs[k.dev]; cfg != nil && containsHost(cfg.Networks, cfg.Loopback, a.dstIP) {
+			if cfg := v.Index.Config(k.dev); cfg != nil && containsHost(cfg.Networks, cfg.Loopback, a.dstIP) {
 				r.delivered += n
 				r.hopSum += uint64(hop) * n
 				fp = fnvU64(fp, 'D')
@@ -547,8 +540,8 @@ func (m *Matrix) walk(a *aggregate, v View, log *walkLog) result {
 						// Connected route: the destination subnet is on-link.
 						// An emulated device owning the address picks the
 						// flows up; otherwise they reach a server — delivered.
-						if o, ok := m.owners[a.dstIP]; ok {
-							next[nodeKey{dev: o.dev, iface: o.iface}] += s.Flows
+						if o, ok := v.Index.Owner(a.dstIP); ok {
+							next[nodeKey{dev: v.Index.Name(o.Dev), iface: o.Iface}] += s.Flows
 						} else {
 							r.delivered += s.Flows
 							r.hopSum += uint64(hop+1) * s.Flows
@@ -556,12 +549,12 @@ func (m *Matrix) walk(a *aggregate, v View, log *walkLog) result {
 						}
 						continue
 					}
-					o, ok := m.owners[s.Hop.IP]
+					o, ok := v.Index.Owner(s.Hop.IP)
 					if !ok {
 						r.blackholed += s.Flows
 						continue
 					}
-					next[nodeKey{dev: o.dev, iface: o.iface}] += s.Flows
+					next[nodeKey{dev: v.Index.Name(o.Dev), iface: o.Iface}] += s.Flows
 				}
 			}
 		}

@@ -20,7 +20,7 @@ func ip(s string) netpkt.IP      { return netpkt.MustParseIP(s) }
 
 // twoNode builds a hand-wired two-device line: a <-> b over 10.128.0.0/31,
 // a originating 100.64.0.0/24 and b originating 100.65.0.0/24.
-func twoNode(t *testing.T) (map[string]*config.DeviceConfig, map[string]*dataplane.Forwarder) {
+func twoNode(t *testing.T) (*config.Index, map[string]*dataplane.Forwarder) {
 	t.Helper()
 	cfgs := map[string]*config.DeviceConfig{
 		"a": {
@@ -48,14 +48,14 @@ func twoNode(t *testing.T) (map[string]*config.DeviceConfig, map[string]*datapla
 		"a": mkFwd(pfx("100.65.0.0/24"), ip("10.128.0.1")),
 		"b": mkFwd(pfx("100.64.0.0/24"), ip("10.128.0.0")),
 	}
-	return cfgs, fwds
+	return config.NewIndex(cfgs), fwds
 }
 
-func view(cfgs map[string]*config.DeviceConfig, fwds map[string]*dataplane.Forwarder, now sim.Time) View {
+func view(ix *config.Index, fwds map[string]*dataplane.Forwarder, now sim.Time) View {
 	return View{
 		Now:       now,
 		Forwarder: func(name string) *dataplane.Forwarder { return fwds[name] },
-		Configs:   cfgs,
+		Index:     ix,
 	}
 }
 
@@ -160,8 +160,8 @@ func TestNewMatrixConservesFlows(t *testing.T) {
 
 func TestNewMatrixNeedsTwoEndpoints(t *testing.T) {
 	cfgs, _ := twoNode(t)
-	delete(cfgs, "b")
-	if _, err := NewMatrix(Spec{Flows: 10}, cfgs); err == nil {
+	one := config.NewIndex(map[string]*config.DeviceConfig{"a": cfgs.Config("a")})
+	if _, err := NewMatrix(Spec{Flows: 10}, one); err == nil {
 		t.Fatal("matrix built with a single endpoint device")
 	}
 }

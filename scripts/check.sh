@@ -44,8 +44,11 @@ go test -tags crystaldebug ./internal/scenario/ -run 'TestTraffic|TestChaos|Test
 # what is not), TestForkSharingIsIsolated (S-DC, one fork per operation kind
 # vs parent, idle sibling and fresh run) and TestForkCostTracksWrites (the
 # structural O(touched) guard). serve's TestConcurrentForkStorm ran above.
-echo "== concurrent-fork, fork-isolation and fork-cost smokes under -race"
-go test -race ./internal/core/ -run 'TestCheckpoint|TestFork|TestClearAfterFork|TestConcurrentForks' -timeout 10m
+# TestForksNeverSeeParentAttach is the shared-immutable half: eight forks read
+# the preparation, plan and fabric index they share with a parent that is
+# attaching a rack; TestIndexTracksRunningConfigs pins when the index moves.
+echo "== concurrent-fork, fork-isolation, shared-preparation and fork-cost smokes under -race"
+go test -race ./internal/core/ -run 'TestCheckpoint|TestFork|TestClearAfterFork|TestConcurrentForks|TestIndexTracksRunningConfigs' -timeout 10m
 
 if [ "${SHORT:-}" != "1" ]; then
     echo "== persistent-trie fuzz (clone vs map model, parent Walk frozen; 5s)"
@@ -58,7 +61,7 @@ echo "== scenario smoke under -race"
 go test -race ./internal/scenario/ -run 'TestSmoke|TestChaosSerialParallelIdentical'
 
 echo "== fork-determinism smoke under -race (fresh vs forked, byte-compare; shared baseline configs)"
-go test -race ./internal/scenario/ -run 'TestForkedRunMatchesFreshRun|TestChaosReuse|TestReloadConfigLeavesSharedBaselineIntact'
+go test -race ./internal/scenario/ -run 'TestForkedRunMatchesFreshRun|TestForkedReloadChecksMatchFreshRun|TestChaosReuse|TestReloadConfigLeavesSharedBaselineIntact'
 
 echo "== sharded-convergence determinism under -race (serial vs sharded, byte-compare)"
 go test -race ./internal/scenario/ -run 'TestSharded' -timeout 10m
@@ -68,8 +71,8 @@ echo "== traffic-plane determinism under -race (workers/shards/fork, 8 concurren
 go test -race ./internal/scenario/ -run 'TestTraffic' -timeout 10m
 go test -race ./internal/core/ -run 'Traffic'
 
-echo "== trace-determinism smoke (same-seed traces byte-identical, incl. across a fork)"
-go test ./internal/scenario/ -run 'TestTraceDeterminism|TestTraceSurvivesFork|TestChaosTraceDeterminism'
+echo "== trace-determinism smoke (same-seed traces byte-identical, incl. across a fork and with a cancel channel armed)"
+go test ./internal/scenario/ -run 'TestTraceDeterminism|TestTraceSurvivesFork|TestTraceSameWithCancelArmed|TestChaosTraceDeterminism'
 
 echo "== failure-path smoke under -race (MTBF campaign, lost faults, bounded recovery)"
 go test -race ./internal/scenario/ -run 'TestMTBFCampaignSerialParallelIdentical|TestLostFaultFailsRun|TestFailurePathByteDeterminism'
