@@ -11,6 +11,7 @@ package crystalnet_test
 
 import (
 	"os"
+	"runtime"
 	"testing"
 
 	"crystalnet/internal/core"
@@ -162,6 +163,40 @@ func sdcFlapSpec() *scenario.Spec {
 			{Op: scenario.OpSetLink, A: "tor-p0-0:et0", B: "leaf-p0-0:et2", Up: &up},
 			{Op: scenario.OpWaitConverge},
 		},
+	}
+}
+
+// BenchmarkColdMockupMDC is one cold M-DC + WAN mockup on seed 1 — Prepare,
+// Mockup, RunUntilConverged, the path bench/'s cold_mdc child times as
+// mockup_wall_s — so scripts/profile_cold.sh can profile it from a clean
+// checkout. It reports the run's mallocs per fired event and GC cycles.
+func BenchmarkColdMockupMDC(b *testing.B) {
+	spec := topo.MDC()
+	for i := 0; i < b.N; i++ {
+		n := topo.GenerateClos(spec)
+		topo.AttachWAN(n, spec, 2)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		o := core.New(core.Options{Seed: 1})
+		prep, err := o.Prepare(core.PrepareInput{Network: n})
+		if err != nil {
+			b.Fatal(err)
+		}
+		em, err := o.Mockup(prep, false)
+		if err != nil {
+			b.Fatal(err)
+		}
+		m, err := em.RunUntilConverged(0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		events := float64(o.Eng.Fired())
+		b.ReportMetric(events, "events")
+		b.ReportMetric(float64(after.Mallocs-before.Mallocs)/events, "mallocs/event")
+		b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/(1<<20), "MB")
+		b.ReportMetric(float64(after.NumGC-before.NumGC), "gc-cycles")
+		b.ReportMetric(m.RouteReady.Seconds(), "route-ready-virtual-s")
 	}
 }
 

@@ -204,11 +204,32 @@ type Attrs struct {
 	AggAS     uint32
 	AggID     netpkt.IP // AGGREGATOR
 
-	// ekey memoizes the attrsKey fingerprint ("" = not yet computed). Attrs
-	// are allocated per engine and immutable once shared, so the memo is
-	// filled at most once; any code that copies-and-mutates an Attrs must
-	// reset it.
+	// memo caches what is derived from the fields above. Attrs are immutable
+	// once shared, so each part is filled at most once — by Intern before it
+	// publishes the object, or lazily on an object only one goroutine holds;
+	// code that derives a new attribute set from an existing one starts from
+	// editable, which clears it.
+	memo attrsMemo
+}
+
+// attrsMemo is the derived state cached on an Attrs (see Attrs.memo).
+type attrsMemo struct {
+	// ekey is the attrsKey fingerprint ("" = not yet computed).
 	ekey string
+	// wire is the encoded path-attribute list as marshalAttrs writes it with
+	// a zero NEXT_HOP, and nhOff the offset of the four NEXT_HOP octets in
+	// it (nil = not yet computed; see wireImage). Every UPDATE carrying these
+	// attributes is this image with the session's address patched in.
+	wire  []byte
+	nhOff int
+}
+
+// editable returns a copy of a that the caller may change before sharing it:
+// the fields are a's, the memo is empty.
+func (a *Attrs) editable() *Attrs {
+	c := *a
+	c.memo = attrsMemo{}
+	return &c
 }
 
 // EffectiveLocalPref returns LOCAL_PREF or the conventional default 100.
@@ -221,18 +242,16 @@ func (a *Attrs) EffectiveLocalPref() uint32 {
 
 // WithNextHop returns a copy of a with the next hop replaced.
 func (a *Attrs) WithNextHop(nh netpkt.IP) *Attrs {
-	c := *a
+	c := a.editable()
 	c.NextHop = nh
-	c.ekey = ""
-	return &c
+	return c
 }
 
 // WithPath returns a copy of a with the AS path replaced.
 func (a *Attrs) WithPath(p *ASPath) *Attrs {
-	c := *a
+	c := a.editable()
 	c.Path = p
-	c.ekey = ""
-	return &c
+	return c
 }
 
 // String summarizes the attributes for show commands and logs.

@@ -1,7 +1,5 @@
 package bgp
 
-import "crystalnet/internal/netpkt"
-
 // Seal freezes the router's routing state for sharing with forks. It is the
 // one step of sharing that writes the router, so it runs single-threaded, at
 // Emulation.Checkpoint; afterwards Fork only reads, and both the router and
@@ -12,9 +10,9 @@ import "crystalnet/internal/netpkt"
 //     gives up ownership of all of them, and its own later writes go through
 //     writable/entryFor like a fork's;
 //   - every peer's Adj-RIB tables are marked shared (rib.Dense.Seal);
-//   - the lazy fingerprint memo (ekey) is forced on every *Attrs a fork
-//     could reach. Attrs are immutable once shared *except* for that memo,
-//     so filling it here turns them fully read-only and lets concurrent
+//   - the lazy memo (fingerprint and wire image) is forced on every *Attrs
+//     a fork could reach. Attrs are immutable once shared *except* for that
+//     memo, so filling it here turns them fully read-only and lets concurrent
 //     forks alias them without racing on the fill. With the global intern
 //     table (Intern) active this part is a near-no-op: every attrs that
 //     entered a RIB came through Intern, which filled the memo before
@@ -22,8 +20,9 @@ import "crystalnet/internal/netpkt"
 //     interning was disabled.
 func (r *Router) Seal() {
 	seal := func(a *Attrs) {
-		if a != nil && a.ekey == "" {
+		if a != nil && (a.memo.ekey == "" || a.memo.wire == nil) {
 			attrsKey(a)
+			wireImage(a)
 		}
 	}
 	// The per-peer Adj-RIB-In is a presence bitset: every attrs a peer has
@@ -123,7 +122,7 @@ func (r *Router) Fork(clock Clock, hooks Hooks) *Router {
 			adjIn:       p.adjIn.Clone(),
 			advertised:  p.advertised.Clone(),
 			dirtyBits:   append([]uint64(nil), p.dirtyBits...),
-			dirtyList:   append([]netpkt.Prefix(nil), p.dirtyList...),
+			dirtyList:   append([]int32(nil), p.dirtyList...),
 			MsgsIn:      p.MsgsIn,
 			MsgsOut:     p.MsgsOut,
 			RoutesIn:    p.RoutesIn,

@@ -11,6 +11,7 @@ import (
 func resetInternTable() {
 	internTab.Lock()
 	internTab.m = make(map[internKey]*Attrs)
+	internTab.wire = make(map[string]*Attrs)
 	internSize.Store(0)
 	internHits.Store(0)
 	internMisses.Store(0)
@@ -28,8 +29,8 @@ func TestInternCanonicalizes(t *testing.T) {
 	if a != b {
 		t.Fatalf("structurally equal attrs did not intern to one object")
 	}
-	if a.ekey == "" {
-		t.Fatalf("interned attrs must have the fingerprint memo filled")
+	if a.memo.ekey == "" || a.memo.wire == nil {
+		t.Fatalf("interned attrs must have the memo filled")
 	}
 	hits, misses, size := InternStats()
 	if hits == 0 || misses == 0 || size == 0 {

@@ -169,50 +169,81 @@ func marshalPrefixes(dst []byte, ps []netpkt.Prefix) []byte {
 	return dst
 }
 
+// prefixesWireLen returns the encoded size of ps.
+func prefixesWireLen(ps []netpkt.Prefix) int {
+	n := len(ps)
+	for _, p := range ps {
+		n += int(p.Len+7) / 8
+	}
+	return n
+}
+
+// parsePrefixes decodes a withdrawn-routes or NLRI field. A first pass
+// validates and counts, so the result is allocated once at its final size.
 func parsePrefixes(b []byte) ([]netpkt.Prefix, error) {
-	var out []netpkt.Prefix
-	for len(b) > 0 {
+	n := 0
+	for i := 0; i < len(b); n++ {
+		if b[i] > 32 {
+			return nil, ErrMalformed
+		}
+		i += 1 + int(b[i]+7)/8
+		if i > len(b) {
+			return nil, ErrMalformed
+		}
+	}
+	if n == 0 {
+		return nil, nil
+	}
+	out := make([]netpkt.Prefix, n)
+	for k := range out {
 		l := b[0]
-		if l > 32 {
-			return nil, ErrMalformed
-		}
-		n := int(l+7) / 8
-		if len(b) < 1+n {
-			return nil, ErrMalformed
-		}
+		end := 1 + int(l+7)/8
 		var oct [4]byte
-		copy(oct[:], b[1:1+n])
+		copy(oct[:], b[1:end])
 		p := netpkt.Prefix{Addr: netpkt.IPFromBytes(oct[0], oct[1], oct[2], oct[3]), Len: l}
 		p.Addr &= p.MaskIP()
-		out = append(out, p)
-		b = b[1+n:]
+		out[k] = p
+		b = b[end:]
 	}
 	return out, nil
 }
 
 // MarshalUpdate encodes an UPDATE. AS numbers in AS_PATH are 4 octets (both
-// ends of every emulated session negotiate the AS4 capability).
+// ends of every emulated session negotiate the AS4 capability). The message is
+// sized exactly and allocated once; the attributes are u.Attrs' memoised wire
+// image with u.NextHop patched in, so u.Attrs must not be edited afterwards
+// (see Attrs.memo).
 func MarshalUpdate(u *Update) []byte {
-	withdrawn := marshalPrefixes(nil, u.Withdrawn)
-	var attrs []byte
+	var image []byte
+	nhOff := 0
 	if u.Attrs != nil {
-		attrs = marshalAttrs(u.Attrs, u.NextHop)
+		image, nhOff = wireImage(u.Attrs)
 	}
-	nlri := marshalPrefixes(nil, u.NLRI)
-
-	b := make([]byte, 0, headerLen+4+len(withdrawn)+len(attrs)+len(nlri))
-	b = append(b, make([]byte, headerLen)...)
-	var wl [2]byte
-	binary.BigEndian.PutUint16(wl[:], uint16(len(withdrawn)))
-	b = append(b, wl[:]...)
-	b = append(b, withdrawn...)
-	var al [2]byte
-	binary.BigEndian.PutUint16(al[:], uint16(len(attrs)))
-	b = append(b, al[:]...)
-	b = append(b, attrs...)
-	b = append(b, nlri...)
+	wl := prefixesWireLen(u.Withdrawn)
+	b := make([]byte, headerLen, headerLen+4+wl+len(image)+prefixesWireLen(u.NLRI))
+	b = append(b, byte(wl>>8), byte(wl))
+	b = marshalPrefixes(b, u.Withdrawn)
+	b = append(b, byte(len(image)>>8), byte(len(image)))
+	nhOff += len(b)
+	b = append(b, image...)
+	if u.Attrs != nil {
+		binary.BigEndian.PutUint32(b[nhOff:], uint32(u.NextHop))
+	}
+	b = marshalPrefixes(b, u.NLRI)
 	putHeader(b, MsgUpdate)
 	return b
+}
+
+// wireImage returns a's encoded path attributes with a zero NEXT_HOP and the
+// offset of the NEXT_HOP value in them, filling the memo on first use. The
+// image is shared by every message built from a: read-only.
+func wireImage(a *Attrs) (image []byte, nhOff int) {
+	if a.memo.wire == nil {
+		a.memo.wire, a.memo.nhOff = marshalAttrs(a, 0)
+	} else if debugAttrs {
+		assertSealed(a)
+	}
+	return a.memo.wire, a.memo.nhOff
 }
 
 func appendAttr(dst []byte, flags, typ uint8, data []byte) []byte {
@@ -225,8 +256,9 @@ func appendAttr(dst []byte, flags, typ uint8, data []byte) []byte {
 	return append(dst, data...)
 }
 
-func marshalAttrs(a *Attrs, nextHop netpkt.IP) []byte {
-	var out []byte
+// marshalAttrs is the path-attribute encoder: everything on the wire comes
+// from it, through wireImage. nhOff is the offset of the NEXT_HOP value.
+func marshalAttrs(a *Attrs, nextHop netpkt.IP) (out []byte, nhOff int) {
 	out = appendAttr(out, flagTransitive, attrOrigin, []byte{byte(a.Origin)})
 
 	var pathData []byte
@@ -244,6 +276,7 @@ func marshalAttrs(a *Attrs, nextHop netpkt.IP) []byte {
 
 	var nh [4]byte
 	binary.BigEndian.PutUint32(nh[:], uint32(nextHop))
+	nhOff = len(out) + 3
 	out = appendAttr(out, flagTransitive, attrNextHop, nh[:])
 
 	if a.HasMED {
@@ -265,7 +298,80 @@ func marshalAttrs(a *Attrs, nextHop netpkt.IP) []byte {
 		binary.BigEndian.PutUint32(v[4:8], uint32(a.AggID))
 		out = appendAttr(out, flagOptional|flagTransitive, attrAggregator, v[:])
 	}
-	return out
+	return out, nhOff
+}
+
+// maxIndexedAttrs is the longest attribute list Decode looks up by its bytes;
+// it sizes a stack buffer. A fabric path of a few ASNs encodes in under 64
+// octets; longer lists go straight to parseAttrs.
+const maxIndexedAttrs = 256
+
+// decodeAttrs returns the canonical attribute set and the NEXT_HOP that the
+// attribute list b encodes. The dominant cost at scale used to be every
+// neighbor of every device re-parsing the same bytes into a fresh Attrs only
+// for Intern to discard it on a hit, so b is first looked up as bytes, with
+// the NEXT_HOP value (the one part that differs per session) masked out, in
+// the intern table's wire index. Only a miss runs the parser, and registers b
+// for next time. An indexed list is one parseAttrs has accepted before, and
+// parseAttrs does not look at the NEXT_HOP value, so a hit skips no check.
+func decodeAttrs(b []byte) (*Attrs, netpkt.IP, error) {
+	var buf [maxIndexedAttrs]byte
+	key, nextHop, ok := maskNextHop(&buf, b)
+	if ok {
+		if a := lookupWire(key); a != nil {
+			if debugAttrs {
+				assertWireHit(a, nextHop, b)
+			}
+			return a, nextHop, nil
+		}
+	}
+	a, nextHop, err := parseAttrs(b)
+	if err != nil {
+		return nil, 0, err
+	}
+	return intern(a, key), nextHop, nil
+}
+
+// maskNextHop copies the attribute list b into buf with the NEXT_HOP value
+// zeroed — the form of a wire image, and the wire index's key — and returns
+// that copy and the next hop it held. ok is false, and key nil, when b is
+// longer than buf or the walk cannot place exactly one four-octet NEXT_HOP;
+// the caller then parses b in full, and parseAttrs owns every error. The walk
+// indexes by lengths read from b and checks each against what is left.
+func maskNextHop(buf *[maxIndexedAttrs]byte, b []byte) (key []byte, nextHop netpkt.IP, ok bool) {
+	if len(b) > len(buf) {
+		return nil, 0, false
+	}
+	nhOff := -1
+	for i := 0; i < len(b); {
+		if len(b)-i < 3 {
+			return nil, 0, false
+		}
+		hdr, alen := 3, int(b[i+2])
+		if b[i]&flagExtLen != 0 {
+			if len(b)-i < 4 {
+				return nil, 0, false
+			}
+			hdr, alen = 4, int(binary.BigEndian.Uint16(b[i+2:i+4]))
+		}
+		if len(b)-i-hdr < alen {
+			return nil, 0, false
+		}
+		if b[i+1] == attrNextHop {
+			if nhOff >= 0 || alen != 4 {
+				return nil, 0, false
+			}
+			nhOff = i + hdr
+		}
+		i += hdr + alen
+	}
+	if nhOff < 0 {
+		return nil, 0, false
+	}
+	key = buf[:copy(buf[:], b)]
+	nextHop = netpkt.IP(binary.BigEndian.Uint32(key[nhOff:]))
+	clear(key[nhOff : nhOff+4])
+	return key, nextHop, true
 }
 
 func parseAttrs(b []byte) (*Attrs, netpkt.IP, error) {
@@ -445,27 +551,27 @@ func Decode(b []byte) (*Decoded, error) {
 		if len(body) < 4+wl+al {
 			return nil, ErrMalformed
 		}
-		u := &Update{Withdrawn: withdrawn}
 		attrBytes := body[4+wl : 4+wl+al]
 		nlriBytes := body[4+wl+al:]
 		if len(nlriBytes) > 0 && al == 0 {
 			return nil, ErrMalformed
 		}
+		m := &struct {
+			d Decoded
+			u Update
+		}{}
+		m.d.Type, m.d.Update, m.u.Withdrawn = MsgUpdate, &m.u, withdrawn
 		if al > 0 {
-			u.Attrs, u.NextHop, err = parseAttrs(attrBytes)
+			m.u.Attrs, m.u.NextHop, err = decodeAttrs(attrBytes)
 			if err != nil {
 				return nil, err
 			}
-			// The dominant allocation at scale: every neighbor of every
-			// device re-parses the same attribute bytes. Collapse to the
-			// process-wide canonical object.
-			u.Attrs = Intern(u.Attrs)
 		}
-		u.NLRI, err = parsePrefixes(nlriBytes)
+		m.u.NLRI, err = parsePrefixes(nlriBytes)
 		if err != nil {
 			return nil, err
 		}
-		return &Decoded{Type: MsgUpdate, Update: u}, nil
+		return &m.d, nil
 	case MsgKeepalive:
 		if l != headerLen {
 			return nil, ErrBadLength
@@ -489,7 +595,8 @@ func Decode(b []byte) (*Decoded, error) {
 func MaxNLRIPerUpdate(attrs *Attrs) int {
 	overhead := headerLen + 4
 	if attrs != nil {
-		overhead += len(marshalAttrs(attrs, 0))
+		image, _ := wireImage(attrs)
+		overhead += len(image)
 	}
 	per := 5 // worst case /32: 1 length byte + 4 octets
 	return (maxMessageLen - overhead) / per

@@ -1,8 +1,10 @@
 package bgp
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"sync/atomic"
 
 	"crystalnet/internal/netpkt"
@@ -76,11 +78,11 @@ type Peer struct {
 	adjIn      rib.Dense[struct{}]
 	advertised rib.Dense[*Attrs]
 	// The dirty set is a bitset addressed by ribEntry.id plus the insertion-
-	// order list of prefixes to visit at the next flush; marking a prefix
+	// order list of entry ids to visit at the next flush; marking a prefix
 	// dirty on every peer is on the decide hot path, and the bit test is far
 	// cheaper than a map assignment.
 	dirtyBits  []uint64
-	dirtyList  []netpkt.Prefix
+	dirtyList  []int32
 	flushTimer Timer
 	// staleScratch is reused by reset to withdraw learned routes.
 	staleScratch []netpkt.Prefix
@@ -337,16 +339,16 @@ func (p *Peer) SetExportPolicy(pol *Policy) {
 
 // markAllDirty queues every usable prefix for (re-)advertisement.
 func (p *Peer) markAllDirty() {
-	for id, e := range p.router.entries {
+	for _, e := range p.router.entries {
 		if len(e.best) > 0 {
-			p.markDirty(p.router.prefixByID[id], e)
+			p.markDirty(e)
 		}
 	}
 }
 
-// markDirty queues a prefix for (re-)advertisement at the next flush. The
-// entry's dense id addresses the peer's dirty bitset.
-func (p *Peer) markDirty(pfx netpkt.Prefix, e *ribEntry) {
+// markDirty queues an entry's prefix for (re-)advertisement at the next
+// flush. The entry's dense id addresses the peer's dirty bitset.
+func (p *Peer) markDirty(e *ribEntry) {
 	if p.state != StateEstablished {
 		return
 	}
@@ -358,7 +360,7 @@ func (p *Peer) markDirty(pfx netpkt.Prefix, e *ribEntry) {
 		return
 	}
 	p.dirtyBits[w] |= bit
-	p.dirtyList = append(p.dirtyList, pfx)
+	p.dirtyList = append(p.dirtyList, int32(e.id))
 	p.scheduleFlush()
 }
 
@@ -375,6 +377,23 @@ func (p *Peer) scheduleFlush() {
 	p.flushTimer = p.router.clock.After(p.router.cfg.MRAI, p.flush)
 }
 
+// exportGroup is the prefixes one flush announces under one attribute set.
+type exportGroup struct {
+	attrs    *Attrs
+	prefixes []netpkt.Prefix
+}
+
+// flushScratch is the working storage of Peer.flush, owned by the router and
+// reused by every flush of every peer (flushes run one at a time, and nothing
+// a flush calls flushes again): the withdrawals and the UPDATE groups of the
+// flush in progress, and the way to a group from its attrs pointer. A flush
+// leaves all three empty with their storage in place.
+type flushScratch struct {
+	withdrawn []netpkt.Prefix
+	groups    []exportGroup
+	groupOf   map[*Attrs]int32
+}
+
 // flush drains the dirty set into batched UPDATE messages: one withdrawal
 // message plus one message per distinct exported attribute set (split to
 // respect the 4096-byte cap).
@@ -384,21 +403,19 @@ func (p *Peer) flush() {
 		p.clearDirty()
 		return
 	}
-	var withdrawals []netpkt.Prefix
-	type group struct {
-		attrs    *Attrs
-		prefixes []netpkt.Prefix
+	r := p.router
+	sc := &r.flush
+	if sc.groupOf == nil {
+		sc.groupOf = map[*Attrs]int32{}
 	}
-	groups := map[string]*group{}
+	withdrawals, groups := sc.withdrawn[:0], sc.groups[:0]
 
-	for _, pfx := range p.dirtyList {
-		e := p.router.lookup(pfx)
-		if e == nil {
-			continue // markDirty only queues prefixes with a Loc-RIB entry
-		}
-		attrs, ok := p.router.exportRoute(p, pfx)
+	for _, id32 := range p.dirtyList {
+		id := int(id32)
+		e, pfx := r.entries[id], r.prefixByID[id]
+		attrs, ok := r.exportRoute(p, pfx, e)
 		if !ok {
-			if p.advertised.Delete(e.id) {
+			if p.advertised.Delete(id) {
 				withdrawals = append(withdrawals, pfx)
 			}
 			continue
@@ -409,64 +426,72 @@ func (p *Peer) flush() {
 		// different pointers). The table is process-wide, so without it
 		// whether a redundant UPDATE goes out would depend on what other
 		// emulations in the process had interned.
-		if prev, adv := p.advertised.Get(e.id); adv && (prev == attrs || attrsKey(prev) == attrsKey(attrs)) {
+		if prev, adv := p.advertised.Get(id); adv && (prev == attrs || attrsKey(prev) == attrsKey(attrs)) {
 			continue // no visible change
 		}
-		p.advertised.Set(e.id, attrs)
-		key := attrsKey(attrs)
-		g := groups[key]
-		if g == nil {
-			g = &group{attrs: attrs}
-			groups[key] = g
+		p.advertised.Set(id, attrs)
+		gi, ok := sc.groupOf[attrs]
+		if !ok {
+			gi = int32(len(groups))
+			sc.groupOf[attrs] = gi
+			if int(gi) < cap(groups) {
+				// Take the slot back with whatever prefix storage it kept.
+				groups = groups[:gi+1]
+				groups[gi].attrs, groups[gi].prefixes = attrs, groups[gi].prefixes[:0]
+			} else {
+				groups = append(groups, exportGroup{attrs: attrs})
+			}
 		}
-		g.prefixes = append(g.prefixes, pfx)
+		groups[gi].prefixes = append(groups[gi].prefixes, pfx)
 	}
 	p.clearDirty()
+	// Empty the pointer map key by key: its cost follows this flush's groups,
+	// not the largest flush the router has ever seen.
+	for i := range groups {
+		delete(sc.groupOf, groups[i].attrs)
+	}
 
 	// Deterministic wire order: sorted withdrawals, then groups by key.
 	if len(withdrawals) > 0 {
 		sortPrefixes(withdrawals)
-		for _, chunk := range chunkPrefixes(withdrawals, MaxNLRIPerUpdate(nil)) {
-			p.send(MarshalUpdate(&Update{Withdrawn: chunk}))
+		p.sendChunks(nil, withdrawals)
+	}
+	// A group is identified by attrsKey, found above by pointer. The stable
+	// sort keeps first-seen order among pointers with one key (they straddle
+	// an intern-table clear, or differ in AGGREGATOR id alone), so folding
+	// each run into its first member yields the group a key-indexed map
+	// would have built, attrs and all.
+	slices.SortStableFunc(groups, func(a, b exportGroup) int {
+		return strings.Compare(attrsKey(a.attrs), attrsKey(b.attrs))
+	})
+	for i := 0; i < len(groups); {
+		g := &groups[i]
+		for i++; i < len(groups) && attrsKey(groups[i].attrs) == attrsKey(g.attrs); i++ {
+			g.prefixes = append(g.prefixes, groups[i].prefixes...)
 		}
-	}
-	keys := make([]string, 0, len(groups))
-	for k := range groups {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		g := groups[k]
 		sortPrefixes(g.prefixes)
-		max := MaxNLRIPerUpdate(g.attrs)
-		for _, chunk := range chunkPrefixes(g.prefixes, max) {
-			// Next-hop-self: the session's local address is stamped onto the
-			// wire here, so the RIB-resident attrs stay session-independent.
-			p.send(MarshalUpdate(&Update{Attrs: g.attrs, NextHop: p.Config.LocalIP, NLRI: chunk}))
+		p.sendChunks(g.attrs, g.prefixes)
+	}
+	sc.withdrawn, sc.groups = withdrawals[:0], groups[:0]
+}
+
+// sendChunks sends ps as UPDATEs of at most MaxNLRIPerUpdate prefixes each:
+// announcements under attrs, or withdrawals when attrs is nil.
+func (p *Peer) sendChunks(attrs *Attrs, ps []netpkt.Prefix) {
+	// At least 1: exportTemplate withholds attrs that leave no room for NLRI.
+	for max := MaxNLRIPerUpdate(attrs); len(ps) > 0; {
+		chunk := ps[:min(max, len(ps))]
+		ps = ps[len(chunk):]
+		if attrs == nil {
+			p.send(MarshalUpdate(&Update{Withdrawn: chunk}))
+			continue
 		}
+		// Next-hop-self: the session's local address is stamped onto the
+		// wire here, so the RIB-resident attrs stay session-independent.
+		p.send(MarshalUpdate(&Update{Attrs: attrs, NextHop: p.Config.LocalIP, NLRI: chunk}))
 	}
 }
 
 func sortPrefixes(ps []netpkt.Prefix) {
-	sort.Slice(ps, func(i, j int) bool {
-		if ps[i].Addr != ps[j].Addr {
-			return ps[i].Addr < ps[j].Addr
-		}
-		return ps[i].Len < ps[j].Len
-	})
-}
-
-func chunkPrefixes(ps []netpkt.Prefix, max int) [][]netpkt.Prefix {
-	if max <= 0 {
-		max = 1
-	}
-	var out [][]netpkt.Prefix
-	for len(ps) > max {
-		out = append(out, ps[:max])
-		ps = ps[max:]
-	}
-	if len(ps) > 0 {
-		out = append(out, ps)
-	}
-	return out
+	slices.SortFunc(ps, func(a, b netpkt.Prefix) int { return cmp.Compare(a.Key(), b.Key()) })
 }

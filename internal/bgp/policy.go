@@ -121,8 +121,7 @@ func (r *Rule) rewrite(a *Attrs) *Attrs {
 	if r.SetLocalPref == nil && r.SetMED == nil && r.PrependCount == 0 {
 		return a
 	}
-	c := *a
-	c.ekey = ""
+	c := a.editable()
 	if r.SetLocalPref != nil {
 		c.LocalPref, c.HasLP = *r.SetLocalPref, true
 	}
@@ -132,7 +131,7 @@ func (r *Rule) rewrite(a *Attrs) *Attrs {
 	for i := 0; i < r.PrependCount; i++ {
 		c.Path = c.Path.Prepend(r.PrependAS)
 	}
-	return &c
+	return c
 }
 
 // prefixIndependent reports whether the policy's verdict and rewrites depend

@@ -139,10 +139,12 @@ type Router struct {
 	// creation order and entries are never deleted, so entries[id] is the
 	// entry, prefixByID[id] its prefix (which lets the peers' dense Adj-RIB
 	// tables recover the prefix without storing it per route) and index the
-	// way in from a prefix. Addressing by id rather than by *ribEntry is
-	// what lets a fork share entries with its checkpoint and replace one on
-	// first write (see fork.go and DESIGN.md §6).
-	index      map[netpkt.Prefix]int32
+	// way in from a prefix, keyed by Prefix.Key: a one-word key takes the
+	// runtime's fast map path, which the 5-byte struct does not. Addressing
+	// by id rather than by *ribEntry is what lets a fork share entries with
+	// its checkpoint and replace one on first write (see fork.go and
+	// DESIGN.md §6).
+	index      map[uint64]int32
 	entries    []*ribEntry
 	prefixByID []netpkt.Prefix
 	seq        uint32
@@ -171,9 +173,17 @@ type Router struct {
 	nhScratch []rib.NextHop
 	hopSets   rib.HopSetTable
 
+	// flush is Peer.flush's working storage, shared by the router's peers.
+	flush flushScratch
+
 	// aggState tracks whether each configured aggregate is currently active
 	// and with which attribute set.
 	aggState []aggState
+
+	// ExportFailures counts export computations that withheld a route
+	// because its attributes cannot be encoded in one UPDATE (see
+	// exportTemplate; a memoised verdict is counted once).
+	ExportFailures uint64
 
 	// Cached obs counter handles (nil when hooks.Rec is nil — Inc on a
 	// nil counter is a no-op, keeping the disabled path allocation-free).
@@ -216,7 +226,7 @@ func New(cfg Config, clock Clock, hooks Hooks) *Router {
 	}
 	r := &Router{
 		cfg: cfg, clock: clock, hooks: hooks,
-		index: map[netpkt.Prefix]int32{},
+		index: map[uint64]int32{},
 	}
 	for _, a := range cfg.Aggregates {
 		r.aggState = append(r.aggState, aggState{spec: a})
@@ -284,7 +294,7 @@ func (r *Router) LocRIB() int {
 // lookup returns the Loc-RIB entry for p for reading, or nil. The entry may
 // be shared with a checkpoint and its forks: writers go through writable.
 func (r *Router) lookup(p netpkt.Prefix) *ribEntry {
-	if id, ok := r.index[p]; ok {
+	if id, ok := r.index[p.Key()]; ok {
 		return r.entries[id]
 	}
 	return nil
@@ -339,7 +349,8 @@ func (r *Router) Prefixes() []netpkt.Prefix {
 // coverage indexing) on first sight. Entries are never deleted, so ids stay
 // stable for the router's lifetime.
 func (r *Router) entryFor(p netpkt.Prefix) *ribEntry {
-	if id, ok := r.index[p]; ok {
+	key := p.Key()
+	if id, ok := r.index[key]; ok {
 		return r.writable(id)
 	}
 	id := int32(len(r.entries))
@@ -347,13 +358,13 @@ func (r *Router) entryFor(p netpkt.Prefix) *ribEntry {
 	if r.indexShared {
 		// The prefix index is shared with the checkpoint until the first
 		// prefix this router adds on its own.
-		own := make(map[netpkt.Prefix]int32, len(r.index)+1)
+		own := make(map[uint64]int32, len(r.index)+1)
 		for q, i := range r.index {
 			own[q] = i
 		}
 		r.index, r.indexShared = own, false
 	}
-	r.index[p] = id
+	r.index[key] = id
 	r.entries = append(r.entries, e)
 	r.prefixByID = append(r.prefixByID, p)
 	if r.cow {
@@ -559,7 +570,7 @@ func (r *Router) decide(p netpkt.Prefix, e *ribEntry) {
 	e.lastBest = newBestAttrs
 	if prevBestAttrs != newBestAttrs {
 		for _, peer := range r.peers {
-			peer.markDirty(p, e)
+			peer.markDirty(e)
 		}
 	}
 
@@ -695,7 +706,7 @@ func (r *Router) setSuppression(st *aggState, suppress bool) {
 			e := r.writable(id)
 			e.suppressed = suppress
 			for _, peer := range r.peers {
-				peer.markDirty(r.prefixByID[id], e)
+				peer.markDirty(e)
 			}
 		}
 	}
@@ -716,8 +727,9 @@ type exportKey struct {
 	local bool
 }
 
-// exportRoute computes what to announce to peer for prefix p. ok=false
-// means "withdraw / do not advertise".
+// exportRoute computes what to announce to peer for prefix p, whose Loc-RIB
+// entry is e (flush has it by id; no lookup). ok=false means "withdraw / do
+// not advertise".
 //
 // The per-peer gates (split horizon, AdvertiseLocalOnly, loop avoidance) are
 // allocation-free and run on every call; the expensive part — policy
@@ -726,9 +738,8 @@ type exportKey struct {
 // router level when the policy is prefix-independent. The memo's keys are
 // canonical (interned) pointers, so a best-path pointer identifies an
 // attribute value across updates.
-func (r *Router) exportRoute(peer *Peer, p netpkt.Prefix) (*Attrs, bool) {
-	e := r.lookup(p)
-	if e == nil || len(e.best) == 0 || e.suppressed {
+func (r *Router) exportRoute(peer *Peer, p netpkt.Prefix, e *ribEntry) (*Attrs, bool) {
+	if len(e.best) == 0 || e.suppressed {
 		return nil, false
 	}
 	best := &e.candidates[e.best[0]]
@@ -773,18 +784,27 @@ func (r *Router) exportTemplate(p netpkt.Prefix, best *candidate, pol *Policy) (
 	if !permit {
 		return nil, false
 	}
-	c := *out
+	c := out.editable()
 	c.Path = c.Path.Prepend(r.cfg.AS)
 	c.NextHop = 0
 	c.HasLP, c.LocalPref = false, 0
 	if best.peerIdx >= 0 {
 		c.HasMED, c.MED = false, 0
 	}
-	c.ekey = ""
 	// Intern the export: the same route exported by every device in a tier
 	// produces the same attribute set, so the per-export allocation
 	// collapses to the canonical object everyone shares.
-	return Intern(&c), true
+	a := Intern(c)
+	if MaxNLRIPerUpdate(a) < 1 {
+		// The attributes alone overflow the 4096-octet message (an AS path of
+		// a thousand hops): no UPDATE can carry the route, and sending an
+		// over-long one makes the receiver reset the session, forever. The
+		// route stays in the RIB and is not advertised.
+		r.ExportFailures++
+		r.hooks.Logf("bgp %s: not advertising %s: attributes do not fit a %d-octet UPDATE", r.cfg.Name, p, maxMessageLen)
+		return nil, false
+	}
+	return a, true
 }
 
 func prefixLess(a, b netpkt.Prefix) bool {
@@ -798,12 +818,12 @@ func prefixLess(a, b netpkt.Prefix) bool {
 // to group prefixes sharing one UPDATE. The fingerprint is memoized on the
 // Attrs (it is never empty: the origin and next-hop bytes are unconditional).
 func attrsKey(a *Attrs) string {
-	if a.ekey == "" {
-		a.ekey = computeAttrsKey(a)
+	if a.memo.ekey == "" {
+		a.memo.ekey = computeAttrsKey(a)
 	} else if debugAttrs {
 		assertSealed(a)
 	}
-	return a.ekey
+	return a.memo.ekey
 }
 
 func computeAttrsKey(a *Attrs) string {

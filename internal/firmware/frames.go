@@ -154,11 +154,12 @@ func (d *Device) handleFrame(iface string, data []byte) {
 	case netpkt.EtherTypeARP:
 		d.handleARP(iface, vi.MAC, eth.Payload)
 	case netpkt.EtherTypeIPv4:
-		ip, err := netpkt.UnmarshalIPv4(eth.Payload)
-		if err != nil {
+		// Decoded in place: nothing below keeps the packet, only its payload.
+		var ip netpkt.IPv4Packet
+		if ip.Unmarshal(eth.Payload) != nil {
 			return
 		}
-		d.handleIP(iface, ip)
+		d.handleIP(iface, &ip)
 	}
 }
 
@@ -243,9 +244,9 @@ func (d *Device) ifaceForOnLink(ip netpkt.IP) string {
 // handleIP dispatches a received IP packet: local control-plane delivery or
 // data-plane forwarding.
 func (d *Device) handleIP(iface string, ip *netpkt.IPv4Packet) {
-	meta := metaFromIP(ip)
 	if flow, seq, ok := telemetrySignature(ip); ok {
 		// Capture at ingress with the forwarding decision (§3.3).
+		meta := metaFromIP(ip)
 		dec := d.fwd.Forward(iface, meta)
 		d.capture(iface, flow, seq, *meta, dec)
 		if dec.Verdict != dataplane.VerdictForward {
@@ -256,10 +257,12 @@ func (d *Device) handleIP(iface string, ip *netpkt.IPv4Packet) {
 	}
 
 	if d.localIPs[ip.Dst] || ip.Protocol == netpkt.ProtoOSPF {
+		// Terminates here (a BGP or OSPF message, a ping): no forwarding
+		// decision, so no 5-tuple.
 		d.handleLocal(iface, ip)
 		return
 	}
-	dec := d.fwd.Forward(iface, meta)
+	dec := d.fwd.Forward(iface, metaFromIP(ip))
 	if dec.Verdict != dataplane.VerdictForward {
 		return
 	}

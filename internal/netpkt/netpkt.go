@@ -101,6 +101,11 @@ type Prefix struct {
 	Len  uint8
 }
 
+// Key packs the prefix into one word, address above length: distinct prefixes
+// have distinct keys, and a map keyed by it hashes and compares a machine word
+// where the struct itself (5 bytes in 8) takes the runtime's generic path.
+func (p Prefix) Key() uint64 { return uint64(p.Addr)<<8 | uint64(p.Len) }
+
 // ParsePrefix parses "a.b.c.d/len". The address is masked to the prefix
 // length, so "10.0.1.1/24" yields 10.0.1.0/24.
 func ParsePrefix(s string) (Prefix, error) {
@@ -332,24 +337,35 @@ func (p *IPv4Packet) MarshalFramed(room int) []byte {
 // UnmarshalIPv4 decodes an IPv4 datagram, validating version, length and
 // header checksum. Options are accepted and skipped. Payload aliases b.
 func UnmarshalIPv4(b []byte) (*IPv4Packet, error) {
+	p := &IPv4Packet{}
+	if err := p.Unmarshal(b); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// Unmarshal is UnmarshalIPv4 into a packet the caller already has — a local
+// variable on a receive path that decodes one per frame. p is unchanged on
+// error.
+func (p *IPv4Packet) Unmarshal(b []byte) error {
 	if len(b) < ipv4HeaderLen {
-		return nil, ErrTruncated
+		return ErrTruncated
 	}
 	if b[0]>>4 != 4 {
-		return nil, ErrBadVersion
+		return ErrBadVersion
 	}
 	ihl := int(b[0]&0x0f) * 4
 	if ihl < ipv4HeaderLen || len(b) < ihl {
-		return nil, ErrTruncated
+		return ErrTruncated
 	}
 	total := int(binary.BigEndian.Uint16(b[2:4]))
 	if total < ihl || total > len(b) {
-		return nil, ErrTruncated
+		return ErrTruncated
 	}
 	if Checksum(b[:ihl]) != 0 {
-		return nil, ErrBadChecksum
+		return ErrBadChecksum
 	}
-	return &IPv4Packet{
+	*p = IPv4Packet{
 		TOS:      b[1],
 		ID:       binary.BigEndian.Uint16(b[4:6]),
 		TTL:      b[8],
@@ -357,7 +373,8 @@ func UnmarshalIPv4(b []byte) (*IPv4Packet, error) {
 		Src:      IP(binary.BigEndian.Uint32(b[12:16])),
 		Dst:      IP(binary.BigEndian.Uint32(b[16:20])),
 		Payload:  b[ihl:total],
-	}, nil
+	}
+	return nil
 }
 
 // Checksum computes the RFC 1071 Internet checksum of b. Computing it over a

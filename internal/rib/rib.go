@@ -214,8 +214,9 @@ type FIB struct {
 	// exact-match operations: a map probe is several times cheaper than a
 	// trie descent, and during BGP path hunting the same prefix is
 	// reprogrammed many times before the table reaches steady state (see
-	// InstallHops). nil once sealed.
-	byPrefix map[netpkt.Prefix]*Entry
+	// InstallHops). The key is Prefix.Key, one word, so the map takes the
+	// runtime's fast 64-bit path. nil once sealed.
+	byPrefix map[uint64]*Entry
 	// Capacity limits the number of entries; 0 means unlimited. When full,
 	// Install's behaviour depends on the device firmware — the FIB itself
 	// just reports ErrFull (the §2 load-balancer incident arises from a
@@ -250,7 +251,7 @@ var ErrFull = fmt.Errorf("rib: FIB capacity exceeded")
 
 // NewFIB returns an empty forwarding table with unlimited capacity.
 func NewFIB() *FIB {
-	return &FIB{byPrefix: map[netpkt.Prefix]*Entry{}}
+	return &FIB{byPrefix: map[uint64]*Entry{}}
 }
 
 // lpm returns the LPM trie, building it from byPrefix on first use. A sealed
@@ -258,8 +259,8 @@ func NewFIB() *FIB {
 func (f *FIB) lpm() *trie.Trie[*Entry] {
 	if f.t == nil {
 		f.t = trie.New[*Entry]()
-		for p, e := range f.byPrefix {
-			f.t.Insert(p, e)
+		for _, e := range f.byPrefix {
+			f.t.Insert(e.Prefix, e)
 		}
 	}
 	return f.t
@@ -346,7 +347,7 @@ func (f *FIB) put(e *Entry) {
 	if f.t != nil {
 		f.t.Insert(e.Prefix, e)
 	}
-	f.byPrefix[e.Prefix] = e
+	f.byPrefix[e.Prefix.Key()] = e
 }
 
 // Remove deletes the entry for p, reporting whether it was present.
@@ -359,11 +360,11 @@ func (f *FIB) Remove(p netpkt.Prefix) bool {
 		f.wrote(p)
 		return true
 	}
-	if _, ok := f.byPrefix[p]; !ok {
+	if _, ok := f.byPrefix[p.Key()]; !ok {
 		return false
 	}
 	f.wrote(p)
-	delete(f.byPrefix, p)
+	delete(f.byPrefix, p.Key())
 	if f.t != nil {
 		f.t.Delete(p)
 	}
@@ -418,7 +419,7 @@ func (f *FIB) Get(p netpkt.Prefix) (*Entry, bool) {
 	if f.sealed() {
 		return f.t.Get(p)
 	}
-	e, ok := f.byPrefix[p]
+	e, ok := f.byPrefix[p.Key()]
 	return e, ok
 }
 

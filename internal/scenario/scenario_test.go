@@ -221,6 +221,18 @@ func TestSpecValidation(t *testing.T) {
 		}},
 		{"clos dimension that overflows the product", func(sp *Spec) { sp.Topology.Clos.Pods = math.MaxInt }},
 		{"clos prefixesPerToR unbounded", func(sp *Spec) { sp.Topology.Clos.PrefixesPerToR = math.MaxInt }},
+		// 4,000 ToRs fit the device ceiling and 4,636 prefixes each fit the
+		// per-dimension one; together they used to ask for 18.5M routes a device.
+		{"clos over the originated-prefix ceiling", func(sp *Spec) {
+			sp.Topology.Clos = &ClosSpec{Pods: 1000, ToRsPerPod: 4, LeavesPerPod: 1,
+				SpineGroups: 1, SpinesPerPlane: 1, BordersPerGroup: 1, PrefixesPerToR: MaxDevices}
+		}},
+		{"clos one pod of originated prefixes over", func(sp *Spec) {
+			c := lDCSizedClos()
+			c.ToRsPerPod, c.PrefixesPerToR = 1, c.ToRsPerPod
+			c.Pods++
+			sp.Topology = Topology{Clos: c}
+		}},
 		{"wanPerGroup unbounded", func(sp *Spec) { sp.Topology.WANPerGroup = math.MaxInt }},
 		{"wan routers over the device ceiling", func(sp *Spec) {
 			sp.Topology = Topology{DC: "ldc", WANPerGroup: MaxDevices/2 + 1}
@@ -241,6 +253,9 @@ func TestSpecValidation(t *testing.T) {
 	// The ceilings admit what they are named after.
 	if got := topo.LDC().NumDevices(); got != MaxDevices {
 		t.Errorf("MaxDevices = %d, full L-DC has %d devices", MaxDevices, got)
+	}
+	if l := topo.LDC(); l.Pods*l.ToRsPerPod*l.PrefixesPerToR != MaxOriginated {
+		t.Errorf("MaxOriginated = %d, full L-DC originates %d prefixes", MaxOriginated, l.Pods*l.ToRsPerPod*l.PrefixesPerToR)
 	}
 	atCeiling := tinySpec(Step{Op: OpInjectPackets, From: "a", Dst: "10.0.0.1", Count: MaxProbes})
 	atCeiling.Topology = Topology{Clos: lDCSizedClos()}

@@ -62,6 +62,13 @@ const (
 	// dimensions and WAN routers — at the size of the largest fabric the
 	// repo names: topo.LDC().NumDevices().
 	MaxDevices = 4636
+	// MaxOriginated caps the server prefixes a custom clos originates — pods
+	// x torsPerPod x prefixesPerToR, each bounded above only one at a time —
+	// at what the full L-DC originates. Every device holds a route for every
+	// one of them, so this is the dimension that sizes the RIBs: 4,000 ToRs
+	// of 4,636 prefixes each passed the per-dimension check and asked for
+	// 18 million.
+	MaxOriginated = 3600
 	// MaxProbes caps one inject-packets step's count: every probe is an
 	// event scheduled up front.
 	MaxProbes = 10_000
@@ -416,6 +423,10 @@ func (sp *Spec) Validate() error {
 			if dim.v < 1 || dim.v > MaxDevices {
 				return fmt.Errorf("scenario %s: clos %s must be between 1 and %d (got %d)", sp.Name, dim.name, MaxDevices, dim.v)
 			}
+		}
+		// Each factor is at most MaxDevices, so the product fits an int64.
+		if n := int64(c.Pods) * int64(c.ToRsPerPod) * int64(c.PrefixesPerToR); n > MaxOriginated {
+			return fmt.Errorf("scenario %s: clos originates %d prefixes (pods x torsPerPod x prefixesPerToR), the limit is %d", sp.Name, n, MaxOriginated)
 		}
 		devices = int64(c.Pods)*int64(c.ToRsPerPod+c.LeavesPerPod) +
 			int64(c.SpineGroups)*(int64(c.LeavesPerPod)*int64(c.SpinesPerPlane)+int64(c.BordersPerGroup))

@@ -337,6 +337,9 @@ func TestRehearseBadRequests(t *testing.T) {
 		// (1.2 s, 287 MB) before Prepare had even started.
 		{"clos over the device ceiling", `{"name":"big","topology":{"clos":{"pods":3000,"torsPerPod":48,"leavesPerPod":8,` +
 			`"spineGroups":4,"spinesPerPlane":4,"bordersPerGroup":2,"prefixesPerToR":4}},"steps":[{"op":"wait-converge"}]}`},
+		// 4,005 devices, each asked to hold 18.5 million routes.
+		{"clos over the originated-prefix ceiling", `{"name":"wide","topology":{"clos":{"pods":1000,"torsPerPod":4,"leavesPerPod":1,` +
+			`"spineGroups":1,"spinesPerPlane":1,"bordersPerGroup":1,"prefixesPerToR":4636}},"steps":[{"op":"wait-converge"}]}`},
 		{"unbounded wanPerGroup", marshal(func(sp *scenario.Spec) { sp.Topology.WANPerGroup = 2_000_000_000 })},
 		// Every probe is a closure scheduled up front.
 		{"inject-packets count", marshal(func(sp *scenario.Spec) {

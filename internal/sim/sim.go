@@ -42,10 +42,9 @@ func (t Time) Sub(u Time) time.Duration { return time.Duration(t - u) }
 
 // event is a scheduled callback. Events are recycled through the engine's
 // free list once they fire or are canceled; gen guards stale Timer handles
-// against canceling an unrelated reuse.
+// against canceling an unrelated reuse. When it fires is not here but in the
+// event's heap slot.
 type event struct {
-	at     Time
-	seq    uint64 // tie-breaker for deterministic FIFO ordering at equal times
 	fn     func()
 	index  int // heap index, -1 once popped or canceled
 	gen    uint32
@@ -53,110 +52,110 @@ type event struct {
 	eng    *Engine
 }
 
-// eventQueue is a hand-rolled binary min-heap of events ordered by
-// (time, insertion sequence). container/heap's interface indirection and
-// swap-based sifting showed up as ~9% of a mockup's CPU profile, so the
-// sifts here move a hole instead (one assignment per level) with the
-// comparison inlined. The pop order — strictly ascending (at, seq), a total
-// order — is identical to the interface version's.
-type eventQueue []*event
+// slot is one element of the event heap: an event and, inline, the key that
+// orders it — its time, then its insertion sequence, for deterministic FIFO
+// order at equal times. A sift compares the keys in the heap's own array and
+// touches an event only to record where it moved it; with the key behind the
+// pointer, every comparison of a mockup's few-thousand-event heap was two
+// cache misses.
+type slot struct {
+	at  Time
+	seq uint64
+	ev  *event
+}
 
-// evLess reports whether a fires before b: earlier time, then FIFO seq.
-func evLess(a, b *event) bool {
+// before reports whether a fires before b: earlier time, then FIFO seq.
+func (a *slot) before(b *slot) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
 	return a.seq < b.seq
 }
 
-// push appends ev and sifts it up.
-func (q *eventQueue) push(ev *event) {
-	h := append(*q, ev)
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !evLess(ev, h[p]) {
-			break
-		}
-		h[i] = h[p]
-		h[i].index = i
-		i = p
-	}
-	h[i] = ev
-	ev.index = i
-	*q = h
+// eventQueue is a hand-rolled 4-ary min-heap of slots ordered by (time,
+// insertion sequence). container/heap's interface indirection and swap-based
+// sifting showed up as ~9% of a mockup's CPU profile, so the sifts here move
+// a hole instead (one assignment per level) with the comparison inlined, and
+// four children a node halve the levels a pop descends, all four keys in
+// adjacent memory. The pop order — strictly ascending (at, seq), a total
+// order — does not depend on the heap's shape.
+type eventQueue []slot
+
+// heapArity is the number of children of a heap node.
+const heapArity = 4
+
+// put stores s at index i and tells its event.
+func (q eventQueue) put(i int, s slot) {
+	q[i] = s
+	s.ev.index = i
 }
 
-// popMin removes and returns the next event to fire.
-func (q *eventQueue) popMin() *event {
-	h := *q
-	min := h[0]
-	n := len(h) - 1
-	last := h[n]
-	h[n] = nil
-	*q = h[:n]
-	min.index = -1
-	if n > 0 {
-		q.siftDown(0, last)
-	}
+// push appends s and sifts it up.
+func (q *eventQueue) push(s slot) {
+	*q = append(*q, s)
+	q.siftUp(len(*q)-1, s)
+}
+
+// popMin removes and returns the next slot to fire.
+func (q *eventQueue) popMin() slot {
+	min := (*q)[0]
+	q.removeAt(0)
 	return min
 }
 
-// siftDown places ev into the hole at i, descending while a child orders
+// siftDown places s into the hole at i, descending while a child orders
 // before it.
-func (q *eventQueue) siftDown(i int, ev *event) {
-	h := *q
-	n := len(h)
+func (q eventQueue) siftDown(i int, s slot) {
+	n := len(q)
 	for {
-		c := 2*i + 1
+		c := heapArity*i + 1
 		if c >= n {
 			break
 		}
-		if r := c + 1; r < n && evLess(h[r], h[c]) {
-			c = r
+		for k, end := c+1, min(c+heapArity, n); k < end; k++ {
+			if q[k].before(&q[c]) {
+				c = k
+			}
 		}
-		if !evLess(h[c], ev) {
+		if !q[c].before(&s) {
 			break
 		}
-		h[i] = h[c]
-		h[i].index = i
+		q.put(i, q[c])
 		i = c
 	}
-	h[i] = ev
-	ev.index = i
+	q.put(i, s)
 }
 
-// siftUp re-raises the event at i after a removal placed it there.
-func (q *eventQueue) siftUp(i int) {
-	h := *q
-	ev := h[i]
+// siftUp places s into the hole at i, ascending while it orders before the
+// parent.
+func (q eventQueue) siftUp(i int, s slot) {
 	for i > 0 {
-		p := (i - 1) / 2
-		if !evLess(ev, h[p]) {
+		p := (i - 1) / heapArity
+		if !s.before(&q[p]) {
 			break
 		}
-		h[i] = h[p]
-		h[i].index = i
+		q.put(i, q[p])
 		i = p
 	}
-	h[i] = ev
-	ev.index = i
+	q.put(i, s)
 }
 
-// removeAt deletes the event at index i (used by Timer.Cancel).
+// removeAt deletes the slot at index i (the minimum, or a canceled timer's)
+// by moving the last slot into the hole, whichever way it has to go.
 func (q *eventQueue) removeAt(i int) {
 	h := *q
 	n := len(h) - 1
-	ev := h[i]
+	h[i].ev.index = -1
 	last := h[n]
-	h[n] = nil
+	h[n] = slot{}
 	*q = h[:n]
-	ev.index = -1
-	if i < n {
-		q.siftDown(i, last)
-		if last.index == i {
-			q.siftUp(i)
-		}
+	if i == n {
+		return
+	}
+	if i > 0 && last.before(&h[(i-1)/heapArity]) {
+		h[:n].siftUp(i, last)
+	} else {
+		h[:n].siftDown(i, last)
 	}
 }
 
@@ -311,7 +310,26 @@ func (e *Engine) recycle(ev *event) {
 // At schedules fn to run at absolute virtual time t. Scheduling in the past
 // is clamped to the current time (the event runs next, after events already
 // queued for the current instant).
+//
+// At and After are thin enough to inline, so the Timer is built in the
+// caller's frame: the many callers that drop the handle never allocate it.
 func (e *Engine) At(t Time, fn func()) *Timer {
+	ev := e.schedule(t, fn)
+	return &Timer{ev: ev, gen: ev.gen}
+}
+
+// After schedules fn to run d after the current virtual time (a negative d,
+// like a time in the past, is clamped to now).
+func (e *Engine) After(d time.Duration, fn func()) *Timer {
+	ev := e.schedule(e.now+Time(d), fn)
+	return &Timer{ev: ev, gen: ev.gen}
+}
+
+// schedule queues fn for time t, on a recycled event if one is free. It is
+// kept out of line so that At and After stay inside the inlining budget.
+//
+//go:noinline
+func (e *Engine) schedule(t Time, fn func()) *event {
 	if t < e.now {
 		t = e.now
 	}
@@ -323,18 +341,10 @@ func (e *Engine) At(t Time, fn func()) *Timer {
 	} else {
 		ev = &event{eng: e}
 	}
-	ev.at, ev.seq, ev.fn = t, e.seq, fn
+	ev.fn = fn
+	e.queue.push(slot{at: t, seq: e.seq, ev: ev})
 	e.seq++
-	e.queue.push(ev)
-	return &Timer{ev: ev, gen: ev.gen}
-}
-
-// After schedules fn to run d after the current virtual time.
-func (e *Engine) After(d time.Duration, fn func()) *Timer {
-	if d < 0 {
-		d = 0
-	}
-	return e.At(e.now.Add(d), fn)
+	return ev
 }
 
 // Daemon schedules fn like After, but marks the event as a background
@@ -375,7 +385,7 @@ func (e *Engine) Halt() { e.halted = true }
 // events become inert, exactly as after Cancel.
 func (e *Engine) CancelAll() {
 	for len(e.queue) > 0 {
-		ev := e.queue.popMin()
+		ev := e.queue.popMin().ev
 		if ev.daemon {
 			e.daemons--
 		}
@@ -389,11 +399,12 @@ func (e *Engine) Step() bool {
 	if len(e.queue) == 0 {
 		return false
 	}
-	ev := e.queue.popMin()
+	s := e.queue.popMin()
+	ev := s.ev
 	if ev.daemon {
 		e.daemons--
 	}
-	e.now = ev.at
+	e.now = s.at
 	e.fired++
 	fn := ev.fn
 	e.recycle(ev)

@@ -30,7 +30,12 @@ go test -race ./internal/parallel/ ./internal/sim/ ./internal/experiments/ ./int
     ./internal/obs/ ./internal/serve/ ./internal/bgp/ ./internal/rib/ ./internal/trie/ ./internal/traffic/ \
     ./internal/boundary/
 
-echo "== sealed-attrs and installed-FIB-entry immutability assertions (-tags crystaldebug)"
+# Under the tag every wire-index hit in Decode is re-parsed and must intern
+# to the same object, and every use of a memoised wire image re-encodes the
+# attributes and compares: these runs (and the chaos and fork suites below)
+# are the UPDATE fast path against its oracle. The -race pass above ran
+# TestWireIndexUnderParallelEngines, two engines filling the index at once.
+echo "== sealed-attrs, wire-index and wire-image oracles, installed-FIB-entry immutability (-tags crystaldebug)"
 go test -tags crystaldebug ./internal/bgp/ ./internal/rib/
 
 # Under the tag every aggregate a settle reuses is re-walked and compared
@@ -53,8 +58,17 @@ go test -race ./internal/core/ -run 'TestCheckpoint|TestFork|TestClearAfterFork|
 if [ "${SHORT:-}" != "1" ]; then
     echo "== persistent-trie fuzz (clone vs map model, parent Walk frozen; 5s)"
     go test ./internal/trie -run '^$' -fuzz=FuzzTriePersistent -fuzztime=5s
+
+    echo "== BGP decoder fuzz (no panic; wire index vs parser; wire image vs encoder; round trip; 5s)"
+    go test ./internal/bgp -run '^$' -fuzz=FuzzDecode -fuzztime=5s
+
+    # The budgets build only without -race and without crystaldebug (both
+    # allocate on their own account), so the plain pass above is the one
+    # run that has them; -count=1 keeps a cached result from standing in.
+    echo "== allocation budgets of the per-UPDATE path (UPDATE round trip <= 4, flush = its messages, dropped timer = 0)"
+    go test -count=1 ./internal/bgp/ ./internal/sim/ -run 'TestAllocBudget'
 else
-    echo "== persistent-trie fuzz skipped (SHORT=1)"
+    echo "== persistent-trie and BGP-decoder fuzz, allocation budgets skipped (SHORT=1)"
 fi
 
 echo "== scenario smoke under -race"
