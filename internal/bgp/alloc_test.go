@@ -93,3 +93,26 @@ func mallocsOf(f func()) uint64 {
 	runtime.ReadMemStats(&after)
 	return after.Mallocs - before.Mallocs
 }
+
+// TestAllocBudgetHandleMessage: a short UPDATE is decoded on HandleMessage's
+// stack — body, attributes through the wire index, prefixes in a fixed
+// buffer — so re-announcing a route the router already holds allocates
+// nothing at all.
+func TestAllocBudgetHandleMessage(t *testing.T) {
+	r := New(Config{Name: "r", AS: 65001, RouterID: 1}, simClock{sim.NewEngine(1)}, Hooks{
+		SendToPeer: func(int, []byte) {},
+	})
+	p := r.AddPeer(PeerConfig{Name: "n", LocalIP: 1, RemoteIP: 2, RemoteAS: 65002, Interface: "et0"})
+	p.state = StateEstablished
+	msg := MarshalUpdate(&Update{
+		Attrs: &Attrs{Origin: OriginIGP, Path: NewPath(65002, 65100)}, NextHop: 2,
+		NLRI: []netpkt.Prefix{{Addr: 0x64400000, Len: 24}, {Addr: 0x64400100, Len: 24}},
+	})
+	p.HandleMessage(msg)
+	if got := testing.AllocsPerRun(1000, func() { p.HandleMessage(msg) }); got != 0 {
+		t.Errorf("handling a repeated 2-prefix UPDATE allocates %.1f times, want 0", got)
+	}
+	if r.LocRIB() != 2 {
+		t.Fatalf("LocRIB = %d, want 2", r.LocRIB())
+	}
+}

@@ -179,8 +179,9 @@ func prefixesWireLen(ps []netpkt.Prefix) int {
 }
 
 // parsePrefixes decodes a withdrawn-routes or NLRI field. A first pass
-// validates and counts, so the result is allocated once at its final size.
-func parsePrefixes(b []byte) ([]netpkt.Prefix, error) {
+// validates and counts, so the result goes into buf when it fits (capacity
+// clipped) and is allocated once at its final size otherwise.
+func parsePrefixes(b []byte, buf []netpkt.Prefix) ([]netpkt.Prefix, error) {
 	n := 0
 	for i := 0; i < len(b); n++ {
 		if b[i] > 32 {
@@ -194,7 +195,12 @@ func parsePrefixes(b []byte) ([]netpkt.Prefix, error) {
 	if n == 0 {
 		return nil, nil
 	}
-	out := make([]netpkt.Prefix, n)
+	var out []netpkt.Prefix
+	if n <= len(buf) {
+		out = buf[:n:n]
+	} else {
+		out = make([]netpkt.Prefix, n)
+	}
 	for k := range out {
 		l := b[0]
 		end := 1 + int(l+7)/8
@@ -213,14 +219,19 @@ func parsePrefixes(b []byte) ([]netpkt.Prefix, error) {
 // sized exactly and allocated once; the attributes are u.Attrs' memoised wire
 // image with u.NextHop patched in, so u.Attrs must not be edited afterwards
 // (see Attrs.memo).
-func MarshalUpdate(u *Update) []byte {
+func MarshalUpdate(u *Update) []byte { return marshalUpdate(u, 0) }
+
+// marshalUpdate is MarshalUpdate encoding the message behind room bytes of
+// headroom in the one buffer it allocates: a Peer sends every UPDATE behind
+// netpkt.FrameHeadroom, so the frame around it is built in place.
+func marshalUpdate(u *Update, room int) []byte {
 	var image []byte
 	nhOff := 0
 	if u.Attrs != nil {
 		image, nhOff = wireImage(u.Attrs)
 	}
 	wl := prefixesWireLen(u.Withdrawn)
-	b := make([]byte, headerLen, headerLen+4+wl+len(image)+prefixesWireLen(u.NLRI))
+	b := make([]byte, room+headerLen, room+headerLen+4+wl+len(image)+prefixesWireLen(u.NLRI))
 	b = append(b, byte(wl>>8), byte(wl))
 	b = marshalPrefixes(b, u.Withdrawn)
 	b = append(b, byte(len(image)>>8), byte(len(image)))
@@ -230,7 +241,7 @@ func MarshalUpdate(u *Update) []byte {
 		binary.BigEndian.PutUint32(b[nhOff:], uint32(u.NextHop))
 	}
 	b = marshalPrefixes(b, u.NLRI)
-	putHeader(b, MsgUpdate)
+	putHeader(b[room:], MsgUpdate)
 	return b
 }
 
@@ -477,115 +488,153 @@ type Decoded struct {
 	Notif  *Notification
 }
 
+// smallPrefixes is how many withdrawn plus announced prefixes a decode
+// takes room for up front: the fabric's UPDATEs carry fewer than two on
+// average.
+const smallPrefixes = 8
+
+// body is a decoded message by value, less its prefix lists: its type and
+// whichever body it has, an UPDATE's as its attributes and next hop. Its
+// byte fields alias the message.
+type body struct {
+	typ     uint8
+	attrs   *Attrs
+	nextHop netpkt.IP
+	o       Open
+	n       Notification
+}
+
 // Decode parses a single complete BGP message.
 func Decode(b []byte) (*Decoded, error) {
+	m, withdrawn, nlri, err := decodeBody(b, nil)
+	if err != nil {
+		return nil, err
+	}
+	switch m.typ {
+	case MsgOpen:
+		o := m.o
+		return &Decoded{Type: MsgOpen, Open: &o}, nil
+	case MsgUpdate:
+		u := &struct {
+			d Decoded
+			u Update
+		}{}
+		u.u = Update{Withdrawn: withdrawn, Attrs: m.attrs, NextHop: m.nextHop, NLRI: nlri}
+		u.d = Decoded{Type: MsgUpdate, Update: &u.u}
+		return &u.d, nil
+	case MsgNotification:
+		n := m.n
+		return &Decoded{Type: MsgNotification, Notif: &n}, nil
+	}
+	return &Decoded{Type: m.typ}, nil
+}
+
+// decodeBody is Decode without the Decoded view, returning the body by value
+// and an UPDATE's prefix lists on their own, in buf where they fit: a caller
+// decoding into its own frame (Peer.HandleMessage) allocates nothing for a
+// short UPDATE. (Returned apart from the body, the lists do not share a
+// variable with the attributes pointer, so escape analysis can keep buf on
+// the caller's stack.)
+func decodeBody(b []byte, buf []netpkt.Prefix) (m body, withdrawn, nlri []netpkt.Prefix, err error) {
 	if len(b) < headerLen {
-		return nil, ErrBadLength
+		return m, nil, nil, ErrBadLength
 	}
 	for i := 0; i < markerLen; i++ {
 		if b[i] != 0xff {
-			return nil, ErrBadMarker
+			return m, nil, nil, ErrBadMarker
 		}
 	}
 	l := int(binary.BigEndian.Uint16(b[16:18]))
 	if l < headerLen || l > maxMessageLen || l != len(b) {
-		return nil, ErrBadLength
+		return m, nil, nil, ErrBadLength
 	}
-	typ := b[18]
-	body := b[headerLen:]
-	switch typ {
+	m.typ = b[18]
+	msg := b[headerLen:]
+	switch m.typ {
 	case MsgOpen:
-		if len(body) < 10 {
-			return nil, ErrBadLength
+		if len(msg) < 10 {
+			return m, nil, nil, ErrBadLength
 		}
-		if body[0] != Version {
-			return nil, ErrBadVersion
+		if msg[0] != Version {
+			return m, nil, nil, ErrBadVersion
 		}
-		o := &Open{
-			AS:       uint32(binary.BigEndian.Uint16(body[1:3])),
-			HoldTime: binary.BigEndian.Uint16(body[3:5]),
-			BGPID:    netpkt.IP(binary.BigEndian.Uint32(body[5:9])),
+		m.o = Open{
+			AS:       uint32(binary.BigEndian.Uint16(msg[1:3])),
+			HoldTime: binary.BigEndian.Uint16(msg[3:5]),
+			BGPID:    netpkt.IP(binary.BigEndian.Uint32(msg[5:9])),
 		}
-		optLen := int(body[9])
-		if len(body) < 10+optLen {
-			return nil, ErrBadLength
+		optLen := int(msg[9])
+		if len(msg) < 10+optLen {
+			return m, nil, nil, ErrBadLength
 		}
-		opts := body[10 : 10+optLen]
+		opts := msg[10 : 10+optLen]
 		for len(opts) >= 2 {
 			ptype, plen := opts[0], int(opts[1])
 			if len(opts) < 2+plen {
-				return nil, ErrMalformed
+				return m, nil, nil, ErrMalformed
 			}
 			if ptype == 2 { // capabilities
 				caps := opts[2 : 2+plen]
 				for len(caps) >= 2 {
 					code, clen := caps[0], int(caps[1])
 					if len(caps) < 2+clen {
-						return nil, ErrMalformed
+						return m, nil, nil, ErrMalformed
 					}
 					if code == capFourOctetAS && clen == 4 {
-						o.AS = binary.BigEndian.Uint32(caps[2:6])
+						m.o.AS = binary.BigEndian.Uint32(caps[2:6])
 					}
 					if code == capConnGen && clen == 4 {
-						o.Gen = binary.BigEndian.Uint32(caps[2:6])
+						m.o.Gen = binary.BigEndian.Uint32(caps[2:6])
 					}
 					caps = caps[2+clen:]
 				}
 			}
 			opts = opts[2+plen:]
 		}
-		return &Decoded{Type: MsgOpen, Open: o}, nil
+		return m, nil, nil, nil
 	case MsgUpdate:
-		if len(body) < 4 {
-			return nil, ErrBadLength
+		if len(msg) < 4 {
+			return m, nil, nil, ErrBadLength
 		}
-		wl := int(binary.BigEndian.Uint16(body[0:2]))
-		if len(body) < 2+wl+2 {
-			return nil, ErrMalformed
+		wl := int(binary.BigEndian.Uint16(msg[0:2]))
+		if len(msg) < 2+wl+2 {
+			return m, nil, nil, ErrMalformed
 		}
-		withdrawn, err := parsePrefixes(body[2 : 2+wl])
-		if err != nil {
-			return nil, err
+		if withdrawn, err = parsePrefixes(msg[2:2+wl], buf); err != nil {
+			return m, nil, nil, err
 		}
-		al := int(binary.BigEndian.Uint16(body[2+wl : 4+wl]))
-		if len(body) < 4+wl+al {
-			return nil, ErrMalformed
+		al := int(binary.BigEndian.Uint16(msg[2+wl : 4+wl]))
+		if len(msg) < 4+wl+al {
+			return m, nil, nil, ErrMalformed
 		}
-		attrBytes := body[4+wl : 4+wl+al]
-		nlriBytes := body[4+wl+al:]
+		attrBytes := msg[4+wl : 4+wl+al]
+		nlriBytes := msg[4+wl+al:]
 		if len(nlriBytes) > 0 && al == 0 {
-			return nil, ErrMalformed
+			return m, nil, nil, ErrMalformed
 		}
-		m := &struct {
-			d Decoded
-			u Update
-		}{}
-		m.d.Type, m.d.Update, m.u.Withdrawn = MsgUpdate, &m.u, withdrawn
 		if al > 0 {
-			m.u.Attrs, m.u.NextHop, err = decodeAttrs(attrBytes)
-			if err != nil {
-				return nil, err
+			if m.attrs, m.nextHop, err = decodeAttrs(attrBytes); err != nil {
+				return m, nil, nil, err
 			}
 		}
-		m.u.NLRI, err = parsePrefixes(nlriBytes)
-		if err != nil {
-			return nil, err
+		if len(withdrawn) <= len(buf) {
+			buf = buf[len(withdrawn):]
 		}
-		return &m.d, nil
+		nlri, err = parsePrefixes(nlriBytes, buf)
+		return m, withdrawn, nlri, err
 	case MsgKeepalive:
 		if l != headerLen {
-			return nil, ErrBadLength
+			return m, nil, nil, ErrBadLength
 		}
-		return &Decoded{Type: MsgKeepalive}, nil
+		return m, nil, nil, nil
 	case MsgNotification:
-		if len(body) < 2 {
-			return nil, ErrBadLength
+		if len(msg) < 2 {
+			return m, nil, nil, ErrBadLength
 		}
-		return &Decoded{Type: MsgNotification, Notif: &Notification{
-			Code: body[0], Subcode: body[1], Data: body[2:],
-		}}, nil
+		m.n = Notification{Code: msg[0], Subcode: msg[1], Data: msg[2:]}
+		return m, nil, nil, nil
 	default:
-		return nil, ErrBadType
+		return m, nil, nil, ErrBadType
 	}
 }
 

@@ -149,10 +149,20 @@ func (p *Peer) sendOpen() {
 	p.openSent = true
 }
 
-func (p *Peer) send(data []byte) {
+// send transmits an OPEN, KEEPALIVE or NOTIFICATION. They are few, so they
+// are encoded on their own and copied behind the frame headroom every
+// message reaches SendToPeer with; UPDATEs are encoded behind it directly.
+func (p *Peer) send(msg []byte) {
+	frame := make([]byte, netpkt.FrameHeadroom+len(msg))
+	copy(frame[netpkt.FrameHeadroom:], msg)
+	p.sendFrame(frame)
+}
+
+// sendFrame hands the message frame[netpkt.FrameHeadroom:] to the transport.
+func (p *Peer) sendFrame(frame []byte) {
 	p.MsgsOut++
 	p.router.mMsgsOut.Inc()
-	p.router.hooks.SendToPeer(p.Index, data)
+	p.router.hooks.SendToPeer(p.Index, frame)
 }
 
 func (p *Peer) setState(s SessionState) {
@@ -197,25 +207,27 @@ func (p *Peer) reset(reason string) {
 }
 
 // HandleMessage processes one encoded BGP message from the wire. Decode or
-// protocol errors reset the session, as a NOTIFICATION would.
+// protocol errors reset the session, as a NOTIFICATION would. The message is
+// decoded into this frame: a short UPDATE costs no allocation.
 func (p *Peer) HandleMessage(data []byte) {
 	p.MsgsIn++
 	p.router.mMsgsIn.Inc()
-	d, err := Decode(data)
+	var buf [smallPrefixes]netpkt.Prefix
+	m, withdrawn, nlri, err := decodeBody(data, buf[:])
 	if err != nil {
 		p.send(MarshalNotification(&Notification{Code: NotifMsgHeader}))
 		p.reset(fmt.Sprintf("decode error: %v", err))
 		return
 	}
-	switch d.Type {
+	switch m.typ {
 	case MsgOpen:
-		p.handleOpen(d.Open)
+		p.handleOpen(&m.o)
 	case MsgKeepalive:
 		p.handleKeepalive()
 	case MsgUpdate:
-		p.handleUpdate(d.Update)
+		p.handleUpdate(withdrawn, m.attrs, nlri)
 	case MsgNotification:
-		p.reset(fmt.Sprintf("notification from peer: code=%d/%d", d.Notif.Code, d.Notif.Subcode))
+		p.reset(fmt.Sprintf("notification from peer: code=%d/%d", m.n.Code, m.n.Subcode))
 	}
 }
 
@@ -273,7 +285,10 @@ func (p *Peer) establish() {
 	p.scheduleFlush()
 }
 
-func (p *Peer) handleUpdate(u *Update) {
+// handleUpdate applies an UPDATE's withdrawals and announcements; attrs is
+// nil for a withdrawal-only message. The prefix lists are only read (they
+// may sit on HandleMessage's stack).
+func (p *Peer) handleUpdate(withdrawn []netpkt.Prefix, attrs *Attrs, nlri []netpkt.Prefix) {
 	switch p.state {
 	case StateOpenConfirm:
 		// The peer has gone Established (our KEEPALIVE arrived; its own may
@@ -287,29 +302,29 @@ func (p *Peer) handleUpdate(u *Update) {
 		// Stale datagram from a previous session incarnation: drop.
 		return
 	}
-	for _, pfx := range u.Withdrawn {
+	for _, pfx := range withdrawn {
 		p.WithdrawsIn++
 		p.router.mWithdrawsIn.Inc()
 		if e := p.router.lookup(pfx); e != nil && p.adjIn.Delete(e.id) {
 			p.router.removeCandidate(pfx, p)
 		}
 	}
-	if u.Attrs == nil || len(u.NLRI) == 0 {
+	if attrs == nil || len(nlri) == 0 {
 		return
 	}
 	// Receiver-side loop detection: discard routes containing our AS.
-	if u.Attrs.Path.Contains(p.router.cfg.AS) {
+	if attrs.Path.Contains(p.router.cfg.AS) {
 		return
 	}
-	for _, pfx := range u.NLRI {
+	for _, pfx := range nlri {
 		p.RoutesIn++
 		p.router.mRoutesIn.Inc()
-		attrs, permit := p.Config.ImportPolicy.Apply(pfx, u.Attrs)
-		if attrs != u.Attrs {
+		imported, permit := p.Config.ImportPolicy.Apply(pfx, attrs)
+		if imported != attrs {
 			// The import policy derived a modified attribute set; intern it
-			// so policy-heavy fabrics share those too (u.Attrs itself is
-			// already canonical from Decode).
-			attrs = Intern(attrs)
+			// so policy-heavy fabrics share those too (attrs itself is
+			// already canonical from the decoder).
+			imported = Intern(imported)
 		}
 		if !permit {
 			// Treat as unfeasible: remove any previous acceptance.
@@ -318,7 +333,7 @@ func (p *Peer) handleUpdate(u *Update) {
 			}
 			continue
 		}
-		e := p.router.upsertCandidate(pfx, p, attrs)
+		e := p.router.upsertCandidate(pfx, p, imported)
 		// A replacement leaves the presence bit as it is; skipping the Set
 		// keeps a forked session from copying its Adj-RIB-In for nothing.
 		if _, had := p.adjIn.Get(e.id); !had {
@@ -483,12 +498,12 @@ func (p *Peer) sendChunks(attrs *Attrs, ps []netpkt.Prefix) {
 		chunk := ps[:min(max, len(ps))]
 		ps = ps[len(chunk):]
 		if attrs == nil {
-			p.send(MarshalUpdate(&Update{Withdrawn: chunk}))
+			p.sendFrame(marshalUpdate(&Update{Withdrawn: chunk}, netpkt.FrameHeadroom))
 			continue
 		}
 		// Next-hop-self: the session's local address is stamped onto the
 		// wire here, so the RIB-resident attrs stay session-independent.
-		p.send(MarshalUpdate(&Update{Attrs: attrs, NextHop: p.Config.LocalIP, NLRI: chunk}))
+		p.sendFrame(marshalUpdate(&Update{Attrs: attrs, NextHop: p.Config.LocalIP, NLRI: chunk}, netpkt.FrameHeadroom))
 	}
 }
 

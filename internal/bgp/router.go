@@ -69,14 +69,18 @@ type Config struct {
 // Hooks connect the router to its hosting firmware: message transport, FIB
 // programming and logging. All hooks must be non-nil.
 type Hooks struct {
-	// SendToPeer transmits an encoded BGP message towards peer i.
-	SendToPeer func(peerIdx int, data []byte)
+	// SendToPeer transmits an encoded BGP message towards peer i: the
+	// message is frame[netpkt.FrameHeadroom:], and the bytes in front of it
+	// are headroom the transport writes its own headers into, in place
+	// (DESIGN.md §10). Ownership of frame passes to the hook.
+	SendToPeer func(peerIdx int, frame []byte)
 	// InstallRoute programs the FIB. An error is logged; the route stays in
 	// the RIB (mirroring firmware that keeps RIB state when FIB programming
 	// fails — the §2 black-hole incident comes from a vendor hook that
-	// swallows this error silently). nhs is only valid for the duration of
-	// the call: implementations must copy it if they retain it (the router
-	// reuses the backing array on the next FIB reprogram).
+	// swallows this error silently). nhs is the router's canonical group for
+	// the route's hops, in decision order: immutable and shared by every
+	// entry over the same hops, so the callee may retain it and key on its
+	// identity (rib.FIB.InstallGroup), but must never edit it.
 	InstallRoute func(p netpkt.Prefix, nhs []rib.NextHop) error
 	// RemoveRoute removes a previously installed route.
 	RemoveRoute func(p netpkt.Prefix)
@@ -545,9 +549,8 @@ func (r *Router) decide(p netpkt.Prefix, e *ribEntry) {
 	}
 
 	// Program the FIB. nextHops fills a scratch buffer; on a change the
-	// entry points at the canonical copy of that hop group (the hook
-	// contract forbids the callee from retaining nhs, so the canonical
-	// slice is never aliased outside the router).
+	// entry points at the canonical copy of that hop group, which is also
+	// what the hook is handed (immutable, so the FIB may memoise on it).
 	hops := r.nextHops(e)
 	if !hopsEqual(hops, prevHops) {
 		if len(hops) == 0 {

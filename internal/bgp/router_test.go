@@ -48,9 +48,9 @@ func (n *tnet) add(name string, as uint32, mutate func(*Config)) *tnode {
 	}
 	nd := &tnode{name: name, fib: map[netpkt.Prefix][]rib.NextHop{}}
 	nd.r = New(cfg, simClock{n.eng}, Hooks{
-		SendToPeer: func(i int, data []byte) {
-			wire := nd.peerWire[i]
-			n.eng.After(n.delay, func() { wire(data) })
+		SendToPeer: func(i int, frame []byte) {
+			wire, msg := nd.peerWire[i], frame[netpkt.FrameHeadroom:]
+			n.eng.After(n.delay, func() { wire(msg) })
 		},
 		InstallRoute: func(p netpkt.Prefix, nhs []rib.NextHop) error {
 			if nd.installErr != nil {

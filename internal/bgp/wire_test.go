@@ -467,3 +467,44 @@ func TestWireIndexUnderParallelEngines(t *testing.T) {
 		t.Fatal("no intern hits: the engines did not share the table")
 	}
 }
+
+// TestFramedUpdateIsMarshalUpdate: the UPDATEs a Peer sends are encoded
+// behind netpkt.FrameHeadroom in one buffer, and the message behind the
+// headroom is byte for byte what MarshalUpdate produces for the same update;
+// a Peer's own sends carry that headroom too, OPEN and KEEPALIVE included.
+func TestFramedUpdateIsMarshalUpdate(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	for i := 0; i < 2000; i++ {
+		u := (&gen{b: randomBytes(rng, 512)}).update()
+		framed := marshalUpdate(u, netpkt.FrameHeadroom)
+		if want := MarshalUpdate(u); !bytes.Equal(framed[netpkt.FrameHeadroom:], want) {
+			t.Fatalf("update %d: framed message\n% x\nMarshalUpdate\n% x", i, framed[netpkt.FrameHeadroom:], want)
+		}
+		if cap(framed) != len(framed) {
+			t.Fatalf("update %d: framed buffer sized %d for %d bytes", i, cap(framed), len(framed))
+		}
+	}
+	n := newTnet(t)
+	n.add("a", 65001, nil)
+	n.add("b", 65002, nil)
+	var frames [][]byte
+	n.nodes["a"].r.hooks.SendToPeer = func(i int, frame []byte) {
+		frames = append(frames, frame)
+		wire, msg := n.nodes["a"].peerWire[i], frame[netpkt.FrameHeadroom:]
+		n.eng.After(n.delay, func() { wire(msg) })
+	}
+	n.connect("a", "b")
+	n.nodes["a"].r.Originate(pfx("100.64.0.0/24"))
+	n.run()
+	types := map[uint8]bool{}
+	for _, f := range frames {
+		d, err := Decode(f[netpkt.FrameHeadroom:])
+		if err != nil {
+			t.Fatalf("a sent a frame whose message does not decode: %v", err)
+		}
+		types[d.Type] = true
+	}
+	if !types[MsgOpen] || !types[MsgKeepalive] || !types[MsgUpdate] {
+		t.Fatalf("message types sent: %v", types)
+	}
+}

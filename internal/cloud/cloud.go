@@ -129,10 +129,20 @@ func (vm *VM) Submit(coreSeconds float64, done func()) {
 // The VM's core schedule is engine-agnostic — a VM's devices all live in
 // one domain, so coreFree is still mutated single-threaded.
 func (vm *VM) SubmitOn(eng *sim.Engine, coreSeconds float64, done func()) {
+	_, end := vm.Reserve(eng.Now(), coreSeconds)
+	if done != nil {
+		eng.At(end, done)
+	}
+}
+
+// Reserve books coreSeconds of work submitted at now on the earliest-free
+// core, as Submit does, and returns that core and when the work completes,
+// for a submitter that queues the completion itself. A core's completion
+// times never decrease, so a queue per core is in time order (sim.Lane).
+func (vm *VM) Reserve(now sim.Time, coreSeconds float64) (core int, end sim.Time) {
 	if coreSeconds <= 0 {
 		coreSeconds = 1e-6
 	}
-	now := eng.Now()
 	if len(vm.coreFree) == 0 {
 		vm.coreFree = make([]sim.Time, vm.SKU.Cores)
 	}
@@ -147,12 +157,10 @@ func (vm *VM) SubmitOn(eng *sim.Engine, coreSeconds float64, done func()) {
 	if start < now {
 		start = now
 	}
-	end := start.Add(time.Duration(coreSeconds * float64(time.Second)))
+	end = start.Add(time.Duration(coreSeconds * float64(time.Second)))
 	vm.coreFree[best] = end
 	vm.RecordWork(start, coreSeconds, 1)
-	if done != nil {
-		eng.At(end, done)
-	}
+	return best, end
 }
 
 // QueueDelay returns how far in the future the earliest-free core is — a

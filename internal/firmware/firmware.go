@@ -188,6 +188,10 @@ type Device struct {
 
 	flaps int
 
+	// rxLanes queue received BGP messages for processing, one lane per core
+	// of the hosting VM, on the device's engine (see submitRx).
+	rxLanes []*sim.Lane[rxMsg]
+
 	// asic is the P4 trap pipeline for SoftASIC images (nil otherwise).
 	asic *p4.Program
 
@@ -484,7 +488,7 @@ func (d *Device) installBGPRoute(p netpkt.Prefix, nhs []rib.NextHop) error {
 		d.logf("BUG default-route: skipped programming %s", p)
 		return nil
 	}
-	err := d.fib.InstallHops(p, rib.ProtoBGP, nhs)
+	err := d.fib.InstallGroup(p, rib.ProtoBGP, nhs)
 	if err == nil {
 		d.LastFIBChange = d.eng.Now()
 	}

@@ -5,9 +5,11 @@ import (
 	"encoding/binary"
 	"time"
 
+	"crystalnet/internal/bgp"
 	"crystalnet/internal/dataplane"
 	"crystalnet/internal/netpkt"
 	"crystalnet/internal/p4"
+	"crystalnet/internal/sim"
 )
 
 // BGPPort is the conventional BGP transport port; the emulator carries BGP
@@ -22,8 +24,15 @@ const (
 	arpMaxAttempts   = 5
 )
 
-// sendBGP transmits an encoded BGP message to the peer with the given index.
-func (d *Device) sendBGP(peerIdx int, data []byte) {
+// ipOff is where the IPv4 header of a frame the device builds starts: the
+// frame is encoded behind netpkt.FrameHeadroom, so the Ethernet header and,
+// on a cross-VM link, the underlay headers are written in front of it in the
+// same buffer.
+const ipOff = netpkt.FrameHeadroom - netpkt.IPv4HeaderLen
+
+// sendBGP transmits the BGP message frame[netpkt.FrameHeadroom:] to the peer
+// with the given index, writing its IPv4 header into the headroom in front.
+func (d *Device) sendBGP(peerIdx int, frame []byte) {
 	iface := d.peerIface[peerIdx]
 	dst := d.peerIP[peerIdx]
 	local, ok := d.ifaceAddr[iface]
@@ -31,12 +40,18 @@ func (d *Device) sendBGP(peerIdx int, data []byte) {
 		return
 	}
 	d.BGPUpdatesSent++
-	pkt := netpkt.IPv4Packet{
-		TTL: 64, Protocol: netpkt.ProtoTCP,
-		Src: local.Addr, Dst: dst,
-		Payload: data,
+	if netpkt.PutIPv4Header(frame[ipOff:], 0, 0, 64, netpkt.ProtoTCP, local.Addr, dst, len(frame)-netpkt.FrameHeadroom) != nil {
+		return
 	}
-	d.sendIPFrame(iface, dst, pkt.MarshalFramed(netpkt.EthernetHeaderLen))
+	d.sendIPFrame(iface, dst, frame, ipOff)
+}
+
+// sendIP encodes ip behind the frame headroom and routes it out of iface
+// towards the on-link nextHop.
+func (d *Device) sendIP(iface string, nextHop netpkt.IP, ip *netpkt.IPv4Packet) {
+	if frame := ip.MarshalFramed(ipOff); frame != nil { // nil: too long for IPv4
+		d.sendIPFrame(iface, nextHop, frame, ipOff)
+	}
 }
 
 // sendOSPF transmits an OSPF packet out the instance's interface idx. dst 0
@@ -62,33 +77,37 @@ func (d *Device) sendOSPF(ospfIdx int, _ netpkt.IP, data []byte) {
 		Payload: data,
 	}
 	vi := d.container.Iface(ifaceName)
-	if vi == nil {
+	frame := pkt.MarshalFramed(ipOff)
+	if vi == nil || frame == nil {
 		return
 	}
-	frame := pkt.MarshalFramed(netpkt.EthernetHeaderLen)
-	netpkt.PutEthernetHeader(frame, netpkt.BroadcastMAC, vi.MAC, netpkt.EtherTypeIPv4)
-	d.fabric.Send(vi, frame)
+	const ethOff = ipOff - netpkt.EthernetHeaderLen
+	netpkt.PutEthernetHeader(frame[ethOff:], netpkt.BroadcastMAC, vi.MAC, netpkt.EtherTypeIPv4)
+	d.fabric.SendFramed(vi, frame, ethOff)
 }
 
 // sendIPFrame routes an IP packet out the given interface towards an on-link
-// next hop, resolving its MAC via ARP (queueing while unresolved). frame is
-// a single buffer holding the encoded IP packet at offset EthernetHeaderLen;
-// the Ethernet header in front is filled in here once the MAC is known, so
-// the whole send path costs one allocation. Ownership of frame passes to the
-// fabric (or to the ARP pending queue).
-func (d *Device) sendIPFrame(iface string, nextHop netpkt.IP, frame []byte) {
+// next hop, resolving its MAC via ARP (queueing while unresolved). buf is a
+// single buffer holding the encoded IP packet at offset at (at least
+// EthernetHeaderLen); the Ethernet header in front is filled in here once
+// the MAC is known, and the fabric may use the headroom before that for the
+// underlay, so the whole send path costs one allocation. Ownership of buf
+// passes to the fabric (or, from the Ethernet header on, to the ARP pending
+// queue).
+func (d *Device) sendIPFrame(iface string, nextHop netpkt.IP, buf []byte, at int) {
 	vi := d.container.Iface(iface)
 	if vi == nil {
 		return
 	}
+	eth := at - netpkt.EthernetHeaderLen
 	mac, ok := d.arp[nextHop]
 	if !ok {
-		d.arpPending[nextHop] = append(d.arpPending[nextHop], frame)
+		d.arpPending[nextHop] = append(d.arpPending[nextHop], buf[eth:])
 		d.requestARP(iface, nextHop, 0)
 		return
 	}
-	netpkt.PutEthernetHeader(frame, mac, vi.MAC, netpkt.EtherTypeIPv4)
-	d.fabric.Send(vi, frame)
+	netpkt.PutEthernetHeader(buf[eth:], mac, vi.MAC, netpkt.EtherTypeIPv4)
+	d.fabric.SendFramed(vi, buf, eth)
 }
 
 // requestARP broadcasts an ARP request for target, retrying a few times.
@@ -226,7 +245,7 @@ func (d *Device) learnARP(ip netpkt.IP, mac netpkt.MAC) {
 		if iface == "" {
 			continue
 		}
-		d.sendIPFrame(iface, ip, frame)
+		d.sendIPFrame(iface, ip, frame, netpkt.EthernetHeaderLen)
 	}
 }
 
@@ -278,7 +297,7 @@ func (d *Device) emitForward(ip *netpkt.IPv4Packet, dec dataplane.Decision) {
 	if nh == 0 {
 		nh = ip.Dst // directly connected destination
 	}
-	d.sendIPFrame(dec.Egress, nh, out.MarshalFramed(netpkt.EthernetHeaderLen))
+	d.sendIP(dec.Egress, nh, &out)
 }
 
 // handleLocal terminates a packet addressed to the device.
@@ -299,13 +318,7 @@ func (d *Device) handleLocal(iface string, ip *netpkt.IPv4Packet) {
 		// Control-plane processing consumes VM CPU: base cost plus
 		// per-route cost approximated from message size.
 		work := d.Image.MsgWork + d.Image.RouteWork*float64(len(data))/5
-		epoch := d.epoch
-		d.submit(work, func() {
-			if d.epoch != epoch || d.state != DeviceRunning {
-				return
-			}
-			peer.HandleMessage(data)
-		})
+		d.submitRx(work, rxMsg{peer: peer, data: data, epoch: d.epoch})
 	case netpkt.ProtoOSPF:
 		if d.osp == nil {
 			return
@@ -335,6 +348,38 @@ func (d *Device) handleLocal(iface string, ip *netpkt.IPv4Packet) {
 	}
 }
 
+// rxMsg is a received BGP message waiting out the VM CPU time charged for
+// processing it: a lane item, so receiving a message allocates no closure.
+type rxMsg struct {
+	peer  *bgp.Peer
+	data  []byte
+	epoch int
+}
+
+// submitRx charges coreSeconds of CPU for processing m, as submit does, and
+// queues m's processing for when that work completes on the device's lane
+// for the core it runs on: a core's completion times never decrease, so
+// each lane is in time order (sim.Lane).
+func (d *Device) submitRx(coreSeconds float64, m rxMsg) {
+	core, at := 0, d.eng.Now()
+	if d.vm != nil {
+		core, at = d.vm.Reserve(at, coreSeconds)
+	}
+	for len(d.rxLanes) <= core {
+		d.rxLanes = append(d.rxLanes, sim.NewLane(d.eng, d.handleRx))
+	}
+	d.rxLanes[core].At(at, m)
+}
+
+// handleRx processes a received message, unless the device rebooted or went
+// down since it arrived.
+func (d *Device) handleRx(m rxMsg) {
+	if d.epoch != m.epoch || d.state != DeviceRunning {
+		return
+	}
+	m.peer.HandleMessage(m.data)
+}
+
 // sendFromSelf routes a locally originated packet.
 func (d *Device) sendFromSelf(ip *netpkt.IPv4Packet) {
 	meta := metaFromIP(ip)
@@ -346,7 +391,7 @@ func (d *Device) sendFromSelf(ip *netpkt.IPv4Packet) {
 	if nh == 0 {
 		nh = ip.Dst
 	}
-	d.sendIPFrame(dec.Egress, nh, ip.MarshalFramed(netpkt.EthernetHeaderLen))
+	d.sendIP(dec.Egress, nh, ip)
 }
 
 // InjectPacket originates a telemetry probe from this device (the

@@ -196,7 +196,16 @@ var (
 	ErrBadChecksum = errors.New("netpkt: bad IPv4 header checksum")
 	// ErrBadVersion indicates a non-IPv4 version nibble.
 	ErrBadVersion = errors.New("netpkt: unsupported IP version")
+	// ErrTooLong indicates a packet whose length does not fit the 16-bit
+	// length field of its IPv4 or UDP header. The header writers refuse it
+	// rather than emit a wrapped length that a receiver would read as a
+	// valid, shorter packet.
+	ErrTooLong = errors.New("netpkt: packet too long for a 16-bit length field")
 )
+
+// maxLength is the largest value a 16-bit IPv4 total-length or UDP length
+// field holds.
+const maxLength = 0xffff
 
 // EthernetFrame is an Ethernet II frame.
 type EthernetFrame struct {
@@ -211,6 +220,22 @@ const ethernetHeaderLen = 14
 // EthernetHeaderLen is the wire size of an Ethernet II header — the
 // headroom senders reserve when building a frame in a single buffer.
 const EthernetHeaderLen = ethernetHeaderLen
+
+// The frame-headroom contract (DESIGN.md §10): a packet that will cross the
+// fabric is encoded once, behind enough headroom for every header anyone in
+// front of it writes — its IPv4 header, the inner Ethernet header and, on a
+// cross-VM link, the VXLAN underlay's outer Ethernet, IPv4, UDP and VXLAN
+// headers — and each layer writes its header into that headroom in place.
+const (
+	// IPv4HeaderLen is the wire size of an option-less IPv4 header.
+	IPv4HeaderLen = ipv4HeaderLen
+	// UnderlayHeaderLen is what VXLAN encapsulation puts in front of an
+	// inner Ethernet frame: outer Ethernet, IPv4, UDP and VXLAN headers.
+	UnderlayHeaderLen = ethernetHeaderLen + ipv4HeaderLen + udpHeaderLen + vxlanHeaderLen
+	// FrameHeadroom is the headroom in front of an IPv4 payload: room for
+	// the IPv4 header, the inner Ethernet header and the underlay headers.
+	FrameHeadroom = UnderlayHeaderLen + ethernetHeaderLen + ipv4HeaderLen
+)
 
 // PutEthernetHeader encodes an Ethernet II header into b[:14].
 func PutEthernetHeader(b []byte, dst, src MAC, etherType uint16) {
@@ -300,8 +325,12 @@ const ipv4HeaderLen = 20
 
 // PutIPv4Header encodes an option-less IPv4 header for a payload of plen
 // bytes into b[:20], computing the checksum. b may be dirty; every header
-// byte is written.
-func PutIPv4Header(b []byte, tos uint8, id uint16, ttl, proto uint8, src, dst IP, plen int) {
+// byte is written. A payload too long for the total-length field is refused
+// with ErrTooLong, and b is left untouched.
+func PutIPv4Header(b []byte, tos uint8, id uint16, ttl, proto uint8, src, dst IP, plen int) error {
+	if plen < 0 || ipv4HeaderLen+plen > maxLength {
+		return ErrTooLong
+	}
 	b[0] = 0x45 // version 4, IHL 5
 	b[1] = tos
 	binary.BigEndian.PutUint16(b[2:4], uint16(ipv4HeaderLen+plen))
@@ -313,21 +342,22 @@ func PutIPv4Header(b []byte, tos uint8, id uint16, ttl, proto uint8, src, dst IP
 	binary.BigEndian.PutUint32(b[12:16], uint32(src))
 	binary.BigEndian.PutUint32(b[16:20], uint32(dst))
 	binary.BigEndian.PutUint16(b[10:12], Checksum(b[:ipv4HeaderLen]))
+	return nil
 }
 
-// Marshal encodes the datagram, computing the header checksum.
-func (p *IPv4Packet) Marshal() []byte {
-	b := make([]byte, ipv4HeaderLen+len(p.Payload))
-	PutIPv4Header(b, p.TOS, p.ID, p.TTL, p.Protocol, p.Src, p.Dst, len(p.Payload))
-	copy(b[ipv4HeaderLen:], p.Payload)
-	return b
-}
+// Marshal encodes the datagram, computing the header checksum. It returns
+// nil for a payload too long for IPv4 (see ErrTooLong).
+func (p *IPv4Packet) Marshal() []byte { return p.MarshalFramed(0) }
 
 // MarshalFramed encodes the datagram like Marshal, but leaves room bytes of
-// headroom in front of the IP header, so an outer header (typically
-// Ethernet) can be filled into the same buffer later without re-copying the
-// packet.
+// headroom in front of the IP header, so outer headers (Ethernet, and the
+// underlay's on a cross-VM link) can be filled into the same buffer later
+// without re-copying the packet. It returns nil for a payload too long for
+// IPv4.
 func (p *IPv4Packet) MarshalFramed(room int) []byte {
+	if ipv4HeaderLen+len(p.Payload) > maxLength {
+		return nil
+	}
 	b := make([]byte, room+ipv4HeaderLen+len(p.Payload))
 	PutIPv4Header(b[room:], p.TOS, p.ID, p.TTL, p.Protocol, p.Src, p.Dst, len(p.Payload))
 	copy(b[room+ipv4HeaderLen:], p.Payload)
@@ -405,8 +435,12 @@ type UDPDatagram struct {
 
 const udpHeaderLen = 8
 
-// Marshal encodes the datagram.
+// Marshal encodes the datagram. It returns nil for a payload too long for
+// the 16-bit length field (see ErrTooLong).
 func (u *UDPDatagram) Marshal() []byte {
+	if udpHeaderLen+len(u.Payload) > maxLength {
+		return nil
+	}
 	b := make([]byte, udpHeaderLen+len(u.Payload))
 	binary.BigEndian.PutUint16(b[0:2], u.SrcPort)
 	binary.BigEndian.PutUint16(b[2:4], u.DstPort)
@@ -513,44 +547,40 @@ func UnmarshalVXLAN(b []byte) (VXLANHeader, []byte, error) {
 
 // EncapVXLAN wraps an inner Ethernet frame in VXLAN/UDP/IPv4/Ethernet for
 // transport over the underlay, as the paper's virtual links do (§4.2,
-// Figure 5).
+// Figure 5). It copies inner behind PutVXLANHeaders' headers in one buffer;
+// an inner frame too long for the outer IPv4 length field yields nil.
 func EncapVXLAN(vni uint32, srcIP, dstIP IP, srcMAC, dstMAC MAC, srcPort uint16, inner []byte) []byte {
-	// Build all four headers into one buffer: encap runs once per cross-VM
-	// frame, so the layer-by-layer Marshal chain (four allocations and
-	// copies) was a measurable slice of the mockup hot path. The wire format
-	// is identical to marshaling each layer separately.
-	total := ethernetHeaderLen + ipv4HeaderLen + udpHeaderLen + vxlanHeaderLen + len(inner)
-	b := make([]byte, total)
+	b := make([]byte, UnderlayHeaderLen+len(inner))
+	if PutVXLANHeaders(b, vni, srcIP, dstIP, srcMAC, dstMAC, srcPort, len(inner)) != nil {
+		return nil
+	}
+	copy(b[UnderlayHeaderLen:], inner)
+	return b
+}
 
-	// Outer Ethernet.
-	copy(b[0:6], dstMAC[:])
-	copy(b[6:12], srcMAC[:])
-	binary.BigEndian.PutUint16(b[12:14], EtherTypeIPv4)
-
-	// Outer IPv4 (no options; checksum over the populated header).
-	ip := b[ethernetHeaderLen:]
-	ip[0] = 0x45
-	binary.BigEndian.PutUint16(ip[2:4], uint16(total-ethernetHeaderLen))
-	ip[8] = 64
-	ip[9] = ProtoUDP
-	binary.BigEndian.PutUint32(ip[12:16], uint32(srcIP))
-	binary.BigEndian.PutUint32(ip[16:20], uint32(dstIP))
-	binary.BigEndian.PutUint16(ip[10:12], Checksum(ip[:ipv4HeaderLen]))
-
-	// Outer UDP (zero checksum, as Linux VXLAN defaults).
-	udp := ip[ipv4HeaderLen:]
+// PutVXLANHeaders writes the underlay headers for an inner Ethernet frame of
+// innerLen bytes into b[:UnderlayHeaderLen] — outer Ethernet, IPv4 (no
+// options, checksummed), UDP (zero checksum, as Linux VXLAN defaults) and
+// VXLAN — so a frame built behind FrameHeadroom is encapsulated in place.
+// b may be dirty; every header byte is written. An inner frame too long for
+// the outer IPv4 length field is refused with ErrTooLong, b untouched.
+func PutVXLANHeaders(b []byte, vni uint32, srcIP, dstIP IP, srcMAC, dstMAC MAC, srcPort uint16, innerLen int) error {
+	ipLen := UnderlayHeaderLen - ethernetHeaderLen + innerLen
+	if innerLen < 0 || ipLen > maxLength {
+		return ErrTooLong
+	}
+	h := (*[UnderlayHeaderLen]byte)(b)
+	PutEthernetHeader(h[:], dstMAC, srcMAC, EtherTypeIPv4)
+	PutIPv4Header(h[ethernetHeaderLen:], 0, 0, 64, ProtoUDP, srcIP, dstIP, ipLen-ipv4HeaderLen)
+	udp := h[ethernetHeaderLen+ipv4HeaderLen:]
 	binary.BigEndian.PutUint16(udp[0:2], srcPort)
 	binary.BigEndian.PutUint16(udp[2:4], VXLANPort)
-	binary.BigEndian.PutUint16(udp[4:6], uint16(udpHeaderLen+vxlanHeaderLen+len(inner)))
-
-	// VXLAN header + inner frame.
-	vx := udp[udpHeaderLen:]
-	vx[0] = 0x08 // flags: I bit set
-	vx[4] = byte(vni >> 16)
-	vx[5] = byte(vni >> 8)
-	vx[6] = byte(vni)
-	copy(vx[vxlanHeaderLen:], inner)
-	return b
+	binary.BigEndian.PutUint16(udp[4:6], uint16(ipLen-ipv4HeaderLen))
+	udp[6], udp[7] = 0, 0
+	// VXLAN: the I flag, then the 24-bit VNI between reserved bytes.
+	binary.BigEndian.PutUint32(udp[8:12], 0x08000000)
+	binary.BigEndian.PutUint32(udp[12:16], vni<<8)
+	return nil
 }
 
 // DecapVXLAN unwraps a full underlay frame produced by EncapVXLAN, returning

@@ -10,7 +10,8 @@ import "crystalnet/internal/sim"
 //
 // Frame handlers are deliberately not copied: they are closures over the
 // parent's firmware. Forked devices re-attach their own handlers, exactly
-// as firmware does after boot.
+// as firmware does after boot. Delivery lanes are not copied either: they
+// belong to the source's engine, and the clone's links build their own.
 func (f *Fabric) Fork(eng *sim.Engine) (*Fabric, map[*VIface]*VIface, map[*Container]*Container) {
 	c := &Fabric{
 		eng:               eng,

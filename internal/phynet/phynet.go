@@ -136,6 +136,11 @@ type VirtualLink struct {
 	// crossVM notes whether frames traverse the underlay with real VXLAN
 	// encapsulation.
 	crossVM bool
+	// lanes carry the link's in-flight deliveries on an unsharded fabric,
+	// lanes[0] towards B and lanes[1] towards A, each built on first use: a
+	// direction's latency is fixed, so its deliveries are FIFO in time and
+	// wait in a sim.Lane rather than as closures in the engine's heap.
+	lanes [2]*sim.Lane[[]byte]
 }
 
 // Up reports link state.
@@ -378,13 +383,23 @@ func (f *Fabric) SetLinkState(l *VirtualLink, up bool) { l.up = up }
 
 // Send transmits an Ethernet frame out of the given interface. Delivery is
 // asynchronous on the simulation clock; frames crossing hosts are VXLAN-
-// encapsulated and decapsulated for real.
+// encapsulated and decapsulated for real (into a copy of frame, which has
+// no headroom; see SendFramed).
 //
 // Ownership of frame passes to the fabric: the caller must not modify it
 // after the call, and the payload handed to the receiver may alias it (the
 // receiver may in turn retain that payload — frame buffers are never
 // recycled).
-func (f *Fabric) Send(from *VIface, frame []byte) {
+func (f *Fabric) Send(from *VIface, frame []byte) { f.SendFramed(from, frame, 0) }
+
+// SendFramed is Send for the frame buf[room:], whose room bytes of headroom
+// the fabric may write into (the netpkt.FrameHeadroom contract): with at
+// least netpkt.UnderlayHeaderLen of it, a cross-VM frame is encapsulated in
+// place and the receiver's payload aliases buf; with less, the frame is
+// copied into a buffer that has the room. A frame too long to encapsulate is
+// dropped and counted in FramesDropped. Ownership of buf passes to the
+// fabric, as with Send.
+func (f *Fabric) SendFramed(from *VIface, buf []byte, room int) {
 	// srcDomain is the domain executing this call — Send is always invoked
 	// by the firmware attached to the sending interface's host.
 	srcDomain := from.Container.Host.Domain
@@ -399,7 +414,7 @@ func (f *Fabric) Send(from *VIface, frame []byte) {
 		return
 	}
 	latency := f.IntraVMLatency
-	payload := frame
+	payload := buf[room:]
 	if l.crossVM {
 		latency = f.InterVMLatency
 		if from.Container.Host.Region != to.Container.Host.Region {
@@ -408,45 +423,68 @@ func (f *Fabric) Send(from *VIface, frame []byte) {
 		if from.Container.Host.Remote || to.Container.Host.Remote {
 			latency = f.RemoteLatency
 		}
-		// Real encap/decap across the underlay (Figure 5): UDP port is
+		if room < netpkt.UnderlayHeaderLen {
+			b := make([]byte, netpkt.UnderlayHeaderLen+len(payload))
+			copy(b[netpkt.UnderlayHeaderLen:], payload)
+			buf, room = b, netpkt.UnderlayHeaderLen
+		}
+		// Real encap/decap across the underlay (Figure 5), the headers
+		// written in front of the frame in its own buffer: UDP port is
 		// derived from the VNI for five-tuple entropy.
-		enc := netpkt.EncapVXLAN(l.VNI,
+		enc := buf[room-netpkt.UnderlayHeaderLen:]
+		if netpkt.PutVXLANHeaders(enc, l.VNI,
 			from.Container.Host.UnderlayIP, to.Container.Host.UnderlayIP,
 			netpkt.MAC{0x02, 0xee, 0, 0, 0, 1}, netpkt.MAC{0x02, 0xee, 0, 0, 0, 2},
-			uint16(32768+l.VNI%16384), frame)
+			uint16(32768+l.VNI%16384), len(payload)) != nil {
+			f.countDrop(srcDomain)
+			return
+		}
 		vni, inner, err := netpkt.DecapVXLAN(enc)
 		if err != nil || vni != l.VNI {
 			f.countDrop(srcDomain)
 			return
 		}
 		f.countEncap(srcDomain)
-		// inner aliases enc, a buffer private to this call, so it can be
-		// captured by the delivery closure without another copy.
 		payload = inner
 	}
-	data := payload
-	// The delivery closure executes on the receiving host's engine, so its
-	// counter writes belong to the destination domain.
-	dstDomain := to.Container.Host.Domain
-	deliver := func() {
-		if !l.up {
-			f.countDrop(dstDomain)
-			return
-		}
-		h := to.Container.handler
-		if h == nil {
-			// Firmware down: device drops the frame.
-			f.countDrop(dstDomain)
-			return
-		}
-		f.countDelivered(dstDomain, uint64(len(data)))
-		h(to.Name, data)
-	}
-	if f.shards != nil {
-		f.shards.ScheduleAfter(srcDomain, dstDomain, latency, deliver)
+	if f.shards == nil {
+		f.lane(l, to).After(latency, payload)
 		return
 	}
-	f.eng.After(latency, deliver)
+	// The delivery executes on the receiving host's engine, so its counter
+	// writes belong to the destination domain.
+	dstDomain := to.Container.Host.Domain
+	f.shards.ScheduleAfter(srcDomain, dstDomain, latency, func() { f.deliver(l, to, dstDomain, payload) })
+}
+
+// lane returns l's delivery lane towards to, building it on first use.
+func (f *Fabric) lane(l *VirtualLink, to *VIface) *sim.Lane[[]byte] {
+	i := 0
+	if to == l.A {
+		i = 1
+	}
+	if l.lanes[i] == nil {
+		dstDomain := to.Container.Host.Domain
+		l.lanes[i] = sim.NewLane(f.eng, func(data []byte) { f.deliver(l, to, dstDomain, data) })
+	}
+	return l.lanes[i]
+}
+
+// deliver hands a frame that crossed l to the firmware attached behind to,
+// or drops it if the link was cut or the firmware is down meanwhile.
+func (f *Fabric) deliver(l *VirtualLink, to *VIface, dstDomain int, data []byte) {
+	if !l.up {
+		f.countDrop(dstDomain)
+		return
+	}
+	h := to.Container.handler
+	if h == nil {
+		// Firmware down: device drops the frame.
+		f.countDrop(dstDomain)
+		return
+	}
+	f.countDelivered(dstDomain, uint64(len(data)))
+	h(to.Name, data)
 }
 
 // Validate checks overlay invariants: VNI uniqueness per fabric, link

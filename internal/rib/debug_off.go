@@ -13,5 +13,8 @@ type entrySum struct{}
 // stamp is a no-op in release builds.
 func (e *Entry) stamp() {}
 
+// checkSortedGroup is a no-op in release builds.
+func checkSortedGroup(memo, fresh, nhs []NextHop) {}
+
 // verify is a no-op in release builds.
 func (e *Entry) verify() {}

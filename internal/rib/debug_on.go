@@ -26,6 +26,16 @@ func (e *Entry) contentSum() entrySum {
 // stamp records the entry's content as it is installed.
 func (e *Entry) stamp() { e.sum = e.contentSum() }
 
+// checkSortedGroup panics unless the group the FIB's sorted memo returned
+// for the caller group nhs is the very group a fresh sort and
+// canonicalisation yields — which also catches a caller that edited a group
+// it promised was immutable.
+func checkSortedGroup(memo, fresh, nhs []NextHop) {
+	if len(memo) != len(fresh) || &memo[0] != &fresh[0] {
+		panic(fmt.Sprintf("rib: memoised sorted hop group %v for %v, a fresh sort gives %v", memo, nhs, fresh))
+	}
+}
+
 // verify panics if an installed entry no longer says what it was installed
 // with. Entry's doc comment promises installed entries are never edited —
 // snapshots, saved states, checkpoints and forks all share them on that

@@ -67,3 +67,22 @@ func TestEntryUnmutatedPasses(t *testing.T) {
 		t.Fatalf("diff against a hand-built snapshot: %v", d)
 	}
 }
+
+// TestSortedGroupMemoChecked: under the tag every InstallGroup hit on the
+// sorted-group memo is checked against a fresh sort and canonicalisation,
+// so a caller that edits a group it promised was immutable is caught at its
+// next install over it, while honest reinstalls pass.
+func TestSortedGroupMemoChecked(t *testing.T) {
+	var caller HopSetTable
+	group := caller.Canonical([]NextHop{{IP: 2, Interface: "et1"}, {IP: 1, Interface: "et0"}})
+	f := NewFIB()
+	f.InstallGroup(pfx("10.0.0.0/24"), ProtoBGP, group)
+	f.InstallGroup(pfx("10.0.1.0/24"), ProtoBGP, group) // a memo hit, checked
+	group[0].IP = 9
+	defer func() {
+		if recover() == nil {
+			t.Fatal("an edited caller group was not caught on the memo hit")
+		}
+	}()
+	f.InstallGroup(pfx("10.0.2.0/24"), ProtoBGP, group)
+}

@@ -224,9 +224,13 @@ type FIB struct {
 	Capacity int
 	// hopSets interns the distinct next-hop groups installed in this table
 	// so entries alias one canonical slice per group; scratch is the reusable
-	// sort buffer InstallHops canonicalizes into.
+	// sort buffer InstallHops canonicalizes into. sorted memoises
+	// InstallGroup: the table's canonical sorted group for each immutable
+	// caller group it has been handed, keyed by that group's identity (the
+	// address of its first hop).
 	hopSets HopSetTable
 	scratch []NextHop
+	sorted  map[*NextHop][]NextHop
 	// entryCopies counts the entries replaced in a sealed table — the entry
 	// half of the table's copy-on-write cost (see Copies).
 	entryCopies int
@@ -313,14 +317,62 @@ func (f *FIB) Install(e *Entry) error {
 // is no per-prefix hop storage once the group has been seen before. nhs is
 // not retained or mutated.
 func (f *FIB) InstallHops(p netpkt.Prefix, proto Proto, nhs []NextHop) error {
+	return f.install(p, proto, nhs, false)
+}
+
+// InstallGroup is InstallHops for a caller whose hop group is itself
+// immutable and shared — a canonical group from its own HopSetTable, as the
+// BGP router programs its FIB with — so the table sorts and canonicalises
+// each distinct group once and remembers the result by the group's
+// identity: reprogramming a prefix over a group seen before costs one
+// pointer lookup plus the Entry. The table retains nhs; it must never be
+// edited.
+func (f *FIB) InstallGroup(p netpkt.Prefix, proto Proto, nhs []NextHop) error {
+	return f.install(p, proto, nhs, true)
+}
+
+// install is InstallHops and InstallGroup: memo says whether nhs is an
+// immutable group the sorted memo may key on.
+func (f *FIB) install(p netpkt.Prefix, proto Proto, nhs []NextHop, memo bool) error {
 	p.Addr &= p.MaskIP()
 	if f.full(p) {
 		return ErrFull
 	}
+	var g []NextHop
+	if memo && len(nhs) > 0 {
+		g = f.sortedGroup(nhs)
+	} else {
+		g = f.canonical(nhs)
+	}
+	f.put(&Entry{Prefix: p, Proto: proto, NextHops: g})
+	return nil
+}
+
+// canonical returns the table's canonical copy of nhs in sorted order. nhs
+// is not retained or mutated.
+func (f *FIB) canonical(nhs []NextHop) []NextHop {
 	f.scratch = append(f.scratch[:0], nhs...)
 	sortHops(f.scratch)
-	f.put(&Entry{Prefix: p, Proto: proto, NextHops: f.hopSets.Canonical(f.scratch)})
-	return nil
+	return f.hopSets.Canonical(f.scratch)
+}
+
+// sortedGroup returns canonical(nhs) for a non-empty immutable group nhs
+// through the sorted memo. Under crystaldebug a hit is checked against a
+// fresh sort and canonicalisation.
+func (f *FIB) sortedGroup(nhs []NextHop) []NextHop {
+	key := &nhs[0]
+	if g, ok := f.sorted[key]; ok {
+		if debugEntries {
+			checkSortedGroup(g, f.canonical(nhs), nhs)
+		}
+		return g
+	}
+	g := f.canonical(nhs)
+	if f.sorted == nil {
+		f.sorted = map[*NextHop][]NextHop{}
+	}
+	f.sorted[key] = g
+	return g
 }
 
 // full reports whether the table is at capacity and p would be a new prefix.

@@ -84,6 +84,41 @@ func TestHopGroupSharing(t *testing.T) {
 	}
 }
 
+// TestInstallGroupMatchesInstallHops: a table programmed through
+// InstallGroup with immutable caller groups — a caller-side HopSetTable's,
+// unsorted, as the BGP router hands them — holds exactly what InstallHops
+// gives for the same writes, entry by entry, and entries over one group
+// alias one canonical sorted slice. ErrFull and the version count agree too.
+func TestInstallGroupMatchesInstallHops(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var caller HopSetTable
+	memo, plain := NewFIB(), NewFIB()
+	memo.Capacity, plain.Capacity = 150, 150
+	for i := 0; i < 2000; i++ {
+		hops := make([]NextHop, 1+rng.Intn(4))
+		for k := range hops {
+			hops[k] = NextHop{IP: netpkt.IP(1 + rng.Intn(5)), Interface: fmt.Sprintf("et%d", rng.Intn(3))}
+		}
+		group := caller.Canonical(hops)
+		p := netpkt.Prefix{Addr: netpkt.IP(rng.Intn(200)) << 8, Len: 24}
+		errM, errP := memo.InstallGroup(p, ProtoBGP, group), plain.InstallHops(p, ProtoBGP, group)
+		if errM != errP {
+			t.Fatalf("write %d: InstallGroup %v, InstallHops %v", i, errM, errP)
+		}
+	}
+	if memo.Version() != plain.Version() || memo.Snapshot().String() != plain.Snapshot().String() {
+		t.Fatal("InstallGroup and InstallHops built different tables")
+	}
+	byGroup := map[string]*NextHop{}
+	for _, e := range memo.Snapshot() {
+		key := fmt.Sprint(e.NextHops)
+		if first, ok := byGroup[key]; ok && first != &e.NextHops[0] {
+			t.Fatalf("%s: equal groups do not alias one canonical slice", e.Prefix)
+		}
+		byGroup[key] = &e.NextHops[0]
+	}
+}
+
 func TestCapacity(t *testing.T) {
 	f := NewFIB()
 	f.Capacity = 2

@@ -37,3 +37,29 @@ func TestAllocBudgetDiscardedTimer(t *testing.T) {
 	}
 	_ = keep
 }
+
+// TestAllocBudgetLane: queuing on a lane and firing allocates nothing — the
+// head is held inline, and once a burst has drained, the ring it grew waits
+// in the engine's spares for the next burst on any lane of the item type.
+func TestAllocBudgetLane(t *testing.T) {
+	e := NewEngine(1)
+	fired := 0
+	lanes := []*Lane[[]byte]{NewLane(e, func([]byte) { fired++ }), NewLane(e, func([]byte) { fired++ })}
+	frame := make([]byte, 64)
+	burst := func(l *Lane[[]byte]) {
+		for i := 0; i < 8; i++ {
+			l.After(time.Millisecond, frame)
+		}
+		e.Run(0)
+	}
+	burst(lanes[0])
+	if got := testing.AllocsPerRun(1000, func() {
+		lanes[0].After(time.Millisecond, frame)
+		e.Step()
+	}); got != 0 {
+		t.Errorf("one item in flight allocates %.1f times, want 0", got)
+	}
+	if got := testing.AllocsPerRun(1000, func() { burst(lanes[1]) }); got != 0 {
+		t.Errorf("a burst after another lane's drained allocates %.1f times, want 0", got)
+	}
+}

@@ -127,11 +127,12 @@ func (s *ShardSet) ScheduleAfter(src, dst int, d time.Duration, fn func()) {
 	s.outboxes[src] = append(s.outboxes[src], stagedEvent{at: at, target: target, fn: fn})
 }
 
-// pendingTotals sums queue lengths and daemon counts across all engines.
+// pendingTotals sums pending events (Lane items included) and daemon counts
+// across all engines.
 func (s *ShardSet) pendingTotals() (total, daemons int) {
-	total, daemons = len(s.master.queue), s.master.daemons
+	total, daemons = s.master.Pending(), s.master.daemons
 	for _, e := range s.domains {
-		total += len(e.queue)
+		total += e.Pending()
 		daemons += e.daemons
 	}
 	return total, daemons

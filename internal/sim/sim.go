@@ -43,13 +43,15 @@ func (t Time) Sub(u Time) time.Duration { return time.Duration(t - u) }
 // event is a scheduled callback. Events are recycled through the engine's
 // free list once they fire or are canceled; gen guards stale Timer handles
 // against canceling an unrelated reuse. When it fires is not here but in the
-// event's heap slot.
+// event's heap slot. A Lane's resident event has lane set instead of fn and
+// is never recycled: it stands in the heap for the lane's head item.
 type event struct {
 	fn     func()
 	index  int // heap index, -1 once popped or canceled
 	gen    uint32
 	daemon bool // background event: does not keep Run from converging
 	eng    *Engine
+	lane   laneEvents
 }
 
 // slot is one element of the event heap: an event and, inline, the key that
@@ -202,9 +204,14 @@ type Engine struct {
 	rng     *RNG
 	fired   uint64
 	daemons int // pending daemon events (subset of queue)
-	maxed   bool
-	halted  bool
-	rec     *obs.Recorder // nil unless tracing is enabled
+	// laneQueued counts the Lane items waiting behind their lane's head;
+	// the heads themselves are in queue. laneSpares holds, per lane item
+	// type, the rings drained lanes gave back (see Lane).
+	laneQueued int
+	laneSpares map[any]any
+	maxed      bool
+	halted     bool
+	rec        *obs.Recorder // nil unless tracing is enabled
 
 	// Check, when non-nil, is polled by Run before the first event and then
 	// every checkEvents events; a non-nil error aborts the run with that
@@ -242,11 +249,11 @@ type EngineState struct {
 // quiescent (no pending events): quiescence is the contract that makes a
 // restored engine's future identical to the original's.
 func (e *Engine) Snapshot() (EngineState, error) {
-	if len(e.queue) != 0 {
-		if e.daemons == len(e.queue) {
+	if n := e.Pending(); n != 0 {
+		if e.daemons == n {
 			return EngineState{}, fmt.Errorf("sim: cannot snapshot engine with %d pending daemon events (background failure/health timers cannot cross a snapshot)", e.daemons)
 		}
-		return EngineState{}, fmt.Errorf("sim: cannot snapshot engine with %d pending events", len(e.queue))
+		return EngineState{}, fmt.Errorf("sim: cannot snapshot engine with %d pending events", n)
 	}
 	return EngineState{Now: e.now, Seq: e.seq, Fired: e.fired, RNG: e.rng.State()}, nil
 }
@@ -284,9 +291,10 @@ func (e *Engine) SetRecorder(rec *obs.Recorder) {
 // disabled tracer.
 func (e *Engine) Recorder() *obs.Recorder { return e.rec }
 
-// Pending reports the number of live events still queued. Canceled events
-// are removed from the queue eagerly, so they never count.
-func (e *Engine) Pending() int { return len(e.queue) }
+// Pending reports the number of live events still queued, Lane items
+// included. Canceled events are removed from the queue eagerly, so they
+// never count.
+func (e *Engine) Pending() int { return len(e.queue) + e.laneQueued }
 
 // PendingDaemons reports how many of the pending events are daemon
 // (background) events scheduled via Daemon.
@@ -386,6 +394,10 @@ func (e *Engine) Halt() { e.halted = true }
 func (e *Engine) CancelAll() {
 	for len(e.queue) > 0 {
 		ev := e.queue.popMin().ev
+		if ev.lane != nil {
+			ev.lane.drop()
+			continue
+		}
 		if ev.daemon {
 			e.daemons--
 		}
@@ -401,11 +413,15 @@ func (e *Engine) Step() bool {
 	}
 	s := e.queue.popMin()
 	ev := s.ev
+	e.now = s.at
+	e.fired++
+	if ev.lane != nil {
+		ev.lane.pop()
+		return true
+	}
 	if ev.daemon {
 		e.daemons--
 	}
-	e.now = s.at
-	e.fired++
 	fn := ev.fn
 	e.recycle(ev)
 	fn()

@@ -25,17 +25,20 @@ go vet ./...
 echo "== go test ./..."
 go test ./...
 
+# internal/sim's lane property test (TestLanePopsInKeyOrderAgainstModel:
+# lanes against a sorted model of every pending event, counted in Pending,
+# Snapshot and ShardSet totals, drained lanes holding no array) runs here.
 echo "== go test -race (concurrency-touching packages)"
 go test -race ./internal/parallel/ ./internal/sim/ ./internal/experiments/ ./internal/checkpoint/ \
     ./internal/obs/ ./internal/serve/ ./internal/bgp/ ./internal/rib/ ./internal/trie/ ./internal/traffic/ \
-    ./internal/boundary/
+    ./internal/boundary/ ./internal/firmware/ ./internal/phynet/ ./internal/cloud/
 
 # Under the tag every wire-index hit in Decode is re-parsed and must intern
 # to the same object, and every use of a memoised wire image re-encodes the
 # attributes and compares: these runs (and the chaos and fork suites below)
 # are the UPDATE fast path against its oracle. The -race pass above ran
 # TestWireIndexUnderParallelEngines, two engines filling the index at once.
-echo "== sealed-attrs, wire-index and wire-image oracles, installed-FIB-entry immutability (-tags crystaldebug)"
+echo "== sealed-attrs, wire-index and wire-image oracles, installed-FIB-entry immutability, memoised sorted hop groups (-tags crystaldebug)"
 go test -tags crystaldebug ./internal/bgp/ ./internal/rib/
 
 # Under the tag every aggregate a settle reuses is re-walked and compared
@@ -62,11 +65,14 @@ if [ "${SHORT:-}" != "1" ]; then
     echo "== BGP decoder fuzz (no panic; wire index vs parser; wire image vs encoder; round trip; 5s)"
     go test ./internal/bgp -run '^$' -fuzz=FuzzDecode -fuzztime=5s
 
+    echo "== netpkt decoder fuzz (no panic; round trips; in-place header writers vs encoders; 5s)"
+    go test ./internal/netpkt -run '^$' -fuzz=FuzzNetpkt -fuzztime=5s
+
     # The budgets build only without -race and without crystaldebug (both
     # allocate on their own account), so the plain pass above is the one
     # run that has them; -count=1 keeps a cached result from standing in.
-    echo "== allocation budgets of the per-UPDATE path (UPDATE round trip <= 4, flush = its messages, dropped timer = 0)"
-    go test -count=1 ./internal/bgp/ ./internal/sim/ -run 'TestAllocBudget'
+    echo "== allocation budgets of the per-UPDATE path (flush = its messages, delivery to HandleMessage = 0, FIB reinstall = the Entry, dropped timer and lane = 0)"
+    go test -count=1 ./internal/bgp/ ./internal/sim/ ./internal/phynet/ ./internal/firmware/ ./internal/rib/ -run 'TestAllocBudget'
 else
     echo "== persistent-trie and BGP-decoder fuzz, allocation budgets skipped (SHORT=1)"
 fi
