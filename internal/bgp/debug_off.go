@@ -9,7 +9,10 @@ import "crystalnet/internal/netpkt"
 // (scripts/check.sh does for this package).
 const debugAttrs = false
 
-// assertSealed and assertWireHit are no-ops in release builds.
+// assertSealed, assertWireHit and assertMemosFilled are no-ops in release
+// builds.
 func assertSealed(*Attrs) {}
+
+func assertMemosFilled(*Router) {}
 
 func assertWireHit(*Attrs, netpkt.IP, []byte) {}

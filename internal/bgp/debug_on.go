@@ -40,3 +40,28 @@ func assertWireHit(hit *Attrs, nextHop netpkt.IP, b []byte) {
 		panic(fmt.Sprintf("bgp: wire index resolved % x to %s nh=%s; parser says %v nh=%s err=%v", b, hit, nextHop, a, nh, err))
 	}
 }
+
+// assertMemosFilled panics unless every *Attrs r's forks can reach has its
+// memo filled — the Loc-RIB candidates, the entries' lastBest caches and the
+// templates advertised to each peer — which every attrs that came through
+// Intern has. An unfilled one would be filled lazily by whichever fork read
+// it first, racing the others.
+func assertMemosFilled(r *Router) {
+	check := func(a *Attrs) {
+		if a != nil && (a.memo.ekey == "" || a.memo.wire == nil) {
+			panic(fmt.Sprintf("bgp: %s reached %s's RIB without Intern: its memo is unfilled at Seal", a, r.cfg.Name))
+		}
+	}
+	for _, e := range r.entries {
+		for i := range e.candidates {
+			check(e.candidates[i].attrs)
+		}
+		check(e.lastBest)
+	}
+	for _, p := range r.peers {
+		p.advertised.Range(func(_ int, a *Attrs) bool {
+			check(a)
+			return true
+		})
+	}
+}

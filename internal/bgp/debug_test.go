@@ -38,3 +38,25 @@ func TestSealedUnmutatedPasses(t *testing.T) {
 		t.Fatal("empty key")
 	}
 }
+
+// TestSealCatchesUninternedAttrs: Seal fills no attrs memo, because
+// everything in a RIB came through Intern. An attrs that did not — here a
+// locally originated candidate slipped in past Originate/InjectLocal — has an
+// empty memo that concurrent forks would race to fill; under the tag Seal
+// refuses it.
+func TestSealCatchesUninternedAttrs(t *testing.T) {
+	n := newTnet(t)
+	a := n.add("a", 65001, nil)
+	a.r.Originate(netpkt.MustParsePrefix("100.64.0.0/24"))
+	a.r.Seal() // everything interned: passes
+
+	n = newTnet(t)
+	b := n.add("b", 65002, nil)
+	b.r.upsertCandidate(netpkt.MustParsePrefix("100.64.1.0/24"), nil, &Attrs{Origin: OriginIGP, Path: EmptyPath})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Seal accepted an attrs that never went through Intern")
+		}
+	}()
+	b.r.Seal()
+}

@@ -9,39 +9,15 @@ package bgp
 //   - every Loc-RIB entry and the prefix index become shared: the router
 //     gives up ownership of all of them, and its own later writes go through
 //     writable/entryFor like a fork's;
-//   - every peer's Adj-RIB tables are marked shared (rib.Dense.Seal);
-//   - the lazy memo (fingerprint and wire image) is forced on every *Attrs
-//     a fork could reach. Attrs are immutable once shared *except* for that
-//     memo, so filling it here turns them fully read-only and lets concurrent
-//     forks alias them without racing on the fill. With the global intern
-//     table (Intern) active this part is a near-no-op: every attrs that
-//     entered a RIB came through Intern, which filled the memo before
-//     publication, so the walk only touches stragglers created while
-//     interning was disabled.
+//   - every peer's Adj-RIB tables are marked shared (rib.Dense.Seal).
+//
+// The *Attrs a fork can reach need nothing here: each came through Intern,
+// which fills its memo (fingerprint and wire image) before publishing it, so
+// it is read-only before any fork aliases it. Under -tags crystaldebug Seal
+// checks exactly that on every one of them.
 func (r *Router) Seal() {
-	seal := func(a *Attrs) {
-		if a != nil && (a.memo.ekey == "" || a.memo.wire == nil) {
-			attrsKey(a)
-			wireImage(a)
-		}
-	}
-	// The per-peer Adj-RIB-In is a presence bitset: every attrs a peer has
-	// accepted is also a Loc-RIB candidate, so walking the Loc-RIB covers the
-	// whole reachable attrs set.
-	for _, e := range r.entries {
-		for i := range e.candidates {
-			seal(e.candidates[i].attrs)
-		}
-		seal(e.lastBest)
-	}
-	// Advertised export templates are not reachable from the Loc-RIB (they
-	// carry the prepended path), yet forks alias them for the no-change
-	// flush comparison — seal those too.
+	assertMemosFilled(r)
 	for _, p := range r.peers {
-		p.advertised.Range(func(_ int, a *Attrs) bool {
-			seal(a)
-			return true
-		})
 		p.adjIn.Seal()
 		p.advertised.Seal()
 	}
@@ -62,12 +38,12 @@ func (r *Router) Seal() {
 // (prevBestAttrs != newBestAttrs), and sharing preserves the exact aliasing
 // topology between Loc-RIB candidates and the entries' lastBest caches.
 //
-// The prepend and export caches are deliberately left empty. Aliasing
-// keeps their pointer keys valid, so copying them would be correct — but
-// measured on the S-DC chaos campaign the copies cost more than the
-// misses: fault churn mostly derives new attribute objects, which miss any
-// warm cache. Cache state never changes output bytes (pure memoization),
-// only how much work a flush does.
+// The export-template cache and the hop-group table start empty. Aliasing
+// keeps the cache's pointer keys valid, so copying it would be correct — but
+// measured on the S-DC chaos campaign the copies cost more than the misses:
+// fault churn mostly derives new attribute objects, which miss any warm
+// cache. Neither changes output bytes (both are pure memoization), only how
+// much work a decide or a flush does.
 func (r *Router) Fork(clock Clock, hooks Hooks) *Router {
 	if !r.cow || r.owned != nil {
 		panic("bgp: Fork of a router written since its last Seal")

@@ -3,9 +3,10 @@
 //
 // A Snapshot is cheap to take — it records the engine's serializable scalar
 // state (clock, scheduling counters, RNG stream position) plus a frozen
-// reference to the source emulation. The deep copy happens at fork time,
-// in Orchestrator.Fork, which walks the frozen emulation strictly read-only
-// so any number of forks can materialize concurrently.
+// reference to the source emulation, whose bulk routing state
+// Emulation.Checkpoint seals for sharing. Orchestrator.Fork then builds each
+// fork reading the frozen emulation strictly read-only, so any number of
+// forks can materialize concurrently.
 //
 // The contract that makes this sound is quiescence: a snapshot can only be
 // taken when the engine's event queue is empty (RunUntilConverged drains it).
@@ -14,21 +15,23 @@
 // fired or been canceled, and no VM boot callbacks are outstanding. Forks
 // therefore restore only data, never control flow.
 //
-// What is shared copy-on-write versus deep-copied:
+// What is shared, shared copy-on-write, and deep-copied:
 //
-//   - Shared (immutable after convergence): the topology *topo.Network, the
-//     parsed device configs, BGP policies, encoded *bgp.ASPath values and
-//     *bgp.Attrs path attributes (cloned once per fork via a pointer memo so
-//     intra-router sharing — Adj-RIB-In, Loc-RIB candidates, last-best — is
-//     preserved exactly), ACL rule objects, and P4 table entries.
-//   - Deep-copied (mutable routing state): FIB tries, BGP peer and Loc-RIB
-//     state, OSPF LSDBs and adjacency state, phynet hosts/containers/links,
-//     VM accounting, ARP caches and pending frames, telemetry counters.
-//
-// The sharing of *bgp.Attrs relies on the no-retention contract from the
-// routing hooks (Hooks.InstallRoute and friends): consumers must not hold
-// references to hook arguments beyond the call, so attribute objects are
-// only reachable through the router structures the fork rewrites.
+//   - Shared (immutable): the topology *topo.Network, the parsed device
+//     configs and the fabric index over them, BGP policies, encoded
+//     *bgp.ASPath values and *bgp.Attrs path attributes (interned, their
+//     memos filled before publication, so forks alias them and the
+//     intra-router sharing of Adj-RIB, Loc-RIB candidates and last-best is
+//     preserved exactly), installed FIB entries and hop groups, ACL rule
+//     objects, and P4 table entries.
+//   - Shared copy-on-write (sealed at Checkpoint): FIB tries, BGP Loc-RIB
+//     entries and the prefix index, and per-peer Adj-RIB tables. Each side
+//     copies exactly what it later writes; a cloned FIB keeps its table's
+//     lineage and version, so readers keyed on them follow it into the fork.
+//   - Deep-copied (small mutable state): BGP session state, OSPF LSDBs and
+//     adjacency state, phynet hosts/containers/links, VM accounting, ARP
+//     caches and pending frames, telemetry counters. Protocol hooks are
+//     rebuilt against the fork's device by the builder its boot uses.
 //
 // DESIGN.md §6 is the full snapshot-model write-up this comment summarizes.
 package checkpoint
@@ -41,10 +44,10 @@ import (
 
 // Snapshot is a frozen, forkable image of a converged emulation.
 //
-// It does not deep-copy anything itself: Origin points at the live source
-// emulation, which must not be mutated (stepped, cleared, reconfigured)
-// while forks are outstanding. Orchestrator.Fork performs the deep copy,
-// reading the origin without writing it, so concurrent forks are safe.
+// It copies nothing itself: Origin points at the live source emulation,
+// which must not be mutated (stepped, cleared, reconfigured) until every
+// intended fork has been taken. Orchestrator.Fork builds each fork reading
+// the origin without writing it, so concurrent forks are safe.
 type Snapshot struct {
 	// TakenAt is the virtual time at which the snapshot was captured.
 	TakenAt sim.Time

@@ -195,12 +195,7 @@ func (em *Emulation) build() {
 			em.vmOf[name] = vm
 			host = em.Fabric.Host(vm.Name)
 		}
-		c := host.AddContainer(name)
-		em.containers[name] = c
-		d := n.MustDevice(name)
-		for _, intf := range d.Interfaces {
-			c.AddIface(intf.Name, intf.MAC)
-		}
+		em.addContainer(host, n.MustDevice(name))
 	}
 	// Links between two mocked-up devices.
 	for _, l := range n.Links {
@@ -466,55 +461,75 @@ func (em *Emulation) ReloadDevice(name string, newCfg *config.DeviceConfig, onRe
 // rebuildContainer recreates a device's namespace, interfaces and link
 // attachments (strawman reload and VM recovery both need it).
 func (em *Emulation) rebuildContainer(name string) {
-	n := em.prep.Plan.Network
-	vm := em.vmOf[name]
-	host := em.Fabric.Host(vm.Name)
-	host.RemoveContainer(name)
-	c := host.AddContainer(name)
-	em.containers[name] = c
-	d := n.MustDevice(name)
+	d := em.prep.Plan.Network.MustDevice(name)
+	c := em.addContainer(em.Fabric.Host(em.vmOf[name].Name), d)
+	// Reconnect links to peers that are still up.
+	em.deviceLinks(name, func(k linkKey, local, remote *topo.Interface, ri *phynet.VIface) {
+		em.connect(k, c.Iface(local.Name), ri)
+		// Tell the remote firmware its link flapped.
+		if rdev := em.Devices[remote.Device.Name]; rdev != nil {
+			rdev.LinkDown(remote.Name)
+			rdev.LinkUp(remote.Name)
+		}
+	})
+	em.attachDevice(name)
+}
+
+// addContainer builds the PhyNet half of device d on host: a container in
+// place of any the host still has under d's name, with one interface per
+// topology interface. Mockup, recovery, strawman reload and rack attach all
+// build a device's namespace here.
+func (em *Emulation) addContainer(host *phynet.Host, d *topo.Device) *phynet.Container {
+	host.RemoveContainer(d.Name)
+	c := host.AddContainer(d.Name)
+	em.containers[d.Name] = c
 	for _, intf := range d.Interfaces {
 		c.AddIface(intf.Name, intf.MAC)
 	}
-	// Reconnect links to peers that are still up.
-	for _, l := range n.Links {
-		var local, remote *topo.Interface
-		switch {
-		case l.A.Device.Name == name:
-			local, remote = l.A, l.B
-		case l.B.Device.Name == name:
+	return c
+}
+
+// deviceLinks calls fn, in n.Links order, for every topology link that
+// touches the named device and whose far end is emulated: the link's key,
+// the device's end, the far end, and the far end's interface. A far
+// container that lacks the interface gets it hot-added first — the peering is
+// new on that side too, and its firmware picks it up on the operator's
+// reload. Recovery, rack attach and link drop all walk a device's links here;
+// keeping n.Links order keeps their traces byte-identical run to run.
+func (em *Emulation) deviceLinks(name string, fn func(k linkKey, local, remote *topo.Interface, ri *phynet.VIface)) {
+	for _, l := range em.prep.Plan.Network.Links {
+		local, remote := l.A, l.B
+		switch name {
+		case l.A.Device.Name:
+		case l.B.Device.Name:
 			local, remote = l.B, l.A
 		default:
 			continue
 		}
 		rc := em.containers[remote.Device.Name]
 		if rc == nil {
-			continue
+			continue // far end not emulated
 		}
-		vl := em.Fabric.Connect(c.Iface(local.Name), em.freshRemoteIface(rc, remote.Name))
-		em.vlinks[keyFor(l.A, l.B)] = vl
-		// Tell the remote firmware its link flapped.
-		if rdev := em.Devices[remote.Device.Name]; rdev != nil {
-			rdev.LinkDown(remote.Name)
-			rdev.LinkUp(remote.Name)
+		ri := rc.Iface(remote.Name)
+		if ri == nil {
+			ri = rc.AddIface(remote.Name, remote.MAC)
 		}
+		fn(keyFor(l.A, l.B), local, remote, ri)
 	}
-	em.attachDevice(name)
 }
 
-// freshRemoteIface returns the remote interface, replacing it if it is
-// still attached to a dead link (RemoveContainer downed it but the object
-// remains plugged).
-func (em *Emulation) freshRemoteIface(rc *phynet.Container, ifName string) *phynet.VIface {
-	ri := rc.Iface(ifName)
-	if ri.Link() == nil {
-		return ri
+// connect plugs li into a fresh virtual link to ri and records it under k.
+// A far interface still plugged into a dead link (RemoveContainer downed it
+// but the object remains plugged) is first replaced by a new one with the
+// same identity: real PhyNet would reuse the veth, this structural model
+// swaps the object.
+func (em *Emulation) connect(k linkKey, li, ri *phynet.VIface) {
+	if ri.Link() != nil {
+		rc := ri.Container
+		rc.RemoveIface(ri.Name)
+		ri = rc.AddIface(ri.Name, ri.MAC)
 	}
-	// Replace with a new interface object carrying the same identity: real
-	// PhyNet would reuse the veth; our structural model swaps the object.
-	mac := ri.MAC
-	rc.RemoveIface(ifName)
-	return rc.AddIface(ifName, mac)
+	em.vlinks[k] = em.Fabric.Connect(li, ri)
 }
 
 // attachDevice re-binds a device to its (re)built container. Stopped or
@@ -576,32 +591,10 @@ func (em *Emulation) AttachNewDevice(name string, img firmware.VendorImage, cfg 
 	attach := func(vm *cloud.VM) {
 		em.vmOf[name] = vm
 		host := em.Fabric.Host(vm.Name)
-		c := host.AddContainer(name)
-		em.containers[name] = c
-		for _, intf := range d.Interfaces {
-			c.AddIface(intf.Name, intf.MAC)
-		}
-		for _, l := range n.Links {
-			if l.A.Device != d && l.B.Device != d {
-				continue
-			}
-			local, remote := l.A, l.B
-			if l.B.Device == d {
-				local, remote = l.B, l.A
-			}
-			rc := em.containers[remote.Device.Name]
-			if rc == nil {
-				continue // peer not emulated
-			}
-			if rc.Iface(remote.Name) == nil {
-				// The peering is new on the remote side too: the PhyNet
-				// layer hot-adds the interface (its firmware picks it up on
-				// the operator's reload).
-				rc.AddIface(remote.Name, remote.MAC)
-			}
-			vl := em.Fabric.Connect(c.Iface(local.Name), em.freshRemoteIface(rc, remote.Name))
-			em.vlinks[keyFor(l.A, l.B)] = vl
-		}
+		c := em.addContainer(host, d)
+		em.deviceLinks(name, func(k linkKey, local, _ *topo.Interface, ri *phynet.VIface) {
+			em.connect(k, c.Iface(local.Name), ri)
+		})
 		dev := firmware.New(name, img, cfg, em.deviceEng(name), em.Fabric, c, firmware.WithVM(vm))
 		em.Devices[name] = dev
 		em.Mgmt.Register(dev, d.MgmtIP, em.orch.opts.Credential, vm.Name)
@@ -1143,24 +1136,14 @@ func (em *Emulation) onBootAborted(vm *cloud.VM) {
 // dropDeviceLinks cuts every emulated link touching the named device and
 // notifies surviving neighbors.
 func (em *Emulation) dropDeviceLinks(name string) {
-	n := em.prep.Plan.Network
-	for _, l := range n.Links {
-		var remote *topo.Interface
-		switch {
-		case l.A.Device.Name == name:
-			remote = l.B
-		case l.B.Device.Name == name:
-			remote = l.A
-		default:
-			continue
-		}
-		if vl := em.vlinks[keyFor(l.A, l.B)]; vl != nil {
+	em.deviceLinks(name, func(k linkKey, _, remote *topo.Interface, _ *phynet.VIface) {
+		if vl := em.vlinks[k]; vl != nil {
 			em.Fabric.SetLinkState(vl, false)
 		}
 		if rdev := em.Devices[remote.Device.Name]; rdev != nil {
 			rdev.LinkDown(remote.Name)
 		}
-	}
+	})
 }
 
 // Recoveries returns measured VM-recovery durations (§8.3).

@@ -171,8 +171,8 @@ func TestForksNeverSeeParentAttach(t *testing.T) {
 			traffic: trafficReport(t, em),
 		}
 		w := batfish.NewIndexWalker(func(dev string, dst netpkt.IP) (*rib.Entry, bool) {
-			if fib := em.table(dev); fib != nil {
-				return fib.Lookup(dst)
+			if d := em.Devices[dev]; d != nil && d.FIB() != nil {
+				return d.FIB().Lookup(dst)
 			}
 			return nil, false
 		}, em.Index())

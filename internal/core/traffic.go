@@ -2,7 +2,6 @@ package core
 
 import (
 	"crystalnet/internal/dataplane"
-	"crystalnet/internal/rib"
 	"crystalnet/internal/traffic"
 )
 
@@ -49,13 +48,4 @@ func (em *Emulation) settleTraffic() {
 		},
 		Index: em.Index(),
 	})
-}
-
-// table returns a device's live forwarding table, nil when the device is
-// absent or down.
-func (em *Emulation) table(name string) *rib.FIB {
-	if d := em.Devices[name]; d != nil {
-		return d.FIB()
-	}
-	return nil
 }

@@ -152,6 +152,9 @@ func (f *Forwarder) FIB() *rib.FIB { return f.fib }
 // AddLocal registers a device-owned address.
 func (f *Forwarder) AddLocal(ip netpkt.IP) { f.local[ip] = true }
 
+// IsLocal reports whether ip is one of the device's own addresses.
+func (f *Forwarder) IsLocal(ip netpkt.IP) bool { return f.local[ip] }
+
 // SetInACL binds an ACL to an ingress interface (nil clears).
 func (f *Forwarder) SetInACL(iface string, a *ACL) {
 	if a == nil {

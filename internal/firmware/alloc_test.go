@@ -27,7 +27,7 @@ func TestAllocBudgetFrameDelivery(t *testing.T) {
 		t.Fatal("b has no route to a's servers")
 	}
 	peer := p.a.bgp.Peers()[0]
-	frame := framed(bgp.MarshalUpdate(&bgp.Update{Attrs: attrs, NextHop: p.a.ifaceAddr[p.a.peerIface[peer.Index]].Addr, NLRI: []netpkt.Prefix{route}}))
+	frame := framed(bgp.MarshalUpdate(&bgp.Update{Attrs: attrs, NextHop: peer.Config.LocalIP, NLRI: []netpkt.Prefix{route}}))
 	msgsIn, lastChange := p.b.bgp.Peers()[0].MsgsIn, p.b.LastFIBChange
 	deliver := func() {
 		p.a.sendBGP(peer.Index, frame)

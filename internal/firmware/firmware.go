@@ -168,7 +168,7 @@ type Device struct {
 
 	cfg   *config.DeviceConfig
 	state DeviceState
-	epoch int // increments per boot; stale timers check it
+	epoch int // moves on per boot, stop and crash; stale timers and hooks check it
 
 	fib *rib.FIB
 	fwd *dataplane.Forwarder
@@ -176,9 +176,6 @@ type Device struct {
 	osp *ospf.Instance
 
 	peerByIP    map[netpkt.IP]*bgp.Peer
-	peerIface   map[int]string     // peer index -> egress interface
-	peerIP      map[int]netpkt.IP  // peer index -> remote IP
-	localIPs    map[netpkt.IP]bool // addresses owned by the device
 	ifaceAddr   map[string]netpkt.Prefix
 	ospfIfaces  map[string]int
 	arp         map[netpkt.IP]netpkt.MAC
@@ -329,9 +326,6 @@ func (d *Device) finishBoot() {
 	d.fib.Capacity = d.Image.FIBCapacity
 	d.fwd = dataplane.NewForwarder(d.fib, uint32(d.eng.Rand().Int63()))
 	d.peerByIP = map[netpkt.IP]*bgp.Peer{}
-	d.peerIface = map[int]string{}
-	d.peerIP = map[int]netpkt.IP{}
-	d.localIPs = map[netpkt.IP]bool{}
 	d.ifaceAddr = map[string]netpkt.Prefix{}
 	d.ospfIfaces = map[string]int{}
 	if d.arp == nil || !d.Image.Bugs.ARPRefreshBroken {
@@ -350,7 +344,6 @@ func (d *Device) finishBoot() {
 	// Connected routes + local addresses.
 	for _, ic := range d.cfg.Interfaces {
 		d.ifaceAddr[ic.Name] = ic.Addr
-		d.localIPs[ic.Addr.Addr] = true
 		d.fwd.AddLocal(ic.Addr.Addr)
 		subnet := netpkt.Prefix{Addr: ic.Addr.Addr & ic.Addr.MaskIP(), Len: ic.Addr.Len}
 		d.fib.Install(&rib.Entry{
@@ -406,21 +399,7 @@ func (d *Device) startBGP() {
 	for _, a := range d.cfg.Aggregates {
 		rcfg.Aggregates = append(rcfg.Aggregates, bgp.AggregateSpec{Prefix: a.Prefix, SummaryOnly: a.SummaryOnly})
 	}
-	d.bgp = bgp.New(rcfg, bgpClock{d.eng}, bgp.Hooks{
-		SendToPeer:   d.sendBGP,
-		InstallRoute: d.installBGPRoute,
-		// The FIB may already be gone when a crash interrupts the router's
-		// own teardown (e.g. CrashAfterFlaps fires mid-reset).
-		RemoveRoute: func(p netpkt.Prefix) {
-			if d.fib != nil {
-				d.fib.Remove(p)
-				d.LastFIBChange = d.eng.Now()
-			}
-		},
-		SessionEvent: d.onSessionEvent,
-		Logf:         func(f string, a ...any) { d.logf(f, a...) },
-		Rec:          d.eng.Recorder(),
-	})
+	d.bgp = bgp.New(rcfg, bgpClock{d.eng}, d.bgpHooks())
 	for _, n := range d.cfg.Neighbors {
 		local := netpkt.IP(0)
 		if ic := d.cfg.Interface(n.Interface); ic != nil {
@@ -443,8 +422,6 @@ func (d *Device) startBGP() {
 			AdvertiseLocalOnly: d.Image.StaticSpeaker,
 		})
 		d.peerByIP[n.IP] = peer
-		d.peerIface[peer.Index] = n.Interface
-		d.peerIP[peer.Index] = n.IP
 	}
 	for _, p := range d.cfg.Networks {
 		d.bgp.Originate(p)
@@ -476,12 +453,48 @@ func (d *Device) scheduleSessionRetry(peer *bgp.Peer, epoch, attempt int) {
 	})
 }
 
+// bgpHooks returns the hooks of the BGP router the current boot runs. They
+// are bound to the boot: a call from an earlier boot's router — an MRAI
+// flush a crash left armed, or the rest of a session reset that crashed the
+// device midway — is dropped, so a hook that acts is always called by d.bgp.
+// Boot and Fork both build their router's hooks here.
+func (d *Device) bgpHooks() bgp.Hooks {
+	epoch := d.epoch
+	return bgp.Hooks{
+		SendToPeer: func(i int, frame []byte) {
+			if d.epoch == epoch {
+				d.sendBGP(i, frame)
+			}
+		},
+		InstallRoute: func(p netpkt.Prefix, nhs []rib.NextHop) error {
+			if d.epoch != epoch {
+				return nil
+			}
+			return d.installBGPRoute(p, nhs)
+		},
+		RemoveRoute: func(p netpkt.Prefix) {
+			if d.epoch == epoch {
+				d.fib.Remove(p)
+				d.LastFIBChange = d.eng.Now()
+			}
+		},
+		SessionEvent: func(i int, st bgp.SessionState) {
+			if d.epoch == epoch {
+				d.onSessionEvent(i, st)
+			}
+		},
+		Logf: func(f string, a ...any) {
+			if d.epoch == epoch {
+				d.logf(f, a...)
+			}
+		},
+		Rec: d.eng.Recorder(),
+	}
+}
+
 // installBGPRoute is the vendor hook between the BGP RIB and the hardware
 // FIB — where the FIB-capacity and default-route bugs live.
 func (d *Device) installBGPRoute(p netpkt.Prefix, nhs []rib.NextHop) error {
-	if d.fib == nil {
-		return nil // firmware crashed mid-teardown
-	}
 	if d.Image.Bugs.DefaultRouteBroken && p.Len == 0 {
 		// §7 Case 2: "failing to update the default route when routes are
 		// learned from BGP". Silently skips programming.
@@ -521,15 +534,7 @@ func (d *Device) startOSPF() {
 	if d.cfg.OSPF == nil {
 		return
 	}
-	d.osp = ospf.New(ospf.Config{Name: d.Name, RouterID: d.cfg.RouterID}, ospfClock{d.eng}, ospf.Hooks{
-		Send: d.sendOSPF,
-		InstallRoute: func(p netpkt.Prefix, nhs []rib.NextHop) error {
-			return d.fib.InstallHops(p, rib.ProtoOSPF, nhs)
-		},
-		RemoveRoute: func(p netpkt.Prefix) { d.fib.Remove(p) },
-		Logf:        func(f string, a ...any) { d.logf(f, a...) },
-		Rec:         d.eng.Recorder(),
-	})
+	d.osp = ospf.New(ospf.Config{Name: d.Name, RouterID: d.cfg.RouterID}, ospfClock{d.eng}, d.ospfHooks())
 	d.osp.AddStub(d.cfg.Loopback)
 	for _, oi := range d.cfg.OSPF.Interfaces {
 		ic := d.cfg.Interface(oi.Name)
@@ -546,6 +551,37 @@ func (d *Device) startOSPF() {
 		d.ospfIfaces[oi.Name] = idx
 	}
 	d.osp.Start()
+}
+
+// ospfHooks returns the hooks of the OSPF instance the current boot runs,
+// bound to the boot as bgpHooks' are: an SPF run or election an earlier boot
+// left armed neither floods nor programs the FIB.
+func (d *Device) ospfHooks() ospf.Hooks {
+	epoch := d.epoch
+	return ospf.Hooks{
+		Send: func(i int, dst ospf.RouterID, data []byte) {
+			if d.epoch == epoch {
+				d.sendOSPF(i, dst, data)
+			}
+		},
+		InstallRoute: func(p netpkt.Prefix, nhs []rib.NextHop) error {
+			if d.epoch != epoch {
+				return nil
+			}
+			return d.fib.InstallHops(p, rib.ProtoOSPF, nhs)
+		},
+		RemoveRoute: func(p netpkt.Prefix) {
+			if d.epoch == epoch {
+				d.fib.Remove(p)
+			}
+		},
+		Logf: func(f string, a ...any) {
+			if d.epoch == epoch {
+				d.logf(f, a...)
+			}
+		},
+		Rec: d.eng.Recorder(),
+	}
 }
 
 // Stop halts the firmware (administrative shutdown). The PhyNet container
@@ -617,9 +653,9 @@ func (d *Device) LinkDown(iface string) {
 	}
 	d.eng.Recorder().Event("link", d.Name+"/"+iface, obs.Attr{K: "what", V: "down"})
 	if d.bgp != nil {
-		for idx, ifname := range d.peerIface {
-			if ifname == iface {
-				d.bgp.Peer(idx).Stop("link down")
+		for _, p := range d.bgp.Peers() {
+			if p.Config.Interface == iface {
+				p.Stop("link down")
 			}
 		}
 	}
@@ -638,11 +674,10 @@ func (d *Device) LinkUp(iface string) {
 	d.eng.Recorder().Event("link", d.Name+"/"+iface, obs.Attr{K: "what", V: "up"})
 	epoch := d.epoch
 	if d.bgp != nil {
-		for idx, ifname := range d.peerIface {
-			if ifname == iface {
-				peer := d.bgp.Peer(idx)
-				peer.Start()
-				d.scheduleSessionRetry(peer, epoch, 0)
+		for _, p := range d.bgp.Peers() {
+			if p.Config.Interface == iface {
+				p.Start()
+				d.scheduleSessionRetry(p, epoch, 0)
 			}
 		}
 	}

@@ -7,9 +7,7 @@ import (
 	"crystalnet/internal/bgp"
 	"crystalnet/internal/cloud"
 	"crystalnet/internal/netpkt"
-	"crystalnet/internal/ospf"
 	"crystalnet/internal/phynet"
-	"crystalnet/internal/rib"
 	"crystalnet/internal/sim"
 )
 
@@ -60,12 +58,13 @@ func (d *Device) CowCopies() CowCopies {
 }
 
 // Fork returns the device of a forked emulation: bound to the fork's
-// engine, fabric, container clone and VM clone, with every protocol hook
-// closure rebuilt against the clone (the hooks constructed at boot close
-// over the parent and must not leak into the fork). The bulk routing state
-// — FIB and BGP RIBs — is shared with the parent and copied on write, which
-// requires Seal to have run; the small per-device maps, OSPF and dataplane
-// state are deep-copied. The source device is read strictly read-only, so
+// engine, fabric, container clone and VM clone, with its protocol hooks built
+// by the same bgpHooks/ospfHooks a boot uses, against the clone (the hooks
+// built at boot close over the parent and must not leak into the fork). The
+// clone keeps the parent's epoch, so its hooks serve the boot it continues.
+// The bulk routing state — FIB and BGP RIBs — is shared with the parent and
+// copied on write, which requires Seal to have run; the small per-device
+// maps, OSPF and dataplane state are deep-copied. The source device is read strictly read-only, so
 // concurrent forks are safe.
 //
 // The device's configuration pointer is shared copy-on-write: config
@@ -85,9 +84,6 @@ func (d *Device) Fork(eng *sim.Engine, fabric *phynet.Fabric, container *phynet.
 		state: d.state,
 		epoch: d.epoch,
 
-		peerIface:   maps.Clone(d.peerIface),
-		peerIP:      maps.Clone(d.peerIP),
-		localIPs:    maps.Clone(d.localIPs),
 		ifaceAddr:   maps.Clone(d.ifaceAddr),
 		ospfIfaces:  maps.Clone(d.ospfIfaces),
 		arp:         maps.Clone(d.arp),
@@ -124,20 +120,7 @@ func (d *Device) Fork(eng *sim.Engine, fabric *phynet.Fabric, container *phynet.
 		c.asic = d.asic.Clone()
 	}
 	if d.bgp != nil {
-		// The hooks mirror startBGP's exactly, rebound to the clone.
-		c.bgp = d.bgp.Fork(bgpClock{eng}, bgp.Hooks{
-			SendToPeer:   c.sendBGP,
-			InstallRoute: c.installBGPRoute,
-			RemoveRoute: func(p netpkt.Prefix) {
-				if c.fib != nil {
-					c.fib.Remove(p)
-					c.LastFIBChange = c.eng.Now()
-				}
-			},
-			SessionEvent: c.onSessionEvent,
-			Logf:         func(f string, a ...any) { c.logf(f, a...) },
-			Rec:          eng.Recorder(),
-		})
+		c.bgp = d.bgp.Fork(bgpClock{eng}, c.bgpHooks())
 	}
 	if d.peerByIP != nil {
 		c.peerByIP = make(map[netpkt.IP]*bgp.Peer, len(d.peerByIP))
@@ -146,16 +129,7 @@ func (d *Device) Fork(eng *sim.Engine, fabric *phynet.Fabric, container *phynet.
 		}
 	}
 	if d.osp != nil {
-		// Mirrors startOSPF's hooks, rebound to the clone.
-		c.osp = d.osp.Fork(ospfClock{eng}, ospf.Hooks{
-			Send: c.sendOSPF,
-			InstallRoute: func(p netpkt.Prefix, nhs []rib.NextHop) error {
-				return c.fib.InstallHops(p, rib.ProtoOSPF, nhs)
-			},
-			RemoveRoute: func(p netpkt.Prefix) { c.fib.Remove(p) },
-			Logf:        func(f string, a ...any) { c.logf(f, a...) },
-			Rec:         eng.Recorder(),
-		})
+		c.osp = d.osp.Fork(ospfClock{eng}, c.ospfHooks())
 	}
 	// Re-attach the frame handler exactly when the parent's firmware was
 	// live on the wire.

@@ -101,8 +101,8 @@ func randomUpdate(rng *rand.Rand) *bgp.Update {
 func TestFramePathMatchesLayeredEncoding(t *testing.T) {
 	p := newVMPair(t)
 	peer := p.a.bgp.Peers()[0]
-	iface := p.a.peerIface[peer.Index]
-	src, dst := p.a.ifaceAddr[iface].Addr, p.a.peerIP[peer.Index]
+	iface := peer.Config.Interface
+	src, dst := p.a.ifaceAddr[iface].Addr, peer.Config.RemoteIP
 	out := p.a.container.Iface(iface)
 	link := out.Link()
 	to := link.Other(out)

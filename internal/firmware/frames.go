@@ -32,18 +32,18 @@ const ipOff = netpkt.FrameHeadroom - netpkt.IPv4HeaderLen
 
 // sendBGP transmits the BGP message frame[netpkt.FrameHeadroom:] to the peer
 // with the given index, writing its IPv4 header into the headroom in front.
+// Only d.bgp calls it (bgpHooks), so the index names one of its peers.
 func (d *Device) sendBGP(peerIdx int, frame []byte) {
-	iface := d.peerIface[peerIdx]
-	dst := d.peerIP[peerIdx]
-	local, ok := d.ifaceAddr[iface]
+	pc := &d.bgp.Peer(peerIdx).Config
+	local, ok := d.ifaceAddr[pc.Interface]
 	if !ok {
 		return
 	}
 	d.BGPUpdatesSent++
-	if netpkt.PutIPv4Header(frame[ipOff:], 0, 0, 64, netpkt.ProtoTCP, local.Addr, dst, len(frame)-netpkt.FrameHeadroom) != nil {
+	if netpkt.PutIPv4Header(frame[ipOff:], 0, 0, 64, netpkt.ProtoTCP, local.Addr, pc.RemoteIP, len(frame)-netpkt.FrameHeadroom) != nil {
 		return
 	}
-	d.sendIPFrame(iface, dst, frame, ipOff)
+	d.sendIPFrame(pc.Interface, pc.RemoteIP, frame, ipOff)
 }
 
 // sendIP encodes ip behind the frame headroom and routes it out of iface
@@ -249,12 +249,13 @@ func (d *Device) learnARP(ip netpkt.IP, mac netpkt.MAC) {
 	}
 }
 
-// ifaceForOnLink returns the interface whose subnet covers the on-link IP.
+// ifaceForOnLink returns the first configured interface whose subnet covers
+// the on-link IP.
 func (d *Device) ifaceForOnLink(ip netpkt.IP) string {
-	for name, addr := range d.ifaceAddr {
-		sub := netpkt.Prefix{Addr: addr.Addr & addr.MaskIP(), Len: addr.Len}
-		if sub.Contains(ip) && name != "lo" {
-			return name
+	for _, ic := range d.cfg.Interfaces {
+		sub := netpkt.Prefix{Addr: ic.Addr.Addr & ic.Addr.MaskIP(), Len: ic.Addr.Len}
+		if sub.Contains(ip) && ic.Name != "lo" {
+			return ic.Name
 		}
 	}
 	return ""
@@ -275,7 +276,7 @@ func (d *Device) handleIP(iface string, ip *netpkt.IPv4Packet) {
 		return
 	}
 
-	if d.localIPs[ip.Dst] || ip.Protocol == netpkt.ProtoOSPF {
+	if d.fwd.IsLocal(ip.Dst) || ip.Protocol == netpkt.ProtoOSPF {
 		// Terminates here (a BGP or OSPF message, a ping): no forwarding
 		// decision, so no 5-tuple.
 		d.handleLocal(iface, ip)

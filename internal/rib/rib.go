@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"crystalnet/internal/netpkt"
 	"crystalnet/internal/trie"
@@ -242,7 +243,14 @@ type FIB struct {
 	version  uint64
 	logStart uint64
 	log      []netpkt.Prefix
+	// lineage names the table NewFIB made and every Clone descended from it
+	// (see Lineage).
+	lineage uint64
 }
+
+// lineages hands out process-unique table lineages; forks clone tables on
+// parallel goroutines, and only equality matters.
+var lineages atomic.Uint64
 
 // writeLogCap bounds a sealed table's write log. A verifier reads the log
 // once per convergence point, so it has to hold one step's writes to one
@@ -255,7 +263,7 @@ var ErrFull = fmt.Errorf("rib: FIB capacity exceeded")
 
 // NewFIB returns an empty forwarding table with unlimited capacity.
 func NewFIB() *FIB {
-	return &FIB{byPrefix: map[uint64]*Entry{}}
+	return &FIB{byPrefix: map[uint64]*Entry{}, lineage: lineages.Add(1)}
 }
 
 // lpm returns the LPM trie, building it from byPrefix on first use. A sealed
@@ -440,6 +448,13 @@ func (f *FIB) wrote(p netpkt.Prefix) {
 // absent prefix change nothing). Equal versions of one table mean equal
 // contents. A Clone starts at its parent's version.
 func (f *FIB) Version() uint64 { return f.version }
+
+// Lineage identifies the table NewFIB made, and Clone keeps it: a clone is
+// its parent's table continued. A reader that recorded a table's Lineage and
+// Version can therefore ask the table's clone, of the same lineage,
+// WritesSince that version and learn exactly what the clone has written
+// since. Tables of different lineages are unrelated, whatever their versions.
+func (f *FIB) Lineage() uint64 { return f.lineage }
 
 // WritesSince returns the prefix of every write the table has taken since it
 // was at version, oldest first. Entries are immutable, so together with
@@ -705,7 +720,7 @@ func (f *FIB) Clone() *FIB {
 	if !f.sealed() {
 		panic("rib: Clone of an unsealed FIB")
 	}
-	return &FIB{t: f.t.Clone(), Capacity: f.Capacity, version: f.version, logStart: f.version}
+	return &FIB{t: f.t.Clone(), Capacity: f.Capacity, version: f.version, logStart: f.version, lineage: f.lineage}
 }
 
 // Copies returns the copy-on-write cost the table has paid since it was

@@ -126,8 +126,9 @@ func TestWritesSinceRefusesOnceTheRingWraps(t *testing.T) {
 }
 
 // TestCloneLogsItsOwnWrites is the fork contract: clones continue the
-// parent's version with an empty log, write concurrently (scripts/check.sh
-// runs this package under -race), and leave the parent's log alone.
+// parent's lineage and version with an empty log, write concurrently
+// (scripts/check.sh runs this package under -race), and leave the parent's
+// log alone.
 func TestCloneLogsItsOwnWrites(t *testing.T) {
 	f := NewFIB()
 	mustInstall(t, f, "10.0.0.0/8")
@@ -140,8 +141,11 @@ func TestCloneLogsItsOwnWrites(t *testing.T) {
 	clones := []*FIB{f.Clone(), f.Clone()}
 	var wg sync.WaitGroup
 	for i, c := range clones {
-		if c.Version() != f.Version() {
-			t.Fatalf("clone starts at version %d, parent is at %d", c.Version(), f.Version())
+		if c.Version() != f.Version() || c.Lineage() != f.Lineage() {
+			t.Fatalf("clone starts at version %d of lineage %d, parent is at %d of %d", c.Version(), c.Lineage(), f.Version(), f.Lineage())
+		}
+		if other := NewFIB(); other.Lineage() == f.Lineage() || other.Lineage() == 0 {
+			t.Fatalf("new table's lineage %d: parent's is %d, 0 means none", other.Lineage(), f.Lineage())
 		}
 		if w, ok := c.WritesSince(f.Version()); !ok || len(w) != 0 {
 			t.Fatalf("fresh clone's log = %v, %v; want empty, true", w, ok)

@@ -12,22 +12,24 @@ import (
 
 // memo is what lets a settle walk only the aggregates a change moved
 // (DESIGN.md §11). It holds the fabric index the last settle saw and, per
-// device of it, the table and the table's version; per aggregate (in the
+// device of it, the table's lineage and version; per aggregate (in the
 // aggregate itself, as spans of the two arenas here) the devices its last
 // walk consulted and the latency observations it made.
 //
 // The staleness rule: an aggregate's last result stands unless a device it
-// consulted now has a different table object, has a table that cannot
-// account for its writes since (rib.FIB.WritesSince) or wrote more than
-// maxScannedWrites times, or logged a write to a prefix containing the
-// aggregate's destination. A different index pointer — some config pointer
-// or the device set changed (config.Index.Same) — discards the memo whole.
-// The rule is exact, not a heuristic, because of three facts held elsewhere:
-// installed FIB entries are immutable (so an unwritten slot still holds the
-// same route), installed configs are immutable (so pointer equality is
-// content equality), and a device's forwarder — ACL bindings, local addresses — is rebuilt from its config
-// together with a fresh table on every boot (so the table pointer stands for
-// all of it). A walk is a pure function of what it reads, everything it
+// consulted now has a table of a different lineage (rib.FIB.Lineage), has a
+// table that cannot account for its writes since (rib.FIB.WritesSince) or
+// wrote more than maxScannedWrites times, or logged a write to a prefix
+// containing the aggregate's destination. A different index pointer — some
+// config pointer or the device set changed (config.Index.Same) — discards
+// the memo whole. The rule is exact, not a heuristic, because of four facts
+// held elsewhere: installed FIB entries are immutable (so an unwritten slot
+// still holds the same route), installed configs are immutable (so pointer
+// equality is content equality), a device's forwarder — ACL bindings, local
+// addresses — is rebuilt from its config together with a fresh table on
+// every boot (so the table's lineage stands for all of it), and a fork's
+// clone of a table is that table continued (so a forked memo reads the
+// fork's tables as what it saw, plus what the fork wrote). A walk is a pure function of what it reads, everything it
 // reads of a device it reads after consulting it, so unchanged consulted
 // devices mean the same walk, which consults the same devices.
 //
@@ -44,10 +46,11 @@ type memo struct {
 	walked, reused uint64
 }
 
-// devMemo is what the last settle saw of one device.
+// devMemo is what the last settle saw of one device: its table's lineage (0
+// while the device is down) and version. It names no table, so a forked
+// memo holds nothing of its parent's.
 type devMemo struct {
-	fib     *rib.FIB // nil while the device is down
-	version uint64
+	lineage, version uint64
 }
 
 // latObs is one traffic.flow_latency observation of a walk: flows flows
@@ -89,11 +92,13 @@ func (m *Matrix) observe(v View) changes {
 	survivors := false
 	for i, d := range m.devs {
 		var fib *rib.FIB
+		var now devMemo
 		if fwd := v.Forwarder(m.ix.Name(i)); fwd != nil {
 			fib = fwd.FIB()
+			now = devMemo{lineage: fib.Lineage(), version: fib.Version()}
 		}
 		switch {
-		case fib != d.fib:
+		case now.lineage != d.lineage:
 			ch.stale[i] = true
 		case fib != nil:
 			w, ok := fib.WritesSince(d.version)
@@ -104,11 +109,7 @@ func (m *Matrix) observe(v View) changes {
 			}
 		}
 		survivors = survivors || !ch.stale[i]
-		d.fib, d.version = fib, 0
-		if fib != nil {
-			d.version = fib.Version()
-		}
-		devs[i] = d
+		devs[i] = now
 	}
 	m.devs = devs
 	if fresh || !survivors {
@@ -157,31 +158,13 @@ func (m *Matrix) crossCheck(a *aggregate, v View, w *walkLog) {
 }
 
 // fork returns the memo of a forked matrix: the index, the device memo and
-// arena records are shared (none is ever edited), the counters restart.
+// arena records are shared (none is ever edited), the counters restart. The
+// device memo names tables by lineage, which the fork's clones keep, so the
+// fork's first settle walks only what the fork's own steps moved.
 func (m memo) fork() memo {
 	m.consulted, m.latency = m.consulted.fork(), m.latency.fork()
 	m.walked, m.reused = 0, 0
 	return m
-}
-
-// Rebind moves a forked matrix's memo onto the fork's own tables, so that
-// the fork's first settle walks only what the fork's steps wrote. tables
-// returns a device's table in the parent emulation and its rib.FIB.Clone in
-// the fork. A device is rebound only while the parent's table is the very
-// one, at the very version, the memo saw; any other stays as it is and reads
-// as stale at the next settle.
-func (m *Matrix) Rebind(tables func(dev string) (parent, child *rib.FIB)) {
-	if m == nil {
-		return
-	}
-	devs := make([]devMemo, len(m.devs))
-	for i, d := range m.devs {
-		if p, c := tables(m.ix.Name(i)); p != nil && p == d.fib && p.Version() == d.version {
-			d.fib = c
-		}
-		devs[i] = d
-	}
-	m.devs = devs
 }
 
 // Walks returns how many aggregate-settles this matrix has walked and how

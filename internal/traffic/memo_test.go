@@ -258,10 +258,11 @@ func TestMemoWalksOnlyWhatMoved(t *testing.T) {
 	expect("replacement matrix, no change", 0)
 }
 
-// TestMemoForkRebind is the fork contract: a fork that rebinds to its cloned
-// tables walks only what it wrote itself, a fork that does not walks
-// everything, and neither disturbs the parent or a sibling.
-func TestMemoForkRebind(t *testing.T) {
+// TestMemoForkContinuesLineage is the fork contract: a fork over clones of
+// its parent's tables — the same lineages, continued — walks only what it
+// wrote itself, a fork over tables of new lineages walks everything, and
+// neither disturbs the parent or a sibling.
+func TestMemoForkContinuesLineage(t *testing.T) {
 	d := newDiamond(t)
 	spec := Spec{Flows: 8000, Seed: 3}
 	m, err := NewMatrix(spec, d.index())
@@ -271,21 +272,21 @@ func TestMemoForkRebind(t *testing.T) {
 	d.settle(m, spec)
 	parentAggs := append([]aggregate(nil), m.aggs...)
 
-	fork := func(rebind bool) (*diamond, *Matrix) {
+	fork := func(rebooted bool) (*diamond, *Matrix) {
 		c := &diamond{t: t, cfgs: d.cfgs, ix: d.ix, fwds: map[string]*dataplane.Forwarder{}, now: d.now}
 		for name, fwd := range d.fwds {
-			c.fwds[name] = fwd.Clone(fwd.FIB().Clone())
+			if rebooted {
+				c.boot(name).Seal()
+			} else {
+				c.fwds[name] = fwd.Clone(fwd.FIB().Clone())
+			}
 		}
-		cm := m.Fork()
-		if rebind {
-			cm.Rebind(func(name string) (*rib.FIB, *rib.FIB) { return d.fib(name), c.fib(name) })
-		}
-		return c, cm
+		return c, m.Fork()
 	}
 
-	c1, m1 := fork(true)
+	c1, m1 := fork(false)
 	if got := c1.settle(m1, spec); got != 0 {
-		t.Fatalf("rebound fork's first settle walked %d aggregates, want 0", got)
+		t.Fatalf("fork's first settle walked %d aggregates, want 0", got)
 	}
 	if err := c1.fib("a").InstallHops(pfx("100.65.0.0/16"), rib.ProtoBGP, []rib.NextHop{hop("10.128.0.3", "et1")}); err != nil {
 		t.Fatal(err)
@@ -294,21 +295,21 @@ func TestMemoForkRebind(t *testing.T) {
 		t.Fatalf("fork's settle after its own write walked %d aggregates, want 4", got)
 	}
 
-	c2, m2 := fork(false)
+	c2, m2 := fork(true)
 	if got := c2.settle(m2, spec); got != 8 {
-		t.Fatalf("unbound fork's first settle walked %d aggregates, want all 8", got)
+		t.Fatalf("first settle of a fork over new tables walked %d aggregates, want all 8", got)
 	}
 	if got := c2.settle(m2, spec); got != 0 {
-		t.Fatalf("unbound fork's second settle walked %d aggregates, want 0", got)
+		t.Fatalf("second settle of a fork over new tables walked %d aggregates, want 0", got)
 	}
 
-	// A parent table that moved on after the parent's last settle must not
-	// be rebound: the clone carries writes the memo never saw.
+	// A parent table that moved on after the parent's last settle clones into
+	// a table whose writes since then the clone cannot account for.
 	if err := d.fib("b").InstallHops(pfx("100.64.0.0/16"), rib.ProtoBGP, []rib.NextHop{hop("10.128.0.5", "et0")}); err != nil {
 		t.Fatal(err)
 	}
 	d.fib("b").Seal()
-	c3, m3 := fork(true)
+	c3, m3 := fork(false)
 	if got := c3.settle(m3, spec); got != 8 {
 		t.Fatalf("fork of a parent written since its settle walked %d aggregates, want every consulter of b (8)", got)
 	}

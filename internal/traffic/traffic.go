@@ -326,9 +326,8 @@ func inRotation(i, start, rem, n uint64) bool {
 
 // Fork copies the matrix for a forked emulation: the aggregates and the
 // cumulative counters are the child's own, the memo is shared under the
-// write rule (memo.fork). The memo still names the parent's tables, so the
-// child's first settle walks everything unless Rebind has moved it onto the
-// fork's. Fork only reads m, so concurrent forks of one matrix are safe.
+// write rule (memo.fork). Fork only reads m, so concurrent forks of one
+// matrix are safe.
 // Nil-safe: a parent without traffic forks to a child without traffic.
 func (m *Matrix) Fork() *Matrix {
 	if m == nil {

@@ -94,9 +94,12 @@ go test -race ./internal/core/ -run 'Traffic'
 echo "== trace-determinism smoke (same-seed traces byte-identical, incl. across a fork and with a cancel channel armed)"
 go test ./internal/scenario/ -run 'TestTraceDeterminism|TestTraceSurvivesFork|TestTraceSameWithCancelArmed|TestChaosTraceDeterminism'
 
-echo "== failure-path smoke under -race (MTBF campaign, lost faults, bounded recovery)"
+echo "== failure-path smoke under -race (MTBF campaign, lost faults, bounded recovery, crashed firmware stays silent)"
 go test -race ./internal/scenario/ -run 'TestMTBFCampaignSerialParallelIdentical|TestLostFaultFailsRun|TestFailurePathByteDeterminism'
 go test -race ./internal/core/ -run 'TestDoubleFailureDuringRecovery|TestDeprovisionMidRebootAbandonsRecovery|TestRecoveryDeadline|TestSupervisedMockupConverges|TestSpeakerVMRecoveryReinjectsRoutes'
+# A crash silences the boot it ends (pending MRAI flush, pending SPF run), and
+# a link failure resets the sessions on it in configuration order.
+go test -race ./internal/firmware/ -run 'TestCrashSilences|TestLinkDownResetsPeersInIndexOrder' -count=1
 
 echo "== crystald smoke (boot, rehearse over HTTP twice, drain on SIGTERM)"
 tmp=$(mktemp -d)
