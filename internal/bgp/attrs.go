@@ -205,10 +205,10 @@ type Attrs struct {
 	AggID     netpkt.IP // AGGREGATOR
 
 	// memo caches what is derived from the fields above. Attrs are immutable
-	// once shared, so each part is filled at most once — by Intern before it
-	// publishes the object, or lazily on an object only one goroutine holds;
-	// code that derives a new attribute set from an existing one starts from
-	// editable, which clears it.
+	// once shared, so each part is filled at most once — by an AttrTable
+	// before it publishes the object, or lazily on an object only one
+	// goroutine holds; code that derives a new attribute set from an
+	// existing one starts from editable, which clears it.
 	memo attrsMemo
 }
 

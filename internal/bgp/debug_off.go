@@ -15,4 +15,4 @@ func assertSealed(*Attrs) {}
 
 func assertMemosFilled(*Router) {}
 
-func assertWireHit(*Attrs, netpkt.IP, []byte) {}
+func assertWireHit(*AttrTable, *Attrs, netpkt.IP, []byte) {}

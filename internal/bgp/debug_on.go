@@ -31,12 +31,12 @@ func assertSealed(a *Attrs) {
 	}
 }
 
-// assertWireHit is the wire index's oracle: the attribute list b that hit it
-// is parsed and interned the long way, and must come to the same object and
-// next hop.
-func assertWireHit(hit *Attrs, nextHop netpkt.IP, b []byte) {
+// assertWireHit is the wire index's oracle: the attribute list b that hit
+// t's index is parsed and interned in t the long way, and must come to the
+// same object and next hop.
+func assertWireHit(t *AttrTable, hit *Attrs, nextHop netpkt.IP, b []byte) {
 	a, nh, err := parseAttrs(b)
-	if err != nil || nh != nextHop || Intern(a) != hit {
+	if err != nil || nh != nextHop || t.Intern(a) != hit {
 		panic(fmt.Sprintf("bgp: wire index resolved % x to %s nh=%s; parser says %v nh=%s err=%v", b, hit, nextHop, a, nh, err))
 	}
 }
@@ -44,12 +44,12 @@ func assertWireHit(hit *Attrs, nextHop netpkt.IP, b []byte) {
 // assertMemosFilled panics unless every *Attrs r's forks can reach has its
 // memo filled — the Loc-RIB candidates, the entries' lastBest caches and the
 // templates advertised to each peer — which every attrs that came through
-// Intern has. An unfilled one would be filled lazily by whichever fork read
-// it first, racing the others.
+// an AttrTable has. An unfilled one would be filled lazily by whichever fork
+// read it first, racing the others.
 func assertMemosFilled(r *Router) {
 	check := func(a *Attrs) {
 		if a != nil && (a.memo.ekey == "" || a.memo.wire == nil) {
-			panic(fmt.Sprintf("bgp: %s reached %s's RIB without Intern: its memo is unfilled at Seal", a, r.cfg.Name))
+			panic(fmt.Sprintf("bgp: %s reached %s's RIB without interning: its memo is unfilled at Seal", a, r.cfg.Name))
 		}
 	}
 	for _, e := range r.entries {

@@ -13,9 +13,7 @@ import (
 // reset the fingerprint memo would silently poison UPDATE grouping and the
 // intern table. Under -tags crystaldebug the next attrsKey touch panics.
 func TestSealedMutationCaught(t *testing.T) {
-	resetInternTable()
-
-	a := Intern(&Attrs{Origin: OriginIGP, Path: NewPath(65001), NextHop: netpkt.IPFromBytes(10, 0, 0, 9)})
+	a := NewAttrTable().Intern(&Attrs{Origin: OriginIGP, Path: NewPath(65001), NextHop: netpkt.IPFromBytes(10, 0, 0, 9)})
 
 	// The violation: a shallow copy keeps the sealed ekey while the
 	// attribute bytes change underneath it.
@@ -33,14 +31,14 @@ func TestSealedMutationCaught(t *testing.T) {
 // TestSealedUnmutatedPasses pins the assertion down: touching a sealed but
 // unmutated Attrs must not panic.
 func TestSealedUnmutatedPasses(t *testing.T) {
-	a := Intern(&Attrs{Origin: OriginEGP, Path: NewPath(65002), NextHop: 3})
+	a := NewAttrTable().Intern(&Attrs{Origin: OriginEGP, Path: NewPath(65002), NextHop: 3})
 	if attrsKey(a) == "" {
 		t.Fatal("empty key")
 	}
 }
 
 // TestSealCatchesUninternedAttrs: Seal fills no attrs memo, because
-// everything in a RIB came through Intern. An attrs that did not — here a
+// everything in a RIB came through an AttrTable. An attrs that did not — here a
 // locally originated candidate slipped in past Originate/InjectLocal — has an
 // empty memo that concurrent forks would race to fill; under the tag Seal
 // refuses it.
@@ -55,7 +53,7 @@ func TestSealCatchesUninternedAttrs(t *testing.T) {
 	b.r.upsertCandidate(netpkt.MustParsePrefix("100.64.1.0/24"), nil, &Attrs{Origin: OriginIGP, Path: EmptyPath})
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Seal accepted an attrs that never went through Intern")
+			t.Fatal("Seal accepted an attrs that never went through an AttrTable")
 		}
 	}()
 	b.r.Seal()

@@ -11,10 +11,12 @@ package bgp
 //     writable/entryFor like a fork's;
 //   - every peer's Adj-RIB tables are marked shared (rib.Dense.Seal).
 //
-// The *Attrs a fork can reach need nothing here: each came through Intern,
-// which fills its memo (fingerprint and wire image) before publishing it, so
-// it is read-only before any fork aliases it. Under -tags crystaldebug Seal
-// checks exactly that on every one of them.
+// The *Attrs a fork can reach need nothing here: each came through the
+// router's AttrTable, which fills its memo (fingerprint and wire image)
+// before publishing it, so it is read-only before any fork aliases it. Under
+// -tags crystaldebug Seal checks exactly that on every one of them. The
+// table itself is sealed once per emulation, by its owner (core's
+// Emulation.Checkpoint), not per router.
 func (r *Router) Seal() {
 	assertMemosFilled(r)
 	for _, p := range r.peers {
@@ -25,7 +27,10 @@ func (r *Router) Seal() {
 }
 
 // Fork returns the router of a forked emulation, rebound to the fork's clock
-// and hooks. It costs one pointer per Loc-RIB entry plus one small struct
+// and hooks. hooks.Attrs must be a fork of the router's table taken after the
+// table's last Seal (AttrTable.Fork): the canonical objects the router's RIBs
+// hold are in its frozen layer, so the fork's decodes come to those same
+// pointers. It costs one pointer per Loc-RIB entry plus one small struct
 // per peer: entries, the prefix index, the id-to-prefix and aggregate
 // coverage lists and the Adj-RIB tables are all shared with r, and each side
 // pays for a private copy of exactly what it later writes. The source router
@@ -47,6 +52,9 @@ func (r *Router) Seal() {
 func (r *Router) Fork(clock Clock, hooks Hooks) *Router {
 	if !r.cow || r.owned != nil {
 		panic("bgp: Fork of a router written since its last Seal")
+	}
+	if hooks.Attrs == nil {
+		panic("bgp: Fork without the forked emulation's attribute table")
 	}
 	if hooks.Logf == nil {
 		hooks.Logf = func(string, ...any) {}

@@ -317,21 +317,25 @@ func marshalAttrs(a *Attrs, nextHop netpkt.IP) (out []byte, nhOff int) {
 // octets; longer lists go straight to parseAttrs.
 const maxIndexedAttrs = 256
 
-// decodeAttrs returns the canonical attribute set and the NEXT_HOP that the
-// attribute list b encodes. The dominant cost at scale used to be every
-// neighbor of every device re-parsing the same bytes into a fresh Attrs only
-// for Intern to discard it on a hit, so b is first looked up as bytes, with
-// the NEXT_HOP value (the one part that differs per session) masked out, in
-// the intern table's wire index. Only a miss runs the parser, and registers b
-// for next time. An indexed list is one parseAttrs has accepted before, and
-// parseAttrs does not look at the NEXT_HOP value, so a hit skips no check.
-func decodeAttrs(b []byte) (*Attrs, netpkt.IP, error) {
+// decodeAttrs returns the attribute set and the NEXT_HOP that the attribute
+// list b encodes: t's canonical object, or with a nil t a fresh parse. The
+// dominant cost at scale used to be every neighbor of every device
+// re-parsing the same bytes into a fresh Attrs only for interning to discard
+// it on a hit, so b is first looked up as bytes, with the NEXT_HOP value (the
+// one part that differs per session) masked out, in t's wire index. Only a
+// miss runs the parser, and registers b for next time. An indexed list is
+// one parseAttrs has accepted before, and parseAttrs does not look at the
+// NEXT_HOP value, so a hit skips no check.
+func decodeAttrs(b []byte, t *AttrTable) (*Attrs, netpkt.IP, error) {
+	if t == nil {
+		return parseAttrs(b)
+	}
 	var buf [maxIndexedAttrs]byte
 	key, nextHop, ok := maskNextHop(&buf, b)
 	if ok {
-		if a := lookupWire(key); a != nil {
+		if a := t.lookupWire(key); a != nil {
 			if debugAttrs {
-				assertWireHit(a, nextHop, b)
+				assertWireHit(t, a, nextHop, b)
 			}
 			return a, nextHop, nil
 		}
@@ -340,7 +344,7 @@ func decodeAttrs(b []byte) (*Attrs, netpkt.IP, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	return intern(a, key), nextHop, nil
+	return t.intern(a, key), nextHop, nil
 }
 
 // maskNextHop copies the attribute list b into buf with the NEXT_HOP value
@@ -504,9 +508,15 @@ type body struct {
 	n       Notification
 }
 
-// Decode parses a single complete BGP message.
-func Decode(b []byte) (*Decoded, error) {
-	m, withdrawn, nlri, err := decodeBody(b, nil)
+// Decode parses a single complete BGP message. An UPDATE's attributes are
+// parsed afresh, interned in no table: a router decodes through its own
+// (Peer.HandleMessage).
+func Decode(b []byte) (*Decoded, error) { return decode(b, nil) }
+
+// decode is Decode with an UPDATE's attributes resolved through t
+// (decodeAttrs).
+func decode(b []byte, t *AttrTable) (*Decoded, error) {
+	m, withdrawn, nlri, err := decodeBody(b, nil, t)
 	if err != nil {
 		return nil, err
 	}
@@ -534,8 +544,9 @@ func Decode(b []byte) (*Decoded, error) {
 // decoding into its own frame (Peer.HandleMessage) allocates nothing for a
 // short UPDATE. (Returned apart from the body, the lists do not share a
 // variable with the attributes pointer, so escape analysis can keep buf on
-// the caller's stack.)
-func decodeBody(b []byte, buf []netpkt.Prefix) (m body, withdrawn, nlri []netpkt.Prefix, err error) {
+// the caller's stack.) An UPDATE's attributes resolve through t
+// (decodeAttrs).
+func decodeBody(b []byte, buf []netpkt.Prefix, t *AttrTable) (m body, withdrawn, nlri []netpkt.Prefix, err error) {
 	if len(b) < headerLen {
 		return m, nil, nil, ErrBadLength
 	}
@@ -613,7 +624,7 @@ func decodeBody(b []byte, buf []netpkt.Prefix) (m body, withdrawn, nlri []netpkt
 			return m, nil, nil, ErrMalformed
 		}
 		if al > 0 {
-			if m.attrs, m.nextHop, err = decodeAttrs(attrBytes); err != nil {
+			if m.attrs, m.nextHop, err = decodeAttrs(attrBytes, t); err != nil {
 				return m, nil, nil, err
 			}
 		}

@@ -71,10 +71,7 @@ type Peer struct {
 	// §10 memory restructuring that makes M-DC RIBs fit. The accepted attrs
 	// themselves live only in the Loc-RIB candidate list (keyed by this
 	// peer), so the per-peer table stores zero bytes per route. advertised
-	// holds the canonical attrs last announced per entry id; the flush
-	// comparison falls back to attrsKey equality so the router stays live
-	// even when interning is disabled (pointer inequality alone would
-	// re-advertise identical routes forever).
+	// holds the canonical attrs last announced per entry id.
 	adjIn      rib.Dense[struct{}]
 	advertised rib.Dense[*Attrs]
 	// The dirty set is a bitset addressed by ribEntry.id plus the insertion-
@@ -213,7 +210,7 @@ func (p *Peer) HandleMessage(data []byte) {
 	p.MsgsIn++
 	p.router.mMsgsIn.Inc()
 	var buf [smallPrefixes]netpkt.Prefix
-	m, withdrawn, nlri, err := decodeBody(data, buf[:])
+	m, withdrawn, nlri, err := decodeBody(data, buf[:], p.router.hooks.Attrs)
 	if err != nil {
 		p.send(MarshalNotification(&Notification{Code: NotifMsgHeader}))
 		p.reset(fmt.Sprintf("decode error: %v", err))
@@ -324,7 +321,7 @@ func (p *Peer) handleUpdate(withdrawn []netpkt.Prefix, attrs *Attrs, nlri []netp
 			// The import policy derived a modified attribute set; intern it
 			// so policy-heavy fabrics share those too (attrs itself is
 			// already canonical from the decoder).
-			imported = Intern(imported)
+			imported = p.router.hooks.Attrs.Intern(imported)
 		}
 		if !permit {
 			// Treat as unfeasible: remove any previous acceptance.
@@ -435,13 +432,9 @@ func (p *Peer) flush() {
 			}
 			continue
 		}
-		// Interning makes the no-change test a pointer compare in the common
-		// case; the attrsKey fallback covers canonical pointers that straddle
-		// the intern table's wholesale clear at maxInternTable (equal bytes,
-		// different pointers). The table is process-wide, so without it
-		// whether a redundant UPDATE goes out would depend on what other
-		// emulations in the process had interned.
-		if prev, adv := p.advertised.Get(id); adv && (prev == attrs || attrsKey(prev) == attrsKey(attrs)) {
+		// The router's attribute table never re-issues a value under a new
+		// pointer, so the no-change test is a pointer compare.
+		if prev, adv := p.advertised.Get(id); adv && prev == attrs {
 			continue // no visible change
 		}
 		p.advertised.Set(id, attrs)
@@ -472,10 +465,9 @@ func (p *Peer) flush() {
 		p.sendChunks(nil, withdrawals)
 	}
 	// A group is identified by attrsKey, found above by pointer. The stable
-	// sort keeps first-seen order among pointers with one key (they straddle
-	// an intern-table clear, or differ in AGGREGATOR id alone), so folding
-	// each run into its first member yields the group a key-indexed map
-	// would have built, attrs and all.
+	// sort keeps first-seen order among pointers with one key (they differ
+	// in AGGREGATOR id alone), so folding each run into its first member
+	// yields the group a key-indexed map would have built, attrs and all.
 	slices.SortStableFunc(groups, func(a, b exportGroup) int {
 		return strings.Compare(attrsKey(a.attrs), attrsKey(b.attrs))
 	})

@@ -92,6 +92,10 @@ type Hooks struct {
 	// caches counter handles from it at construction, so per-message
 	// accounting is a nil check when tracing is off.
 	Rec *obs.Recorder
+	// Attrs is the emulation's attribute table: every attrs the router
+	// decodes, imports, exports or originates is its canonical object.
+	// New gives a router without one a private table; Fork requires one.
+	Attrs *AttrTable
 }
 
 // candidate is one usable route for a prefix. The struct is kept to 16
@@ -166,9 +170,7 @@ type Router struct {
 	// differences (split horizon, loop avoidance, AdvertiseLocalOnly) are
 	// allocation-free predicates checked before the cache. The keys are
 	// canonical (interned) pointers, so a pointer stands for an attribute
-	// value; when the intern table's wholesale clear re-issues a value under
-	// a new pointer, that is a miss here, not a wrong hit. Bounded; cleared
-	// wholesale when full.
+	// value. Bounded; cleared wholesale when full.
 	exportCache map[exportKey]exportVal
 	// nhScratch is the reusable buffer nextHops fills on every decide; the
 	// hops are copied out only when they actually change. hopSets interns
@@ -228,6 +230,9 @@ func New(cfg Config, clock Clock, hooks Hooks) *Router {
 	if hooks.SessionEvent == nil {
 		hooks.SessionEvent = func(int, SessionState) {}
 	}
+	if hooks.Attrs == nil {
+		hooks.Attrs = NewAttrTable()
+	}
 	r := &Router{
 		cfg: cfg, clock: clock, hooks: hooks,
 		index: map[uint64]int32{},
@@ -264,7 +269,7 @@ func (r *Router) Peer(i int) *Peer { return r.peers[i] }
 // Originate injects a locally originated route (network statement /
 // redistributed connected). It triggers advertisement to all peers.
 func (r *Router) Originate(p netpkt.Prefix) {
-	a := Intern(&Attrs{Origin: OriginIGP, Path: EmptyPath, NextHop: 0})
+	a := r.hooks.Attrs.Intern(&Attrs{Origin: OriginIGP, Path: EmptyPath, NextHop: 0})
 	r.upsertCandidate(p, nil, a)
 }
 
@@ -276,7 +281,7 @@ func (r *Router) InjectLocal(p netpkt.Prefix, a *Attrs) {
 	if a.Path == nil {
 		a = a.WithPath(EmptyPath)
 	}
-	r.upsertCandidate(p, nil, Intern(a))
+	r.upsertCandidate(p, nil, r.hooks.Attrs.Intern(a))
 }
 
 // WithdrawLocal removes a locally originated route.
@@ -698,7 +703,7 @@ func (r *Router) buildAggregate(st *aggState) (*Attrs, int) {
 		a.Path = EmptyPath
 		a.Atomic = true
 	}
-	return Intern(a), n
+	return r.hooks.Attrs.Intern(a), n
 }
 
 // setSuppression flips the suppressed flag of contributors under a
@@ -797,7 +802,7 @@ func (r *Router) exportTemplate(p netpkt.Prefix, best *candidate, pol *Policy) (
 	// Intern the export: the same route exported by every device in a tier
 	// produces the same attribute set, so the per-export allocation
 	// collapses to the canonical object everyone shares.
-	a := Intern(c)
+	a := r.hooks.Attrs.Intern(c)
 	if MaxNLRIPerUpdate(a) < 1 {
 		// The attributes alone overflow the 4096-octet message (an AS path of
 		// a thousand hops): no UPDATE can carry the route, and sending an

@@ -6,12 +6,9 @@ import (
 	"math/rand"
 	"slices"
 	"strings"
-	"sync"
 	"testing"
-	"time"
 
 	"crystalnet/internal/netpkt"
-	"crystalnet/internal/sim"
 )
 
 // This file tests the UPDATE fast path against the slow one it memoises: the
@@ -126,7 +123,7 @@ func attrsEqual(a, b *Attrs) bool {
 // attributes come from the memoised image (caller-built attrs, then the
 // interned object, then again once the memo is warm) or from the encoder.
 func TestWireImageIsTheEncoder(t *testing.T) {
-	resetInternTable()
+	tab := NewAttrTable()
 	rng := rand.New(rand.NewSource(24))
 	for i := 0; i < 2000; i++ {
 		u := (&gen{b: randomBytes(rng, 1024)}).update()
@@ -135,7 +132,7 @@ func TestWireImageIsTheEncoder(t *testing.T) {
 			if got := MarshalUpdate(u); !bytes.Equal(got, want) {
 				t.Fatalf("update %d pass %d: wire image encodes\n% x\nencoder\n% x", i, pass, got, want)
 			}
-			u.Attrs = Intern(u.Attrs)
+			u.Attrs = tab.Intern(u.Attrs)
 		}
 		if u.Attrs != nil && MaxNLRIPerUpdate(u.Attrs) != (maxMessageLen-headerLen-4-len(u.Attrs.memo.wire))/5 {
 			t.Fatalf("update %d: MaxNLRIPerUpdate disagrees with the image length", i)
@@ -143,31 +140,40 @@ func TestWireImageIsTheEncoder(t *testing.T) {
 	}
 }
 
-// checkDecodeTwice decodes msg on an empty intern table, where the attributes
-// can only come from parseAttrs, and then again, where they come from the wire
-// index if the list is indexable, and requires one answer.
-func checkDecodeTwice(t *testing.T, msg []byte) *Decoded {
+// checkDecodeTwice decodes msg through a new table, where the attributes can
+// only come from parseAttrs, and then again through the same table, where
+// they come from the wire index if the list is indexable, and requires one
+// answer, which Decode (no table) must give too. It returns the decode and
+// the table.
+func checkDecodeTwice(t *testing.T, msg []byte) (*Decoded, *AttrTable) {
 	t.Helper()
-	resetInternTable()
-	cold, errCold := Decode(msg)
-	warm, errWarm := Decode(msg)
-	if errCold != errWarm {
-		t.Fatalf("cold decode: %v, warm decode: %v\n% x", errCold, errWarm, msg)
+	tab := NewAttrTable()
+	hits0, misses0, _ := InternStats()
+	cold, errCold := decode(msg, tab)
+	warm, errWarm := decode(msg, tab)
+	hits, misses, _ := InternStats()
+	plain, errPlain := Decode(msg)
+	if errCold != errWarm || errCold != errPlain {
+		t.Fatalf("cold decode: %v, warm decode: %v, Decode: %v\n% x", errCold, errWarm, errPlain, msg)
 	}
 	if errCold != nil || cold.Type != MsgUpdate {
-		return cold
+		return cold, tab
 	}
-	c, w := cold.Update, warm.Update
+	c, w, p := cold.Update, warm.Update, plain.Update
 	if c.Attrs != w.Attrs || c.NextHop != w.NextHop || !slices.Equal(c.NLRI, w.NLRI) || !slices.Equal(c.Withdrawn, w.Withdrawn) {
 		t.Fatalf("warm decode differs from cold:\ncold %+v {%v}\nwarm %+v {%v}\n% x", c, c.Attrs, w, w.Attrs, msg)
 	}
+	if !attrsEqual(c.Attrs, p.Attrs) || c.NextHop != p.NextHop || !slices.Equal(c.NLRI, p.NLRI) || !slices.Equal(c.Withdrawn, p.Withdrawn) {
+		t.Fatalf("Decode differs from the table's decode:\ntable  %+v {%v}\nDecode %+v {%v}\n% x", c, c.Attrs, p, p.Attrs, msg)
+	}
 	if c.Attrs != nil {
 		// (The crystaldebug oracle interns once more per index hit.)
-		if hits, misses, size := InternStats(); (hits != 1 && !debugAttrs) || hits == 0 || misses != 1 || size != 1 {
-			t.Fatalf("two decodes of one attribute list: hits=%d misses=%d size=%d, want 1/1/1", hits, misses, size)
+		hits, misses = hits-hits0, misses-misses0
+		if n, _ := tableSize(tab); (hits != 1 && !debugAttrs) || hits == 0 || misses != 1 || n != 1 {
+			t.Fatalf("two decodes of one attribute list: hits=%d misses=%d size=%d, want 1/1/1", hits, misses, n)
 		}
 	}
-	return cold
+	return cold, tab
 }
 
 func TestDecodeRoundTripsGeneratedUpdates(t *testing.T) {
@@ -179,7 +185,7 @@ func TestDecodeRoundTripsGeneratedUpdates(t *testing.T) {
 		if len(msg) > maxMessageLen {
 			continue
 		}
-		d := checkDecodeTwice(t, msg)
+		d, tab := checkDecodeTwice(t, msg)
 		if d == nil {
 			t.Fatalf("update %d does not decode: % x", i, msg)
 		}
@@ -193,9 +199,7 @@ func TestDecodeRoundTripsGeneratedUpdates(t *testing.T) {
 			t.Fatalf("update %d round trip:\nsent %+v {%v}\ngot  %+v {%v}", i, u, u.Attrs, g, g.Attrs)
 		}
 		if u.Attrs != nil {
-			internTab.Lock()
-			n := len(internTab.wire)
-			internTab.Unlock()
+			_, n := tableSize(tab)
 			indexed += n
 			if len(u.Attrs.memo.wire) > maxIndexedAttrs {
 				long++
@@ -228,11 +232,6 @@ func TestWireIndexLeavesOddListsToTheParser(t *testing.T) {
 	path := appendAttr(nil, flagTransitive, attrASPath, []byte{2, 1, 0, 0, 0xfd, 0xe9})
 	nh := func(v ...byte) []byte { return appendAttr(nil, flagTransitive, attrNextHop, v) }
 	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
-	indexSize := func() int {
-		internTab.Lock()
-		defer internTab.Unlock()
-		return len(internTab.wire)
-	}
 
 	for _, tc := range []struct {
 		name    string
@@ -254,15 +253,15 @@ func TestWireIndexLeavesOddListsToTheParser(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			msg := updateWithAttrBytes(tc.attrs)
-			resetInternTable()
-			_, err := Decode(msg)
+			tab := NewAttrTable()
+			_, err := decode(msg, tab)
 			if err != tc.err {
-				t.Fatalf("Decode: %v, want %v", err, tc.err)
+				t.Fatalf("decode: %v, want %v", err, tc.err)
 			}
-			if n := indexSize(); n != tc.indexed {
+			if _, n := tableSize(tab); n != tc.indexed {
 				t.Fatalf("wire index holds %d entries, want %d", n, tc.indexed)
 			}
-			d := checkDecodeTwice(t, msg)
+			d, _ := checkDecodeTwice(t, msg)
 			if tc.err == nil {
 				if a, wantNH, err := parseAttrs(tc.attrs); err != nil || !attrsEqual(a, d.Update.Attrs) || wantNH != d.Update.NextHop {
 					t.Fatalf("Decode gave {%v} nh=%v; parseAttrs {%v} nh=%v err=%v", d.Update.Attrs, d.Update.NextHop, a, wantNH, err)
@@ -271,51 +270,24 @@ func TestWireIndexLeavesOddListsToTheParser(t *testing.T) {
 		})
 	}
 
-	resetInternTable()
-	d1, err1 := Decode(updateWithAttrBytes(cat(origin, path, nh(10, 0, 0, 1))))
-	d2, err2 := Decode(updateWithAttrBytes(cat(origin, path, nh(10, 9, 9, 9))))
+	tab := NewAttrTable()
+	d1, err1 := decode(updateWithAttrBytes(cat(origin, path, nh(10, 0, 0, 1))), tab)
+	d2, err2 := decode(updateWithAttrBytes(cat(origin, path, nh(10, 9, 9, 9))), tab)
 	if err1 != nil || err2 != nil {
 		t.Fatal(err1, err2)
 	}
-	if d1.Update.Attrs != d2.Update.Attrs || indexSize() != 1 {
-		t.Fatalf("two next hops over one attribute set: same object %v, %d index entries", d1.Update.Attrs == d2.Update.Attrs, indexSize())
+	if _, n := tableSize(tab); d1.Update.Attrs != d2.Update.Attrs || n != 1 {
+		t.Fatalf("two next hops over one attribute set: same object %v, %d index entries", d1.Update.Attrs == d2.Update.Attrs, n)
 	}
 	if d1.Update.NextHop != ip("10.0.0.1") || d2.Update.NextHop != ip("10.9.9.9") {
 		t.Fatalf("next hops %v %v", d1.Update.NextHop, d2.Update.NextHop)
 	}
 }
 
-// TestWireIndexClearedWithTheTable: the index never outlives the canonical
-// objects it points at, and has the table's bound to itself.
-func TestWireIndexClearedWithTheTable(t *testing.T) {
-	resetInternTable()
-	msg := MarshalUpdate(&Update{Attrs: &Attrs{Origin: OriginIGP, Path: NewPath(65001)}, NextHop: 1, NLRI: []netpkt.Prefix{pfx("10.0.0.0/8")}})
-	d, err := Decode(msg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	first := d.Update.Attrs
-	internTab.Lock()
-	for i := 0; len(internTab.m) < maxInternTable; i++ {
-		internTab.m[internKey{ekey: "filler", aggID: netpkt.IP(i)}] = first
-	}
-	internTab.Unlock()
-	Intern(&Attrs{Origin: OriginEGP, Path: NewPath(65009)}) // a miss on a full table: wholesale clear
-	internTab.Lock()
-	left := len(internTab.wire)
-	internTab.Unlock()
-	if left != 0 {
-		t.Fatalf("wire index kept %d entries across the table's clear", left)
-	}
-	if d, err = Decode(msg); err != nil || d.Update.Attrs == first || !attrsEqual(d.Update.Attrs, first) {
-		t.Fatalf("decode after the clear: err=%v, re-issued=%v", err, d.Update.Attrs != first)
-	}
-}
-
-// FuzzDecode: Decode never panics on arbitrary bytes — the prefix counting
-// pass and the attribute walk index by lengths the sender chose — and gives
-// one answer whether the attributes resolve through the parser or the wire
-// index; an UPDATE generated from the same bytes encodes exactly as the
+// FuzzDecode: the decoder never panics on arbitrary bytes — the prefix
+// counting pass and the attribute walk index by lengths the sender chose —
+// and gives one answer whether the attributes resolve through the parser or
+// a table's wire index, or are parsed with no table (Decode); an UPDATE generated from the same bytes encodes exactly as the
 // from-scratch encoder does and decodes to what was sent.
 func FuzzDecode(f *testing.F) {
 	f.Add([]byte{})
@@ -337,7 +309,7 @@ func FuzzDecode(f *testing.F) {
 		if len(msg) > maxMessageLen {
 			return
 		}
-		d := checkDecodeTwice(t, msg)
+		d, _ := checkDecodeTwice(t, msg)
 		if d == nil {
 			t.Fatalf("generated update does not decode: % x", msg)
 		}
@@ -408,63 +380,6 @@ func TestOversizedAttrsAreNotAdvertised(t *testing.T) {
 	}
 	if !logged {
 		t.Fatalf("export failure not logged: %q", logs)
-	}
-}
-
-// TestWireIndexUnderParallelEngines runs two fabrics on two goroutines over
-// the one intern table, so both engines fill and hit the wire index at once
-// (check.sh runs this package under -race), and compares each with the same
-// fabric run alone.
-func TestWireIndexUnderParallelEngines(t *testing.T) {
-	build := func() *tnet {
-		linkCount = 0 // same session addresses in every build
-		n := &tnet{t: t, eng: sim.NewEngine(1), nodes: map[string]*tnode{}, delay: time.Millisecond}
-		names := []string{"a", "b", "c", "d"}
-		for i, name := range names {
-			n.add(name, uint32(65001+i), nil)
-		}
-		for i := 1; i < len(names); i++ {
-			n.connect(names[i-1], names[i])
-		}
-		n.connect("d", "a")
-		for i := 0; i < 200; i++ {
-			n.nodes["a"].r.Originate(netpkt.Prefix{Addr: netpkt.IP(0x64400000 + i<<8), Len: 24})
-		}
-		return n
-	}
-	dump := func(n *tnet) string {
-		var b strings.Builder
-		for _, name := range []string{"a", "b", "c", "d"} {
-			b.WriteString(n.nodes[name].r.DumpRIBs())
-		}
-		return b.String()
-	}
-
-	resetInternTable()
-	alone := build()
-	alone.run()
-	want := dump(alone)
-
-	resetInternTable()
-	nets := []*tnet{build(), build()}
-	var wg sync.WaitGroup
-	for _, n := range nets {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, err := n.eng.Run(2_000_000); err != nil {
-				t.Error(err)
-			}
-		}()
-	}
-	wg.Wait()
-	for i, n := range nets {
-		if got := dump(n); got != want {
-			t.Fatalf("engine %d converged differently beside a sibling than alone", i)
-		}
-	}
-	if hits, _, _ := InternStats(); hits == 0 {
-		t.Fatal("no intern hits: the engines did not share the table")
 	}
 }
 

@@ -22,8 +22,10 @@
 //     *bgp.ASPath values and *bgp.Attrs path attributes (interned, their
 //     memos filled before publication, so forks alias them and the
 //     intra-router sharing of Adj-RIB, Loc-RIB candidates and last-best is
-//     preserved exactly), installed FIB entries and hop groups, ACL rule
-//     objects, and P4 table entries.
+//     preserved exactly), the layer of the emulation's bgp.AttrTable sealed
+//     at Checkpoint (so a fork's decodes come to those same objects),
+//     installed FIB entries and hop groups, ACL rule objects, and P4 table
+//     entries.
 //   - Shared copy-on-write (sealed at Checkpoint): FIB tries, BGP Loc-RIB
 //     entries and the prefix index, and per-peer Adj-RIB tables. Each side
 //     copies exactly what it later writes; a cloned FIB keeps its table's

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"time"
 
+	"crystalnet/internal/bgp"
 	"crystalnet/internal/boundary"
 	"crystalnet/internal/cloud"
 	"crystalnet/internal/config"
@@ -100,6 +101,12 @@ type Emulation struct {
 	// Checkpoint brings it up to date and a fork starts from its parent's
 	// pointer, so reading it after a checkpoint writes nothing shared.
 	index *config.Index
+
+	// attrs is the BGP attribute table every device's router interns into
+	// (bgp.AttrTable): made by Mockup, sealed by Checkpoint and forked by
+	// Orchestrator.Fork, so canonical attrs are shared along the lineage and
+	// with no other emulation in the process.
+	attrs *bgp.AttrTable
 }
 
 // Mockup executes the paper's Mockup API on a preparation: PhyNet build,
@@ -124,6 +131,7 @@ func (o *Orchestrator) Mockup(prep *Preparation, force bool) (*Emulation, error)
 		pendingFaults: map[*cloud.VM]int{},
 		linkDown:      map[linkKey]int{},
 		MockupStart:   o.Eng.Now(),
+		attrs:         bgp.NewAttrTable(),
 	}
 	if o.opts.Shards > 0 {
 		// One domain per VM, seeded from the emulation seed: the partition
@@ -237,7 +245,7 @@ func (em *Emulation) networkReady() {
 	for _, name := range em.allNames() {
 		cfg := em.prep.Configs[name]
 		img := em.prep.Images[name]
-		var opts []firmware.Option
+		opts := []firmware.Option{firmware.WithAttrs(em.attrs)}
 		hostName := fanoutHost
 		if vm := em.vmOf[name]; vm != nil {
 			opts = append(opts, firmware.WithVM(vm))
@@ -595,7 +603,7 @@ func (em *Emulation) AttachNewDevice(name string, img firmware.VendorImage, cfg 
 		em.deviceLinks(name, func(k linkKey, local, _ *topo.Interface, ri *phynet.VIface) {
 			em.connect(k, c.Iface(local.Name), ri)
 		})
-		dev := firmware.New(name, img, cfg, em.deviceEng(name), em.Fabric, c, firmware.WithVM(vm))
+		dev := firmware.New(name, img, cfg, em.deviceEng(name), em.Fabric, c, firmware.WithVM(vm), firmware.WithAttrs(em.attrs))
 		em.Devices[name] = dev
 		em.Mgmt.Register(dev, d.MgmtIP, em.orch.opts.Credential, vm.Name)
 		vm.Submit(host.SetupCost()/10, func() { dev.Boot(onReady) })

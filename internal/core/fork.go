@@ -49,13 +49,15 @@ func (em *Emulation) Checkpoint() (*checkpoint.Snapshot, error) {
 	}
 	// Seal the bulk routing state now, single-threaded: FIB tries are built
 	// and given up for sharing, Loc-RIB entries and Adj-RIB tables marked
-	// shared, attribute-fingerprint memos forced. After this neither the
-	// parent nor any fork writes state the other can reach, and nothing
-	// shared is filled lazily on read, so concurrent forks only read the
-	// parent (DESIGN.md §6).
+	// shared. After this neither the parent nor any fork writes state the
+	// other can reach, and nothing shared is filled lazily on read, so
+	// concurrent forks only read the parent (DESIGN.md §6).
 	for _, d := range em.Devices {
 		d.Seal()
 	}
+	// The attribute table too: what it holds now is what the sealed RIBs
+	// point at, and every fork reads it from here without a lock.
+	em.attrs.Seal()
 	// Likewise the fabric index: brought up to date here, it is what every
 	// fork starts from, and no fork has to write the parent to get one.
 	em.Index()
@@ -73,9 +75,10 @@ func (em *Emulation) Orchestrator() *Orchestrator { return em.orch }
 // overlay, device firmware shells, speakers, the management plane and
 // telemetry counters. The bulk is shared with the parent: immutable
 // structures (topology, parsed configs, BGP policies, path attributes)
-// outright, and the routing state sealed at Checkpoint — FIB tries and
-// entries, Loc-RIB entries, Adj-RIB tables — copy-on-write, so a fork costs
-// O(devices) plus what its steps go on to write (CowCopies counts that).
+// outright, the attribute table's layer sealed at Checkpoint read-only, and
+// the routing state sealed there — FIB tries and entries, Loc-RIB entries,
+// Adj-RIB tables — copy-on-write, so a fork costs O(devices) plus what its
+// steps go on to write (CowCopies counts that).
 //
 // Fork only reads the parent, so any number of forks can be taken from one
 // snapshot concurrently. Each fork then behaves exactly as a fresh same-
@@ -126,6 +129,7 @@ func (o *Orchestrator) Fork(snap *checkpoint.Snapshot) (*Emulation, error) {
 		degraded:     slices.Clone(parent.degraded),
 		phasesTraced: parent.phasesTraced,
 		index:        parent.index,
+		attrs:        parent.attrs.Fork(),
 		// The fork's copy of the traffic matrix settles exactly as a fresh
 		// same-seed run would from here. Its settle memo names tables by
 		// lineage, which the devices' cloned tables below keep, so the fork's
@@ -170,7 +174,7 @@ func (o *Orchestrator) Fork(snap *checkpoint.Snapshot) (*Emulation, error) {
 	sort.Strings(names)
 	for _, name := range names {
 		d := parent.Devices[name]
-		em.Devices[name] = d.Fork(em.deviceEng(name), fabric, em.containers[name], em.vmOf[name])
+		em.Devices[name] = d.Fork(em.deviceEng(name), fabric, em.containers[name], em.vmOf[name], em.attrs)
 	}
 	for name, sp := range parent.Speakers {
 		em.Speakers[name] = sp.Fork(em.Devices[name])

@@ -165,6 +165,9 @@ type Device struct {
 	fabric    *phynet.Fabric
 	container *phynet.Container
 	vm        *cloud.VM // nil in unit tests
+	// attrs is the emulation's BGP attribute table, handed to every router
+	// the device boots (nil in unit tests: each router then keeps its own).
+	attrs *bgp.AttrTable
 
 	cfg   *config.DeviceConfig
 	state DeviceState
@@ -213,6 +216,12 @@ type Option func(*Device)
 // WithVM pins the device's CPU work to a cloud VM.
 func WithVM(vm *cloud.VM) Option {
 	return func(d *Device) { d.vm = vm }
+}
+
+// WithAttrs makes the device's BGP routers intern into the emulation's
+// attribute table t (bgp.Hooks.Attrs).
+func WithAttrs(t *bgp.AttrTable) Option {
+	return func(d *Device) { d.attrs = t }
 }
 
 // AssignVM re-points the device's CPU work at a different VM. The
@@ -488,7 +497,8 @@ func (d *Device) bgpHooks() bgp.Hooks {
 				d.logf(f, a...)
 			}
 		},
-		Rec: d.eng.Recorder(),
+		Rec:   d.eng.Recorder(),
+		Attrs: d.attrs,
 	}
 }
 

@@ -58,19 +58,21 @@ func (d *Device) CowCopies() CowCopies {
 }
 
 // Fork returns the device of a forked emulation: bound to the fork's
-// engine, fabric, container clone and VM clone, with its protocol hooks built
-// by the same bgpHooks/ospfHooks a boot uses, against the clone (the hooks
-// built at boot close over the parent and must not leak into the fork). The
-// clone keeps the parent's epoch, so its hooks serve the boot it continues.
-// The bulk routing state — FIB and BGP RIBs — is shared with the parent and
-// copied on write, which requires Seal to have run; the small per-device
-// maps, OSPF and dataplane state are deep-copied. The source device is read strictly read-only, so
-// concurrent forks are safe.
+// engine, fabric, container clone, VM clone and BGP attribute table (the
+// fork of the table the device's router interns into, bgp.AttrTable.Fork
+// after its last Seal), with its protocol hooks built by the same
+// bgpHooks/ospfHooks a boot uses, against the clone (the hooks built at boot
+// close over the parent and must not leak into the fork). The clone keeps
+// the parent's epoch, so its hooks serve the boot it continues. The bulk
+// routing state — FIB and BGP RIBs — is shared with the parent and copied on
+// write, which requires Seal to have run; the small per-device maps, OSPF
+// and dataplane state are deep-copied. The source device is read strictly
+// read-only, so concurrent forks are safe.
 //
 // The device's configuration pointer is shared copy-on-write: config
 // reloads replace the pointer (ReloadConfig installs a fresh
 // *config.DeviceConfig), they never mutate the shared value in place.
-func (d *Device) Fork(eng *sim.Engine, fabric *phynet.Fabric, container *phynet.Container, vm *cloud.VM) *Device {
+func (d *Device) Fork(eng *sim.Engine, fabric *phynet.Fabric, container *phynet.Container, vm *cloud.VM, attrs *bgp.AttrTable) *Device {
 	c := &Device{
 		Name:  d.Name,
 		Image: d.Image,
@@ -79,6 +81,7 @@ func (d *Device) Fork(eng *sim.Engine, fabric *phynet.Fabric, container *phynet.
 		fabric:    fabric,
 		container: container,
 		vm:        vm,
+		attrs:     attrs,
 
 		cfg:   d.cfg,
 		state: d.state,

@@ -2,9 +2,12 @@ package scenario
 
 import (
 	"bytes"
+	"path/filepath"
 	"testing"
 	"time"
 
+	"crystalnet/internal/bgp"
+	"crystalnet/internal/netpkt"
 	"crystalnet/internal/parallel"
 )
 
@@ -231,5 +234,69 @@ func TestChaosReuseSerialParallelIdentical(t *testing.T) {
 	}
 	if !bytes.Equal(serial.JSON(), par.JSON()) {
 		t.Fatal("reuse campaign not byte-identical across worker counts")
+	}
+}
+
+// TestOtherTenantsCannotChangeAForkedReport: a rehearsal report depends on
+// the spec and seed alone. Another tenant of the process — here 131,073
+// distinct attribute sets pushed through bgp.Decode, more than a bounded
+// process-wide attribute table would hold — must not change what a fork of
+// a converged baseline reports: both forks taken around the flood, and a
+// fresh run, are byte-identical. It covers every forkable shipped scenario.
+func TestOtherTenantsCannotChangeAForkedReport(t *testing.T) {
+	paths, err := filepath.Glob("../../scenarios/*.json")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no shipped scenarios: %v", err)
+	}
+	forkable := 0
+	for _, path := range paths {
+		sp, err := Load(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if CheckForkable(sp, Options{}) != nil {
+			continue
+		}
+		forkable++
+		t.Run(filepath.Base(path), func(t *testing.T) {
+			fresh, err := Run(sp, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			conv, err := Converge(sp, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			before, err := conv.Run(sp, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			floodAttrs(t, 1<<17+1)
+			after, err := conv.Run(sp, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(before.JSON(), after.JSON()) {
+				t.Fatalf("fork after another tenant's traffic differs\nbefore:\n%s\nafter:\n%s", before.JSON(), after.JSON())
+			}
+			if !bytes.Equal(fresh.JSON(), after.JSON()) {
+				t.Fatalf("forked report differs from fresh run\nfresh:\n%s\nforked:\n%s", fresh.JSON(), after.JSON())
+			}
+		})
+	}
+	if forkable == 0 {
+		t.Fatal("no forkable shipped scenario")
+	}
+}
+
+// floodAttrs decodes n UPDATEs, each over a distinct one-ASN path.
+func floodAttrs(t *testing.T, n int) {
+	t.Helper()
+	nlri := []netpkt.Prefix{netpkt.MustParsePrefix("198.51.100.0/24")}
+	for i := 0; i < n; i++ {
+		u := &bgp.Update{Attrs: &bgp.Attrs{Origin: bgp.OriginIGP, Path: bgp.NewPath(4_200_000_000 + uint32(i))}, NextHop: 1, NLRI: nlri}
+		if _, err := bgp.Decode(bgp.MarshalUpdate(u)); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -33,11 +33,13 @@ go test -race ./internal/parallel/ ./internal/sim/ ./internal/experiments/ ./int
     ./internal/obs/ ./internal/serve/ ./internal/bgp/ ./internal/rib/ ./internal/trie/ ./internal/traffic/ \
     ./internal/boundary/ ./internal/firmware/ ./internal/phynet/ ./internal/cloud/
 
-# Under the tag every wire-index hit in Decode is re-parsed and must intern
-# to the same object, and every use of a memoised wire image re-encodes the
-# attributes and compares: these runs (and the chaos and fork suites below)
-# are the UPDATE fast path against its oracle. The -race pass above ran
-# TestWireIndexUnderParallelEngines, two engines filling the index at once.
+# Under the tag every wire-index hit in a router's decode is re-parsed and
+# must intern in the caller's table to the same object, and every use of a
+# memoised wire image re-encodes the attributes and compares: these runs
+# (and the chaos and fork suites below) are the UPDATE fast path against its
+# oracle. The -race pass above ran TestAttrTableConcurrentInterning, eight
+# goroutines interning and decoding into one table at once (the sharded
+# case), and the table's fork contract (TestAttrTableFork*).
 echo "== sealed-attrs, wire-index and wire-image oracles, installed-FIB-entry immutability, memoised sorted hop groups (-tags crystaldebug)"
 go test -tags crystaldebug ./internal/bgp/ ./internal/rib/
 
@@ -80,8 +82,11 @@ fi
 echo "== scenario smoke under -race"
 go test -race ./internal/scenario/ -run 'TestSmoke|TestChaosSerialParallelIdentical'
 
-echo "== fork-determinism smoke under -race (fresh vs forked, byte-compare; shared baseline configs)"
-go test -race ./internal/scenario/ -run 'TestForkedRunMatchesFreshRun|TestForkedReloadChecksMatchFreshRun|TestChaosReuse|TestReloadConfigLeavesSharedBaselineIntact'
+# TestOtherTenantsCannotChangeAForkedReport floods the process with
+# 131,073 distinct attribute sets between two forks of every forkable
+# shipped scenario: a fork's report must not depend on other tenants.
+echo "== fork-determinism smoke under -race (fresh vs forked, byte-compare; shared baseline configs; other tenants' attrs)"
+go test -race ./internal/scenario/ -run 'TestForkedRunMatchesFreshRun|TestForkedReloadChecksMatchFreshRun|TestChaosReuse|TestReloadConfigLeavesSharedBaselineIntact|TestOtherTenantsCannotChangeAForkedReport'
 
 echo "== sharded-convergence determinism under -race (serial vs sharded, byte-compare)"
 go test -race ./internal/scenario/ -run 'TestSharded' -timeout 10m
