@@ -9,7 +9,7 @@ package bgp
 //   - every Loc-RIB entry and the prefix index become shared: the router
 //     gives up ownership of all of them, and its own later writes go through
 //     writable/entryFor like a fork's;
-//   - every peer's Adj-RIB tables are marked shared (rib.Dense.Seal).
+//   - every peer's Adj-RIB-Out is marked shared (rib.Dense.Seal).
 //
 // The *Attrs a fork can reach need nothing here: each came through the
 // router's AttrTable, which fills its memo (fingerprint and wire image)
@@ -20,7 +20,6 @@ package bgp
 func (r *Router) Seal() {
 	assertMemosFilled(r)
 	for _, p := range r.peers {
-		p.adjIn.Seal()
 		p.advertised.Seal()
 	}
 	r.cow, r.indexShared, r.owned = true, true, nil
@@ -103,7 +102,6 @@ func (r *Router) Fork(clock Clock, hooks Hooks) *Router {
 			openSent:    p.openSent,
 			localGen:    p.localGen,
 			remoteGen:   p.remoteGen,
-			adjIn:       p.adjIn.Clone(),
 			advertised:  p.advertised.Clone(),
 			dirtyBits:   append([]uint64(nil), p.dirtyBits...),
 			dirtyList:   append([]int32(nil), p.dirtyList...),
@@ -121,7 +119,7 @@ func (r *Router) Fork(clock Clock, hooks Hooks) *Router {
 // tables that copied their shared arrays.
 func (r *Router) Copies() (ribEntries, denseTables int) {
 	for _, p := range r.peers {
-		denseTables += p.adjIn.Copies() + p.advertised.Copies()
+		denseTables += p.advertised.Copies()
 	}
 	return r.entryCopies, denseTables
 }

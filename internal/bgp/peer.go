@@ -66,13 +66,9 @@ type Peer struct {
 	localGen  uint32 // our connection incarnation, refreshed on Start
 	remoteGen uint32 // the peer's incarnation, learned from its OPEN
 
-	// adjIn tracks which Loc-RIB entry ids this peer has an accepted route
-	// for — a dense presence bitset instead of a per-route hash map, the
-	// §10 memory restructuring that makes M-DC RIBs fit. The accepted attrs
-	// themselves live only in the Loc-RIB candidate list (keyed by this
-	// peer), so the per-peer table stores zero bytes per route. advertised
-	// holds the canonical attrs last announced per entry id.
-	adjIn      rib.Dense[struct{}]
+	// The Adj-RIB-In is the Loc-RIB's candidates keyed by this peer's
+	// Index; the peer keeps no table of its own for it. advertised holds
+	// the canonical attrs last announced per entry id.
 	advertised rib.Dense[*Attrs]
 	// The dirty set is a bitset addressed by ribEntry.id plus the insertion-
 	// order list of entry ids to visit at the next flush; marking a prefix
@@ -93,17 +89,19 @@ type Peer struct {
 func (p *Peer) State() SessionState { return p.state }
 
 // AdjInLen returns the number of routes accepted from this peer.
-func (p *Peer) AdjInLen() int { return p.adjIn.Len() }
+func (p *Peer) AdjInLen() int {
+	n := 0
+	for _, e := range p.router.entries {
+		if e.candidateOf(p) {
+			n++
+		}
+	}
+	return n
+}
 
 // AdvertisedLen returns the number of routes currently announced to this
 // peer.
 func (p *Peer) AdvertisedLen() int { return p.advertised.Len() }
-
-// clearRIBs empties both Adj-RIBs.
-func (p *Peer) clearRIBs() {
-	p.adjIn.Clear()
-	p.advertised.Clear()
-}
 
 // exportVal is one memoized export-template outcome (see Router.exportCache).
 type exportVal struct {
@@ -124,7 +122,7 @@ func (p *Peer) Start() {
 		return
 	}
 	p.localGen = connGen.Add(1)
-	p.clearRIBs()
+	p.advertised.Clear()
 	p.clearDirty()
 	if p.Config.Passive {
 		return
@@ -191,11 +189,12 @@ func (p *Peer) reset(reason string) {
 		p.flushTimer = nil
 	}
 	p.staleScratch = p.staleScratch[:0]
-	p.adjIn.Range(func(id int, _ struct{}) bool {
-		p.staleScratch = append(p.staleScratch, p.router.prefixByID[id])
-		return true
-	})
-	p.clearRIBs()
+	for id, e := range p.router.entries {
+		if e.candidateOf(p) {
+			p.staleScratch = append(p.staleScratch, p.router.prefixByID[id])
+		}
+	}
+	p.advertised.Clear()
 	p.clearDirty()
 	p.setState(StateIdle)
 	for _, pfx := range p.staleScratch {
@@ -302,9 +301,7 @@ func (p *Peer) handleUpdate(withdrawn []netpkt.Prefix, attrs *Attrs, nlri []netp
 	for _, pfx := range withdrawn {
 		p.WithdrawsIn++
 		p.router.mWithdrawsIn.Inc()
-		if e := p.router.lookup(pfx); e != nil && p.adjIn.Delete(e.id) {
-			p.router.removeCandidate(pfx, p)
-		}
+		p.router.removeCandidate(pfx, p)
 	}
 	if attrs == nil || len(nlri) == 0 {
 		return
@@ -325,17 +322,10 @@ func (p *Peer) handleUpdate(withdrawn []netpkt.Prefix, attrs *Attrs, nlri []netp
 		}
 		if !permit {
 			// Treat as unfeasible: remove any previous acceptance.
-			if e := p.router.lookup(pfx); e != nil && p.adjIn.Delete(e.id) {
-				p.router.removeCandidate(pfx, p)
-			}
+			p.router.removeCandidate(pfx, p)
 			continue
 		}
-		e := p.router.upsertCandidate(pfx, p, imported)
-		// A replacement leaves the presence bit as it is; skipping the Set
-		// keeps a forked session from copying its Adj-RIB-In for nothing.
-		if _, had := p.adjIn.Get(e.id); !had {
-			p.adjIn.Set(e.id, struct{}{})
-		}
+		p.router.upsertCandidate(pfx, p, imported)
 	}
 }
 

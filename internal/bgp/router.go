@@ -419,9 +419,8 @@ func (r *Router) setOwned(id int32) {
 }
 
 // upsertCandidate installs or replaces the candidate from the given source
-// (peer, or nil for local), re-runs the decision process, and returns the
-// entry so the caller can index its dense per-peer state by e.id.
-func (r *Router) upsertCandidate(p netpkt.Prefix, peer *Peer, a *Attrs) *ribEntry {
+// (peer, or nil for local) and re-runs the decision process.
+func (r *Router) upsertCandidate(p netpkt.Prefix, peer *Peer, a *Attrs) {
 	e := r.entryFor(p)
 	r.seq++
 	idx := int32(-1)
@@ -433,12 +432,21 @@ func (r *Router) upsertCandidate(p netpkt.Prefix, peer *Peer, a *Attrs) *ribEntr
 			e.candidates[i].attrs = a
 			e.candidates[i].seq = r.seq
 			r.decide(p, e)
-			return e
+			return
 		}
 	}
 	e.candidates = append(e.candidates, candidate{attrs: a, peerIdx: idx, seq: r.seq})
 	r.decide(p, e)
-	return e
+}
+
+// candidateOf reports whether the entry holds a route accepted from peer.
+func (e *ribEntry) candidateOf(peer *Peer) bool {
+	for i := range e.candidates {
+		if int(e.candidates[i].peerIdx) == peer.Index {
+			return true
+		}
+	}
+	return false
 }
 
 // removeCandidate drops the candidate from the given source.
@@ -919,11 +927,12 @@ func (r *Router) DumpRIBs() string {
 	}
 	for _, p := range r.peers {
 		fmt.Fprintf(&b, "peer %d %s %s in=%d out=%d msgs=%d/%d routes=%d/%d\n", p.Index, p.Config.Name, p.state,
-			p.adjIn.Len(), p.advertised.Len(), p.MsgsIn, p.MsgsOut, p.RoutesIn, p.WithdrawsIn)
-		p.adjIn.Range(func(id int, _ struct{}) bool {
-			fmt.Fprintf(&b, "  in %d\n", id)
-			return true
-		})
+			p.AdjInLen(), p.advertised.Len(), p.MsgsIn, p.MsgsOut, p.RoutesIn, p.WithdrawsIn)
+		for id, e := range r.entries {
+			if e.candidateOf(p) {
+				fmt.Fprintf(&b, "  in %d\n", id)
+			}
+		}
 		p.advertised.Range(func(id int, a *Attrs) bool {
 			fmt.Fprintf(&b, "  out %d {%s}\n", id, str(a))
 			return true

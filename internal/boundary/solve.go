@@ -11,10 +11,20 @@ import (
 	"crystalnet/internal/topo"
 )
 
-// DefaultVMHourlyUSD mirrors cloud.SKUStandard.PricePerHour so the solver's
+// vmHourlyUSD mirrors cloud.SKUStandard.PricePerHour so the solver's
 // dollar objective matches cloud.HourlyCostUSD without importing the cloud
 // package (which would invert the dependency order).
-const DefaultVMHourlyUSD = 0.20
+const vmHourlyUSD = 0.20
+
+// LemmaLimit is the largest topology (device count) on which the exhaustive
+// Lemma 5.1 walk certifies a plan when Props 5.2/5.3 both fail: the solver
+// and core's Prepare of an exact emulated set both pass it to Certify, so
+// they agree on what is safe.
+const LemmaLimit = 32
+
+// shrinkLimit is the largest candidate (emulated device count) the greedy
+// shrink pass tries to minimize further.
+const shrinkLimit = 64
 
 // Certificate names which safety argument admitted a plan.
 type Certificate string
@@ -66,16 +76,6 @@ type SolveOptions struct {
 	Workers int
 	// MaxAlternatives caps the ranked near-optimal list (default 3).
 	MaxAlternatives int
-	// LemmaLimit is the largest topology (device count) on which the
-	// solver falls back to the exhaustive Lemma 5.1 walk when Props
-	// 5.2/5.3 both fail. Default 32; negative disables the fallback.
-	LemmaLimit int
-	// ShrinkLimit is the largest candidate (emulated device count) the
-	// greedy shrink pass will try to minimize further. Default 64;
-	// negative disables shrinking.
-	ShrinkLimit int
-	// VMHourlyUSD prices one VM-hour (default DefaultVMHourlyUSD).
-	VMHourlyUSD float64
 }
 
 func (o SolveOptions) withDefaults() SolveOptions {
@@ -84,15 +84,6 @@ func (o SolveOptions) withDefaults() SolveOptions {
 	}
 	if o.MaxAlternatives < 0 {
 		o.MaxAlternatives = 0
-	}
-	if o.LemmaLimit == 0 {
-		o.LemmaLimit = 32
-	}
-	if o.ShrinkLimit == 0 {
-		o.ShrinkLimit = 64
-	}
-	if o.VMHourlyUSD <= 0 {
-		o.VMHourlyUSD = DefaultVMHourlyUSD
 	}
 	return o
 }
@@ -210,7 +201,7 @@ func Solve(n *topo.Network, targets []string, opts SolveOptions) (*SolveResult, 
 		Seed:          opts.Seed,
 		FullDevices:   fullScale.TotalEmulated,
 		FullVMs:       fullScale.VMs,
-		FullHourlyUSD: float64(fullScale.VMs) * opts.VMHourlyUSD,
+		FullHourlyUSD: float64(fullScale.VMs) * vmHourlyUSD,
 		Candidates:    len(cands),
 	}
 	sort.Strings(res.Targets)
@@ -278,12 +269,12 @@ func evaluate(n *topo.Network, targets map[string]bool, strategy string, emulate
 	if err != nil {
 		return nil
 	}
-	cert, err := plan.Certify(opts.LemmaLimit)
+	cert, err := plan.Certify(LemmaLimit)
 	if err != nil {
 		return nil
 	}
 	sc := plan.Scale()
-	if opts.ShrinkLimit >= 0 && sc.TotalEmulated <= opts.ShrinkLimit {
+	if sc.TotalEmulated <= shrinkLimit {
 		if sp, scert, ssc, shrunk := shrink(n, targets, emulated, sc, opts); shrunk {
 			plan, cert, sc = sp, scert, ssc
 			strategy += "+shrink"
@@ -294,7 +285,7 @@ func evaluate(n *topo.Network, targets map[string]bool, strategy string, emulate
 		Certificate: cert,
 		Plan:        plan,
 		Scale:       sc,
-		HourlyUSD:   float64(sc.VMs) * opts.VMHourlyUSD,
+		HourlyUSD:   float64(sc.VMs) * vmHourlyUSD,
 		Emulated:    sortedNames(plan.Emulated),
 	}
 }
@@ -335,7 +326,7 @@ func shrink(n *topo.Network, targets, emulated map[string]bool, sc Scale, opts S
 			if err != nil {
 				continue
 			}
-			cert, err := plan.Certify(opts.LemmaLimit)
+			cert, err := plan.Certify(LemmaLimit)
 			if err != nil {
 				continue
 			}

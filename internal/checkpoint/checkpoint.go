@@ -59,8 +59,8 @@ type Snapshot struct {
 	Engine sim.EngineState
 	// Shards holds the per-domain engine states of a sharded emulation
 	// (DESIGN.md §10), in domain order; nil for the classic single-engine
-	// schedule. Forks restore one engine per entry so every domain's RNG
-	// stream and sequence counter continue exactly where they stopped.
+	// schedule. They are there to be read (each domain's clock and fired
+	// count): a sharded snapshot cannot be forked.
 	Shards []sim.EngineState
 	// Origin is the frozen source emulation. It is typed as any so the
 	// leaf packages that clone themselves into a fork need not import the

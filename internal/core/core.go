@@ -78,7 +78,9 @@ type Options struct {
 	// emulation's observable output is byte-identical for every positive
 	// Shards value (1 is the serial reference schedule). 0 keeps the classic
 	// single-engine schedule, which orders events differently (per-domain
-	// RNG streams) and therefore is not comparable byte-for-byte.
+	// RNG streams) and therefore is not comparable byte-for-byte. A sharded
+	// emulation runs a cold mockup: it can be driven, checkpointed for its
+	// engines' counters and torn down, but Fork refuses its checkpoints.
 	Shards int
 }
 
@@ -145,11 +147,6 @@ type PrepareInput struct {
 	// traverse the Internet overlay.
 	Hardware []string
 }
-
-// exactLemmaLimit caps the topology size on which Prepare certifies an
-// exact emulated set with the exponential Lemma 5.1 walk (matching the
-// solver's default), so Prepare and boundary.Solve agree on safety.
-const exactLemmaLimit = 32
 
 // vmAssignment places one device on one VM of a vendor group.
 type vmAssignment struct {
@@ -247,7 +244,7 @@ func (o *Orchestrator) Prepare(in PrepareInput) (*Preparation, error) {
 		// Exact sets come from the solver, which may have certified them
 		// via the Lemma 5.1 walk rather than the propositions; re-certify
 		// the same way so a solver-planned fabric is not rejected.
-		_, prep.SafetyErr = plan.Certify(exactLemmaLimit)
+		_, prep.SafetyErr = plan.Certify(boundary.LemmaLimit)
 	} else {
 		prep.SafetyErr = plan.CheckSafe()
 	}

@@ -28,7 +28,8 @@ import (
 // It fails unless the event queue is empty (RunUntilConverged drains it):
 // pending events are closures that cannot be duplicated into a fork, and
 // an empty queue is also what guarantees no protocol timer or boot
-// callback is in flight.
+// callback is in flight. A sharded emulation's checkpoint records every
+// domain engine's state (Snapshot.Shards) to be read, not forked.
 func (em *Emulation) Checkpoint() (*checkpoint.Snapshot, error) {
 	if em.cleared {
 		return nil, fmt.Errorf("core: cannot checkpoint a cleared emulation")
@@ -83,7 +84,8 @@ func (em *Emulation) Orchestrator() *Orchestrator { return em.orch }
 // Fork only reads the parent, so any number of forks can be taken from one
 // snapshot concurrently. Each fork then behaves exactly as a fresh same-
 // seed run would from the moment the snapshot was taken: identical event
-// ordering, identical jitter draws, identical reports.
+// ordering, identical jitter draws, identical reports. A snapshot of a
+// sharded emulation (Options.Shards) cannot be forked.
 func (o *Orchestrator) Fork(snap *checkpoint.Snapshot) (*Emulation, error) {
 	if snap == nil {
 		return nil, fmt.Errorf("core: nil snapshot")
@@ -97,6 +99,9 @@ func (o *Orchestrator) Fork(snap *checkpoint.Snapshot) (*Emulation, error) {
 	}
 	if parent.orch != o {
 		return nil, fmt.Errorf("core: snapshot belongs to a different orchestrator")
+	}
+	if parent.shards != nil {
+		return nil, fmt.Errorf("core: a sharded emulation cannot be forked (its checkpoint is read for counters only)")
 	}
 
 	eng := sim.NewEngineFrom(snap.Engine)
@@ -146,13 +151,6 @@ func (o *Orchestrator) Fork(snap *checkpoint.Snapshot) (*Emulation, error) {
 		pendingFaults: make(map[*cloud.VM]int, len(parent.pendingFaults)),
 		linkDown:      maps.Clone(parent.linkDown),
 	}
-	if parent.shards != nil {
-		// Restore the domain ensemble before devices fork: each forked
-		// device must be built on the engine owning its host's domain, with
-		// that domain's captured clock and RNG stream.
-		em.shards = sim.NewShardSetFrom(eng, snap.Shards, parent.shards.Workers())
-		fabric.SetShards(em.shards)
-	}
 	for vm, n := range parent.pendingFaults {
 		em.pendingFaults[vmMap[vm]] = n
 	}
@@ -174,7 +172,7 @@ func (o *Orchestrator) Fork(snap *checkpoint.Snapshot) (*Emulation, error) {
 	sort.Strings(names)
 	for _, name := range names {
 		d := parent.Devices[name]
-		em.Devices[name] = d.Fork(em.deviceEng(name), fabric, em.containers[name], em.vmOf[name], em.attrs)
+		em.Devices[name] = d.Fork(eng, fabric, em.containers[name], em.vmOf[name], em.attrs)
 	}
 	for name, sp := range parent.Speakers {
 		em.Speakers[name] = sp.Fork(em.Devices[name])

@@ -40,7 +40,7 @@ func TestAllocBudgetFrameDelivery(t *testing.T) {
 	if in := p.b.bgp.Peers()[0].MsgsIn - msgsIn; in != 1002 || p.b.LastFIBChange != lastChange {
 		t.Fatalf("b handled %d of 1002 messages (FIB changed: %v)", in, p.b.LastFIBChange != lastChange)
 	}
-	if p.fabric.EncapFrames == 0 {
+	if p.fabric.EncapFrames() == 0 {
 		t.Fatal("the pair's frames did not cross the underlay")
 	}
 }

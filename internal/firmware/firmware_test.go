@@ -124,7 +124,7 @@ func TestBootAndSessionOverRealFrames(t *testing.T) {
 		t.Fatal("ARP caches empty — frames not exchanged?")
 	}
 	// VXLAN-free single host: frames delivered without drops of substance.
-	if r.fabric.FramesDelivered == 0 {
+	if r.fabric.FramesDelivered() == 0 {
 		t.Fatal("no frames delivered")
 	}
 }
@@ -234,12 +234,12 @@ func TestPingOverFabric(t *testing.T) {
 		Src: a.Config().Loopback.Addr, Dst: b.Config().Loopback.Addr,
 		Payload: echo.Marshal(),
 	}
-	delivered := r.fabric.FramesDelivered
+	delivered := r.fabric.FramesDelivered()
 	a.sendFromSelf(out)
 	r.run()
 	// Request + reply crossed the fabric.
-	if r.fabric.FramesDelivered < delivered+2 {
-		t.Fatalf("frames delivered: %d -> %d, want request+reply", delivered, r.fabric.FramesDelivered)
+	if r.fabric.FramesDelivered() < delivered+2 {
+		t.Fatalf("frames delivered: %d -> %d, want request+reply", delivered, r.fabric.FramesDelivered())
 	}
 }
 

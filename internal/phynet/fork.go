@@ -23,26 +23,26 @@ func (f *Fabric) Fork(eng *sim.Engine) (*Fabric, map[*VIface]*VIface, map[*Conta
 		InterVMLatency:    f.InterVMLatency,
 		RemoteLatency:     f.RemoteLatency,
 		CrossCloudLatency: f.CrossCloudLatency,
-		FramesDelivered:   f.FramesDelivered,
-		BytesDelivered:    f.BytesDelivered,
-		FramesDropped:     f.FramesDropped,
-		EncapFrames:       f.EncapFrames,
 	}
 	ifaceMap := make(map[*VIface]*VIface)
 	ctMap := make(map[*Container]*Container)
 	for name, h := range f.hosts {
 		nh := &Host{
-			Name:       h.Name,
-			UnderlayIP: h.UnderlayIP,
-			Remote:     h.Remote,
-			Region:     h.Region,
-			Domain:     h.Domain,
-			fabric:     c,
-			containers: make(map[string]*Container, len(h.containers)),
-			vethPairs:  h.vethPairs,
-			bridges:    h.bridges,
-			tunnels:    h.tunnels,
-			setupCost:  h.setupCost,
+			Name:            h.Name,
+			UnderlayIP:      h.UnderlayIP,
+			Remote:          h.Remote,
+			Region:          h.Region,
+			Domain:          h.Domain,
+			fabric:          c,
+			containers:      make(map[string]*Container, len(h.containers)),
+			vethPairs:       h.vethPairs,
+			bridges:         h.bridges,
+			tunnels:         h.tunnels,
+			setupCost:       h.setupCost,
+			framesDelivered: h.framesDelivered,
+			bytesDelivered:  h.bytesDelivered,
+			framesDropped:   h.framesDropped,
+			encapFrames:     h.encapFrames,
 		}
 		for cname, ct := range h.containers {
 			nc := &Container{Name: ct.Name, Host: nh, ifaces: make(map[string]*VIface, len(ct.ifaces))}

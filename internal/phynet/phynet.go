@@ -68,6 +68,16 @@ type Host struct {
 	bridges   int
 	tunnels   int
 	setupCost float64 // accumulated core-seconds
+
+	// Wire statistics, counted by the host whose domain handles the frame:
+	// the sender's host counts what it encapsulates and what it drops on
+	// send, the receiver's host what it delivers and what it drops at
+	// delivery. A host's frames are handled in its one domain, so in a
+	// sharded run no two goroutines write one host's counters.
+	framesDelivered uint64
+	bytesDelivered  uint64
+	framesDropped   uint64
+	encapFrames     uint64
 }
 
 // SetupCost returns the accumulated plumbing CPU cost in core-seconds.
@@ -173,89 +183,43 @@ type Fabric struct {
 	RemoteLatency     time.Duration
 	CrossCloudLatency time.Duration
 
-	// Wire statistics. In a sharded run these exported fields are only
-	// written during serial phases; the parallel drain accumulates into
-	// per-domain slots folded back at every barrier, so readers in serial
-	// context (and after Run) always see consistent totals.
-	FramesDelivered uint64
-	BytesDelivered  uint64
-	FramesDropped   uint64
-	EncapFrames     uint64 // frames that crossed the underlay (VXLAN)
-
-	// shards, when non-nil, routes deliveries between domain engines and
-	// switches counter writes to the per-domain slots below.
+	// shards, when non-nil, routes deliveries between domain engines.
 	shards *sim.ShardSet
-	// slots[d+1] accumulates wire stats for domain d during parallel
-	// drains (index 0 is the master domain, which never runs in parallel
-	// but keeps the indexing uniform). Padded to a cache line apart.
-	slots []fabStats
 
 	links []*VirtualLink
 }
 
-// fabStats is one domain's wire-stat accumulator, padded to 64 bytes so
-// adjacent domains do not false-share a cache line.
-type fabStats struct {
-	framesDelivered uint64
-	bytesDelivered  uint64
-	framesDropped   uint64
-	encapFrames     uint64
-	_               [4]uint64
-}
-
 // SetShards attaches the fabric to a shard set: deliveries route between
-// domain engines and wire stats accumulate per domain during parallel
-// phases, folded into the exported counters at every barrier.
-func (f *Fabric) SetShards(s *sim.ShardSet) {
-	f.shards = s
-	f.slots = make([]fabStats, s.Domains()+1)
-	s.AddFold(f.foldStats)
+// domain engines.
+func (f *Fabric) SetShards(s *sim.ShardSet) { f.shards = s }
+
+// sumHosts adds up one wire counter over every host.
+func (f *Fabric) sumHosts(counter func(*Host) uint64) uint64 {
+	var n uint64
+	for _, h := range f.hosts {
+		n += counter(h)
+	}
+	return n
 }
 
-func (f *Fabric) foldStats() {
-	for i := range f.slots {
-		sl := &f.slots[i]
-		f.FramesDelivered += sl.framesDelivered
-		f.BytesDelivered += sl.bytesDelivered
-		f.FramesDropped += sl.framesDropped
-		f.EncapFrames += sl.encapFrames
-		*sl = fabStats{}
-	}
+// FramesDelivered returns the frames handed to attached firmware.
+func (f *Fabric) FramesDelivered() uint64 {
+	return f.sumHosts(func(h *Host) uint64 { return h.framesDelivered })
 }
 
-// stat returns the counter sink for code executing in domain d: the
-// domain's slot during a parallel drain, the exported fields otherwise.
-func (f *Fabric) stat(d int) *fabStats {
-	if f.shards != nil && f.shards.InParallel() {
-		return &f.slots[d+1]
-	}
-	return nil
+// BytesDelivered returns the bytes of the frames FramesDelivered counts.
+func (f *Fabric) BytesDelivered() uint64 {
+	return f.sumHosts(func(h *Host) uint64 { return h.bytesDelivered })
 }
 
-func (f *Fabric) countDrop(d int) {
-	if sl := f.stat(d); sl != nil {
-		sl.framesDropped++
-		return
-	}
-	f.FramesDropped++
+// FramesDropped returns the frames dropped on send or at delivery.
+func (f *Fabric) FramesDropped() uint64 {
+	return f.sumHosts(func(h *Host) uint64 { return h.framesDropped })
 }
 
-func (f *Fabric) countEncap(d int) {
-	if sl := f.stat(d); sl != nil {
-		sl.encapFrames++
-		return
-	}
-	f.EncapFrames++
-}
-
-func (f *Fabric) countDelivered(d int, bytes uint64) {
-	if sl := f.stat(d); sl != nil {
-		sl.framesDelivered++
-		sl.bytesDelivered += bytes
-		return
-	}
-	f.FramesDelivered++
-	f.BytesDelivered += bytes
+// EncapFrames returns the frames that crossed the underlay (VXLAN).
+func (f *Fabric) EncapFrames() uint64 {
+	return f.sumHosts(func(h *Host) uint64 { return h.encapFrames })
 }
 
 // NewFabric creates an empty overlay on the engine.
@@ -400,17 +364,17 @@ func (f *Fabric) Send(from *VIface, frame []byte) { f.SendFramed(from, frame, 0)
 // dropped and counted in FramesDropped. Ownership of buf passes to the
 // fabric, as with Send.
 func (f *Fabric) SendFramed(from *VIface, buf []byte, room int) {
-	// srcDomain is the domain executing this call — Send is always invoked
-	// by the firmware attached to the sending interface's host.
-	srcDomain := from.Container.Host.Domain
+	// src is the host executing this call — Send is always invoked by the
+	// firmware attached to the sending interface's host.
+	src := from.Container.Host
 	l := from.link
 	if l == nil || !l.up {
-		f.countDrop(srcDomain)
+		src.framesDropped++
 		return
 	}
 	to := l.Other(from)
 	if to == nil {
-		f.countDrop(srcDomain)
+		src.framesDropped++
 		return
 	}
 	latency := f.IntraVMLatency
@@ -436,25 +400,23 @@ func (f *Fabric) SendFramed(from *VIface, buf []byte, room int) {
 			from.Container.Host.UnderlayIP, to.Container.Host.UnderlayIP,
 			netpkt.MAC{0x02, 0xee, 0, 0, 0, 1}, netpkt.MAC{0x02, 0xee, 0, 0, 0, 2},
 			uint16(32768+l.VNI%16384), len(payload)) != nil {
-			f.countDrop(srcDomain)
+			src.framesDropped++
 			return
 		}
 		vni, inner, err := netpkt.DecapVXLAN(enc)
 		if err != nil || vni != l.VNI {
-			f.countDrop(srcDomain)
+			src.framesDropped++
 			return
 		}
-		f.countEncap(srcDomain)
+		src.encapFrames++
 		payload = inner
 	}
 	if f.shards == nil {
 		f.lane(l, to).After(latency, payload)
 		return
 	}
-	// The delivery executes on the receiving host's engine, so its counter
-	// writes belong to the destination domain.
-	dstDomain := to.Container.Host.Domain
-	f.shards.ScheduleAfter(srcDomain, dstDomain, latency, func() { f.deliver(l, to, dstDomain, payload) })
+	// The delivery executes on the receiving host's engine.
+	f.shards.ScheduleAfter(src.Domain, to.Container.Host.Domain, latency, func() { f.deliver(l, to, payload) })
 }
 
 // lane returns l's delivery lane towards to, building it on first use.
@@ -464,26 +426,27 @@ func (f *Fabric) lane(l *VirtualLink, to *VIface) *sim.Lane[[]byte] {
 		i = 1
 	}
 	if l.lanes[i] == nil {
-		dstDomain := to.Container.Host.Domain
-		l.lanes[i] = sim.NewLane(f.eng, func(data []byte) { f.deliver(l, to, dstDomain, data) })
+		l.lanes[i] = sim.NewLane(f.eng, func(data []byte) { f.deliver(l, to, data) })
 	}
 	return l.lanes[i]
 }
 
 // deliver hands a frame that crossed l to the firmware attached behind to,
 // or drops it if the link was cut or the firmware is down meanwhile.
-func (f *Fabric) deliver(l *VirtualLink, to *VIface, dstDomain int, data []byte) {
+func (f *Fabric) deliver(l *VirtualLink, to *VIface, data []byte) {
+	dst := to.Container.Host
 	if !l.up {
-		f.countDrop(dstDomain)
+		dst.framesDropped++
 		return
 	}
 	h := to.Container.handler
 	if h == nil {
 		// Firmware down: device drops the frame.
-		f.countDrop(dstDomain)
+		dst.framesDropped++
 		return
 	}
-	f.countDelivered(dstDomain, uint64(len(data)))
+	dst.framesDelivered++
+	dst.bytesDelivered += uint64(len(data))
 	h(to.Name, data)
 }
 

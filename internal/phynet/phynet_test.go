@@ -40,11 +40,11 @@ func TestCrossVMDeliveryWithVXLAN(t *testing.T) {
 	if gotIface != "et0" || !bytes.Equal(got, frame) {
 		t.Fatalf("frame corrupted: %v / %q", got, gotIface)
 	}
-	if f.EncapFrames != 1 {
-		t.Fatalf("EncapFrames = %d, want 1 (cross-VM)", f.EncapFrames)
+	if f.EncapFrames() != 1 {
+		t.Fatalf("EncapFrames = %d, want 1 (cross-VM)", f.EncapFrames())
 	}
-	if f.FramesDelivered != 1 {
-		t.Fatalf("FramesDelivered = %d", f.FramesDelivered)
+	if f.FramesDelivered() != 1 {
+		t.Fatalf("FramesDelivered = %d", f.FramesDelivered())
 	}
 }
 
@@ -64,7 +64,7 @@ func TestIntraVMDeliveryNoEncap(t *testing.T) {
 	if !seen {
 		t.Fatal("intra-VM frame lost")
 	}
-	if f.EncapFrames != 0 {
+	if f.EncapFrames() != 0 {
 		t.Fatal("intra-VM frames must not be encapsulated")
 	}
 }
@@ -85,8 +85,8 @@ func TestDetachedFirmwareDropsFrames(t *testing.T) {
 	// No handler attached on c2.
 	f.Send(c1.Iface("et0"), []byte("x"))
 	eng.Run(0)
-	if f.FramesDropped != 1 || f.FramesDelivered != 0 {
-		t.Fatalf("dropped=%d delivered=%d", f.FramesDropped, f.FramesDelivered)
+	if f.FramesDropped() != 1 || f.FramesDelivered() != 0 {
+		t.Fatalf("dropped=%d delivered=%d", f.FramesDropped(), f.FramesDelivered())
 	}
 	// Attach later: new frames flow; namespace survived.
 	ok := false
@@ -114,8 +114,8 @@ func TestLinkDownDrops(t *testing.T) {
 	}
 	f.Send(c1.Iface("et0"), []byte("x"))
 	eng.Run(0)
-	if f.FramesDropped != 1 {
-		t.Fatalf("dropped = %d", f.FramesDropped)
+	if f.FramesDropped() != 1 {
+		t.Fatalf("dropped = %d", f.FramesDropped())
 	}
 }
 
@@ -125,7 +125,7 @@ func TestLinkCutMidFlight(t *testing.T) {
 	f.Send(c1.Iface("et0"), []byte("x"))
 	f.SetLinkState(l, false) // cut before delivery event fires
 	eng.Run(0)
-	if f.FramesDropped != 1 {
+	if f.FramesDropped() != 1 {
 		t.Fatal("in-flight frame not dropped")
 	}
 }
@@ -137,7 +137,7 @@ func TestUnconnectedIfaceDrops(t *testing.T) {
 	c := h.AddContainer("t1")
 	i := c.AddIface("et0", netpkt.MAC{})
 	f.Send(i, []byte("x"))
-	if f.FramesDropped != 1 {
+	if f.FramesDropped() != 1 {
 		t.Fatal("send on unconnected iface should drop")
 	}
 }
@@ -314,8 +314,8 @@ func TestOversizedCrossVMFrameDropped(t *testing.T) {
 	c2.Attach(func(_ string, fr []byte) { t.Fatalf("an oversized frame was delivered as %d bytes", len(fr)) })
 	f.Send(c1.Iface("et0"), make([]byte, 70_000))
 	eng.Run(0)
-	if f.FramesDropped != 1 || f.EncapFrames != 0 || f.FramesDelivered != 0 {
-		t.Fatalf("dropped=%d encap=%d delivered=%d, want 1/0/0", f.FramesDropped, f.EncapFrames, f.FramesDelivered)
+	if f.FramesDropped() != 1 || f.EncapFrames() != 0 || f.FramesDelivered() != 0 {
+		t.Fatalf("dropped=%d encap=%d delivered=%d, want 1/0/0", f.FramesDropped(), f.EncapFrames(), f.FramesDelivered())
 	}
 }
 

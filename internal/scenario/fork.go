@@ -2,9 +2,12 @@ package scenario
 
 import (
 	"fmt"
+	"maps"
 	"slices"
+	"time"
 
 	"crystalnet/internal/checkpoint"
+	"crystalnet/internal/cloud"
 	"crystalnet/internal/core"
 	"crystalnet/internal/topo"
 )
@@ -20,6 +23,12 @@ import (
 // mutated or cleared by other means.
 type Converged struct {
 	seed int64
+	// The options the mockup ran with, beside the seed: a fork cannot run
+	// with others (fork checks).
+	images           map[string]ImageRef
+	retry            cloud.RetryPolicy
+	recoveryDeadline time.Duration
+
 	orch *core.Orchestrator
 	snap *checkpoint.Snapshot
 	net  *topo.Network
@@ -62,6 +71,10 @@ func Converge(sp *Spec, opts Options) (*Converged, error) {
 		baseline: r.baselines[DefaultBaseline],
 		step0:    r.report.Steps[0],
 		header:   header,
+
+		images:           maps.Clone(opts.Images),
+		retry:            opts.Retry,
+		recoveryDeadline: opts.RecoveryDeadline,
 	}, nil
 }
 
@@ -71,9 +84,10 @@ func Converge(sp *Spec, opts Options) (*Converged, error) {
 // sequence and RNG stream, so every step latency, jitter draw and event
 // count matches.
 //
-// sp must resolve to the Converged's seed (forking cannot replay a
-// different convergence) and must not contain attach-device steps — those
-// grow the topology, which forks share copy-on-write with the parent.
+// sp must resolve to the Converged's seed and opts must carry the Images,
+// Retry and RecoveryDeadline Converge was given (forking cannot replay a
+// different convergence), and sp must not contain attach-device steps —
+// those grow the topology, which forks share copy-on-write with the parent.
 func (cv *Converged) Run(sp *Spec, opts Options) (*Report, error) {
 	r, err := cv.fork(sp, opts)
 	if err != nil {
@@ -91,6 +105,18 @@ func (cv *Converged) fork(sp *Spec, opts Options) (*runner, error) {
 	if seed := resolveSeed(sp, opts); seed != cv.seed {
 		return nil, fmt.Errorf("scenario %s: seed %d does not match converged baseline seed %d",
 			sp.Name, seed, cv.seed)
+	}
+	mismatch := ""
+	switch {
+	case !maps.Equal(opts.Images, cv.images):
+		mismatch = "Images"
+	case opts.Retry != cv.retry:
+		mismatch = "Retry"
+	case opts.RecoveryDeadline != cv.recoveryDeadline:
+		mismatch = "RecoveryDeadline"
+	}
+	if mismatch != "" {
+		return nil, fmt.Errorf("scenario %s: option %s does not match the converged baseline's", sp.Name, mismatch)
 	}
 	if err := CheckForkable(sp, opts); err != nil {
 		return nil, err

@@ -2,11 +2,14 @@ package scenario
 
 import (
 	"bytes"
+	"maps"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"crystalnet/internal/bgp"
+	"crystalnet/internal/cloud"
 	"crystalnet/internal/netpkt"
 	"crystalnet/internal/parallel"
 )
@@ -146,6 +149,30 @@ func TestConvergedRunRejectsMismatches(t *testing.T) {
 	}})
 	if _, err := conv.Run(attach, Options{}); err == nil {
 		t.Fatal("attach-device step accepted on a fork")
+	}
+
+	// A fork runs with the options the baseline converged with, or not at
+	// all: each of these would otherwise be ignored.
+	trap := map[string]ImageRef{"ctnrb": {Name: "ctnrb", Version: "dev-arp-trap"}}
+	sp := tinySpec(rehearsalSteps()[:2]...)
+	for field, opts := range map[string]Options{
+		"Images":           {Images: trap},
+		"Retry":            {Retry: cloud.DefaultRetryPolicy},
+		"RecoveryDeadline": {RecoveryDeadline: time.Minute},
+	} {
+		if _, err := conv.Run(sp, opts); err == nil || !strings.Contains(err.Error(), field) {
+			t.Fatalf("%s mismatch: err = %v, want one naming the field", field, err)
+		}
+	}
+	trapped, err := Converge(sp, Options{Images: trap})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := trapped.Run(sp, Options{}); err == nil {
+		t.Fatal("fork without the baseline's Images accepted")
+	}
+	if _, err := trapped.Run(sp, Options{Images: maps.Clone(trap)}); err != nil {
+		t.Fatalf("fork with equal Images refused: %v", err)
 	}
 }
 

@@ -71,12 +71,6 @@ type Options struct {
 	// context's Done channel here; nil leaves runs uncancelable and
 	// byte-identical to before.
 	Cancel <-chan struct{}
-	// Shards, when positive, runs convergence sharded across one domain
-	// per VM with this many worker goroutines (core.Options.Shards).
-	// Reports are byte-identical across positive values; 0 keeps the
-	// classic single-engine schedule, whose event order (and therefore
-	// report bytes) differs from any sharded run.
-	Shards int
 }
 
 // runner executes one spec against one emulation.
@@ -266,7 +260,6 @@ func (r *runner) mockup(seed int64) error {
 	r.orch = core.New(core.Options{
 		Seed: seed, Rec: r.opts.Rec,
 		MTBF: r.opts.MTBF, Retry: r.opts.Retry, RecoveryDeadline: r.opts.RecoveryDeadline,
-		Shards: r.opts.Shards,
 	})
 	prep, err := r.orch.Prepare(core.PrepareInput{
 		Network: net, MustEmulate: must, Emulate: r.sp.Emulate, Images: images,

@@ -2,8 +2,6 @@ package scenario
 
 import (
 	"bytes"
-	"encoding/json"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -127,63 +125,6 @@ func TestTrafficReroutesOnLinkFlap(t *testing.T) {
 	}
 	if rerouted == 0 {
 		t.Fatalf("no flows counted as rerouted after uplink loss:\n%s", rep.JSON())
-	}
-}
-
-// TestTrafficIdenticalAcrossWorkers extends the §10 scale-determinism bar
-// to the traffic plane: the whole report — traffic section included — must
-// be byte-identical across sharded worker counts 1/2/4/GOMAXPROCS.
-func TestTrafficIdenticalAcrossWorkers(t *testing.T) {
-	var want *Report
-	for _, w := range []int{1, 2, 4, runtime.GOMAXPROCS(0)} {
-		rep, err := Run(trafficSpec(rehearsalSteps()...), Options{Shards: w})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
-		}
-		if !rep.Passed {
-			t.Fatalf("workers=%d run failed:\n%s", w, rep.JSON())
-		}
-		if rep.Traffic == nil {
-			t.Fatalf("workers=%d: no traffic section", w)
-		}
-		if want == nil {
-			want = rep
-			continue
-		}
-		if !bytes.Equal(rep.JSON(), want.JSON()) {
-			t.Fatalf("workers=%d report differs from workers=1 reference\ngot:\n%s\nwant:\n%s",
-				w, rep.JSON(), want.JSON())
-		}
-	}
-}
-
-// TestTrafficIdenticalAcrossShardCounts checks the settle results are a
-// function of the converged state alone: unsharded and sharded runs of the
-// same spec produce byte-identical traffic sections.
-func TestTrafficIdenticalAcrossShardCounts(t *testing.T) {
-	var want []byte
-	for _, shards := range []int{0, 2, 4} {
-		rep, err := Run(trafficSpec(
-			Step{Op: OpSetLink, A: "tor-p0-0:et0", B: "leaf-p0-0:et2", Up: boolp(false)},
-			Step{Op: OpWaitConverge},
-		), Options{Shards: shards})
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		if !rep.Passed {
-			t.Fatalf("shards=%d run failed:\n%s", shards, rep.JSON())
-		}
-		b, err := json.Marshal(rep.Traffic)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want == nil {
-			want = b
-			continue
-		}
-		if !bytes.Equal(b, want) {
-			t.Fatalf("shards=%d traffic section differs\ngot:\n%s\nwant:\n%s", shards, b, want)
-		}
 	}
 }
 

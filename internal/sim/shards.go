@@ -19,10 +19,8 @@ import (
 //  1. clocks of all engines are synchronized to T,
 //  2. the master drains its events at T serially,
 //  3. every domain drains its events at T, domains running in parallel on up
-//     to `workers` goroutines,
-//  4. fold hooks run serially (shared counters accumulated per-domain during
-//     the parallel phase are merged), and
-//  5. cross-domain deliveries staged during the parallel phase are flushed
+//     to `workers` goroutines, and
+//  4. cross-domain deliveries staged during the parallel phase are flushed
 //     onto their target engines in (source domain, append order) — an order
 //     independent of how goroutines were scheduled.
 //
@@ -33,7 +31,9 @@ import (
 // byte-identical for any worker count, including workers=1. (It is *not*
 // identical to the classic single-engine schedule: per-domain RNG streams
 // draw differently than one shared stream, which is why sharding is opt-in
-// per emulation rather than a drop-in replacement.)
+// per emulation rather than a drop-in replacement.) A shard set runs a cold
+// mockup only: its domains can be snapshotted for their counters, but an
+// emulation restored from them is not supported.
 type ShardSet struct {
 	master  *Engine
 	domains []*Engine
@@ -47,9 +47,6 @@ type ShardSet struct {
 	// join (WaitGroup wait) edges give the necessary happens-before for the
 	// domain readers.
 	inParallel bool
-	// folds run serially at every barrier, merging per-domain accumulators
-	// into their shared homes (e.g. fabric frame counters).
-	folds []func()
 	// Check, when non-nil, is polled once per instant; a non-nil error
 	// aborts Run with that error (the cancellation hook).
 	Check func() error
@@ -84,12 +81,6 @@ func NewShardSet(master *Engine, rootSeed int64, domains, workers int) *ShardSet
 	return s
 }
 
-// Domains returns the number of per-domain engines.
-func (s *ShardSet) Domains() int { return len(s.domains) }
-
-// Workers returns the configured parallelism of the domain phase.
-func (s *ShardSet) Workers() int { return s.workers }
-
 // Engine returns the engine owning domain d; d == -1 is the master.
 func (s *ShardSet) Engine(d int) *Engine {
 	if d < 0 {
@@ -97,14 +88,6 @@ func (s *ShardSet) Engine(d int) *Engine {
 	}
 	return s.domains[d]
 }
-
-// InParallel reports whether a parallel domain drain is executing — the
-// signal shared-counter owners use to switch from direct writes to their
-// per-domain accumulation slots.
-func (s *ShardSet) InParallel() bool { return s.inParallel }
-
-// AddFold registers a barrier hook, run serially after every parallel phase.
-func (s *ShardSet) AddFold(fn func()) { s.folds = append(s.folds, fn) }
 
 // ScheduleAfter schedules fn to run d after the current instant on the
 // engine owning dst. src must identify the executing domain (-1 when called
@@ -243,9 +226,6 @@ func (s *ShardSet) Run(maxEvents uint64) (uint64, error) {
 				n += c
 				counts[d] = 0
 			}
-			for _, fold := range s.folds {
-				fold()
-			}
 			// Flush staged cross-domain deliveries in canonical (source
 			// domain, append) order so target-engine sequence numbers are
 			// independent of goroutine scheduling.
@@ -301,31 +281,6 @@ func (s *ShardSet) SnapshotDomains() ([]EngineState, error) {
 		out[d] = st
 	}
 	return out, nil
-}
-
-// NewShardSetFrom rebuilds a shard set from a master engine and captured
-// domain states — the fork path. The restored domain engines continue their
-// captured RNG streams exactly as NewEngineFrom does for the master.
-func NewShardSetFrom(master *Engine, states []EngineState, workers int) *ShardSet {
-	s := &ShardSet{
-		master:   master,
-		domains:  make([]*Engine, len(states)),
-		workers:  workers,
-		outboxes: make([][]stagedEvent, len(states)),
-	}
-	for d, st := range states {
-		s.domains[d] = NewEngineFrom(st)
-	}
-	return s
-}
-
-// Fired sums fired-event counters across the ensemble.
-func (s *ShardSet) Fired() uint64 {
-	n := s.master.Fired()
-	for _, e := range s.domains {
-		n += e.Fired()
-	}
-	return n
 }
 
 // Pending sums pending events across the ensemble.

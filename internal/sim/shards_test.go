@@ -122,61 +122,3 @@ func TestShardSetCheckAborts(t *testing.T) {
 		t.Fatalf("want check error, got %v", err)
 	}
 }
-
-func TestShardSetSnapshotRestoreContinues(t *testing.T) {
-	// Converge, snapshot the domains, rebuild via NewShardSetFrom, and
-	// verify the restored ensemble continues the same RNG streams and
-	// clocks an uninterrupted ensemble would.
-	build := func() (*ShardSet, *[]string) {
-		master := NewEngine(7)
-		s := NewShardSet(master, 7, 2, 1)
-		var log []string
-		for d := 0; d < 2; d++ {
-			d := d
-			eng := s.Engine(d)
-			eng.After(time.Duration(d+1)*time.Second, func() {
-				log = append(log, fmt.Sprintf("pre:d%d:%d", d, eng.Rand().Int63()))
-			})
-		}
-		return s, &log
-	}
-	phase2 := func(s *ShardSet, log *[]string) {
-		for d := 0; d < 2; d++ {
-			d := d
-			eng := s.Engine(d)
-			eng.After(time.Second, func() {
-				*log = append(*log, fmt.Sprintf("post:d%d:t%s:%d", d, eng.Now(), eng.Rand().Int63()))
-			})
-		}
-		if _, err := s.Run(0); err != nil {
-			panic(err)
-		}
-	}
-
-	// Uninterrupted reference.
-	ref, refLog := build()
-	if _, err := ref.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	phase2(ref, refLog)
-
-	// Snapshot/restore path.
-	s, log := build()
-	if _, err := s.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	states, err := s.SnapshotDomains()
-	if err != nil {
-		t.Fatal(err)
-	}
-	mst, err := s.Engine(-1).Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	restored := NewShardSetFrom(NewEngineFrom(mst), states, 1)
-	phase2(restored, log)
-
-	if got, want := strings.Join(*log, "\n"), strings.Join(*refLog, "\n"); got != want {
-		t.Fatalf("restored ensemble diverged:\n%s\n--- want ---\n%s", got, want)
-	}
-}

@@ -18,8 +18,8 @@
 // Determinism contract (the same one chaos campaigns rely on): a settle
 // draws no engine randomness — every split is a pure hash of (seed,
 // aggregate identity, hop-group content) — and walks devices in sorted
-// order, so reports are byte-identical across worker counts, shard counts
-// and fork-vs-fresh, and attaching traffic never perturbs convergence
+// order, so reports are byte-identical across worker counts and
+// fork-vs-fresh, and attaching traffic never perturbs convergence
 // event order. A forked rehearsal carries its load with it: Fork copies the
 // per-aggregate results and shares the rest.
 //

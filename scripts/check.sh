@@ -88,11 +88,14 @@ go test -race ./internal/scenario/ -run 'TestSmoke|TestChaosSerialParallelIdenti
 echo "== fork-determinism smoke under -race (fresh vs forked, byte-compare; shared baseline configs; other tenants' attrs)"
 go test -race ./internal/scenario/ -run 'TestForkedRunMatchesFreshRun|TestForkedReloadChecksMatchFreshRun|TestChaosReuse|TestReloadConfigLeavesSharedBaselineIntact|TestOtherTenantsCannotChangeAForkedReport'
 
-echo "== sharded-convergence determinism under -race (serial vs sharded, byte-compare)"
-go test -race ./internal/scenario/ -run 'TestSharded' -timeout 10m
+# A sharded emulation is a cold mockup only (its checkpoints cannot be
+# forked): the bar is the mockup plus one link cut at worker counts
+# 1/2/4/GOMAXPROCS, the same events, metrics, FIBs and wire counters.
+echo "== sharded-convergence determinism under -race (workers=1 vs parallel: events, metrics, FIBs, wire counters)"
+go test -race ./internal/core/ -run 'TestShardedRun' -timeout 10m
 go test -race ./internal/sim/ -run 'TestShardSet' -timeout 10m
 
-echo "== traffic-plane determinism under -race (workers/shards/fork, 8 concurrent forks of one loaded baseline)"
+echo "== traffic-plane determinism under -race (workers/fork, 8 concurrent forks of one loaded baseline)"
 go test -race ./internal/scenario/ -run 'TestTraffic' -timeout 10m
 go test -race ./internal/core/ -run 'Traffic'
 
