@@ -5,7 +5,7 @@
 // Usage:
 //
 //	crystalbench [-reps N] [-ldcscale N] [-quick] [-workers N]
-//	             [-only table1,figure8,...] [-json] [-trace FILE]
+//	             [-only table1,figure8,...] [-json]
 //	             [-cpuprofile FILE] [-memprofile FILE]
 //
 // -quick runs a reduced sweep (fewer repetitions, no M-DC/L-DC in the
@@ -25,10 +25,8 @@
 //	crystalbench -only figure8 -quick -cpuprofile cpu.prof
 //	go tool pprof -top cpu.prof
 //
-// -trace FILE runs one Monitor-plane-traced S-DC mockup/converge/clear
-// cycle (on top of whatever experiments were selected) and writes a Chrome
-// trace_event file that opens in Perfetto — the quickest way to see the
-// phase timeline of docs/OBSERVABILITY.md on a real fabric.
+// A traced mockup (a Chrome trace_event file of the phase timeline) comes
+// from `crystalctl -trace FILE mockup` (docs/OBSERVABILITY.md).
 package main
 
 import (
@@ -41,41 +39,8 @@ import (
 	"slices"
 	"strings"
 
-	"crystalnet"
 	"crystalnet/internal/experiments"
-	"crystalnet/internal/topo"
 )
-
-// tracedMockup runs one S-DC mockup/converge/clear cycle under the
-// Monitor-plane tracer and writes the Chrome trace_event file to path.
-func tracedMockup(path string) error {
-	rec := crystalnet.NewRecorder()
-	spec := crystalnet.SDC()
-	network := crystalnet.GenerateClos(spec)
-	topo.AttachWAN(network, spec, 2)
-	o := crystalnet.New(crystalnet.Options{Seed: 1, Rec: rec})
-	prep, err := o.Prepare(crystalnet.PrepareInput{Network: network})
-	if err != nil {
-		return err
-	}
-	em, err := o.Mockup(prep, false)
-	if err != nil {
-		return err
-	}
-	if _, err := em.RunUntilConverged(0); err != nil {
-		return err
-	}
-	em.Clear(nil)
-	o.Eng.Run(0)
-	o.Destroy(prep)
-
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return rec.WriteChrome(f)
-}
 
 // experimentKeys are the values -only accepts, in output order.
 var experimentKeys = []string{
@@ -110,7 +75,6 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit raw experiment structs as JSON instead of formatted tables")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the selected experiments to `file`")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile (taken after the runs) to `file`")
-	traceOut := flag.String("trace", "", "run one traced S-DC mockup cycle and write a Chrome trace_event file to `file`")
 	flag.Parse()
 
 	want, err := parseOnly(*only)
@@ -213,14 +177,6 @@ func main() {
 		}
 	} else {
 		fmt.Println()
-	}
-
-	if *traceOut != "" {
-		if err := tracedMockup(*traceOut); err != nil {
-			fmt.Fprintf(os.Stderr, "crystalbench: -trace: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "crystalbench: wrote %s (open in ui.perfetto.dev)\n", *traceOut)
 	}
 
 	if *memProfile != "" {

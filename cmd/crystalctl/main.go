@@ -17,9 +17,8 @@
 //	mockup                    mock up, converge, print metrics and a state summary
 //	fibs <device>             mock up and dump a device's forwarding table
 //	exec <device> <cmd>       mock up and run a CLI command over the mgmt plane
-//	trace [-out FILE] [<device> <ip>]
-//	                          mock up under the Monitor-plane tracer; optionally
-//	                          inject a probe; write a Perfetto-loadable trace
+//	trace [<device> <ip>]     mock up; optionally inject a probe packet and
+//	                          print its reconstructed path
 //	traffic [-flows N] [-json]
 //	                          mock up, attach a flow-level traffic matrix
 //	                          (docs/TRAFFIC.md), settle it against the converged
@@ -71,10 +70,8 @@ Commands:
   mockup                    mock up, converge, print metrics and a state summary
   fibs <device>             mock up and dump a device's forwarding table
   exec <device> <command>   mock up and run a CLI command over the mgmt plane
-  trace [-out FILE] [<device> <ip>]
-                            mock up under the Monitor-plane tracer, optionally
-                            inject a probe packet, and write a Chrome trace
-                            file that opens in Perfetto (ui.perfetto.dev)
+  trace [<device> <ip>]     mock up, optionally inject a probe packet and
+                            print its reconstructed path
   traffic [-flows N] [-json]
                             mock up, attach a flow-level traffic matrix and
                             settle it against the converged FIBs; prints
@@ -114,11 +111,10 @@ var subUsage = map[string]string{
 	"exec": `crystalctl [flags] exec <device> <command...>
   Mock up the fabric and run a CLI command on <device> over the
   management plane (e.g. "show bgp"; vmb devices use "display").`,
-	"trace": `crystalctl [flags] trace [-out FILE] [<device> <ip>]
-  Mock up the fabric under the Monitor-plane tracer. With <device> <ip>,
-  also inject a probe packet and print its reconstructed path. -out
-  writes the Chrome trace_event file (open in Perfetto); the global
-  -trace/-tracejson/-obs flags work here too.`,
+	"trace": `crystalctl [flags] trace [<device> <ip>]
+  Mock up the fabric. With <device> <ip>, also inject a probe packet and
+  print its reconstructed path. The global -trace FILE writes the Chrome
+  trace_event file (open in Perfetto); -tracejson and -obs work too.`,
 	"traffic": `crystalctl [flags] traffic [-flows N] [-json]
   Mock up the fabric, attach a flow-level traffic matrix seeded from
   -seed, settle it against the converged FIBs and print per-class
@@ -234,25 +230,13 @@ func main() {
 		planSolve, planAlts, planJSON = *solve, *alts, *jsonOut
 	}
 
-	// The trace subcommand takes its own flag set: crystalctl trace -out
-	// mockup.trace [<device> <ip>].
-	if cmd == "trace" {
-		fs := flag.NewFlagSet("trace", flag.ExitOnError)
-		out := fs.String("out", "", "write the Chrome trace_event file to `file`")
-		fs.Usage = func() { need("trace", false) }
-		fs.Parse(args)
-		args = fs.Args()
-		need("trace", len(args) == 0 || len(args) == 2)
-		if *out != "" {
-			*traceOut = *out
-		}
-	}
-
 	// Validate the command and its argument shape before any (expensive)
 	// emulation work, so a typo fails in milliseconds with the right usage
 	// text.
 	switch cmd {
-	case "plan", "mockup", "trace", "chaos", "traffic":
+	case "plan", "mockup", "chaos", "traffic":
+	case "trace":
+		need(cmd, len(args) == 0 || len(args) == 2)
 	case "fibs":
 		need(cmd, len(args) >= 1)
 	case "exec":

@@ -1,5 +1,7 @@
 package bgp
 
+import "crystalnet/internal/sim"
+
 // Seal freezes the router's routing state for sharing with forks. It is the
 // one step of sharing that writes the router, so it runs single-threaded, at
 // Emulation.Checkpoint; afterwards Fork only reads, and both the router and
@@ -25,7 +27,7 @@ func (r *Router) Seal() {
 	r.cow, r.indexShared, r.owned = true, true, nil
 }
 
-// Fork returns the router of a forked emulation, rebound to the fork's clock
+// Fork returns the router of a forked emulation, rebound to the fork's engine
 // and hooks. hooks.Attrs must be a fork of the router's table taken after the
 // table's last Seal (AttrTable.Fork): the canonical objects the router's RIBs
 // hold are in its frozen layer, so the fork's decodes come to those same
@@ -48,7 +50,7 @@ func (r *Router) Seal() {
 // fault churn mostly derives new attribute objects, which miss any warm
 // cache. Neither changes output bytes (both are pure memoization), only how
 // much work a decide or a flush does.
-func (r *Router) Fork(clock Clock, hooks Hooks) *Router {
+func (r *Router) Fork(eng *sim.Engine, hooks Hooks) *Router {
 	if !r.cow || r.owned != nil {
 		panic("bgp: Fork of a router written since its last Seal")
 	}
@@ -63,7 +65,7 @@ func (r *Router) Fork(clock Clock, hooks Hooks) *Router {
 	}
 	c := &Router{
 		cfg:   r.cfg,
-		clock: clock,
+		eng:   eng,
 		hooks: hooks,
 		seq:   r.seq,
 		// The pointer slice is the fork's own, so replacing an entry is a
@@ -82,10 +84,10 @@ func (r *Router) Fork(clock Clock, hooks Hooks) *Router {
 		cov := c.aggState[i].covered
 		c.aggState[i].covered = cov[:len(cov):len(cov)]
 	}
-	// The fork's hooks carry the fork's recorder, whose counters already
+	// The fork's engine carries the fork's recorder, whose counters already
 	// hold the parent's totals (obs.Recorder.Fork deep-copies them), so
 	// rebinding continues the series rather than restarting it.
-	c.bindMetrics(hooks.Rec)
+	c.bindMetrics(eng.Recorder())
 
 	// Loc-RIB candidates name their peer by index, which is the same in the
 	// fork's peer slice, so entries need no remapping.

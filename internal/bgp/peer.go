@@ -9,6 +9,7 @@ import (
 
 	"crystalnet/internal/netpkt"
 	"crystalnet/internal/rib"
+	"crystalnet/internal/sim"
 )
 
 // SessionState is the BGP FSM state (RFC 4271 §8, condensed: the TCP
@@ -76,7 +77,7 @@ type Peer struct {
 	// cheaper than a map assignment.
 	dirtyBits  []uint64
 	dirtyList  []int32
-	flushTimer Timer
+	flushTimer *sim.Timer
 	// staleScratch is reused by reset to withdraw learned routes.
 	staleScratch []netpkt.Prefix
 
@@ -376,7 +377,7 @@ func (p *Peer) scheduleFlush() {
 	if p.flushTimer != nil {
 		return
 	}
-	p.flushTimer = p.router.clock.After(p.router.cfg.MRAI, p.flush)
+	p.flushTimer = p.router.eng.After(mrai, p.flush)
 }
 
 // exportGroup is the prefixes one flush announces under one attribute set.

@@ -9,19 +9,12 @@ import (
 	"crystalnet/internal/netpkt"
 	"crystalnet/internal/obs"
 	"crystalnet/internal/rib"
+	"crystalnet/internal/sim"
 )
 
-// Clock is the slice of the simulation engine the router needs. Timers
-// returned by After must be cancelable.
-type Clock interface {
-	After(d time.Duration, fn func()) Timer
-}
-
-// Timer is a cancelable scheduled callback (satisfied by *sim.Timer via the
-// adapter in the firmware package).
-type Timer interface {
-	Cancel() bool
-}
+// mrai is the min route advertisement interval a peer batches its UPDATEs
+// over: the emulated firmware's timer, not a setting.
+const mrai = 50 * time.Millisecond
 
 // AggregationASPathMode selects the vendor-specific behaviour when building
 // the AS path of an aggregate route — the root cause of the Figure 1
@@ -54,8 +47,6 @@ type Config struct {
 	HoldTime uint16 // advertised hold time; 0 disables keepalive logic
 	// MaxPaths is the ECMP width; 1 disables multipath.
 	MaxPaths int
-	// MRAI is the min route advertisement interval used to batch UPDATEs.
-	MRAI time.Duration
 	// AggregationMode is the vendor quirk knob (Figure 1).
 	AggregationMode AggregationASPathMode
 	// Aggregates are the configured aggregate-address statements.
@@ -88,10 +79,6 @@ type Hooks struct {
 	SessionEvent func(peerIdx int, state SessionState)
 	// Logf records diagnostics.
 	Logf func(format string, args ...any)
-	// Rec is the observability recorder; nil disables tracing. The router
-	// caches counter handles from it at construction, so per-message
-	// accounting is a nil check when tracing is off.
-	Rec *obs.Recorder
 	// Attrs is the emulation's attribute table: every attrs the router
 	// decodes, imports, exports or originates is its canonical object.
 	// New gives a router without one a private table; Fork requires one.
@@ -139,7 +126,7 @@ type ribEntry struct {
 // Router is one BGP speaker instance.
 type Router struct {
 	cfg   Config
-	clock Clock
+	eng   *sim.Engine
 	hooks Hooks
 	peers []*Peer
 
@@ -191,8 +178,9 @@ type Router struct {
 	// exportTemplate; a memoised verdict is counted once).
 	ExportFailures uint64
 
-	// Cached obs counter handles (nil when hooks.Rec is nil — Inc on a
-	// nil counter is a no-op, keeping the disabled path allocation-free).
+	// Cached obs counter handles (nil when the engine has no recorder — Inc
+	// on a nil counter is a no-op, keeping the disabled path
+	// allocation-free).
 	mMsgsIn, mMsgsOut       *obs.Counter
 	mRoutesIn, mWithdrawsIn *obs.Counter
 	mDecisions              *obs.Counter
@@ -216,13 +204,11 @@ type aggState struct {
 	covered []int32
 }
 
-// New creates a router. Defaults: MaxPaths 1, MRAI 50ms.
-func New(cfg Config, clock Clock, hooks Hooks) *Router {
+// New creates a router that schedules its timers on eng and binds its
+// counters to eng's recorder. Defaults: MaxPaths 1.
+func New(cfg Config, eng *sim.Engine, hooks Hooks) *Router {
 	if cfg.MaxPaths <= 0 {
 		cfg.MaxPaths = 1
-	}
-	if cfg.MRAI <= 0 {
-		cfg.MRAI = 50 * time.Millisecond
 	}
 	if hooks.Logf == nil {
 		hooks.Logf = func(string, ...any) {}
@@ -234,13 +220,13 @@ func New(cfg Config, clock Clock, hooks Hooks) *Router {
 		hooks.Attrs = NewAttrTable()
 	}
 	r := &Router{
-		cfg: cfg, clock: clock, hooks: hooks,
+		cfg: cfg, eng: eng, hooks: hooks,
 		index: map[uint64]int32{},
 	}
 	for _, a := range cfg.Aggregates {
 		r.aggState = append(r.aggState, aggState{spec: a})
 	}
-	r.bindMetrics(hooks.Rec)
+	r.bindMetrics(eng.Recorder())
 	return r
 }
 

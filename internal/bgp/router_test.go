@@ -12,10 +12,6 @@ import (
 
 // ---- test harness: routers wired over a simulated message fabric ----
 
-type simClock struct{ e *sim.Engine }
-
-func (c simClock) After(d time.Duration, fn func()) Timer { return c.e.After(d, fn) }
-
 type tnode struct {
 	name string
 	r    *Router
@@ -41,13 +37,12 @@ func (n *tnet) add(name string, as uint32, mutate func(*Config)) *tnode {
 		Name: name, AS: as,
 		RouterID: netpkt.IPFromBytes(10, 0, byte(len(n.nodes)), 1),
 		MaxPaths: 8,
-		MRAI:     10 * time.Millisecond,
 	}
 	if mutate != nil {
 		mutate(&cfg)
 	}
 	nd := &tnode{name: name, fib: map[netpkt.Prefix][]rib.NextHop{}}
-	nd.r = New(cfg, simClock{n.eng}, Hooks{
+	nd.r = New(cfg, n.eng, Hooks{
 		SendToPeer: func(i int, frame []byte) {
 			wire, msg := nd.peerWire[i], frame[netpkt.FrameHeadroom:]
 			n.eng.After(n.delay, func() { wire(msg) })
@@ -381,7 +376,7 @@ func TestDecisionLocalPrefBeatsPathLength(t *testing.T) {
 }
 
 func TestDecisionOriginAndMED(t *testing.T) {
-	r := New(Config{Name: "x", AS: 65000, MaxPaths: 1}, nil, Hooks{})
+	r := New(Config{Name: "x", AS: 65000, MaxPaths: 1}, sim.NewEngine(1), Hooks{})
 	p1 := r.AddPeer(PeerConfig{Name: "p1", RemoteAS: 65001, RemoteIP: 1, Interface: "et0"})
 	p2 := r.AddPeer(PeerConfig{Name: "p2", RemoteAS: 65001, RemoteIP: 2, Interface: "et1"})
 	p1.remoteID, p2.remoteID = 10, 20
@@ -710,7 +705,7 @@ func TestLargeTableBatching(t *testing.T) {
 }
 
 func TestNonDeterministicTiesFollowArrival(t *testing.T) {
-	r := New(Config{Name: "x", AS: 65000, MaxPaths: 1, NonDeterministicTies: true}, nil, Hooks{})
+	r := New(Config{Name: "x", AS: 65000, MaxPaths: 1, NonDeterministicTies: true}, sim.NewEngine(1), Hooks{})
 	pA := r.AddPeer(PeerConfig{Name: "A", RemoteAS: 65001, RemoteIP: 9, Interface: "et0"})
 	pB := r.AddPeer(PeerConfig{Name: "B", RemoteAS: 65002, RemoteIP: 1, Interface: "et1"})
 	pA.remoteID, pB.remoteID = 9, 1
@@ -725,7 +720,7 @@ func TestNonDeterministicTiesFollowArrival(t *testing.T) {
 }
 
 func BenchmarkDecisionProcess(b *testing.B) {
-	r := New(Config{Name: "bench", AS: 65000, MaxPaths: 8}, nil, Hooks{})
+	r := New(Config{Name: "bench", AS: 65000, MaxPaths: 8}, sim.NewEngine(1), Hooks{})
 	var peers []*Peer
 	for i := 0; i < 8; i++ {
 		p := r.AddPeer(PeerConfig{Name: "p", RemoteAS: uint32(65001 + i), RemoteIP: netpkt.IP(i + 1), Interface: "et0"})

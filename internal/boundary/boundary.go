@@ -274,8 +274,7 @@ func (p *Plan) walk(cur *topo.Device, asSeen map[uint32]bool, exited bool, path 
 // return the full emulated set. The output is safe for Clos fabrics whose
 // border layer shares one AS (§5.2).
 func FindSafeDCBoundary(n *topo.Network, must []string) (map[string]bool, error) {
-	out := map[string]bool{}
-	queue := make([]*topo.Device, 0, len(must))
+	targets := make(map[string]bool, len(must))
 	for _, name := range must {
 		d := n.Device(name)
 		if d == nil {
@@ -284,31 +283,9 @@ func FindSafeDCBoundary(n *topo.Network, must []string) (map[string]bool, error)
 		if d.Layer == topo.LayerExternal {
 			return nil, fmt.Errorf("boundary: device %q is external (layer %s); external devices are replaced by speakers, not emulated", name, d.Layer)
 		}
-		queue = append(queue, d)
+		targets[name] = true
 	}
-	highest := n.HighestLayer()
-	inQueue := map[string]bool{}
-	for _, d := range queue {
-		inQueue[d.Name] = true
-	}
-	for len(queue) > 0 {
-		d := queue[0]
-		queue = queue[1:]
-		out[d.Name] = true
-		if d.Layer >= highest {
-			continue
-		}
-		for _, up := range n.UpperNeighbors(d) {
-			if up.Layer == topo.LayerExternal {
-				continue
-			}
-			if !inQueue[up.Name] && !out[up.Name] {
-				inQueue[up.Name] = true
-				queue = append(queue, up)
-			}
-		}
-	}
-	return out, nil
+	return cappedClosure(n, targets, n.HighestLayer()), nil
 }
 
 // Scale summarizes an emulation plan's resource footprint (Table 4 and the
@@ -325,7 +302,8 @@ type Scale struct {
 	LayerCounts map[topo.Layer]int
 }
 
-// DevicesPerVM and SpeakersPerVM are the §6.1/§8.4 packing densities.
+// DevicesPerVM and SpeakersPerVM are the §6.1/§8.4 packing densities: Scale
+// estimates with them and core packs an emulation's VMs by them.
 const (
 	DevicesPerVM  = 10
 	SpeakersPerVM = 50

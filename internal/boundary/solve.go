@@ -346,8 +346,8 @@ func shrink(n *topo.Network, targets, emulated map[string]bool, sc Scale, opts S
 
 // cappedClosure is Algorithm 1's upward BFS stopped at layer cap: walk
 // child-to-parent edges from the targets, never expanding past cap and
-// never into external devices. cap = HighestLayer reproduces
-// FindSafeDCBoundary exactly.
+// never into external devices. FindSafeDCBoundary is this closure at
+// HighestLayer.
 func cappedClosure(n *topo.Network, targets map[string]bool, cap topo.Layer) map[string]bool {
 	out := map[string]bool{}
 	var queue []*topo.Device

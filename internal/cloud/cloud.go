@@ -308,8 +308,6 @@ type Provider struct {
 
 	// Retry supervises Provision/Reboot; zero value = unsupervised.
 	Retry RetryPolicy
-
-	provisionCalls int
 }
 
 // NewProvider returns a cloud bound to the simulation engine.
@@ -354,7 +352,6 @@ func (p *Provider) newVM(sku SKU, group string) *VM {
 // Under a supervised Retry policy, onReady may fire with a *replacement*
 // VM instead of the returned handle (see RetryPolicy).
 func (p *Provider) Provision(n int, sku SKU, group string, onReady func(*VM)) []*VM {
-	p.provisionCalls++
 	out := make([]*VM, 0, n)
 	for i := 0; i < n; i++ {
 		vm := p.newVM(sku, group)

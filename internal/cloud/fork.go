@@ -14,11 +14,10 @@ import "crystalnet/internal/sim"
 // boot callback has already fired.
 func (p *Provider) Fork(eng *sim.Engine) (*Provider, map[*VM]*VM) {
 	c := &Provider{
-		eng:            eng,
-		next:           p.next,
-		MTBF:           p.MTBF,
-		Retry:          p.Retry,
-		provisionCalls: p.provisionCalls,
+		eng:   eng,
+		next:  p.next,
+		MTBF:  p.MTBF,
+		Retry: p.Retry,
 	}
 	vmMap := make(map[*VM]*VM, len(p.vms))
 	c.vms = make([]*VM, len(p.vms))

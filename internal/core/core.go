@@ -33,8 +33,6 @@ type Options struct {
 	Seed int64
 	// Backend selects the software bridge (§6.2: Linux bridge default).
 	Backend phynet.BridgeBackend
-	// DevicesPerVM / SpeakersPerVM are packing densities (§6.1, §8.4).
-	DevicesPerVM, SpeakersPerVM int
 	// VMCount, when positive, overrides the computed VM count for full
 	// devices (the Figure 8 "DC/#VMs" experiments sweep this).
 	VMCount int
@@ -62,9 +60,6 @@ type Options struct {
 	// clouds); frames between clouds cross the Internet overlay. 0/1 keeps
 	// everything in one cloud.
 	Clouds int
-	// Credential is injected into every config (§6.1); defaults to
-	// "crystalnet-ops".
-	Credential string
 	// Rec enables the Monitor plane's deterministic tracer: spans, events
 	// and metrics stamped with engine virtual time (docs/OBSERVABILITY.md).
 	// nil disables tracing at zero cost. The recorder is bound to the
@@ -84,17 +79,9 @@ type Options struct {
 	Shards int
 }
 
-func (o *Options) defaults() {
-	if o.DevicesPerVM <= 0 {
-		o.DevicesPerVM = boundary.DevicesPerVM
-	}
-	if o.SpeakersPerVM <= 0 {
-		o.SpeakersPerVM = boundary.SpeakersPerVM
-	}
-	if o.Credential == "" {
-		o.Credential = "crystalnet-ops"
-	}
-}
+// credential is the one SSH credential Prepare injects into every config
+// and the management plane dials with (§6.1).
+const credential = "crystalnet-ops"
 
 // Orchestrator runs on a single machine and drives everything through the
 // simulation engine and the cloud provider.
@@ -106,7 +93,6 @@ type Orchestrator struct {
 
 // New creates an orchestrator with a fresh engine and cloud.
 func New(opts Options) *Orchestrator {
-	opts.defaults()
 	eng := sim.NewEngine(opts.Seed)
 	eng.SetRecorder(opts.Rec)
 	c := cloud.NewProvider(eng)
@@ -264,7 +250,7 @@ func (o *Orchestrator) Prepare(in PrepareInput) (*Preparation, error) {
 		} else {
 			cfg = config.GenerateDevice(in.Network.MustDevice(name))
 		}
-		cfg.Credential = o.opts.Credential
+		cfg.Credential = credential
 		if err := cfg.Validate(); err != nil {
 			return nil, err
 		}
@@ -292,7 +278,7 @@ func (o *Orchestrator) Prepare(in PrepareInput) (*Preparation, error) {
 			}
 		}
 		cfg.Neighbors = kept
-		cfg.Credential = o.opts.Credential
+		cfg.Credential = credential
 		prep.Configs[name] = cfg
 		prep.Images[name] = vendors.MustGet(vendors.Speaker, "3.4.17")
 		prep.Routes[name] = o.boundaryRoutes(in, plan, d)
@@ -398,7 +384,7 @@ func (o *Orchestrator) planVMs(prep *Preparation) {
 	totalDevices := len(emulatedNames)
 	for _, v := range vendorsSorted {
 		names := byVendor[v]
-		count := (len(names) + o.opts.DevicesPerVM - 1) / o.opts.DevicesPerVM
+		count := (len(names) + boundary.DevicesPerVM - 1) / boundary.DevicesPerVM
 		if o.opts.VMCount > 0 && totalDevices > 0 {
 			count = o.opts.VMCount * len(names) / totalDevices
 			if count < 1 {
@@ -417,7 +403,7 @@ func (o *Orchestrator) planVMs(prep *Preparation) {
 	}
 	// Speakers: lightweight, many per VM (§8.4).
 	if len(plan.Speakers) > 0 {
-		count := (len(plan.Speakers) + o.opts.SpeakersPerVM - 1) / o.opts.SpeakersPerVM
+		count := (len(plan.Speakers) + boundary.SpeakersPerVM - 1) / boundary.SpeakersPerVM
 		vms := o.Cloud.Provision(count, cloud.SKUStandard, "speaker", nil)
 		prep.groupVMs["speaker"] = vms
 		for i, name := range plan.Speakers {

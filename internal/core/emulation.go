@@ -173,11 +173,12 @@ func (o *Orchestrator) Mockup(prep *Preparation, force bool) (*Emulation, error)
 }
 
 // StartHealthMonitor arms the §6.2 health/auto-recovery daemon with the
-// configured interval. Call after initial convergence: the periodic tick
-// keeps the event queue alive, so drive the engine with RunFor/RunUntil
-// from here on. The call is idempotent — a scenario runner and its caller
-// can both arm the daemon without double-scheduling the tick chain — and a
-// cleared emulation can never be re-armed.
+// configured interval. The tick is a daemon event, so Run still reaches
+// quiescence; but while it is pending Checkpoint refuses (a daemon cannot
+// cross an engine snapshot), so an armed emulation cannot be forked. The
+// call is idempotent — a scenario runner and its caller can both arm the
+// daemon without double-scheduling the tick chain — and a cleared
+// emulation can never be re-armed.
 func (em *Emulation) StartHealthMonitor() {
 	if em.orch.opts.HealthInterval <= 0 || em.healthArmed || em.cleared {
 		return
@@ -253,7 +254,7 @@ func (em *Emulation) networkReady() {
 		}
 		dev := firmware.New(name, img, cfg, em.deviceEng(name), em.Fabric, em.containers[name], opts...)
 		em.Devices[name] = dev
-		em.Mgmt.Register(dev, n.MustDevice(name).MgmtIP, o.opts.Credential, hostName)
+		em.Mgmt.Register(dev, n.MustDevice(name).MgmtIP, credential, hostName)
 	}
 	// Boot emulated devices.
 	for _, name := range append(append([]string{}, em.prep.Plan.Internal...), em.prep.Plan.Boundary...) {
@@ -569,7 +570,7 @@ func (em *Emulation) AttachNewDevice(name string, img firmware.VendorImage, cfg 
 	if cfg == nil {
 		cfg = config.GenerateDevice(d)
 	}
-	cfg.Credential = em.orch.opts.Credential
+	cfg.Credential = credential
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
@@ -605,7 +606,7 @@ func (em *Emulation) AttachNewDevice(name string, img firmware.VendorImage, cfg 
 		})
 		dev := firmware.New(name, img, cfg, em.deviceEng(name), em.Fabric, c, firmware.WithVM(vm), firmware.WithAttrs(em.attrs))
 		em.Devices[name] = dev
-		em.Mgmt.Register(dev, d.MgmtIP, em.orch.opts.Credential, vm.Name)
+		em.Mgmt.Register(dev, d.MgmtIP, credential, vm.Name)
 		vm.Submit(host.SetupCost()/10, func() { dev.Boot(onReady) })
 		// Classify: the plan gains the device as internal or boundary.
 		isBoundary := false
@@ -732,7 +733,7 @@ func (em *Emulation) PullPackets() []firmware.CaptureRecord {
 // Login opens a management session to a device (the paper's Login helper /
 // IP access path).
 func (em *Emulation) Login(name string) (*mgmt.Session, error) {
-	return em.Mgmt.DialByName(name, em.orch.opts.Credential)
+	return em.Mgmt.DialByName(name, credential)
 }
 
 // List returns all emulated device names (the List helper).

@@ -401,14 +401,13 @@ func (d *Device) startBGP() {
 	rcfg := bgp.Config{
 		Name: d.Name, AS: d.cfg.ASN, RouterID: d.cfg.RouterID,
 		MaxPaths:             d.cfg.MaxPaths,
-		MRAI:                 50 * time.Millisecond,
 		AggregationMode:      d.Image.AggregationMode,
 		NonDeterministicTies: d.Image.NonDeterministicTies,
 	}
 	for _, a := range d.cfg.Aggregates {
 		rcfg.Aggregates = append(rcfg.Aggregates, bgp.AggregateSpec{Prefix: a.Prefix, SummaryOnly: a.SummaryOnly})
 	}
-	d.bgp = bgp.New(rcfg, bgpClock{d.eng}, d.bgpHooks())
+	d.bgp = bgp.New(rcfg, d.eng, d.bgpHooks())
 	for _, n := range d.cfg.Neighbors {
 		local := netpkt.IP(0)
 		if ic := d.cfg.Interface(n.Interface); ic != nil {
@@ -497,7 +496,6 @@ func (d *Device) bgpHooks() bgp.Hooks {
 				d.logf(f, a...)
 			}
 		},
-		Rec:   d.eng.Recorder(),
 		Attrs: d.attrs,
 	}
 }
@@ -544,7 +542,7 @@ func (d *Device) startOSPF() {
 	if d.cfg.OSPF == nil {
 		return
 	}
-	d.osp = ospf.New(ospf.Config{Name: d.Name, RouterID: d.cfg.RouterID}, ospfClock{d.eng}, d.ospfHooks())
+	d.osp = ospf.New(ospf.Config{Name: d.Name, RouterID: d.cfg.RouterID}, d.eng, d.ospfHooks())
 	d.osp.AddStub(d.cfg.Loopback)
 	for _, oi := range d.cfg.OSPF.Interfaces {
 		ic := d.cfg.Interface(oi.Name)
@@ -590,7 +588,6 @@ func (d *Device) ospfHooks() ospf.Hooks {
 				d.logf(f, a...)
 			}
 		},
-		Rec: d.eng.Recorder(),
 	}
 }
 
@@ -697,16 +694,6 @@ func (d *Device) LinkUp(iface string) {
 		}
 	}
 }
-
-// bgpClock adapts sim.Engine to bgp.Clock.
-type bgpClock struct{ e *sim.Engine }
-
-func (c bgpClock) After(dur time.Duration, fn func()) bgp.Timer { return c.e.After(dur, fn) }
-
-// ospfClock adapts sim.Engine to ospf.Clock.
-type ospfClock struct{ e *sim.Engine }
-
-func (c ospfClock) After(dur time.Duration, fn func()) ospf.Timer { return c.e.After(dur, fn) }
 
 // withOddPrefixBug wraps an export policy with the "stopped announcing
 // certain IP prefixes" firmware bug.

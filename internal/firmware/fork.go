@@ -123,7 +123,7 @@ func (d *Device) Fork(eng *sim.Engine, fabric *phynet.Fabric, container *phynet.
 		c.asic = d.asic.Clone()
 	}
 	if d.bgp != nil {
-		c.bgp = d.bgp.Fork(bgpClock{eng}, c.bgpHooks())
+		c.bgp = d.bgp.Fork(eng, c.bgpHooks())
 	}
 	if d.peerByIP != nil {
 		c.peerByIP = make(map[netpkt.IP]*bgp.Peer, len(d.peerByIP))
@@ -132,7 +132,7 @@ func (d *Device) Fork(eng *sim.Engine, fabric *phynet.Fabric, container *phynet.
 		}
 	}
 	if d.osp != nil {
-		c.osp = d.osp.Fork(ospfClock{eng}, c.ospfHooks())
+		c.osp = d.osp.Fork(eng, c.ospfHooks())
 	}
 	// Re-attach the frame handler exactly when the parent's firmware was
 	// live on the wire.

@@ -3,31 +3,32 @@ package ospf
 import (
 	"crystalnet/internal/netpkt"
 	"crystalnet/internal/rib"
+	"crystalnet/internal/sim"
 )
 
 // Fork returns a deep copy of the instance for a forked emulation, rebound
-// to the fork's clock and hooks. The source instance is read strictly
+// to the fork's engine and hooks. The source instance is read strictly
 // read-only so concurrent forks are safe.
 //
 // The SPF debounce timer is left nil: forks are only taken at quiescence,
 // when any pending recomputation has already run. LSAs are deep-copied via
 // LSA.Clone so a fork's flooding cannot mutate the parent's database.
-func (in *Instance) Fork(clock Clock, hooks Hooks) *Instance {
+func (in *Instance) Fork(eng *sim.Engine, hooks Hooks) *Instance {
 	if hooks.Logf == nil {
 		hooks.Logf = func(string, ...any) {}
 	}
 	c := &Instance{
 		cfg:       in.cfg,
-		clock:     clock,
+		eng:       eng,
 		hooks:     hooks,
 		stubs:     append([]netpkt.Prefix(nil), in.stubs...),
 		lsdb:      make(map[Key]*LSA, len(in.lsdb)),
 		seq:       in.seq,
 		installed: make(map[netpkt.Prefix][]rib.NextHop, len(in.installed)),
 	}
-	// hooks.Rec is the fork's recorder; its deep-copied counters continue
-	// the parent's totals rather than restarting from zero.
-	c.bindMetrics(hooks.Rec)
+	// The fork's engine carries the fork's recorder; its deep-copied
+	// counters continue the parent's totals rather than restarting from zero.
+	c.bindMetrics(eng.Recorder())
 	for k, l := range in.lsdb {
 		c.lsdb[k] = l.Clone()
 	}

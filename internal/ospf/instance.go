@@ -7,17 +7,16 @@ import (
 	"crystalnet/internal/netpkt"
 	"crystalnet/internal/obs"
 	"crystalnet/internal/rib"
+	"crystalnet/internal/sim"
 )
 
-// Clock is the slice of the simulation engine the instance needs.
-type Clock interface {
-	After(d time.Duration, fn func()) Timer
-}
-
-// Timer is a cancelable scheduled callback.
-type Timer interface {
-	Cancel() bool
-}
+// The emulated firmware's timers: a broadcast interface runs its DR
+// election electionWait after coming up, and SPF recomputation is debounced
+// by spfDelay.
+const (
+	electionWait = 3 * time.Second
+	spfDelay     = 50 * time.Millisecond
+)
 
 // IfaceType distinguishes point-to-point links from broadcast segments.
 type IfaceType uint8
@@ -72,11 +71,8 @@ func (i *Iface) BDR() RouterID { return i.bdr }
 
 // Config parameterizes an instance.
 type Config struct {
-	Name          string
-	RouterID      RouterID
-	HelloInterval time.Duration // default 1s
-	ElectionWait  time.Duration // default 3s
-	SPFDelay      time.Duration // default 50ms (debounce)
+	Name     string
+	RouterID RouterID
 }
 
 // Hooks connect the instance to its hosting firmware.
@@ -87,15 +83,12 @@ type Hooks struct {
 	InstallRoute func(p netpkt.Prefix, nhs []rib.NextHop) error
 	RemoveRoute  func(p netpkt.Prefix)
 	Logf         func(format string, args ...any)
-	// Rec is the observability recorder; nil disables tracing. Counter
-	// handles are cached at construction (see bindMetrics).
-	Rec *obs.Recorder
 }
 
 // Instance is one OSPF router.
 type Instance struct {
 	cfg   Config
-	clock Clock
+	eng   *sim.Engine
 	hooks Hooks
 
 	ifaces []*Iface
@@ -103,10 +96,10 @@ type Instance struct {
 	lsdb   map[Key]*LSA
 	seq    uint32
 
-	spfTimer  Timer
+	spfTimer  *sim.Timer
 	installed map[netpkt.Prefix][]rib.NextHop
 
-	// Cached obs counter handles; nil (no-op) when hooks.Rec is nil.
+	// Cached obs counter handles; nil (no-op) when the engine has no recorder.
 	mPktsIn, mPktsOut *obs.Counter
 	mSPFRuns          *obs.Counter
 }
@@ -125,26 +118,18 @@ func (in *Instance) send(ifaceIdx int, dst RouterID, data []byte) {
 	in.hooks.Send(ifaceIdx, dst, data)
 }
 
-// New creates an instance.
-func New(cfg Config, clock Clock, hooks Hooks) *Instance {
-	if cfg.HelloInterval <= 0 {
-		cfg.HelloInterval = time.Second
-	}
-	if cfg.ElectionWait <= 0 {
-		cfg.ElectionWait = 3 * time.Second
-	}
-	if cfg.SPFDelay <= 0 {
-		cfg.SPFDelay = 50 * time.Millisecond
-	}
+// New creates an instance that schedules its timers on eng and binds its
+// counters to eng's recorder.
+func New(cfg Config, eng *sim.Engine, hooks Hooks) *Instance {
 	if hooks.Logf == nil {
 		hooks.Logf = func(string, ...any) {}
 	}
 	in := &Instance{
-		cfg: cfg, clock: clock, hooks: hooks,
+		cfg: cfg, eng: eng, hooks: hooks,
 		lsdb:      map[Key]*LSA{},
 		installed: map[netpkt.Prefix][]rib.NextHop{},
 	}
-	in.bindMetrics(hooks.Rec)
+	in.bindMetrics(eng.Recorder())
 	return in
 }
 
@@ -192,7 +177,7 @@ func (in *Instance) LSDB() []*LSA {
 }
 
 // Start brings all interfaces up: hellos go out and, on broadcast segments,
-// DR election is scheduled after ElectionWait.
+// DR election is scheduled after electionWait.
 func (in *Instance) Start() {
 	in.originateRouterLSA()
 	for _, i := range in.ifaces {
@@ -200,7 +185,7 @@ func (in *Instance) Start() {
 		in.sendHello(i)
 		if i.cfg.Type == Broadcast {
 			idx := i.idx
-			in.clock.After(in.cfg.ElectionWait, func() { in.runElection(in.ifaces[idx]) })
+			in.eng.After(electionWait, func() { in.runElection(in.ifaces[idx]) })
 		}
 	}
 }
@@ -232,7 +217,7 @@ func (in *Instance) InterfaceUp(idx int) {
 	i.up = true
 	in.sendHello(i)
 	if i.cfg.Type == Broadcast {
-		in.clock.After(in.cfg.ElectionWait, func() { in.runElection(i) })
+		in.eng.After(electionWait, func() { in.runElection(i) })
 	}
 	in.originateRouterLSA()
 }
@@ -494,7 +479,7 @@ func (in *Instance) scheduleSPF() {
 	if in.spfTimer != nil {
 		return
 	}
-	in.spfTimer = in.clock.After(in.cfg.SPFDelay, func() {
+	in.spfTimer = in.eng.After(spfDelay, func() {
 		in.spfTimer = nil
 		in.runSPF()
 	})

@@ -112,17 +112,13 @@ type onet struct {
 	nodes map[string]*onode
 }
 
-type oclock struct{ e *sim.Engine }
-
-func (c oclock) After(d time.Duration, fn func()) Timer { return c.e.After(d, fn) }
-
 func newOnet(t *testing.T) *onet {
 	return &onet{t: t, eng: sim.NewEngine(1), nodes: map[string]*onode{}}
 }
 
 func (n *onet) add(name string, rid string) *onode {
 	nd := &onode{name: name, fib: map[netpkt.Prefix][]rib.NextHop{}}
-	nd.in = New(Config{Name: name, RouterID: ip(rid)}, oclock{n.eng}, Hooks{
+	nd.in = New(Config{Name: name, RouterID: ip(rid)}, n.eng, Hooks{
 		Send: func(ifaceIdx int, dst RouterID, data []byte) {
 			seg := nd.wires[ifaceIdx]
 			var srcAddr netpkt.IP

@@ -14,15 +14,11 @@ import "crystalnet/internal/sim"
 // belong to the source's engine, and the clone's links build their own.
 func (f *Fabric) Fork(eng *sim.Engine) (*Fabric, map[*VIface]*VIface, map[*Container]*Container) {
 	c := &Fabric{
-		eng:               eng,
-		hosts:             make(map[string]*Host, len(f.hosts)),
-		backend:           f.backend,
-		nextVNI:           f.nextVNI,
-		nextIP:            f.nextIP,
-		IntraVMLatency:    f.IntraVMLatency,
-		InterVMLatency:    f.InterVMLatency,
-		RemoteLatency:     f.RemoteLatency,
-		CrossCloudLatency: f.CrossCloudLatency,
+		eng:     eng,
+		hosts:   make(map[string]*Host, len(f.hosts)),
+		backend: f.backend,
+		nextVNI: f.nextVNI,
+		nextIP:  f.nextIP,
 	}
 	ifaceMap := make(map[*VIface]*VIface)
 	ctMap := make(map[*Container]*Container)

@@ -167,6 +167,18 @@ func (l *VirtualLink) Other(v *VIface) *VIface {
 	return nil
 }
 
+// The overlay's latency model (a Linux-bridge overlay, §6.2): a frame
+// between containers on one VM crosses a bridge, one between VMs crosses the
+// VXLAN underlay, between clouds a longer underlay, and remoteLatency applies
+// when either endpoint lives on a Remote (on-premise) host — the overlay
+// crosses the wide-area Internet.
+const (
+	intraVMLatency    = 50 * time.Microsecond
+	interVMLatency    = 500 * time.Microsecond
+	crossCloudLatency = 5 * time.Millisecond
+	remoteLatency     = 20 * time.Millisecond
+)
+
 // Fabric is the whole PhyNet overlay spanning all hosts.
 type Fabric struct {
 	eng   *sim.Engine
@@ -175,13 +187,6 @@ type Fabric struct {
 	backend BridgeBackend
 	nextVNI uint32
 	nextIP  uint32
-
-	// Latency model. RemoteLatency applies when either endpoint lives on a
-	// Remote (on-premise) host — the overlay crosses the wide-area Internet.
-	IntraVMLatency    time.Duration
-	InterVMLatency    time.Duration
-	RemoteLatency     time.Duration
-	CrossCloudLatency time.Duration
 
 	// shards, when non-nil, routes deliveries between domain engines.
 	shards *sim.ShardSet
@@ -226,12 +231,8 @@ func (f *Fabric) EncapFrames() uint64 {
 func NewFabric(eng *sim.Engine, backend BridgeBackend) *Fabric {
 	return &Fabric{
 		eng: eng, hosts: map[string]*Host{}, backend: backend,
-		nextVNI:           1,
-		nextIP:            uint32(netpkt.IPFromBytes(192, 168, 0, 1)),
-		IntraVMLatency:    50 * time.Microsecond,
-		InterVMLatency:    500 * time.Microsecond,
-		RemoteLatency:     20 * time.Millisecond,
-		CrossCloudLatency: 5 * time.Millisecond,
+		nextVNI: 1,
+		nextIP:  uint32(netpkt.IPFromBytes(192, 168, 0, 1)),
 	}
 }
 
@@ -377,15 +378,15 @@ func (f *Fabric) SendFramed(from *VIface, buf []byte, room int) {
 		src.framesDropped++
 		return
 	}
-	latency := f.IntraVMLatency
+	latency := intraVMLatency
 	payload := buf[room:]
 	if l.crossVM {
-		latency = f.InterVMLatency
+		latency = interVMLatency
 		if from.Container.Host.Region != to.Container.Host.Region {
-			latency = f.CrossCloudLatency
+			latency = crossCloudLatency
 		}
 		if from.Container.Host.Remote || to.Container.Host.Remote {
-			latency = f.RemoteLatency
+			latency = remoteLatency
 		}
 		if room < netpkt.UnderlayHeaderLen {
 			b := make([]byte, netpkt.UnderlayHeaderLen+len(payload))

@@ -3,7 +3,6 @@ package phynet
 import (
 	"bytes"
 	"testing"
-	"time"
 
 	"crystalnet/internal/netpkt"
 	"crystalnet/internal/sim"
@@ -75,8 +74,8 @@ func TestLatencyModel(t *testing.T) {
 	c2.Attach(func(string, []byte) { at = eng.Now() })
 	f.Send(c1.Iface("et0"), []byte("x"))
 	eng.Run(0)
-	if at != sim.Time(f.InterVMLatency) {
-		t.Fatalf("cross-VM delivery at %v, want %v", at, f.InterVMLatency)
+	if at != sim.Time(interVMLatency) {
+		t.Fatalf("cross-VM delivery at %v, want %v", at, interVMLatency)
 	}
 }
 
@@ -252,24 +251,6 @@ func TestIfaceAccessors(t *testing.T) {
 	}
 }
 
-func TestLatencyConfigurable(t *testing.T) {
-	eng := sim.NewEngine(1)
-	f := NewFabric(eng, LinuxBridge)
-	f.IntraVMLatency = 2 * time.Millisecond
-	h := f.AddHost("vm-a")
-	c1, c2 := h.AddContainer("a"), h.AddContainer("b")
-	i1 := c1.AddIface("et0", netpkt.MAC{1})
-	i2 := c2.AddIface("et0", netpkt.MAC{2})
-	f.Connect(i1, i2)
-	var at sim.Time
-	c2.Attach(func(string, []byte) { at = eng.Now() })
-	f.Send(i1, []byte("x"))
-	eng.Run(0)
-	if at != sim.Time(2*time.Millisecond) {
-		t.Fatalf("delivery at %v", at)
-	}
-}
-
 func TestCrossCloudAndRemoteLatency(t *testing.T) {
 	eng := sim.NewEngine(1)
 	f := NewFabric(eng, LinuxBridge)
@@ -293,15 +274,15 @@ func TestCrossCloudAndRemoteLatency(t *testing.T) {
 	cb.Attach(func(string, []byte) { at = eng.Now() })
 	f.Send(i1, []byte("x"))
 	eng.Run(0)
-	if at != sim.Time(f.CrossCloudLatency) {
-		t.Fatalf("cross-cloud delivery at %v, want %v", at, f.CrossCloudLatency)
+	if at != sim.Time(crossCloudLatency) {
+		t.Fatalf("cross-cloud delivery at %v, want %v", at, crossCloudLatency)
 	}
 	cc.Attach(func(string, []byte) { at = eng.Now() })
 	start := eng.Now()
 	f.Send(i1b, []byte("y"))
 	eng.Run(0)
-	if at.Sub(start) != f.RemoteLatency {
-		t.Fatalf("remote delivery took %v, want %v", at.Sub(start), f.RemoteLatency)
+	if at.Sub(start) != remoteLatency {
+		t.Fatalf("remote delivery took %v, want %v", at.Sub(start), remoteLatency)
 	}
 }
 

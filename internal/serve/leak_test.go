@@ -51,6 +51,13 @@ func TestCanceledMidConvergenceTearsDown(t *testing.T) {
 	// cancelable run loop must notice, tear down and not leak the run's
 	// goroutine (scenario runs are synchronous, so the real check is the
 	// sentinel plus the wall-clock bound — teardown, not a full drive).
+	// The fabric is sized so its mockup drive starts within a few
+	// milliseconds but runs for hundreds more (8 pods: ~0.7s uncanceled
+	// on a 2020s x86 core), so the cancel below lands mid-drive.
+	sp := tinySpec("cancel-mid", 7)
+	clos := *sp.Topology.Clos
+	clos.Pods, clos.ToRsPerPod, clos.LeavesPerPod, clos.PrefixesPerToR = 8, 8, 8, 4
+	sp.Topology.Clos = &clos
 	base := runtime.NumGoroutine()
 	ch := make(chan struct{})
 	errc := make(chan error, 1)
@@ -58,7 +65,7 @@ func TestCanceledMidConvergenceTearsDown(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_, err := scenario.Run(tinySpec("cancel-mid", 7), scenario.Options{Cancel: ch})
+		_, err := scenario.Run(sp, scenario.Options{Cancel: ch})
 		errc <- err
 	}()
 	time.Sleep(5 * time.Millisecond)
@@ -66,9 +73,7 @@ func TestCanceledMidConvergenceTearsDown(t *testing.T) {
 	wg.Wait()
 	err := <-errc
 	if err == nil {
-		// The run finished before the cancel landed — legal on a fast
-		// machine with a tiny fabric, and not a failure of teardown.
-		t.Skip("run completed before cancellation; nothing to tear down")
+		t.Fatal("run completed despite cancellation mid-convergence")
 	}
 	if !errors.Is(err, core.ErrCanceled) {
 		t.Fatalf("error %v does not wrap core.ErrCanceled", err)

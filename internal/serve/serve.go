@@ -65,9 +65,6 @@ type Config struct {
 	// NoRewarm disables background re-convergence of invalidated pool
 	// entries.
 	NoRewarm bool
-	// Live receives operational metrics; nil gets the server a fresh
-	// private registry (so /metrics always works).
-	Live *obs.Registry
 }
 
 func (c Config) withDefaults() Config {
@@ -79,9 +76,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.TenantInFlight == 0 {
 		c.TenantInFlight = 4
-	}
-	if c.Live == nil {
-		c.Live = obs.NewRegistry(obs.WallBuckets)
 	}
 	return c
 }
@@ -113,13 +107,15 @@ type Server struct {
 	draining bool
 }
 
-// NewServer builds a Server and its warm pool from cfg.
+// NewServer builds a Server, its warm pool and the private registry both
+// record operational metrics into (served at /metrics).
 func NewServer(cfg Config) *Server {
 	cfg = cfg.withDefaults()
+	live := obs.NewRegistry(obs.WallBuckets)
 	s := &Server{
 		cfg:      cfg,
-		live:     cfg.Live,
-		pool:     NewPool(cfg.PoolSize, cfg.MaxEvents, !cfg.NoRewarm, cfg.Live),
+		live:     live,
+		pool:     NewPool(cfg.PoolSize, cfg.MaxEvents, !cfg.NoRewarm, live),
 		sessions: map[string]*session{},
 		tenants:  map[string]int{},
 		served:   map[string]uint64{},

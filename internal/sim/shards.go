@@ -136,11 +136,10 @@ func (s *ShardSet) nextInstant() (Time, bool) {
 	return t, found
 }
 
-// drainThrough steps e until its next event is beyond t, it halts, or the
-// budget (0 = unlimited) is exhausted. Returns events fired.
+// drainThrough steps e until its next event is beyond t or the budget (0 = unlimited) is exhausted. Returns events fired.
 func drainThrough(e *Engine, t Time, budget uint64) uint64 {
 	var n uint64
-	for len(e.queue) > 0 && e.queue[0].at <= t && !e.halted {
+	for len(e.queue) > 0 && e.queue[0].at <= t {
 		if budget > 0 && n >= budget {
 			break
 		}
@@ -150,26 +149,10 @@ func drainThrough(e *Engine, t Time, budget uint64) uint64 {
 	return n
 }
 
-func (s *ShardSet) halted() bool {
-	if s.master.halted {
-		return true
-	}
-	for _, e := range s.domains {
-		if e.halted {
-			return true
-		}
-	}
-	return false
-}
-
 // Run executes the lockstep schedule until global quiescence (only daemon
-// events remain anywhere), Halt on any engine, a Check error, or maxEvents
-// total fired events (0 = no limit; the cap error matches Engine.Run's).
+// events remain anywhere), a Check error, or maxEvents total fired events
+// (0 = no limit; the cap error matches Engine.Run's).
 func (s *ShardSet) Run(maxEvents uint64) (uint64, error) {
-	s.master.halted = false
-	for _, e := range s.domains {
-		e.halted = false
-	}
 	var n uint64
 	counts := make([]uint64, len(s.domains))
 	// One resident worker set for the whole run: the lockstep loop fans out
@@ -184,9 +167,6 @@ func (s *ShardSet) Run(maxEvents uint64) (uint64, error) {
 			if err := s.Check(); err != nil {
 				return n, err
 			}
-		}
-		if s.halted() {
-			return n, nil
 		}
 		if total, daemons := s.pendingTotals(); total == daemons {
 			return n, nil
@@ -237,9 +217,6 @@ func (s *ShardSet) Run(maxEvents uint64) (uint64, error) {
 			}
 			if maxEvents > 0 && n >= maxEvents {
 				return n, fmt.Errorf("sim: event cap %d reached at t=%s (possible livelock)", maxEvents, t)
-			}
-			if s.halted() {
-				return n, nil
 			}
 			if !s.anyAt(t) {
 				break

@@ -209,8 +209,6 @@ type Engine struct {
 	// type, the rings drained lanes gave back (see Lane).
 	laneQueued int
 	laneSpares map[any]any
-	maxed      bool
-	halted     bool
 	rec        *obs.Recorder // nil unless tracing is enabled
 
 	// Check, when non-nil, is polled by Run before the first event and then
@@ -382,10 +380,6 @@ func (e *Engine) Jitter(d, spread time.Duration) time.Duration {
 	return d + time.Duration(e.rng.Int63n(int64(spread)))
 }
 
-// Halt stops the currently running Run/RunUntil/RunFor loop after the
-// in-flight event returns. Pending events remain queued.
-func (e *Engine) Halt() { e.halted = true }
-
 // CancelAll drops every pending event — daemon timers included — without
 // firing it. It is the teardown primitive behind a canceled emulation: an
 // abandoned rehearsal discards its in-flight protocol work wholesale, then
@@ -429,10 +423,10 @@ func (e *Engine) Step() bool {
 }
 
 // Run executes events until the queue drains to quiescence (no events, or
-// only daemon events, remain), Halt is called, Check returns an error, or
-// maxEvents fire (0 means no limit). It returns the number of events
-// executed and an error if Check gave one or the event cap was hit — which
-// in an emulation almost always means a routing loop or livelock.
+// only daemon events, remain), Check returns an error, or maxEvents fire (0
+// means no limit). It returns the number of events executed and an error if
+// Check gave one or the event cap was hit — which in an emulation almost
+// always means a routing loop or livelock.
 //
 // When a recorder is attached, each Run call records one "engine/run"
 // span tagged with the number of events it fired — the coarse unit of
@@ -449,11 +443,9 @@ func (e *Engine) Run(maxEvents uint64) (uint64, error) {
 }
 
 func (e *Engine) run(maxEvents uint64) (uint64, error) {
-	e.halted = false
 	var n uint64
-	for !e.halted {
+	for {
 		if maxEvents > 0 && n >= maxEvents {
-			e.maxed = true
 			return n, fmt.Errorf("sim: event cap %d reached at t=%s (possible livelock)", maxEvents, e.now)
 		}
 		if e.Check != nil && n%checkEvents == 0 {
@@ -479,19 +471,13 @@ func (e *Engine) run(maxEvents uint64) (uint64, error) {
 // deadline stay queued; the clock is advanced to the deadline if it was
 // reached without draining. It returns the number of events executed.
 func (e *Engine) RunUntil(deadline Time) uint64 {
-	e.halted = false
 	var n uint64
-	for !e.halted {
-		if len(e.queue) == 0 {
-			break
-		}
+	for len(e.queue) > 0 {
 		if e.queue[0].at > deadline {
 			e.now = deadline
 			return n
 		}
-		if !e.Step() {
-			break
-		}
+		e.Step()
 		n++
 	}
 	if e.now < deadline {

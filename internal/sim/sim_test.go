@@ -202,26 +202,6 @@ func TestRunForRelative(t *testing.T) {
 	}
 }
 
-func TestHaltStopsRun(t *testing.T) {
-	e := NewEngine(1)
-	count := 0
-	for i := 0; i < 10; i++ {
-		e.After(time.Duration(i)*time.Second, func() {
-			count++
-			if count == 3 {
-				e.Halt()
-			}
-		})
-	}
-	e.Run(0)
-	if count != 3 {
-		t.Fatalf("count = %d, want 3 (Halt should stop the loop)", count)
-	}
-	if e.Pending() != 7 {
-		t.Fatalf("Pending = %d, want 7", e.Pending())
-	}
-}
-
 func TestDeterminismAcrossEngines(t *testing.T) {
 	run := func(seed int64) []int64 {
 		e := NewEngine(seed)

@@ -70,13 +70,19 @@ if [ "${SHORT:-}" != "1" ]; then
     echo "== netpkt decoder fuzz (no panic; round trips; in-place header writers vs encoders; 5s)"
     go test ./internal/netpkt -run '^$' -fuzz=FuzzNetpkt -fuzztime=5s
 
+    echo "== OSPF packet decoder fuzz (no panic; Hello and LS Update round trips; 5s)"
+    go test ./internal/ospf -run '^$' -fuzz=FuzzOSPFPacket -fuzztime=5s
+
+    echo "== scenario spec parser fuzz (no panic; accepted spec marshals, re-parses and re-marshals to the same bytes; 5s)"
+    go test ./internal/scenario -run '^$' -fuzz=FuzzScenarioParse -fuzztime=5s
+
     # The budgets build only without -race and without crystaldebug (both
     # allocate on their own account), so the plain pass above is the one
     # run that has them; -count=1 keeps a cached result from standing in.
     echo "== allocation budgets of the per-UPDATE path (flush = its messages, delivery to HandleMessage = 0, FIB reinstall = the Entry, dropped timer and lane = 0)"
     go test -count=1 ./internal/bgp/ ./internal/sim/ ./internal/phynet/ ./internal/firmware/ ./internal/rib/ -run 'TestAllocBudget'
 else
-    echo "== persistent-trie and BGP-decoder fuzz, allocation budgets skipped (SHORT=1)"
+    echo "== persistent-trie, BGP-decoder, netpkt, OSPF-packet and scenario-parser fuzz, allocation budgets skipped (SHORT=1)"
 fi
 
 echo "== scenario smoke under -race"
