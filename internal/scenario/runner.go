@@ -3,11 +3,9 @@ package scenario
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
-	"crystalnet/internal/batfish"
 	"crystalnet/internal/cloud"
 	"crystalnet/internal/config"
 	"crystalnet/internal/core"
@@ -15,8 +13,6 @@ import (
 	"crystalnet/internal/firmware"
 	"crystalnet/internal/netpkt"
 	"crystalnet/internal/obs"
-	"crystalnet/internal/rib"
-	"crystalnet/internal/telemetry"
 	"crystalnet/internal/topo"
 	"crystalnet/internal/traffic"
 	"crystalnet/internal/vendors"
@@ -593,354 +589,12 @@ func (r *runner) resolveDst(st *Step) (netpkt.IP, error) {
 	return d.Originated[0].Addr + netpkt.IP(st.DstOffset), nil
 }
 
-// check evaluates one assertion against current emulation state.
-func (r *runner) check(st *Step) Check {
-	c := Check{Op: st.Op, Pass: true}
-	fail := func(format string, args ...any) {
-		c.Pass = false
-		c.Detail = fmt.Sprintf(format, args...)
-	}
-
-	switch st.Op {
-	case OpAssertReachable:
-		dst, err := r.resolveDst(st)
-		if err != nil {
-			fail("%v", err)
-			return c
-		}
-		path, ok := batfish.NewIndexWalker(r.liveLookup, r.em.Index()).Reachable(st.From, dst)
-		want := st.Expect == nil || *st.Expect
-		if ok != want {
-			fail("reachable(%s -> %s) = %v, want %v (path %s)",
-				st.From, dst, ok, want, strings.Join(path, " -> "))
-		} else {
-			c.Detail = fmt.Sprintf("%s -> %s via %d hops", st.From, dst, len(path))
-		}
-
-	case OpAssertFIBDiff:
-		return r.fibDiffCheck(st, r.fibDiffs(st))
-
-	case OpAssertNoBlackhole:
-		failures := r.blackholes(st)
-		if len(failures) > 0 {
-			shown := failures
-			if len(shown) > maxDetail {
-				shown = shown[:maxDetail]
-			}
-			fail("%d blackholed pairs: %s", len(failures), strings.Join(shown, "; "))
-		} else {
-			c.Detail = "all server prefixes reachable"
-		}
-
-	case OpAssertRecoveredWithin:
-		rec := r.em.Recoveries()
-		min := st.Recoveries
-		if min <= 0 {
-			min = 1
-		}
-		if len(rec) < min {
-			fail("%d recoveries recorded, want >= %d", len(rec), min)
-			return c
-		}
-		var worst time.Duration
-		for _, d := range rec {
-			if d > worst {
-				worst = d
-			}
-		}
-		if worst > st.Duration.Std() {
-			fail("slowest recovery %s exceeds bound %s", worst, st.Duration.Std())
-		} else {
-			c.Detail = fmt.Sprintf("%d recoveries, slowest %s (bound %s)",
-				len(rec), worst, st.Duration.Std())
-		}
-
-	case OpAssertProbe:
-		paths := r.probePaths()
-		want := st.Expect == nil || *st.Expect
-		if len(paths) == 0 {
-			fail("no probe paths captured (inject-packets + wait-converge first)")
-			return c
-		}
-		var rendered []string
-		ok := true
-		for _, p := range paths {
-			if p.Delivered != want {
-				ok = false
-			}
-			if len(rendered) < maxDetail {
-				rendered = append(rendered, p.String())
-			}
-		}
-		if !ok {
-			fail("probe delivery != %v: %s", want, strings.Join(rendered, "; "))
-		} else {
-			c.Detail = strings.Join(rendered, "; ")
-		}
-
-	case OpAssertSessions:
-		states := r.em.PullStates()
-		names := r.filterDevices(st.Devices, st.Vendor)
-		var bad []string
-		for _, name := range names {
-			if got := states[name].Established; got != st.Established {
-				bad = append(bad, fmt.Sprintf("%s=%d", name, got))
-			}
-		}
-		if len(bad) > 0 {
-			if len(bad) > maxDetail {
-				bad = bad[:maxDetail]
-			}
-			fail("sessions != %d on %s", st.Established, strings.Join(bad, ", "))
-		} else {
-			c.Detail = fmt.Sprintf("%d devices at %d established sessions", len(names), st.Established)
-		}
-
-	case OpAssertFIBLookup:
-		ip, err := netpkt.ParseIP(st.IP)
-		if err != nil {
-			fail("ip %q: %v", st.IP, err)
-			return c
-		}
-		want := st.Expect == nil || *st.Expect
-		var names []string
-		if st.Device != "" {
-			names = []string{st.Device}
-		} else {
-			names = r.filterDevices(st.Devices, st.Vendor)
-		}
-		var bad []string
-		for _, name := range names {
-			d := r.em.Devices[name]
-			if d == nil || d.FIB() == nil {
-				bad = append(bad, name+"=no-fib")
-				continue
-			}
-			if _, ok := d.FIB().Lookup(ip); ok != want {
-				bad = append(bad, fmt.Sprintf("%s=%v", name, ok))
-			}
-		}
-		if len(bad) > 0 {
-			if len(bad) > maxDetail {
-				bad = bad[:maxDetail]
-			}
-			fail("lookup(%s) != %v on %s", st.IP, want, strings.Join(bad, ", "))
-		} else {
-			c.Detail = fmt.Sprintf("%d devices route %s", len(names), st.IP)
-		}
-
-	case OpAssertDeviceState:
-		d := r.em.Devices[st.Device]
-		if d == nil {
-			fail("no device %q", st.Device)
-			return c
-		}
-		if got := d.State().String(); got != st.State {
-			fail("%s state %s, want %s", st.Device, got, st.State)
-		} else {
-			c.Detail = fmt.Sprintf("%s is %s", st.Device, st.State)
-		}
-
-	case OpAssertFlowSLO:
-		m := r.em.Traffic()
-		if m == nil || m.Settles() == 0 {
-			fail("no traffic attached (spec traffic or inject-traffic first)")
-			return c
-		}
-		slo := m.SLO(st.Window.Std())
-		var bad []string
-		if st.MaxBlackholedPct != nil && slo.BlackholedPct > *st.MaxBlackholedPct {
-			bad = append(bad, fmt.Sprintf("blackholed %.3f%% > %.3f%%", slo.BlackholedPct, *st.MaxBlackholedPct))
-		}
-		if st.MaxLostPct != nil && slo.LostPct > *st.MaxLostPct {
-			bad = append(bad, fmt.Sprintf("lost %.3f%% > %.3f%%", slo.LostPct, *st.MaxLostPct))
-		}
-		if len(bad) > 0 {
-			fail("flow SLO violated (window %s): %s", st.Window.Std(), strings.Join(bad, ", "))
-		} else {
-			c.Detail = fmt.Sprintf("blackholed %.3f%%, lost %.3f%% within SLO (window %s)",
-				slo.BlackholedPct, slo.LostPct, st.Window.Std())
-		}
-
-	default:
-		fail("unknown assertion %q", st.Op)
-	}
-	return c
-}
-
 // baselineName resolves a step's baseline reference.
 func (r *runner) baselineName(st *Step) string {
 	if st.Baseline != "" {
 		return st.Baseline
 	}
 	return DefaultBaseline
-}
-
-// fibDiffs compares the current FIBs against the referenced baseline,
-// optionally scoped to named devices.
-func (r *runner) fibDiffs(st *Step) map[string][]rib.Diff {
-	base := r.baselines[r.baselineName(st)]
-	if base == nil {
-		return map[string][]rib.Diff{"<missing-baseline>": {{}}}
-	}
-	diffs := r.em.DiffAgainst(base)
-	if len(st.Devices) > 0 {
-		scope := map[string]bool{}
-		for _, d := range st.Devices {
-			scope[d] = true
-		}
-		for name := range diffs {
-			if !scope[name] {
-				delete(diffs, name)
-			}
-		}
-	}
-	return diffs
-}
-
-// fibDiffCheck judges diffs (as fibDiffs returned them) against the step's
-// difference budget.
-func (r *runner) fibDiffCheck(st *Step, diffs map[string][]rib.Diff) Check {
-	c := Check{Op: st.Op, Pass: true}
-	total := 0
-	for _, d := range diffs {
-		total += len(d)
-	}
-	if total > st.MaxDiffs {
-		names := make([]string, 0, len(diffs))
-		for n := range diffs {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		if len(names) > maxDetail {
-			names = names[:maxDetail]
-		}
-		c.Pass = false
-		c.Detail = fmt.Sprintf("%d FIB differences vs baseline %q (max %d) on %s",
-			total, r.baselineName(st), st.MaxDiffs, strings.Join(names, ", "))
-	} else {
-		c.Detail = fmt.Sprintf("%d differences (max %d)", total, st.MaxDiffs)
-	}
-	return c
-}
-
-// fibDiffStrings renders bounded, deterministic diff lines for the report.
-func fibDiffStrings(diffs map[string][]rib.Diff) []string {
-	names := make([]string, 0, len(diffs))
-	for n := range diffs {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	var out []string
-	for _, name := range names {
-		for _, d := range diffs[name] {
-			if len(out) >= 2*maxDetail {
-				out = append(out, "...")
-				return out
-			}
-			out = append(out, fmt.Sprintf("%s: %s", name, d))
-		}
-	}
-	return out
-}
-
-// liveLookup resolves a longest-prefix match in a device's live FIB trie, in
-// place: the emulation is quiescent while a check runs, so pulling FIB
-// snapshots just to index them again would only duplicate the tries.
-func (r *runner) liveLookup(dev string, dst netpkt.IP) (*rib.Entry, bool) {
-	d := r.em.Devices[dev]
-	if d == nil || d.FIB() == nil {
-		return nil, false
-	}
-	return d.FIB().Lookup(dst)
-}
-
-// blackholes sweeps reachability from every emulated fabric device toward
-// a host in every server prefix the fabric originates, returning failing
-// pairs. Speakers are excluded on both sides: they replay recorded
-// boundary routes, not their own state. st.Devices scopes the source set.
-func (r *runner) blackholes(st *Step) []string {
-	plan := r.em.Plan()
-	fabric := append(append([]string{}, plan.Internal...), plan.Boundary...)
-	sort.Strings(fabric)
-
-	sources := st.Devices
-	if len(sources) == 0 {
-		for _, name := range fabric {
-			if r.em.Devices[name] != nil {
-				sources = append(sources, name)
-			}
-		}
-	}
-
-	// Destinations: one host inside every originated server prefix,
-	// attributed to its owning device so self-pairs are skipped.
-	type dest struct {
-		owner string
-		ip    netpkt.IP
-	}
-	var dests []dest
-	for _, name := range fabric {
-		d := r.net.Device(name)
-		if d == nil {
-			continue
-		}
-		for _, p := range d.Originated {
-			host := p.Addr
-			if p.Len < 31 {
-				host++ // subnet base is not a host on broadcast subnets
-			}
-			dests = append(dests, dest{owner: name, ip: host})
-		}
-	}
-
-	var failures []string
-	w := batfish.NewIndexWalker(r.liveLookup, r.em.Index())
-	for _, src := range sources {
-		for _, d := range dests {
-			if d.owner == src {
-				continue
-			}
-			if !w.Delivered(src, d.ip) {
-				failures = append(failures, fmt.Sprintf("%s -> %s", src, d.ip))
-			}
-		}
-	}
-	return failures
-}
-
-// probePaths drains telemetry captures and returns the paths of the most
-// recently injected flow.
-func (r *runner) probePaths() []telemetry.Path {
-	all := telemetry.ComputePaths(r.em.PullPackets())
-	var out []telemetry.Path
-	for _, p := range all {
-		if p.Flow == r.lastFlow {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// filterDevices returns emulated device names scoped by an explicit list
-// or a vendor-image name, sorted.
-func (r *runner) filterDevices(devices []string, vendor string) []string {
-	if len(devices) > 0 {
-		out := append([]string(nil), devices...)
-		sort.Strings(out)
-		return out
-	}
-	var out []string
-	for _, name := range r.em.List() {
-		d := r.em.Devices[name]
-		if d == nil {
-			continue
-		}
-		if vendor == "" || d.Image.Name == vendor {
-			out = append(out, name)
-		}
-	}
-	return out
 }
 
 // applyACLPatch adds the patch's deny-source ACL to cfg and binds it
