@@ -151,16 +151,22 @@ func BenchmarkSec9_CrossValidation(b *testing.B) {
 // back up, the fabric re-converged after each, under the no-blackhole
 // invariant (a full-fabric sweep at every convergence point).
 func sdcFlapSpec() *scenario.Spec {
+	return flapSpec("sdc", "tor-p0-0:et0", "leaf-p0-0:et2")
+}
+
+// flapSpec takes the link a-b of a paper fabric down and up again, sweeping
+// the no-blackhole invariant at each convergence point.
+func flapSpec(dc, a, b string) *scenario.Spec {
 	down, up := false, true
 	return &scenario.Spec{
-		Name:       "bench-flap-sdc",
+		Name:       "bench-flap-" + dc,
 		Seed:       1,
-		Topology:   scenario.Topology{DC: "sdc", WANPerGroup: 2},
+		Topology:   scenario.Topology{DC: dc, WANPerGroup: 2},
 		Invariants: []scenario.Step{{Op: scenario.OpAssertNoBlackhole}},
 		Steps: []scenario.Step{
-			{Op: scenario.OpSetLink, A: "tor-p0-0:et0", B: "leaf-p0-0:et2", Up: &down},
+			{Op: scenario.OpSetLink, A: a, B: b, Up: &down},
 			{Op: scenario.OpWaitConverge},
-			{Op: scenario.OpSetLink, A: "tor-p0-0:et0", B: "leaf-p0-0:et2", Up: &up},
+			{Op: scenario.OpSetLink, A: a, B: b, Up: &up},
 			{Op: scenario.OpWaitConverge},
 		},
 	}
@@ -261,4 +267,36 @@ func BenchmarkForkFlapSweepSDC(b *testing.B) {
 		copies += rep.CowCopies.Total()
 	}
 	b.ReportMetric(float64(copies)/float64(b.N), "cow-copies/op")
+}
+
+// BenchmarkForkFlapSweepMDC is BenchmarkForkFlapSweepSDC on M-DC — the
+// in-process form of bench/'s warm_flap_mdc request, whose 400 server
+// prefixes and 580 devices make the no-blackhole sweep the larger part of a
+// rehearsal. Converging the baseline takes several seconds and ~600 MB, so
+// -short skips it.
+func BenchmarkForkFlapSweepMDC(b *testing.B) {
+	if testing.Short() {
+		b.Skip("M-DC baseline: skipped under -short")
+	}
+	net, _, err := (&scenario.Spec{Topology: scenario.Topology{DC: "mdc", WANPerGroup: 2}}).BuildNetwork()
+	if err != nil {
+		b.Fatal(err)
+	}
+	uplink := net.MustDevice("tor-p0-0").Interfaces[0]
+	sp := flapSpec("mdc", uplink.FullName(), uplink.Peer.FullName())
+	cv, err := scenario.Converge(sp, scenario.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rep, err := cv.Run(sp, scenario.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !rep.Passed {
+			b.Fatalf("rehearsal failed: %s", rep.JSON())
+		}
+	}
 }

@@ -488,7 +488,7 @@ func NewIndexWalker(fn LookupFunc, ix *config.Index) *Walker {
 func (w *Walker) Reachable(from string, dst netpkt.IP) ([]string, bool) {
 	cur := from
 	var path []string
-	for hops := 0; hops < 64; hops++ {
+	for hops := 0; hops < maxHops; hops++ {
 		path = append(path, cur)
 		next, delivered, ok := w.hop(cur, dst)
 		if delivered || !ok {
@@ -517,7 +517,7 @@ func (w *Walker) Delivered(from string, dst netpkt.IP) bool {
 	w.visited = w.visited[:0]
 	cur := from
 	delivered := false
-	for hops := 0; hops < 64; hops++ {
+	for hops := 0; hops < maxHops; hops++ {
 		if idx, tracked := w.ix.ID(cur); tracked {
 			if v := vs[idx]; v != 0 {
 				delivered = v == 1
@@ -549,29 +549,54 @@ func (w *Walker) Delivered(from string, dst netpkt.IP) bool {
 // local origination or delivery to an unowned (host) address, ok=false a
 // forwarding failure, and otherwise next is the downstream device.
 func (w *Walker) hop(cur string, dst netpkt.IP) (next string, delivered, ok bool) {
-	if c := w.ix.Config(cur); c != nil {
-		for _, p := range c.Networks {
-			if p.Contains(dst) {
-				return "", true, true
-			}
+	if originates(w.ix.Config(cur), dst) {
+		return "", true, true
+	}
+	best, found := w.lookup(cur, dst)
+	switch id := forward(w.ix, best, found, dst); id {
+	case hopDelivered:
+		return "", true, true
+	case hopDropped:
+		return "", false, false
+	default:
+		return w.ix.Name(int(id)), false, true
+	}
+}
+
+// originates reports whether a device running c delivers dst locally: dst
+// is inside one of the networks it announces. c is nil for a device the
+// fabric index does not hold.
+func originates(c *config.DeviceConfig, dst netpkt.IP) bool {
+	if c == nil {
+		return false
+	}
+	for _, p := range c.Networks {
+		if p.Contains(dst) {
+			return true
 		}
 	}
-	best, ok := w.lookup(cur, dst)
-	if !ok || len(best.NextHops) == 0 {
-		return "", false, false
+	return false
+}
+
+// forward is the rest of hop's rule once the device's own networks did not
+// take dst: best (found false when the lookup missed) decides, giving the
+// downstream device's id or hopDelivered/hopDropped.
+func forward(ix *config.Index, best *rib.Entry, found bool, dst netpkt.IP) int32 {
+	if !found || len(best.NextHops) == 0 {
+		return hopDropped
 	}
 	nh := best.NextHops[0]
 	if nh.IP == 0 {
 		// Connected: delivered if no device owns it (it is a host).
-		o, ok := w.ix.Owner(dst)
+		o, ok := ix.Owner(dst)
 		if !ok {
-			return "", true, true
+			return hopDelivered
 		}
-		return w.ix.Name(o.Dev), false, true
+		return int32(o.Dev)
 	}
-	o, ok := w.ix.Owner(nh.IP)
+	o, ok := ix.Owner(nh.IP)
 	if !ok {
-		return "", false, false
+		return hopDropped
 	}
-	return w.ix.Name(o.Dev), false, true
+	return int32(o.Dev)
 }

@@ -1,6 +1,11 @@
 package bgp
 
-import "crystalnet/internal/sim"
+import (
+	"slices"
+
+	"crystalnet/internal/rib"
+	"crystalnet/internal/sim"
+)
 
 // Seal freezes the router's routing state for sharing with forks. It is the
 // one step of sharing that writes the router, so it runs single-threaded, at
@@ -8,10 +13,17 @@ import "crystalnet/internal/sim"
 // its forks replace — never edit — whatever they hold in common (DESIGN.md
 // §6, the ownership invariant):
 //
-//   - every Loc-RIB entry and the prefix index become shared: the router
-//     gives up ownership of all of them, and its own later writes go through
-//     writable/entryFor like a fork's;
+//   - every Loc-RIB entry, the entries slice and the prefix index become
+//     shared: the router gives up ownership of all of them, and its own
+//     later writes go through writable/entryFor like a fork's;
 //   - every peer's Adj-RIB-Out is marked shared (rib.Dense.Seal).
+//
+// Seal also lets go of what only a running router needs: the export-template
+// cache and the hop-group table (memos, which forks start without anyway),
+// the decide and flush scratch and the storage of empty dirty sets. A
+// router that runs on after Seal grows them again; one that only serves
+// forks, as a checkpoint's does, holds that much less live heap for as long
+// as it serves.
 //
 // The *Attrs a fork can reach need nothing here: each came through the
 // router's AttrTable, which fills its memo (fingerprint and wire image)
@@ -23,18 +35,24 @@ func (r *Router) Seal() {
 	assertMemosFilled(r)
 	for _, p := range r.peers {
 		p.advertised.Seal()
+		if len(p.dirtyList) == 0 {
+			p.dirtyBits, p.dirtyList = nil, nil
+		}
 	}
-	r.cow, r.indexShared, r.owned = true, true, nil
+	r.exportCache, r.hopSets, r.nhScratch, r.flush = nil, rib.HopSetTable{}, nil, flushScratch{}
+	r.entries = slices.Clip(r.entries)
+	r.cow, r.indexShared, r.entriesShared, r.owned = true, true, true, nil
 }
 
 // Fork returns the router of a forked emulation, rebound to the fork's engine
 // and hooks. hooks.Attrs must be a fork of the router's table taken after the
 // table's last Seal (AttrTable.Fork): the canonical objects the router's RIBs
 // hold are in its frozen layer, so the fork's decodes come to those same
-// pointers. It costs one pointer per Loc-RIB entry plus one small struct
-// per peer: entries, the prefix index, the id-to-prefix and aggregate
-// coverage lists and the Adj-RIB tables are all shared with r, and each side
-// pays for a private copy of exactly what it later writes. The source router
+// pointers. It costs one small struct per peer: the entries and the slice
+// holding them, the prefix index, the id-to-prefix and aggregate coverage
+// lists and the Adj-RIB tables are all shared with r, and each side pays for
+// a private copy of what it later writes (the entries slice whole, at its
+// first replaced or added entry). The source router
 // is read strictly read-only, so any number of forks can be taken from it
 // concurrently. r must be sealed with no write since (Seal); Fork panics
 // otherwise, because r would go on editing state the fork reads.
@@ -68,17 +86,19 @@ func (r *Router) Fork(eng *sim.Engine, hooks Hooks) *Router {
 		eng:   eng,
 		hooks: hooks,
 		seq:   r.seq,
-		// The pointer slice is the fork's own, so replacing an entry is a
-		// plain store. The append-only lists are shared up to their current
-		// length, with the capacity clipped so the fork's first append moves
-		// it to a private array; the parent appends beyond every fork's
-		// length, which no fork reads.
-		index:       r.index,
-		indexShared: true,
-		entries:     append([]*ribEntry(nil), r.entries...),
-		prefixByID:  r.prefixByID[:len(r.prefixByID):len(r.prefixByID)],
-		cow:         true,
-		aggState:    append([]aggState(nil), r.aggState...),
+		// The entries slice is shared until the fork's first write to it
+		// (writable copies it; Seal clipped it, so entryFor's append moves
+		// it). The append-only lists are shared up to their current length,
+		// with the capacity clipped so the fork's first append moves it to a
+		// private array; the parent appends beyond every fork's length,
+		// which no fork reads.
+		index:         r.index,
+		indexShared:   true,
+		entries:       r.entries,
+		entriesShared: true,
+		prefixByID:    r.prefixByID[:len(r.prefixByID):len(r.prefixByID)],
+		cow:           true,
+		aggState:      append([]aggState(nil), r.aggState...),
 	}
 	for i := range c.aggState {
 		cov := c.aggState[i].covered

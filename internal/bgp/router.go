@@ -3,6 +3,7 @@ package bgp
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -144,12 +145,14 @@ type Router struct {
 	prefixByID []netpkt.Prefix
 	seq        uint32
 	// cow is set once the router has been sealed or is a fork: entries whose
-	// bit is not in owned, and the index map while indexShared, may be
-	// reachable from other routers and are replaced instead of written.
-	cow         bool
-	indexShared bool
-	owned       []uint64
-	entryCopies int
+	// bit is not in owned, the index map while indexShared and the entries
+	// slice itself while entriesShared may be reachable from other routers
+	// and are replaced instead of written.
+	cow           bool
+	indexShared   bool
+	entriesShared bool
+	owned         []uint64
+	entryCopies   int
 	// exportCache memoizes the export template per (best attrs, policy,
 	// locally-originated). One cached template serves every peer of the
 	// router: with next-hop carried per-Update instead of per-Attrs, the
@@ -360,7 +363,9 @@ func (r *Router) entryFor(p netpkt.Prefix) *ribEntry {
 		r.index, r.indexShared = own, false
 	}
 	r.index[key] = id
-	r.entries = append(r.entries, e)
+	// A shared slice's capacity is clipped to its length (Seal, Fork), so
+	// this append moves it to a private array.
+	r.entries, r.entriesShared = append(r.entries, e), false
 	r.prefixByID = append(r.prefixByID, p)
 	if r.cow {
 		r.setOwned(id)
@@ -390,6 +395,9 @@ func (r *Router) writable(id int32) *ribEntry {
 	c := *e
 	c.candidates = append([]candidate(nil), e.candidates...)
 	c.best = append([]int32(nil), e.best...)
+	if r.entriesShared {
+		r.entries, r.entriesShared = slices.Clone(r.entries), false
+	}
 	r.entries[id] = &c
 	r.setOwned(id)
 	r.entryCopies++

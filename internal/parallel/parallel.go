@@ -39,6 +39,12 @@ func Workers(n int) int {
 // With workers <= 1 (or a single job) everything runs serially on the
 // calling goroutine — no goroutine or channel overhead on 1-core hosts.
 // Run returns once every job has finished.
+//
+// A job that panics fails Run the same way at any worker count: the panic
+// reaches the caller's goroutine, where a recover (net/http's, say) can
+// catch it. In parallel, workers stop claiming jobs once one has panicked,
+// the jobs already running finish, and Run re-panics with the value of the
+// lowest-numbered job that panicked — the job a serial run stops at.
 func Run(n, workers int, fn func(i int)) {
 	if n <= 0 {
 		return
@@ -55,20 +61,41 @@ func Run(n, workers int, fn func(i int)) {
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
+	var mu sync.Mutex
+	failed := -1 // the lowest job that panicked, -1 while none has
+	var failure any
+	job := func(i int) (ok bool) {
+		defer func() {
+			if ok {
+				return
+			}
+			v := recover()
+			mu.Lock()
+			defer mu.Unlock()
+			if failed < 0 || i < failed {
+				failed, failure = i, v
+			}
+			next.Store(int64(n)) // claim no further jobs
+		}()
+		fn(i)
+		return true
+	}
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
 			for {
 				i := int(next.Add(1)) - 1
-				if i >= n {
+				if i >= n || !job(i) {
 					return
 				}
-				fn(i)
 			}
 		}()
 	}
 	wg.Wait()
+	if failed >= 0 {
+		panic(failure)
+	}
 }
 
 // Map runs fn(i) for every i in [0, n) across at most workers goroutines and

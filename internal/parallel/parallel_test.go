@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"fmt"
 	"sync/atomic"
 	"testing"
 )
@@ -37,6 +38,34 @@ func TestRunEachJobExactlyOnce(t *testing.T) {
 	for i := range counts {
 		if c := counts[i].Load(); c != 1 {
 			t.Fatalf("job %d ran %d times", i, c)
+		}
+	}
+}
+
+// TestRunPanicReachesCaller: a panicking job fails Run on the caller's
+// goroutine at any worker count, with the value the serial run panics with
+// (the lowest-numbered failing job), after every job below it has run.
+func TestRunPanicReachesCaller(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		var ran [64]atomic.Bool
+		got := func() (v any) {
+			defer func() { v = recover() }()
+			Map(len(ran), workers, func(i int) int {
+				ran[i].Store(true)
+				if i == 9 || i == 40 {
+					panic(fmt.Sprintf("job %d", i))
+				}
+				return i
+			})
+			return nil
+		}()
+		if got != "job 9" {
+			t.Fatalf("workers=%d: caller recovered %v, want the panic of job 9", workers, got)
+		}
+		for i := 0; i < 9; i++ {
+			if !ran[i].Load() {
+				t.Fatalf("workers=%d: job %d, below the failing job, never ran", workers, i)
+			}
 		}
 	}
 }

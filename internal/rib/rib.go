@@ -283,9 +283,10 @@ func (f *FIB) sealed() bool { return f.byPrefix == nil }
 
 // Seal freezes the table's current contents for sharing: the trie is built
 // if no query has built it yet, becomes authoritative, and gives up
-// ownership of its nodes; the prefix map is dropped. Clone may then be
-// called from any number of goroutines. Seal itself writes the table, so it
-// runs single-threaded, at Emulation.Checkpoint; sealing again after further
+// ownership of its nodes; the prefix map is dropped, and so are the hop-group
+// memos, which a Clone starts without. Clone may then be called from any
+// number of goroutines. Seal itself writes the table, so it runs
+// single-threaded, at Emulation.Checkpoint; sealing again after further
 // writes re-freezes them.
 func (f *FIB) Seal() {
 	if debugEntries {
@@ -296,6 +297,7 @@ func (f *FIB) Seal() {
 		f.byPrefix = nil
 		f.logStart = f.version
 	}
+	f.hopSets, f.scratch, f.sorted = HopSetTable{}, nil, nil
 }
 
 // Len returns the number of installed prefixes.

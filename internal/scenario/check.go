@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -40,13 +41,20 @@ func (r *runner) check(st *Step) Check {
 		return r.fibDiffCheck(st, r.fibDiffs(st))
 
 	case OpAssertNoBlackhole:
-		failures := r.blackholes(st)
+		failures, unknown := r.blackholes(st)
+		var bad []string
+		if len(unknown) > 0 {
+			bad = append(bad, "not emulated fabric devices: "+strings.Join(unknown, ", "))
+		}
 		if len(failures) > 0 {
 			shown := failures
 			if len(shown) > maxDetail {
 				shown = shown[:maxDetail]
 			}
-			fail("%d blackholed pairs: %s", len(failures), strings.Join(shown, "; "))
+			bad = append(bad, fmt.Sprintf("%d blackholed pairs: %s", len(failures), strings.Join(shown, "; ")))
+		}
+		if len(bad) > 0 {
+			fail("%s", strings.Join(bad, "; "))
 		} else {
 			c.Detail = "all server prefixes reachable"
 		}
@@ -259,38 +267,62 @@ func fibDiffStrings(diffs map[string][]rib.Diff) []string {
 // place: the emulation is quiescent while a check runs, so pulling FIB
 // snapshots just to index them again would only duplicate the tries.
 func (r *runner) liveLookup(dev string, dst netpkt.IP) (*rib.Entry, bool) {
-	d := r.em.Devices[dev]
-	if d == nil || d.FIB() == nil {
+	f := r.table(dev)
+	if f == nil {
 		return nil, false
 	}
-	return d.FIB().Lookup(dst)
+	return f.Lookup(dst)
 }
 
-// blackholes sweeps reachability from every emulated fabric device toward
-// a host in every server prefix the fabric originates, returning failing
-// pairs. Speakers are excluded on both sides: they replay recorded
-// boundary routes, not their own state. st.Devices scopes the source set.
-func (r *runner) blackholes(st *Step) []string {
+// table returns a device's live forwarding table, nil when it has none.
+func (r *runner) table(dev string) *rib.FIB {
+	if d := r.em.Devices[dev]; d != nil {
+		return d.FIB()
+	}
+	return nil
+}
+
+// dest is one destination of the no-blackhole sweep: a host inside a
+// server prefix, with the device originating it.
+type dest struct {
+	owner string
+	ip    netpkt.IP
+}
+
+// sweepTargets returns what a no-blackhole check sweeps: the sources, which
+// are every emulated fabric device in name order or else st.Devices in its
+// order; the names in st.Devices that are not emulated fabric devices, which
+// are reported instead of walked; and one host inside every server prefix
+// the fabric originates, in fabric order. Speakers are excluded on both
+// sides: they replay recorded boundary routes, not their own state.
+func (r *runner) sweepTargets(st *Step) (sources, unknown []string, dests []dest) {
 	plan := r.em.Plan()
 	fabric := append(append([]string{}, plan.Internal...), plan.Boundary...)
 	sort.Strings(fabric)
+	ix := r.em.Index()
+	emulated := func(name string) bool {
+		_, inFabric := slices.BinarySearch(fabric, name)
+		_, indexed := ix.ID(name)
+		return inFabric && indexed && r.em.Devices[name] != nil
+	}
 
-	sources := st.Devices
-	if len(sources) == 0 {
+	if len(st.Devices) == 0 {
 		for _, name := range fabric {
-			if r.em.Devices[name] != nil {
+			if emulated(name) {
 				sources = append(sources, name)
 			}
 		}
 	}
-
-	// Destinations: one host inside every originated server prefix,
-	// attributed to its owning device so self-pairs are skipped.
-	type dest struct {
-		owner string
-		ip    netpkt.IP
+	for _, name := range st.Devices {
+		if emulated(name) {
+			sources = append(sources, name)
+		} else {
+			unknown = append(unknown, name)
+		}
 	}
-	var dests []dest
+
+	// Destinations are attributed to their owning device so self-pairs are
+	// skipped.
 	for _, name := range fabric {
 		d := r.net.Device(name)
 		if d == nil {
@@ -304,7 +336,48 @@ func (r *runner) blackholes(st *Step) []string {
 			dests = append(dests, dest{owner: name, ip: host})
 		}
 	}
+	return sources, unknown, dests
+}
 
+// blackholes sweeps reachability from every source toward every destination
+// of sweepTargets, returning the failing pairs and the unknown scoped
+// sources. It reads the verdicts off the runner's sweep table, brought up to
+// date with what the fabric wrote since the last sweep (batfish.Sweep); under
+// -tags crystaldebug it also walks every pair afresh and panics unless the
+// two agree.
+func (r *runner) blackholes(st *Step) (failures, unknown []string) {
+	sources, unknown, dests := r.sweepTargets(st)
+	ips := make([]netpkt.IP, len(dests))
+	for j, d := range dests {
+		ips[j] = d.ip
+	}
+	ix := r.em.Index()
+	var resolved int
+	r.sweep, resolved = r.sweep.Update(ix, ips, r.table)
+	r.sweepResolved += resolved
+	for _, src := range sources {
+		id, _ := ix.ID(src)
+		for j, d := range dests {
+			if d.owner == src {
+				continue
+			}
+			if !r.sweep.Delivered(id, j) {
+				failures = append(failures, fmt.Sprintf("%s -> %s", src, d.ip))
+			}
+		}
+	}
+	if debugSweep {
+		if want := r.walkBlackholes(sources, dests); !slices.Equal(failures, want) {
+			panic(fmt.Sprintf("scenario %s: sweep table disagrees with a full walk:\n table %q\n walk  %q",
+				r.sp.Name, failures, want))
+		}
+	}
+	return failures, unknown
+}
+
+// walkBlackholes is the sweep without the table: a Walker walks every pair
+// against the live FIBs. It is the sweep table's oracle.
+func (r *runner) walkBlackholes(sources []string, dests []dest) []string {
 	var failures []string
 	w := batfish.NewIndexWalker(r.liveLookup, r.em.Index())
 	for _, src := range sources {

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"time"
 
+	"crystalnet/internal/batfish"
 	"crystalnet/internal/checkpoint"
 	"crystalnet/internal/cloud"
 	"crystalnet/internal/core"
@@ -34,8 +35,13 @@ type Converged struct {
 	net  *topo.Network
 
 	baseline *core.State // its Configs are the rollback anchors of every fork
-	step0    StepResult
-	header   Report
+	// sweep is the verdict table of the step-0 no-blackhole sweep (nil when
+	// the spec has none), which every fork's runner starts from. It is
+	// immutable: forks replace it with their own, sharing what they did not
+	// rewrite.
+	sweep  *batfish.Sweep
+	step0  StepResult
+	header Report
 }
 
 // Converge builds sp's fabric and drives it to route-ready, returning a
@@ -69,6 +75,7 @@ func Converge(sp *Spec, opts Options) (*Converged, error) {
 		snap:     snap,
 		net:      r.net,
 		baseline: r.baselines[DefaultBaseline],
+		sweep:    r.sweep,
 		step0:    r.report.Steps[0],
 		header:   header,
 
@@ -146,6 +153,7 @@ func (cv *Converged) fork(sp *Spec, opts Options) (*runner, error) {
 		net:         cv.net,
 		origConfigs: cv.baseline.Configs,
 		baselines:   map[string]*core.State{DefaultBaseline: cv.baseline},
+		sweep:       cv.sweep,
 		report:      &report,
 	}
 	step0 := cv.step0

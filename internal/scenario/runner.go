@@ -6,6 +6,7 @@ import (
 	"strings"
 	"time"
 
+	"crystalnet/internal/batfish"
 	"crystalnet/internal/cloud"
 	"crystalnet/internal/config"
 	"crystalnet/internal/core"
@@ -86,6 +87,13 @@ type runner struct {
 	origConfigs map[string]*config.DeviceConfig
 	baselines   map[string]*core.State
 	lastFlow    uint64
+
+	// sweep is the no-blackhole verdict table as of the last sweep: built by
+	// the first, brought up to date by each later one, and on a fork the
+	// converged baseline's, shared read-only. sweepResolved counts the
+	// successors the run's sweeps resolved; only tests read it.
+	sweep         *batfish.Sweep
+	sweepResolved int
 
 	report *Report
 }

@@ -44,11 +44,13 @@ echo "== sealed-attrs, wire-index and wire-image oracles, installed-FIB-entry im
 go test -tags crystaldebug ./internal/bgp/ ./internal/rib/
 
 # Under the tag every aggregate a settle reuses is re-walked and compared
-# (traffic.Matrix.crossCheck), so these runs are the memo against its oracle.
-echo "== settle memo vs full walk: traffic plane, chaos campaigns, fork-vs-fresh (-tags crystaldebug)"
+# (traffic.Matrix.crossCheck), and every no-blackhole sweep read off the
+# sweep table is walked pair by pair with a batfish.Walker and compared, so
+# these runs are both memos against their oracles.
+echo "== settle memo and sweep table vs full walk: traffic plane, chaos campaigns, fork-vs-fresh, sweep properties (-tags crystaldebug)"
 go test -tags crystaldebug ./internal/traffic/
 go test -tags crystaldebug ./internal/core/ -run 'Traffic'
-go test -tags crystaldebug ./internal/scenario/ -run 'TestTraffic|TestChaos|TestForkedRunMatchesFreshRun'
+go test -tags crystaldebug ./internal/scenario/ -run 'TestTraffic|TestChaos|TestForkedRunMatchesFreshRun|TestSweep|TestNoBlackhole'
 
 # TestFork* covers the copy-on-write fork: TestForkIsolation (what is shared,
 # what is not), TestForkSharingIsIsolated (S-DC, one fork per operation kind
@@ -91,8 +93,11 @@ go test -race ./internal/scenario/ -run 'TestSmoke|TestChaosSerialParallelIdenti
 # TestOtherTenantsCannotChangeAForkedReport floods the process with
 # 131,073 distinct attribute sets between two forks of every forkable
 # shipped scenario: a fork's report must not depend on other tenants.
-echo "== fork-determinism smoke under -race (fresh vs forked, byte-compare; shared baseline configs; other tenants' attrs)"
-go test -race ./internal/scenario/ -run 'TestForkedRunMatchesFreshRun|TestForkedReloadChecksMatchFreshRun|TestChaosReuse|TestReloadConfigLeavesSharedBaselineIntact|TestOtherTenantsCannotChangeAForkedReport'
+# TestSweepTableSharedByConcurrentForks: forks of one baseline flap
+# different links on parallel goroutines, each updating the sweep table
+# they all start from.
+echo "== fork-determinism smoke under -race (fresh vs forked, byte-compare; shared baseline configs; other tenants' attrs; shared sweep table)"
+go test -race ./internal/scenario/ -run 'TestForkedRunMatchesFreshRun|TestForkedReloadChecksMatchFreshRun|TestChaosReuse|TestReloadConfigLeavesSharedBaselineIntact|TestOtherTenantsCannotChangeAForkedReport|TestSweepTableSharedByConcurrentForks'
 
 # A sharded emulation is a cold mockup only (its checkpoints cannot be
 # forked): the bar is the mockup plus one link cut at worker counts
@@ -184,7 +189,7 @@ if [ "${SHORT:-}" != "1" ]; then
     echo "== traffic smoke (S-DC campaign under a 1M-flow matrix with assert-flow-slo)"
     timeout 600 "$tmp/crystalctl" run-scenario scenarios/traffic_slo.json >/dev/null
 
-    echo "== settle memo vs full walk on M-DC (forked flap under a 319,200-aggregate matrix; -tags crystaldebug)"
+    echo "== settle memo and sweep table vs full walk on M-DC (forked flap under a 319,200-aggregate matrix; -tags crystaldebug)"
     go test -tags crystaldebug ./internal/scenario/ -run 'TestMemoOracleOnMDC' -timeout 20m
 else
     echo "== M-DC, bench, traffic and M-DC memo-oracle smokes skipped (SHORT=1)"
