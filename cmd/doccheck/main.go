@@ -92,6 +92,8 @@ func main() {
 	problems = append(problems, metricDocProblems(root)...)
 	problems = append(problems, toolRefProblems(root)...)
 	problems = append(problems, identRefProblems(root)...)
+	problems = append(problems, callerProblems(root, callerAllowlist)...)
+	problems = append(problems, checkScriptProblems(root)...)
 
 	if len(problems) > 0 {
 		sort.Strings(problems)

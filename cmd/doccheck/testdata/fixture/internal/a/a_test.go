@@ -1,0 +1,7 @@
+package a
+
+import "testing"
+
+func TestUncalled(t *testing.T) { Uncalled() }
+
+func TestCalled(t *testing.T) { Called() }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"crystalnet"
+	"crystalnet/internal/cloud"
 )
 
 // TestPublicAPILifecycle drives the full Table 2 workflow purely through
@@ -71,8 +72,10 @@ func TestPublicAPILifecycle(t *testing.T) {
 	em.Clear(nil)
 	o.Eng.Run(0)
 	o.Destroy(prep)
-	if o.Cloud.Running() != 0 {
-		t.Fatal("VMs leaked")
+	for _, vm := range o.Cloud.VMs() {
+		if vm.State() == cloud.VMRunning {
+			t.Fatalf("VM %s leaked", vm.Name)
+		}
 	}
 }
 
@@ -148,7 +151,7 @@ func Example_validationWorkflow() {
 	em.ReloadDevice("leaf-p0-0", nil /* the new config under test */, nil)
 	em.RunUntilConverged(0)
 	if diffs := em.DiffAgainst(baseline); len(diffs) > 0 {
-		em.RestoreConfigs(baseline)
+		em.ReloadDevice("leaf-p0-0", baseline.Configs["leaf-p0-0"], nil)
 	}
 	em.Clear(nil)
 	o.Destroy(prep)

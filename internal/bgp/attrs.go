@@ -129,16 +129,6 @@ func (p *ASPath) First() uint32 {
 	return 0
 }
 
-// Last returns the rightmost AS (the originator), or 0 for an empty path.
-func (p *ASPath) Last() uint32 {
-	for i := len(p.Segments) - 1; i >= 0; i-- {
-		if n := len(p.Segments[i].ASNs); n > 0 {
-			return p.Segments[i].ASNs[n-1]
-		}
-	}
-	return 0
-}
-
 // Equal reports structural equality.
 func (p *ASPath) Equal(q *ASPath) bool {
 	if len(p.Segments) != len(q.Segments) {
@@ -238,13 +228,6 @@ func (a *Attrs) EffectiveLocalPref() uint32 {
 		return a.LocalPref
 	}
 	return 100
-}
-
-// WithNextHop returns a copy of a with the next hop replaced.
-func (a *Attrs) WithNextHop(nh netpkt.IP) *Attrs {
-	c := a.editable()
-	c.NextHop = nh
-	return c
 }
 
 // WithPath returns a copy of a with the AS path replaced.

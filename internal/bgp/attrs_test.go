@@ -42,11 +42,11 @@ func TestASPathContainsFirstLast(t *testing.T) {
 	if !p.Contains(2) || p.Contains(9) {
 		t.Fatal("Contains wrong")
 	}
-	if p.First() != 6 || p.Last() != 1 {
-		t.Fatalf("First/Last = %d/%d", p.First(), p.Last())
+	if p.First() != 6 {
+		t.Fatalf("First = %d", p.First())
 	}
-	if EmptyPath.First() != 0 || EmptyPath.Last() != 0 {
-		t.Fatal("empty First/Last should be 0")
+	if EmptyPath.First() != 0 {
+		t.Fatal("empty First should be 0")
 	}
 }
 

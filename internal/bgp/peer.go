@@ -100,10 +100,6 @@ func (p *Peer) AdjInLen() int {
 	return n
 }
 
-// AdvertisedLen returns the number of routes currently announced to this
-// peer.
-func (p *Peer) AdvertisedLen() int { return p.advertised.Len() }
-
 // exportVal is one memoized export-template outcome (see Router.exportCache).
 type exportVal struct {
 	attrs *Attrs
@@ -137,10 +133,9 @@ func (p *Peer) sendOpen() {
 		p.localGen = connGen.Add(1)
 	}
 	p.send(MarshalOpen(&Open{
-		AS:       p.router.cfg.AS,
-		HoldTime: p.router.cfg.HoldTime,
-		BGPID:    p.router.cfg.RouterID,
-		Gen:      p.localGen,
+		AS:    p.router.cfg.AS,
+		BGPID: p.router.cfg.RouterID,
+		Gen:   p.localGen,
 	}))
 	p.openSent = true
 }
@@ -328,16 +323,6 @@ func (p *Peer) handleUpdate(withdrawn []netpkt.Prefix, attrs *Attrs, nlri []netp
 		}
 		p.router.upsertCandidate(pfx, p, imported)
 	}
-}
-
-// SetExportPolicy replaces the peer's export policy at runtime (an operator
-// route-map edit) and queues every usable prefix for re-evaluation so
-// withdraws and new announcements flow at the next flush. The router's
-// export-template memo keys on the policy pointer, so the entries computed
-// under the old policy simply become unreachable — no invalidation needed.
-func (p *Peer) SetExportPolicy(pol *Policy) {
-	p.Config.ExportPolicy = pol
-	p.markAllDirty()
 }
 
 // markAllDirty queues every usable prefix for (re-)advertisement.

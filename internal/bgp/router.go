@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"slices"
-	"strings"
 	"time"
 
 	"crystalnet/internal/netpkt"
@@ -45,7 +44,6 @@ type Config struct {
 	Name     string // device name, for logs
 	AS       uint32
 	RouterID netpkt.IP
-	HoldTime uint16 // advertised hold time; 0 disables keepalive logic
 	// MaxPaths is the ECMP width; 1 disables multipath.
 	MaxPaths int
 	// AggregationMode is the vendor quirk knob (Figure 1).
@@ -233,9 +231,6 @@ func New(cfg Config, eng *sim.Engine, hooks Hooks) *Router {
 	return r
 }
 
-// Config returns the router's configuration.
-func (r *Router) Config() Config { return r.cfg }
-
 // AddPeer registers a neighbor and returns its index. Peers start Idle;
 // call StartPeer once the transport is ready.
 func (r *Router) AddPeer(cfg PeerConfig) *Peer {
@@ -273,11 +268,6 @@ func (r *Router) InjectLocal(p netpkt.Prefix, a *Attrs) {
 	r.upsertCandidate(p, nil, r.hooks.Attrs.Intern(a))
 }
 
-// WithdrawLocal removes a locally originated route.
-func (r *Router) WithdrawLocal(p netpkt.Prefix) {
-	r.removeCandidate(p, nil)
-}
-
 // LocRIB returns the number of prefixes with at least one usable candidate.
 func (r *Router) LocRIB() int {
 	n := 0
@@ -307,20 +297,6 @@ func (r *Router) BestRoute(p netpkt.Prefix) (*Attrs, bool) {
 	return e.candidates[e.best[0]].attrs, true
 }
 
-// BestPeers returns the peers providing the current multipath set for p
-// (nil entries for locally originated candidates).
-func (r *Router) BestPeers(p netpkt.Prefix) []*Peer {
-	e := r.lookup(p)
-	if e == nil {
-		return nil
-	}
-	out := make([]*Peer, 0, len(e.best))
-	for _, i := range e.best {
-		out = append(out, r.candPeer(&e.candidates[i]))
-	}
-	return out
-}
-
 // candPeer resolves a candidate's advertising peer (nil when locally
 // originated).
 func (r *Router) candPeer(c *candidate) *Peer {
@@ -328,18 +304,6 @@ func (r *Router) candPeer(c *candidate) *Peer {
 		return nil
 	}
 	return r.peers[c.peerIdx]
-}
-
-// Prefixes returns all prefixes with a usable best path, in the order the
-// router first saw them.
-func (r *Router) Prefixes() []netpkt.Prefix {
-	out := make([]netpkt.Prefix, 0, len(r.entries))
-	for id, e := range r.entries {
-		if len(e.best) > 0 {
-			out = append(out, r.prefixByID[id])
-		}
-	}
-	return out
 }
 
 // entryFor returns the Loc-RIB entry for p ready for writing, creating it
@@ -887,52 +851,6 @@ func (r *Router) Stats() Stats {
 		}
 	}
 	return st
-}
-
-// DumpRIBs renders the Loc-RIB (every entry in id order, with its
-// candidates, winners, programmed hops and flags) and each peer's session
-// state, Adj-RIB-In and Adj-RIB-Out as text. Two routers in the same routing
-// state dump the same bytes, whatever they share underneath, which is what
-// the fork-isolation tests compare.
-func (r *Router) DumpRIBs() string {
-	var b strings.Builder
-	// Interning leaves a router a handful of distinct attrs under thousands
-	// of routes, so each is formatted once.
-	memo := map[*Attrs]string{nil: "<nil>"}
-	str := func(a *Attrs) string {
-		s, ok := memo[a]
-		if !ok {
-			s = a.String()
-			memo[a] = s
-		}
-		return s
-	}
-	fmt.Fprintf(&b, "%s seq=%d\n", r, r.seq)
-	for id, e := range r.entries {
-		fmt.Fprintf(&b, "loc %d %s best=%v installed=%v suppressed=%v last={%s}\n",
-			id, r.prefixByID[id], e.best, e.installed, e.suppressed, str(e.lastBest))
-		for _, c := range e.candidates {
-			fmt.Fprintf(&b, "  cand peer=%d seq=%d {%s}\n", c.peerIdx, c.seq, str(c.attrs))
-		}
-	}
-	for i := range r.aggState {
-		st := &r.aggState[i]
-		fmt.Fprintf(&b, "agg %s active=%v covered=%v\n", st.spec.Prefix, st.active, st.covered)
-	}
-	for _, p := range r.peers {
-		fmt.Fprintf(&b, "peer %d %s %s in=%d out=%d msgs=%d/%d routes=%d/%d\n", p.Index, p.Config.Name, p.state,
-			p.AdjInLen(), p.advertised.Len(), p.MsgsIn, p.MsgsOut, p.RoutesIn, p.WithdrawsIn)
-		for id, e := range r.entries {
-			if e.candidateOf(p) {
-				fmt.Fprintf(&b, "  in %d\n", id)
-			}
-		}
-		p.advertised.Range(func(id int, a *Attrs) bool {
-			fmt.Fprintf(&b, "  out %d {%s}\n", id, str(a))
-			return true
-		})
-	}
-	return b.String()
 }
 
 // String identifies the router in logs.

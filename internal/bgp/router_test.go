@@ -476,25 +476,6 @@ func TestExportPolicyFiltersRoutes(t *testing.T) {
 	}
 }
 
-func TestExportPolicyChangeTriggersWithdraw(t *testing.T) {
-	n := newTnet(t)
-	a := n.add("a", 65001, nil)
-	b := n.add("b", 65002, nil)
-	pab, _ := n.connect("a", "b")
-	p := pfx("100.64.1.0/24")
-	a.r.Originate(p)
-	n.run()
-	if _, ok := b.r.BestRoute(p); !ok {
-		t.Fatal("setup failed")
-	}
-	// Operator applies a deny-all export policy and the router re-flushes.
-	pab.SetExportPolicy(DenyAll)
-	n.run()
-	if _, ok := b.r.BestRoute(p); ok {
-		t.Fatal("route not withdrawn after policy change")
-	}
-}
-
 // ---- FIB interaction ----
 
 func TestFIBInstallErrorKeepsRIB(t *testing.T) {

@@ -163,30 +163,6 @@ func (vm *VM) Reserve(now sim.Time, coreSeconds float64) (core int, end sim.Time
 	return best, end
 }
 
-// QueueDelay returns how far in the future the earliest-free core is — a
-// measure of CPU backlog.
-//
-// Invariant: coreFree is either empty (no Submit yet — it is lazily sized
-// to SKU.Cores by the first Submit) or has exactly SKU.Cores entries.
-// "Empty" includes a non-nil zero-length slice (e.g. a defensive copy of
-// an untouched schedule), so the guard is on length, not nil-ness.
-func (vm *VM) QueueDelay() time.Duration {
-	if len(vm.coreFree) == 0 {
-		return 0
-	}
-	now := vm.provider.eng.Now()
-	best := vm.coreFree[0]
-	for _, t := range vm.coreFree[1:] {
-		if t < best {
-			best = t
-		}
-	}
-	if best <= now {
-		return 0
-	}
-	return best.Sub(now)
-}
-
 // State returns the VM's lifecycle state.
 func (vm *VM) State() VMState { return vm.state }
 
@@ -241,7 +217,7 @@ func (vm *VM) Utilization(minute int) float64 {
 // With BootDeadline set, every Provision/Reboot attempt must come up
 // within the deadline. An attempt whose (jittered) boot draw exceeds it is
 // declared dead at the deadline and retried after an exponential backoff —
-// BackoffBase doubled per attempt, capped at BackoffMax, jittered from the
+// backoffBase doubled per attempt, capped at backoffMax, jittered from the
 // engine's PCG stream so retries stay deterministic per seed. After
 // MaxAttempts the VM is given up on and a replacement VM of the same
 // SKU/group is provisioned in its place (announced via Provider.OnReplace);
@@ -252,15 +228,18 @@ type RetryPolicy struct {
 	MaxAttempts int
 	// BootDeadline is the per-attempt boot timeout; 0 disables supervision.
 	BootDeadline time.Duration
-	// BackoffBase is the delay before the second attempt (default 5s).
-	BackoffBase time.Duration
-	// BackoffMax caps the exponential backoff (default 60s).
-	BackoffMax time.Duration
 }
+
+// The supervised boot's backoff: the delay before the second attempt, and
+// the cap the doubling stops at.
+const (
+	backoffBase = 5 * time.Second
+	backoffMax  = 60 * time.Second
+)
 
 // DefaultRetryPolicy is a sane supervised configuration: three attempts,
 // 90s per-attempt deadline, 5s→60s exponential backoff.
-var DefaultRetryPolicy = RetryPolicy{MaxAttempts: 3, BootDeadline: 90 * time.Second, BackoffBase: 5 * time.Second, BackoffMax: 60 * time.Second}
+var DefaultRetryPolicy = RetryPolicy{MaxAttempts: 3, BootDeadline: 90 * time.Second}
 
 // supervised reports whether the policy bounds boots at all.
 func (rp RetryPolicy) supervised() bool { return rp.BootDeadline > 0 }
@@ -269,12 +248,6 @@ func (rp RetryPolicy) supervised() bool { return rp.BootDeadline > 0 }
 func (rp RetryPolicy) withDefaults() RetryPolicy {
 	if rp.MaxAttempts <= 0 {
 		rp.MaxAttempts = 1
-	}
-	if rp.BackoffBase <= 0 {
-		rp.BackoffBase = DefaultRetryPolicy.BackoffBase
-	}
-	if rp.BackoffMax <= 0 {
-		rp.BackoffMax = DefaultRetryPolicy.BackoffMax
 	}
 	return rp
 }
@@ -317,17 +290,6 @@ func NewProvider(eng *sim.Engine) *Provider {
 
 // VMs returns all VMs ever provisioned (including stopped ones).
 func (p *Provider) VMs() []*VM { return p.vms }
-
-// Running returns the number of running VMs.
-func (p *Provider) Running() int {
-	n := 0
-	for _, vm := range p.vms {
-		if vm.state == VMRunning {
-			n++
-		}
-	}
-	return n
-}
 
 // newVM constructs a fresh VM handle in Provisioning state.
 func (p *Provider) newVM(sku SKU, group string) *VM {
@@ -383,7 +345,7 @@ func (p *Provider) beginBoot(vm *VM, attempt int, replaced bool, onReady func(*V
 			p.counter("cloud.boot_deadline_expired", vm.Group).Inc()
 			if attempt < rp.MaxAttempts {
 				p.counter("cloud.boot_retries", vm.Group).Inc()
-				p.eng.After(p.backoff(rp, attempt), func() {
+				p.eng.After(p.backoff(attempt), func() {
 					if vm.state != VMProvisioning {
 						p.bootAborted(vm)
 						return
@@ -449,13 +411,13 @@ func (p *Provider) bootAborted(vm *VM) {
 }
 
 // backoff returns the jittered exponential delay before attempt+1.
-func (p *Provider) backoff(rp RetryPolicy, attempt int) time.Duration {
-	d := rp.BackoffBase
-	for i := 1; i < attempt && d < rp.BackoffMax; i++ {
+func (p *Provider) backoff(attempt int) time.Duration {
+	d := backoffBase
+	for i := 1; i < attempt && d < backoffMax; i++ {
 		d *= 2
 	}
-	if d > rp.BackoffMax {
-		d = rp.BackoffMax
+	if d > backoffMax {
+		d = backoffMax
 	}
 	// Deterministic jitter: drawn from the engine's PCG stream, so two
 	// same-seed runs back off identically.

@@ -20,7 +20,6 @@ import (
 	"crystalnet/internal/firmware"
 	"crystalnet/internal/netpkt"
 	"crystalnet/internal/obs"
-	"crystalnet/internal/phynet"
 	"crystalnet/internal/sim"
 	"crystalnet/internal/speaker"
 	"crystalnet/internal/topo"
@@ -31,17 +30,12 @@ import (
 type Options struct {
 	// Seed makes the whole emulation reproducible.
 	Seed int64
-	// Backend selects the software bridge (§6.2: Linux bridge default).
-	Backend phynet.BridgeBackend
 	// VMCount, when positive, overrides the computed VM count for full
 	// devices (the Figure 8 "DC/#VMs" experiments sweep this).
 	VMCount int
 	// StrawmanReload enables the §8.3 ablation: reloads tear down and
 	// recreate interfaces instead of reusing the PhyNet layer.
 	StrawmanReload bool
-	// HealthInterval enables the §6.2 health/auto-recovery daemon when
-	// positive.
-	HealthInterval time.Duration
 	// MTBF enables random VM failures with this mean time between failures
 	// per VM (0 disables them). Failure timers are background (daemon)
 	// events: they never keep a convergence wait alive.
@@ -55,11 +49,6 @@ type Options struct {
 	// re-failures) is abandoned into degraded mode instead of wedging the
 	// emulation. 0 means unbounded.
 	RecoveryDeadline time.Duration
-	// Clouds spreads the emulation's VMs across this many clouds (§3.1:
-	// CrystalNet can simultaneously use multiple public and private
-	// clouds); frames between clouds cross the Internet overlay. 0/1 keeps
-	// everything in one cloud.
-	Clouds int
 	// Rec enables the Monitor plane's deterministic tracer: spans, events
 	// and metrics stamped with engine virtual time (docs/OBSERVABILITY.md).
 	// nil disables tracing at zero cost. The recorder is bound to the
@@ -100,9 +89,6 @@ func New(opts Options) *Orchestrator {
 	c.Retry = opts.Retry
 	return &Orchestrator{Eng: eng, Cloud: c, opts: opts}
 }
-
-// Options returns the active options.
-func (o *Orchestrator) Options() Options { return o.opts }
 
 // PrepareInput is everything Prepare gathers from production services
 // (§6.1): the topology snapshot, the devices operators must emulate,
@@ -181,6 +167,9 @@ func (p *Preparation) VMs() []*cloud.VM {
 func (o *Orchestrator) Prepare(in PrepareInput) (*Preparation, error) {
 	if in.Network == nil {
 		return nil, fmt.Errorf("core: no topology")
+	}
+	if err := in.Network.Validate(); err != nil {
+		return nil, fmt.Errorf("core: invalid topology: %w", err)
 	}
 	// 1. Compute the emulated set.
 	var emulated map[string]bool

@@ -73,17 +73,14 @@ type Emulation struct {
 	NetworkReadyAt sim.Time
 	ClearedAt      sim.Time
 
-	// Health monitoring state (§6.2).
-	Alerts      []string
-	recoveries  []time.Duration
-	healthTick  *sim.Timer
-	healthArmed bool
-	cleared     bool
+	// Alerts and recovery history (§6.2).
+	Alerts     []string
+	recoveries []time.Duration
+	cleared    bool
 	// Failure-domain hardening state (§6.2 recovery state machine).
 	recovering    map[*cloud.VM]*vmRecovery
 	degraded      []string
 	pendingFaults map[*cloud.VM]int
-	linkDown      map[linkKey]int // consecutive health ticks each link was seen down
 	// phasesTraced latches once the phase/convergence spans are recorded so
 	// repeated RunUntilConverged calls (and forks of a traced parent) do
 	// not duplicate them.
@@ -119,7 +116,7 @@ func (o *Orchestrator) Mockup(prep *Preparation, force bool) (*Emulation, error)
 	}
 	em := &Emulation{
 		orch: o, prep: prep,
-		Fabric:        phynet.NewFabric(o.Eng, o.opts.Backend),
+		Fabric:        phynet.NewFabric(o.Eng, phynet.LinuxBridge),
 		Devices:       map[string]*firmware.Device{},
 		Speakers:      map[string]*speaker.Speaker{},
 		Mgmt:          mgmt.NewPlane(),
@@ -129,7 +126,6 @@ func (o *Orchestrator) Mockup(prep *Preparation, force bool) (*Emulation, error)
 		vlinks:        map[linkKey]*phynet.VirtualLink{},
 		recovering:    map[*cloud.VM]*vmRecovery{},
 		pendingFaults: map[*cloud.VM]int{},
-		linkDown:      map[linkKey]int{},
 		MockupStart:   o.Eng.Now(),
 		attrs:         bgp.NewAttrTable(),
 	}
@@ -142,9 +138,6 @@ func (o *Orchestrator) Mockup(prep *Preparation, force bool) (*Emulation, error)
 	}
 	for i, vm := range prep.VMs() {
 		h := em.Fabric.AddHost(vm.Name)
-		if o.opts.Clouds > 1 {
-			h.Region = fmt.Sprintf("cloud-%d", i%o.opts.Clouds)
-		}
 		if em.shards != nil {
 			h.Domain = i
 		}
@@ -170,21 +163,6 @@ func (o *Orchestrator) Mockup(prep *Preparation, force bool) (*Emulation, error)
 	o.Cloud.OnReplace = em.onVMReplaced
 	o.Cloud.OnBootAborted = em.onBootAborted
 	return em, nil
-}
-
-// StartHealthMonitor arms the §6.2 health/auto-recovery daemon with the
-// configured interval. The tick is a daemon event, so Run still reaches
-// quiescence; but while it is pending Checkpoint refuses (a daemon cannot
-// cross an engine snapshot), so an armed emulation cannot be forked. The
-// call is idempotent — a scenario runner and its caller can both arm the
-// daemon without double-scheduling the tick chain — and a cleared
-// emulation can never be re-armed.
-func (em *Emulation) StartHealthMonitor() {
-	if em.orch.opts.HealthInterval <= 0 || em.healthArmed || em.cleared {
-		return
-	}
-	em.healthArmed = true
-	em.scheduleHealthCheck()
 }
 
 // build creates every PhyNet container, interface and virtual link, charges
@@ -710,17 +688,6 @@ func (em *Emulation) PullFIBs() map[string]rib.Snapshot {
 	return out
 }
 
-// PullConfig renders every device's active configuration in its vendor
-// dialect (for rollback backups).
-func (em *Emulation) PullConfig() map[string]string {
-	out := map[string]string{}
-	for name, d := range em.Devices {
-		c := d.Config()
-		out[name] = config.Render(c, config.Dialect{Vendor: c.Vendor, Version: c.Version})
-	}
-	return out
-}
-
 // PullPackets drains telemetry captures from all devices.
 func (em *Emulation) PullPackets() []firmware.CaptureRecord {
 	var devs []*firmware.Device
@@ -744,8 +711,7 @@ func (em *Emulation) List() []string { return em.allNames() }
 // artifact a validation workflow saves before a risky step and diffs
 // against after, and what a rollback restores from. Nothing in it is a
 // copy: installed configurations and FIB entries are never edited, so
-// holding the pointers is holding the content (PullConfig renders the text
-// backup).
+// holding the pointers is holding the content.
 type State struct {
 	// Configs are the configurations the devices ran, by device name: the
 	// live index's map at the time, shared and read-only.
@@ -793,28 +759,6 @@ func (em *Emulation) DiffAgainst(s *State) map[string][]rib.Diff {
 	return out
 }
 
-// RestoreConfigs rolls every device that no longer runs the snapshot's
-// configuration back to it via Reload, returning the devices reloaded.
-func (em *Emulation) RestoreConfigs(s *State) ([]string, error) {
-	var reloaded []string
-	names := make([]string, 0, len(s.Configs))
-	for name := range s.Configs {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		dev := em.Devices[name]
-		if dev == nil || dev.Config() == s.Configs[name] {
-			continue
-		}
-		if err := em.ReloadDevice(name, s.Configs[name], nil); err != nil {
-			return reloaded, err
-		}
-		reloaded = append(reloaded, name)
-	}
-	return reloaded, nil
-}
-
 // Index returns the live fabric index: the configurations the devices run
 // now — which reloads, attaches and rollbacks change after Prepare — with
 // dense device ids and address owners. Reachability sweeps,
@@ -851,82 +795,12 @@ func (em *Emulation) Network() *topo.Network { return em.prep.Plan.Network }
 // Plan returns the emulation's boundary plan.
 func (em *Emulation) Plan() *boundary.Plan { return em.prep.Plan }
 
-// ---- health monitor and recovery (§6.2) ----
+// ---- alerts and VM recovery (§6.2) ----
 
 func (em *Emulation) alert(format string, args ...any) {
 	msg := fmt.Sprintf(format, args...)
 	em.orch.Eng.Recorder().Event("alert", msg)
 	em.Alerts = append(em.Alerts, fmt.Sprintf("[%s] ", em.orch.Eng.Now())+msg)
-}
-
-func (em *Emulation) scheduleHealthCheck() {
-	// The tick is a daemon event: an armed health monitor must not keep
-	// Run/wait-converge from reaching quiescence.
-	em.healthTick = em.orch.Eng.Daemon(em.orch.opts.HealthInterval, func() {
-		if em.cleared {
-			return
-		}
-		em.healthCheck()
-		em.scheduleHealthCheck()
-	})
-}
-
-// healthCheck verifies device liveness and link state. Crashed firmware is
-// alerted and restarted — unless its VM is mid-recovery, which owns the
-// restart. Link-down alerts are deduped per link (one alert when it goes
-// down, one when it is restored) so Alerts stays bounded under long
-// campaigns; both walks are in sorted order so the alert stream is
-// deterministic per seed.
-func (em *Emulation) healthCheck() {
-	names := make([]string, 0, len(em.Devices))
-	for n := range em.Devices {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		if em.Devices[name].State() != firmware.DeviceCrashed {
-			continue
-		}
-		if vm := em.vmOf[name]; vm != nil && em.recovering[vm] != nil {
-			continue // VM recovery will rebuild and reboot it
-		}
-		em.alert("device %s crashed; restarting", name)
-		if sp := em.Speakers[name]; sp != nil {
-			// A restarted speaker is empty until its recorded routes are
-			// replayed; re-inject once the reload completes.
-			em.Devices[name].Reload(nil, sp.Inject)
-		} else {
-			em.Devices[name].Reload(nil, nil)
-		}
-	}
-	keys := make([]linkKey, 0, len(em.vlinks))
-	for k := range em.vlinks {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].a != keys[j].a {
-			return keys[i].a < keys[j].a
-		}
-		return keys[i].b < keys[j].b
-	})
-	suppressed := em.orch.Eng.Recorder().Counter("health.alerts_suppressed", "")
-	for _, k := range keys {
-		if !em.vlinks[k].Up() {
-			if em.linkDown[k] == 0 {
-				em.alert("link %s <-> %s down", k.a, k.b)
-			} else {
-				suppressed.Inc()
-			}
-			em.linkDown[k]++
-		} else if n := em.linkDown[k]; n > 0 {
-			if n > 1 {
-				em.alert("link %s <-> %s restored (down %d checks)", k.a, k.b, n)
-			} else {
-				em.alert("link %s <-> %s restored", k.a, k.b)
-			}
-			delete(em.linkDown, k)
-		}
-	}
 }
 
 // vmRecovery tracks one VM's §6.2 auto-recovery episode from first failure
@@ -1079,7 +953,7 @@ func (em *Emulation) abandonRecovery(vm *cloud.VM, rec *vmRecovery, why string) 
 }
 
 // onVMReplaced re-points placement at a replacement VM: the fabric gains a
-// host for it (same region), affected containers and devices move over,
+// host for it (same domain), affected containers and devices move over,
 // and the group/recovery/queued-fault bookkeeping is rekeyed so rebuilds
 // and pending faults land on the VM that actually runs the workload.
 func (em *Emulation) onVMReplaced(old, nv *cloud.VM) {
@@ -1090,7 +964,6 @@ func (em *Emulation) onVMReplaced(old, nv *cloud.VM) {
 	oldHost := em.Fabric.Host(old.Name)
 	h := em.Fabric.AddHost(nv.Name)
 	if oldHost != nil {
-		h.Region = oldHost.Region
 		// The replacement inherits the failed VM's domain so its devices
 		// keep draining on the engine that owns their state.
 		h.Domain = oldHost.Domain
@@ -1263,10 +1136,6 @@ func (em *Emulation) Clear(onDone func()) {
 		em.alert("clearing with %d queued VM fault(s) that never fired", n)
 	}
 	em.cleared = true
-	em.healthArmed = false
-	if em.healthTick != nil {
-		em.healthTick.Cancel()
-	}
 	// Cancel recovery deadlines eagerly so teardown leaves no stray timers
 	// (checkpointing after Clear requires a fully drained queue). Cancel
 	// consumes no randomness, so map order is immaterial.

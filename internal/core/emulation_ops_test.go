@@ -115,36 +115,3 @@ func TestInjectVMFailureRecoveries(t *testing.T) {
 		t.Fatalf("recoveries after second drill = %d, want 2", got)
 	}
 }
-
-// TestStartHealthMonitorIdempotent arms the daemon twice and checks only
-// one tick chain exists; Clear() disarms it for good.
-func TestStartHealthMonitorIdempotent(t *testing.T) {
-	o, em := fullEmulation(t, Options{Seed: 9, HealthInterval: 30 * time.Second})
-	defer o.Destroy(em.prep)
-
-	em.StartHealthMonitor()
-	first := em.healthTick
-	if first == nil {
-		t.Fatal("health monitor did not arm")
-	}
-	em.StartHealthMonitor() // double-arm must be a no-op
-	if em.healthTick != first {
-		t.Fatal("second StartHealthMonitor scheduled a new tick chain")
-	}
-	// One interval elapses: exactly one re-scheduled tick, not two chains.
-	o.Eng.RunFor(45 * time.Second)
-	second := em.healthTick
-	if second == first {
-		t.Fatal("tick chain did not advance after an interval")
-	}
-	o.Eng.RunFor(100 * time.Millisecond)
-	if em.healthTick != second {
-		t.Fatal("more than one tick chain is live")
-	}
-
-	em.Clear(nil)
-	em.StartHealthMonitor()
-	if em.healthTick != second {
-		t.Fatal("cleared emulation re-armed the health monitor")
-	}
-}

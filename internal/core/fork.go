@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"maps"
 	"slices"
 	"sort"
 
@@ -149,7 +148,6 @@ func (o *Orchestrator) Fork(snap *checkpoint.Snapshot) (*Emulation, error) {
 		// cannot cross a fork (cloud.Fork documents this).
 		recovering:    map[*cloud.VM]*vmRecovery{},
 		pendingFaults: make(map[*cloud.VM]int, len(parent.pendingFaults)),
-		linkDown:      maps.Clone(parent.linkDown),
 	}
 	for vm, n := range parent.pendingFaults {
 		em.pendingFaults[vmMap[vm]] = n

@@ -33,8 +33,9 @@ func sdcEmulation(t testing.TB, seed int64) (*Orchestrator, *Emulation) {
 }
 
 // routingState renders everything a fork shares with its checkpoint, device
-// by device: the pulled FIB, then the BGP router's Loc-RIB and Adj-RIBs.
-// Equal routing state renders to equal bytes however it is stored.
+// by device: the pulled FIB, then the BGP router's best attributes for each
+// FIB prefix and each session's state and counters. Equal routing state renders to equal bytes
+// however it is stored.
 func routingState(em *Emulation) string {
 	names := make([]string, 0, len(em.Devices))
 	for name := range em.Devices {
@@ -47,7 +48,15 @@ func routingState(em *Emulation) string {
 		b.WriteString("== " + name + "\n")
 		b.WriteString(fibs[name].String())
 		if r := em.Devices[name].BGP(); r != nil {
-			b.WriteString(r.DumpRIBs())
+			for _, e := range fibs[name] {
+				if attrs, ok := r.BestRoute(e.Prefix); ok {
+					fmt.Fprintf(&b, "loc %s {%s}\n", e.Prefix, attrs)
+				}
+			}
+			for _, p := range r.Peers() {
+				fmt.Fprintf(&b, "peer %d %s %s in=%d msgs=%d/%d routes=%d/%d\n", p.Index, p.Config.Name, p.State(),
+					p.AdjInLen(), p.MsgsIn, p.MsgsOut, p.RoutesIn, p.WithdrawsIn)
+			}
 		}
 	}
 	return b.String()

@@ -89,8 +89,8 @@ func TestIndexTracksRunningConfigs(t *testing.T) {
 		t.Fatal("Configs() does not name the reloaded configuration")
 	}
 
-	if reloaded, err := em.RestoreConfigs(base); err != nil || !slices.Equal(reloaded, []string{leaf}) {
-		t.Fatalf("RestoreConfigs reloaded %v (%v), want just %s", reloaded, err, leaf)
+	if err := em.ReloadDevice(leaf, base.Configs[leaf], nil); err != nil {
+		t.Fatal(err)
 	}
 	converge(t, em)
 	moved("rollback")

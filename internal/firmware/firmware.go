@@ -261,16 +261,6 @@ func (d *Device) Forwarder() *dataplane.Forwarder { return d.fwd }
 // BGP returns the device's BGP router (nil until running).
 func (d *Device) BGP() *bgp.Router { return d.bgp }
 
-// OSPF returns the device's OSPF instance (nil unless configured).
-func (d *Device) OSPF() *ospf.Instance { return d.osp }
-
-// Container returns the PhyNet container hosting the device.
-func (d *Device) Container() *phynet.Container { return d.container }
-
-// ASIC returns the device's P4 trap pipeline (nil for fixed-function
-// images) — the §9 programmable-data-plane debugging surface.
-func (d *Device) ASIC() *p4.Program { return d.asic }
-
 // Reattach rebinds the device to a (re)built container — used after a VM
 // recovery or a strawman reload recreates the namespace. A running device
 // resumes receiving frames immediately.

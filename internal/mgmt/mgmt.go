@@ -14,7 +14,6 @@ package mgmt
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"crystalnet/internal/firmware"
@@ -67,16 +66,6 @@ func (p *Plane) Resolve(name string) (netpkt.IP, error) {
 	return ep.ip, nil
 }
 
-// Names lists registered devices, sorted.
-func (p *Plane) Names() []string {
-	out := make([]string, 0, len(p.byName))
-	for n := range p.byName {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Session is an authenticated CLI session to one device.
 type Session struct {
 	ep *endpoint
@@ -106,9 +95,6 @@ func (p *Plane) DialByName(name, cred string) (*Session, error) {
 	}
 	return p.Dial(ip, cred)
 }
-
-// Device returns the session's device.
-func (s *Session) Device() *firmware.Device { return s.ep.dev }
 
 // Exec runs one CLI command and returns its output. The command verb is
 // vendor-dialect sensitive: CTNR/VM-A vendors use "show", VM-B uses

@@ -30,9 +30,6 @@ func (m MAC) String() string {
 // IsBroadcast reports whether m is the broadcast address.
 func (m MAC) IsBroadcast() bool { return m == BroadcastMAC }
 
-// IsZero reports whether m is the all-zero address.
-func (m MAC) IsZero() bool { return m == MAC{} }
-
 // IP is an IPv4 address in host-independent big-endian form.
 type IP uint32
 

@@ -111,9 +111,6 @@ func TestMACHelpers(t *testing.T) {
 	if !BroadcastMAC.IsBroadcast() || (MAC{}).IsBroadcast() {
 		t.Fatal("IsBroadcast wrong")
 	}
-	if !(MAC{}).IsZero() || BroadcastMAC.IsZero() {
-		t.Fatal("IsZero wrong")
-	}
 }
 
 func TestARPRoundTrip(t *testing.T) {

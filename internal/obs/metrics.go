@@ -152,75 +152,6 @@ func (h *Histogram) state() histState {
 	return s
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.count
-}
-
-// Sum returns the sum of observations.
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum
-}
-
-// Quantile estimates the q-th quantile (0 < q <= 1) by linear
-// interpolation within the bucket holding the target rank, clamped to the
-// observed min/max so small samples don't report a bucket bound nothing
-// reached. Returns 0 with no observations.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 {
-		return 0
-	}
-	rank := q * float64(h.count)
-	var seen uint64
-	for i, n := range h.bucket {
-		seen += n
-		if float64(seen) < rank {
-			continue
-		}
-		// Interpolate inside bucket i: [lo, hi] holds n observations of
-		// which the target is the (rank - (seen - n))-th.
-		lo := h.min
-		if i > 0 {
-			lo = h.bounds[i-1]
-		}
-		hi := h.max
-		if i < len(h.bounds) && h.bounds[i] < hi {
-			hi = h.bounds[i]
-		}
-		if lo > hi {
-			lo = hi
-		}
-		v := hi
-		if n > 0 {
-			within := (rank - float64(seen-n)) / float64(n)
-			v = lo + (hi-lo)*within
-		}
-		if v < h.min {
-			v = h.min
-		}
-		if v > h.max {
-			v = h.max
-		}
-		return v
-	}
-	return h.max
-}
-
 // kind orders a name's series in every export: counters, then gauges,
 // then histograms.
 type kind uint8

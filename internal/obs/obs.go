@@ -149,29 +149,3 @@ func (r *Recorder) Event(track, name string, attrs ...Attr) {
 	}
 	r.events = append(r.events, EventData{Track: track, Name: name, At: r.clock(), Attrs: attrs})
 }
-
-// EventAt records an event with an explicit virtual timestamp.
-func (r *Recorder) EventAt(track, name string, at int64, attrs ...Attr) {
-	if r == nil {
-		return
-	}
-	r.events = append(r.events, EventData{Track: track, Name: name, At: at, Attrs: attrs})
-}
-
-// Spans returns the recorded spans in completion order. Callers must not
-// mutate the slice.
-func (r *Recorder) Spans() []SpanData {
-	if r == nil {
-		return nil
-	}
-	return r.spans
-}
-
-// Events returns the recorded events in record order. Callers must not
-// mutate the slice.
-func (r *Recorder) Events() []EventData {
-	if r == nil {
-		return nil
-	}
-	return r.events
-}

@@ -63,12 +63,6 @@ type Iface struct {
 	elected   bool
 }
 
-// DR returns the designated router elected on this interface's segment.
-func (i *Iface) DR() RouterID { return i.dr }
-
-// BDR returns the backup designated router.
-func (i *Iface) BDR() RouterID { return i.bdr }
-
 // Config parameterizes an instance.
 type Config struct {
 	Name     string
@@ -143,37 +137,9 @@ func (in *Instance) AddInterface(cfg IfaceConfig) int {
 	return i.idx
 }
 
-// Iface returns interface state by index.
-func (in *Instance) Iface(idx int) *Iface { return in.ifaces[idx] }
-
 // AddStub originates a stub prefix (e.g. the loopback).
 func (in *Instance) AddStub(p netpkt.Prefix) {
 	in.stubs = append(in.stubs, p)
-}
-
-// RouterID returns the instance's router ID.
-func (in *Instance) RouterID() RouterID { return in.cfg.RouterID }
-
-// LSDBLen returns the number of LSAs in the database.
-func (in *Instance) LSDBLen() int { return len(in.lsdb) }
-
-// LSDB returns a snapshot of the database, sorted by key for determinism.
-func (in *Instance) LSDB() []*LSA {
-	out := make([]*LSA, 0, len(in.lsdb))
-	for _, l := range in.lsdb {
-		out = append(out, l.Clone())
-	}
-	sort.Slice(out, func(a, b int) bool {
-		x, y := out[a], out[b]
-		if x.Type != y.Type {
-			return x.Type < y.Type
-		}
-		if x.ID != y.ID {
-			return x.ID < y.ID
-		}
-		return x.Adv < y.Adv
-	})
-	return out
 }
 
 // Start brings all interfaces up: hellos go out and, on broadcast segments,

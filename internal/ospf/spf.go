@@ -215,15 +215,6 @@ func (in *Instance) runSPF() {
 	}
 }
 
-// Routes returns the currently installed OSPF routes.
-func (in *Instance) Routes() map[netpkt.Prefix][]rib.NextHop {
-	out := make(map[netpkt.Prefix][]rib.NextHop, len(in.installed))
-	for p, h := range in.installed {
-		out[p] = append([]rib.NextHop(nil), h...)
-	}
-	return out
-}
-
 // ifaceFor returns the up interface whose subnet covers ip.
 func (in *Instance) ifaceFor(ip netpkt.IP) *Iface {
 	for _, i := range in.ifaces {

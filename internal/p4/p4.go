@@ -15,9 +15,7 @@
 package p4
 
 import (
-	"fmt"
 	"sort"
-	"strings"
 
 	"crystalnet/internal/netpkt"
 )
@@ -195,9 +193,6 @@ func (t *Table) AddEntry(e *Entry) {
 	})
 }
 
-// Len returns the number of installed entries.
-func (t *Table) Len() int { return len(t.entries) }
-
 // Program is an ordered pipeline of tables.
 type Program struct {
 	Name   string
@@ -209,16 +204,6 @@ func (p *Program) AddTable(name string, def Action) *Table {
 	t := &Table{Name: name, DefaultAction: def}
 	p.Tables = append(p.Tables, t)
 	return t
-}
-
-// Table returns the named stage, or nil.
-func (p *Program) Table(name string) *Table {
-	for _, t := range p.Tables {
-		if t.Name == name {
-			return t
-		}
-	}
-	return nil
 }
 
 // Verdict is the pipeline outcome.
@@ -259,26 +244,6 @@ type Result struct {
 	Verdict Verdict
 	Port    uint32
 	Trace   []TraceStep
-}
-
-// TraceString renders the per-table trace.
-func (r Result) TraceString() string {
-	var b strings.Builder
-	for i, s := range r.Trace {
-		if i > 0 {
-			b.WriteString(" -> ")
-		}
-		hit := "miss"
-		if s.Hit {
-			hit = "hit"
-		}
-		fmt.Fprintf(&b, "%s[%s:%s]", s.Table, hit, s.Action.Kind)
-	}
-	fmt.Fprintf(&b, " => %s", r.Verdict)
-	if r.Verdict == Forwarded {
-		fmt.Fprintf(&b, "(port %d)", r.Port)
-	}
-	return b.String()
 }
 
 // Run executes the pipeline on the packet, mutating its header vector as
@@ -346,38 +311,6 @@ func TrapProgram(trapARP, trapBGP bool) *Program {
 			Action: Action{Kind: ActToCPU},
 		})
 	}
-	return prog
-}
-
-// LPMKey builds an LPM key on the destination IP from a CIDR prefix.
-func LPMKey(pfx netpkt.Prefix) Key {
-	return Key{Field: FieldDstIP, Kind: MatchLPM, Value: uint32(pfx.Addr), Mask: uint32(pfx.MaskIP())}
-}
-
-// ReferenceSwitchProgram builds the fixed-function pipeline CTNR-B's soft
-// ASIC ships with: an ACL stage, a control-plane trap stage (ARP/BGP to
-// CPU), a TTL stage, then the IPv4 LPM stage whose entries forward out
-// ports. It is what "bug compatible" means for the trap path: build it
-// with trapARP=false and you get exactly the §7 Case-2 ARP bug.
-func ReferenceSwitchProgram(trapARP, trapBGP bool) *Program {
-	prog := &Program{Name: "reference_switch"}
-	prog.AddTable("acl", Action{Kind: ActNoOp})
-	trap := prog.AddTable("cpu_trap", Action{Kind: ActNoOp})
-	if trapARP {
-		// ARP arrives as proto 0 in the parsed vector (no IP header).
-		trap.AddEntry(&Entry{
-			Keys:   []Key{{Field: FieldProto, Kind: MatchExact, Value: 0}},
-			Action: Action{Kind: ActToCPU},
-		})
-	}
-	if trapBGP {
-		trap.AddEntry(&Entry{
-			Keys:   []Key{{Field: FieldProto, Kind: MatchExact, Value: uint32(netpkt.ProtoTCP)}},
-			Action: Action{Kind: ActToCPU},
-		})
-	}
-	prog.AddTable("ttl", Action{Kind: ActDecTTL})
-	prog.AddTable("ipv4_lpm", Action{Kind: ActDrop})
 	return prog
 }
 

@@ -27,7 +27,6 @@ func (f *Fabric) Fork(eng *sim.Engine) (*Fabric, map[*VIface]*VIface, map[*Conta
 			Name:            h.Name,
 			UnderlayIP:      h.UnderlayIP,
 			Remote:          h.Remote,
-			Region:          h.Region,
 			Domain:          h.Domain,
 			fabric:          c,
 			containers:      make(map[string]*Container, len(h.containers)),

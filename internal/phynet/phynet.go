@@ -53,9 +53,6 @@ type Host struct {
 	Name       string
 	UnderlayIP netpkt.IP
 	Remote     bool
-	// Region names the cloud the VM lives in; emulations may span several
-	// clouds (§3.1), with frames between regions crossing the Internet.
-	Region string
 	// Domain is the shard the host's devices execute in (DESIGN.md §10);
 	// -1 (the default) keeps the host on the master engine. Only meaningful
 	// when the fabric is attached to a sim.ShardSet.
@@ -83,14 +80,6 @@ type Host struct {
 // SetupCost returns the accumulated plumbing CPU cost in core-seconds.
 func (h *Host) SetupCost() float64 { return h.setupCost }
 
-// Containers returns the number of PhyNet containers on this host.
-func (h *Host) Containers() int { return len(h.containers) }
-
-// Plumbing returns (veth pairs, bridges, VXLAN tunnels) created on the host.
-func (h *Host) Plumbing() (veth, bridges, tunnels int) {
-	return h.vethPairs, h.bridges, h.tunnels
-}
-
 // Container is a PhyNet container: a network namespace holding a device's
 // interfaces. The device firmware attaches a frame handler; the namespace
 // and its interfaces survive firmware restarts.
@@ -105,9 +94,6 @@ type Container struct {
 
 // Iface returns the named virtual interface, or nil.
 func (c *Container) Iface(name string) *VIface { return c.ifaces[name] }
-
-// NumIfaces returns the interface count.
-func (c *Container) NumIfaces() int { return len(c.ifaces) }
 
 // Attach installs the firmware's frame handler (booting the device OS on
 // top of the existing namespace).
@@ -153,9 +139,6 @@ type VirtualLink struct {
 	lanes [2]*sim.Lane[[]byte]
 }
 
-// Up reports link state.
-func (l *VirtualLink) Up() bool { return l.up }
-
 // Other returns the far end relative to v.
 func (l *VirtualLink) Other(v *VIface) *VIface {
 	if l.A == v {
@@ -169,14 +152,12 @@ func (l *VirtualLink) Other(v *VIface) *VIface {
 
 // The overlay's latency model (a Linux-bridge overlay, §6.2): a frame
 // between containers on one VM crosses a bridge, one between VMs crosses the
-// VXLAN underlay, between clouds a longer underlay, and remoteLatency applies
-// when either endpoint lives on a Remote (on-premise) host — the overlay
+// VXLAN underlay, and remoteLatency applies when either endpoint lives on a Remote (on-premise) host — the overlay
 // crosses the wide-area Internet.
 const (
-	intraVMLatency    = 50 * time.Microsecond
-	interVMLatency    = 500 * time.Microsecond
-	crossCloudLatency = 5 * time.Millisecond
-	remoteLatency     = 20 * time.Millisecond
+	intraVMLatency = 50 * time.Microsecond
+	interVMLatency = 500 * time.Microsecond
+	remoteLatency  = 20 * time.Millisecond
 )
 
 // Fabric is the whole PhyNet overlay spanning all hosts.
@@ -198,35 +179,6 @@ type Fabric struct {
 // domain engines.
 func (f *Fabric) SetShards(s *sim.ShardSet) { f.shards = s }
 
-// sumHosts adds up one wire counter over every host.
-func (f *Fabric) sumHosts(counter func(*Host) uint64) uint64 {
-	var n uint64
-	for _, h := range f.hosts {
-		n += counter(h)
-	}
-	return n
-}
-
-// FramesDelivered returns the frames handed to attached firmware.
-func (f *Fabric) FramesDelivered() uint64 {
-	return f.sumHosts(func(h *Host) uint64 { return h.framesDelivered })
-}
-
-// BytesDelivered returns the bytes of the frames FramesDelivered counts.
-func (f *Fabric) BytesDelivered() uint64 {
-	return f.sumHosts(func(h *Host) uint64 { return h.bytesDelivered })
-}
-
-// FramesDropped returns the frames dropped on send or at delivery.
-func (f *Fabric) FramesDropped() uint64 {
-	return f.sumHosts(func(h *Host) uint64 { return h.framesDropped })
-}
-
-// EncapFrames returns the frames that crossed the underlay (VXLAN).
-func (f *Fabric) EncapFrames() uint64 {
-	return f.sumHosts(func(h *Host) uint64 { return h.encapFrames })
-}
-
 // NewFabric creates an empty overlay on the engine.
 func NewFabric(eng *sim.Engine, backend BridgeBackend) *Fabric {
 	return &Fabric{
@@ -235,12 +187,6 @@ func NewFabric(eng *sim.Engine, backend BridgeBackend) *Fabric {
 		nextIP:  uint32(netpkt.IPFromBytes(192, 168, 0, 1)),
 	}
 }
-
-// Backend returns the configured bridge backend.
-func (f *Fabric) Backend() BridgeBackend { return f.backend }
-
-// Links returns all virtual links.
-func (f *Fabric) Links() []*VirtualLink { return f.links }
 
 // AddHost registers a cloud VM in the overlay, assigning an underlay IP.
 func (f *Fabric) AddHost(name string) *Host {
@@ -382,9 +328,6 @@ func (f *Fabric) SendFramed(from *VIface, buf []byte, room int) {
 	payload := buf[room:]
 	if l.crossVM {
 		latency = interVMLatency
-		if from.Container.Host.Region != to.Container.Host.Region {
-			latency = crossCloudLatency
-		}
 		if from.Container.Host.Remote || to.Container.Host.Remote {
 			latency = remoteLatency
 		}
@@ -472,6 +415,3 @@ func (f *Fabric) Validate() error {
 	}
 	return nil
 }
-
-// Container returns the named container on this host, or nil.
-func (h *Host) Container(name string) *Container { return h.containers[name] }

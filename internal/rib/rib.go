@@ -40,24 +40,6 @@ func (p Proto) String() string {
 	return fmt.Sprintf("proto(%d)", uint8(p))
 }
 
-// AdminDistance returns the conventional administrative distance used when
-// multiple protocols offer the same prefix (lower wins).
-func (p Proto) AdminDistance() int {
-	switch p {
-	case ProtoConnected:
-		return 0
-	case ProtoStatic:
-		return 1
-	case ProtoOSPF:
-		return 110
-	case ProtoBGP:
-		return 20 // eBGP; the fabric is all-eBGP per RFC 7938
-	case ProtoAggregate:
-		return 200
-	}
-	return 255
-}
-
 // NextHop is one way out of the device for a destination.
 type NextHop struct {
 	// IP is the next-hop router address; 0 for directly connected subnets.

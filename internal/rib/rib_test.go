@@ -229,15 +229,6 @@ func TestProtoNamesAndDistance(t *testing.T) {
 	if Proto(77).String() == "" {
 		t.Fatal("unknown proto should still format")
 	}
-	if ProtoConnected.AdminDistance() >= ProtoBGP.AdminDistance() {
-		t.Fatal("connected must beat BGP")
-	}
-	if ProtoBGP.AdminDistance() >= ProtoOSPF.AdminDistance() {
-		t.Fatal("eBGP must beat OSPF")
-	}
-	if Proto(77).AdminDistance() != 255 {
-		t.Fatal("unknown proto distance")
-	}
 }
 
 func TestCompareIdentical(t *testing.T) {

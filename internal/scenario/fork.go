@@ -163,10 +163,6 @@ func (cv *Converged) fork(sp *Spec, opts Options) (*runner, error) {
 	return r, nil
 }
 
-// Seed returns the resolved seed the baseline converged with. Specs run
-// against this Converged must resolve to the same value.
-func (cv *Converged) Seed() int64 { return cv.seed }
-
 // Invalidate permanently retires the baseline: subsequent Run calls fail
 // instead of forking. A warm pool calls it when it evicts the entry, so
 // stale handles cannot revive state the pool has given up on. In-flight

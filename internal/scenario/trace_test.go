@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"bytes"
+	"encoding/json"
 	"testing"
 
 	"crystalnet/internal/obs"
@@ -118,8 +119,16 @@ func TestTraceHasPhaseAndConvergeSpans(t *testing.T) {
 	if _, err := Run(tinySpec(rehearsalSteps()...), Options{Rec: rec}); err != nil {
 		t.Fatal(err)
 	}
+	var buf bytes.Buffer
+	if err := rec.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var trace struct{ Spans []obs.SpanData }
+	if err := json.Unmarshal(buf.Bytes(), &trace); err != nil {
+		t.Fatal(err)
+	}
 	byTrack := map[string]int{}
-	for _, sp := range rec.Spans() {
+	for _, sp := range trace.Spans {
 		byTrack[sp.Track]++
 		if sp.End < sp.Start {
 			t.Fatalf("span %s/%s ends before it starts", sp.Track, sp.Name)

@@ -69,8 +69,8 @@ func checkFlapWalks(t *testing.T, m *traffic.Matrix) {
 	if walked == 0 || walked*20 > settles {
 		t.Fatalf("the fork walked %d of %d aggregate-settles, want a non-zero share of at most 5%%", walked, settles)
 	}
-	t.Logf("walked %d of %d aggregate-settles (%.1f%%); memo %d bytes for %d aggregates",
-		walked, settles, 100*float64(walked)/float64(settles), m.MemoBytes(), m.Aggregates())
+	t.Logf("walked %d of %d aggregate-settles (%.1f%%) for %d aggregates",
+		walked, settles, 100*float64(walked)/float64(settles), m.Aggregates())
 }
 
 // TestTrafficForkWalksWhatTheFlapMoved is the tentpole's bar on S-DC: a

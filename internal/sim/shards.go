@@ -259,9 +259,3 @@ func (s *ShardSet) SnapshotDomains() ([]EngineState, error) {
 	}
 	return out, nil
 }
-
-// Pending sums pending events across the ensemble.
-func (s *ShardSet) Pending() int {
-	total, _ := s.pendingTotals()
-	return total
-}

@@ -31,9 +31,6 @@ func (t Time) String() string { return time.Duration(t).String() }
 // Seconds returns the virtual time in seconds.
 func (t Time) Seconds() float64 { return time.Duration(t).Seconds() }
 
-// Minutes returns the virtual time in minutes.
-func (t Time) Minutes() float64 { return time.Duration(t).Minutes() }
-
 // Add returns the time d after t.
 func (t Time) Add(d time.Duration) Time { return t + Time(d) }
 
@@ -293,10 +290,6 @@ func (e *Engine) Recorder() *obs.Recorder { return e.rec }
 // included. Canceled events are removed from the queue eagerly, so they
 // never count.
 func (e *Engine) Pending() int { return len(e.queue) + e.laneQueued }
-
-// PendingDaemons reports how many of the pending events are daemon
-// (background) events scheduled via Daemon.
-func (e *Engine) PendingDaemons() int { return e.daemons }
 
 // Fired reports how many events have executed since the engine was created.
 func (e *Engine) Fired() uint64 { return e.fired }

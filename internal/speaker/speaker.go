@@ -12,7 +12,6 @@ package speaker
 
 import (
 	"fmt"
-	"sort"
 
 	"crystalnet/internal/bgp"
 	"crystalnet/internal/firmware"
@@ -89,66 +88,6 @@ func (s *Speaker) Inject() {
 		}
 		r.InjectLocal(a.Prefix, attrs)
 	}
-}
-
-// Withdraw retracts one previously injected announcement (operators can
-// script arbitrary messages, §5.1 "fully programmable").
-func (s *Speaker) Withdraw(p netpkt.Prefix) {
-	if r := s.Dev.BGP(); r != nil {
-		r.WithdrawLocal(p)
-	}
-}
-
-// Announce injects an additional announcement at runtime.
-func (s *Speaker) Announce(a Announcement) error {
-	if err := a.Validate(s.Dev.Config().ASN); err != nil {
-		return err
-	}
-	s.Announcements = append(s.Announcements, a)
-	if r := s.Dev.BGP(); r != nil {
-		r.InjectLocal(a.Prefix, &bgp.Attrs{
-			Origin: a.Origin, Path: bgp.NewPath(a.Path[1:]...),
-			MED: a.MED, HasMED: a.HasMED,
-		})
-	}
-	return nil
-}
-
-// ReceivedRoute is one announcement the speaker heard from a boundary
-// device — dumped for offline analysis (§5.1, §6.2).
-type ReceivedRoute struct {
-	FromPeer string
-	Prefix   netpkt.Prefix
-	Path     string
-}
-
-// Received dumps everything learned from boundary devices, sorted for
-// deterministic reports.
-func (s *Speaker) Received() []ReceivedRoute {
-	r := s.Dev.BGP()
-	if r == nil {
-		return nil
-	}
-	var out []ReceivedRoute
-	for _, p := range r.Prefixes() {
-		attrs, ok := r.BestRoute(p)
-		if !ok || attrs.Path.Length() == 0 {
-			continue // locally injected
-		}
-		peers := r.BestPeers(p)
-		name := ""
-		if len(peers) > 0 && peers[0] != nil {
-			name = peers[0].Config.Name
-		}
-		out = append(out, ReceivedRoute{FromPeer: name, Prefix: p, Path: attrs.Path.String()})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Prefix.Addr != out[j].Prefix.Addr {
-			return out[i].Prefix.Addr < out[j].Prefix.Addr
-		}
-		return out[i].Prefix.Len < out[j].Prefix.Len
-	})
-	return out
 }
 
 // Fork rewraps a forked emulation's clone of the speaker device with a

@@ -113,32 +113,8 @@ func TestSpeakerNeverReflects(t *testing.T) {
 	if _, ok := r.b2.BGP().BestRoute(pfx("100.64.0.0/24")); ok {
 		t.Fatal("speaker reflected a route between boundary devices")
 	}
-	recv := r.sp.Received()
-	found := false
-	for _, rr := range recv {
-		if rr.Prefix == pfx("100.64.0.0/24") && rr.Path == "65000" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("speaker did not record B1's announcement: %+v", recv)
-	}
-}
-
-func TestSpeakerRuntimeAnnounceWithdraw(t *testing.T) {
-	r := build(t, nil)
-	r.start()
-	if err := r.sp.Announce(Announcement{Prefix: pfx("9.9.9.0/24"), Path: []uint32{64600, 9}}); err != nil {
-		t.Fatal(err)
-	}
-	r.eng.Run(5_000_000)
-	if _, ok := r.b1.BGP().BestRoute(pfx("9.9.9.0/24")); !ok {
-		t.Fatal("runtime announcement not delivered")
-	}
-	r.sp.Withdraw(pfx("9.9.9.0/24"))
-	r.eng.Run(5_000_000)
-	if _, ok := r.b1.BGP().BestRoute(pfx("9.9.9.0/24")); ok {
-		t.Fatal("withdrawal not delivered")
+	if attrs, ok := r.sp.Dev.BGP().BestRoute(pfx("100.64.0.0/24")); !ok || attrs.Path.String() != "65000" {
+		t.Fatalf("speaker did not hear B1's announcement: %+v", attrs)
 	}
 }
 
@@ -160,9 +136,6 @@ func TestAnnouncementValidation(t *testing.T) {
 	if _, err := New(r.devices["S"], []Announcement{{Prefix: pfx("1.0.0.0/8"), Path: []uint32{1}}}); err == nil {
 		t.Fatal("invalid announcement accepted")
 	}
-	if err := r.sp.Announce(Announcement{Prefix: pfx("1.0.0.0/8"), Path: []uint32{1}}); err == nil {
-		t.Fatal("runtime invalid announcement accepted")
-	}
 }
 
 func TestSpeakerSingleASOriginOnly(t *testing.T) {
@@ -173,15 +146,6 @@ func TestSpeakerSingleASOriginOnly(t *testing.T) {
 	attrs, ok := r.b1.BGP().BestRoute(pfx("7.0.0.0/8"))
 	if !ok || attrs.Path.String() != "64600" || attrs.Origin != bgp.OriginEGP {
 		t.Fatalf("attrs = %+v", attrs)
-	}
-}
-
-func TestSpeakerWithdrawBeforeBoot(t *testing.T) {
-	// Withdraw/Received on a not-yet-booted speaker must be safe no-ops.
-	r := build(t, nil)
-	r.sp.Withdraw(pfx("1.0.0.0/8"))
-	if got := r.sp.Received(); got != nil {
-		t.Fatalf("Received before boot = %v", got)
 	}
 }
 

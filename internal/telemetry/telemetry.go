@@ -126,19 +126,6 @@ func ComputePaths(records []firmware.CaptureRecord) []Path {
 	return out
 }
 
-// Counters aggregates per-device probe counts for a flow (0 = all flows) —
-// the "counters" side of PullPackets.
-func Counters(records []firmware.CaptureRecord, flow uint64) map[string]int {
-	out := map[string]int{}
-	for _, r := range records {
-		if flow != 0 && r.FlowID != flow {
-			continue
-		}
-		out[r.Device]++
-	}
-	return out
-}
-
 // LoadShare computes, for the probes of a flow set that traversed any of
 // the given devices, the fraction seen by each — how the Figure 1
 // experiment measures traffic imbalance between R6 and R7.

@@ -10,7 +10,6 @@ package topo
 
 import (
 	"fmt"
-	"sort"
 
 	"crystalnet/internal/netpkt"
 )
@@ -63,15 +62,6 @@ type Interface struct {
 
 // FullName returns "device:interface".
 func (i *Interface) FullName() string { return i.Device.Name + ":" + i.Name }
-
-// PeerAddr returns the IP of the far end of a connected point-to-point
-// interface.
-func (i *Interface) PeerAddr() netpkt.IP {
-	if i.Peer == nil {
-		return 0
-	}
-	return i.Peer.Addr.Addr
-}
 
 // Device is a network device in the topology.
 type Device struct {
@@ -134,18 +124,6 @@ type Link struct {
 	// Subnet is the /31 assigned to the link (A gets .0, B gets .1), or the
 	// zero Prefix for unnumbered links.
 	Subnet netpkt.Prefix
-}
-
-// Other returns the far-side interface relative to i, or nil if i is not an
-// endpoint of the link.
-func (l *Link) Other(i *Interface) *Interface {
-	switch i {
-	case l.A:
-		return l.B
-	case l.B:
-		return l.A
-	}
-	return nil
 }
 
 // String formats the link as "devA:ifA <-> devB:ifB".
@@ -243,35 +221,6 @@ func (n *Network) ConnectInterfaces(ia, ib *Interface) *Link {
 	return l
 }
 
-// Disconnect removes the link between interfaces ia and ib, if present. It
-// returns true if a link was removed. Addresses are retained so a later
-// reconnect restores the same subnet (as in the paper's Connect/Disconnect
-// control APIs).
-func (n *Network) Disconnect(ia, ib *Interface) bool {
-	if ia.Peer != ib || ib.Peer != ia {
-		return false
-	}
-	ia.Peer, ib.Peer = nil, nil
-	for idx, l := range n.Links {
-		if (l.A == ia && l.B == ib) || (l.A == ib && l.B == ia) {
-			n.Links = append(n.Links[:idx], n.Links[idx+1:]...)
-			break
-		}
-	}
-	return true
-}
-
-// Reconnect restores a previously disconnected interface pair.
-func (n *Network) Reconnect(ia, ib *Interface) *Link {
-	if ia.Peer != nil || ib.Peer != nil {
-		panic("topo: reconnect of connected interface")
-	}
-	ia.Peer, ib.Peer = ib, ia
-	l := &Link{A: ia, B: ib, Subnet: netpkt.Prefix{Addr: ia.Addr.Addr, Len: 31}}
-	n.Links = append(n.Links, l)
-	return l
-}
-
 // DevicesByLayer returns devices on the given layer, in insertion order.
 func (n *Network) DevicesByLayer(l Layer) []*Device {
 	var out []*Device
@@ -333,7 +282,8 @@ func (n *Network) LayerCounts() map[Layer]int {
 }
 
 // Validate checks structural invariants: link symmetry, /31 pairing, unique
-// interface addresses, unique loopbacks. Generators call it in tests.
+// interface addresses, unique loopbacks. Prepare refuses a topology that
+// fails it.
 func (n *Network) Validate() error {
 	addrs := map[netpkt.IP]string{}
 	for _, d := range n.order {
@@ -364,14 +314,4 @@ func (n *Network) Validate() error {
 		}
 	}
 	return nil
-}
-
-// SortedNames returns all device names sorted, for deterministic reporting.
-func (n *Network) SortedNames() []string {
-	names := make([]string, 0, len(n.order))
-	for _, d := range n.order {
-		names = append(names, d.Name)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -3,7 +3,6 @@ package traffic
 import (
 	"fmt"
 	"slices"
-	"unsafe"
 
 	"crystalnet/internal/config"
 	"crystalnet/internal/netpkt"
@@ -176,19 +175,6 @@ func (m *Matrix) Walks() (walked, reused uint64) {
 		return 0, 0
 	}
 	return m.walked, m.reused
-}
-
-// MemoBytes returns the heap the memo holds beyond the aggregates' results:
-// the per-aggregate spans, both arenas (superseded records included) and the
-// device memo.
-func (m *Matrix) MemoBytes() int {
-	if m == nil {
-		return 0
-	}
-	return len(m.aggs)*int(2*unsafe.Sizeof(span{})) +
-		m.consulted.size*int(unsafe.Sizeof(uint32(0))) +
-		m.latency.size*int(unsafe.Sizeof(latObs{})) +
-		len(m.devs)*int(unsafe.Sizeof(devMemo{}))
 }
 
 // compact rebuilds the arenas from the records still in use once superseded

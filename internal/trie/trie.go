@@ -180,8 +180,6 @@ func (t *Trie[V]) Insert(p netpkt.Prefix, v V) bool {
 	}
 }
 
-func maskFor(l uint8) netpkt.IP { return maskTab[l] }
-
 func min8(a, b uint8) uint8 {
 	if a < b {
 		return a
@@ -280,31 +278,4 @@ func (t *Trie[V]) walk(n *node[V], fn func(p netpkt.Prefix, v V) bool) bool {
 		return false
 	}
 	return t.walk(n.children[1], fn)
-}
-
-// WalkCovered visits every stored prefix contained in p (including p itself).
-func (t *Trie[V]) WalkCovered(p netpkt.Prefix, fn func(q netpkt.Prefix, v V) bool) {
-	p.Addr &= maskTab[p.Len]
-	n := t.root
-	// Descend to the node region covering p.
-	for n != nil && n.prefix.Len < p.Len {
-		if n.prefix.Addr != p.Addr&maskTab[n.prefix.Len] {
-			return
-		}
-		n = n.children[bitAt(p.Addr, n.prefix.Len)]
-	}
-	if n == nil || !p.ContainsPrefix(n.prefix) {
-		return
-	}
-	t.walk(n, fn)
-}
-
-// Prefixes returns all stored prefixes in walk order.
-func (t *Trie[V]) Prefixes() []netpkt.Prefix {
-	out := make([]netpkt.Prefix, 0, t.size)
-	t.Walk(func(p netpkt.Prefix, _ V) bool {
-		out = append(out, p)
-		return true
-	})
-	return out
 }

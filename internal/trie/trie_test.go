@@ -2,7 +2,6 @@ package trie
 
 import (
 	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 
@@ -158,37 +157,6 @@ func TestWalkEarlyStop(t *testing.T) {
 	})
 	if count != 3 {
 		t.Fatalf("early stop visited %d, want 3", count)
-	}
-}
-
-func TestWalkCovered(t *testing.T) {
-	tr := New[int]()
-	tr.Insert(pfx("10.0.0.0/8"), 0)
-	tr.Insert(pfx("10.1.0.0/16"), 1)
-	tr.Insert(pfx("10.1.2.0/24"), 2)
-	tr.Insert(pfx("10.2.0.0/16"), 3)
-	tr.Insert(pfx("11.0.0.0/8"), 4)
-
-	var got []string
-	tr.WalkCovered(pfx("10.1.0.0/16"), func(q netpkt.Prefix, _ int) bool {
-		got = append(got, q.String())
-		return true
-	})
-	sort.Strings(got)
-	want := []string{"10.1.0.0/16", "10.1.2.0/24"}
-	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
-		t.Fatalf("WalkCovered = %v, want %v", got, want)
-	}
-
-	// Covering region with no exact node: /15 over the two /16s.
-	got = nil
-	tr.WalkCovered(pfx("10.0.0.0/15"), func(q netpkt.Prefix, _ int) bool {
-		got = append(got, q.String())
-		return true
-	})
-	sort.Strings(got)
-	if len(got) != 2 {
-		t.Fatalf("WalkCovered(/15) = %v, want the two /16 descendants, got %v", got, got)
 	}
 }
 

@@ -46,9 +46,10 @@ func init() {
 		MsgWork: 0.0003, RouteWork: 0.0015,
 		AggregationMode: bgp.AggInheritSelected,
 	})
-	// CTNR-A 2.0 — the release with the undocumented ACL dialect change
-	// (the config package's parser reproduces the drift) and a broken ARP
-	// refresh after config reloads (§2).
+	// CTNR-A 2.0 — the release with a broken ARP refresh after config
+	// reloads (§2). Its undocumented ACL dialect change is reproduced at the
+	// config layer (config.Render/Parse), by tests: no running image parses
+	// configuration text.
 	register(firmware.VendorImage{
 		Name: CTNRA, Version: "2.0", Kind: firmware.ContainerImage,
 		BootFixed: 3 * time.Minute, BootJitter: 2 * time.Minute, BootWork: 60,
@@ -167,20 +168,4 @@ func Default(name string) (firmware.VendorImage, error) {
 		return Get(Speaker, "3.4.17")
 	}
 	return firmware.VendorImage{}, fmt.Errorf("vendors: unknown vendor %q", name)
-}
-
-// List returns all registered image keys ("name:version").
-func List() []string {
-	out := make([]string, 0, len(catalog))
-	for k := range catalog {
-		out = append(out, k)
-	}
-	return out
-}
-
-// RequiresNestedVM reports whether the vendor ships VM images (§4.1 —
-// those need nested-virtualization SKUs or bare metal).
-func RequiresNestedVM(name string) bool {
-	img, err := Default(name)
-	return err == nil && img.Kind == firmware.VMImage
 }

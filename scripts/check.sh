@@ -101,8 +101,8 @@ go test -race ./internal/scenario/ -run 'TestForkedRunMatchesFreshRun|TestForked
 
 # A sharded emulation is a cold mockup only (its checkpoints cannot be
 # forked): the bar is the mockup plus one link cut at worker counts
-# 1/2/4/GOMAXPROCS, the same events, metrics, FIBs and wire counters.
-echo "== sharded-convergence determinism under -race (workers=1 vs parallel: events, metrics, FIBs, wire counters)"
+# 1/2/4/GOMAXPROCS, the same events, metrics and FIBs.
+echo "== sharded-convergence determinism under -race (workers=1 vs parallel: events, metrics, FIBs)"
 go test -race ./internal/core/ -run 'TestShardedRun' -timeout 10m
 go test -race ./internal/sim/ -run 'TestShardSet' -timeout 10m
 
@@ -168,7 +168,7 @@ if ! cmp -s "$tmp/solve1.out" "$tmp/solve2.out"; then
 fi
 grep -q "safe-boundary solve" "$tmp/solve1.out"
 
-echo "== docs gate (every package carries a doc comment linking the design docs)"
+echo "== docs gate (package docs link the design docs; every func under internal/ has a non-test caller; this script's -run/-fuzz names exist)"
 go run ./cmd/doccheck
 
 # M-DC smoke: the benchmark's own sharded M-DC workload, with its output
