@@ -1,12 +1,10 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"maps"
 	"slices"
 	"sort"
-	"strings"
 	"time"
 
 	"crystalnet/internal/bgp"
@@ -104,313 +102,6 @@ type Emulation struct {
 	// Orchestrator.Fork, so canonical attrs are shared along the lineage and
 	// with no other emulation in the process.
 	attrs *bgp.AttrTable
-}
-
-// Mockup executes the paper's Mockup API on a preparation: PhyNet build,
-// management plane, firmware boot and speaker injection, all scheduled on
-// the simulation clock. Unsafe boundaries are refused unless force is set.
-// Run the engine (em.RunUntilConverged) to drive it to route-ready.
-func (o *Orchestrator) Mockup(prep *Preparation, force bool) (*Emulation, error) {
-	if prep.SafetyErr != nil && !force {
-		return nil, fmt.Errorf("core: refusing unsafe boundary: %w", prep.SafetyErr)
-	}
-	em := &Emulation{
-		orch: o, prep: prep,
-		Fabric:        phynet.NewFabric(o.Eng, phynet.LinuxBridge),
-		Devices:       map[string]*firmware.Device{},
-		Speakers:      map[string]*speaker.Speaker{},
-		Mgmt:          mgmt.NewPlane(),
-		Injector:      telemetry.NewInjector(o.Eng),
-		containers:    map[string]*phynet.Container{},
-		vmOf:          map[string]*cloud.VM{},
-		vlinks:        map[linkKey]*phynet.VirtualLink{},
-		recovering:    map[*cloud.VM]*vmRecovery{},
-		pendingFaults: map[*cloud.VM]int{},
-		MockupStart:   o.Eng.Now(),
-		attrs:         bgp.NewAttrTable(),
-	}
-	if o.opts.Shards > 0 {
-		// One domain per VM, seeded from the emulation seed: the partition
-		// (and hence every domain's RNG stream) depends only on the topology
-		// and the seed, never on the worker count.
-		em.shards = sim.NewShardSet(o.Eng, o.opts.Seed, len(prep.VMs()), o.opts.Shards)
-		em.Fabric.SetShards(em.shards)
-	}
-	for i, vm := range prep.VMs() {
-		h := em.Fabric.AddHost(vm.Name)
-		if em.shards != nil {
-			h.Domain = i
-		}
-	}
-	if len(prep.hardware) > 0 {
-		// The on-premise fanout server joining real switches to the overlay
-		// across the Internet (§4.1).
-		em.Fabric.AddHost(fanoutHost).Remote = true
-	}
-
-	// Wait for every VM, then build.
-	vms := prep.VMs()
-	em.vmsPending = len(vms)
-	for _, vm := range vms {
-		vm.WhenRunning(func(*cloud.VM) {
-			em.vmsPending--
-			if em.vmsPending == 0 {
-				em.build()
-			}
-		})
-	}
-	o.Cloud.OnFailure = em.onVMFailure
-	o.Cloud.OnReplace = em.onVMReplaced
-	o.Cloud.OnBootAborted = em.onBootAborted
-	return em, nil
-}
-
-// build creates every PhyNet container, interface and virtual link, charges
-// the per-VM setup work, and boots firmware when each VM's setup drains —
-// the aggressively batched, parallel-per-VM mockup of §6.2.
-func (em *Emulation) build() {
-	n := em.prep.Plan.Network
-	names := em.allNames()
-
-	for _, name := range names {
-		var host *phynet.Host
-		if em.prep.hardware[name] {
-			host = em.Fabric.Host(fanoutHost)
-		} else {
-			asg := em.prep.assignments[name]
-			vm := em.prep.groupVMs[asg.group][asg.index]
-			em.vmOf[name] = vm
-			host = em.Fabric.Host(vm.Name)
-		}
-		em.addContainer(host, n.MustDevice(name))
-	}
-	// Links between two mocked-up devices.
-	for _, l := range n.Links {
-		ca, cb := em.containers[l.A.Device.Name], em.containers[l.B.Device.Name]
-		if ca == nil || cb == nil {
-			continue
-		}
-		vl := em.Fabric.Connect(ca.Iface(l.A.Name), cb.Iface(l.B.Name))
-		em.vlinks[keyFor(l.A, l.B)] = vl
-	}
-
-	// Charge each VM its PhyNet setup work; the slowest VM defines
-	// network-ready.
-	em.buildsPending = 0
-	charged := map[*cloud.VM]bool{}
-	for _, vm := range em.prep.VMs() {
-		if charged[vm] {
-			continue
-		}
-		charged[vm] = true
-		host := em.Fabric.Host(vm.Name)
-		em.buildsPending++
-		vm.Submit(host.SetupCost(), func() {
-			em.buildsPending--
-			if em.buildsPending == 0 {
-				em.networkReady()
-			}
-		})
-	}
-}
-
-// networkReady records the milestone and boots all firmware (§8.1: route-
-// ready latency starts here).
-func (em *Emulation) networkReady() {
-	o := em.orch
-	em.NetworkReadyAt = o.Eng.Now()
-	n := em.prep.Plan.Network
-
-	for _, name := range em.allNames() {
-		cfg := em.prep.Configs[name]
-		img := em.prep.Images[name]
-		opts := []firmware.Option{firmware.WithAttrs(em.attrs)}
-		hostName := fanoutHost
-		if vm := em.vmOf[name]; vm != nil {
-			opts = append(opts, firmware.WithVM(vm))
-			hostName = vm.Name
-		}
-		dev := firmware.New(name, img, cfg, em.deviceEng(name), em.Fabric, em.containers[name], opts...)
-		em.Devices[name] = dev
-		em.Mgmt.Register(dev, n.MustDevice(name).MgmtIP, credential, hostName)
-	}
-	// Boot emulated devices.
-	for _, name := range append(append([]string{}, em.prep.Plan.Internal...), em.prep.Plan.Boundary...) {
-		em.Devices[name].Boot(nil)
-	}
-	// Boot speakers and inject recorded routes.
-	for _, name := range em.prep.Plan.Speakers {
-		sp, err := speaker.New(em.Devices[name], em.prep.Routes[name])
-		if err != nil {
-			em.alert("speaker %s: %v", name, err)
-			continue
-		}
-		em.Speakers[name] = sp
-		sp.Start(nil)
-	}
-}
-
-// deviceEng returns the engine a device's events run on: under sharding,
-// the domain engine of the device's host VM; otherwise (and for hardware
-// devices on the fanout host, plus any VM attached after Mockup, whose
-// hosts keep the Domain -1 default) the master engine.
-func (em *Emulation) deviceEng(name string) *sim.Engine {
-	if em.shards == nil {
-		return em.orch.Eng
-	}
-	if vm := em.vmOf[name]; vm != nil {
-		if h := em.Fabric.Host(vm.Name); h != nil {
-			return em.shards.Engine(h.Domain)
-		}
-	}
-	return em.orch.Eng
-}
-
-func (em *Emulation) allNames() []string {
-	names := append(append([]string{}, em.prep.Plan.Internal...), em.prep.Plan.Boundary...)
-	names = append(names, em.prep.Plan.Speakers...)
-	sort.Strings(names)
-	return names
-}
-
-// ErrCanceled is returned by a convergence drive whose cancel channel
-// (SetCancel) fired. Callers are expected to Teardown the emulation.
-var ErrCanceled = errors.New("core: emulation canceled")
-
-// SetCancel arms cancellation for this emulation's convergence drives:
-// once ch fires, RunUntilConverged returns ErrCanceled at the driver's next
-// poll (sim.Engine.Check, sim.ShardSet.Check) instead of driving to
-// quiescence; nil disarms it. The serving path wires a request context's
-// Done channel here so an abandoned rehearsal stops burning CPU
-// mid-convergence. The channel does not cross a Checkpoint/Fork — each fork
-// arms its own. Polling changes nothing observable: events fire in the same
-// order, the clock and RNG streams are untouched, and a drive is still one
-// engine/run span, so reports and traces match an unarmed run byte for byte.
-func (em *Emulation) SetCancel(ch <-chan struct{}) {
-	var check func() error
-	if ch != nil {
-		check = func() error {
-			select {
-			case <-ch:
-				return ErrCanceled
-			default:
-				return nil
-			}
-		}
-	}
-	if em.shards != nil {
-		em.shards.Check = check
-	} else {
-		em.orch.Eng.Check = check
-	}
-}
-
-// RunUntilConverged drives the engine — under sharding, the shard ensemble
-// — until the event queue drains (the emulation is stable) and returns the
-// §8.1 latency metrics.
-func (em *Emulation) RunUntilConverged(maxEvents uint64) (Metrics, error) {
-	if maxEvents == 0 {
-		maxEvents = 500_000_000
-	}
-	drive := em.orch.Eng.Run
-	if em.shards != nil {
-		drive = em.shards.Run
-	}
-	if _, err := drive(maxEvents); err != nil {
-		return Metrics{}, err
-	}
-	em.tracePhases()
-	em.settleTraffic()
-	return em.Metrics(), nil
-}
-
-// Teardown aborts an emulation deterministically, whatever state it is in:
-// every pending event — in-flight protocol work, boot callbacks, daemon
-// timers — is dropped wholesale, the firmware is stopped and the VMs reset
-// via Clear, and the engine drains the teardown events so nothing remains
-// scheduled. It is the cleanup path for a rehearsal whose request was
-// canceled mid-convergence: after Teardown the emulation holds no live
-// timers and can be garbage-collected without leaking simulated daemons.
-// Idempotent; a cleared emulation tears down to a no-op.
-func (em *Emulation) Teardown() {
-	if em.cleared {
-		return
-	}
-	// The cancel that brought us here has fired for good; the drain below
-	// must not stop at it.
-	em.SetCancel(nil)
-	if em.shards != nil {
-		em.shards.CancelAll()
-		em.Clear(nil)
-		em.shards.Run(0)
-		return
-	}
-	em.orch.Eng.CancelAll()
-	em.Clear(nil)
-	em.orch.Eng.Run(0)
-}
-
-// tracePhases records the Mockup phase spans and the per-device
-// convergence timeline (the §8.1 / Figures 8–9 measurements) once the
-// network has converged. Spans are reconstructed post hoc from the
-// timeline the emulation already keeps — the intervals are only knowable
-// after quiescence — and latched so repeated convergence calls and forks
-// of a traced parent do not re-record them.
-func (em *Emulation) tracePhases() {
-	rec := em.orch.Eng.Recorder()
-	if rec == nil || em.phasesTraced || em.NetworkReadyAt == 0 {
-		return
-	}
-	em.phasesTraced = true
-	rec.SpanAt("phase", "network-ready", int64(em.MockupStart), int64(em.NetworkReadyAt))
-	var lastRoute sim.Time
-	names := make([]string, 0, len(em.Devices))
-	for n := range em.Devices {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		d := em.Devices[n]
-		if d.LastFIBChange == 0 {
-			continue
-		}
-		// Per-device convergence: mockup start until the device's FIB last
-		// settled during bring-up.
-		rec.SpanAt("converge", n, int64(em.MockupStart), int64(d.LastFIBChange))
-		if d.LastFIBChange > lastRoute {
-			lastRoute = d.LastFIBChange
-		}
-	}
-	if lastRoute > em.NetworkReadyAt {
-		rec.SpanAt("phase", "route-ready", int64(em.NetworkReadyAt), int64(lastRoute))
-	}
-}
-
-// Metrics reports the emulation timeline so far.
-type Metrics struct {
-	NetworkReady time.Duration // Mockup start -> all virtual links up
-	RouteReady   time.Duration // network-ready -> last FIB change
-	Mockup       time.Duration // sum (the paper's mockup latency)
-}
-
-// Metrics computes the timeline from device state; call after the engine
-// has quiesced.
-func (em *Emulation) Metrics() Metrics {
-	var lastRoute sim.Time
-	for _, d := range em.Devices {
-		if d.LastFIBChange > lastRoute {
-			lastRoute = d.LastFIBChange
-		}
-	}
-	m := Metrics{}
-	if em.NetworkReadyAt > em.MockupStart {
-		m.NetworkReady = em.NetworkReadyAt.Sub(em.MockupStart)
-	}
-	if lastRoute > em.NetworkReadyAt {
-		m.RouteReady = lastRoute.Sub(em.NetworkReadyAt)
-	}
-	m.Mockup = m.NetworkReady + m.RouteReady
-	return m
 }
 
 // ---- Control APIs (Table 2) ----
@@ -794,335 +485,6 @@ func (em *Emulation) Network() *topo.Network { return em.prep.Plan.Network }
 
 // Plan returns the emulation's boundary plan.
 func (em *Emulation) Plan() *boundary.Plan { return em.prep.Plan }
-
-// ---- alerts and VM recovery (§6.2) ----
-
-func (em *Emulation) alert(format string, args ...any) {
-	msg := fmt.Sprintf(format, args...)
-	em.orch.Eng.Recorder().Event("alert", msg)
-	em.Alerts = append(em.Alerts, fmt.Sprintf("[%s] ", em.orch.Eng.Now())+msg)
-}
-
-// vmRecovery tracks one VM's §6.2 auto-recovery episode from first failure
-// to all devices rebuilt. Re-failures mid-recovery re-arm the same episode:
-// epoch invalidates rebuild jobs already in flight (instead of letting them
-// double-decrement pending), and the optional deadline bounds the whole
-// episode no matter how many times it re-fails.
-type vmRecovery struct {
-	affected []string
-	start    sim.Time // first failure (episode start)
-	reset    sim.Time // latest device-reset phase start (the §8.3 metric)
-	epoch    int      // bumped on re-failure/abandon; stale jobs no-op
-	pending  int
-	refails  int
-	deadline *sim.Timer
-}
-
-// onVMFailure is the §6.2 auto-recovery path: reboot the VM, then reset its
-// devices and links (the 10-50 s phase measured in §8.3). A failure of a VM
-// already under recovery — a queued fault firing the instant the VM came
-// back, or a random MTBF draw landing mid-episode — re-arms the episode.
-func (em *Emulation) onVMFailure(vm *cloud.VM) {
-	if em.cleared {
-		return
-	}
-	if rec := em.recovering[vm]; rec != nil {
-		rec.epoch++ // in-flight rebuild jobs are now stale
-		rec.refails++
-		rec.pending = 0
-		em.orch.Eng.Recorder().Counter("vm.recovery_refailures", "").Inc()
-		em.alert("VM %s failed again during recovery (re-failure %d); re-arming", vm.Name, rec.refails)
-		em.crashAffected(rec.affected)
-		em.rebootForRecovery(vm, rec)
-		return
-	}
-	em.alert("VM %s failed; rebooting", vm.Name)
-	var affected []string
-	for name, v := range em.vmOf {
-		if v == vm {
-			affected = append(affected, name)
-		}
-	}
-	sort.Strings(affected)
-	rec := &vmRecovery{affected: affected, start: em.orch.Eng.Now()}
-	em.recovering[vm] = rec
-	if d := em.orch.opts.RecoveryDeadline; d > 0 {
-		rec.deadline = em.orch.Eng.After(d, func() {
-			em.abandonRecovery(vm, rec, fmt.Sprintf("recovery deadline %s exceeded", d))
-		})
-	}
-	em.crashAffected(affected)
-	em.rebootForRecovery(vm, rec)
-}
-
-// crashAffected marks a failed VM's devices dead and drops their links.
-// Safe to repeat on re-failure: Crash and SetLinkState(false) are no-ops
-// on already-crashed devices and already-down links.
-func (em *Emulation) crashAffected(affected []string) {
-	for _, name := range affected {
-		em.Devices[name].Crash("VM failure")
-		em.dropDeviceLinks(name)
-	}
-}
-
-// rebootForRecovery asks the cloud to bring the episode's VM back and, once
-// some VM is Running for it (possibly a replacement), starts the device
-// reset phase — unless the episode was re-armed or abandoned meanwhile.
-func (em *Emulation) rebootForRecovery(vm *cloud.VM, rec *vmRecovery) {
-	epoch := rec.epoch
-	em.orch.Cloud.Reboot(vm, func(host *cloud.VM) {
-		if em.cleared || rec.epoch != epoch {
-			return
-		}
-		em.beginDeviceReset(host, rec)
-	})
-}
-
-// beginDeviceReset rebuilds every affected device's container on the
-// now-running host. Each job captures the episode epoch: a re-failure or
-// abandon bumps it, turning jobs from the superseded wave into no-ops
-// instead of double-decrementing pending.
-func (em *Emulation) beginDeviceReset(host *cloud.VM, rec *vmRecovery) {
-	rec.reset = em.orch.Eng.Now()
-	rec.pending = len(rec.affected)
-	epoch := rec.epoch
-	if rec.pending == 0 {
-		em.finishRecovery(host, rec)
-		return
-	}
-	for _, name := range rec.affected {
-		name := name
-		host.Submit(recoverWorkPerBox, func() {
-			if em.cleared || rec.epoch != epoch {
-				return
-			}
-			em.rebuildContainer(name)
-			// Speakers must replay their recorded announcements after the
-			// reboot, or the boundary routes they stand in for are silently
-			// lost until the run ends (Start = Boot + Inject).
-			if sp := em.Speakers[name]; sp != nil {
-				sp.Start(nil)
-			} else {
-				em.Devices[name].Boot(nil)
-			}
-			rec.pending--
-			if rec.pending == 0 {
-				em.finishRecovery(host, rec)
-			}
-		})
-	}
-}
-
-// finishRecovery closes a recovery episode: records the device-reset
-// latency (the §8.3 metric — VM boot time is excluded, matching how
-// production measures the recovery agent), cancels the deadline, and
-// retires the episode.
-func (em *Emulation) finishRecovery(host *cloud.VM, rec *vmRecovery) {
-	rec.deadline.Cancel()
-	delete(em.recovering, host)
-	dur := em.orch.Eng.Now().Sub(rec.reset)
-	em.recoveries = append(em.recoveries, dur)
-	em.orch.Eng.Recorder().Histogram("vm.recovery_seconds", "").Observe(dur.Seconds())
-	em.orch.Eng.Recorder().SpanAt("recover", host.Name, int64(rec.reset), int64(em.orch.Eng.Now()))
-	if rec.refails > 0 {
-		em.alert("VM %s recovered (%d devices reset in %s, after %d re-failures)",
-			host.Name, len(rec.affected), dur, rec.refails)
-	} else {
-		em.alert("VM %s recovered (%d devices reset in %s)",
-			host.Name, len(rec.affected), dur)
-	}
-}
-
-// abandonRecovery gives an episode up — the deadline expired, or the cloud
-// reported the boot can never complete (VM deprovisioned mid-reboot,
-// replacement abandoned). The affected devices stay crashed; instead of a
-// silent deadlock, the episode lands in Degraded() and the alert stream,
-// and wait-converge completes.
-func (em *Emulation) abandonRecovery(vm *cloud.VM, rec *vmRecovery, why string) {
-	if em.cleared || em.recovering[vm] != rec {
-		return
-	}
-	rec.epoch++ // strand any in-flight rebuild jobs
-	rec.deadline.Cancel()
-	delete(em.recovering, vm)
-	em.orch.Eng.Recorder().Counter("vm.recovery_abandoned", "").Inc()
-	summary := fmt.Sprintf("VM %s: %s after %s; %d devices degraded: %s",
-		vm.Name, why, em.orch.Eng.Now().Sub(rec.start), len(rec.affected), strings.Join(rec.affected, ", "))
-	em.degraded = append(em.degraded, summary)
-	em.alert("%s", summary)
-}
-
-// onVMReplaced re-points placement at a replacement VM: the fabric gains a
-// host for it (same domain), affected containers and devices move over,
-// and the group/recovery/queued-fault bookkeeping is rekeyed so rebuilds
-// and pending faults land on the VM that actually runs the workload.
-func (em *Emulation) onVMReplaced(old, nv *cloud.VM) {
-	if em.cleared {
-		return
-	}
-	em.alert("VM %s gave up booting; replaced by %s", old.Name, nv.Name)
-	oldHost := em.Fabric.Host(old.Name)
-	h := em.Fabric.AddHost(nv.Name)
-	if oldHost != nil {
-		// The replacement inherits the failed VM's domain so its devices
-		// keep draining on the engine that owns their state.
-		h.Domain = oldHost.Domain
-	}
-	var moved []string
-	for name, v := range em.vmOf {
-		if v == old {
-			moved = append(moved, name)
-		}
-	}
-	sort.Strings(moved)
-	for _, name := range moved {
-		em.vmOf[name] = nv
-		if oldHost != nil {
-			oldHost.RemoveContainer(name)
-		}
-		if dev := em.Devices[name]; dev != nil {
-			dev.AssignVM(nv)
-		}
-	}
-	// In-place swap keeps prep.assignments' (group, index) addressing valid.
-	for g, vms := range em.prep.groupVMs {
-		for i, v := range vms {
-			if v == old {
-				em.prep.groupVMs[g][i] = nv
-			}
-		}
-	}
-	if rec := em.recovering[old]; rec != nil {
-		delete(em.recovering, old)
-		em.recovering[nv] = rec
-	}
-	if n := em.pendingFaults[old]; n > 0 {
-		delete(em.pendingFaults, old)
-		em.pendingFaults[nv] += n
-	}
-}
-
-// onBootAborted handles the cloud's "this boot can never complete" signal:
-// a VM deprovisioned during its (re)boot window, or a replacement VM that
-// exhausted its own attempt budget. Without it the episode's onReady would
-// simply never fire — the silent recovery deadlock this layer removes.
-func (em *Emulation) onBootAborted(vm *cloud.VM) {
-	if em.cleared {
-		return
-	}
-	if rec := em.recovering[vm]; rec != nil {
-		em.abandonRecovery(vm, rec, "VM boot aborted ("+vm.State().String()+")")
-	}
-}
-
-// dropDeviceLinks cuts every emulated link touching the named device and
-// notifies surviving neighbors.
-func (em *Emulation) dropDeviceLinks(name string) {
-	em.deviceLinks(name, func(k linkKey, _, remote *topo.Interface, _ *phynet.VIface) {
-		if vl := em.vlinks[k]; vl != nil {
-			em.Fabric.SetLinkState(vl, false)
-		}
-		if rdev := em.Devices[remote.Device.Name]; rdev != nil {
-			rdev.LinkDown(remote.Name)
-		}
-	})
-}
-
-// Recoveries returns measured VM-recovery durations (§8.3).
-func (em *Emulation) Recoveries() []time.Duration { return em.recoveries }
-
-// Degraded returns the degraded-mode summaries of recovery episodes that
-// were abandoned (deadline exceeded or boot aborted) instead of completing.
-func (em *Emulation) Degraded() []string { return em.degraded }
-
-// FaultsPending returns how many injected VM faults are still queued,
-// waiting for their VM to reach Running. A nonzero value at the end of a
-// run means injected faults never actually happened — the scenario layer
-// surfaces (and fails on) it rather than letting them vanish.
-func (em *Emulation) FaultsPending() int {
-	n := 0
-	for _, c := range em.pendingFaults {
-		n += c
-	}
-	return n
-}
-
-// FaultOutcome reports what InjectVMFailure did with a fault.
-type FaultOutcome int
-
-// Fault outcomes.
-const (
-	// FaultFired: the VM was Running and failed on the spot.
-	FaultFired FaultOutcome = iota
-	// FaultQueued: the VM was Provisioning or already Failed; the fault is
-	// armed to fire on its next transition to Running (tracked by
-	// FaultsPending until then).
-	FaultQueued
-)
-
-// String names the outcome.
-func (o FaultOutcome) String() string {
-	if o == FaultQueued {
-		return "queued"
-	}
-	return "fired"
-}
-
-// InjectVMFailure fails the VM hosting the named device — the §6.2 failure
-// drill a scenario triggers on demand instead of waiting for the cloud's
-// random failure process. Recovery is automatic (onVMFailure) and its
-// latency lands in Recoveries().
-//
-// A fault is never silently dropped: if the VM is Running it fires now; if
-// it is Provisioning or Failed (for example mid-recovery from an earlier
-// fault) it is queued to fire the moment the VM — or its replacement — is
-// Running again; if it is deprovisioned the fault is impossible and a
-// distinct error says so.
-func (em *Emulation) InjectVMFailure(device string) (FaultOutcome, error) {
-	vm := em.vmOf[device]
-	if vm == nil {
-		return 0, fmt.Errorf("core: no VM hosts device %q", device)
-	}
-	if em.orch.Cloud.Fail(vm) {
-		em.orch.Eng.Recorder().Counter("vm.faults_fired", "").Inc()
-		return FaultFired, nil
-	}
-	if vm.State() == cloud.VMStopped {
-		return 0, fmt.Errorf("core: VM %s hosting %q is deprovisioned; fault cannot fire", vm.Name, device)
-	}
-	em.queueFault(vm)
-	em.orch.Eng.Recorder().Counter("vm.faults_queued", "").Inc()
-	return FaultQueued, nil
-}
-
-// queueFault arms a fault to fire when vm next reaches Running. The waiter
-// travels with the workload: if the boot is satisfied by a replacement VM,
-// the fault fires on the replacement (and the pending count, rekeyed by
-// onVMReplaced, is decremented on whichever VM delivered it).
-func (em *Emulation) queueFault(vm *cloud.VM) {
-	em.pendingFaults[vm]++
-	vm.WhenRunning(func(running *cloud.VM) {
-		if em.pendingFaults[running] > 0 {
-			em.pendingFaults[running]--
-			if em.pendingFaults[running] == 0 {
-				delete(em.pendingFaults, running)
-			}
-		}
-		if em.cleared {
-			return
-		}
-		em.orch.Cloud.Fail(running)
-	})
-}
-
-// VMName reports which VM hosts the named device ("" for hardware devices
-// and unknown names) — scenario reports use it to label failure drills.
-func (em *Emulation) VMName(device string) string {
-	if vm := em.vmOf[device]; vm != nil {
-		return vm.Name
-	}
-	return ""
-}
 
 // Clear stops all firmware and resets the VMs to a clean state (Table 2).
 // onDone fires when every VM has finished clearing; ClearedAt records the
