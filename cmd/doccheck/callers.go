@@ -65,25 +65,65 @@ type listedPackage struct {
 	Module     *struct{ Path string }
 }
 
-// callerProblems type-checks every non-test package of the module at root,
-// in `go list -deps` order, and reports each func or method declared under
-// internal/ that no non-test code outside its own body refers to. References
-// from bench/ do not count, and neither does a method that implements a
-// standard-library interface (stdInterfaces) or one of the module's own
-// interfaces whose method some code calls. allow exempts "pkg.Func" and
-// "pkg.Type.Method" keys. An entry that names no function, names one that
-// has a caller, or is a benchPin that bench/ no longer calls is reported
-// too, so the list cannot rot.
+// buildTags are the build configurations whose non-test code is scanned:
+// the default build, and the crystaldebug oracles scripts/check.sh runs.
+var buildTags = []string{"", "crystaldebug"}
+
+// funcUse is what the caller scan learns about one function.
+type funcUse struct {
+	pos       string // file:line of the declaration
+	reached   bool   // referred to outside bench/ and its own body
+	benchUsed bool   // referred to from bench/
+}
+
+// callerProblems reports each func or method declared under internal/ that
+// no non-test code outside its own body refers to, in any of buildTags.
+// References from bench/ do not count, and neither does a method that
+// implements a standard-library interface (stdInterfaces) or one of the
+// module's own interfaces whose method some code calls. allow exempts
+// "pkg.Func" and "pkg.Type.Method" keys. An entry that names no function,
+// names one that has a caller, or is a benchPin that bench/ no longer calls
+// is reported too, so the list cannot rot.
 func callerProblems(root string, allow map[string]string) []string {
+	funcs := map[string]*funcUse{}
+	for _, tags := range buildTags {
+		if err := scanCallers(root, tags, funcs); err != nil {
+			return []string{err.Error()}
+		}
+	}
+	var problems []string
+	for key, f := range funcs {
+		reason, allowed := allow[key]
+		switch {
+		case !f.reached && !allowed:
+			problems = append(problems, fmt.Sprintf("%s: %s has no non-test caller outside bench/ (reach it, delete it, or allowlist it with a reason)", f.pos, key))
+		case f.reached && allowed:
+			problems = append(problems, fmt.Sprintf("caller allowlist: %s has a caller now; drop its entry", key))
+		case allowed && reason == benchPin && !f.benchUsed:
+			problems = append(problems, fmt.Sprintf("caller allowlist: bench/ no longer calls %s; delete it", key))
+		}
+	}
+	for key := range allow {
+		if funcs[key] == nil {
+			problems = append(problems, fmt.Sprintf("caller allowlist: %s names no function under internal/", key))
+		}
+	}
+	return problems
+}
+
+// scanCallers type-checks every non-test package of the module at root,
+// built with tags, in `go list -deps` order, and merges what it learns about
+// the functions declared under internal/ into funcs.
+func scanCallers(root, tags string, funcs map[string]*funcUse) error {
 	root, _ = filepath.Abs(root)
-	cmd := exec.Command("go", "list", "-deps", "-json", "./...")
+	cmd := exec.Command("go", "list", "-deps", "-json", "-tags", tags, "./...")
 	cmd.Dir = root
 	cmd.Env = append(os.Environ(), "CGO_ENABLED=0")
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
 	out, err := cmd.Output()
 	if err != nil {
-		return []string{fmt.Sprintf("go list: %v: %s", err, stderr.String())}
+		return fmt.Errorf("go list: %v: %s", err, stderr.String())
 	}
 
 	fset := token.NewFileSet()
@@ -96,7 +136,7 @@ func callerProblems(root string, allow map[string]string) []string {
 	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
 		var p listedPackage
 		if err := dec.Decode(&p); err != nil {
-			return []string{fmt.Sprintf("go list output: %v", err)}
+			return fmt.Errorf("go list output: %v", err)
 		}
 		if p.ImportPath == "unsafe" {
 			continue
@@ -105,7 +145,7 @@ func callerProblems(root string, allow map[string]string) []string {
 		for _, name := range p.GoFiles {
 			f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, parser.SkipObjectResolution)
 			if err != nil {
-				return []string{err.Error()}
+				return err
 			}
 			files = append(files, f)
 		}
@@ -179,30 +219,19 @@ func callerProblems(root string, allow map[string]string) []string {
 		std = append(std, scope.Lookup(si.name).Type().Underlying().(*types.Interface))
 	}
 
-	var problems []string
-	seen := map[string]bool{}
 	for fn, s := range decls {
 		key := funcKey(fn)
-		seen[key] = true
-		reached := used[fn] || implements(fn, std, nil) || implements(fn, ifaces, used)
-		reason, allowed := allow[key]
-		switch {
-		case !reached && !allowed:
+		f := funcs[key]
+		if f == nil {
 			pos := fset.Position(s.pos)
 			file, _ := filepath.Rel(root, pos.Filename)
-			problems = append(problems, fmt.Sprintf("%s:%d: %s has no non-test caller outside bench/ (reach it, delete it, or allowlist it with a reason)", file, pos.Line, key))
-		case reached && allowed:
-			problems = append(problems, fmt.Sprintf("caller allowlist: %s has a caller now; drop its entry", key))
-		case allowed && reason == benchPin && !benchUsed[fn]:
-			problems = append(problems, fmt.Sprintf("caller allowlist: bench/ no longer calls %s; delete it", key))
+			f = &funcUse{pos: fmt.Sprintf("%s:%d", file, pos.Line)}
+			funcs[key] = f
 		}
+		f.reached = f.reached || used[fn] || implements(fn, std, nil) || implements(fn, ifaces, used)
+		f.benchUsed = f.benchUsed || benchUsed[fn]
 	}
-	for key := range allow {
-		if !seen[key] {
-			problems = append(problems, fmt.Sprintf("caller allowlist: %s names no function under internal/", key))
-		}
-	}
-	return problems
+	return nil
 }
 
 // implements reports whether fn is a method that makes its receiver type

@@ -73,10 +73,6 @@ func TestEffectiveLocalPref(t *testing.T) {
 
 func TestAttrsWithHelpers(t *testing.T) {
 	a := &Attrs{Path: NewPath(1), NextHop: 5}
-	b := a.WithNextHop(9)
-	if a.NextHop != 5 || b.NextHop != 9 || b.Path != a.Path {
-		t.Fatal("WithNextHop wrong")
-	}
 	c := a.WithPath(NewPath(2))
 	if c.Path.String() != "2" || a.Path.String() != "1" {
 		t.Fatal("WithPath wrong")

@@ -44,7 +44,7 @@ func BenchmarkRouterChurn(b *testing.B) {
 		if _, err := n.eng.Run(0); err != nil {
 			b.Fatal(err)
 		}
-		a.r.WithdrawLocal(p)
+		a.r.removeCandidate(p, nil)
 		if _, err := n.eng.Run(0); err != nil {
 			b.Fatal(err)
 		}

@@ -207,7 +207,7 @@ func TestWithdrawalPropagates(t *testing.T) {
 	if _, ok := c.r.BestRoute(p); !ok {
 		t.Fatal("setup: c missing route")
 	}
-	a.r.WithdrawLocal(p)
+	a.r.removeCandidate(p, nil)
 	n.run()
 	if _, ok := c.r.BestRoute(p); ok {
 		t.Fatal("withdrawal did not propagate to c")
@@ -577,7 +577,7 @@ func TestAggregateWithdrawnWhenContributorsGone(t *testing.T) {
 	if _, ok := r8.r.BestRoute(agg); !ok {
 		t.Fatal("aggregate missing")
 	}
-	a.r.WithdrawLocal(pfx("100.64.0.0/24"))
+	a.r.removeCandidate(pfx("100.64.0.0/24"), nil)
 	n.run()
 	if _, ok := r8.r.BestRoute(agg); ok {
 		t.Fatal("aggregate survived contributor withdrawal")
@@ -650,15 +650,14 @@ func TestStatsAndString(t *testing.T) {
 	if a.r.String() != "bgp(a AS65001)" {
 		t.Fatalf("String = %q", a.r.String())
 	}
-	if len(a.r.Prefixes()) != 1 {
-		t.Fatal("Prefixes wrong")
-	}
 	pa := a.r.Peer(0)
 	if pa.MsgsIn == 0 || pa.MsgsOut == 0 {
 		t.Fatal("message counters not incremented")
 	}
-	if pa.AdvertisedLen() != 1 {
-		t.Fatalf("AdvertisedLen = %d", pa.AdvertisedLen())
+	advertised := 0
+	pa.advertised.Range(func(int, *Attrs) bool { advertised++; return true })
+	if advertised != 1 {
+		t.Fatalf("advertised to peer 0: %d routes, want 1", advertised)
 	}
 	if n.nodes["b"].r.Peer(0).AdjInLen() != 1 {
 		t.Fatal("AdjInLen wrong")

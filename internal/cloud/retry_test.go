@@ -226,8 +226,8 @@ func TestMTBFTimersAreDaemons(t *testing.T) {
 		t.Fatalf("Run: %v", err)
 	}
 	// Boots fired; the armed failure timers must not have kept Run alive.
-	if p.Running() != 5 {
-		t.Fatalf("Running = %d, want 5", p.Running())
+	if n := runningVMs(p); n != 5 {
+		t.Fatalf("running VMs = %d, want 5", n)
 	}
 	// Only the daemon failure timers stay queued: another Run fires nothing.
 	fired := eng.Fired()

@@ -257,7 +257,7 @@ func TestStopDetachesButNamespaceSurvives(t *testing.T) {
 	r := buildRig(t, netw, nil)
 	r.bootAll()
 	a := r.devices["a"]
-	c := a.Container()
+	c := a.container
 	a.Stop("test")
 	if a.State() != DeviceStopped || c.Attached() {
 		t.Fatal("stop did not detach")
@@ -628,7 +628,7 @@ func TestOSPFOverFabric(t *testing.T) {
 	r.bootAll()
 
 	da, dc := r.devices["a"], r.devices["c"]
-	if da.OSPF() == nil {
+	if da.osp == nil {
 		t.Fatal("OSPF not started")
 	}
 	// a reaches c's loopback two hops away via OSPF routes in the FIB.
@@ -671,14 +671,14 @@ func TestSoftASICTrapPipeline(t *testing.T) {
 	healthy := build(false)
 	healthy.bootAll()
 	b := healthy.devices["b"]
-	if b.ASIC() == nil {
+	if b.asic == nil {
 		t.Fatal("soft ASIC not programmed")
 	}
 	if b.PullStates().Established != 1 {
 		t.Fatal("healthy soft-ASIC build failed to establish")
 	}
 	var trap *p4.Table
-	for _, tb := range b.ASIC().Tables {
+	for _, tb := range b.asic.Tables {
 		if tb.Name == "cpu_trap" {
 			trap = tb
 		}
@@ -756,12 +756,12 @@ func TestHandleFrameRejectsJunk(t *testing.T) {
 	// Truncated frame.
 	a.handleFrame("et0", []byte{1, 2, 3})
 	// Unknown ethertype.
-	weird := &netpkt.EthernetFrame{Dst: a.Container().Iface("et0").MAC, EtherType: 0x86dd, Payload: []byte{0}}
+	weird := &netpkt.EthernetFrame{Dst: a.container.Iface("et0").MAC, EtherType: 0x86dd, Payload: []byte{0}}
 	a.handleFrame("et0", weird.Marshal())
 	// Unknown interface name.
 	a.handleFrame("et99", weird.Marshal())
 	// Corrupt IPv4 payload.
-	bad := &netpkt.EthernetFrame{Dst: a.Container().Iface("et0").MAC, EtherType: netpkt.EtherTypeIPv4, Payload: []byte{0x45, 0}}
+	bad := &netpkt.EthernetFrame{Dst: a.container.Iface("et0").MAC, EtherType: netpkt.EtherTypeIPv4, Payload: []byte{0x45, 0}}
 	a.handleFrame("et0", bad.Marshal())
 
 	if len(a.Captures) != before {

@@ -17,8 +17,13 @@ func TestForkPlane(t *testing.T) {
 	fork := plane.Fork(func(name string) *firmware.Device { return devs[name] })
 
 	// Addressing, credentials and the VM tree copy over.
-	if got, want := fork.Names(), plane.Names(); len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
-		t.Fatalf("fork names = %v, want %v", got, want)
+	if len(fork.byName) != len(plane.byName) {
+		t.Fatalf("fork registers %d devices, want %d", len(fork.byName), len(plane.byName))
+	}
+	for name := range plane.byName {
+		if _, ok := fork.byName[name]; !ok {
+			t.Fatalf("fork lost device %s", name)
+		}
 	}
 	ipA, err := plane.Resolve("a")
 	if err != nil {

@@ -65,7 +65,7 @@ func TestResolveAndDial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Device().Name != "a" {
+	if s.ep.dev.Name != "a" {
 		t.Fatal("wrong device")
 	}
 	if _, err := plane.Resolve("zz"); err == nil {
@@ -77,9 +77,8 @@ func TestResolveAndDial(t *testing.T) {
 	if _, err := plane.Dial(ip, "wrong"); err == nil {
 		t.Fatal("auth failure expected")
 	}
-	names := plane.Names()
-	if len(names) != 2 || names[0] != "a" {
-		t.Fatalf("names = %v", names)
+	if _, ok := plane.byName["a"]; !ok || len(plane.byName) != 2 {
+		t.Fatalf("registered %d devices, want a and one more", len(plane.byName))
 	}
 }
 

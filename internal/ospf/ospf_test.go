@@ -162,8 +162,8 @@ func (n *onet) p2p(aName, bName string, cost uint16) {
 	ai := a.in.AddInterface(IfaceConfig{Name: ifname(len(a.wires)), Addr: netpkt.Prefix{Addr: base, Len: 31}, Type: P2P, Cost: cost})
 	bi := b.in.AddInterface(IfaceConfig{Name: ifname(len(b.wires)), Addr: netpkt.Prefix{Addr: base + 1, Len: 31}, Type: P2P, Cost: cost})
 	seg.members = []segMember{
-		{node: a, iface: ai, addr: base, rid: a.in.RouterID()},
-		{node: b, iface: bi, addr: base + 1, rid: b.in.RouterID()},
+		{node: a, iface: ai, addr: base, rid: a.in.cfg.RouterID},
+		{node: b, iface: bi, addr: base + 1, rid: b.in.cfg.RouterID},
 	}
 	a.wires = append(a.wires, seg)
 	b.wires = append(b.wires, seg)
@@ -181,7 +181,7 @@ func (n *onet) lan(names []string, prios []uint8) {
 			Name: ifname(len(nd.wires)), Addr: netpkt.Prefix{Addr: addr, Len: 24},
 			Type: Broadcast, Cost: 10, Priority: prios[i],
 		})
-		seg.members = append(seg.members, segMember{node: nd, iface: idx, addr: addr, rid: nd.in.RouterID()})
+		seg.members = append(seg.members, segMember{node: nd, iface: idx, addr: addr, rid: nd.in.cfg.RouterID})
 		nd.wires = append(nd.wires, seg)
 	}
 }
@@ -214,8 +214,8 @@ func TestP2PAdjacencyAndRoute(t *testing.T) {
 		t.Fatalf("b FIB: %v", b.fib)
 	}
 	// LSDBs are synchronized.
-	if a.in.LSDBLen() != b.in.LSDBLen() {
-		t.Fatalf("LSDB sizes differ: %d vs %d", a.in.LSDBLen(), b.in.LSDBLen())
+	if len(a.in.lsdb) != len(b.in.lsdb) {
+		t.Fatalf("LSDB sizes differ: %d vs %d", len(a.in.lsdb), len(b.in.lsdb))
 	}
 }
 
@@ -297,12 +297,12 @@ func TestDRBDRElection(t *testing.T) {
 
 	// Highest router ID wins with equal priorities: c is DR, b is BDR.
 	for _, nd := range []*onode{a, b, c} {
-		i := nd.in.Iface(0)
-		if i.DR() != ip("10.0.0.3") {
-			t.Fatalf("%s sees DR=%v, want c", nd.name, i.DR())
+		i := nd.in.ifaces[0]
+		if i.dr != ip("10.0.0.3") {
+			t.Fatalf("%s sees DR=%v, want c", nd.name, i.dr)
 		}
-		if i.BDR() != ip("10.0.0.2") {
-			t.Fatalf("%s sees BDR=%v, want b", nd.name, i.BDR())
+		if i.bdr != ip("10.0.0.2") {
+			t.Fatalf("%s sees BDR=%v, want b", nd.name, i.bdr)
 		}
 	}
 	// Routes across the LAN: a reaches b and c loopbacks.
@@ -321,8 +321,8 @@ func TestElectionPriorityWins(t *testing.T) {
 	n.add("c", "10.0.0.3")
 	n.lan([]string{"a", "b", "c"}, []uint8{10, 1, 1}) // a has top priority
 	n.start()
-	if a.in.Iface(0).DR() != ip("10.0.0.1") {
-		t.Fatalf("DR = %v, want a (priority 10)", a.in.Iface(0).DR())
+	if a.in.ifaces[0].dr != ip("10.0.0.1") {
+		t.Fatalf("DR = %v, want a (priority 10)", a.in.ifaces[0].dr)
 	}
 }
 
@@ -332,7 +332,7 @@ func TestPriorityZeroNeverDR(t *testing.T) {
 	n.add("b", "10.0.0.2")
 	n.lan([]string{"a", "b"}, []uint8{0, 1})
 	n.start()
-	if dr := a.in.Iface(0).DR(); dr != ip("10.0.0.2") {
+	if dr := a.in.ifaces[0].dr; dr != ip("10.0.0.2") {
 		t.Fatalf("DR = %v, want b (a has priority 0)", dr)
 	}
 }
@@ -402,51 +402,5 @@ func TestStubPrefixPropagation(t *testing.T) {
 	// Local stubs are never self-installed.
 	if _, ok := b.fib[pfx("100.64.7.0/24")]; ok {
 		t.Fatal("local stub installed into own FIB")
-	}
-}
-
-func TestLSDBSnapshotSortedAndDeep(t *testing.T) {
-	n := newOnet(t)
-	a := n.add("a", "10.0.0.1")
-	n.add("b", "10.0.0.2")
-	n.p2p("a", "b", 10)
-	n.start()
-	snap := a.in.LSDB()
-	if len(snap) != a.in.LSDBLen() {
-		t.Fatal("snapshot incomplete")
-	}
-	for i := 1; i < len(snap); i++ {
-		x, y := snap[i-1], snap[i]
-		if x.Type > y.Type || (x.Type == y.Type && x.ID > y.ID) {
-			t.Fatal("snapshot not sorted")
-		}
-	}
-	if len(snap[0].Links) > 0 {
-		snap[0].Links[0].Cost = 9999
-		if a.in.LSDB()[0].Links[0].Cost == 9999 {
-			t.Fatal("snapshot aliases LSDB")
-		}
-	}
-	if snap[0].String() == "" {
-		t.Fatal("LSA String empty")
-	}
-}
-
-func TestRoutesAccessor(t *testing.T) {
-	n := newOnet(t)
-	a := n.add("a", "10.0.0.1")
-	n.add("b", "10.0.0.2")
-	n.p2p("a", "b", 10)
-	n.start()
-	routes := a.in.Routes()
-	if len(routes) == 0 {
-		t.Fatal("Routes empty")
-	}
-	for p, h := range routes {
-		h[0].IP = 0
-		if a.in.Routes()[p][0].IP == 0 {
-			t.Fatal("Routes aliases internal state")
-		}
-		break
 	}
 }

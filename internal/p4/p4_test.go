@@ -1,7 +1,7 @@
 package p4
 
 import (
-	"strings"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -13,38 +13,47 @@ func pkt(dst string, proto uint8, ttl uint8) *Packet {
 }
 
 func lpmForward(t *Table, cidr string, port uint32) {
+	pfx := netpkt.MustParsePrefix(cidr)
 	t.AddEntry(&Entry{
-		Keys:   []Key{LPMKey(netpkt.MustParsePrefix(cidr))},
+		Keys:   []Key{{Field: FieldDstIP, Kind: MatchLPM, Value: uint32(pfx.Addr), Mask: uint32(pfx.MaskIP())}},
 		Action: Action{Kind: ActForward, Port: port},
 	})
 }
 
+// switchProgram is a switch's pipeline: TrapProgram's ACL and CPU-trap
+// stages, then a TTL stage and an IPv4 LPM stage that drops on a miss. It
+// returns the program and its LPM stage.
+func switchProgram(trapARP, trapBGP bool) (*Program, *Table) {
+	prog := TrapProgram(trapARP, trapBGP)
+	prog.AddTable("ttl", Action{Kind: ActDecTTL})
+	return prog, prog.AddTable("ipv4_lpm", Action{Kind: ActDrop})
+}
+
 func TestReferenceProgramForwards(t *testing.T) {
-	prog := ReferenceSwitchProgram(true, true)
-	lpm := prog.Table("ipv4_lpm")
+	prog, lpm := switchProgram(true, true)
 	lpmForward(lpm, "100.64.0.0/24", 3)
 	lpmForward(lpm, "0.0.0.0/0", 9)
 
 	r := prog.Run(pkt("100.64.0.7", netpkt.ProtoUDP, 64))
 	if r.Verdict != Forwarded || r.Port != 3 {
-		t.Fatalf("result = %s", r.TraceString())
+		t.Fatalf("result = %+v", r)
 	}
 	// Default route catches the rest.
 	r = prog.Run(pkt("8.8.8.8", netpkt.ProtoUDP, 64))
 	if r.Verdict != Forwarded || r.Port != 9 {
-		t.Fatalf("default route: %s", r.TraceString())
+		t.Fatalf("default route: %+v", r)
 	}
 	// LPM prefers the longer prefix even when added after.
 	lpmForward(lpm, "100.64.0.0/28", 5)
 	r = prog.Run(pkt("100.64.0.7", netpkt.ProtoUDP, 64))
 	if r.Port != 5 {
-		t.Fatalf("LPM ordering: %s", r.TraceString())
+		t.Fatalf("LPM ordering: %+v", r)
 	}
 }
 
 func TestTTLDecrementAndExpiry(t *testing.T) {
-	prog := ReferenceSwitchProgram(true, true)
-	lpmForward(prog.Table("ipv4_lpm"), "0.0.0.0/0", 1)
+	prog, lpm := switchProgram(true, true)
+	lpmForward(lpm, "0.0.0.0/0", 1)
 
 	p := pkt("8.8.8.8", netpkt.ProtoUDP, 64)
 	if r := prog.Run(p); r.Verdict != Forwarded {
@@ -54,15 +63,15 @@ func TestTTLDecrementAndExpiry(t *testing.T) {
 		t.Fatalf("TTL = %d, want 63", p.Get(FieldTTL))
 	}
 	if r := prog.Run(pkt("8.8.8.8", netpkt.ProtoUDP, 1)); r.Verdict != Dropped {
-		t.Fatalf("TTL 1 must drop: %s", r.TraceString())
+		t.Fatalf("TTL 1 must drop: %+v", r)
 	}
 }
 
 func TestCPUTrapPath(t *testing.T) {
-	healthy := ReferenceSwitchProgram(true, true)
+	healthy, _ := switchProgram(true, true)
 	// ARP (proto 0 in the parsed vector) punts to CPU.
 	if r := healthy.Run(pkt("10.0.0.1", 0, 64)); r.Verdict != PuntedToCPU {
-		t.Fatalf("ARP not trapped: %s", r.TraceString())
+		t.Fatalf("ARP not trapped: %+v", r)
 	}
 	// BGP (TCP) punts too.
 	if r := healthy.Run(pkt("10.0.0.1", netpkt.ProtoTCP, 64)); r.Verdict != PuntedToCPU {
@@ -71,17 +80,17 @@ func TestCPUTrapPath(t *testing.T) {
 
 	// The §7 Case-2 dev build: ARP trap missing — ARP falls through to the
 	// LPM stage and (with no route) is dropped, never reaching the CPU.
-	buggy := ReferenceSwitchProgram(false, true)
+	buggy, _ := switchProgram(false, true)
 	if r := buggy.Run(pkt("10.0.0.1", 0, 64)); r.Verdict != Dropped {
-		t.Fatalf("buggy build should drop ARP silently: %s", r.TraceString())
+		t.Fatalf("buggy build should drop ARP silently: %+v", r)
 	}
 }
 
 func TestACLStage(t *testing.T) {
-	prog := ReferenceSwitchProgram(true, true)
-	lpmForward(prog.Table("ipv4_lpm"), "0.0.0.0/0", 1)
+	prog, lpm := switchProgram(true, true)
+	lpmForward(lpm, "0.0.0.0/0", 1)
 	// Block UDP port 53 in the ACL stage.
-	prog.Table("acl").AddEntry(&Entry{
+	prog.Tables[0].AddEntry(&Entry{ // the ACL stage
 		Keys: []Key{
 			{Field: FieldProto, Kind: MatchExact, Value: uint32(netpkt.ProtoUDP)},
 			{Field: FieldDstPort, Kind: MatchExact, Value: 53},
@@ -111,7 +120,7 @@ func TestSetFieldAction(t *testing.T) {
 	p := pkt("203.0.113.10", netpkt.ProtoTCP, 64)
 	r := prog.Run(p)
 	if r.Verdict != Forwarded || r.Port != 2 {
-		t.Fatalf("NAT rewrite failed: %s", r.TraceString())
+		t.Fatalf("NAT rewrite failed: %+v", r)
 	}
 	if netpkt.IP(p.Get(FieldDstIP)) != netpkt.MustParseIP("10.0.0.10") {
 		t.Fatal("field not rewritten")
@@ -135,28 +144,27 @@ func TestTernaryMatchAndPriority(t *testing.T) {
 	})
 	p := NewPacket(0, netpkt.IP(0xAABBCC01), 6, 1, 2, 64, 0)
 	if r := prog.Run(p); r.Port != 2 {
-		t.Fatalf("priority not honored: %s", r.TraceString())
+		t.Fatalf("priority not honored: %+v", r)
 	}
 }
 
 func TestCountersAndTrace(t *testing.T) {
-	prog := ReferenceSwitchProgram(true, true)
-	lpmForward(prog.Table("ipv4_lpm"), "100.64.0.0/24", 3)
+	prog, lpm := switchProgram(true, true)
+	lpmForward(lpm, "100.64.0.0/24", 3)
 	prog.Run(pkt("100.64.0.1", netpkt.ProtoUDP, 64))
 	prog.Run(pkt("9.9.9.9", netpkt.ProtoUDP, 64)) // miss -> default drop
-	lpm := prog.Table("ipv4_lpm")
 	if lpm.Hits != 1 || lpm.Misses != 1 {
 		t.Fatalf("counters = %d/%d", lpm.Hits, lpm.Misses)
 	}
 	r := prog.Run(pkt("100.64.0.1", netpkt.ProtoUDP, 64))
-	s := r.TraceString()
-	for _, want := range []string{"acl[", "cpu_trap[", "ipv4_lpm[hit:forward]", "=> forwarded(port 3)"} {
-		if !strings.Contains(s, want) {
-			t.Fatalf("trace %q missing %q", s, want)
-		}
+	want := []TraceStep{
+		{Table: "acl", Action: Action{Kind: ActNoOp}},
+		{Table: "cpu_trap", Action: Action{Kind: ActNoOp}},
+		{Table: "ttl", Action: Action{Kind: ActDecTTL}},
+		{Table: "ipv4_lpm", Hit: true, Action: Action{Kind: ActForward, Port: 3}},
 	}
-	if lpm.Len() != 1 {
-		t.Fatal("Len wrong")
+	if !reflect.DeepEqual(r.Trace, want) || r.Verdict != Forwarded || r.Port != 3 {
+		t.Fatalf("result = %+v, want trace %+v forwarded to port 3", r, want)
 	}
 }
 
@@ -164,9 +172,6 @@ func TestEmptyProgramContinues(t *testing.T) {
 	prog := &Program{Name: "empty"}
 	if r := prog.Run(pkt("1.2.3.4", 6, 64)); r.Verdict != Continued {
 		t.Fatal("front-end pipeline must fall through")
-	}
-	if prog.Table("nope") != nil {
-		t.Fatal("missing table lookup")
 	}
 }
 
@@ -210,7 +215,7 @@ func TestPropertyLPMOrderIndependent(t *testing.T) {
 			l := int(lRaw % 33)
 			pfx := netpkt.Prefix{Addr: netpkt.IP(addr), Len: uint8(l)}
 			pfx.Addr &= pfx.MaskIP()
-			tbl.AddEntry(&Entry{Keys: []Key{LPMKey(pfx)}, Action: Action{Kind: ActForward, Port: uint32(l)}})
+			tbl.AddEntry(&Entry{Keys: []Key{{Field: FieldDstIP, Kind: MatchLPM, Value: uint32(pfx.Addr), Mask: uint32(pfx.MaskIP())}}, Action: Action{Kind: ActForward, Port: uint32(l)}})
 			if l > best {
 				best = l
 			}
@@ -227,8 +232,7 @@ func TestPropertyLPMOrderIndependent(t *testing.T) {
 }
 
 func BenchmarkPipelineRun(b *testing.B) {
-	prog := ReferenceSwitchProgram(true, true)
-	lpm := prog.Table("ipv4_lpm")
+	prog, lpm := switchProgram(true, true)
 	for i := 0; i < 1000; i++ {
 		lpmForward(lpm, netpkt.Prefix{Addr: netpkt.IP(0x64000000 + i*256), Len: 24}.String(), uint32(i%32))
 	}

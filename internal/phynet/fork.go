@@ -30,12 +30,8 @@ func (f *Fabric) Fork(eng *sim.Engine) (*Fabric, map[*VIface]*VIface, map[*Conta
 			Domain:          h.Domain,
 			fabric:          c,
 			containers:      make(map[string]*Container, len(h.containers)),
-			vethPairs:       h.vethPairs,
-			bridges:         h.bridges,
-			tunnels:         h.tunnels,
 			setupCost:       h.setupCost,
 			framesDelivered: h.framesDelivered,
-			bytesDelivered:  h.bytesDelivered,
 			framesDropped:   h.framesDropped,
 			encapFrames:     h.encapFrames,
 		}

@@ -60,11 +60,7 @@ type Host struct {
 	fabric *Fabric
 
 	containers map[string]*Container
-	// Plumbing inventories (for validation and setup-cost accounting).
-	vethPairs int
-	bridges   int
-	tunnels   int
-	setupCost float64 // accumulated core-seconds
+	setupCost  float64 // accumulated core-seconds of plumbing
 
 	// Wire statistics, counted by the host whose domain handles the frame:
 	// the sender's host counts what it encapsulates and what it drops on
@@ -72,7 +68,6 @@ type Host struct {
 	// delivery. A host's frames are handled in its one domain, so in a
 	// sharded run no two goroutines write one host's counters.
 	framesDelivered uint64
-	bytesDelivered  uint64
 	framesDropped   uint64
 	encapFrames     uint64
 }
@@ -252,7 +247,6 @@ func (c *Container) AddIface(name string, mac netpkt.MAC) *VIface {
 	v := &VIface{Name: name, MAC: mac, Container: c}
 	c.ifaces[name] = v
 	// Each device interface is one end of a veth pair (Figure 5).
-	c.Host.vethPairs++
 	c.Host.setupCost += costVethPair
 	return v
 }
@@ -274,13 +268,9 @@ func (f *Fabric) Connect(a, b *VIface) *VirtualLink {
 	}
 	// One bridge per link endpoint host; a VXLAN tunnel interface on each
 	// side when the link crosses VMs.
-	a.Container.Host.bridges++
 	a.Container.Host.setupCost += bridgeCost
 	if l.crossVM {
-		b.Container.Host.bridges++
 		b.Container.Host.setupCost += bridgeCost
-		a.Container.Host.tunnels++
-		b.Container.Host.tunnels++
 		a.Container.Host.setupCost += tunCost
 		b.Container.Host.setupCost += tunCost
 	}
@@ -390,7 +380,6 @@ func (f *Fabric) deliver(l *VirtualLink, to *VIface, data []byte) {
 		return
 	}
 	dst.framesDelivered++
-	dst.bytesDelivered += uint64(len(data))
 	h(to.Name, data)
 }
 

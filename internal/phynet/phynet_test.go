@@ -39,11 +39,11 @@ func TestCrossVMDeliveryWithVXLAN(t *testing.T) {
 	if gotIface != "et0" || !bytes.Equal(got, frame) {
 		t.Fatalf("frame corrupted: %v / %q", got, gotIface)
 	}
-	if f.EncapFrames() != 1 {
-		t.Fatalf("EncapFrames = %d, want 1 (cross-VM)", f.EncapFrames())
+	if wire(f).encap != 1 {
+		t.Fatalf("EncapFrames = %d, want 1 (cross-VM)", wire(f).encap)
 	}
-	if f.FramesDelivered() != 1 {
-		t.Fatalf("FramesDelivered = %d", f.FramesDelivered())
+	if wire(f).delivered != 1 {
+		t.Fatalf("FramesDelivered = %d", wire(f).delivered)
 	}
 }
 
@@ -63,7 +63,7 @@ func TestIntraVMDeliveryNoEncap(t *testing.T) {
 	if !seen {
 		t.Fatal("intra-VM frame lost")
 	}
-	if f.EncapFrames() != 0 {
+	if wire(f).encap != 0 {
 		t.Fatal("intra-VM frames must not be encapsulated")
 	}
 }
@@ -84,8 +84,8 @@ func TestDetachedFirmwareDropsFrames(t *testing.T) {
 	// No handler attached on c2.
 	f.Send(c1.Iface("et0"), []byte("x"))
 	eng.Run(0)
-	if f.FramesDropped() != 1 || f.FramesDelivered() != 0 {
-		t.Fatalf("dropped=%d delivered=%d", f.FramesDropped(), f.FramesDelivered())
+	if wire(f).dropped != 1 || wire(f).delivered != 0 {
+		t.Fatalf("dropped=%d delivered=%d", wire(f).dropped, wire(f).delivered)
 	}
 	// Attach later: new frames flow; namespace survived.
 	ok := false
@@ -108,13 +108,13 @@ func TestLinkDownDrops(t *testing.T) {
 	eng, f, c1, c2, l := build(t, LinuxBridge)
 	c2.Attach(func(string, []byte) { t.Fatal("frame crossed a down link") })
 	f.SetLinkState(l, false)
-	if l.Up() {
+	if l.up {
 		t.Fatal("link still up")
 	}
 	f.Send(c1.Iface("et0"), []byte("x"))
 	eng.Run(0)
-	if f.FramesDropped() != 1 {
-		t.Fatalf("dropped = %d", f.FramesDropped())
+	if wire(f).dropped != 1 {
+		t.Fatalf("dropped = %d", wire(f).dropped)
 	}
 }
 
@@ -124,7 +124,7 @@ func TestLinkCutMidFlight(t *testing.T) {
 	f.Send(c1.Iface("et0"), []byte("x"))
 	f.SetLinkState(l, false) // cut before delivery event fires
 	eng.Run(0)
-	if f.FramesDropped() != 1 {
+	if wire(f).dropped != 1 {
 		t.Fatal("in-flight frame not dropped")
 	}
 }
@@ -136,7 +136,7 @@ func TestUnconnectedIfaceDrops(t *testing.T) {
 	c := h.AddContainer("t1")
 	i := c.AddIface("et0", netpkt.MAC{})
 	f.Send(i, []byte("x"))
-	if f.FramesDropped() != 1 {
+	if wire(f).dropped != 1 {
 		t.Fatal("send on unconnected iface should drop")
 	}
 }
@@ -152,18 +152,15 @@ func TestSetupCostOVSHigher(t *testing.T) {
 	if ovsCost <= linuxCost {
 		t.Fatalf("OVS setup cost %f should exceed Linux bridge %f", ovsCost, linuxCost)
 	}
-	if fl.Backend() != LinuxBridge || fo.Backend() != OVS {
-		t.Fatal("Backend accessor wrong")
-	}
 }
 
 func TestPlumbingInventory(t *testing.T) {
 	_, f, _, _, _ := build(t, LinuxBridge)
-	veth, bridges, tunnels := f.Host("vm-a").Plumbing()
-	if veth != 1 || bridges != 1 || tunnels != 1 {
-		t.Fatalf("vm-a plumbing = %d/%d/%d, want 1/1/1", veth, bridges, tunnels)
+	// One namespace, one veth pair, one bridge and one VXLAN tunnel.
+	if got, want := f.Host("vm-a").SetupCost(), costNamespace+costVethPair+costBridgeLinux+costVXLANLinux; got != want {
+		t.Fatalf("vm-a setup cost = %g core-seconds, want %g", got, want)
 	}
-	if f.Host("vm-a").Containers() != 1 {
+	if len(f.Host("vm-a").containers) != 1 {
 		t.Fatal("container count wrong")
 	}
 }
@@ -215,10 +212,10 @@ func TestDoubleConnectPanics(t *testing.T) {
 func TestRemoveContainerDownsLinks(t *testing.T) {
 	_, f, c1, _, l := build(t, LinuxBridge)
 	c1.Host.RemoveContainer("t1")
-	if l.Up() {
+	if l.up {
 		t.Fatal("link survived container removal")
 	}
-	if f.Host("vm-a").Containers() != 0 {
+	if len(f.Host("vm-a").containers) != 0 {
 		t.Fatal("container not removed")
 	}
 	f.Host("vm-a").RemoveContainer("absent") // no-op
@@ -246,7 +243,7 @@ func TestIfaceAccessors(t *testing.T) {
 	if i.Link() != l || l.Other(i) == nil || l.Other(&VIface{}) != nil {
 		t.Fatal("link accessors wrong")
 	}
-	if c1.NumIfaces() != 1 || c1.Iface("nope") != nil {
+	if len(c1.ifaces) != 1 || c1.Iface("nope") != nil {
 		t.Fatal("iface lookup wrong")
 	}
 }
@@ -294,8 +291,8 @@ func TestOversizedCrossVMFrameDropped(t *testing.T) {
 	c2.Attach(func(_ string, fr []byte) { t.Fatalf("an oversized frame was delivered as %d bytes", len(fr)) })
 	f.Send(c1.Iface("et0"), make([]byte, 70_000))
 	eng.Run(0)
-	if f.FramesDropped() != 1 || f.EncapFrames() != 0 || f.FramesDelivered() != 0 {
-		t.Fatalf("dropped=%d encap=%d delivered=%d, want 1/0/0", f.FramesDropped(), f.EncapFrames(), f.FramesDelivered())
+	if wire(f).dropped != 1 || wire(f).encap != 0 || wire(f).delivered != 0 {
+		t.Fatalf("dropped=%d encap=%d delivered=%d, want 1/0/0", wire(f).dropped, wire(f).encap, wire(f).delivered)
 	}
 }
 
@@ -323,4 +320,16 @@ func TestSendFramedEncapsulatesInPlace(t *testing.T) {
 	if !bytes.Equal(buf, want) {
 		t.Fatalf("in-place encapsulation\n% x\nEncapVXLAN\n% x", buf, want)
 	}
+}
+
+// wireCounts are a fabric's wire counters summed over its hosts.
+type wireCounts struct{ delivered, dropped, encap uint64 }
+
+func wire(f *Fabric) (w wireCounts) {
+	for _, h := range f.hosts {
+		w.delivered += h.framesDelivered
+		w.dropped += h.framesDropped
+		w.encap += h.encapFrames
+	}
+	return w
 }

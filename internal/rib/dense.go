@@ -162,6 +162,20 @@ func (d *Dense[T]) Delete(id int) bool {
 	return true
 }
 
+// Range visits present entries in ascending id order — the deterministic
+// iteration order every consumer relies on. Returning false stops the walk.
+func (d *Dense[T]) Range(fn func(id int, v T) bool) {
+	for w, bm := range d.present {
+		for bm != 0 {
+			i := w*64 + bits.TrailingZeros64(bm)
+			bm &= bm - 1
+			if !fn(i, d.vals[i]) {
+				return
+			}
+		}
+	}
+}
+
 // Clear removes every entry, keeping the capacity for reuse (a BGP session
 // reset repopulates the same prefixes moments later).
 func (d *Dense[T]) Clear() {

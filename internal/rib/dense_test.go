@@ -4,15 +4,15 @@ import "testing"
 
 func TestDenseBasics(t *testing.T) {
 	var d Dense[*Entry]
-	if d.Len() != 0 {
+	if d.live != 0 {
 		t.Fatal("zero value not empty")
 	}
 	e1, e2 := &Entry{}, &Entry{}
 	d.Set(3, e1)
 	d.Set(70, e2)
 	d.Set(3, e2) // overwrite must not double-count
-	if d.Len() != 2 {
-		t.Fatalf("len=%d want 2", d.Len())
+	if d.live != 2 {
+		t.Fatalf("len=%d want 2", d.live)
 	}
 	if v, ok := d.Get(3); !ok || v != e2 {
 		t.Fatal("get(3)")
@@ -34,8 +34,8 @@ func TestDenseBasics(t *testing.T) {
 	if !d.Delete(70) || d.Delete(70) {
 		t.Fatal("delete(70)")
 	}
-	if d.Len() != 1 {
-		t.Fatalf("len=%d want 1", d.Len())
+	if d.live != 1 {
+		t.Fatalf("len=%d want 1", d.live)
 	}
 }
 
@@ -53,8 +53,8 @@ func TestDenseCloneClear(t *testing.T) {
 	for i := 10; i < 100; i++ {
 		d.Delete(i)
 	}
-	if d.Len() != 10 || c.Len() != 100 {
-		t.Fatalf("len after delete: original %d want 10, clone %d want 100", d.Len(), c.Len())
+	if d.live != 10 || c.live != 100 {
+		t.Fatalf("len after delete: original %d want 10, clone %d want 100", d.live, c.live)
 	}
 	for i := 0; i < 10; i++ {
 		if v, ok := d.Get(i); !ok || v != i*i {
@@ -66,7 +66,7 @@ func TestDenseCloneClear(t *testing.T) {
 		t.Fatal("set after delete")
 	}
 	c.Clear()
-	if c.Len() != 0 {
+	if c.live != 0 {
 		t.Fatal("clear")
 	}
 	c.Range(func(int, int) bool { t.Fatal("range over cleared table"); return false })
@@ -91,8 +91,8 @@ func TestDenseSharesUntilWritten(t *testing.T) {
 	}
 
 	// Reads never copy.
-	if v, ok := a.Get(7); !ok || v != 7 || a.Len() != 70 || a.Copies() != 0 {
-		t.Fatalf("read through a clone: %d %v len=%d copies=%d", v, ok, a.Len(), a.Copies())
+	if v, ok := a.Get(7); !ok || v != 7 || a.live != 70 || a.Copies() != 0 {
+		t.Fatalf("read through a clone: %d %v len=%d copies=%d", v, ok, a.live, a.Copies())
 	}
 	a.Set(7, -7)    // overwrite
 	b.Delete(8)     // delete
@@ -107,8 +107,8 @@ func TestDenseSharesUntilWritten(t *testing.T) {
 	if b.Delete(8) || b.Copies() != 1 {
 		t.Fatal("deleting an absent id must not copy")
 	}
-	if len(c.vals) != len(parent.vals) || c.Len() != 0 {
-		t.Fatalf("clear of a shared table: cap %d (parent %d), len %d", len(c.vals), len(parent.vals), c.Len())
+	if len(c.vals) != len(parent.vals) || c.live != 0 {
+		t.Fatalf("clear of a shared table: cap %d (parent %d), len %d", len(c.vals), len(parent.vals), c.live)
 	}
 	for i := 0; i < 70; i++ {
 		if v, ok := parent.Get(i); !ok || v != i {

@@ -56,8 +56,8 @@ func TestLanePopsInKeyOrderAgainstModel(t *testing.T) {
 					daemons++
 				}
 			}
-			if e.Pending() != len(model) || e.PendingDaemons() != daemons {
-				t.Fatalf("seed %d op %d: Pending %d / PendingDaemons %d, model holds %d / %d", seed, op, e.Pending(), e.PendingDaemons(), len(model), daemons)
+			if e.Pending() != len(model) || e.daemons != daemons {
+				t.Fatalf("seed %d op %d: Pending %d / PendingDaemons %d, model holds %d / %d", seed, op, e.Pending(), e.daemons, len(model), daemons)
 			}
 			_, err := e.Snapshot()
 			switch {
@@ -218,13 +218,13 @@ func TestShardSetCountsLaneItems(t *testing.T) {
 			l.After(time.Duration(i)*time.Millisecond, i)
 		}
 	}
-	if got := s.Pending(); got != 15 {
-		t.Fatalf("ShardSet.Pending = %d with 15 lane items queued", got)
+	if got, _ := s.pendingTotals(); got != 15 {
+		t.Fatalf("ShardSet pending = %d with 15 lane items queued", got)
 	}
 	if _, err := s.Run(0); err != nil {
 		t.Fatal(err)
 	}
-	if fired != [3]int{5, 5, 5} || s.Pending() != 0 {
-		t.Fatalf("fired %v of 5 lane items per engine, %d left pending", fired, s.Pending())
+	if left, _ := s.pendingTotals(); fired != [3]int{5, 5, 5} || left != 0 {
+		t.Fatalf("fired %v of 5 lane items per engine, %d left pending", fired, left)
 	}
 }

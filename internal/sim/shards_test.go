@@ -86,7 +86,7 @@ func TestShardSetQuiescenceIgnoresDaemons(t *testing.T) {
 	if ticks == 0 {
 		t.Fatal("daemon never ticked")
 	}
-	if s.Pending() == 0 {
+	if pending, _ := s.pendingTotals(); pending == 0 {
 		t.Fatal("re-armed daemon should remain queued at quiescence")
 	}
 }

@@ -269,9 +269,6 @@ func TestTimeArithmetic(t *testing.T) {
 	if a.Seconds() != 90 {
 		t.Fatalf("Seconds = %v", a.Seconds())
 	}
-	if a.Minutes() != 1.5 {
-		t.Fatalf("Minutes = %v", a.Minutes())
-	}
 	if a.Add(30*time.Second) != Time(2*time.Minute) {
 		t.Fatal("Add wrong")
 	}
@@ -346,8 +343,8 @@ func TestDaemonDoesNotBlockRunConvergence(t *testing.T) {
 	if e.Now() != Time(2*time.Second) {
 		t.Fatalf("clock = %v, want 2s (Run must not chase the daemon)", e.Now())
 	}
-	if e.Pending() != 1 || e.PendingDaemons() != 1 {
-		t.Fatalf("Pending=%d PendingDaemons=%d, want 1,1", e.Pending(), e.PendingDaemons())
+	if e.Pending() != 1 || e.daemons != 1 {
+		t.Fatalf("Pending=%d PendingDaemons=%d, want 1,1", e.Pending(), e.daemons)
 	}
 }
 
@@ -361,8 +358,8 @@ func TestDaemonFiresWhenOvertakenByRealWork(t *testing.T) {
 	if len(order) != 2 || order[0] != "daemon" || order[1] != "work" {
 		t.Fatalf("order = %v, want [daemon work]", order)
 	}
-	if e.PendingDaemons() != 0 {
-		t.Fatalf("PendingDaemons = %d after firing, want 0", e.PendingDaemons())
+	if e.daemons != 0 {
+		t.Fatalf("PendingDaemons = %d after firing, want 0", e.daemons)
 	}
 }
 
@@ -376,22 +373,22 @@ func TestDaemonFiresUnderRunUntil(t *testing.T) {
 	if ticks != 10 {
 		t.Fatalf("ticks = %d over 10m of RunFor, want 10", ticks)
 	}
-	if e.PendingDaemons() != 1 {
-		t.Fatalf("PendingDaemons = %d, want 1 (re-armed tick)", e.PendingDaemons())
+	if e.daemons != 1 {
+		t.Fatalf("PendingDaemons = %d, want 1 (re-armed tick)", e.daemons)
 	}
 }
 
 func TestDaemonCancelRestoresQuiescence(t *testing.T) {
 	e := NewEngine(1)
 	tm := e.Daemon(time.Hour, func() {})
-	if e.PendingDaemons() != 1 {
-		t.Fatalf("PendingDaemons = %d, want 1", e.PendingDaemons())
+	if e.daemons != 1 {
+		t.Fatalf("PendingDaemons = %d, want 1", e.daemons)
 	}
 	if !tm.Cancel() {
 		t.Fatal("Cancel returned false for pending daemon")
 	}
-	if e.Pending() != 0 || e.PendingDaemons() != 0 {
-		t.Fatalf("Pending=%d PendingDaemons=%d after cancel, want 0,0", e.Pending(), e.PendingDaemons())
+	if e.Pending() != 0 || e.daemons != 0 {
+		t.Fatalf("Pending=%d PendingDaemons=%d after cancel, want 0,0", e.Pending(), e.daemons)
 	}
 	if _, err := e.Snapshot(); err != nil {
 		t.Fatalf("Snapshot after daemon cancel: %v", err)

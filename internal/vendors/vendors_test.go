@@ -9,7 +9,10 @@ import (
 )
 
 func TestCatalogCompleteness(t *testing.T) {
-	keys := List()
+	var keys []string
+	for k := range catalog {
+		keys = append(keys, k)
+	}
 	want := []string{
 		"ctnra:1.0", "ctnra:2.0",
 		"ctnrb:1.0", "ctnrb:dev-default-route", "ctnrb:dev-arp-trap", "ctnrb:dev-flap-crash",
@@ -64,14 +67,10 @@ func TestVendorDivergences(t *testing.T) {
 		t.Fatal("aggregation divergence lost")
 	}
 	// VM-packaged vendors need nested virtualization; containers do not.
-	if !RequiresNestedVM(VMA) || !RequiresNestedVM(VMB) {
-		t.Fatal("VM vendors must require nested virtualization")
-	}
-	if RequiresNestedVM(CTNRA) || RequiresNestedVM(CTNRB) {
-		t.Fatal("container vendors must not require nested virtualization")
-	}
-	if RequiresNestedVM("nope") {
-		t.Fatal("unknown vendor cannot require nested virt")
+	for name, kind := range map[string]firmware.ImageKind{VMA: firmware.VMImage, VMB: firmware.VMImage, CTNRA: firmware.ContainerImage, CTNRB: firmware.ContainerImage} {
+		if img, err := Default(name); err != nil || img.Kind != kind {
+			t.Fatalf("%s default image kind %v (%v), want %v", name, img.Kind, err, kind)
+		}
 	}
 	// VM images boot slower than container images (§8.2: boot speed of
 	// vendor-provided software dominates Mockup).
@@ -113,7 +112,7 @@ func TestSpeakerImage(t *testing.T) {
 	}
 	// Speakers are lightweight (§8.4: 50 per VM); their boot must be far
 	// quicker than any vendor image.
-	for _, k := range List() {
+	for k := range catalog {
 		if strings.HasPrefix(k, "speaker") {
 			continue
 		}
