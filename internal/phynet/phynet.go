@@ -298,7 +298,7 @@ func (f *Fabric) Send(from *VIface, frame []byte) { f.SendFramed(from, frame, 0)
 // least netpkt.UnderlayHeaderLen of it, a cross-VM frame is encapsulated in
 // place and the receiver's payload aliases buf; with less, the frame is
 // copied into a buffer that has the room. A frame too long to encapsulate is
-// dropped and counted in FramesDropped. Ownership of buf passes to the
+// dropped and counted as a send-side drop. Ownership of buf passes to the
 // fabric, as with Send.
 func (f *Fabric) SendFramed(from *VIface, buf []byte, room int) {
 	// src is the host executing this call — Send is always invoked by the

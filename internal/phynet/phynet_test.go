@@ -40,10 +40,10 @@ func TestCrossVMDeliveryWithVXLAN(t *testing.T) {
 		t.Fatalf("frame corrupted: %v / %q", got, gotIface)
 	}
 	if wire(f).encap != 1 {
-		t.Fatalf("EncapFrames = %d, want 1 (cross-VM)", wire(f).encap)
+		t.Fatalf("encapsulated %d frames, want 1 (cross-VM)", wire(f).encap)
 	}
 	if wire(f).delivered != 1 {
-		t.Fatalf("FramesDelivered = %d", wire(f).delivered)
+		t.Fatalf("delivered %d frames", wire(f).delivered)
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 // engine and through a reference model — every pending item with the (at,
 // seq) key it was scheduled under, re-sorted before every pop — and requires
 // the same item to fire at the same time at every step. After every
-// operation Pending and PendingDaemons must count what the model holds, lane
+// operation Pending and the daemon count must match what the model holds, lane
 // items included, Snapshot must refuse a non-empty engine naming that count,
 // and a lane with nothing behind its head must hold no array.
 func TestLanePopsInKeyOrderAgainstModel(t *testing.T) {
@@ -57,7 +57,7 @@ func TestLanePopsInKeyOrderAgainstModel(t *testing.T) {
 				}
 			}
 			if e.Pending() != len(model) || e.daemons != daemons {
-				t.Fatalf("seed %d op %d: Pending %d / PendingDaemons %d, model holds %d / %d", seed, op, e.Pending(), e.daemons, len(model), daemons)
+				t.Fatalf("seed %d op %d: Pending %d / daemons %d, model holds %d / %d", seed, op, e.Pending(), e.daemons, len(model), daemons)
 			}
 			_, err := e.Snapshot()
 			switch {

@@ -344,7 +344,7 @@ func TestDaemonDoesNotBlockRunConvergence(t *testing.T) {
 		t.Fatalf("clock = %v, want 2s (Run must not chase the daemon)", e.Now())
 	}
 	if e.Pending() != 1 || e.daemons != 1 {
-		t.Fatalf("Pending=%d PendingDaemons=%d, want 1,1", e.Pending(), e.daemons)
+		t.Fatalf("Pending=%d daemons=%d, want 1,1", e.Pending(), e.daemons)
 	}
 }
 
@@ -359,7 +359,7 @@ func TestDaemonFiresWhenOvertakenByRealWork(t *testing.T) {
 		t.Fatalf("order = %v, want [daemon work]", order)
 	}
 	if e.daemons != 0 {
-		t.Fatalf("PendingDaemons = %d after firing, want 0", e.daemons)
+		t.Fatalf("daemons = %d after firing, want 0", e.daemons)
 	}
 }
 
@@ -374,7 +374,7 @@ func TestDaemonFiresUnderRunUntil(t *testing.T) {
 		t.Fatalf("ticks = %d over 10m of RunFor, want 10", ticks)
 	}
 	if e.daemons != 1 {
-		t.Fatalf("PendingDaemons = %d, want 1 (re-armed tick)", e.daemons)
+		t.Fatalf("daemons = %d, want 1 (re-armed tick)", e.daemons)
 	}
 }
 
@@ -382,13 +382,13 @@ func TestDaemonCancelRestoresQuiescence(t *testing.T) {
 	e := NewEngine(1)
 	tm := e.Daemon(time.Hour, func() {})
 	if e.daemons != 1 {
-		t.Fatalf("PendingDaemons = %d, want 1", e.daemons)
+		t.Fatalf("daemons = %d, want 1", e.daemons)
 	}
 	if !tm.Cancel() {
 		t.Fatal("Cancel returned false for pending daemon")
 	}
 	if e.Pending() != 0 || e.daemons != 0 {
-		t.Fatalf("Pending=%d PendingDaemons=%d after cancel, want 0,0", e.Pending(), e.daemons)
+		t.Fatalf("Pending=%d daemons=%d after cancel, want 0,0", e.Pending(), e.daemons)
 	}
 	if _, err := e.Snapshot(); err != nil {
 		t.Fatalf("Snapshot after daemon cancel: %v", err)
