@@ -33,6 +33,8 @@ var callerAllowlist = map[string]string{
 	"netpkt.IPv4Packet.Marshal":  "test oracle: FuzzNetpkt's reference encoder for the in-place IPv4 header writer",
 	"netpkt.VXLANHeader.Marshal": "test oracle: FuzzNetpkt's reference encoder for the in-place VXLAN header writer",
 	"phynet.Fabric.Validate":     "test oracle: the overlay's wiring invariants, which phynet and core fork tests check",
+	"phynet.Fabric.WireCounts":   "test oracle: the frame counters the sharded-convergence determinism test compares across worker counts",
+	"traffic.Matrix.Walks":       "test oracle: the settle memo's walked/reused counts, which traffic, core and scenario memo tests check",
 
 	"config.Render":                    "paper reproduction driven by tests: the §2 ACL dialect drift",
 	"config.Parse":                     "paper reproduction driven by tests: the §2 ACL dialect drift",

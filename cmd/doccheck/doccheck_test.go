@@ -57,6 +57,7 @@ func TestCheckScriptNamesExist(t *testing.T) {
 	want := []string{
 		"scripts/check.sh: pattern TestGone matches no test the module declares",
 		"scripts/check.sh: pattern ^TestCall$ matches no test the module declares",
+		"scripts/check.sh: pattern Gone matches no test the module declares",
 	}
 	if !sameSet(got, want) {
 		t.Fatalf("problems %q, want %q", got, want)

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 )
 
@@ -15,15 +16,13 @@ import (
 // or bare.
 var testFlag = regexp.MustCompile(`-(?:run|fuzz|bench)[= ](?:'([^']*)'|"([^"]*)"|([^\s;|&]+))`)
 
-// testName matches one Test/Fuzz/Benchmark name or prefix in a pattern's
-// alternatives.
-var testName = regexp.MustCompile(`^\^?((?:Test|Fuzz|Benchmark)\w*)(\$?)$`)
-
-// checkScriptProblems reports every Test…/Fuzz…/Benchmark… name or prefix in
-// scripts/check.sh's -run, -fuzz and -bench patterns that no _test.go file
-// in the module declares, so deleting or renaming a test cannot turn a step
-// of the script into a silent "no tests to run". A pattern anchored with $
-// must name a test exactly; otherwise some test's name must start with it.
+// checkScriptProblems reports every alternative of the -run, -fuzz and
+// -bench patterns on scripts/check.sh's go test lines that matches no Test,
+// Fuzz or Benchmark function a _test.go file in the module declares, so
+// deleting or renaming a test cannot turn a step of the script into a silent
+// "no tests to run". As go test does, it matches the pattern's first
+// slash-separated level against top-level names; each top-level alternative
+// must match on its own. The intentional "^$" (run no tests) is exempt.
 func checkScriptProblems(root string) []string {
 	script, err := os.ReadFile(filepath.Join(root, "scripts", "check.sh"))
 	if err != nil {
@@ -34,33 +33,47 @@ func checkScriptProblems(root string) []string {
 		return []string{fmt.Sprintf("test scan: %v", err)}
 	}
 	var problems []string
-	seen := map[string]bool{}
-	for _, m := range testFlag.FindAllStringSubmatch(string(script), -1) {
-		pattern := m[1] + m[2] + m[3]
-		for _, alt := range strings.Split(pattern, "|") {
-			alt = strings.Trim(strings.SplitN(alt, "/", 2)[0], "()")
-			n := testName.FindStringSubmatch(alt)
-			if n == nil || seen[alt] {
-				continue
-			}
-			seen[alt] = true
-			if !matchesTest(tests, n[1], n[2] == "$") {
-				problems = append(problems, fmt.Sprintf("scripts/check.sh: pattern %s matches no test the module declares", alt))
+	seen := map[string]bool{"^$": true}
+	for _, line := range strings.Split(string(script), "\n") {
+		if !strings.HasPrefix(strings.TrimSpace(line), "go test ") {
+			continue
+		}
+		for _, m := range testFlag.FindAllStringSubmatch(line, -1) {
+			for _, alt := range splitTop(splitTop(m[1]+m[2]+m[3], '/')[0], '|') {
+				if seen[alt] {
+					continue
+				}
+				seen[alt] = true
+				if re, err := regexp.Compile(alt); err != nil {
+					problems = append(problems, fmt.Sprintf("scripts/check.sh: pattern %s: %v", alt, err))
+				} else if !slices.ContainsFunc(tests, re.MatchString) {
+					problems = append(problems, fmt.Sprintf("scripts/check.sh: pattern %s matches no test the module declares", alt))
+				}
 			}
 		}
 	}
 	return problems
 }
 
-// matchesTest reports whether some declared test is named name (exact) or
-// starts with it.
-func matchesTest(tests []string, name string, exact bool) bool {
-	for _, t := range tests {
-		if t == name || (!exact && strings.HasPrefix(t, name)) {
-			return true
+// splitTop splits pattern at each sep outside parentheses, brackets and
+// escapes.
+func splitTop(pattern string, sep byte) []string {
+	var parts []string
+	depth, start := 0, 0
+	for i := 0; i < len(pattern); i++ {
+		switch c := pattern[i]; {
+		case c == '\\':
+			i++
+		case c == '(' || c == '[':
+			depth++
+		case c == ')' || c == ']':
+			depth--
+		case c == sep && depth == 0:
+			parts = append(parts, pattern[start:i])
+			start = i + 1
 		}
 	}
-	return false
+	return append(parts, pattern[start:])
 }
 
 // declaredTests returns the names of every top-level Test, Fuzz and

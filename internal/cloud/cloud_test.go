@@ -34,8 +34,10 @@ func TestProvisionBootsWithinJitterWindow(t *testing.T) {
 			t.Fatalf("boot at %v outside [%v,%v]", at, lo, hi)
 		}
 	}
-	if n := runningVMs(p); n != 10 {
-		t.Fatalf("running VMs = %d", n)
+	for _, vm := range vms {
+		if vm.State() != VMRunning {
+			t.Fatalf("%s not running after its boot", vm.Name)
+		}
 	}
 }
 
@@ -89,8 +91,8 @@ func TestInjectedFailureAndReboot(t *testing.T) {
 	if failed != vms[1] || vms[1].State() != VMFailed {
 		t.Fatalf("failure not reported: %v %v", failed, vms[1].State())
 	}
-	if n := runningVMs(p); n != 2 {
-		t.Fatalf("running VMs = %d", n)
+	if vms[0].State() != VMRunning || vms[2].State() != VMRunning {
+		t.Fatal("a failure stopped the other VMs")
 	}
 	rebooted := false
 	p.Reboot(vms[1], func(*VM) { rebooted = true })
@@ -243,15 +245,4 @@ func TestSubmitBacklogVisible(t *testing.T) {
 	if minute := int(time.Duration(eng.Now()).Minutes()); vm.Utilization(minute) == 0 {
 		t.Fatalf("Submit did not record CPU work in minute %d", minute)
 	}
-}
-
-// runningVMs counts p's VMs in the Running state.
-func runningVMs(p *Provider) int {
-	n := 0
-	for _, vm := range p.vms {
-		if vm.state == VMRunning {
-			n++
-		}
-	}
-	return n
 }

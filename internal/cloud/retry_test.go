@@ -221,13 +221,15 @@ func TestMTBFTimersAreDaemons(t *testing.T) {
 	eng := sim.NewEngine(7)
 	p := NewProvider(eng)
 	p.MTBF = 10 * time.Minute
-	p.Provision(5, SKUStandard, "g", nil)
+	vms := p.Provision(5, SKUStandard, "g", nil)
 	if _, err := eng.Run(0); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	// Boots fired; the armed failure timers must not have kept Run alive.
-	if n := runningVMs(p); n != 5 {
-		t.Fatalf("running VMs = %d, want 5", n)
+	for _, vm := range vms {
+		if vm.State() != VMRunning {
+			t.Fatalf("%s not running after its boot", vm.Name)
+		}
 	}
 	// Only the daemon failure timers stay queued: another Run fires nothing.
 	fired := eng.Fired()

@@ -386,7 +386,7 @@ func TestClear(t *testing.T) {
 	}
 	// Destroy releases the VMs.
 	o.Destroy(em.prep)
-	if runningVMs(o.Cloud) != 0 {
+	if o.Cloud.HourlyCostUSD() != 0 {
 		t.Fatal("VMs still running after destroy")
 	}
 }
@@ -775,15 +775,4 @@ func TestDeterministicFIBs(t *testing.T) {
 			t.Fatalf("%s FIBs differ across identical runs: %v", name, d)
 		}
 	}
-}
-
-// runningVMs counts the provider's VMs in the Running state.
-func runningVMs(p *cloud.Provider) int {
-	n := 0
-	for _, vm := range p.VMs() {
-		if vm.State() == cloud.VMRunning {
-			n++
-		}
-	}
-	return n
 }

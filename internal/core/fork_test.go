@@ -286,7 +286,7 @@ func TestClearAfterForkLeavesParentUntouched(t *testing.T) {
 	if err := parent.Fabric.Validate(); err != nil {
 		t.Fatalf("parent fabric after forked clear: %v", err)
 	}
-	if got := runningVMs(o.Cloud); got == 0 {
+	if o.Cloud.HourlyCostUSD() == 0 {
 		t.Fatal("parent VMs stopped by forked clear")
 	}
 	if !reflect.DeepEqual(parent.PullFIBs(), parentFIBs) {

@@ -5,16 +5,18 @@ import (
 	"runtime"
 	"testing"
 
+	"crystalnet/internal/phynet"
 	"crystalnet/internal/rib"
 )
 
 // shardedRun is what a sharded emulation shows at one checkpoint: the
 // events every engine fired (master first, then each domain), the §8.1
-// metrics and the FIBs.
+// metrics, the FIBs and the fabric's wire counters.
 type shardedRun struct {
 	fired   []uint64
 	metrics Metrics
 	fibs    map[string]rib.Snapshot
+	wire    phynet.WireCounts
 }
 
 // shardedCheckpoint checkpoints em, reads it and checks that the checkpoint
@@ -35,6 +37,7 @@ func shardedCheckpoint(t *testing.T, o *Orchestrator, em *Emulation) shardedRun 
 		fired:   []uint64{snap.Engine.Fired},
 		metrics: em.Metrics(),
 		fibs:    em.PullFIBs(),
+		wire:    em.Fabric.WireCounts(),
 	}
 	for _, d := range snap.Shards {
 		run.fired = append(run.fired, d.Fired)
@@ -45,11 +48,10 @@ func shardedCheckpoint(t *testing.T, o *Orchestrator, em *Emulation) shardedRun 
 // TestShardedRunIdenticalAcrossWorkers is the §10 determinism bar for
 // sharded convergence: a mockup and one uplink cut, at worker counts
 // 1/2/4/GOMAXPROCS, must fire the same events on every engine and end with
-// the same metrics and FIBs as the workers=1 reference schedule. Every
-// frame the fabric delivers is an event on its receiver's engine, so equal
-// fired counts also pin the frame path. scripts/check.sh runs it under
-// -race, which also shows the parallel domain drains share no
-// unsynchronized state, the per-host wire counters included.
+// the same metrics, FIBs and wire counters as the workers=1 reference
+// schedule. scripts/check.sh runs it under -race, which also shows the
+// parallel domain drains share no unsynchronized state, the per-host wire
+// counters included.
 func TestShardedRunIdenticalAcrossWorkers(t *testing.T) {
 	var want []shardedRun
 	for _, w := range []int{1, 2, 4, runtime.GOMAXPROCS(0)} {
@@ -59,8 +61,8 @@ func TestShardedRunIdenticalAcrossWorkers(t *testing.T) {
 		got = append(got, shardedCheckpoint(t, o, em))
 		if want == nil {
 			want = got
-			if len(got[0].fired) < 3 {
-				t.Fatalf("reference run is trivial: fired %v", got[0].fired)
+			if len(got[0].fired) < 3 || got[0].wire.Delivered == 0 {
+				t.Fatalf("reference run is trivial: fired %v, wire %+v", got[0].fired, got[0].wire)
 			}
 			continue
 		}
@@ -74,6 +76,9 @@ func TestShardedRunIdenticalAcrossWorkers(t *testing.T) {
 			}
 			if !reflect.DeepEqual(g.fibs, r.fibs) {
 				t.Fatalf("workers=%d after %s: FIBs differ from workers=1", w, stage)
+			}
+			if g.wire != r.wire {
+				t.Fatalf("workers=%d after %s: wire counters %+v, want %+v", w, stage, g.wire, r.wire)
 			}
 		}
 	}

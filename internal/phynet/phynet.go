@@ -383,6 +383,21 @@ func (f *Fabric) deliver(l *VirtualLink, to *VIface, data []byte) {
 	h(to.Name, data)
 }
 
+// WireCounts are the fabric's wire counters summed over its hosts: frames
+// handed to attached firmware, frames dropped on send or at delivery, and
+// frames that crossed the underlay (VXLAN).
+type WireCounts struct{ Delivered, Dropped, Encap uint64 }
+
+// WireCounts sums the hosts' wire counters.
+func (f *Fabric) WireCounts() (w WireCounts) {
+	for _, h := range f.hosts {
+		w.Delivered += h.framesDelivered
+		w.Dropped += h.framesDropped
+		w.Encap += h.encapFrames
+	}
+	return w
+}
+
 // Validate checks overlay invariants: VNI uniqueness per fabric, link
 // symmetry, interfaces belonging to registered containers.
 func (f *Fabric) Validate() error {

@@ -39,11 +39,11 @@ func TestCrossVMDeliveryWithVXLAN(t *testing.T) {
 	if gotIface != "et0" || !bytes.Equal(got, frame) {
 		t.Fatalf("frame corrupted: %v / %q", got, gotIface)
 	}
-	if wire(f).encap != 1 {
-		t.Fatalf("encapsulated %d frames, want 1 (cross-VM)", wire(f).encap)
+	if f.WireCounts().Encap != 1 {
+		t.Fatalf("encapsulated %d frames, want 1 (cross-VM)", f.WireCounts().Encap)
 	}
-	if wire(f).delivered != 1 {
-		t.Fatalf("delivered %d frames", wire(f).delivered)
+	if f.WireCounts().Delivered != 1 {
+		t.Fatalf("delivered %d frames", f.WireCounts().Delivered)
 	}
 }
 
@@ -63,7 +63,7 @@ func TestIntraVMDeliveryNoEncap(t *testing.T) {
 	if !seen {
 		t.Fatal("intra-VM frame lost")
 	}
-	if wire(f).encap != 0 {
+	if f.WireCounts().Encap != 0 {
 		t.Fatal("intra-VM frames must not be encapsulated")
 	}
 }
@@ -84,8 +84,8 @@ func TestDetachedFirmwareDropsFrames(t *testing.T) {
 	// No handler attached on c2.
 	f.Send(c1.Iface("et0"), []byte("x"))
 	eng.Run(0)
-	if wire(f).dropped != 1 || wire(f).delivered != 0 {
-		t.Fatalf("dropped=%d delivered=%d", wire(f).dropped, wire(f).delivered)
+	if f.WireCounts().Dropped != 1 || f.WireCounts().Delivered != 0 {
+		t.Fatalf("dropped=%d delivered=%d", f.WireCounts().Dropped, f.WireCounts().Delivered)
 	}
 	// Attach later: new frames flow; namespace survived.
 	ok := false
@@ -113,8 +113,8 @@ func TestLinkDownDrops(t *testing.T) {
 	}
 	f.Send(c1.Iface("et0"), []byte("x"))
 	eng.Run(0)
-	if wire(f).dropped != 1 {
-		t.Fatalf("dropped = %d", wire(f).dropped)
+	if f.WireCounts().Dropped != 1 {
+		t.Fatalf("dropped = %d", f.WireCounts().Dropped)
 	}
 }
 
@@ -124,7 +124,7 @@ func TestLinkCutMidFlight(t *testing.T) {
 	f.Send(c1.Iface("et0"), []byte("x"))
 	f.SetLinkState(l, false) // cut before delivery event fires
 	eng.Run(0)
-	if wire(f).dropped != 1 {
+	if f.WireCounts().Dropped != 1 {
 		t.Fatal("in-flight frame not dropped")
 	}
 }
@@ -136,7 +136,7 @@ func TestUnconnectedIfaceDrops(t *testing.T) {
 	c := h.AddContainer("t1")
 	i := c.AddIface("et0", netpkt.MAC{})
 	f.Send(i, []byte("x"))
-	if wire(f).dropped != 1 {
+	if f.WireCounts().Dropped != 1 {
 		t.Fatal("send on unconnected iface should drop")
 	}
 }
@@ -291,8 +291,8 @@ func TestOversizedCrossVMFrameDropped(t *testing.T) {
 	c2.Attach(func(_ string, fr []byte) { t.Fatalf("an oversized frame was delivered as %d bytes", len(fr)) })
 	f.Send(c1.Iface("et0"), make([]byte, 70_000))
 	eng.Run(0)
-	if wire(f).dropped != 1 || wire(f).encap != 0 || wire(f).delivered != 0 {
-		t.Fatalf("dropped=%d encap=%d delivered=%d, want 1/0/0", wire(f).dropped, wire(f).encap, wire(f).delivered)
+	if f.WireCounts().Dropped != 1 || f.WireCounts().Encap != 0 || f.WireCounts().Delivered != 0 {
+		t.Fatalf("dropped=%d encap=%d delivered=%d, want 1/0/0", f.WireCounts().Dropped, f.WireCounts().Encap, f.WireCounts().Delivered)
 	}
 }
 
@@ -320,16 +320,4 @@ func TestSendFramedEncapsulatesInPlace(t *testing.T) {
 	if !bytes.Equal(buf, want) {
 		t.Fatalf("in-place encapsulation\n% x\nEncapVXLAN\n% x", buf, want)
 	}
-}
-
-// wireCounts are a fabric's wire counters summed over its hosts.
-type wireCounts struct{ delivered, dropped, encap uint64 }
-
-func wire(f *Fabric) (w wireCounts) {
-	for _, h := range f.hosts {
-		w.delivered += h.framesDelivered
-		w.dropped += h.framesDropped
-		w.encap += h.encapFrames
-	}
-	return w
 }

@@ -79,11 +79,6 @@ type Report struct {
 	// was served, not a result of it, so it is never serialized — forked and
 	// fresh reports stay byte-identical.
 	CowCopies core.CowCopies `json:"-"`
-	// SettlesWalked and SettlesReused count the aggregate-settles the
-	// traffic plane walked and the ones its memo saved
-	// (traffic.Matrix.Walks). They too say how the run was served, so they
-	// are never serialized.
-	SettlesWalked, SettlesReused uint64 `json:"-"`
 }
 
 // JSON marshals the report with stable indentation.

@@ -180,7 +180,6 @@ func (r *runner) drive() (*Report, error) {
 	r.report.PendingFaults = r.em.FaultsPending()
 	r.report.Passed = r.passed()
 	r.report.CowCopies = r.em.CowCopies()
-	r.report.SettlesWalked, r.report.SettlesReused = r.em.Traffic().Walks()
 	return r.report, nil
 }
 

@@ -332,9 +332,6 @@ func (s *Server) handleRehearse(w http.ResponseWriter, r *http.Request) {
 			// How much of the shared baseline this request had to copy: the
 			// figure that says a spec has stopped being cheap to rehearse.
 			s.live.HistogramWith("serve.fork_cow_copies", "", cowCopyBounds).Observe(float64(rep.CowCopies.Total()))
-			// How much of its traffic settling the inherited memo saved.
-			s.live.Counter("serve.fork_settles_walked", "").Add(rep.SettlesWalked)
-			s.live.Counter("serve.fork_settles_reused", "").Add(rep.SettlesReused)
 		}
 	} else {
 		rep, err = scenario.Run(sp, opts)

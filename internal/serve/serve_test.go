@@ -279,8 +279,7 @@ func TestStatusAndMetricsEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"http_requests", "pool_misses", "http_latency_bucket", "serve_fork_cow_copies_bucket",
-		"serve_fork_settles_walked", "serve_fork_settles_reused"} {
+	for _, want := range []string{"http_requests", "pool_misses", "http_latency_bucket", "serve_fork_cow_copies_bucket"} {
 		if !strings.Contains(string(prom), want) {
 			t.Fatalf("/metrics missing %q:\n%s", want, prom)
 		}

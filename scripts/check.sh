@@ -101,8 +101,8 @@ go test -race ./internal/scenario/ -run 'TestForkedRunMatchesFreshRun|TestForked
 
 # A sharded emulation is a cold mockup only (its checkpoints cannot be
 # forked): the bar is the mockup plus one link cut at worker counts
-# 1/2/4/GOMAXPROCS, the same events, metrics and FIBs.
-echo "== sharded-convergence determinism under -race (workers=1 vs parallel: events, metrics, FIBs)"
+# 1/2/4/GOMAXPROCS, the same events, metrics, FIBs and wire counters.
+echo "== sharded-convergence determinism under -race (workers=1 vs parallel: events, metrics, FIBs, wire counters)"
 go test -race ./internal/core/ -run 'TestShardedRun' -timeout 10m
 go test -race ./internal/sim/ -run 'TestShardSet' -timeout 10m
 
