@@ -14,10 +14,10 @@ import (
 	"strings"
 )
 
-// callerAllowlist names the functions under internal/ that may stand without
-// a non-test caller, keyed "pkg.Func" or "pkg.Type.Method", each with why.
-// A "bench pin" must still be called from bench/; every entry must still lack
-// any other caller.
+// callerAllowlist names the functions, types and vars under internal/ that
+// may stand without a non-test use, keyed "pkg.Name" or "pkg.Type.Method",
+// each with why. A "bench pin" must still be used from bench/; every entry
+// must still lack any other use.
 var callerAllowlist = map[string]string{
 	// ROADMAP item 12: bench/ calls these and nothing else does; they go
 	// when bench/ moves to a narrow seam.
@@ -71,43 +71,45 @@ type listedPackage struct {
 // the default build, and the crystaldebug oracles scripts/check.sh runs.
 var buildTags = []string{"", "crystaldebug"}
 
-// funcUse is what the caller scan learns about one function.
-type funcUse struct {
+// declUse is what the caller scan learns about one declaration.
+type declUse struct {
 	pos       string // file:line of the declaration
-	reached   bool   // referred to outside bench/ and its own body
+	reached   bool   // referred to outside bench/ and its own declaration
 	benchUsed bool   // referred to from bench/
 }
 
-// callerProblems reports each func or method declared under internal/ that
-// no non-test code outside its own body refers to, in any of buildTags.
-// References from bench/ do not count, and neither does a method that
-// implements a standard-library interface (stdInterfaces) or one of the
-// module's own interfaces whose method some code calls. allow exempts
-// "pkg.Func" and "pkg.Type.Method" keys. An entry that names no function,
-// names one that has a caller, or is a benchPin that bench/ no longer calls
-// is reported too, so the list cannot rot.
+// callerProblems reports each func, method, type and var declared at package
+// level under internal/ that no non-test code outside its own declaration
+// refers to, in any of buildTags. Constants are exempt: they enumerate wire
+// codes and states whose unused members still document the protocol.
+// References from bench/ do not count, and neither do a method's receiver
+// naming its type or a method that implements a standard-library interface
+// (stdInterfaces) or one of the module's own interfaces whose method some
+// code calls. allow exempts "pkg.Name" and "pkg.Type.Method" keys. An entry
+// that names no declaration, names one that has a use, or is a benchPin that
+// bench/ no longer uses is reported too, so the list cannot rot.
 func callerProblems(root string, allow map[string]string) []string {
-	funcs := map[string]*funcUse{}
+	decls := map[string]*declUse{}
 	for _, tags := range buildTags {
-		if err := scanCallers(root, tags, funcs); err != nil {
+		if err := scanCallers(root, tags, decls); err != nil {
 			return []string{err.Error()}
 		}
 	}
 	var problems []string
-	for key, f := range funcs {
+	for key, f := range decls {
 		reason, allowed := allow[key]
 		switch {
 		case !f.reached && !allowed:
-			problems = append(problems, fmt.Sprintf("%s: %s has no non-test caller outside bench/ (reach it, delete it, or allowlist it with a reason)", f.pos, key))
+			problems = append(problems, fmt.Sprintf("%s: %s has no non-test use outside bench/ (use it, delete it, or allowlist it with a reason)", f.pos, key))
 		case f.reached && allowed:
-			problems = append(problems, fmt.Sprintf("caller allowlist: %s has a caller now; drop its entry", key))
+			problems = append(problems, fmt.Sprintf("caller allowlist: %s has a use now; drop its entry", key))
 		case allowed && reason == benchPin && !f.benchUsed:
 			problems = append(problems, fmt.Sprintf("caller allowlist: bench/ no longer calls %s; delete it", key))
 		}
 	}
 	for key := range allow {
-		if funcs[key] == nil {
-			problems = append(problems, fmt.Sprintf("caller allowlist: %s names no function under internal/", key))
+		if decls[key] == nil {
+			problems = append(problems, fmt.Sprintf("caller allowlist: %s names no declaration under internal/", key))
 		}
 	}
 	return problems
@@ -115,8 +117,8 @@ func callerProblems(root string, allow map[string]string) []string {
 
 // scanCallers type-checks every non-test package of the module at root,
 // built with tags, in `go list -deps` order, and merges what it learns about
-// the functions declared under internal/ into funcs.
-func scanCallers(root, tags string, funcs map[string]*funcUse) error {
+// the package-level declarations under internal/ into decls.
+func scanCallers(root, tags string, decls map[string]*declUse) error {
 	root, _ = filepath.Abs(root)
 	cmd := exec.Command("go", "list", "-deps", "-json", "-tags", tags, "./...")
 	cmd.Dir = root
@@ -131,10 +133,11 @@ func scanCallers(root, tags string, funcs map[string]*funcUse) error {
 	fset := token.NewFileSet()
 	checked := map[string]*types.Package{"unsafe": types.Unsafe}
 	type span struct{ pos, end token.Pos }
-	decls := map[*types.Func]span{} // funcs under internal/, with their declarations
-	used := map[*types.Func]bool{}  // referred to outside bench/
-	benchUsed := map[*types.Func]bool{}
-	var ifaces []*types.Interface // the module's own interface types
+	spans := map[types.Object]span{} // declarations under internal/
+	used := map[types.Object]bool{}  // referred to outside bench/
+	benchUsed := map[types.Object]bool{}
+	receivers := map[*ast.Ident]bool{} // a method's receiver naming its type
+	var ifaces []*types.Interface      // the module's own interface types
 	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
 		var p listedPackage
 		if err := dec.Decode(&p); err != nil {
@@ -176,25 +179,54 @@ func scanCallers(root, tags string, funcs map[string]*funcUse) error {
 		if rel == "internal" || strings.HasPrefix(rel, "internal/") {
 			for _, f := range files {
 				for _, d := range f.Decls {
-					if fd, ok := d.(*ast.FuncDecl); ok && fd.Name.Name != "init" && fd.Name.Name != "_" {
-						decls[info.Defs[fd.Name].(*types.Func)] = span{fd.Pos(), fd.End()}
+					switch d := d.(type) {
+					case *ast.FuncDecl:
+						if d.Recv != nil {
+							ast.Inspect(d.Recv, func(n ast.Node) bool {
+								if id, ok := n.(*ast.Ident); ok {
+									receivers[id] = true
+								}
+								return true
+							})
+						}
+						if d.Name.Name != "init" && d.Name.Name != "_" {
+							spans[info.Defs[d.Name]] = span{d.Pos(), d.End()}
+						}
+					case *ast.GenDecl:
+						for _, sp := range d.Specs {
+							switch sp := sp.(type) {
+							case *ast.TypeSpec:
+								spans[info.Defs[sp.Name]] = span{sp.Pos(), sp.End()}
+							case *ast.ValueSpec:
+								if d.Tok != token.VAR {
+									continue
+								}
+								for _, name := range sp.Names {
+									if name.Name != "_" {
+										spans[info.Defs[name]] = span{sp.Pos(), sp.End()}
+									}
+								}
+							}
+						}
 					}
 				}
 			}
 		}
 		for id, obj := range info.Uses {
-			fn, ok := obj.(*types.Func)
-			if !ok {
+			switch o := obj.(type) {
+			case *types.Func:
+				obj = o.Origin()
+			case *types.TypeName, *types.Var:
+			default:
 				continue
 			}
-			fn = fn.Origin()
-			switch s, ok := decls[fn]; {
-			case ok && id.Pos() >= s.pos && id.Pos() < s.end:
-				// Recursion is not a caller.
+			switch s, ok := spans[obj]; {
+			case ok && id.Pos() >= s.pos && id.Pos() < s.end, receivers[id]:
+				// Recursion is not a caller, nor a receiver a use.
 			case bench:
-				benchUsed[fn] = true
+				benchUsed[obj] = true
 			default:
-				used[fn] = true
+				used[obj] = true
 			}
 		}
 		if !bench {
@@ -221,17 +253,18 @@ func scanCallers(root, tags string, funcs map[string]*funcUse) error {
 		std = append(std, scope.Lookup(si.name).Type().Underlying().(*types.Interface))
 	}
 
-	for fn, s := range decls {
-		key := funcKey(fn)
-		f := funcs[key]
+	for obj, s := range spans {
+		key := declKey(obj)
+		f := decls[key]
 		if f == nil {
 			pos := fset.Position(s.pos)
 			file, _ := filepath.Rel(root, pos.Filename)
-			f = &funcUse{pos: fmt.Sprintf("%s:%d", file, pos.Line)}
-			funcs[key] = f
+			f = &declUse{pos: fmt.Sprintf("%s:%d", file, pos.Line)}
+			decls[key] = f
 		}
-		f.reached = f.reached || used[fn] || implements(fn, std, nil) || implements(fn, ifaces, used)
-		f.benchUsed = f.benchUsed || benchUsed[fn]
+		fn, isFunc := obj.(*types.Func)
+		f.reached = f.reached || used[obj] || isFunc && (implements(fn, std, nil) || implements(fn, ifaces, used))
+		f.benchUsed = f.benchUsed || benchUsed[obj]
 	}
 	return nil
 }
@@ -239,7 +272,7 @@ func scanCallers(root, tags string, funcs map[string]*funcUse) error {
 // implements reports whether fn is a method that makes its receiver type
 // satisfy one of set, as that interface's method of the same name. With
 // calls non-nil, the interface method must also be referred to in calls.
-func implements(fn *types.Func, set []*types.Interface, calls map[*types.Func]bool) bool {
+func implements(fn *types.Func, set []*types.Interface, calls map[types.Object]bool) bool {
 	recv := fn.Signature().Recv()
 	if recv == nil {
 		return false
@@ -261,15 +294,16 @@ func implements(fn *types.Func, set []*types.Interface, calls map[*types.Func]bo
 	return false
 }
 
-// funcKey names fn the way callerAllowlist does: "pkg.Func" or
+// declKey names obj the way callerAllowlist does: "pkg.Name" or
 // "pkg.Type.Method", pkg being the last element of the import path.
-func funcKey(fn *types.Func) string {
-	pkg := fn.Pkg().Path()
+func declKey(obj types.Object) string {
+	pkg := obj.Pkg().Path()
 	pkg = pkg[strings.LastIndex(pkg, "/")+1:]
-	recv := fn.Signature().Recv()
-	if recv == nil {
-		return pkg + "." + fn.Name()
+	fn, ok := obj.(*types.Func)
+	if !ok || fn.Signature().Recv() == nil {
+		return pkg + "." + obj.Name()
 	}
+	recv := fn.Signature().Recv()
 	t := recv.Type()
 	if ptr, ok := t.(*types.Pointer); ok {
 		t = ptr.Elem()

@@ -8,5 +8,5 @@ import (
 )
 
 func main() {
-	fmt.Println(a.Called(), a.T(1), a.Measure(a.Square(2)))
+	fmt.Println(a.Called(), a.T(1), a.Measure(a.Square(2)), a.Limit)
 }

@@ -43,3 +43,22 @@ func (s Square) Area() int { return int(s) * int(s) }
 
 // Measure calls Area through the interface.
 func Measure(s Shape) int { return s.Area() }
+
+// Unused is a type nothing but its own method and its tests names; the
+// method's receiver does not count.
+type Unused struct{ n int }
+
+// String implements fmt.Stringer, so it needs no caller of its own.
+func (u Unused) String() string { return strconv.Itoa(u.n) }
+
+// Limit is a var cmd/app reads.
+var Limit = 3
+
+// unusedLimit is a var nothing reads.
+var unusedLimit = 4
+
+// Codes are constants, which the rule exempts.
+const (
+	CodeA = iota
+	CodeB
+)

@@ -29,12 +29,6 @@ import (
 // bounded by the AS graph diameter, far below this.
 const maxRounds = 128
 
-// adjKey identifies a (device, neighborIndex) adjacency.
-type simRoute struct {
-	attrs   *bgp.Attrs
-	isLocal bool
-}
-
 type simNeighbor struct {
 	cfg       config.BGPNeighbor
 	remote    *simDevice
@@ -420,28 +414,20 @@ func sortPrefixes(ps []netpkt.Prefix) {
 	})
 }
 
-// Walker answers repeated reachability queries against one forwarding
-// state. It resolves devices and address owners through the fabric's index,
-// built once by whoever owns the fabric rather than per query or per sweep, and
-// memoizes Delivered verdicts, which is what makes fabric-wide sweeps (every
-// device x every prefix x every hop) affordable. The memo (and a snapshot
-// walker's lazy indexing) makes a Walker unsafe for concurrent use; build
-// one per goroutine.
+// Walker answers reachability queries against one forwarding state by
+// walking each one hop by hop. It resolves devices and address owners
+// through the fabric's index, built once by whoever owns the fabric rather
+// than per query, and keeps nothing from one query to the next: it is the
+// plain reference walk that -tags crystaldebug checks the sweep table
+// (Sweep) against, so the two share the hop rule and nothing else. A
+// snapshot walker's lazy indexing makes a Walker unsafe for concurrent use;
+// build one per goroutine.
 type Walker struct {
-	// ix is the fabric the walk resolves against: device ids for the memo,
-	// each device's Networks for delivery, address owners to follow next
-	// hops.
+	// ix is the fabric the walk resolves against: each device's Networks
+	// for delivery, address owners to follow next hops.
 	ix *config.Index
 	// lookup resolves a longest-prefix match in one device's FIB.
 	lookup LookupFunc
-	// verdicts memoizes Delivered per (dst, device id): 0 unknown, 1
-	// delivered, 2 undelivered. Fabric walks from different sources
-	// converge onto the same downstream devices after a hop or two, so a
-	// sweep resolves each (device, dst) pair once.
-	verdicts map[netpkt.IP][]int8
-	// visited is Delivered's scratch path buffer (reused across queries;
-	// Walkers are single-goroutine).
-	visited []int
 }
 
 // LookupFunc resolves a longest-prefix match in one device's forwarding
@@ -476,8 +462,8 @@ func NewLiveWalker(fn LookupFunc, cfgs map[string]*config.DeviceConfig) *Walker 
 // NewIndexWalker answers queries through fn — typically straight off live
 // per-device FIB tries (device FIBs are tries already, so re-indexing pulled
 // snapshots would only duplicate them) — resolving devices and next hops
-// against ix. The caller guarantees the forwarding state does not change for
-// the walker's lifetime — sweeps between mutations qualify.
+// against ix. Each query reads the forwarding state as it is then; the
+// caller guarantees it does not change during one.
 func NewIndexWalker(fn LookupFunc, ix *config.Index) *Walker {
 	return &Walker{ix: ix, lookup: fn}
 }
@@ -499,50 +485,19 @@ func (w *Walker) Reachable(from string, dst netpkt.IP) ([]string, bool) {
 	return path, false
 }
 
-// Delivered reports whether a packet from a device reaches dst without
-// materializing the hop path — the allocation-free form fabric-wide
-// sweeps use (they only name the endpoints of failing pairs). The verdict
-// is memoized for every device on the walked path: each device forwards
-// toward dst the same way no matter who handed it the packet, so once the
-// verdict downstream of a device is known it holds for all later sources.
+// Delivered reports whether a packet from a device reaches dst: Reachable's
+// verdict without building the path, the form fabric-wide sweeps use (they
+// only name the endpoints of failing pairs).
 func (w *Walker) Delivered(from string, dst netpkt.IP) bool {
-	if w.verdicts == nil {
-		w.verdicts = map[netpkt.IP][]int8{}
-	}
-	vs := w.verdicts[dst]
-	if vs == nil {
-		vs = make([]int8, w.ix.Len())
-		w.verdicts[dst] = vs
-	}
-	w.visited = w.visited[:0]
 	cur := from
-	delivered := false
 	for hops := 0; hops < maxHops; hops++ {
-		if idx, tracked := w.ix.ID(cur); tracked {
-			if v := vs[idx]; v != 0 {
-				delivered = v == 1
-				break
-			}
-			w.visited = append(w.visited, idx)
-		}
-		next, del, ok := w.hop(cur, dst)
-		if del || !ok {
-			delivered = del
-			break
+		next, delivered, ok := w.hop(cur, dst)
+		if delivered || !ok {
+			return delivered
 		}
 		cur = next
-		// Falling out of the loop means a forwarding loop: every visited
-		// device keeps cycling, so the undelivered verdict is right for
-		// all of them.
 	}
-	verdict := int8(2)
-	if delivered {
-		verdict = 1
-	}
-	for _, idx := range w.visited {
-		vs[idx] = verdict
-	}
-	return delivered
+	return false
 }
 
 // hop advances one forwarding step from cur toward dst: delivered reports

@@ -1,6 +1,7 @@
 package batfish
 
 import (
+	"fmt"
 	"testing"
 
 	"crystalnet/internal/bgp"
@@ -93,7 +94,7 @@ func TestSimulateAppliesExportPolicy(t *testing.T) {
 	// routing (ToR-facing sessions) stays intact.
 	for _, name := range []string{"leaf-p0-0", "leaf-p0-1"} {
 		c := cfgs[name]
-		c.RouteMaps["BLOCK"] = bgp.DenyAll
+		c.RouteMaps["BLOCK"] = &bgp.Policy{Name: "deny-all", DefaultAction: bgp.Deny}
 		for i := range c.Neighbors {
 			if c.Neighbors[i].RemoteAS == topo.SpineAS {
 				c.Neighbors[i].ExportPolicy = "BLOCK"
@@ -193,5 +194,53 @@ func TestSnapshotContainsConnected(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("connected routes missing from snapshot")
+	}
+}
+
+// TestVerdictsPastTheHopBoundIgnoreQueryOrder: on a 70-device chain that only
+// its last device delivers, the first six devices are more than maxHops hops
+// from delivery. A Walker's verdict for a device must not depend on which
+// devices were queried before it, and must equal the sweep table's.
+func TestVerdictsPastTheHopBoundIgnoreQueryOrder(t *testing.T) {
+	const chain = 70
+	dst := netpkt.MustParseIP("100.64.0.1")
+	// Device i owns 10.1.0.0+2i on "in" and forwards dst to device i+1.
+	addr := func(i int) netpkt.IP { return netpkt.MustParseIP("10.1.0.0") + netpkt.IP(2*i) }
+	name := func(i int) string { return fmt.Sprintf("d%03d", i) }
+	cfgs := map[string]*config.DeviceConfig{}
+	fibs := map[string]*rib.FIB{}
+	for i := 0; i < chain; i++ {
+		c := &config.DeviceConfig{Hostname: name(i), Interfaces: []config.InterfaceConfig{
+			{Name: "in", Addr: netpkt.Prefix{Addr: addr(i), Len: 31}},
+		}}
+		f := rib.NewFIB()
+		if i == chain-1 {
+			c.Networks = []netpkt.Prefix{pfx("100.64.0.0/24")}
+		} else if err := f.InstallHops(pfx("100.64.0.0/24"), rib.ProtoBGP, []rib.NextHop{{IP: addr(i + 1), Interface: "out"}}); err != nil {
+			t.Fatal(err)
+		}
+		f.Seal()
+		cfgs[name(i)], fibs[name(i)] = c, f
+	}
+	ix := config.NewIndex(cfgs)
+	sweep, _ := (*Sweep)(nil).Update(ix, []netpkt.IP{dst}, func(dev string) *rib.FIB { return fibs[dev] })
+	lookup := func(dev string, ip netpkt.IP) (*rib.Entry, bool) { return fibs[dev].Lookup(ip) }
+
+	for _, order := range []string{"forward", "reverse"} {
+		w := NewIndexWalker(lookup, ix)
+		for k := 0; k < chain; k++ {
+			i := k
+			if order == "reverse" {
+				i = chain - 1 - k
+			}
+			id, _ := ix.ID(name(i))
+			got, want := w.Delivered(name(i), dst), sweep.Delivered(id, 0)
+			if got != want {
+				t.Errorf("%s order: Walker says %s delivered=%v, sweep says %v", order, name(i), got, want)
+			}
+			if want != (i >= chain-maxHops) {
+				t.Errorf("sweep says %s delivered=%v, %d hops from delivery", name(i), want, chain-i)
+			}
+		}
 	}
 }

@@ -38,14 +38,11 @@ const maxHops = 64
 // destination and a few hundred other devices' toward one or two, so an
 // Update copies that device's column and one block of each other where
 // sharing rows would copy the whole table. It holds no pointer into
-// forwarding state: per device it records the lineage and version of the
-// table its column read (zero for a device without one), as the traffic
-// memo does (internal/traffic/memo.go).
+// forwarding state: per device it keeps the rib.Mark of the table its column
+// read, as the traffic memo does (internal/traffic/memo.go).
 //
 // Verdicts follow a row's successors with Delivered's hop bound and loop
-// rule. They equal a Walker's for every chain of at most maxHops devices;
-// past that a memoizing Walker's verdict depends on the order sources were
-// walked in, and the table keeps the order-free one.
+// rule, so they equal a Walker's for every chain, however long.
 type Sweep struct {
 	ix   *config.Index
 	dsts []netpkt.IP
@@ -58,11 +55,8 @@ type Sweep struct {
 	// lost is, per row, the bitset of device ids whose packets are not
 	// delivered; nil when every device's are.
 	lost  [][]uint64
-	marks []tableMark // by device id
+	marks []rib.Mark // by device id: what each column read
 }
-
-// tableMark is what a column read of one device's table.
-type tableMark struct{ lineage, version uint64 }
 
 // Update returns the table for the fabric ix describes now, toward dsts,
 // where table gives each device's live forwarding table (nil for a device
@@ -70,24 +64,21 @@ type tableMark struct{ lineage, version uint64 }
 // be nil. The caller guarantees the forwarding state does not change while
 // Update runs.
 //
-// The staleness rule is the traffic memo's. A different index (some
-// configuration changed) or destination list means a full build. A device
-// whose table changed lineage, cannot account for its writes since the
-// column read it (rib.FIB.WritesSince), or wrote more prefixes than there are
-// destinations gets its whole column resolved again; otherwise only the
-// destinations inside a written prefix are. Equal lineage and version mean
-// an unchanged table even when it is not sealed (rib.FIB.Version), so
+// The staleness rule is the traffic memo's, rib.FIB.Since. A different
+// index (some configuration changed) or destination list means a full
+// build. A device whose table cannot account for what changed since the
+// column read it, or wrote more prefixes than there are destinations, gets
+// its whole column resolved again; otherwise only the destinations inside a
+// written prefix are. An unchanged table, sealed or not, costs nothing, so
 // repeated sweeps at one convergence point cost nothing on a fresh run
 // either. Verdicts are derived again only for rows whose successors moved.
 func (s *Sweep) Update(ix *config.Index, dsts []netpkt.IP, table func(dev string) *rib.FIB) (*Sweep, int) {
-	u := &Sweep{ix: ix, marks: make([]tableMark, ix.Len())}
+	u := &Sweep{ix: ix, marks: make([]rib.Mark, ix.Len())}
 	res := resolver{ix: ix, fibs: make([]*rib.FIB, ix.Len()), cfgs: make([]*config.DeviceConfig, ix.Len())}
 	for id := range res.fibs {
 		name := ix.Name(id)
-		res.cfgs[id] = ix.Config(name)
-		if f := table(name); f != nil {
-			res.fibs[id], u.marks[id] = f, tableMark{f.Lineage(), f.Version()}
-		}
+		res.cfgs[id], res.fibs[id] = ix.Config(name), table(name)
+		u.marks[id] = res.fibs[id].Mark()
 	}
 	if s == nil || s.ix != ix || !slices.Equal(s.dsts, dsts) {
 		return u, u.build(dsts, res)
@@ -101,9 +92,9 @@ func (s *Sweep) Update(ix *config.Index, dsts []netpkt.IP, table func(dev string
 	moved := make([]bool, len(u.dsts))
 	stamp := make([]int32, len(u.dsts))
 	resolved := 0
-	for id, now := range u.marks {
-		was := s.marks[id]
-		if was == now {
+	for id, was := range s.marks {
+		writes, ok := res.fibs[id].Since(was)
+		if ok && len(writes) == 0 {
 			continue
 		}
 		owned := false // whether u.next[id] is this update's copy
@@ -127,13 +118,7 @@ func (s *Sweep) Update(ix *config.Index, dsts []netpkt.IP, table func(dev string
 			}
 			u.next[id][b][i], moved[row] = v, true
 		}
-		var writes []netpkt.Prefix
-		ok := was.lineage == now.lineage
-		if ok {
-			writes, ok = res.fibs[id].WritesSince(was.version)
-			ok = ok && len(writes) <= len(u.dsts)
-		}
-		if !ok {
+		if !ok || len(writes) > len(u.dsts) {
 			for row := range u.dsts {
 				set(row)
 			}

@@ -94,9 +94,6 @@ type Policy struct {
 // PermitAll is the implicit policy of an unfiltered session.
 var PermitAll = &Policy{Name: "permit-all", DefaultAction: Permit}
 
-// DenyAll rejects everything.
-var DenyAll = &Policy{Name: "deny-all", DefaultAction: Deny}
-
 // Apply evaluates the policy for a route. It returns the (possibly
 // rewritten) attributes and whether the route is permitted. The input attrs
 // are never mutated.

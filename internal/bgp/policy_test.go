@@ -18,8 +18,9 @@ func TestPermitAllDenyAll(t *testing.T) {
 	if _, ok := PermitAll.Apply(pfx("1.0.0.0/8"), a); !ok {
 		t.Fatal("PermitAll denied")
 	}
-	if _, ok := DenyAll.Apply(pfx("1.0.0.0/8"), a); ok {
-		t.Fatal("DenyAll permitted")
+	denyAll := &Policy{Name: "deny-all", DefaultAction: Deny}
+	if _, ok := denyAll.Apply(pfx("1.0.0.0/8"), a); ok {
+		t.Fatal("a deny-all policy permitted")
 	}
 }
 

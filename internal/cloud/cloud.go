@@ -38,8 +38,6 @@ var (
 		BootBase: 45 * time.Second, BootJitter: 30 * time.Second}
 	SKUNested = SKU{Name: "D4-8-nested", Cores: 4, MemoryGB: 8, NestedVM: true, PricePerHour: 0.20,
 		BootBase: 60 * time.Second, BootJitter: 30 * time.Second}
-	SKULarge = SKU{Name: "D4-16", Cores: 4, MemoryGB: 16, PricePerHour: 0.24,
-		BootBase: 45 * time.Second, BootJitter: 30 * time.Second}
 )
 
 // VMState is a VM lifecycle state.

@@ -490,7 +490,7 @@ func TestSaveDiffRestore(t *testing.T) {
 	// A config change that withdraws a prefix shows up in the diff.
 	leaf := "leaf-p0-0"
 	cfg := em.Devices[leaf].Config().Clone()
-	cfg.RouteMaps["BLOCKALL"] = bgpDenyAll()
+	cfg.RouteMaps["BLOCKALL"] = &bgp.Policy{Name: "deny-all", DefaultAction: bgp.Deny}
 	for i := range cfg.Neighbors {
 		cfg.Neighbors[i].ExportPolicy = "BLOCKALL"
 	}
@@ -512,8 +512,6 @@ func TestSaveDiffRestore(t *testing.T) {
 		t.Fatalf("diffs after restore: %v", d)
 	}
 }
-
-func bgpDenyAll() *bgp.Policy { return bgp.DenyAll }
 
 func TestHardwareInTheLoop(t *testing.T) {
 	// §4.1: replace one spine with a real switch behind the fanout server.

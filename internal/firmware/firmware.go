@@ -7,8 +7,9 @@
 // Real CrystalNet runs unmodified vendor binaries; this package is the
 // synthetic equivalent: four vendor images built on a shared runtime whose
 // divergences are exactly the documented incident classes (aggregation
-// AS-path selection, FIB-overflow handling, ACL dialect drift, ARP trap
-// bugs, default-route bugs, crash-on-flap).
+// AS-path selection, FIB-overflow handling, ARP trap bugs, default-route
+// bugs, crash-on-flap). The §2 ACL dialect drift lives at the config layer
+// (internal/config's renderers and parsers), not in these images.
 //
 // DESIGN.md §1 records the synthetic-firmware substitution; §4 lists the
 // per-vendor divergences.

@@ -10,7 +10,7 @@ package rib
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync/atomic"
 
@@ -217,17 +217,15 @@ type FIB struct {
 	// entryCopies counts the entries replaced in a sealed table — the entry
 	// half of the table's copy-on-write cost (see Copies).
 	entryCopies int
-	// version counts the writes the table has taken (see Version). A sealed
-	// table also remembers which prefix each of its last writeLogCap writes
-	// touched: log is a ring in which the write that took the table from
-	// version v to v+1 sits at (v-logStart)%writeLogCap, and logStart is the
-	// version at which the table was sealed or cloned (see WritesSince).
+	// version and lineage are the table's Mark. A sealed table also
+	// remembers which prefix each of its last writeLogCap writes touched:
+	// log is a ring in which the write that took the table from version v to
+	// v+1 sits at (v-logStart)%writeLogCap, and logStart is the version at
+	// which the table was sealed or cloned (see Since).
 	version  uint64
 	logStart uint64
 	log      []netpkt.Prefix
-	// lineage names the table NewFIB made and every Clone descended from it
-	// (see Lineage).
-	lineage uint64
+	lineage  uint64
 }
 
 // lineages hands out process-unique table lineages; forks clone tables on
@@ -427,38 +425,50 @@ func (f *FIB) wrote(p netpkt.Prefix) {
 	f.version++
 }
 
-// Version counts the writes the table has taken, sealed or not: every
-// Install, InstallHops or Remove that changed it (ErrFull and a Remove of an
-// absent prefix change nothing). Equal versions of one table mean equal
-// contents. A Clone starts at its parent's version.
-func (f *FIB) Version() uint64 { return f.version }
+// Mark is what a reader that looks at a table again later keeps of it: the
+// table's lineage — NewFIB starts one, Clone continues it — and the number
+// of writes the table has taken (every Install, InstallHops or Remove that
+// changed it; ErrFull and a Remove of an absent prefix change nothing). The
+// zero Mark is no table: a device that is down. Two marks of one table are
+// equal only if it took no write between them, so they mean equal
+// contents. A clone starts at its parent's mark, so a mark taken of the
+// parent up to the clone reads on the clone as the parent's table continued;
+// from then on parent and clones each write on from that mark, and a later
+// mark of one says nothing about another.
+type Mark struct{ lineage, version uint64 }
 
-// Lineage identifies the table NewFIB made, and Clone keeps it: a clone is
-// its parent's table continued. A reader that recorded a table's Lineage and
-// Version can therefore ask the table's clone, of the same lineage,
-// WritesSince that version and learn exactly what the clone has written
-// since. Tables of different lineages are unrelated, whatever their versions.
-func (f *FIB) Lineage() uint64 { return f.lineage }
+// Mark returns where the table stands now; a nil table's is the zero Mark.
+func (f *FIB) Mark() Mark {
+	if f == nil {
+		return Mark{}
+	}
+	return Mark{f.lineage, f.version}
+}
 
-// WritesSince returns the prefix of every write the table has taken since it
-// was at version, oldest first. Entries are immutable, so together with
-// pointer equality of the table this is an exact account of what changed: a
-// longest-prefix match for an address no returned prefix contains resolves to
-// the entry it resolved to at version.
+// Since is the one account of what changed in a table — nil for none —
+// since a reader took mark of it (or of the table it was cloned from, up to
+// the clone). It returns (nil, true) when the table stands at mark, sealed
+// or not, and the prefix of every write since, oldest first, when mark is an
+// earlier mark of its lineage that the sealed table's write log still
+// covers. Entries are immutable, so that is exact: a longest-prefix match for
+// an address no returned prefix contains resolves to the entry it resolved
+// to at mark.
 //
-// ok is false when the table cannot give the whole history — only a sealed
-// table logs, so version must not predate Seal (or Clone), and the log keeps
-// the last writeLogCap writes. It never returns part of one; a caller told
-// false has to treat the whole table as changed.
-func (f *FIB) WritesSince(version uint64) (writes []netpkt.Prefix, ok bool) {
-	if !f.sealed() || version < f.logStart || version > f.version || f.version-version > writeLogCap {
+// ok is false when the table cannot give the whole history — another lineage
+// or none, writes while unsealed (only a sealed table logs, so mark must not
+// predate Seal or Clone), or more writes than the log's last writeLogCap. It
+// never returns part of one; a reader told false treats the whole table as
+// changed. How many writes are worth reading instead is the reader's call.
+func (f *FIB) Since(mark Mark) (writes []netpkt.Prefix, ok bool) {
+	now := f.Mark()
+	switch {
+	case mark == now:
+		return nil, true
+	case mark.lineage != now.lineage || !f.sealed() || mark.version < f.logStart || mark.version > f.version || f.version-mark.version > writeLogCap:
 		return nil, false
 	}
-	if version == f.version {
-		return nil, true
-	}
-	writes = make([]netpkt.Prefix, 0, f.version-version)
-	for v := version; v < f.version; v++ {
+	writes = make([]netpkt.Prefix, 0, f.version-mark.version)
+	for v := mark.version; v < f.version; v++ {
 		writes = append(writes, f.log[(v-f.logStart)%writeLogCap])
 	}
 	return writes, true
@@ -570,74 +580,86 @@ const (
 	ECMPAware
 )
 
-// Compare diffs two snapshots. The result is sorted by prefix.
+// Compare diffs two snapshots. The result is sorted by prefix. It runs
+// DiffAgainst's ordered merge, sorting a copy of a side only when that side
+// is not already in prefix order (as Snapshot returns it).
 func Compare(left, right Snapshot, mode CompareMode) []Diff {
-	li := indexSnapshot(left)
-	ri := indexSnapshot(right)
-	var out []Diff
-	for p, le := range li {
-		re, ok := ri[p]
-		if !ok {
-			out = append(out, Diff{Kind: DiffMissingRight, Prefix: p, Left: le})
-			continue
-		}
-		if !nextHopsMatch(le.NextHops, re.NextHops, mode) {
-			out = append(out, Diff{Kind: DiffNextHops, Prefix: p, Left: le, Right: re})
-		}
+	m := merge{left: byPrefix(left), mode: mode}
+	for _, e := range byPrefix(right) {
+		m.add(e)
 	}
-	for p, re := range ri {
-		if _, ok := li[p]; !ok {
-			out = append(out, Diff{Kind: DiffMissingLeft, Prefix: p, Right: re})
+	return m.done()
+}
+
+// byPrefix returns s in ascending prefix order: s itself when it already is.
+func byPrefix(s Snapshot) Snapshot {
+	cmp := func(a, b *Entry) int {
+		switch {
+		case prefixBefore(a.Prefix, b.Prefix):
+			return -1
+		case prefixBefore(b.Prefix, a.Prefix):
+			return 1
 		}
+		return 0
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i].Prefix, out[j].Prefix
-		if a.Addr != b.Addr {
-			return a.Addr < b.Addr
-		}
-		if a.Len != b.Len {
-			return a.Len < b.Len
-		}
-		return out[i].Kind < out[j].Kind
-	})
-	return out
+	if slices.IsSortedFunc(s, cmp) {
+		return s
+	}
+	s = slices.Clone(s)
+	slices.SortFunc(s, cmp)
+	return s
 }
 
 // DiffAgainst diffs a saved snapshot (sorted, as Snapshot returns it)
-// against the FIB's live contents in one ordered merge — no pulled copy of
-// the table, no index maps — producing exactly what Compare(base, Snapshot())
-// would. The diffs point at the snapshot's and the table's own entries
-// (shared, read-only); the common case (no drift) allocates nothing. Diff
-// output order matches Compare's sorted order because both sides are walked
-// in ascending (address, length) order.
+// against the FIB's live contents — no pulled copy of the table — producing
+// exactly what Compare(base, Snapshot()) would. The diffs point at the
+// snapshot's and the table's own entries (shared, read-only); the common
+// case (no drift) allocates nothing.
 func (f *FIB) DiffAgainst(base Snapshot, mode CompareMode) []Diff {
 	if debugEntries {
 		for _, b := range base {
 			b.verify()
 		}
 	}
-	var out []Diff
-	i := 0
+	m := merge{left: base, mode: mode}
 	f.Walk(func(e *Entry) bool {
 		e.verify()
-		for i < len(base) && prefixBefore(base[i].Prefix, e.Prefix) {
-			out = append(out, Diff{Kind: DiffMissingRight, Prefix: base[i].Prefix, Left: base[i]})
-			i++
-		}
-		if i < len(base) && base[i].Prefix == e.Prefix {
-			if !nextHopsMatch(base[i].NextHops, e.NextHops, mode) {
-				out = append(out, Diff{Kind: DiffNextHops, Prefix: e.Prefix, Left: base[i], Right: e})
-			}
-			i++
-		} else {
-			out = append(out, Diff{Kind: DiffMissingLeft, Prefix: e.Prefix, Right: e})
-		}
+		m.add(e)
 		return true
 	})
-	for ; i < len(base); i++ {
-		out = append(out, Diff{Kind: DiffMissingRight, Prefix: base[i].Prefix, Left: base[i]})
+	return m.done()
+}
+
+// merge diffs a sorted left snapshot against right-hand entries handed to
+// add in ascending prefix order, so the diffs come out in that order too.
+type merge struct {
+	left Snapshot // what add has not reached yet
+	mode CompareMode
+	out  []Diff
+}
+
+// add takes the next right-hand entry.
+func (m *merge) add(e *Entry) {
+	for len(m.left) > 0 && prefixBefore(m.left[0].Prefix, e.Prefix) {
+		m.out = append(m.out, Diff{Kind: DiffMissingRight, Prefix: m.left[0].Prefix, Left: m.left[0]})
+		m.left = m.left[1:]
 	}
-	return out
+	if len(m.left) > 0 && m.left[0].Prefix == e.Prefix {
+		if !nextHopsMatch(m.left[0].NextHops, e.NextHops, m.mode) {
+			m.out = append(m.out, Diff{Kind: DiffNextHops, Prefix: e.Prefix, Left: m.left[0], Right: e})
+		}
+		m.left = m.left[1:]
+		return
+	}
+	m.out = append(m.out, Diff{Kind: DiffMissingLeft, Prefix: e.Prefix, Right: e})
+}
+
+// done reports the left-hand entries add never reached and returns the diffs.
+func (m *merge) done() []Diff {
+	for _, l := range m.left {
+		m.out = append(m.out, Diff{Kind: DiffMissingRight, Prefix: l.Prefix, Left: l})
+	}
+	return m.out
 }
 
 func prefixBefore(a, b netpkt.Prefix) bool {
@@ -645,14 +667,6 @@ func prefixBefore(a, b netpkt.Prefix) bool {
 		return a.Addr < b.Addr
 	}
 	return a.Len < b.Len
-}
-
-func indexSnapshot(s Snapshot) map[netpkt.Prefix]*Entry {
-	m := make(map[netpkt.Prefix]*Entry, len(s))
-	for _, e := range s {
-		m[e.Prefix] = e
-	}
-	return m
 }
 
 func nextHopsMatch(a, b []NextHop, mode CompareMode) bool {
@@ -698,8 +712,8 @@ func nextHopsMatch(a, b []NextHop, mode CompareMode) bool {
 //
 // Entries and the hop groups they alias are immutable (see Entry), so the
 // clone goes on sharing both; it interns the groups it installs itself in a
-// table of its own. It continues f's version count with a write log of its
-// own, empty: WritesSince(f.Version()) on the clone is what the clone wrote.
+// table of its own. It continues f's Mark with a write log of its own,
+// empty: Since(f.Mark()) on the clone is what the clone wrote.
 func (f *FIB) Clone() *FIB {
 	if !f.sealed() {
 		panic("rib: Clone of an unsealed FIB")

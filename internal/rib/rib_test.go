@@ -106,7 +106,7 @@ func TestInstallGroupMatchesInstallHops(t *testing.T) {
 			t.Fatalf("write %d: InstallGroup %v, InstallHops %v", i, errM, errP)
 		}
 	}
-	if memo.Version() != plain.Version() || memo.Snapshot().String() != plain.Snapshot().String() {
+	if memo.version != plain.version || memo.Snapshot().String() != plain.Snapshot().String() {
 		t.Fatal("InstallGroup and InstallHops built different tables")
 	}
 	byGroup := map[string]*NextHop{}

@@ -28,17 +28,17 @@ func TestVersionCountsEveryWrite(t *testing.T) {
 		if sealed {
 			f.Seal()
 		}
-		v := f.Version()
+		v := f.Mark()
 		step := func(what string, wrote bool) {
 			t.Helper()
 			want := v
 			if wrote {
-				want++
+				want.version++
 			}
-			if got := f.Version(); got != want {
-				t.Fatalf("sealed=%v: Version after %s = %d, want %d", sealed, what, got, want)
+			if got := f.Mark(); got != want {
+				t.Fatalf("sealed=%v: Mark after %s = %+v, want %+v", sealed, what, got, want)
 			}
-			v = f.Version()
+			v = f.Mark()
 		}
 		mustInstall(t, f, "10.1.0.0/16")
 		step("Install", true)
@@ -63,65 +63,86 @@ func TestVersionCountsEveryWrite(t *testing.T) {
 	}
 }
 
-func TestWritesSinceIsExactOrRefuses(t *testing.T) {
+func TestSinceIsExactOrRefuses(t *testing.T) {
 	f := NewFIB()
+	if w, ok := (*FIB)(nil).Since(Mark{}); !ok || w != nil {
+		t.Fatalf("no table since no table = %v, %v; want unchanged", w, ok)
+	}
+	if _, ok := (*FIB)(nil).Since(f.Mark()); ok {
+		t.Fatal("a device that went down claimed its table unchanged")
+	}
+	if _, ok := f.Since(Mark{}); ok {
+		t.Fatal("a device that came up claimed its table unchanged")
+	}
 	mustInstall(t, f, "10.0.0.0/8")
-	early := f.Version()
-	if _, ok := f.WritesSince(early); ok {
-		t.Fatal("an unsealed table claimed to have a write log")
+	early := f.Mark()
+	if w, ok := f.Since(early); !ok || w != nil {
+		t.Fatalf("unsealed table at its own mark = %v, %v; want unchanged", w, ok)
 	}
 	mustInstall(t, f, "10.1.0.0/16")
-	f.Seal()
-	sealedAt := f.Version()
-	if _, ok := f.WritesSince(early); ok {
-		t.Fatal("WritesSince accepted a version with unlogged (unsealed) writes after it")
+	if _, ok := f.Since(early); ok {
+		t.Fatal("an unsealed table that was written claimed to have a write log")
 	}
-	if w, ok := f.WritesSince(sealedAt); !ok || len(w) != 0 {
-		t.Fatalf("WritesSince(version at Seal) = %v, %v; want none, true", w, ok)
+	f.Seal()
+	sealedAt := f.Mark()
+	if _, ok := f.Since(early); ok {
+		t.Fatal("Since accepted a mark with unlogged (unsealed) writes after it")
+	}
+	if w, ok := f.Since(sealedAt); !ok || len(w) != 0 {
+		t.Fatalf("Since(mark at Seal) = %v, %v; want none, true", w, ok)
 	}
 
 	mustInstall(t, f, "10.2.0.0/16")
 	f.Remove(pfx("10.1.0.0/16"))
-	mid := f.Version()
+	mid := f.Mark()
 	mustInstall(t, f, "10.2.0.0/16")
 	want := []netpkt.Prefix{pfx("10.2.0.0/16"), pfx("10.1.0.0/16"), pfx("10.2.0.0/16")}
-	if w, ok := f.WritesSince(sealedAt); !ok || !slices.Equal(w, want) {
-		t.Fatalf("WritesSince(seal) = %v, %v; want %v in order", w, ok, want)
+	if w, ok := f.Since(sealedAt); !ok || !slices.Equal(w, want) {
+		t.Fatalf("Since(seal) = %v, %v; want %v in order", w, ok, want)
 	}
-	if w, ok := f.WritesSince(mid); !ok || !slices.Equal(w, want[2:]) {
-		t.Fatalf("WritesSince(mid) = %v, %v; want %v", w, ok, want[2:])
+	if w, ok := f.Since(mid); !ok || !slices.Equal(w, want[2:]) {
+		t.Fatalf("Since(mid) = %v, %v; want %v", w, ok, want[2:])
 	}
-	if _, ok := f.WritesSince(f.Version() + 1); ok {
-		t.Fatal("WritesSince accepted a version the table has not reached")
+	ahead := f.Mark()
+	ahead.version++
+	if _, ok := f.Since(ahead); ok {
+		t.Fatal("Since accepted a mark the table has not reached")
+	}
+	other := NewFIB()
+	other.Seal()
+	if _, ok := f.Since(other.Mark()); ok {
+		t.Fatal("Since accepted another lineage's mark")
 	}
 	// Sealing again keeps the history: the table was logging all along.
 	f.Seal()
-	if w, ok := f.WritesSince(sealedAt); !ok || !slices.Equal(w, want) {
-		t.Fatalf("after re-Seal WritesSince(seal) = %v, %v; want %v", w, ok, want)
+	if w, ok := f.Since(sealedAt); !ok || !slices.Equal(w, want) {
+		t.Fatalf("after re-Seal Since(seal) = %v, %v; want %v", w, ok, want)
 	}
 }
 
-func TestWritesSinceRefusesOnceTheRingWraps(t *testing.T) {
+func TestSinceRefusesOnceTheRingWraps(t *testing.T) {
 	f := NewFIB()
 	f.Seal()
-	start := f.Version()
+	start := f.Mark()
 	for i := 0; i < writeLogCap; i++ {
 		if err := f.InstallHops(slash24(i), ProtoBGP, []NextHop{{Interface: "et0"}}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	w, ok := f.WritesSince(start)
+	w, ok := f.Since(start)
 	if !ok || len(w) != writeLogCap || w[0] != slash24(0) || w[writeLogCap-1] != slash24(writeLogCap-1) {
 		t.Fatalf("a full ring lost writes: ok=%v len=%d", ok, len(w))
 	}
 	f.Remove(slash24(7))
-	if _, ok := f.WritesSince(start); ok {
-		t.Fatal("WritesSince returned a history whose first write the ring has overwritten")
+	if _, ok := f.Since(start); ok {
+		t.Fatal("Since returned a history whose first write the ring has overwritten")
 	}
 	// The newest writeLogCap writes are still whole, in order, across the wrap.
-	w, ok = f.WritesSince(start + 1)
+	next := start
+	next.version++
+	w, ok = f.Since(next)
 	if !ok || len(w) != writeLogCap || w[0] != slash24(1) || w[writeLogCap-1] != slash24(7) {
-		t.Fatalf("WritesSince across the wrap: ok=%v len=%d first=%v last=%v", ok, len(w), w[0], w[len(w)-1])
+		t.Fatalf("Since across the wrap: ok=%v len=%d first=%v last=%v", ok, len(w), w[0], w[len(w)-1])
 	}
 }
 
@@ -133,7 +154,7 @@ func TestCloneLogsItsOwnWrites(t *testing.T) {
 	f := NewFIB()
 	mustInstall(t, f, "10.0.0.0/8")
 	f.Seal()
-	sealedAt := f.Version()
+	sealedAt := f.Mark()
 	mustInstall(t, f, "10.1.0.0/16")
 	f.Seal() // Clone wants no write since Seal
 	parentWrites := []netpkt.Prefix{pfx("10.1.0.0/16")}
@@ -141,16 +162,16 @@ func TestCloneLogsItsOwnWrites(t *testing.T) {
 	clones := []*FIB{f.Clone(), f.Clone()}
 	var wg sync.WaitGroup
 	for i, c := range clones {
-		if c.Version() != f.Version() || c.Lineage() != f.Lineage() {
-			t.Fatalf("clone starts at version %d of lineage %d, parent is at %d of %d", c.Version(), c.Lineage(), f.Version(), f.Lineage())
+		if c.Mark() != f.Mark() {
+			t.Fatalf("clone starts at %+v, parent is at %+v", c.Mark(), f.Mark())
 		}
-		if other := NewFIB(); other.Lineage() == f.Lineage() || other.Lineage() == 0 {
-			t.Fatalf("new table's lineage %d: parent's is %d, 0 means none", other.Lineage(), f.Lineage())
+		if other := NewFIB().Mark(); other.lineage == f.lineage || other == (Mark{}) {
+			t.Fatalf("new table's mark %+v: parent's is %+v, zero means none", other, f.Mark())
 		}
-		if w, ok := c.WritesSince(f.Version()); !ok || len(w) != 0 {
+		if w, ok := c.Since(f.Mark()); !ok || len(w) != 0 {
 			t.Fatalf("fresh clone's log = %v, %v; want empty, true", w, ok)
 		}
-		if _, ok := c.WritesSince(sealedAt); ok {
+		if _, ok := c.Since(sealedAt); ok {
 			t.Fatal("clone answered for writes its parent made before the clone existed")
 		}
 		wg.Add(1)
@@ -165,12 +186,12 @@ func TestCloneLogsItsOwnWrites(t *testing.T) {
 	}
 	wg.Wait()
 	for i, c := range clones {
-		w, ok := c.WritesSince(f.Version())
+		w, ok := c.Since(f.Mark())
 		if !ok || len(w) != 100 || w[0] != slash24(100*i) || w[99] != slash24(100*i+99) {
 			t.Fatalf("clone %d: ok=%v, %d writes", i, ok, len(w))
 		}
 	}
-	if w, ok := f.WritesSince(sealedAt); !ok || !slices.Equal(w, parentWrites) {
+	if w, ok := f.Since(sealedAt); !ok || !slices.Equal(w, parentWrites) {
 		t.Fatalf("parent's log after its clones wrote = %v, %v; want %v", w, ok, parentWrites)
 	}
 }

@@ -11,45 +11,39 @@ import (
 
 // memo is what lets a settle walk only the aggregates a change moved
 // (DESIGN.md §11). It holds the fabric index the last settle saw and, per
-// device of it, the table's lineage and version; per aggregate (in the
+// device of it, the rib.Mark of the table it read; per aggregate (in the
 // aggregate itself, as spans of the two arenas here) the devices its last
 // walk consulted and the latency observations it made.
 //
 // The staleness rule: an aggregate's last result stands unless a device it
-// consulted now has a table of a different lineage (rib.FIB.Lineage), has a
-// table that cannot account for its writes since (rib.FIB.WritesSince) or
-// wrote more than maxScannedWrites times, or logged a write to a prefix
-// containing the aggregate's destination. A different index pointer — some
-// config pointer or the device set changed (config.Index.Same) — discards
-// the memo whole. The rule is exact, not a heuristic, because of four facts
-// held elsewhere: installed FIB entries are immutable (so an unwritten slot
-// still holds the same route), installed configs are immutable (so pointer
-// equality is content equality), a device's forwarder — ACL bindings, local
-// addresses — is rebuilt from its config together with a fresh table on
-// every boot (so the table's lineage stands for all of it), and a fork's
-// clone of a table is that table continued (so a forked memo reads the
-// fork's tables as what it saw, plus what the fork wrote). A walk is a pure function of what it reads, everything it
-// reads of a device it reads after consulting it, so unchanged consulted
-// devices mean the same walk, which consults the same devices.
+// consulted has a table that cannot account for what changed since its mark
+// (rib.FIB.Since: another lineage, a device that went down or came up, writes
+// the table did not log) or wrote more than maxScannedWrites times, or
+// logged a write to a prefix containing the aggregate's destination. A
+// different index pointer — some config pointer or the device set changed
+// (config.Index.Same) — discards the memo whole. The rule is exact, not a
+// heuristic, because of four facts held elsewhere: installed FIB entries are
+// immutable (so an unwritten slot still holds the same route), installed
+// configs are immutable (so pointer equality is content equality), a
+// device's forwarder — ACL bindings, local addresses — is rebuilt from its
+// config together with a fresh table on every boot (so the table's lineage
+// stands for all of it), and a fork's clone of a table is that table
+// continued (so a forked memo reads the fork's tables as what it saw, plus
+// what the fork wrote). A walk is a pure function of what it reads,
+// everything it reads of a device it reads after consulting it, so unchanged
+// consulted devices mean the same walk, which consults the same devices.
 //
 // Everything here follows the repo's write rule (DESIGN.md §6): the index is
-// immutable, devs is replaced by each settle, arena records by appending a
+// immutable, marks is replaced by each settle, arena records by appending a
 // successor — nothing a fork may share is edited.
 type memo struct {
-	ix   *config.Index
-	devs []devMemo // by the index's device id, as consulted-device ids are
+	ix    *config.Index
+	marks []rib.Mark // by the index's device id, as consulted-device ids are
 
 	consulted arena[uint32]
 	latency   arena[latObs]
 
 	walked, reused uint64
-}
-
-// devMemo is what the last settle saw of one device: its table's lineage (0
-// while the device is down) and version. It names no table, so a forked
-// memo holds nothing of its parent's.
-type devMemo struct {
-	lineage, version uint64
 }
 
 // latObs is one traffic.flow_latency observation of a walk: flows flows
@@ -74,43 +68,32 @@ type changes struct {
 // aggregates that are reused a small fraction of a walk.
 const maxScannedWrites = 64
 
-// observe brings the device memo up to date with v and reports what changed
-// on the way. When nothing recorded can survive — first settle, a config or
-// device-set change, or every table stale, as in a run that never sealed
-// its tables — the memo is discarded up front instead of being superseded
-// record by record.
+// observe brings the device marks up to date with v and reports what
+// changed on the way. When nothing recorded can survive — first settle, a
+// config or device-set change, or every table stale — the memo is discarded
+// up front instead of being superseded record by record.
 func (m *Matrix) observe(v View) changes {
 	fresh := v.Index != m.ix
 	if fresh {
 		// Device ids change with the index: nothing recorded under the old
 		// ones survives (discard, below).
-		m.ix, m.devs = v.Index, make([]devMemo, v.Index.Len())
+		m.ix, m.marks = v.Index, make([]rib.Mark, v.Index.Len())
 	}
-	ch := changes{stale: make([]bool, len(m.devs)), writes: make([][]netpkt.Prefix, len(m.devs))}
-	devs := make([]devMemo, len(m.devs))
+	ch := changes{stale: make([]bool, len(m.marks)), writes: make([][]netpkt.Prefix, len(m.marks))}
+	// A fork shares the marks it was forked with: replace, never edit.
+	marks := make([]rib.Mark, len(m.marks))
 	survivors := false
-	for i, d := range m.devs {
+	for i, was := range m.marks {
 		var fib *rib.FIB
-		var now devMemo
 		if fwd := v.Forwarder(m.ix.Name(i)); fwd != nil {
 			fib = fwd.FIB()
-			now = devMemo{lineage: fib.Lineage(), version: fib.Version()}
 		}
-		switch {
-		case now.lineage != d.lineage:
-			ch.stale[i] = true
-		case fib != nil:
-			w, ok := fib.WritesSince(d.version)
-			if ok && len(w) <= maxScannedWrites {
-				ch.writes[i] = w
-			} else {
-				ch.stale[i] = true
-			}
-		}
+		w, ok := fib.Since(was)
+		ch.writes[i], ch.stale[i] = w, !ok || len(w) > maxScannedWrites
 		survivors = survivors || !ch.stale[i]
-		devs[i] = now
+		marks[i] = fib.Mark()
 	}
-	m.devs = devs
+	m.marks = marks
 	if fresh || !survivors {
 		m.discard()
 	}
@@ -156,10 +139,10 @@ func (m *Matrix) crossCheck(a *aggregate, v View, w *walkLog) {
 	}
 }
 
-// fork returns the memo of a forked matrix: the index, the device memo and
+// fork returns the memo of a forked matrix: the index, the marks and the
 // arena records are shared (none is ever edited), the counters restart. The
-// device memo names tables by lineage, which the fork's clones keep, so the
-// fork's first settle walks only what the fork's own steps moved.
+// fork's clones continue the tables the marks were taken of, so the fork's
+// first settle walks only what the fork's own steps moved.
 func (m memo) fork() memo {
 	m.consulted, m.latency = m.consulted.fork(), m.latency.fork()
 	m.walked, m.reused = 0, 0

@@ -216,8 +216,9 @@ func TestMemoWalksOnlyWhatMoved(t *testing.T) {
 
 	// m2 goes down: everything that consulted it (all of b->a; a->b left it
 	// at the group shrink) is walked, and again when it comes back on a
-	// fresh table. A fresh table is unsealed and cannot vouch for itself,
-	// so its consulters are walked at every settle until it is sealed.
+	// fresh table. A fresh table is unsealed and logs no writes, but one
+	// that has not been written since the last settle is unchanged, sealed
+	// or not (rib.FIB.Since).
 	m2 := d.fwds["m2"]
 	delete(d.fwds, "m2")
 	expect("device stopped", 4)
@@ -227,7 +228,12 @@ func TestMemoWalksOnlyWhatMoved(t *testing.T) {
 		t.Fatal("boot did not rebuild the forwarder")
 	}
 	expect("device rebooted", 4)
-	expect("rebooted table unsealed", 4)
+	expect("rebooted table unsealed", 0)
+	// Unsealed, it cannot say what a write touched: every consulter walks.
+	if err := booted.InstallHops(pfx("172.16.0.0/24"), rib.ProtoBGP, []rib.NextHop{hop("10.128.0.3", "et0")}); err != nil {
+		t.Fatal(err)
+	}
+	expect("unrelated write to the unsealed table", 4)
 	booted.Seal()
 	expect("rebooted table sealed", 0)
 

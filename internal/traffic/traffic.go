@@ -25,8 +25,8 @@
 //
 // A settle walks only what moved (memo.go): each aggregate remembers the
 // devices its last walk consulted, and is walked again only when one of
-// them has a new table or logged a write (rib.FIB.WritesSince) to a prefix
-// containing the aggregate's destination. Everything else keeps its last
+// them cannot account for what changed since (rib.FIB.Since) or logged a
+// write to a prefix containing the aggregate's destination. Everything else keeps its last
 // result, so settle cost scales with the aggregates a change touched.
 //
 // DESIGN.md §11 is the full traffic-plane write-up; docs/TRAFFIC.md is the
@@ -500,7 +500,8 @@ func (m *Matrix) walk(a *aggregate, v View, log *walkLog) result {
 				TTL: uint8(startTTL - hop),
 			}
 			// Ingress ACLs bind ahead of delivery in the Forward prologue;
-			// mirror that before the destination short-circuit below.
+			// mirror that before the destination short-circuit below, which
+			// is why ForwardBatch is not handed the ingress to check again.
 			if name, denied := fwd.DeniesIngress(k.iface, &meta); denied {
 				r.lost += n
 				fp = fnvStr(fp, name)
@@ -514,7 +515,7 @@ func (m *Matrix) walk(a *aggregate, v View, log *walkLog) result {
 				log.observe(hop, n)
 				continue
 			}
-			dec, shares := fwd.ForwardBatch(k.iface, &meta, n, a.key)
+			dec, shares := fwd.ForwardBatch("", &meta, n, a.key)
 			fp = fnvU64(fp, uint64(dec.Verdict))
 			switch dec.Verdict {
 			case dataplane.VerdictLocal:
@@ -523,7 +524,7 @@ func (m *Matrix) walk(a *aggregate, v View, log *walkLog) result {
 				log.observe(hop, n)
 			case dataplane.VerdictNoRoute:
 				r.blackholed += n
-			case dataplane.VerdictACLDenied, dataplane.VerdictTTLExpired:
+			case dataplane.VerdictTTLExpired:
 				r.lost += n
 			case dataplane.VerdictForward:
 				for _, s := range shares {

@@ -168,7 +168,7 @@ if ! cmp -s "$tmp/solve1.out" "$tmp/solve2.out"; then
 fi
 grep -q "safe-boundary solve" "$tmp/solve1.out"
 
-echo "== docs gate (package docs link the design docs; every func under internal/ has a non-test caller; this script's -run/-fuzz names exist)"
+echo "== docs gate (package docs link the design docs; every func, type and var under internal/ has a non-test use; this script's -run/-fuzz names exist)"
 go run ./cmd/doccheck
 
 # M-DC smoke: the benchmark's own sharded M-DC workload, with its output
