@@ -52,12 +52,13 @@ func assertMemosFilled(r *Router) {
 			panic(fmt.Sprintf("bgp: %s reached %s's RIB without interning: its memo is unfilled at Seal", a, r.cfg.Name))
 		}
 	}
-	for _, e := range r.entries {
+	r.entries.Range(func(_ int, e *ribEntry) bool {
 		for i := range e.candidates {
 			check(e.candidates[i].attrs)
 		}
 		check(e.lastBest)
-	}
+		return true
+	})
 	for _, p := range r.peers {
 		p.advertised.Range(func(_ int, a *Attrs) bool {
 			check(a)

@@ -1,8 +1,6 @@
 package bgp
 
 import (
-	"slices"
-
 	"crystalnet/internal/rib"
 	"crystalnet/internal/sim"
 )
@@ -13,10 +11,10 @@ import (
 // its forks replace — never edit — whatever they hold in common (DESIGN.md
 // §6, the ownership invariant):
 //
-//   - every Loc-RIB entry, the entries slice and the prefix index become
-//     shared: the router gives up ownership of all of them, and its own
-//     later writes go through writable/entryFor like a fork's;
-//   - every peer's Adj-RIB-Out is marked shared (rib.Dense.Seal).
+//   - every Loc-RIB entry, the pages of the entry vector and the prefix
+//     index become shared: the router gives up ownership of all of them,
+//     and its own later writes go through writable/entryFor like a fork's;
+//   - every peer's Adj-RIB-Out is sealed (rib.Dense.Seal).
 //
 // Seal also lets go of what only a running router needs: the export-template
 // cache and the hop-group table (memos, which forks start without anyway),
@@ -40,19 +38,19 @@ func (r *Router) Seal() {
 		}
 	}
 	r.exportCache, r.hopSets, r.nhScratch, r.flush = nil, rib.HopSetTable{}, nil, flushScratch{}
-	r.entries = slices.Clip(r.entries)
-	r.cow, r.indexShared, r.entriesShared, r.owned = true, true, true, nil
+	r.entries.Seal()
+	r.cow, r.indexShared, r.owned = true, true, nil
 }
 
 // Fork returns the router of a forked emulation, rebound to the fork's engine
 // and hooks. hooks.Attrs must be a fork of the router's table taken after the
 // table's last Seal (AttrTable.Fork): the canonical objects the router's RIBs
 // hold are in its frozen layer, so the fork's decodes come to those same
-// pointers. It costs one small struct per peer: the entries and the slice
+// pointers. It costs one small struct per peer: the entries and the vector
 // holding them, the prefix index, the id-to-prefix and aggregate coverage
 // lists and the Adj-RIB tables are all shared with r, and each side pays for
-// a private copy of what it later writes (the entries slice whole, at its
-// first replaced or added entry). The source router
+// a private copy of what it later writes (for the entry vector and the
+// Adj-RIB tables, the 64-slot pages written; rib.Dense). The source router
 // is read strictly read-only, so any number of forks can be taken from it
 // concurrently. r must be sealed with no write since (Seal); Fork panics
 // otherwise, because r would go on editing state the fork reads.
@@ -86,19 +84,18 @@ func (r *Router) Fork(eng *sim.Engine, hooks Hooks) *Router {
 		eng:   eng,
 		hooks: hooks,
 		seq:   r.seq,
-		// The entries slice is shared until the fork's first write to it
-		// (writable copies it; Seal clipped it, so entryFor's append moves
-		// it). The append-only lists are shared up to their current length,
-		// with the capacity clipped so the fork's first append moves it to a
-		// private array; the parent appends beyond every fork's length,
-		// which no fork reads.
-		index:         r.index,
-		indexShared:   true,
-		entries:       r.entries,
-		entriesShared: true,
-		prefixByID:    r.prefixByID[:len(r.prefixByID):len(r.prefixByID)],
-		cow:           true,
-		aggState:      append([]aggState(nil), r.aggState...),
+		// The entry vector shares its pages until the fork writes them
+		// (rib.Dense copies a page on its first write). The append-only
+		// lists are shared up to their current length, with the capacity
+		// clipped so the fork's first append moves it to a private array;
+		// the parent appends beyond every fork's length, which no fork
+		// reads.
+		index:       r.index,
+		indexShared: true,
+		entries:     r.entries.Clone(),
+		prefixByID:  r.prefixByID[:len(r.prefixByID):len(r.prefixByID)],
+		cow:         true,
+		aggState:    append([]aggState(nil), r.aggState...),
 	}
 	for i := range c.aggState {
 		cov := c.aggState[i].covered
@@ -137,11 +134,13 @@ func (r *Router) Fork(eng *sim.Engine, hooks Hooks) *Router {
 }
 
 // Copies returns the copy-on-write cost the router has paid since it was
-// forked or created: Loc-RIB entries replaced by private copies, and Adj-RIB
-// tables that copied their shared arrays.
-func (r *Router) Copies() (ribEntries, denseTables int) {
+// forked or created: Loc-RIB entries replaced by private copies, and pages
+// of the entry vector and the Adj-RIB-Out tables copied because they were
+// shared.
+func (r *Router) Copies() (ribEntries, densePages int) {
+	densePages = r.entries.Copies()
 	for _, p := range r.peers {
-		denseTables += p.advertised.Copies()
+		densePages += p.advertised.Copies()
 	}
-	return r.entryCopies, denseTables
+	return r.entryCopies, densePages
 }

@@ -92,11 +92,12 @@ func (p *Peer) State() SessionState { return p.state }
 // AdjInLen returns the number of routes accepted from this peer.
 func (p *Peer) AdjInLen() int {
 	n := 0
-	for _, e := range p.router.entries {
+	p.router.entries.Range(func(_ int, e *ribEntry) bool {
 		if e.candidateOf(p) {
 			n++
 		}
-	}
+		return true
+	})
 	return n
 }
 
@@ -185,11 +186,12 @@ func (p *Peer) reset(reason string) {
 		p.flushTimer = nil
 	}
 	p.staleScratch = p.staleScratch[:0]
-	for id, e := range p.router.entries {
+	p.router.entries.Range(func(id int, e *ribEntry) bool {
 		if e.candidateOf(p) {
 			p.staleScratch = append(p.staleScratch, p.router.prefixByID[id])
 		}
-	}
+		return true
+	})
 	p.advertised.Clear()
 	p.clearDirty()
 	p.setState(StateIdle)
@@ -327,11 +329,12 @@ func (p *Peer) handleUpdate(withdrawn []netpkt.Prefix, attrs *Attrs, nlri []netp
 
 // markAllDirty queues every usable prefix for (re-)advertisement.
 func (p *Peer) markAllDirty() {
-	for _, e := range p.router.entries {
+	p.router.entries.Range(func(_ int, e *ribEntry) bool {
 		if len(e.best) > 0 {
 			p.markDirty(e)
 		}
-	}
+		return true
+	})
 }
 
 // markDirty queues an entry's prefix for (re-)advertisement at the next
@@ -400,7 +403,7 @@ func (p *Peer) flush() {
 
 	for _, id32 := range p.dirtyList {
 		id := int(id32)
-		e, pfx := r.entries[id], r.prefixByID[id]
+		e, pfx := r.entry(id), r.prefixByID[id]
 		attrs, ok := r.exportRoute(p, pfx, e)
 		if !ok {
 			if p.advertised.Delete(id) {

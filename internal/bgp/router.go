@@ -3,7 +3,6 @@ package bgp
 import (
 	"encoding/binary"
 	"fmt"
-	"slices"
 	"time"
 
 	"crystalnet/internal/netpkt"
@@ -130,7 +129,7 @@ type Router struct {
 	peers []*Peer
 
 	// The Loc-RIB is addressed by dense entry id: ids are assigned in
-	// creation order and entries are never deleted, so entries[id] is the
+	// creation order and entries are never deleted, so entry(id) is the
 	// entry, prefixByID[id] its prefix (which lets the peers' dense Adj-RIB
 	// tables recover the prefix without storing it per route) and index the
 	// way in from a prefix, keyed by Prefix.Key: a one-word key takes the
@@ -139,18 +138,17 @@ type Router struct {
 	// its checkpoint and replace one on first write (see fork.go and
 	// DESIGN.md §6).
 	index      map[uint64]int32
-	entries    []*ribEntry
+	entries    rib.Dense[*ribEntry]
 	prefixByID []netpkt.Prefix
 	seq        uint32
 	// cow is set once the router has been sealed or is a fork: entries whose
-	// bit is not in owned, the index map while indexShared and the entries
-	// slice itself while entriesShared may be reachable from other routers
-	// and are replaced instead of written.
-	cow           bool
-	indexShared   bool
-	entriesShared bool
-	owned         []uint64
-	entryCopies   int
+	// bit is not in owned and the index map while indexShared may be
+	// reachable from other routers and are replaced instead of written (the
+	// entries vector's pages copy themselves on write).
+	cow         bool
+	indexShared bool
+	owned       []uint64
+	entryCopies int
 	// exportCache memoizes the export template per (best attrs, policy,
 	// locally-originated). One cached template serves every peer of the
 	// router: with next-hop carried per-Update instead of per-Attrs, the
@@ -271,19 +269,26 @@ func (r *Router) InjectLocal(p netpkt.Prefix, a *Attrs) {
 // LocRIB returns the number of prefixes with at least one usable candidate.
 func (r *Router) LocRIB() int {
 	n := 0
-	for _, e := range r.entries {
+	r.entries.Range(func(_ int, e *ribEntry) bool {
 		if len(e.best) > 0 {
 			n++
 		}
-	}
+		return true
+	})
 	return n
+}
+
+// entry returns Loc-RIB entry id for reading; writers go through writable.
+func (r *Router) entry(id int) *ribEntry {
+	e, _ := r.entries.Get(id)
+	return e
 }
 
 // lookup returns the Loc-RIB entry for p for reading, or nil. The entry may
 // be shared with a checkpoint and its forks: writers go through writable.
 func (r *Router) lookup(p netpkt.Prefix) *ribEntry {
 	if id, ok := r.index[p.Key()]; ok {
-		return r.entries[id]
+		return r.entry(int(id))
 	}
 	return nil
 }
@@ -315,7 +320,7 @@ func (r *Router) entryFor(p netpkt.Prefix) *ribEntry {
 	if id, ok := r.index[key]; ok {
 		return r.writable(id)
 	}
-	id := int32(len(r.entries))
+	id := int32(r.entries.Len())
 	e := &ribEntry{id: int(id)}
 	if r.indexShared {
 		// The prefix index is shared with the checkpoint until the first
@@ -327,9 +332,7 @@ func (r *Router) entryFor(p netpkt.Prefix) *ribEntry {
 		r.index, r.indexShared = own, false
 	}
 	r.index[key] = id
-	// A shared slice's capacity is clipped to its length (Seal, Fork), so
-	// this append moves it to a private array.
-	r.entries, r.entriesShared = append(r.entries, e), false
+	r.entries.Set(int(id), e)
 	r.prefixByID = append(r.prefixByID, p)
 	if r.cow {
 		r.setOwned(id)
@@ -349,7 +352,7 @@ func (r *Router) entryFor(p netpkt.Prefix) *ribEntry {
 // decide edits in place; the attrs and hop group it points at are immutable
 // and stay shared.
 func (r *Router) writable(id int32) *ribEntry {
-	e := r.entries[id]
+	e := r.entry(int(id))
 	if !r.cow {
 		return e
 	}
@@ -359,10 +362,7 @@ func (r *Router) writable(id int32) *ribEntry {
 	c := *e
 	c.candidates = append([]candidate(nil), e.candidates...)
 	c.best = append([]int32(nil), e.best...)
-	if r.entriesShared {
-		r.entries, r.entriesShared = slices.Clone(r.entries), false
-	}
-	r.entries[id] = &c
+	r.entries.Set(int(id), &c)
 	r.setOwned(id)
 	r.entryCopies++
 	return &c
@@ -642,7 +642,7 @@ func (r *Router) buildAggregate(st *aggState) (*Attrs, int) {
 	var selectedP netpkt.Prefix
 	n := 0
 	for _, id := range st.covered {
-		p, e := r.prefixByID[id], r.entries[id]
+		p, e := r.prefixByID[id], r.entry(int(id))
 		if len(e.best) == 0 {
 			continue
 		}
@@ -676,7 +676,7 @@ func (r *Router) buildAggregate(st *aggState) (*Attrs, int) {
 // summary-only aggregate, queueing re-advertisement where it changed.
 func (r *Router) setSuppression(st *aggState, suppress bool) {
 	for _, id := range st.covered {
-		if r.entries[id].suppressed != suppress {
+		if r.entry(int(id)).suppressed != suppress {
 			e := r.writable(id)
 			e.suppressed = suppress
 			for _, peer := range r.peers {

@@ -9,6 +9,7 @@ import (
 
 	"crystalnet/internal/config"
 	"crystalnet/internal/netpkt"
+	"crystalnet/internal/sim"
 	"crystalnet/internal/topo"
 )
 
@@ -128,6 +129,34 @@ func TestLinkDownResetsPeersInIndexOrder(t *testing.T) {
 	for i := 1; i < 40; i++ {
 		if got := run(); got != want {
 			t.Fatalf("run %d differs from run 0:\n%s\n==== run 0:\n%s", i, got, want)
+		}
+	}
+}
+
+// TestForkKeepsLogsApart pins the shared append-only log: a fork starts with
+// its parent's lines, and a line either side writes afterwards — into spare
+// capacity of the array they share — never shows on the other.
+func TestForkKeepsLogsApart(t *testing.T) {
+	d := &Device{Name: "d", eng: sim.NewEngine(1)}
+	for i := 0; i < 3; i++ {
+		d.logf("boot %d", i)
+	}
+	if cap(d.Logs) == len(d.Logs) {
+		t.Fatal("the parent's log needs spare capacity for this test")
+	}
+	before := slices.Clone(d.Logs)
+	d.Seal()
+	a := d.Fork(sim.NewEngine(1), nil, nil, nil, nil)
+	b := d.Fork(sim.NewEngine(1), nil, nil, nil, nil)
+	d.logf("parent")
+	a.logf("fork a")
+	b.logf("fork b")
+	for _, c := range []struct {
+		dev  *Device
+		want string
+	}{{d, "parent"}, {a, "fork a"}, {b, "fork b"}} {
+		if len(c.dev.Logs) != 4 || !slices.Equal(c.dev.Logs[:3], before) || !strings.HasSuffix(c.dev.Logs[3], c.want) {
+			t.Fatalf("%s's log: %q", c.want, c.dev.Logs)
 		}
 	}
 }

@@ -199,7 +199,8 @@ type Device struct {
 	// Captures accumulates signature-matched packet observations until
 	// PullPackets drains them.
 	Captures []CaptureRecord
-	// Logs accumulate device syslog-style lines.
+	// Logs accumulate device syslog-style lines. The slice is append-only:
+	// a fork shares the lines written before it (Fork).
 	Logs []string
 
 	// BGPUpdatesSent counts control-plane messages for the CPU model and

@@ -28,21 +28,21 @@ func (d *Device) Seal() {
 // it was forked: what its writes had to copy because a checkpoint or another
 // fork shared it.
 type CowCopies struct {
-	TrieNodes   int // FIB trie nodes path-copied
-	FIBEntries  int // FIB entries allocated in place of shared ones
-	RIBEntries  int // BGP Loc-RIB entries replaced by private copies
-	DenseTables int // Adj-RIB tables that copied their backing arrays
+	TrieNodes  int // FIB trie nodes path-copied
+	FIBEntries int // FIB entries allocated in place of shared ones
+	RIBEntries int // BGP Loc-RIB entries replaced by private copies
+	DensePages int // 64-slot pages of the Loc-RIB entry vector and Adj-RIB-Out tables copied
 }
 
 // Total is the sum over all four kinds.
-func (c CowCopies) Total() int { return c.TrieNodes + c.FIBEntries + c.RIBEntries + c.DenseTables }
+func (c CowCopies) Total() int { return c.TrieNodes + c.FIBEntries + c.RIBEntries + c.DensePages }
 
 // Add accumulates o into c.
 func (c *CowCopies) Add(o CowCopies) {
 	c.TrieNodes += o.TrieNodes
 	c.FIBEntries += o.FIBEntries
 	c.RIBEntries += o.RIBEntries
-	c.DenseTables += o.DenseTables
+	c.DensePages += o.DensePages
 }
 
 // CowCopies reports the device's copy-on-write cost so far.
@@ -52,7 +52,7 @@ func (d *Device) CowCopies() CowCopies {
 		c.TrieNodes, c.FIBEntries = d.fib.Copies()
 	}
 	if d.bgp != nil {
-		c.RIBEntries, c.DenseTables = d.bgp.Copies()
+		c.RIBEntries, c.DensePages = d.bgp.Copies()
 	}
 	return c
 }
@@ -95,8 +95,12 @@ func (d *Device) Fork(eng *sim.Engine, fabric *phynet.Fabric, container *phynet.
 
 		flaps: d.flaps,
 
+		// PullPackets hands the captures' array to its caller, so they are
+		// copied; the append-only log is shared with its capacity clipped,
+		// so the fork's first line moves it to a private array and the
+		// parent's land past the fork's length.
 		Captures:       slices.Clone(d.Captures),
-		Logs:           slices.Clone(d.Logs),
+		Logs:           d.Logs[:len(d.Logs):len(d.Logs)],
 		BGPUpdatesSent: d.BGPUpdatesSent,
 		LastFIBChange:  d.LastFIBChange,
 	}

@@ -66,6 +66,9 @@ if [ "${SHORT:-}" != "1" ]; then
     echo "== persistent-trie fuzz (clone vs map model, parent Walk frozen; 5s)"
     go test ./internal/trie -run '^$' -fuzz=FuzzTriePersistent -fuzztime=5s
 
+    echo "== paged Dense fuzz (parent and clones vs their own map models, ascending Range, one page per write; 5s)"
+    go test ./internal/rib -run '^$' -fuzz=FuzzDensePersistent -fuzztime=5s
+
     echo "== BGP decoder fuzz (no panic; wire index vs parser; wire image vs encoder; round trip; 5s)"
     go test ./internal/bgp -run '^$' -fuzz=FuzzDecode -fuzztime=5s
 
@@ -84,7 +87,7 @@ if [ "${SHORT:-}" != "1" ]; then
     echo "== allocation budgets of the per-UPDATE path (flush = its messages, delivery to HandleMessage = 0, FIB reinstall = the Entry, dropped timer and lane = 0)"
     go test -count=1 ./internal/bgp/ ./internal/sim/ ./internal/phynet/ ./internal/firmware/ ./internal/rib/ -run 'TestAllocBudget'
 else
-    echo "== persistent-trie, BGP-decoder, netpkt, OSPF-packet and scenario-parser fuzz, allocation budgets skipped (SHORT=1)"
+    echo "== persistent-trie, paged-Dense, BGP-decoder, netpkt, OSPF-packet and scenario-parser fuzz, allocation budgets skipped (SHORT=1)"
 fi
 
 echo "== scenario smoke under -race"
