@@ -175,7 +175,10 @@ func flapSpec(dc, a, b string) *scenario.Spec {
 // BenchmarkColdMockupMDC is one cold M-DC + WAN mockup on seed 1 — Prepare,
 // Mockup, RunUntilConverged, the path bench/'s cold_mdc child times as
 // mockup_wall_s — so scripts/profile_cold.sh can profile it from a clean
-// checkout. It reports the run's mallocs per fired event and GC cycles.
+// checkout. It reports the run's mallocs per fired event and GC cycles, and
+// two exact counts: fired events and route-ready virtual time in integer
+// nanoseconds (a value of 1000 or more prints in full, so the A/B script's
+// equality check sees every nanosecond).
 func BenchmarkColdMockupMDC(b *testing.B) {
 	spec := topo.MDC()
 	for i := 0; i < b.N; i++ {
@@ -202,7 +205,7 @@ func BenchmarkColdMockupMDC(b *testing.B) {
 		b.ReportMetric(float64(after.Mallocs-before.Mallocs)/events, "mallocs/event")
 		b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/(1<<20), "MB")
 		b.ReportMetric(float64(after.NumGC-before.NumGC), "gc-cycles")
-		b.ReportMetric(m.RouteReady.Seconds(), "route-ready-virtual-s")
+		b.ReportMetric(float64(m.RouteReady), "route-ready-virtual-ns")
 	}
 }
 

@@ -15,6 +15,8 @@
 package batfish
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"crystalnet/internal/bgp"
@@ -36,7 +38,6 @@ type simNeighbor struct {
 }
 
 type simDevice struct {
-	name      string
 	cfg       *config.DeviceConfig
 	neighbors []simNeighbor
 	// adjIn[prefix][neighborIdx] = accepted route
@@ -54,7 +55,7 @@ func Simulate(n *topo.Network, cfgs map[string]*config.DeviceConfig) map[string]
 	devs := map[string]*simDevice{}
 	for name, c := range cfgs {
 		sd := &simDevice{
-			name: name, cfg: c,
+			cfg:   c,
 			adjIn: map[netpkt.Prefix]map[int]*bgp.Attrs{},
 			local: map[netpkt.Prefix]*bgp.Attrs{},
 			best:  map[netpkt.Prefix][]int{},
@@ -306,7 +307,7 @@ func (sd *simDevice) decideAll() bool {
 				}
 			}
 		}
-		if !intsEqual(sd.best[p], best) {
+		if !slices.Equal(sd.best[p], best) {
 			if len(best) == 0 {
 				delete(sd.best, p)
 			} else {
@@ -354,18 +355,6 @@ func multipathOK(a, b *bgp.Attrs, aLocal, bLocal bool) bool {
 		a.Origin == b.Origin
 }
 
-func intsEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // snapshot converts the device's best routes into a FIB snapshot:
 // connected interfaces plus BGP-selected next hops.
 func (sd *simDevice) snapshot() rib.Snapshot {
@@ -396,22 +385,12 @@ func (sd *simDevice) snapshot() rib.Snapshot {
 		}
 		snap = append(snap, &rib.Entry{Prefix: p, Proto: rib.ProtoBGP, NextHops: hops})
 	}
-	sort.Slice(snap, func(i, j int) bool {
-		if snap[i].Prefix.Addr != snap[j].Prefix.Addr {
-			return snap[i].Prefix.Addr < snap[j].Prefix.Addr
-		}
-		return snap[i].Prefix.Len < snap[j].Prefix.Len
-	})
+	slices.SortFunc(snap, func(a, b *rib.Entry) int { return cmp.Compare(a.Prefix.Key(), b.Prefix.Key()) })
 	return snap
 }
 
 func sortPrefixes(ps []netpkt.Prefix) {
-	sort.Slice(ps, func(i, j int) bool {
-		if ps[i].Addr != ps[j].Addr {
-			return ps[i].Addr < ps[j].Addr
-		}
-		return ps[i].Len < ps[j].Len
-	})
+	slices.SortFunc(ps, func(a, b netpkt.Prefix) int { return cmp.Compare(a.Key(), b.Key()) })
 }
 
 // Walker answers reachability queries against one forwarding state by

@@ -3,6 +3,7 @@ package bgp
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"time"
 
 	"crystalnet/internal/netpkt"
@@ -523,7 +524,7 @@ func (r *Router) decide(p netpkt.Prefix, e *ribEntry) {
 	// entry points at the canonical copy of that hop group, which is also
 	// what the hook is handed (immutable, so the FIB may memoise on it).
 	hops := r.nextHops(e)
-	if !hopsEqual(hops, prevHops) {
+	if !slices.Equal(hops, prevHops) {
 		if len(hops) == 0 {
 			if len(prevHops) > 0 && r.hooks.RemoveRoute != nil {
 				r.hooks.RemoveRoute(p)
@@ -577,18 +578,6 @@ func (r *Router) nextHops(e *ribEntry) []rib.NextHop {
 	}
 	r.nhScratch = out
 	return out
-}
-
-func hopsEqual(a, b []rib.NextHop) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // updateAggregates re-evaluates aggregates whose range covers p.
@@ -652,7 +641,7 @@ func (r *Router) buildAggregate(st *aggState) (*Attrs, int) {
 		}
 		n++
 		if selected == nil || r.better(c, selected) ||
-			(!r.better(selected, c) && prefixLess(p, selectedP)) {
+			(!r.better(selected, c) && p.Key() < selectedP.Key()) {
 			selected, selectedP = c, p
 		}
 	}
@@ -779,13 +768,6 @@ func (r *Router) exportTemplate(p netpkt.Prefix, best *candidate, pol *Policy) (
 		return nil, false
 	}
 	return a, true
-}
-
-func prefixLess(a, b netpkt.Prefix) bool {
-	if a.Addr != b.Addr {
-		return a.Addr < b.Addr
-	}
-	return a.Len < b.Len
 }
 
 // attrsKey returns a compact binary fingerprint of exported attributes, used

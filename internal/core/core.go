@@ -127,9 +127,9 @@ type vmAssignment struct {
 }
 
 // Preparation is Prepare's output and Mockup's input. A forked emulation
-// shares all of it but the VM placements (fork), so what grows after Prepare
-// — the config and image maps, the plan and its name lists — is replaced,
-// never edited (AttachNewDevice).
+// shares all of it but the VM lists (fork), so what grows after Prepare —
+// the config, image and assignment maps, the plan and its name lists — is
+// replaced, never edited (AttachNewDevice).
 type Preparation struct {
 	Input   PrepareInput
 	Plan    *boundary.Plan
@@ -137,7 +137,9 @@ type Preparation struct {
 	Images  map[string]firmware.VendorImage // per device name
 	Routes  map[string][]speaker.Announcement
 
-	// VM planning: per vendor-group VM lists and device placements.
+	// VM planning: per vendor-group VM lists and device placements, a
+	// (group, index) slot in those lists — the one record of which VM runs
+	// a device (Emulation.vmFor).
 	groupVMs    map[string][]*cloud.VM
 	assignments map[string]vmAssignment
 	// hardware devices live on the fanout host instead of a VM.

@@ -324,7 +324,7 @@ func TestReloadUnknownDevice(t *testing.T) {
 func TestVMFailureRecovery(t *testing.T) {
 	o, em := fullEmulation(t, Options{Seed: 2})
 	// Fail the VM hosting tor-p0-0.
-	vm := em.vmOf["tor-p0-0"]
+	vm := em.vmFor("tor-p0-0")
 	o.Cloud.Fail(vm)
 	if _, err := em.RunUntilConverged(0); err != nil {
 		t.Fatal(err)
@@ -542,7 +542,7 @@ func TestHardwareInTheLoop(t *testing.T) {
 		t.Fatal("hardware device has no sessions")
 	}
 	// Its container lives on the remote fanout host.
-	if h := em.containers[hw].Host; h.Name != "hw-fanout" || !h.Remote {
+	if h := em.container(hw).Host; h.Name != "hw-fanout" || !h.Remote {
 		t.Fatalf("hardware hosted on %s (remote=%v)", h.Name, h.Remote)
 	}
 	// Reload works (two-layer, even under the strawman option).

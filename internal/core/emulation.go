@@ -36,30 +36,16 @@ const (
 // attachments (§4.1).
 const fanoutHost = "hw-fanout"
 
-// linkKey identifies a topology link by its interface full names.
-type linkKey struct{ a, b string }
-
-func keyFor(a, b *topo.Interface) linkKey {
-	x, y := a.FullName(), b.FullName()
-	if x > y {
-		x, y = y, x
-	}
-	return linkKey{x, y}
-}
-
 // Emulation is one mocked-up network.
 type Emulation struct {
 	orch *Orchestrator
 	prep *Preparation
 
-	Fabric     *phynet.Fabric
-	Devices    map[string]*firmware.Device
-	Speakers   map[string]*speaker.Speaker
-	Mgmt       *mgmt.Plane
-	Injector   *telemetry.Injector
-	containers map[string]*phynet.Container
-	vmOf       map[string]*cloud.VM
-	vlinks     map[linkKey]*phynet.VirtualLink
+	Fabric   *phynet.Fabric
+	Devices  map[string]*firmware.Device
+	Speakers map[string]*speaker.Speaker
+	Mgmt     *mgmt.Plane
+	Injector *telemetry.Injector
 
 	// shards, when non-nil, holds the §10 sharded-execution ensemble: one
 	// domain engine per VM plus the orchestrator's master engine. All
@@ -76,9 +62,11 @@ type Emulation struct {
 	recoveries []time.Duration
 	cleared    bool
 	// Failure-domain hardening state (§6.2 recovery state machine).
-	recovering    map[*cloud.VM]*vmRecovery
-	degraded      []string
-	pendingFaults map[*cloud.VM]int
+	recovering map[*cloud.VM]*vmRecovery
+	degraded   []string
+	// pendingFaults counts queued faults by VM name: a fork shares the names
+	// of its parent's VMs, so it copies the counts as they are.
+	pendingFaults map[string]int
 	// phasesTraced latches once the phase/convergence spans are recorded so
 	// repeated RunUntilConverged calls (and forks of a traced parent) do
 	// not duplicate them.
@@ -122,9 +110,7 @@ func (em *Emulation) ReloadDevice(name string, newCfg *config.DeviceConfig, onRe
 	}
 	// Strawman: tear down and rebuild interfaces and links too.
 	dev.Stop("strawman reload")
-	vm := em.vmOf[name]
-	host := em.Fabric.Host(vm.Name)
-	host.RemoveContainer(name)
+	em.hostOf(name).RemoveContainer(name)
 	em.orch.Eng.After(firmware.ReloadDuration+strawmanExtra, func() {
 		em.rebuildContainer(name)
 		if newCfg != nil {
@@ -140,17 +126,61 @@ func (em *Emulation) ReloadDevice(name string, newCfg *config.DeviceConfig, onRe
 // attachments (strawman reload and VM recovery both need it).
 func (em *Emulation) rebuildContainer(name string) {
 	d := em.prep.Plan.Network.MustDevice(name)
-	c := em.addContainer(em.Fabric.Host(em.vmOf[name].Name), d)
+	c := em.addContainer(em.hostOf(name), d)
 	// Reconnect links to peers that are still up.
-	em.deviceLinks(name, func(k linkKey, local, remote *topo.Interface, ri *phynet.VIface) {
-		em.connect(k, c.Iface(local.Name), ri)
+	em.deviceLinks(name, func(local, remote *topo.Interface, ri *phynet.VIface) {
+		em.connect(c.Iface(local.Name), ri)
 		// Tell the remote firmware its link flapped.
 		if rdev := em.Devices[remote.Device.Name]; rdev != nil {
 			rdev.LinkDown(remote.Name)
 			rdev.LinkUp(remote.Name)
 		}
 	})
-	em.attachDevice(name)
+	if dev := em.Devices[name]; dev != nil {
+		dev.Reattach(c)
+	}
+}
+
+// vmFor returns the VM hosting the named device: its prepared placement
+// (Preparation.assignments) resolved through this emulation's VM lists, so a
+// fork or a replaced VM needs no second copy of it. It is nil for hardware
+// devices and unknown names, and for every device until build() has placed
+// them (vmsPending reaching zero).
+func (em *Emulation) vmFor(name string) *cloud.VM {
+	asg, ok := em.prep.assignments[name]
+	if !ok || em.vmsPending > 0 {
+		return nil
+	}
+	return em.prep.groupVMs[asg.group][asg.index]
+}
+
+// placed returns the names of the devices vmFor places, sorted.
+func (em *Emulation) placed() []string {
+	if em.vmsPending > 0 {
+		return nil
+	}
+	return slices.Sorted(maps.Keys(em.prep.assignments))
+}
+
+// hostOf returns the PhyNet host the named device lives on: the fanout
+// server for hardware, its VM's host otherwise (nil until it is placed).
+func (em *Emulation) hostOf(name string) *phynet.Host {
+	if em.prep.hardware[name] {
+		return em.Fabric.Host(fanoutHost)
+	}
+	if vm := em.vmFor(name); vm != nil {
+		return em.Fabric.Host(vm.Name)
+	}
+	return nil
+}
+
+// container returns the named device's PhyNet container, or nil while it has
+// none: not emulated, not yet built, or removed until a rebuild.
+func (em *Emulation) container(name string) *phynet.Container {
+	if h := em.hostOf(name); h != nil {
+		return h.Container(name)
+	}
+	return nil
 }
 
 // addContainer builds the PhyNet half of device d on host: a container in
@@ -160,7 +190,6 @@ func (em *Emulation) rebuildContainer(name string) {
 func (em *Emulation) addContainer(host *phynet.Host, d *topo.Device) *phynet.Container {
 	host.RemoveContainer(d.Name)
 	c := host.AddContainer(d.Name)
-	em.containers[d.Name] = c
 	for _, intf := range d.Interfaces {
 		c.AddIface(intf.Name, intf.MAC)
 	}
@@ -168,13 +197,13 @@ func (em *Emulation) addContainer(host *phynet.Host, d *topo.Device) *phynet.Con
 }
 
 // deviceLinks calls fn, in n.Links order, for every topology link that
-// touches the named device and whose far end is emulated: the link's key,
-// the device's end, the far end, and the far end's interface. A far
+// touches the named device and whose far end has a container: the device's
+// end, the far end, and the far end's interface. A far
 // container that lacks the interface gets it hot-added first — the peering is
 // new on that side too, and its firmware picks it up on the operator's
 // reload. Recovery, rack attach and link drop all walk a device's links here;
 // keeping n.Links order keeps their traces byte-identical run to run.
-func (em *Emulation) deviceLinks(name string, fn func(k linkKey, local, remote *topo.Interface, ri *phynet.VIface)) {
+func (em *Emulation) deviceLinks(name string, fn func(local, remote *topo.Interface, ri *phynet.VIface)) {
 	for _, l := range em.prep.Plan.Network.Links {
 		local, remote := l.A, l.B
 		switch name {
@@ -184,39 +213,29 @@ func (em *Emulation) deviceLinks(name string, fn func(k linkKey, local, remote *
 		default:
 			continue
 		}
-		rc := em.containers[remote.Device.Name]
+		rc := em.container(remote.Device.Name)
 		if rc == nil {
-			continue // far end not emulated
+			continue // far end not emulated, or between a removal and its rebuild
 		}
 		ri := rc.Iface(remote.Name)
 		if ri == nil {
 			ri = rc.AddIface(remote.Name, remote.MAC)
 		}
-		fn(keyFor(l.A, l.B), local, remote, ri)
+		fn(local, remote, ri)
 	}
 }
 
-// connect plugs li into a fresh virtual link to ri and records it under k.
-// A far interface still plugged into a dead link (RemoveContainer downed it
-// but the object remains plugged) is first replaced by a new one with the
-// same identity: real PhyNet would reuse the veth, this structural model
-// swaps the object.
-func (em *Emulation) connect(k linkKey, li, ri *phynet.VIface) {
+// connect plugs li into a fresh virtual link to ri. A far interface still
+// plugged into a dead link (RemoveContainer downed it but the object remains
+// plugged) is first replaced by a new one with the same identity: real
+// PhyNet would reuse the veth, this structural model swaps the object.
+func (em *Emulation) connect(li, ri *phynet.VIface) {
 	if ri.Link() != nil {
 		rc := ri.Container
 		rc.RemoveIface(ri.Name)
 		ri = rc.AddIface(ri.Name, ri.MAC)
 	}
-	em.vlinks[k] = em.Fabric.Connect(li, ri)
-}
-
-// attachDevice re-binds a device to its (re)built container. Stopped or
-// crashed firmware just updates the reference; its next boot attaches the
-// frame handler there.
-func (em *Emulation) attachDevice(name string) {
-	if dev := em.Devices[name]; dev != nil {
-		dev.Reattach(em.containers[name])
-	}
+	em.Fabric.Connect(li, ri)
 }
 
 // AttachNewDevice incrementally adds a device to a RUNNING emulation (§3.2:
@@ -249,8 +268,8 @@ func (em *Emulation) AttachNewDevice(name string, img firmware.VendorImage, cfg 
 	var vm *cloud.VM
 	if len(vms) > 0 {
 		counts := map[*cloud.VM]int{}
-		for _, v := range em.vmOf {
-			counts[v]++
+		for _, n := range em.placed() {
+			counts[em.vmFor(n)]++
 		}
 		for _, cand := range vms {
 			if vm == nil || counts[cand] < counts[vm] {
@@ -267,15 +286,19 @@ func (em *Emulation) AttachNewDevice(name string, img firmware.VendorImage, cfg 
 	em.prep.Configs = withEntry(em.prep.Configs, name, cfg)
 	em.prep.Images = withEntry(em.prep.Images, name, img)
 	attach := func(vm *cloud.VM) {
-		em.vmOf[name] = vm
+		// The device's placement joins the shared map by replacement, like
+		// the plan above; vm is in its vendor group by now (a replacement
+		// took its predecessor's slot in onVMReplaced).
+		em.prep.assignments = withEntry(em.prep.assignments, name,
+			vmAssignment{group: img.Name, index: slices.Index(em.prep.groupVMs[img.Name], vm)})
 		host := em.Fabric.Host(vm.Name)
 		c := em.addContainer(host, d)
-		em.deviceLinks(name, func(k linkKey, local, _ *topo.Interface, ri *phynet.VIface) {
-			em.connect(k, c.Iface(local.Name), ri)
+		em.deviceLinks(name, func(local, _ *topo.Interface, ri *phynet.VIface) {
+			em.connect(c.Iface(local.Name), ri)
 		})
-		dev := firmware.New(name, img, cfg, em.deviceEng(name), em.Fabric, c, firmware.WithVM(vm), firmware.WithAttrs(em.attrs))
+		dev := firmware.New(name, img, cfg, em.deviceEng(name), em.Fabric, c, vm, em.attrs)
 		em.Devices[name] = dev
-		em.Mgmt.Register(dev, d.MgmtIP, credential, vm.Name)
+		em.Mgmt.Register(dev, d.MgmtIP, credential)
 		vm.Submit(host.SetupCost()/10, func() { dev.Boot(onReady) })
 		// Classify: the plan gains the device as internal or boundary.
 		isBoundary := false
@@ -323,11 +346,19 @@ func (em *Emulation) SetLink(devA, ifA, devB, ifB string, up bool) error {
 	if da == nil || db == nil {
 		return fmt.Errorf("core: unknown device")
 	}
-	ia, ib := da.Intf(ifA), db.Intf(ifB)
-	if ia == nil || ib == nil {
+	if da.Intf(ifA) == nil || db.Intf(ifB) == nil {
 		return fmt.Errorf("core: unknown interface")
 	}
-	vl := em.vlinks[keyFor(ia, ib)]
+	// The link is the one devA:ifA is plugged into, and only if its far end
+	// is devB:ifB, both in the containers the devices have now.
+	var vl *phynet.VirtualLink
+	if ca, cb := em.container(devA), em.container(devB); ca != nil && cb != nil {
+		if ia := ca.Iface(ifA); ia != nil {
+			if l := ia.Link(); l != nil && l.Other(ia) == cb.Iface(ifB) {
+				vl = l
+			}
+		}
+	}
 	if vl == nil {
 		return fmt.Errorf("core: no emulated link %s:%s <-> %s:%s", devA, ifA, devB, ifB)
 	}
@@ -515,15 +546,10 @@ func (em *Emulation) Clear(onDone func()) {
 	for _, n := range devNames {
 		em.Devices[n].Stop("clear")
 	}
-	boxNames := make([]string, 0, len(em.vmOf))
-	for n := range em.vmOf {
-		boxNames = append(boxNames, n)
-	}
-	sort.Strings(boxNames)
 	byVM := map[*cloud.VM]int{}
 	var vmOrder []*cloud.VM
-	for _, name := range boxNames {
-		vm := em.vmOf[name]
+	for _, name := range em.placed() {
+		vm := em.vmFor(name)
 		if byVM[vm] == 0 {
 			vmOrder = append(vmOrder, vm)
 		}

@@ -2,13 +2,13 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 
 	"crystalnet/internal/checkpoint"
 	"crystalnet/internal/cloud"
 	"crystalnet/internal/firmware"
-	"crystalnet/internal/phynet"
 	"crystalnet/internal/sim"
 	"crystalnet/internal/speaker"
 )
@@ -110,19 +110,16 @@ func (o *Orchestrator) Fork(snap *checkpoint.Snapshot) (*Emulation, error) {
 	// exactly like the rest of the emulation.
 	eng.SetRecorder(o.Eng.Recorder().Fork())
 	cloudFork, vmMap := o.Cloud.Fork(eng)
-	fabric, ifaceMap, ctMap := parent.Fabric.Fork(eng)
+	fabric := parent.Fabric.Fork(eng)
 
 	em := &Emulation{
 		orch: &Orchestrator{Eng: eng, Cloud: cloudFork, opts: o.opts},
 		prep: parent.prep.fork(vmMap),
 
-		Fabric:     fabric,
-		Devices:    make(map[string]*firmware.Device, len(parent.Devices)),
-		Speakers:   make(map[string]*speaker.Speaker, len(parent.Speakers)),
-		Injector:   parent.Injector.Fork(eng),
-		containers: make(map[string]*phynet.Container, len(parent.containers)),
-		vmOf:       make(map[string]*cloud.VM, len(parent.vmOf)),
-		vlinks:     make(map[linkKey]*phynet.VirtualLink, len(parent.vlinks)),
+		Fabric:   fabric,
+		Devices:  make(map[string]*firmware.Device, len(parent.Devices)),
+		Speakers: make(map[string]*speaker.Speaker, len(parent.Speakers)),
+		Injector: parent.Injector.Fork(eng),
 
 		MockupStart:    parent.MockupStart,
 		NetworkReadyAt: parent.NetworkReadyAt,
@@ -147,19 +144,7 @@ func (o *Orchestrator) Fork(snap *checkpoint.Snapshot) (*Emulation, error) {
 		// over for lost-fault accounting; the waiter closures themselves
 		// cannot cross a fork (cloud.Fork documents this).
 		recovering:    map[*cloud.VM]*vmRecovery{},
-		pendingFaults: make(map[*cloud.VM]int, len(parent.pendingFaults)),
-	}
-	for vm, n := range parent.pendingFaults {
-		em.pendingFaults[vmMap[vm]] = n
-	}
-	for name, ct := range parent.containers {
-		em.containers[name] = ctMap[ct]
-	}
-	for name, vm := range parent.vmOf {
-		em.vmOf[name] = vmMap[vm]
-	}
-	for k, vl := range parent.vlinks {
-		em.vlinks[k] = ifaceMap[vl.A].Link()
+		pendingFaults: maps.Clone(parent.pendingFaults),
 	}
 	// Sorted for reproducible log/alert interleaving should a fork method
 	// ever emit one; forking draws no events or randomness either way.
@@ -170,7 +155,7 @@ func (o *Orchestrator) Fork(snap *checkpoint.Snapshot) (*Emulation, error) {
 	sort.Strings(names)
 	for _, name := range names {
 		d := parent.Devices[name]
-		em.Devices[name] = d.Fork(eng, fabric, em.containers[name], em.vmOf[name], em.attrs)
+		em.Devices[name] = d.Fork(eng, fabric, em.container(name), em.vmFor(name), em.attrs)
 	}
 	for name, sp := range parent.Speakers {
 		em.Speakers[name] = sp.Fork(em.Devices[name])
@@ -198,11 +183,12 @@ func (em *Emulation) CowCopies() CowCopies {
 }
 
 // fork returns the preparation of a forked emulation. Everything but the VM
-// placements is shared with the parent — topology, plan, parsed configs,
-// vendor images, recorded speaker routes, device assignments: whoever grows
-// one replaces it (AttachNewDevice), nobody edits it. The placements name
-// VM objects, which are per emulation, so they are remapped through vmMap
-// and are the fork's own to edit (onVMReplaced).
+// lists is shared with the parent — topology, plan, parsed configs, vendor
+// images, recorded speaker routes, device assignments: whoever grows one
+// replaces it (AttachNewDevice), nobody edits it. The lists name VM objects,
+// which are per emulation, so they are remapped through vmMap and are the
+// fork's own to edit (onVMReplaced); every assignment resolves through them,
+// so this is the only placement a fork remaps.
 func (p *Preparation) fork(vmMap map[*cloud.VM]*cloud.VM) *Preparation {
 	c := *p
 	c.groupVMs = make(map[string][]*cloud.VM, len(p.groupVMs))

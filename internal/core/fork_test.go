@@ -115,13 +115,11 @@ func TestForkIsolation(t *testing.T) {
 			t.Fatalf("device %s shares its FIB or BGP router object with parent", name)
 		}
 	}
-	for name, ct := range forked.containers {
-		if ct == parent.containers[name] {
-			t.Fatalf("container %s shared with parent", name)
+	for name := range forked.Devices {
+		if ct := forked.container(name); ct == nil || ct == parent.container(name) {
+			t.Fatalf("container %s missing from the fork or shared with parent", name)
 		}
-	}
-	for name, vm := range forked.vmOf {
-		if vm == parent.vmOf[name] {
+		if vm := forked.vmFor(name); vm != nil && vm == parent.vmFor(name) {
 			t.Fatalf("VM of %s shared with parent", name)
 		}
 	}
@@ -286,8 +284,8 @@ func TestClearAfterForkLeavesParentUntouched(t *testing.T) {
 			t.Fatalf("parent %s state %v after forked clear", name, d.State())
 		}
 	}
-	for name, ct := range parent.containers {
-		if !ct.Attached() {
+	for name := range parent.Devices {
+		if !parent.container(name).Attached() {
 			t.Fatalf("parent container %s detached by forked clear", name)
 		}
 	}

@@ -29,11 +29,8 @@ func (o *Orchestrator) Mockup(prep *Preparation, force bool) (*Emulation, error)
 		Speakers:      map[string]*speaker.Speaker{},
 		Mgmt:          mgmt.NewPlane(),
 		Injector:      telemetry.NewInjector(o.Eng),
-		containers:    map[string]*phynet.Container{},
-		vmOf:          map[string]*cloud.VM{},
-		vlinks:        map[linkKey]*phynet.VirtualLink{},
 		recovering:    map[*cloud.VM]*vmRecovery{},
-		pendingFaults: map[*cloud.VM]int{},
+		pendingFaults: map[string]int{},
 		MockupStart:   o.Eng.Now(),
 		attrs:         bgp.NewAttrTable(),
 	}
@@ -81,25 +78,15 @@ func (em *Emulation) build() {
 	names := em.allNames()
 
 	for _, name := range names {
-		var host *phynet.Host
-		if em.prep.hardware[name] {
-			host = em.Fabric.Host(fanoutHost)
-		} else {
-			asg := em.prep.assignments[name]
-			vm := em.prep.groupVMs[asg.group][asg.index]
-			em.vmOf[name] = vm
-			host = em.Fabric.Host(vm.Name)
-		}
-		em.addContainer(host, n.MustDevice(name))
+		em.addContainer(em.hostOf(name), n.MustDevice(name))
 	}
 	// Links between two mocked-up devices.
 	for _, l := range n.Links {
-		ca, cb := em.containers[l.A.Device.Name], em.containers[l.B.Device.Name]
+		ca, cb := em.container(l.A.Device.Name), em.container(l.B.Device.Name)
 		if ca == nil || cb == nil {
 			continue
 		}
-		vl := em.Fabric.Connect(ca.Iface(l.A.Name), cb.Iface(l.B.Name))
-		em.vlinks[keyFor(l.A, l.B)] = vl
+		em.Fabric.Connect(ca.Iface(l.A.Name), cb.Iface(l.B.Name))
 	}
 
 	// Charge each VM its PhyNet setup work; the slowest VM defines
@@ -130,17 +117,10 @@ func (em *Emulation) networkReady() {
 	n := em.prep.Plan.Network
 
 	for _, name := range em.allNames() {
-		cfg := em.prep.Configs[name]
-		img := em.prep.Images[name]
-		opts := []firmware.Option{firmware.WithAttrs(em.attrs)}
-		hostName := fanoutHost
-		if vm := em.vmOf[name]; vm != nil {
-			opts = append(opts, firmware.WithVM(vm))
-			hostName = vm.Name
-		}
-		dev := firmware.New(name, img, cfg, em.deviceEng(name), em.Fabric, em.containers[name], opts...)
+		dev := firmware.New(name, em.prep.Images[name], em.prep.Configs[name], em.deviceEng(name),
+			em.Fabric, em.container(name), em.vmFor(name), em.attrs)
 		em.Devices[name] = dev
-		em.Mgmt.Register(dev, n.MustDevice(name).MgmtIP, credential, hostName)
+		em.Mgmt.Register(dev, n.MustDevice(name).MgmtIP, credential)
 	}
 	// Boot emulated devices.
 	for _, name := range append(append([]string{}, em.prep.Plan.Internal...), em.prep.Plan.Boundary...) {
@@ -166,7 +146,7 @@ func (em *Emulation) deviceEng(name string) *sim.Engine {
 	if em.shards == nil {
 		return em.orch.Eng
 	}
-	if vm := em.vmOf[name]; vm != nil {
+	if vm := em.vmFor(name); vm != nil {
 		if h := em.Fabric.Host(vm.Name); h != nil {
 			return em.shards.Engine(h.Domain)
 		}

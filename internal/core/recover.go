@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -54,13 +53,7 @@ func (em *Emulation) onVMFailure(vm *cloud.VM) {
 		return
 	}
 	em.alert("VM %s failed; rebooting", vm.Name)
-	var affected []string
-	for name, v := range em.vmOf {
-		if v == vm {
-			affected = append(affected, name)
-		}
-	}
-	sort.Strings(affected)
+	affected := em.devicesOn(vm)
 	rec := &vmRecovery{affected: affected, start: em.orch.Eng.Now()}
 	em.recovering[vm] = rec
 	if d := em.orch.opts.RecoveryDeadline; d > 0 {
@@ -170,9 +163,11 @@ func (em *Emulation) abandonRecovery(vm *cloud.VM, rec *vmRecovery, why string) 
 }
 
 // onVMReplaced re-points placement at a replacement VM: the fabric gains a
-// host for it (same domain), affected containers and devices move over,
-// and the group/recovery/queued-fault bookkeeping is rekeyed so rebuilds
-// and pending faults land on the VM that actually runs the workload.
+// host for it (same domain), the affected devices' containers leave the old
+// host (recovery rebuilds them on the new one) and their CPU work moves
+// over, the replacement takes the old VM's group slot, and the recovery and
+// queued-fault bookkeeping is rekeyed so rebuilds and pending faults land on
+// the VM that actually runs the workload.
 func (em *Emulation) onVMReplaced(old, nv *cloud.VM) {
 	if em.cleared {
 		return
@@ -185,15 +180,7 @@ func (em *Emulation) onVMReplaced(old, nv *cloud.VM) {
 		// keep draining on the engine that owns their state.
 		h.Domain = oldHost.Domain
 	}
-	var moved []string
-	for name, v := range em.vmOf {
-		if v == old {
-			moved = append(moved, name)
-		}
-	}
-	sort.Strings(moved)
-	for _, name := range moved {
-		em.vmOf[name] = nv
+	for _, name := range em.devicesOn(old) {
 		if oldHost != nil {
 			oldHost.RemoveContainer(name)
 		}
@@ -201,7 +188,8 @@ func (em *Emulation) onVMReplaced(old, nv *cloud.VM) {
 			dev.AssignVM(nv)
 		}
 	}
-	// In-place swap keeps prep.assignments' (group, index) addressing valid.
+	// In-place swap: prep.assignments' (group, index) addressing now
+	// resolves to nv, which moves the devices' placement (vmFor) over.
 	for g, vms := range em.prep.groupVMs {
 		for i, v := range vms {
 			if v == old {
@@ -213,9 +201,9 @@ func (em *Emulation) onVMReplaced(old, nv *cloud.VM) {
 		delete(em.recovering, old)
 		em.recovering[nv] = rec
 	}
-	if n := em.pendingFaults[old]; n > 0 {
-		delete(em.pendingFaults, old)
-		em.pendingFaults[nv] += n
+	if n := em.pendingFaults[old.Name]; n > 0 {
+		delete(em.pendingFaults, old.Name)
+		em.pendingFaults[nv.Name] += n
 	}
 }
 
@@ -235,14 +223,25 @@ func (em *Emulation) onBootAborted(vm *cloud.VM) {
 // dropDeviceLinks cuts every emulated link touching the named device and
 // notifies surviving neighbors.
 func (em *Emulation) dropDeviceLinks(name string) {
-	em.deviceLinks(name, func(k linkKey, _, remote *topo.Interface, _ *phynet.VIface) {
-		if vl := em.vlinks[k]; vl != nil {
+	em.deviceLinks(name, func(_, remote *topo.Interface, ri *phynet.VIface) {
+		if vl := ri.Link(); vl != nil {
 			em.Fabric.SetLinkState(vl, false)
 		}
 		if rdev := em.Devices[remote.Device.Name]; rdev != nil {
 			rdev.LinkDown(remote.Name)
 		}
 	})
+}
+
+// devicesOn returns the names of the devices placed on vm, sorted.
+func (em *Emulation) devicesOn(vm *cloud.VM) []string {
+	var out []string
+	for _, name := range em.placed() {
+		if em.vmFor(name) == vm {
+			out = append(out, name)
+		}
+	}
+	return out
 }
 
 // Recoveries returns measured VM-recovery durations (§8.3).
@@ -296,7 +295,7 @@ func (o FaultOutcome) String() string {
 // Running again; if it is deprovisioned the fault is impossible and a
 // distinct error says so.
 func (em *Emulation) InjectVMFailure(device string) (FaultOutcome, error) {
-	vm := em.vmOf[device]
+	vm := em.vmFor(device)
 	if vm == nil {
 		return 0, fmt.Errorf("core: no VM hosts device %q", device)
 	}
@@ -317,12 +316,12 @@ func (em *Emulation) InjectVMFailure(device string) (FaultOutcome, error) {
 // the fault fires on the replacement (and the pending count, rekeyed by
 // onVMReplaced, is decremented on whichever VM delivered it).
 func (em *Emulation) queueFault(vm *cloud.VM) {
-	em.pendingFaults[vm]++
+	em.pendingFaults[vm.Name]++
 	vm.WhenRunning(func(running *cloud.VM) {
-		if em.pendingFaults[running] > 0 {
-			em.pendingFaults[running]--
-			if em.pendingFaults[running] == 0 {
-				delete(em.pendingFaults, running)
+		if em.pendingFaults[running.Name] > 0 {
+			em.pendingFaults[running.Name]--
+			if em.pendingFaults[running.Name] == 0 {
+				delete(em.pendingFaults, running.Name)
 			}
 		}
 		if em.cleared {
@@ -335,7 +334,7 @@ func (em *Emulation) queueFault(vm *cloud.VM) {
 // VMName reports which VM hosts the named device ("" for hardware devices
 // and unknown names) — scenario reports use it to label failure drills.
 func (em *Emulation) VMName(device string) string {
-	if vm := em.vmOf[device]; vm != nil {
+	if vm := em.vmFor(device); vm != nil {
 		return vm.Name
 	}
 	return ""

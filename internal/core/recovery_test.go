@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -77,7 +79,7 @@ func TestFailWhileProvisioningQueues(t *testing.T) {
 	if _, err := em.InjectVMFailure("leaf-p0-0"); err != nil {
 		t.Fatal(err)
 	}
-	vm := em.vmOf["leaf-p0-0"]
+	vm := em.vmFor("leaf-p0-0")
 	o.Eng.RunFor(10 * time.Second) // deep inside the 45-75s reboot window
 	if vm.State() != cloud.VMProvisioning {
 		t.Fatalf("VM state %v mid-reboot, want provisioning", vm.State())
@@ -111,7 +113,7 @@ func TestDeprovisionMidRebootAbandonsRecovery(t *testing.T) {
 	if _, err := em.InjectVMFailure("tor-p0-0"); err != nil {
 		t.Fatal(err)
 	}
-	vm := em.vmOf["tor-p0-0"]
+	vm := em.vmFor("tor-p0-0")
 	o.Eng.RunFor(10 * time.Second)
 	o.Cloud.Deprovision(vm)
 	if _, err := em.RunUntilConverged(0); err != nil {
@@ -160,7 +162,7 @@ func TestRecoveryDeadlineDegradedMode(t *testing.T) {
 	}
 	// The VM itself came back (the cloud reboot was never canceled), but
 	// the abandoned episode must not have run its device resets.
-	if vm := em.vmOf["tor-p0-0"]; vm.State() != cloud.VMRunning {
+	if vm := em.vmFor("tor-p0-0"); vm.State() != cloud.VMRunning {
 		t.Fatalf("VM state %v, want running", vm.State())
 	}
 	if em.Devices["tor-p0-0"].State() != firmware.DeviceCrashed {
@@ -249,7 +251,7 @@ func TestLostFaultAlertedAtClear(t *testing.T) {
 	if out, err := em.InjectVMFailure("tor-p0-0"); err != nil || out != FaultQueued {
 		t.Fatalf("second fault: %v, %v", out, err)
 	}
-	vm := em.vmOf["tor-p0-0"]
+	vm := em.vmFor("tor-p0-0")
 	o.Eng.RunFor(10 * time.Second)
 	o.Cloud.Deprovision(vm) // the queued fault's VM never runs again
 	if _, err := em.RunUntilConverged(0); err != nil {
@@ -293,4 +295,83 @@ func TestSpeakerVMRecoveryReinjectsRoutes(t *testing.T) {
 		t.Fatalf("%d FIB differences after speaker VM recovery (recorded routes not re-injected): %v",
 			total, diffs)
 	}
+}
+
+// TestVMReplacedDuringRecovery fails a VM after the mockup under a
+// supervised reboot of one attempt, which a 45-75 s boot misses about half
+// the time, so the cloud replaces the VM mid-recovery. Placement follows the
+// replacement through the shared (group, index) slot with nothing to rekey.
+// Between the replacement and the rebuild the moved devices have no
+// container, so a link to one of them is not an emulated link; afterwards
+// they run in containers on the replacement's host, their links answer
+// SetLink, and Clear charges the replacement, not the stopped VM.
+func TestVMReplacedDuringRecovery(t *testing.T) {
+	const dev = "tor-p0-0"
+	for seed := int64(1); seed <= 16; seed++ {
+		o, em := fullEmulation(t, Options{Seed: seed})
+		o.Cloud.Retry = cloud.RetryPolicy{MaxAttempts: 1, BootDeadline: 60 * time.Second}
+		old := em.vmFor(dev)
+		moved := em.devicesOn(old)
+		if _, err := em.InjectVMFailure(dev); err != nil {
+			t.Fatal(err)
+		}
+		o.Eng.RunFor(61 * time.Second) // past the reboot's deadline
+		if alertContaining(em, "replaced by") == 0 {
+			continue // the reboot made its deadline
+		}
+		nv := em.vmFor(dev)
+		if nv == old || !slices.Equal(em.devicesOn(nv), moved) {
+			t.Fatalf("seed %d: placement on %v after the replacement, want %v on a new VM", seed, em.devicesOn(nv), moved)
+		}
+		intf := em.Network().MustDevice(dev).Interfaces[0]
+		for _, name := range moved {
+			if em.container(name) != nil || em.Fabric.Host(old.Name).Container(name) != nil {
+				t.Fatalf("seed %d: %s has a container before its rebuild", seed, name)
+			}
+		}
+		if err := em.SetLink(dev, intf.Name, intf.Peer.Device.Name, intf.Peer.Name, false); err == nil {
+			t.Fatalf("seed %d: SetLink on a link of %s before its rebuild succeeded", seed, dev)
+		}
+
+		if _, err := em.RunUntilConverged(0); err != nil {
+			t.Fatal(err)
+		}
+		if len(em.Degraded()) > 0 {
+			continue // the replacement missed its deadline too
+		}
+		for _, name := range moved {
+			c := em.container(name)
+			if c == nil || c.Host.Name != nv.Name || !c.Attached() || em.Devices[name].State() != firmware.DeviceRunning {
+				t.Fatalf("seed %d: %s not running in a container on %s", seed, name, nv.Name)
+			}
+		}
+		for _, up := range []bool{false, true} {
+			if err := em.SetLink(dev, intf.Name, intf.Peer.Device.Name, intf.Peer.Name, up); err != nil {
+				t.Fatalf("seed %d: SetLink(%v) after the rebuild: %v", seed, up, err)
+			}
+			if _, err := em.RunUntilConverged(0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := em.Devices[dev].PullStates().Established; got != 2 {
+			t.Fatalf("seed %d: %s has %d sessions after the link came back, want 2", seed, dev, got)
+		}
+
+		// Clear charges clearWorkPerBox per moved device to the replacement.
+		from := int(o.Eng.Now().Seconds() / 60)
+		em.Clear(nil)
+		o.Eng.Run(0)
+		charged := func(vm *cloud.VM) (cs float64) {
+			for m := from; m <= int(em.ClearedAt.Seconds()/60); m++ {
+				cs += vm.Utilization(m) * 60 * float64(vm.SKU.Cores)
+			}
+			return cs
+		}
+		if got, want := charged(nv), clearWorkPerBox*float64(len(moved)); math.Abs(got-want) > 1e-6 || charged(old) != 0 {
+			t.Fatalf("seed %d: Clear charged %.3f core-s to %s (want %.3f) and %.3f to the stopped %s",
+				seed, got, nv.Name, want, charged(old), old.Name)
+		}
+		return
+	}
+	t.Fatal("no seed in 1..16 replaced the VM and recovered on the replacement; loosen the deadline")
 }

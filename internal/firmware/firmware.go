@@ -212,20 +212,6 @@ type Device struct {
 	LastFIBChange sim.Time
 }
 
-// Option mutates a device at construction.
-type Option func(*Device)
-
-// WithVM pins the device's CPU work to a cloud VM.
-func WithVM(vm *cloud.VM) Option {
-	return func(d *Device) { d.vm = vm }
-}
-
-// WithAttrs makes the device's BGP routers intern into the emulation's
-// attribute table t (bgp.Hooks.Attrs).
-func WithAttrs(t *bgp.AttrTable) Option {
-	return func(d *Device) { d.attrs = t }
-}
-
 // AssignVM re-points the device's CPU work at a different VM. The
 // orchestration layer uses it when a failed VM is replaced rather than
 // rebooted: subsequent boot/route work must be charged to the VM that
@@ -233,17 +219,16 @@ func WithAttrs(t *bgp.AttrTable) Option {
 func (d *Device) AssignVM(vm *cloud.VM) { d.vm = vm }
 
 // New creates a stopped device bound to a PhyNet container. The container's
-// interfaces must already exist (the PhyNet layer owns them).
+// interfaces must already exist (the PhyNet layer owns them). vm, when
+// non-nil, is the cloud VM the device's CPU work is charged to; attrs, when
+// non-nil, is the emulation's attribute table its BGP routers intern into
+// (bgp.Hooks.Attrs).
 func New(name string, image VendorImage, cfg *config.DeviceConfig,
-	eng *sim.Engine, fabric *phynet.Fabric, container *phynet.Container, opts ...Option) *Device {
-	d := &Device{
+	eng *sim.Engine, fabric *phynet.Fabric, container *phynet.Container, vm *cloud.VM, attrs *bgp.AttrTable) *Device {
+	return &Device{
 		Name: name, Image: image, cfg: cfg,
-		eng: eng, fabric: fabric, container: container,
+		eng: eng, fabric: fabric, container: container, vm: vm, attrs: attrs,
 	}
-	for _, o := range opts {
-		o(d)
-	}
-	return d
 }
 
 // State returns the firmware lifecycle state.

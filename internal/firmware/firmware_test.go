@@ -69,7 +69,7 @@ func buildRig(t *testing.T, netw *topo.Network, imageFor func(d *topo.Device) Ve
 		if imageFor != nil {
 			img = imageFor(d)
 		}
-		dev := New(d.Name, img, r.cfgs[d.Name], r.eng, r.fabric, containers[d.Name])
+		dev := New(d.Name, img, r.cfgs[d.Name], r.eng, r.fabric, containers[d.Name], nil, nil)
 		r.devices[d.Name] = dev
 	}
 	return r

@@ -42,8 +42,8 @@ func newVMPair(t *testing.T) *vmPair {
 	for _, l := range netw.Links {
 		fabric.Connect(containers[l.A.Device.Name].Iface(l.A.Name), containers[l.B.Device.Name].Iface(l.B.Name))
 	}
-	p.a = New("a", testImage(), cfgs["a"], eng, fabric, containers["a"], WithVM(vms[0]))
-	p.b = New("b", testImage(), cfgs["b"], eng, fabric, containers["b"], WithVM(vms[1]))
+	p.a = New("a", testImage(), cfgs["a"], eng, fabric, containers["a"], vms[0], nil)
+	p.b = New("b", testImage(), cfgs["b"], eng, fabric, containers["b"], vms[1], nil)
 	p.a.Boot(nil)
 	p.b.Boot(nil)
 	if _, err := eng.Run(1_000_000); err != nil {

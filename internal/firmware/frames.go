@@ -326,13 +326,12 @@ func (d *Device) handleLocal(iface string, ip *netpkt.IPv4Packet) {
 		}
 		if idx, ok := d.ospfIfaces[iface]; ok {
 			data := ip.Payload
-			src := ip.Src
 			epoch := d.epoch
 			d.submit(d.Image.MsgWork, func() {
 				if d.epoch != epoch || d.state != DeviceRunning {
 					return
 				}
-				d.osp.HandlePacket(idx, src, data)
+				d.osp.HandlePacket(idx, data)
 			})
 		}
 	case netpkt.ProtoICMP:

@@ -53,7 +53,7 @@ func TestForkPlane(t *testing.T) {
 	// Registrations on the fork must not leak back into the parent.
 	other := *devs["a"]
 	other.Name = "fork-only"
-	if err := fork.Register(&other, netpkt.MustParseIP("10.255.255.1"), cred, "vm-9"); err != nil {
+	if err := fork.Register(&other, netpkt.MustParseIP("10.255.255.1"), cred); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := plane.Resolve("fork-only"); err == nil {

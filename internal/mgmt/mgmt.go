@@ -24,36 +24,31 @@ import (
 type Plane struct {
 	byName map[string]*endpoint
 	byIP   map[netpkt.IP]*endpoint
-	// vmOf tracks which VM's management bridge each device hangs off —
-	// the Figure 6 tree shape, kept for inventory/validation.
-	vmOf map[string]string
 }
 
 type endpoint struct {
-	dev    *firmware.Device
-	ip     netpkt.IP
-	cred   string
-	vmName string
+	dev  *firmware.Device
+	ip   netpkt.IP
+	cred string
 }
 
 // NewPlane returns an empty management plane (jumpbox only).
 func NewPlane() *Plane {
-	return &Plane{byName: map[string]*endpoint{}, byIP: map[netpkt.IP]*endpoint{}, vmOf: map[string]string{}}
+	return &Plane{byName: map[string]*endpoint{}, byIP: map[netpkt.IP]*endpoint{}}
 }
 
 // Register attaches a device's management interface to its VM's bridge.
 // The credential is the unified one Prepare injects into configs (§6.1).
-func (p *Plane) Register(dev *firmware.Device, ip netpkt.IP, cred, vmName string) error {
+func (p *Plane) Register(dev *firmware.Device, ip netpkt.IP, cred string) error {
 	if _, dup := p.byName[dev.Name]; dup {
 		return fmt.Errorf("mgmt: %s already registered", dev.Name)
 	}
 	if _, dup := p.byIP[ip]; dup {
 		return fmt.Errorf("mgmt: management IP %s already in use", ip)
 	}
-	ep := &endpoint{dev: dev, ip: ip, cred: cred, vmName: vmName}
+	ep := &endpoint{dev: dev, ip: ip, cred: cred}
 	p.byName[dev.Name] = ep
 	p.byIP[ip] = ep
-	p.vmOf[dev.Name] = vmName
 	return nil
 }
 
@@ -209,15 +204,14 @@ func (s *Session) execShow(f []string) (string, error) {
 
 // Fork returns a copy of the plane with every endpoint's device pointer
 // swapped via devOf (device name -> the forked emulation's device).
-// Addressing, credentials and VM placement are value state and copy
-// directly; the source plane is read strictly read-only.
+// Addressing and credentials are value state and copy directly; the source
+// plane is read strictly read-only.
 func (p *Plane) Fork(devOf func(name string) *firmware.Device) *Plane {
 	c := NewPlane()
 	for name, ep := range p.byName {
-		ne := &endpoint{dev: devOf(name), ip: ep.ip, cred: ep.cred, vmName: ep.vmName}
+		ne := &endpoint{dev: devOf(name), ip: ep.ip, cred: ep.cred}
 		c.byName[name] = ne
 		c.byIP[ep.ip] = ne
-		c.vmOf[name] = ep.vmName
 	}
 	return c
 }

@@ -42,9 +42,9 @@ func build(t *testing.T) (*sim.Engine, *Plane, map[string]*firmware.Device) {
 		img := firmware.VendorImage{Name: d.Vendor, Version: "1", BootFixed: time.Second, BootJitter: time.Second}
 		cfg := config.GenerateDevice(d)
 		cfg.Credential = cred
-		dev := firmware.New(d.Name, img, cfg, eng, fabric, containers[d.Name])
+		dev := firmware.New(d.Name, img, cfg, eng, fabric, containers[d.Name], nil, nil)
 		devs[d.Name] = dev
-		if err := plane.Register(dev, d.MgmtIP, cred, "vm-0"); err != nil {
+		if err := plane.Register(dev, d.MgmtIP, cred); err != nil {
 			t.Fatal(err)
 		}
 		dev.Boot(nil)
@@ -84,13 +84,13 @@ func TestResolveAndDial(t *testing.T) {
 
 func TestRegisterConflicts(t *testing.T) {
 	_, plane, devs := build(t)
-	if err := plane.Register(devs["a"], 999, cred, "vm-0"); err == nil {
+	if err := plane.Register(devs["a"], 999, cred); err == nil {
 		t.Fatal("duplicate name accepted")
 	}
 	other := *devs["a"]
 	other.Name = "x"
 	ip, _ := plane.Resolve("a")
-	if err := plane.Register(&other, ip, cred, "vm-0"); err == nil {
+	if err := plane.Register(&other, ip, cred); err == nil {
 		t.Fatal("duplicate IP accepted")
 	}
 }

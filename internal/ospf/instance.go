@@ -48,7 +48,6 @@ const (
 
 type neighbor struct {
 	id       RouterID
-	addr     netpkt.IP
 	priority uint8
 	state    NeighborState
 }
@@ -202,9 +201,8 @@ func (in *Instance) sendHello(i *Iface) {
 	in.send(i.idx, 0, MarshalHello(h))
 }
 
-// HandlePacket processes an OSPF packet received on interface idx from the
-// given source address.
-func (in *Instance) HandlePacket(idx int, src netpkt.IP, data []byte) {
+// HandlePacket processes an OSPF packet received on interface idx.
+func (in *Instance) HandlePacket(idx int, data []byte) {
 	in.mPktsIn.Inc()
 	i := in.ifaces[idx]
 	if !i.up {
@@ -217,20 +215,20 @@ func (in *Instance) HandlePacket(idx int, src netpkt.IP, data []byte) {
 	}
 	switch d.Type {
 	case PktHello:
-		in.handleHello(i, src, d.Hello)
+		in.handleHello(i, d.Hello)
 	case PktLSUpdate:
 		in.handleLSUpdate(i, d)
 	}
 }
 
-func (in *Instance) handleHello(i *Iface, src netpkt.IP, h *Hello) {
+func (in *Instance) handleHello(i *Iface, h *Hello) {
 	nbr := i.neighbors[h.Router]
 	isNew := nbr == nil
 	if isNew {
-		nbr = &neighbor{id: h.Router, addr: src, priority: h.Priority, state: NbrInit}
+		nbr = &neighbor{id: h.Router, priority: h.Priority, state: NbrInit}
 		i.neighbors[h.Router] = nbr
 	}
-	nbr.addr, nbr.priority = src, h.Priority
+	nbr.priority = h.Priority
 	seesUs := false
 	for _, n := range h.Neighbors {
 		if n == in.cfg.RouterID {

@@ -95,14 +95,13 @@ type onode struct {
 }
 
 type segment struct {
-	// members: (node, ifaceIdx, addr)
+	// members: (node, ifaceIdx, router ID)
 	members []segMember
 }
 
 type segMember struct {
 	node  *onode
 	iface int
-	addr  netpkt.IP
 	rid   RouterID
 }
 
@@ -121,12 +120,6 @@ func (n *onet) add(name string, rid string) *onode {
 	nd.in = New(Config{Name: name, RouterID: ip(rid)}, n.eng, Hooks{
 		Send: func(ifaceIdx int, dst RouterID, data []byte) {
 			seg := nd.wires[ifaceIdx]
-			var srcAddr netpkt.IP
-			for _, m := range seg.members {
-				if m.node == nd {
-					srcAddr = m.addr
-				}
-			}
 			for _, m := range seg.members {
 				m := m
 				if m.node == nd {
@@ -136,7 +129,7 @@ func (n *onet) add(name string, rid string) *onode {
 					continue
 				}
 				n.eng.After(time.Millisecond, func() {
-					m.node.in.HandlePacket(m.iface, srcAddr, data)
+					m.node.in.HandlePacket(m.iface, data)
 				})
 			}
 		},
@@ -162,8 +155,8 @@ func (n *onet) p2p(aName, bName string, cost uint16) {
 	ai := a.in.AddInterface(IfaceConfig{Name: ifname(len(a.wires)), Addr: netpkt.Prefix{Addr: base, Len: 31}, Type: P2P, Cost: cost})
 	bi := b.in.AddInterface(IfaceConfig{Name: ifname(len(b.wires)), Addr: netpkt.Prefix{Addr: base + 1, Len: 31}, Type: P2P, Cost: cost})
 	seg.members = []segMember{
-		{node: a, iface: ai, addr: base, rid: a.in.cfg.RouterID},
-		{node: b, iface: bi, addr: base + 1, rid: b.in.cfg.RouterID},
+		{node: a, iface: ai, rid: a.in.cfg.RouterID},
+		{node: b, iface: bi, rid: b.in.cfg.RouterID},
 	}
 	a.wires = append(a.wires, seg)
 	b.wires = append(b.wires, seg)
@@ -181,7 +174,7 @@ func (n *onet) lan(names []string, prios []uint8) {
 			Name: ifname(len(nd.wires)), Addr: netpkt.Prefix{Addr: addr, Len: 24},
 			Type: Broadcast, Cost: 10, Priority: prios[i],
 		})
-		seg.members = append(seg.members, segMember{node: nd, iface: idx, addr: addr, rid: nd.in.cfg.RouterID})
+		seg.members = append(seg.members, segMember{node: nd, iface: idx, rid: nd.in.cfg.RouterID})
 		nd.wires = append(nd.wires, seg)
 	}
 }

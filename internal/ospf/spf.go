@@ -15,17 +15,16 @@ type nodeKey struct {
 }
 
 type spfItem struct {
-	key   nodeKey
-	dist  uint32
-	index int
+	key  nodeKey
+	dist uint32
 }
 
 type spfQueue []*spfItem
 
 func (q spfQueue) Len() int           { return len(q) }
 func (q spfQueue) Less(i, j int) bool { return q[i].dist < q[j].dist }
-func (q spfQueue) Swap(i, j int)      { q[i], q[j] = q[j], q[i]; q[i].index = i; q[j].index = j }
-func (q *spfQueue) Push(x any)        { it := x.(*spfItem); it.index = len(*q); *q = append(*q, it) }
+func (q spfQueue) Swap(i, j int)      { q[i], q[j] = q[j], q[i] }
+func (q *spfQueue) Push(x any)        { *q = append(*q, x.(*spfItem)) }
 func (q *spfQueue) Pop() any          { old := *q; n := len(old); it := old[n-1]; *q = old[:n-1]; return it }
 
 // edge is one usable (bidirectionally verified) SPF edge.

@@ -3,16 +3,16 @@ package phynet
 import "crystalnet/internal/sim"
 
 // Fork returns a deep copy of the fabric on eng — hosts, containers,
-// interfaces and links — plus translation maps from the source's interfaces
-// and containers to their clones, which the orchestration layer uses to
-// remap its own bookkeeping. The source fabric is read strictly read-only,
-// so concurrent forks are safe.
+// interfaces and links. A clone is found the way its source was, by host and
+// container name (Host, Host.Container) and through its interfaces' links
+// (VIface.Link). The source fabric is read strictly read-only, so concurrent
+// forks are safe.
 //
 // Frame handlers are deliberately not copied: they are closures over the
 // parent's firmware. Forked devices re-attach their own handlers, exactly
 // as firmware does after boot. Delivery lanes are not copied either: they
 // belong to the source's engine, and the clone's links build their own.
-func (f *Fabric) Fork(eng *sim.Engine) (*Fabric, map[*VIface]*VIface, map[*Container]*Container) {
+func (f *Fabric) Fork(eng *sim.Engine) *Fabric {
 	c := &Fabric{
 		eng:     eng,
 		hosts:   make(map[string]*Host, len(f.hosts)),
@@ -21,14 +21,12 @@ func (f *Fabric) Fork(eng *sim.Engine) (*Fabric, map[*VIface]*VIface, map[*Conta
 		nextIP:  f.nextIP,
 	}
 	ifaceMap := make(map[*VIface]*VIface)
-	ctMap := make(map[*Container]*Container)
 	for name, h := range f.hosts {
 		nh := &Host{
 			Name:            h.Name,
 			UnderlayIP:      h.UnderlayIP,
 			Remote:          h.Remote,
 			Domain:          h.Domain,
-			fabric:          c,
 			containers:      make(map[string]*Container, len(h.containers)),
 			setupCost:       h.setupCost,
 			framesDelivered: h.framesDelivered,
@@ -43,7 +41,6 @@ func (f *Fabric) Fork(eng *sim.Engine) (*Fabric, map[*VIface]*VIface, map[*Conta
 				ifaceMap[vi] = nvi
 			}
 			nh.containers[cname] = nc
-			ctMap[ct] = nc
 		}
 		c.hosts[name] = nh
 	}
@@ -73,5 +70,5 @@ func (f *Fabric) Fork(eng *sim.Engine) (*Fabric, map[*VIface]*VIface, map[*Conta
 		}
 		c.links[i] = nl
 	}
-	return c, ifaceMap, ctMap
+	return c
 }

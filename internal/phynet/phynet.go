@@ -57,7 +57,6 @@ type Host struct {
 	// -1 (the default) keeps the host on the master engine. Only meaningful
 	// when the fabric is attached to a sim.ShardSet.
 	Domain int
-	fabric *Fabric
 
 	containers map[string]*Container
 	setupCost  float64 // accumulated core-seconds of plumbing
@@ -190,7 +189,7 @@ func (f *Fabric) AddHost(name string) *Host {
 	}
 	h := &Host{
 		Name: name, UnderlayIP: netpkt.IP(f.nextIP), Domain: -1,
-		fabric: f, containers: map[string]*Container{},
+		containers: map[string]*Container{},
 	}
 	f.nextIP++
 	f.hosts[name] = h
@@ -199,6 +198,9 @@ func (f *Fabric) AddHost(name string) *Host {
 
 // Host returns the named host, or nil.
 func (f *Fabric) Host(name string) *Host { return f.hosts[name] }
+
+// Container returns the named container on the host, or nil.
+func (h *Host) Container(name string) *Container { return h.containers[name] }
 
 // AddContainer creates a PhyNet container (network namespace) on the host.
 func (h *Host) AddContainer(name string) *Container {

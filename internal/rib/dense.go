@@ -12,34 +12,22 @@ import (
 // (DESIGN.md §10) replaces them with Dense tables and meters their footprint
 // here: one atomic add per page allocated, no per-operation cost.
 //
-// The counters meter allocations; a page that is dropped (a discarded fork,
+// The counter meters allocations; a page that is dropped (a discarded fork,
 // a Clear of a table that did not own it) is reclaimed by the GC without
-// being subtracted, so the figures are high-water pressure, not an exact
+// being subtracted, so the figure is high-water pressure, not an exact
 // live-heap figure.
-var (
-	denseBytes atomic.Int64
-	denseSlots atomic.Int64
-	denseLive  atomic.Int64
-)
+var denseBytes atomic.Int64
 
 // MemStats is a snapshot of the process-wide Dense accounting.
 type MemStats struct {
 	// DenseBytes is the total page bytes allocated by all Dense tables
 	// (values, presence words and ownership tokens).
 	DenseBytes int64
-	// DenseSlots is the total slot capacity of those pages.
-	DenseSlots int64
-	// DenseLive is the number of present entries across all Dense tables.
-	DenseLive int64
 }
 
 // Stats returns the current process-wide Dense accounting.
 func Stats() MemStats {
-	return MemStats{
-		DenseBytes: denseBytes.Load(),
-		DenseSlots: denseSlots.Load(),
-		DenseLive:  denseLive.Load(),
-	}
+	return MemStats{DenseBytes: denseBytes.Load()}
 }
 
 // pageBits sizes a Dense page: 64 slots, so one presence word per page.
@@ -121,7 +109,6 @@ func (d *Dense[T]) own(i int) *page[T] {
 	}
 	d.pages[i] = p
 	denseBytes.Add(int64(unsafe.Sizeof(*p)))
-	denseSlots.Add(pageSize)
 	return p
 }
 
@@ -133,7 +120,6 @@ func (d *Dense[T]) Set(id int, v T) {
 	if p.present&b == 0 {
 		p.present |= b
 		d.live++
-		denseLive.Add(1)
 	}
 	p.vals[id&(pageSize-1)] = v
 }
@@ -160,7 +146,6 @@ func (d *Dense[T]) Delete(id int) bool {
 	var zero T
 	p.vals[id&(pageSize-1)] = zero
 	d.live--
-	denseLive.Add(-1)
 	return true
 }
 
@@ -188,7 +173,6 @@ func (d *Dense[T]) Clear() {
 	if d.live == 0 {
 		return
 	}
-	denseLive.Add(-int64(d.live))
 	d.live = 0
 	if d.edit == 0 {
 		d.pages = nil
@@ -219,6 +203,5 @@ func (d *Dense[T]) Clone() Dense[T] {
 	if d.edit != 0 {
 		panic("rib: Clone of a Dense written since its last Seal")
 	}
-	denseLive.Add(int64(d.live))
 	return Dense[T]{pages: d.pages, live: d.live}
 }

@@ -9,6 +9,7 @@
 package rib
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"strings"
@@ -115,7 +116,7 @@ func (t *HopSetTable) Canonical(nhs []NextHop) []NextHop {
 	}
 	h := hashHops(nhs)
 	for _, s := range t.m[h] {
-		if hopSlicesEqual(s, nhs) {
+		if slices.Equal(s, nhs) {
 			return s
 		}
 	}
@@ -154,18 +155,6 @@ func hashHops(nhs []NextHop) uint64 {
 		mix(0xff) // group-element separator
 	}
 	return h
-}
-
-func hopSlicesEqual(a, b []NextHop) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // FIB is a device's forwarding table. It has one write rule and two index
@@ -593,20 +582,12 @@ func Compare(left, right Snapshot, mode CompareMode) []Diff {
 
 // byPrefix returns s in ascending prefix order: s itself when it already is.
 func byPrefix(s Snapshot) Snapshot {
-	cmp := func(a, b *Entry) int {
-		switch {
-		case prefixBefore(a.Prefix, b.Prefix):
-			return -1
-		case prefixBefore(b.Prefix, a.Prefix):
-			return 1
-		}
-		return 0
-	}
-	if slices.IsSortedFunc(s, cmp) {
+	byKey := func(a, b *Entry) int { return cmp.Compare(a.Prefix.Key(), b.Prefix.Key()) }
+	if slices.IsSortedFunc(s, byKey) {
 		return s
 	}
 	s = slices.Clone(s)
-	slices.SortFunc(s, cmp)
+	slices.SortFunc(s, byKey)
 	return s
 }
 
@@ -640,7 +621,7 @@ type merge struct {
 
 // add takes the next right-hand entry.
 func (m *merge) add(e *Entry) {
-	for len(m.left) > 0 && prefixBefore(m.left[0].Prefix, e.Prefix) {
+	for len(m.left) > 0 && m.left[0].Prefix.Key() < e.Prefix.Key() {
 		m.out = append(m.out, Diff{Kind: DiffMissingRight, Prefix: m.left[0].Prefix, Left: m.left[0]})
 		m.left = m.left[1:]
 	}
@@ -660,13 +641,6 @@ func (m *merge) done() []Diff {
 		m.out = append(m.out, Diff{Kind: DiffMissingRight, Prefix: l.Prefix, Left: l})
 	}
 	return m.out
-}
-
-func prefixBefore(a, b netpkt.Prefix) bool {
-	if a.Addr != b.Addr {
-		return a.Addr < b.Addr
-	}
-	return a.Len < b.Len
 }
 
 func nextHopsMatch(a, b []NextHop, mode CompareMode) bool {

@@ -58,7 +58,7 @@ func build(t *testing.T, anns []Announcement) *rig {
 		if d.Name == "S" {
 			di = vendors.MustGet(vendors.Speaker, "3.4.17")
 		}
-		dev := firmware.New(d.Name, di, cfg, eng, fabric, containers[d.Name])
+		dev := firmware.New(d.Name, di, cfg, eng, fabric, containers[d.Name], nil, nil)
 		r.devices[d.Name] = dev
 	}
 	var err error

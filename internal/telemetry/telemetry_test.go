@@ -40,7 +40,7 @@ func line(t *testing.T) (*sim.Engine, map[string]*firmware.Device) {
 	}
 	img := firmware.VendorImage{Name: "test", Version: "1", BootFixed: time.Second, BootJitter: time.Second}
 	for _, d := range n.Devices() {
-		dev := firmware.New(d.Name, img, config.GenerateDevice(d), eng, fabric, containers[d.Name])
+		dev := firmware.New(d.Name, img, config.GenerateDevice(d), eng, fabric, containers[d.Name], nil, nil)
 		devs[d.Name] = dev
 		dev.Boot(nil)
 	}

@@ -154,7 +154,7 @@ func (t *Trie[V]) Insert(p netpkt.Prefix, v V) bool {
 			return true
 		}
 		// How much of child's prefix does p share?
-		common := commonPrefixLen(p.Addr, child.prefix.Addr, min8(p.Len, child.prefix.Len))
+		common := commonPrefixLen(p.Addr, child.prefix.Addr, min(p.Len, child.prefix.Len))
 		if common == child.prefix.Len {
 			// p lies below child; descend.
 			n = t.own(&n.children[dir])
@@ -178,13 +178,6 @@ func (t *Trie[V]) Insert(p netpkt.Prefix, v V) bool {
 		t.size++
 		return true
 	}
-}
-
-func min8(a, b uint8) uint8 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // Get returns the value stored for exactly prefix p. The descent is a tight

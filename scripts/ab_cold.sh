@@ -7,7 +7,7 @@
 # of the host biases neither side, and prints each pair's wall time per op
 # and bytes allocated per op with the wall-time delta, the pairs the change
 # won, and both medians. The exact counts a benchmark reports (fired events
-# and route-ready virtual time for ColdMockupMDC, cow-copies/op for
+# and route-ready virtual nanoseconds for ColdMockupMDC, cow-copies/op for
 # ForkFlapSweepSDC) must be identical across every run of both trees; the
 # script fails otherwise, because a changed count means a changed schedule,
 # not just a faster one.
@@ -44,7 +44,7 @@ run() {
                 u = $(i+1)
                 if (u == "ns/op") ns = $i
                 if (u == "B/op") bop = $i
-                if (u == "events" || u == "route-ready-virtual-s" || u == "cow-copies/op")
+                if (u == "events" || u == "route-ready-virtual-ns" || u == "cow-copies/op")
                     counts = counts (counts == "" ? "" : ",") u "=" $i
             }
             printf "%.4f %.2f %s\n", ns / 1e9, bop / 1048576, counts == "" ? "-" : counts
