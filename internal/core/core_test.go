@@ -697,6 +697,35 @@ func TestAttachNewDeviceIncrementally(t *testing.T) {
 	_ = o
 }
 
+// TestAttachNewDeviceOfANewVendor attaches a ToR whose image no VM group
+// runs yet: the device gets a fresh VM of its own, and that VM a fabric host
+// to hold its container, before the ToR boots and peers with its leaves.
+func TestAttachNewDeviceOfANewVendor(t *testing.T) {
+	_, em := fullEmulation(t, Options{Seed: 6})
+	n := em.Network()
+	newTor := n.AddDevice("tor-p0-new", topo.LayerToR, topo.ToRAS(999), "ctnrc")
+	newTor.Pod = 0
+	n.Connect(newTor, n.MustDevice("leaf-p0-0"))
+	n.Connect(newTor, n.MustDevice("leaf-p0-1"))
+	img := fastImages()["ctnrb"]
+	img.Name = "ctnrc"
+	if err := em.AttachNewDevice("tor-p0-new", img, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, leaf := range []string{"leaf-p0-0", "leaf-p0-1"} {
+		if err := em.ReloadDevice(leaf, config.GenerateDevice(n.MustDevice(leaf)), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := em.RunUntilConverged(0); err != nil {
+		t.Fatal(err)
+	}
+	dev := em.Devices["tor-p0-new"]
+	if dev.State() != firmware.DeviceRunning || dev.PullStates().Established != 2 {
+		t.Fatalf("new-vendor ToR: state %v, %d sessions, want running with 2", dev.State(), dev.PullStates().Established)
+	}
+}
+
 // TestFailureInjectionSoak runs a long emulation with random VM failures
 // and the health monitor armed: the emulation must keep recovering and end
 // fully converged.
