@@ -10,9 +10,13 @@
 package crystalnet_test
 
 import (
+	"fmt"
 	"os"
 	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"crystalnet/internal/core"
 	"crystalnet/internal/experiments"
@@ -256,6 +260,22 @@ func BenchmarkForkFlapSweepSDC(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	rehearseFlaps(b, sp, cv)
+}
+
+// BenchmarkForkFlapSweepMDC is BenchmarkForkFlapSweepSDC on M-DC — the
+// in-process form of bench/'s warm_flap_mdc request, whose 400 server
+// prefixes and 580 devices make the no-blackhole sweep the larger part of a
+// rehearsal. Converging the baseline takes several seconds and ~600 MB, so
+// -short skips it.
+func BenchmarkForkFlapSweepMDC(b *testing.B) {
+	sp, cv := mdcFlapBaseline(b)
+	rehearseFlaps(b, sp, cv)
+}
+
+// rehearseFlaps runs sp against cv b.N times and reports the copy-on-write
+// copies each rehearsal made, an exact count scripts/ab_cold.sh compares.
+func rehearseFlaps(b *testing.B, sp *scenario.Spec, cv *scenario.Converged) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	copies := 0
@@ -272,12 +292,9 @@ func BenchmarkForkFlapSweepSDC(b *testing.B) {
 	b.ReportMetric(float64(copies)/float64(b.N), "cow-copies/op")
 }
 
-// BenchmarkForkFlapSweepMDC is BenchmarkForkFlapSweepSDC on M-DC — the
-// in-process form of bench/'s warm_flap_mdc request, whose 400 server
-// prefixes and 580 devices make the no-blackhole sweep the larger part of a
-// rehearsal. Converging the baseline takes several seconds and ~600 MB, so
-// -short skips it.
-func BenchmarkForkFlapSweepMDC(b *testing.B) {
+// mdcFlapBaseline converges the M-DC baseline of the uplink flap of
+// tor-p0-0, skipping under -short.
+func mdcFlapBaseline(b *testing.B) (*scenario.Spec, *scenario.Converged) {
 	if testing.Short() {
 		b.Skip("M-DC baseline: skipped under -short")
 	}
@@ -291,15 +308,46 @@ func BenchmarkForkFlapSweepMDC(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rep, err := cv.Run(sp, scenario.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !rep.Passed {
-			b.Fatalf("rehearsal failed: %s", rep.JSON())
-		}
+	return sp, cv
+}
+
+// BenchmarkConcurrentFlapMDC is the multi-tenant shape of
+// BenchmarkForkFlapSweepMDC: N closed-loop clients, each a goroutine that
+// runs the flap rehearsal against one shared converged M-DC baseline until
+// b.N rehearsals are done, for N = 1, 2 and GOMAXPROCS. It reports
+// rehearsals/s and MB allocated per rehearsal for each N; run it with
+// -mutexprofile to see what concurrent forks wait on. -short skips it.
+func BenchmarkConcurrentFlapMDC(b *testing.B) {
+	sp, cv := mdcFlapBaseline(b)
+	clients := []int{1, 2}
+	if n := runtime.GOMAXPROCS(0); n > 2 {
+		clients = append(clients, n)
+	}
+	for _, n := range clients {
+		b.Run(fmt.Sprintf("clients=%d", n), func(b *testing.B) {
+			var next atomic.Int64
+			var wg sync.WaitGroup
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			start := time.Now()
+			for range n {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for next.Add(1) <= int64(b.N) {
+						rep, err := cv.Run(sp, scenario.Options{})
+						if err != nil || !rep.Passed {
+							b.Errorf("rehearsal failed: %v", err)
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			elapsed := time.Since(start)
+			runtime.ReadMemStats(&after)
+			b.ReportMetric(float64(b.N)/elapsed.Seconds(), "rehearsals/s")
+			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(b.N)/(1<<20), "MB/op")
+		})
 	}
 }

@@ -1,7 +1,8 @@
 package bgp
 
 import (
-	"crystalnet/internal/rib"
+	"slices"
+
 	"crystalnet/internal/sim"
 )
 
@@ -14,14 +15,15 @@ import (
 //   - every Loc-RIB entry, the pages of the entry vector and the prefix
 //     index become shared: the router gives up ownership of all of them,
 //     and its own later writes go through writable/entryFor like a fork's;
-//   - every peer's Adj-RIB-Out is sealed (rib.Dense.Seal).
+//   - every peer's Adj-RIB-Out is sealed (rib.Dense.Seal);
+//   - the export-template memo and the hop-group table are frozen
+//     (rib.Memo.Seal): forks read them without a lock, and each side adds
+//     to a layer of its own.
 //
-// Seal also lets go of what only a running router needs: the export-template
-// cache and the hop-group table (memos, which forks start without anyway),
-// the decide and flush scratch and the storage of empty dirty sets. A
-// router that runs on after Seal grows them again; one that only serves
-// forks, as a checkpoint's does, holds that much less live heap for as long
-// as it serves.
+// Seal lets go of what only a running router needs: the decide and flush
+// scratch and the storage of empty dirty sets. A router that runs on after
+// Seal grows them again; one that only serves forks, as a checkpoint's
+// does, holds that much less live heap for as long as it serves.
 //
 // The *Attrs a fork can reach need nothing here: each came through the
 // router's AttrTable, which fills its memo (fingerprint and wire image)
@@ -37,7 +39,9 @@ func (r *Router) Seal() {
 			p.dirtyBits, p.dirtyList = nil, nil
 		}
 	}
-	r.exportCache, r.hopSets, r.nhScratch, r.flush = nil, rib.HopSetTable{}, nil, flushScratch{}
+	r.exportCache.Seal()
+	r.hopSets.Seal()
+	r.nhScratch, r.flush = nil, flushScratch{}
 	r.entries.Seal()
 	r.cow, r.indexShared, r.owned = true, true, nil
 }
@@ -46,26 +50,28 @@ func (r *Router) Seal() {
 // and hooks. hooks.Attrs must be a fork of the router's table taken after the
 // table's last Seal (AttrTable.Fork): the canonical objects the router's RIBs
 // hold are in its frozen layer, so the fork's decodes come to those same
-// pointers. It costs one small struct per peer: the entries and the vector
-// holding them, the prefix index, the id-to-prefix and aggregate coverage
-// lists and the Adj-RIB tables are all shared with r, and each side pays for
-// a private copy of what it later writes (for the entry vector and the
-// Adj-RIB tables, the 64-slot pages written; rib.Dense). The source router
-// is read strictly read-only, so any number of forks can be taken from it
-// concurrently. r must be sealed with no write since (Seal); Fork panics
-// otherwise, because r would go on editing state the fork reads.
+// pointers. It costs one router and one slab of sessions: the entries and
+// the vector holding them, the prefix index, the id-to-prefix and aggregate
+// coverage lists, the Adj-RIB tables and each session's configuration are
+// all shared with r, and each side pays for a private copy of what it later
+// writes (for the entry vector and the Adj-RIB tables, the 64-slot pages
+// written; rib.Dense). The source router is read strictly read-only, so any
+// number of forks can be taken from it concurrently. r must be sealed with
+// no write since (Seal); Fork panics otherwise, because r would go on
+// editing state the fork reads.
 //
 // Attribute objects (*Attrs) and AS paths are immutable once shared, so the
 // fork aliases them: the decide path compares attribute pointers
 // (prevBestAttrs != newBestAttrs), and sharing preserves the exact aliasing
 // topology between Loc-RIB candidates and the entries' lastBest caches.
 //
-// The export-template cache and the hop-group table start empty. Aliasing
-// keeps the cache's pointer keys valid, so copying it would be correct — but
-// measured on the S-DC chaos campaign the copies cost more than the misses:
-// fault churn mostly derives new attribute objects, which miss any warm
-// cache. Neither changes output bytes (both are pure memoization), only how
-// much work a decide or a flush does.
+// The export-template memo and the hop-group table are shared as Seal froze
+// them. Their keys and groups are canonical objects of the lineage, which
+// the fork reaches by the same pointers, so a flap that re-exports a route
+// under attributes the checkpoint had exported, or reprograms a prefix over
+// a group it had used, finds the result instead of rebuilding it. Neither
+// changes output bytes (both are pure memoization), only how much work a
+// decide or a flush does.
 func (r *Router) Fork(eng *sim.Engine, hooks Hooks) *Router {
 	if !r.cow || r.owned != nil {
 		panic("bgp: Fork of a router written since its last Seal")
@@ -77,7 +83,7 @@ func (r *Router) Fork(eng *sim.Engine, hooks Hooks) *Router {
 		hooks.Logf = func(string, ...any) {}
 	}
 	if hooks.SessionEvent == nil {
-		hooks.SessionEvent = func(int, SessionState) {}
+		hooks.SessionEvent = func(int, SessionState, SessionState) {}
 	}
 	c := &Router{
 		cfg:   r.cfg,
@@ -95,6 +101,8 @@ func (r *Router) Fork(eng *sim.Engine, hooks Hooks) *Router {
 		entries:     r.entries.Clone(),
 		prefixByID:  r.prefixByID[:len(r.prefixByID):len(r.prefixByID)],
 		cow:         true,
+		exportCache: r.exportCache.Fork(),
+		hopSets:     r.hopSets.Fork(),
 		aggState:    append([]aggState(nil), r.aggState...),
 	}
 	for i := range c.aggState {
@@ -107,12 +115,15 @@ func (r *Router) Fork(eng *sim.Engine, hooks Hooks) *Router {
 	c.bindMetrics(eng.Recorder())
 
 	// Loc-RIB candidates name their peer by index, which is the same in the
-	// fork's peer slice, so entries need no remapping.
+	// fork's peer slice, so entries need no remapping. The sessions live in
+	// one slab.
+	slab := make([]Peer, len(r.peers))
 	c.peers = make([]*Peer, len(r.peers))
 	for i, p := range r.peers {
 		// flushTimer is a pending closure and stays nil: forks are only taken
-		// at quiescence, when every MRAI flush has already fired.
-		c.peers[i] = &Peer{
+		// at quiescence, when every MRAI flush has already fired. Seal
+		// dropped empty dirty sets, so the copies below are of pending ones.
+		slab[i] = Peer{
 			router:      c,
 			Index:       p.Index,
 			Config:      p.Config,
@@ -122,13 +133,14 @@ func (r *Router) Fork(eng *sim.Engine, hooks Hooks) *Router {
 			localGen:    p.localGen,
 			remoteGen:   p.remoteGen,
 			advertised:  p.advertised.Clone(),
-			dirtyBits:   append([]uint64(nil), p.dirtyBits...),
-			dirtyList:   append([]int32(nil), p.dirtyList...),
+			dirtyBits:   slices.Clone(p.dirtyBits),
+			dirtyList:   slices.Clone(p.dirtyList),
 			MsgsIn:      p.MsgsIn,
 			MsgsOut:     p.MsgsOut,
 			RoutesIn:    p.RoutesIn,
 			WithdrawsIn: p.WithdrawsIn,
 		}
+		c.peers[i] = &slab[i]
 	}
 	return c
 }

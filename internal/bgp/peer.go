@@ -59,7 +59,9 @@ type PeerConfig struct {
 type Peer struct {
 	router *Router
 	Index  int
-	Config PeerConfig
+	// Config is the session's configuration: set when the peer is added,
+	// never edited, and shared by the peer's forks.
+	Config *PeerConfig
 
 	state     SessionState
 	remoteID  netpkt.IP
@@ -161,8 +163,9 @@ func (p *Peer) setState(s SessionState) {
 	if p.state == s {
 		return
 	}
+	from := p.state
 	p.state = s
-	p.router.hooks.SessionEvent(p.Index, s)
+	p.router.hooks.SessionEvent(p.Index, from, s)
 }
 
 // Stop tears the session down (administrative shutdown or link failure).

@@ -74,8 +74,9 @@ type Hooks struct {
 	InstallRoute func(p netpkt.Prefix, nhs []rib.NextHop) error
 	// RemoveRoute removes a previously installed route.
 	RemoveRoute func(p netpkt.Prefix)
-	// SessionEvent reports session state transitions (for monitoring).
-	SessionEvent func(peerIdx int, state SessionState)
+	// SessionEvent reports a session's state transition from one state to
+	// another (for monitoring).
+	SessionEvent func(peerIdx int, from, to SessionState)
 	// Logf records diagnostics.
 	Logf func(format string, args ...any)
 	// Attrs is the emulation's attribute table: every attrs the router
@@ -157,12 +158,15 @@ type Router struct {
 	// differences (split horizon, loop avoidance, AdvertiseLocalOnly) are
 	// allocation-free predicates checked before the cache. The keys are
 	// canonical (interned) pointers, so a pointer stands for an attribute
-	// value. Bounded; cleared wholesale when full.
-	exportCache map[exportKey]exportVal
+	// value. A memo in two layers (rib.Memo): Seal freezes it and forks
+	// share it, and the own layer is bounded, cleared wholesale when full.
+	exportCache rib.Memo[exportKey, exportVal]
 	// nhScratch is the reusable buffer nextHops fills on every decide; the
 	// hops are copied out only when they actually change. hopSets interns
 	// the distinct hop groups those copies land in, so the thousands of
-	// entries forwarding over the same ECMP group share one slice.
+	// entries forwarding over the same ECMP group share one slice; a fork
+	// shares the groups sealed before it, so it hands the FIB the group
+	// pointers the FIB's own sealed memo knows.
 	nhScratch []rib.NextHop
 	hopSets   rib.HopSetTable
 
@@ -214,7 +218,7 @@ func New(cfg Config, eng *sim.Engine, hooks Hooks) *Router {
 		hooks.Logf = func(string, ...any) {}
 	}
 	if hooks.SessionEvent == nil {
-		hooks.SessionEvent = func(int, SessionState) {}
+		hooks.SessionEvent = func(int, SessionState, SessionState) {}
 	}
 	if hooks.Attrs == nil {
 		hooks.Attrs = NewAttrTable()
@@ -236,7 +240,7 @@ func (r *Router) AddPeer(cfg PeerConfig) *Peer {
 	p := &Peer{
 		router: r,
 		Index:  len(r.peers),
-		Config: cfg,
+		Config: &cfg,
 		state:  StateIdle,
 	}
 	r.peers = append(r.peers, p)
@@ -675,9 +679,9 @@ func (r *Router) setSuppression(st *aggState, suppress bool) {
 	}
 }
 
-// maxExportCache bounds the router's export-template memo. It is cleared
-// wholesale when full — the working set in even L-DC mockups sits far below
-// the limit.
+// maxExportCache bounds the own layer of the router's export-template memo.
+// It is cleared wholesale when full — the working set in even L-DC mockups
+// sits far below the limit.
 const maxExportCache = 8192
 
 // exportKey identifies one export-template computation: the best candidate's
@@ -724,16 +728,16 @@ func (r *Router) exportRoute(peer *Peer, p netpkt.Prefix, e *ribEntry) (*Attrs, 
 	var key exportKey
 	if cacheable {
 		key = exportKey{attrs: best.attrs, pol: pol, local: best.peerIdx < 0}
-		if v, hit := r.exportCache[key]; hit {
+		if v, hit := r.exportCache.Get(key); hit {
 			return v.attrs, v.ok
 		}
 	}
 	a, ok := r.exportTemplate(p, best, pol)
 	if cacheable {
-		if r.exportCache == nil || len(r.exportCache) >= maxExportCache {
-			r.exportCache = make(map[exportKey]exportVal, 256)
+		if r.exportCache.Len() >= maxExportCache {
+			r.exportCache.Drop()
 		}
-		r.exportCache[key] = exportVal{attrs: a, ok: ok}
+		r.exportCache.Put(key, exportVal{attrs: a, ok: ok})
 	}
 	return a, ok
 }

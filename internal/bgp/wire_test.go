@@ -338,7 +338,7 @@ func TestOversizedAttrsAreNotAdvertised(t *testing.T) {
 	a.r.hooks.Logf = func(format string, args ...any) { logs = append(logs, format) }
 	b := n.add("b", 65002, nil)
 	resets := 0
-	b.r.hooks.SessionEvent = func(_ int, s SessionState) {
+	b.r.hooks.SessionEvent = func(_ int, _, s SessionState) {
 		if s == StateIdle {
 			resets++
 		}

@@ -24,16 +24,21 @@
 //     intra-router sharing of Adj-RIB, Loc-RIB candidates and last-best is
 //     preserved exactly), the layer of the emulation's bgp.AttrTable sealed
 //     at Checkpoint (so a fork's decodes come to those same objects),
-//     installed FIB entries and hop groups, ACL rule objects, and P4 table
-//     entries.
+//     installed FIB entries and hop groups, ACL rule objects and bindings,
+//     P4 table rows, BGP session configs, and what a device's boot alone
+//     writes (interface addresses, session and OSPF interface indexes).
+//   - Shared frozen (sealed at Checkpoint, read without a lock): the memos
+//     of routers and FIBs — export templates, hop-group tables, sorted
+//     groups (rib.Memo). Each side adds to a layer of its own.
 //   - Shared copy-on-write (sealed at Checkpoint): FIB tries, BGP Loc-RIB
-//     entries and the prefix index, and per-peer Adj-RIB tables. Each side
-//     copies exactly what it later writes; a cloned FIB keeps its table's
-//     lineage and version, so readers keyed on them follow it into the fork.
+//     entries and the prefix index, per-peer Adj-RIB tables, and ARP
+//     caches. Each side copies exactly what it later writes; a cloned FIB
+//     keeps its table's lineage and version, so readers keyed on them
+//     follow it into the fork.
 //   - Deep-copied (small mutable state): BGP session state, OSPF LSDBs and
-//     adjacency state, phynet hosts/containers/links, VM accounting, ARP
-//     caches and pending frames, telemetry counters. Protocol hooks are
-//     rebuilt against the fork's device by the builder its boot uses.
+//     adjacency state, phynet hosts/containers/links, VM accounting,
+//     pending frames, telemetry counters. Protocol hooks are rebuilt
+//     against the fork's device by the builder its boot uses.
 //
 // DESIGN.md §6 is the full snapshot-model write-up this comment summarizes.
 package checkpoint

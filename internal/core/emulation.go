@@ -325,6 +325,9 @@ func (em *Emulation) AttachNewDevice(name string, img firmware.VendorImage, cfg 
 	}
 	fresh := em.orch.Cloud.Provision(1, sku, img.Name, nil)
 	em.prep.groupVMs[img.Name] = fresh // placements are this emulation's own
+	// The new VM joins the overlay as Mockup's do; a replacement, should it
+	// need one, gets its own host from onVMReplaced.
+	em.Fabric.AddHost(fresh[0].Name)
 	// The waiter receives whichever VM actually came up — under a retry
 	// policy that can be a replacement for fresh[0].
 	fresh[0].WhenRunning(func(vm *cloud.VM) { attach(vm) })

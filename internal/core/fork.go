@@ -48,8 +48,8 @@ func (em *Emulation) Checkpoint() (*checkpoint.Snapshot, error) {
 		}
 	}
 	// Seal the bulk routing state now, single-threaded: FIB tries are built
-	// and given up for sharing, Loc-RIB entries and Adj-RIB tables marked
-	// shared. After this neither the parent nor any fork writes state the
+	// and given up for sharing, Loc-RIB entries, Adj-RIB tables and ARP
+	// caches marked shared, memos frozen. After this neither the parent nor any fork writes state the
 	// other can reach, and nothing shared is filled lazily on read, so
 	// concurrent forks only read the parent (DESIGN.md §6).
 	for _, d := range em.Devices {
@@ -75,9 +75,10 @@ func (em *Emulation) Orchestrator() *Orchestrator { return em.orch }
 // overlay, device firmware shells, speakers, the management plane and
 // telemetry counters. The bulk is shared with the parent: immutable
 // structures (topology, parsed configs, BGP policies, path attributes)
-// outright, the attribute table's layer sealed at Checkpoint read-only, and
-// the routing state sealed there — FIB tries and entries, Loc-RIB entries,
-// Adj-RIB tables — copy-on-write, so a fork costs O(devices) plus what its
+// outright, the layers of the attribute table and of the routers' and FIBs'
+// memos sealed at Checkpoint read-only, and the routing state sealed there
+// — FIB tries and entries, Loc-RIB entries, Adj-RIB tables, ARP caches —
+// copy-on-write, so a fork costs O(devices) plus what its
 // steps go on to write (CowCopies counts that).
 //
 // Fork only reads the parent, so any number of forks can be taken from one

@@ -194,7 +194,12 @@ func TestForkIsolation(t *testing.T) {
 // by 592 when forks started sharing each router's Loc-RIB entries slice until
 // its first write and sealed routers stopped holding storage for their peers'
 // empty dirty sets, which every fork copied (6,575 then, 5,983 after).
-// Sharing device logs instead of cloning them took it to 5,862.
+// Sharing device logs instead of cloning them took it to 5,862 (5,822 by
+// the time shells got cheaper). Then forks stopped copying per device what
+// only a boot writes and what a step may never write (ARP tables shared
+// until written), allocated sessions, fabric objects and management
+// endpoints in slabs and shared P4 table rows: 2,288, and the bound came
+// down by as much, keeping its margin of 3,746.
 func TestForkCostTracksWrites(t *testing.T) {
 	o, parent := sdcEmulation(t, 1)
 	snap, err := parent.Checkpoint()
@@ -205,7 +210,7 @@ func TestForkCostTracksWrites(t *testing.T) {
 	for _, d := range parent.Devices {
 		routes += d.FIB().Len()
 	}
-	const maxForkAllocs = 9568
+	const maxForkAllocs = 6034
 	allocs := testing.AllocsPerRun(5, func() {
 		if _, err := o.Fork(snap); err != nil {
 			t.Fatal(err)
@@ -332,5 +337,65 @@ func TestConcurrentForksIndependent(t *testing.T) {
 		if r.established != 1 {
 			t.Fatalf("fork %d established = %d after uplink cut, want 1", i, r.established)
 		}
+	}
+}
+
+// TestConcurrentForksReprogramThroughFrozenMemos: forks taken concurrently
+// flap an uplink and restore it, reprogramming their FIBs through the
+// hop-group and sorted-group memos each shares, frozen, with the checkpoint
+// (scripts/check.sh runs it under -race). Restored, every fork's tables say
+// what the parent's do, and each entry a fork rewrote aliases the parent's
+// canonical hop group: the fork found the group in the frozen layer rather
+// than building one of its own, and nobody wrote the layer.
+func TestConcurrentForksReprogramThroughFrozenMemos(t *testing.T) {
+	o, parent := fullEmulation(t, Options{Seed: 9})
+	snap, err := parent.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := parent.Save()
+	intf := parent.Network().MustDevice("tor-p0-0").Interfaces[0]
+	type result struct{ rewritten, aliased, diffs int }
+	results := parallel.Map(4, 4, func(int) result {
+		forked, err := o.Fork(snap)
+		if err != nil {
+			t.Error(err)
+			return result{}
+		}
+		for _, up := range []bool{false, true} {
+			if err := forked.SetLink("tor-p0-0", intf.Name, intf.Peer.Device.Name, intf.Peer.Name, up); err != nil {
+				t.Error(err)
+				return result{}
+			}
+			if _, err := forked.RunUntilConverged(0); err != nil {
+				t.Error(err)
+				return result{}
+			}
+		}
+		var r result
+		for _, diffs := range forked.DiffAgainst(saved) {
+			r.diffs += len(diffs)
+		}
+		for name, d := range forked.Devices {
+			pf := parent.Devices[name].FIB()
+			d.FIB().Walk(func(e *rib.Entry) bool {
+				if pe, ok := pf.Get(e.Prefix); ok && pe != e && len(e.NextHops) > 0 && e.Proto == rib.ProtoBGP {
+					r.rewritten++
+					if &e.NextHops[0] == &pe.NextHops[0] {
+						r.aliased++
+					}
+				}
+				return true
+			})
+		}
+		return r
+	})
+	for i, r := range results {
+		if r != results[0] || r.diffs != 0 || r.rewritten == 0 || r.aliased != r.rewritten {
+			t.Fatalf("fork %d: %+v (fork 0: %+v), want no diffs and every rewritten BGP entry on the parent's hop group", i, r, results[0])
+		}
+	}
+	if diffs := parent.DiffAgainst(saved); len(diffs) != 0 {
+		t.Fatalf("the forks changed the parent: %v", diffs)
 	}
 }

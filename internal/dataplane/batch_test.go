@@ -102,9 +102,8 @@ func TestForwardBatchVerdictsMatchForward(t *testing.T) {
 
 func TestForwardBatchEgressACLDeniesPerShare(t *testing.T) {
 	// A deny on one ECMP branch must lose only that branch's flows.
-	f := newFwd(t)
 	src := pfx("192.0.2.0/24")
-	f.SetOutACL("et1", &ACL{Name: "CUT", Rules: []ACLRule{{Action: ACLDeny, Src: &src}}, DefaultAction: ACLPermit})
+	f := withACLs(newFwd(t), nil, map[string]*ACL{"et1": {Name: "CUT", Rules: []ACLRule{{Action: ACLDeny, Src: &src}}, DefaultAction: ACLPermit}})
 	dec, shares := f.ForwardBatch("", meta("100.65.0.10"), 400, 7)
 	if dec.Verdict != VerdictForward {
 		t.Fatalf("verdict = %v", dec.Verdict)
@@ -124,9 +123,8 @@ func TestForwardBatchEgressACLDeniesPerShare(t *testing.T) {
 }
 
 func TestForwardBatchIngressACLDropsWholeAggregate(t *testing.T) {
-	f := newFwd(t)
 	src := pfx("192.0.2.0/24")
-	f.SetInACL("et9", &ACL{Name: "EDGE", Rules: []ACLRule{{Action: ACLDeny, Src: &src}}, DefaultAction: ACLPermit})
+	f := withACLs(newFwd(t), map[string]*ACL{"et9": {Name: "EDGE", Rules: []ACLRule{{Action: ACLDeny, Src: &src}}, DefaultAction: ACLPermit}}, nil)
 	dec, shares := f.ForwardBatch("et9", meta("100.65.0.10"), 400, 7)
 	if dec.Verdict != VerdictACLDenied || dec.ACL != "EDGE" || shares != nil {
 		t.Fatalf("decision = %+v shares = %v", dec, shares)

@@ -125,7 +125,9 @@ type Decision struct {
 	ACL string
 }
 
-// Forwarder is the forwarding engine of one device.
+// Forwarder is the forwarding engine of one device. Its local-address set
+// and ACL bindings are fixed when it is built (NewForwarder) and never
+// written afterwards, so clones share them.
 type Forwarder struct {
 	fib      *rib.FIB
 	local    map[netpkt.IP]bool // device-owned addresses (loopback, interfaces)
@@ -135,43 +137,20 @@ type Forwarder struct {
 }
 
 // NewForwarder wraps a FIB. The seed perturbs ECMP hashing per device, as
-// hardware hash seeds do.
-func NewForwarder(fib *rib.FIB, seed uint32) *Forwarder {
-	return &Forwarder{
-		fib:      fib,
-		local:    map[netpkt.IP]bool{},
-		inACL:    map[string]*ACL{},
-		outACL:   map[string]*ACL{},
-		ecmpSeed: seed,
-	}
+// hardware hash seeds do. local is the set of the device's own addresses,
+// and in and out bind ACLs to ingress and egress interfaces (an interface
+// with no ACL, or a nil one, permits everything). The forwarder keeps the
+// three maps and never writes them, and neither may the caller: a device
+// builds them once per boot, and every clone of the forwarder shares them.
+func NewForwarder(fib *rib.FIB, seed uint32, local map[netpkt.IP]bool, in, out map[string]*ACL) *Forwarder {
+	return &Forwarder{fib: fib, local: local, inACL: in, outACL: out, ecmpSeed: seed}
 }
 
 // FIB returns the underlying forwarding table.
 func (f *Forwarder) FIB() *rib.FIB { return f.fib }
 
-// AddLocal registers a device-owned address.
-func (f *Forwarder) AddLocal(ip netpkt.IP) { f.local[ip] = true }
-
 // IsLocal reports whether ip is one of the device's own addresses.
 func (f *Forwarder) IsLocal(ip netpkt.IP) bool { return f.local[ip] }
-
-// SetInACL binds an ACL to an ingress interface (nil clears).
-func (f *Forwarder) SetInACL(iface string, a *ACL) {
-	if a == nil {
-		delete(f.inACL, iface)
-		return
-	}
-	f.inACL[iface] = a
-}
-
-// SetOutACL binds an ACL to an egress interface (nil clears).
-func (f *Forwarder) SetOutACL(iface string, a *ACL) {
-	if a == nil {
-		delete(f.outACL, iface)
-		return
-	}
-	f.outACL[iface] = a
-}
 
 // Forward evaluates one packet arriving on ingress (empty string for
 // locally injected packets). It does not mutate m; the caller decrements
@@ -324,26 +303,12 @@ func (f *Forwarder) ecmpIndex(m *PacketMeta, n int) int {
 }
 
 // Clone returns a forwarder over fib (the forked emulation's own table)
-// with the same local-address set, ACL bindings and ECMP hash seed as f.
-// ACL objects are shared between forks: once bound they are immutable —
-// config reloads build new ACLs and rebind rather than editing rules in
-// place — so sharing preserves behavior while keeping forks cheap.
+// with the same local-address set, ACL bindings and ECMP hash seed as f,
+// sharing all three: nothing writes them after NewForwarder. ACL objects are
+// immutable once bound too — config reloads build new ACLs and a new
+// forwarder rather than editing rules in place.
 func (f *Forwarder) Clone(fib *rib.FIB) *Forwarder {
-	c := &Forwarder{
-		fib:      fib,
-		local:    make(map[netpkt.IP]bool, len(f.local)),
-		inACL:    make(map[string]*ACL, len(f.inACL)),
-		outACL:   make(map[string]*ACL, len(f.outACL)),
-		ecmpSeed: f.ecmpSeed,
-	}
-	for ip := range f.local {
-		c.local[ip] = true
-	}
-	for name, acl := range f.inACL {
-		c.inACL[name] = acl
-	}
-	for name, acl := range f.outACL {
-		c.outACL[name] = acl
-	}
-	return c
+	c := *f
+	c.fib = fib
+	return &c
 }

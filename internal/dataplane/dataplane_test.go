@@ -31,9 +31,12 @@ func newFwd(t *testing.T) *Forwarder {
 			{IP: ip("10.128.0.7"), Interface: "et3"},
 		},
 	}))
-	f := NewForwarder(fib, 42)
-	f.AddLocal(ip("10.0.0.1"))
-	return f
+	return NewForwarder(fib, 42, map[netpkt.IP]bool{ip("10.0.0.1"): true}, nil, nil)
+}
+
+// withACLs returns f with the given ACL bindings.
+func withACLs(f *Forwarder, in, out map[string]*ACL) *Forwarder {
+	return NewForwarder(f.fib, f.ecmpSeed, f.local, in, out)
 }
 
 func meta(dst string) *PacketMeta {
@@ -122,7 +125,7 @@ func TestECMPSeedChangesMapping(t *testing.T) {
 			{IP: 3, Interface: "et2"}, {IP: 4, Interface: "et3"},
 		},
 	})
-	a, b := NewForwarder(fib, 1), NewForwarder(fib, 2)
+	a, b := NewForwarder(fib, 1, nil, nil, nil), NewForwarder(fib, 2, nil, nil, nil)
 	diff := 0
 	for port := uint16(1); port <= 64; port++ {
 		m := meta("100.65.0.9")
@@ -137,13 +140,13 @@ func TestECMPSeedChangesMapping(t *testing.T) {
 }
 
 func TestIngressACLDeny(t *testing.T) {
-	f := newFwd(t)
+	plain := newFwd(t)
 	src := pfx("192.0.2.0/24")
-	f.SetInACL("et9", &ACL{
+	f := withACLs(plain, map[string]*ACL{"et9": {
 		Name:          "edge-in",
 		Rules:         []ACLRule{{Action: ACLDeny, Src: &src}},
 		DefaultAction: ACLPermit,
-	})
+	}}, nil)
 	d := f.Forward("et9", meta("100.64.0.1"))
 	if d.Verdict != VerdictACLDenied || d.ACL != "edge-in" {
 		t.Fatalf("decision = %+v", d)
@@ -152,20 +155,18 @@ func TestIngressACLDeny(t *testing.T) {
 	if d := f.Forward("et8", meta("100.64.0.1")); d.Verdict != VerdictForward {
 		t.Fatal("ACL leaked to other interface")
 	}
-	// Clearing restores.
-	f.SetInACL("et9", nil)
-	if d := f.Forward("et9", meta("100.64.0.1")); d.Verdict != VerdictForward {
-		t.Fatal("ACL clear failed")
+	// The forwarder without the binding forwards.
+	if d := plain.Forward("et9", meta("100.64.0.1")); d.Verdict != VerdictForward {
+		t.Fatal("ACL leaked to a forwarder without it")
 	}
 }
 
 func TestEgressACLDeny(t *testing.T) {
-	f := newFwd(t)
-	f.SetOutACL("et0", &ACL{
+	f := withACLs(newFwd(t), nil, map[string]*ACL{"et0": {
 		Name:          "out-guard",
 		Rules:         []ACLRule{{Action: ACLDeny, Proto: netpkt.ProtoUDP, DstPort: 80}},
 		DefaultAction: ACLPermit,
-	})
+	}})
 	d := f.Forward("", meta("100.64.0.1"))
 	if d.Verdict != VerdictACLDenied || d.ACL != "out-guard" {
 		t.Fatalf("decision = %+v", d)
@@ -222,7 +223,7 @@ func TestVerdictAndMetaStrings(t *testing.T) {
 
 func TestPropertyECMPIndexInRange(t *testing.T) {
 	fib := rib.NewFIB()
-	f := NewForwarder(fib, 7)
+	f := NewForwarder(fib, 7, nil, nil, nil)
 	fn := func(src, dst uint32, proto uint8, sp, dp uint16, n uint8) bool {
 		paths := int(n%16) + 1
 		m := &PacketMeta{Src: netpkt.IP(src), Dst: netpkt.IP(dst), Proto: proto, SrcPort: sp, DstPort: dp}
@@ -235,7 +236,7 @@ func TestPropertyECMPIndexInRange(t *testing.T) {
 }
 
 func BenchmarkForward(b *testing.B) {
-	f := NewForwarder(rib.NewFIB(), 3)
+	f := NewForwarder(rib.NewFIB(), 3, nil, nil, nil)
 	for i := 0; i < 10000; i++ {
 		f.FIB().Install(&rib.Entry{
 			Prefix:   netpkt.Prefix{Addr: netpkt.IP(0x64000000 + i*256), Len: 24},

@@ -2,11 +2,13 @@ package firmware
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"crystalnet/internal/bgp"
 	"crystalnet/internal/config"
 	"crystalnet/internal/netpkt"
 	"crystalnet/internal/sim"
@@ -157,6 +159,39 @@ func TestForkKeepsLogsApart(t *testing.T) {
 	}{{d, "parent"}, {a, "fork a"}, {b, "fork b"}} {
 		if len(c.dev.Logs) != 4 || !slices.Equal(c.dev.Logs[:3], before) || !strings.HasSuffix(c.dev.Logs[3], c.want) {
 			t.Fatalf("%s's log: %q", c.want, c.dev.Logs)
+		}
+	}
+}
+
+// TestForkKeepsARPAndFlapsApart: a fork shares its parent's ARP tables until
+// one side writes them. A fork that learns a binding or flaps a session
+// leaves the parent's tables and flap count as they were, and neither its
+// sibling nor the parent, writing on its own account, shows through.
+func TestForkKeepsARPAndFlapsApart(t *testing.T) {
+	d := &Device{Name: "d", eng: sim.NewEngine(1), state: DeviceRunning}
+	d.learnARP(1, netpkt.MAC{1})
+	d.arpAttempts.set(2, 1)
+	d.onSessionEvent(bgp.StateEstablished, bgp.StateIdle)
+	d.Seal()
+	a := d.Fork(sim.NewEngine(1), nil, nil, nil, nil)
+	b := d.Fork(sim.NewEngine(1), nil, nil, nil, nil)
+	a.learnARP(2, netpkt.MAC{2})
+	a.onSessionEvent(bgp.StateEstablished, bgp.StateIdle)
+	d.learnARP(3, netpkt.MAC{3})
+	for _, c := range []struct {
+		name     string
+		dev      *Device
+		arp      map[netpkt.IP]netpkt.MAC
+		attempts map[netpkt.IP]int
+		flaps    int
+	}{
+		{"parent", d, map[netpkt.IP]netpkt.MAC{1: {1}, 3: {3}}, map[netpkt.IP]int{2: 1}, 1},
+		{"fork a", a, map[netpkt.IP]netpkt.MAC{1: {1}, 2: {2}}, map[netpkt.IP]int{}, 2},
+		{"fork b", b, map[netpkt.IP]netpkt.MAC{1: {1}}, map[netpkt.IP]int{2: 1}, 1},
+	} {
+		if !maps.Equal(c.dev.arp.m, c.arp) || !maps.Equal(c.dev.arpAttempts.m, c.attempts) || c.dev.flaps != c.flaps {
+			t.Fatalf("%s: arp %v attempts %v flaps %d, want %v %v %d",
+				c.name, c.dev.arp.m, c.dev.arpAttempts.m, c.dev.flaps, c.arp, c.attempts, c.flaps)
 		}
 	}
 }

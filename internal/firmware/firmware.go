@@ -179,13 +179,18 @@ type Device struct {
 	bgp *bgp.Router
 	osp *ospf.Instance
 
-	peerByIP    map[netpkt.IP]*bgp.Peer
-	ifaceAddr   map[string]netpkt.Prefix
-	ospfIfaces  map[string]int
-	arp         map[netpkt.IP]netpkt.MAC
-	arpPending  map[netpkt.IP][][]byte // queued frames' IP payloads
-	arpAttempts map[netpkt.IP]int
-	peerWasUp   map[int]bool // per-peer "was Established" for flap counting
+	// A boot builds these three in fresh maps and nothing writes them
+	// afterwards, so a fork shares them with its parent outright. peerByIP
+	// is a BGP session's index by remote address.
+	peerByIP   map[netpkt.IP]int
+	ifaceAddr  map[string]netpkt.Prefix
+	ospfIfaces map[string]int
+	// The ARP cache and resolution attempts are shared with a checkpoint's
+	// forks until written (cowMap). Queued frames' IP payloads wait in
+	// arpPending, nil until one does.
+	arp         cowMap[netpkt.IP, netpkt.MAC]
+	arpPending  map[netpkt.IP][][]byte
+	arpAttempts cowMap[netpkt.IP, int]
 
 	flaps int
 
@@ -310,16 +315,12 @@ func (d *Device) finishBoot() {
 	d.state = DeviceRunning
 	d.fib = rib.NewFIB()
 	d.fib.Capacity = d.Image.FIBCapacity
-	d.fwd = dataplane.NewForwarder(d.fib, uint32(d.eng.Rand().Int63()))
-	d.peerByIP = map[netpkt.IP]*bgp.Peer{}
-	d.ifaceAddr = map[string]netpkt.Prefix{}
-	d.ospfIfaces = map[string]int{}
-	if d.arp == nil || !d.Image.Bugs.ARPRefreshBroken {
-		d.arp = map[netpkt.IP]netpkt.MAC{}
+	seed := uint32(d.eng.Rand().Int63())
+	d.peerByIP, d.ospfIfaces = nil, nil
+	if !d.Image.Bugs.ARPRefreshBroken {
+		d.arp = cowMap[netpkt.IP, netpkt.MAC]{}
 	}
-	d.arpPending = map[netpkt.IP][][]byte{}
-	d.arpAttempts = map[netpkt.IP]int{}
-	d.peerWasUp = map[int]bool{}
+	d.arpPending, d.arpAttempts = nil, cowMap[netpkt.IP, int]{}
 	if d.Image.SoftASIC {
 		// Program the behavioural-model ASIC: a buggy build simply lacks
 		// the ARP trap entry (§7 Case 2).
@@ -328,9 +329,11 @@ func (d *Device) finishBoot() {
 	d.logf("%s %s (%s) boot complete", d.Image.Name, d.Image.Version, d.Name)
 
 	// Connected routes + local addresses.
+	ifaceAddr := make(map[string]netpkt.Prefix, len(d.cfg.Interfaces))
+	local := make(map[netpkt.IP]bool, len(d.cfg.Interfaces))
 	for _, ic := range d.cfg.Interfaces {
-		d.ifaceAddr[ic.Name] = ic.Addr
-		d.fwd.AddLocal(ic.Addr.Addr)
+		ifaceAddr[ic.Name] = ic.Addr
+		local[ic.Addr.Addr] = true
 		subnet := netpkt.Prefix{Addr: ic.Addr.Addr & ic.Addr.MaskIP(), Len: ic.Addr.Len}
 		d.fib.Install(&rib.Entry{
 			Prefix: subnet, Proto: rib.ProtoConnected,
@@ -352,15 +355,17 @@ func (d *Device) finishBoot() {
 			NextHops: []rib.NextHop{{Interface: ServerIface}},
 		})
 	}
+	d.ifaceAddr = ifaceAddr
 	// ACL bindings.
+	in, out := map[string]*dataplane.ACL{}, map[string]*dataplane.ACL{}
 	for _, b := range d.cfg.Bindings {
-		acl := d.cfg.ACLs[b.ACLName]
 		if b.Direction == config.In {
-			d.fwd.SetInACL(b.Interface, acl)
+			in[b.Interface] = d.cfg.ACLs[b.ACLName]
 		} else {
-			d.fwd.SetOutACL(b.Interface, acl)
+			out[b.Interface] = d.cfg.ACLs[b.ACLName]
 		}
 	}
+	d.fwd = dataplane.NewForwarder(d.fib, seed, local, in, out)
 
 	d.startBGP()
 	d.startOSPF()
@@ -385,6 +390,7 @@ func (d *Device) startBGP() {
 		rcfg.Aggregates = append(rcfg.Aggregates, bgp.AggregateSpec{Prefix: a.Prefix, SummaryOnly: a.SummaryOnly})
 	}
 	d.bgp = bgp.New(rcfg, d.eng, d.bgpHooks())
+	byIP := make(map[netpkt.IP]int, len(d.cfg.Neighbors))
 	for _, n := range d.cfg.Neighbors {
 		local := netpkt.IP(0)
 		if ic := d.cfg.Interface(n.Interface); ic != nil {
@@ -406,8 +412,9 @@ func (d *Device) startBGP() {
 			Interface: n.Interface, ImportPolicy: imp, ExportPolicy: exp,
 			AdvertiseLocalOnly: d.Image.StaticSpeaker,
 		})
-		d.peerByIP[n.IP] = peer
+		byIP[n.IP] = peer.Index
 	}
+	d.peerByIP = byIP
 	for _, p := range d.cfg.Networks {
 		d.bgp.Originate(p)
 	}
@@ -463,9 +470,9 @@ func (d *Device) bgpHooks() bgp.Hooks {
 				d.LastFIBChange = d.eng.Now()
 			}
 		},
-		SessionEvent: func(i int, st bgp.SessionState) {
+		SessionEvent: func(_ int, from, to bgp.SessionState) {
 			if d.epoch == epoch {
-				d.onSessionEvent(i, st)
+				d.onSessionEvent(from, to)
 			}
 		},
 		Logf: func(f string, a ...any) {
@@ -497,15 +504,13 @@ func (d *Device) installBGPRoute(p netpkt.Prefix, nhs []rib.NextHop) error {
 	return err
 }
 
-func (d *Device) onSessionEvent(peerIdx int, st bgp.SessionState) {
+func (d *Device) onSessionEvent(from, to bgp.SessionState) {
 	// A flap is an Established session dropping — connect-retry churn
 	// during bring-up does not count.
-	wasEstablished := d.peerWasUp[peerIdx]
-	d.peerWasUp[peerIdx] = st == bgp.StateEstablished
-	if st == bgp.StateEstablished && !wasEstablished {
+	if to == bgp.StateEstablished {
 		d.eng.Recorder().Counter("bgp.sessions_established", d.Name).Inc()
 	}
-	if st == bgp.StateIdle && wasEstablished && d.state == DeviceRunning {
+	if to == bgp.StateIdle && from == bgp.StateEstablished && d.state == DeviceRunning {
 		d.flaps++
 		d.eng.Recorder().Counter("bgp.flaps", d.Name).Inc()
 		if d.Image.Bugs.CrashAfterFlaps > 0 && d.flaps >= d.Image.Bugs.CrashAfterFlaps {
@@ -521,6 +526,7 @@ func (d *Device) startOSPF() {
 	}
 	d.osp = ospf.New(ospf.Config{Name: d.Name, RouterID: d.cfg.RouterID}, d.eng, d.ospfHooks())
 	d.osp.AddStub(d.cfg.Loopback)
+	ifaces := make(map[string]int, len(d.cfg.OSPF.Interfaces))
 	for _, oi := range d.cfg.OSPF.Interfaces {
 		ic := d.cfg.Interface(oi.Name)
 		if ic == nil {
@@ -533,8 +539,9 @@ func (d *Device) startOSPF() {
 		idx := d.osp.AddInterface(ospf.IfaceConfig{
 			Name: oi.Name, Addr: ic.Addr, Type: typ, Cost: oi.Cost, Priority: oi.Priority,
 		})
-		d.ospfIfaces[oi.Name] = idx
+		ifaces[oi.Name] = idx
 	}
+	d.ospfIfaces = ifaces
 	d.osp.Start()
 }
 

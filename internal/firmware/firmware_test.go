@@ -122,7 +122,7 @@ func TestBootAndSessionOverRealFrames(t *testing.T) {
 		t.Fatalf("b FIB entry: %+v", entry)
 	}
 	// ARP was really exchanged.
-	if len(a.arp) == 0 || len(b.arp) == 0 {
+	if len(a.arp.m) == 0 || len(b.arp.m) == 0 {
 		t.Fatal("ARP caches empty — frames not exchanged?")
 	}
 }

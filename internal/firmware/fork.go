@@ -12,9 +12,10 @@ import (
 )
 
 // Seal freezes the device's bulk routing state — the FIB and the BGP
-// router's RIBs — so that forks can share it (rib.FIB.Seal, bgp.Router.Seal;
-// DESIGN.md §6). It writes the device, so Emulation.Checkpoint calls it
-// single-threaded before the first Fork.
+// router's RIBs — and its ARP tables so that forks can share them
+// (rib.FIB.Seal, bgp.Router.Seal, cowMap; DESIGN.md §6). It writes the
+// device, so Emulation.Checkpoint calls it single-threaded before the first
+// Fork.
 func (d *Device) Seal() {
 	if d.fib != nil {
 		d.fib.Seal()
@@ -22,6 +23,48 @@ func (d *Device) Seal() {
 	if d.bgp != nil {
 		d.bgp.Seal()
 	}
+	d.arp.shared, d.arpAttempts.shared = true, true
+}
+
+// cowMap is a map a device shares with its checkpoint and the checkpoint's
+// forks until it writes it. Seal marks the parent's shared and Fork hands
+// the fork the same map marked shared, so the first write on either side
+// replaces the map with a private copy: nobody edits a map another device
+// reads. Readers index m directly.
+type cowMap[K comparable, V any] struct {
+	m      map[K]V
+	shared bool
+}
+
+// set maps k to v.
+func (c *cowMap[K, V]) set(k K, v V) { c.own()[k] = v }
+
+// del removes k; removing an absent key copies nothing.
+func (c *cowMap[K, V]) del(k K) {
+	if _, ok := c.m[k]; ok {
+		delete(c.own(), k)
+	}
+}
+
+// own returns m ready for writing.
+func (c *cowMap[K, V]) own() map[K]V {
+	if c.shared {
+		c.m, c.shared = maps.Clone(c.m), false
+	}
+	if c.m == nil {
+		c.m = map[K]V{}
+	}
+	return c.m
+}
+
+// fork returns the map for a fork of a sealed device. A map written since
+// the last Seal is its owner's to edit in place, so sharing it would let the
+// owner write what the fork reads.
+func (c cowMap[K, V]) fork() cowMap[K, V] {
+	if !c.shared {
+		panic("firmware: Fork of a device written since its last Seal")
+	}
+	return c
 }
 
 // CowCopies is the copy-on-write cost a device or emulation has paid since
@@ -63,11 +106,15 @@ func (d *Device) CowCopies() CowCopies {
 // after its last Seal), with its protocol hooks built by the same
 // bgpHooks/ospfHooks a boot uses, against the clone (the hooks built at boot
 // close over the parent and must not leak into the fork). The clone keeps
-// the parent's epoch, so its hooks serve the boot it continues. The bulk
-// routing state — FIB and BGP RIBs — is shared with the parent and copied on
-// write, which requires Seal to have run; the small per-device maps, OSPF
-// and dataplane state are deep-copied. The source device is read strictly
-// read-only, so concurrent forks are safe.
+// the parent's epoch, so its hooks serve the boot it continues.
+//
+// The shell shares what it can. What only a boot writes — the interface
+// addresses, the OSPF interface and BGP session indexes, the forwarder's
+// local addresses and ACL bindings — is shared outright. The bulk routing
+// state (FIB and BGP RIBs, with their memos) and the ARP tables are shared
+// and copied on write, which requires Seal to have run with no write since.
+// OSPF state, queued frames and captures are copied. The source device is
+// read strictly read-only, so concurrent forks are safe.
 //
 // The device's configuration pointer is shared copy-on-write: config
 // reloads replace the pointer (ReloadConfig installs a fresh
@@ -87,11 +134,11 @@ func (d *Device) Fork(eng *sim.Engine, fabric *phynet.Fabric, container *phynet.
 		state: d.state,
 		epoch: d.epoch,
 
-		ifaceAddr:   maps.Clone(d.ifaceAddr),
-		ospfIfaces:  maps.Clone(d.ospfIfaces),
-		arp:         maps.Clone(d.arp),
-		arpAttempts: maps.Clone(d.arpAttempts),
-		peerWasUp:   maps.Clone(d.peerWasUp),
+		peerByIP:    d.peerByIP,
+		ifaceAddr:   d.ifaceAddr,
+		ospfIfaces:  d.ospfIfaces,
+		arp:         d.arp.fork(),
+		arpAttempts: d.arpAttempts.fork(),
 
 		flaps: d.flaps,
 
@@ -107,7 +154,7 @@ func (d *Device) Fork(eng *sim.Engine, fabric *phynet.Fabric, container *phynet.
 	// Queued frames are deep-copied: frame delivery rewrites the Ethernet
 	// header in the buffer once ARP resolves, so sharing the bytes would
 	// let a fork scribble on its parent's queue.
-	if d.arpPending != nil {
+	if len(d.arpPending) > 0 {
 		c.arpPending = make(map[netpkt.IP][][]byte, len(d.arpPending))
 		for ip, frames := range d.arpPending {
 			nf := make([][]byte, len(frames))
@@ -128,12 +175,6 @@ func (d *Device) Fork(eng *sim.Engine, fabric *phynet.Fabric, container *phynet.
 	}
 	if d.bgp != nil {
 		c.bgp = d.bgp.Fork(eng, c.bgpHooks())
-	}
-	if d.peerByIP != nil {
-		c.peerByIP = make(map[netpkt.IP]*bgp.Peer, len(d.peerByIP))
-		for ip, p := range d.peerByIP {
-			c.peerByIP[ip] = c.bgp.Peer(p.Index)
-		}
 	}
 	if d.osp != nil {
 		c.osp = d.osp.Fork(eng, c.ospfHooks())

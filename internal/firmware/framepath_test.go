@@ -114,7 +114,7 @@ func TestFramePathMatchesLayeredEncoding(t *testing.T) {
 		msg := bgp.MarshalUpdate(randomUpdate(rng))
 		pkt := netpkt.IPv4Packet{TTL: 64, Protocol: netpkt.ProtoTCP, Src: src, Dst: dst, Payload: msg}
 		layered := pkt.MarshalFramed(netpkt.EthernetHeaderLen)
-		netpkt.PutEthernetHeader(layered, p.a.arp[dst], out.MAC, netpkt.EtherTypeIPv4)
+		netpkt.PutEthernetHeader(layered, p.a.arp.m[dst], out.MAC, netpkt.EtherTypeIPv4)
 		enc := netpkt.EncapVXLAN(link.VNI, out.Container.Host.UnderlayIP, to.Container.Host.UnderlayIP,
 			netpkt.MAC{0x02, 0xee, 0, 0, 0, 1}, netpkt.MAC{0x02, 0xee, 0, 0, 0, 2},
 			uint16(32768+link.VNI%16384), layered)

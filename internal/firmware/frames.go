@@ -34,7 +34,7 @@ const ipOff = netpkt.FrameHeadroom - netpkt.IPv4HeaderLen
 // with the given index, writing its IPv4 header into the headroom in front.
 // Only d.bgp calls it (bgpHooks), so the index names one of its peers.
 func (d *Device) sendBGP(peerIdx int, frame []byte) {
-	pc := &d.bgp.Peer(peerIdx).Config
+	pc := d.bgp.Peer(peerIdx).Config
 	local, ok := d.ifaceAddr[pc.Interface]
 	if !ok {
 		return
@@ -100,8 +100,11 @@ func (d *Device) sendIPFrame(iface string, nextHop netpkt.IP, buf []byte, at int
 		return
 	}
 	eth := at - netpkt.EthernetHeaderLen
-	mac, ok := d.arp[nextHop]
+	mac, ok := d.arp.m[nextHop]
 	if !ok {
+		if d.arpPending == nil {
+			d.arpPending = map[netpkt.IP][][]byte{}
+		}
 		d.arpPending[nextHop] = append(d.arpPending[nextHop], buf[eth:])
 		d.requestARP(iface, nextHop, 0)
 		return
@@ -123,10 +126,10 @@ func (d *Device) requestARP(iface string, target netpkt.IP, attempt int) {
 		d.logf("BUG arp-refresh: suppressed ARP request for %s", target)
 		return
 	}
-	if attempt > 0 && d.arpAttempts[target] >= attempt+1 {
+	if attempt > 0 && d.arpAttempts.m[target] >= attempt+1 {
 		return // a concurrent resolution already progressed
 	}
-	d.arpAttempts[target] = attempt + 1
+	d.arpAttempts.set(target, attempt+1)
 	vi := d.container.Iface(iface)
 	local, ok := d.ifaceAddr[iface]
 	if vi == nil || !ok {
@@ -142,7 +145,7 @@ func (d *Device) requestARP(iface string, target netpkt.IP, attempt int) {
 		if d.epoch != epoch || d.state != DeviceRunning {
 			return
 		}
-		if _, resolved := d.arp[target]; resolved {
+		if _, resolved := d.arp.m[target]; resolved {
 			return
 		}
 		if len(d.arpPending[target]) == 0 {
@@ -231,8 +234,8 @@ func (d *Device) handleARP(iface string, myMAC netpkt.MAC, payload []byte) {
 
 // learnARP caches a binding and flushes packets queued on it.
 func (d *Device) learnARP(ip netpkt.IP, mac netpkt.MAC) {
-	d.arp[ip] = mac
-	delete(d.arpAttempts, ip)
+	d.arp.set(ip, mac)
+	d.arpAttempts.del(ip)
 	pending := d.arpPending[ip]
 	if len(pending) == 0 {
 		return
@@ -309,10 +312,11 @@ func (d *Device) handleLocal(iface string, ip *netpkt.IPv4Packet) {
 		if d.bgp == nil {
 			return
 		}
-		peer := d.peerByIP[ip.Src]
-		if peer == nil {
+		i, ok := d.peerByIP[ip.Src]
+		if !ok {
 			return
 		}
+		peer := d.bgp.Peer(i)
 		// The payload can be retained across the deferred processing without
 		// a copy: fabric frame buffers are never recycled (see Fabric.Send).
 		data := ip.Payload

@@ -207,9 +207,14 @@ func (s *Session) execShow(f []string) (string, error) {
 // Addressing and credentials are value state and copy directly; the source
 // plane is read strictly read-only.
 func (p *Plane) Fork(devOf func(name string) *firmware.Device) *Plane {
-	c := NewPlane()
+	c := &Plane{
+		byName: make(map[string]*endpoint, len(p.byName)),
+		byIP:   make(map[netpkt.IP]*endpoint, len(p.byIP)),
+	}
+	eps := make([]endpoint, 0, len(p.byName))
 	for name, ep := range p.byName {
-		ne := &endpoint{dev: devOf(name), ip: ep.ip, cred: ep.cred}
+		eps = append(eps, endpoint{dev: devOf(name), ip: ep.ip, cred: ep.cred})
+		ne := &eps[len(eps)-1]
 		c.byName[name] = ne
 		c.byIP[ep.ip] = ne
 	}

@@ -15,6 +15,7 @@
 package p4
 
 import (
+	"slices"
 	"sort"
 
 	"crystalnet/internal/netpkt"
@@ -180,9 +181,10 @@ type Table struct {
 	Hits, Misses uint64
 }
 
-// AddEntry installs a row.
+// AddEntry installs a row. The rows go to a new array, never the one the
+// table had, so clones share row arrays (Clone).
 func (t *Table) AddEntry(e *Entry) {
-	t.entries = append(t.entries, e)
+	t.entries = append(slices.Clip(t.entries), e)
 	// Longest-prefix/priority order: higher priority first, then more
 	// specific, preserving insertion order among equals.
 	sort.SliceStable(t.entries, func(i, j int) bool {
@@ -315,20 +317,15 @@ func TrapProgram(trapARP, trapBGP bool) *Program {
 }
 
 // Clone returns a copy of the pipeline with independent hit/miss counters.
-// Table entries are shared between clones: entries are immutable once
-// installed (reprogramming replaces tables, it does not edit rows), so the
-// entry slices are copied but the *Entry values are not.
+// Table rows are shared between clones: entries are immutable once
+// installed, and AddEntry replaces a table's row array instead of editing
+// it, so the clone's tables (one slab) point at the same arrays.
 func (p *Program) Clone() *Program {
 	c := &Program{Name: p.Name, Tables: make([]*Table, len(p.Tables))}
+	tables := make([]Table, len(p.Tables))
 	for i, t := range p.Tables {
-		nt := &Table{
-			Name:          t.Name,
-			entries:       append([]*Entry(nil), t.entries...),
-			DefaultAction: t.DefaultAction,
-			Hits:          t.Hits,
-			Misses:        t.Misses,
-		}
-		c.Tables[i] = nt
+		tables[i] = *t
+		c.Tables[i] = &tables[i]
 	}
 	return c
 }

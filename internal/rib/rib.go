@@ -103,8 +103,12 @@ func nhLess(a, b NextHop) bool {
 // canonical slice per distinct group removes the dominant per-prefix heap
 // cost of large FIBs (DESIGN.md §10). Canonical slices are immutable once
 // handed out. The zero value is ready to use.
+//
+// The table is a Memo from a group's hash to the canonical groups with that
+// hash, so it seals and forks like one: a fork's Canonical returns the very
+// slice its checkpoint's table held for a group the checkpoint had seen.
 type HopSetTable struct {
-	m map[uint64][][]NextHop
+	m Memo[uint64, [][]NextHop]
 }
 
 // Canonical returns the canonical slice whose contents equal nhs (in order),
@@ -115,18 +119,25 @@ func (t *HopSetTable) Canonical(nhs []NextHop) []NextHop {
 		return nil
 	}
 	h := hashHops(nhs)
-	for _, s := range t.m[h] {
+	bucket, _ := t.m.Get(h)
+	for _, s := range bucket {
 		if slices.Equal(s, nhs) {
 			return s
 		}
 	}
 	c := append(make([]NextHop, 0, len(nhs)), nhs...)
-	if t.m == nil {
-		t.m = map[uint64][][]NextHop{}
-	}
-	t.m[h] = append(t.m[h], c)
+	// The bucket may be the frozen layer's: the own layer's replaces it
+	// with one more group, and the frozen array is never appended to.
+	t.m.Put(h, append(slices.Clip(bucket), c))
 	return c
 }
+
+// Seal freezes the table's groups for forks (Memo.Seal).
+func (t *HopSetTable) Seal() { t.m.Seal() }
+
+// Fork returns the table of a fork: the groups of the last Seal, shared
+// read-only, and none of its own yet (Memo.Fork).
+func (t *HopSetTable) Fork() HopSetTable { return HopSetTable{m: t.m.Fork()} }
 
 // HashHops is FNV-1a over a hop group's addresses and interface names —
 // the content hash the HopSetTable interns groups by. It is exported for
@@ -199,10 +210,11 @@ type FIB struct {
 	// sort buffer InstallHops canonicalizes into. sorted memoises
 	// InstallGroup: the table's canonical sorted group for each immutable
 	// caller group it has been handed, keyed by that group's identity (the
-	// address of its first hop).
+	// address of its first hop). Both are memos that Seal freezes and Clone
+	// shares (Memo).
 	hopSets HopSetTable
 	scratch []NextHop
-	sorted  map[*NextHop][]NextHop
+	sorted  Memo[*NextHop, []NextHop]
 	// entryCopies counts the entries replaced in a sealed table — the entry
 	// half of the table's copy-on-write cost (see Copies).
 	entryCopies int
@@ -252,9 +264,9 @@ func (f *FIB) sealed() bool { return f.byPrefix == nil }
 
 // Seal freezes the table's current contents for sharing: the trie is built
 // if no query has built it yet, becomes authoritative, and gives up
-// ownership of its nodes; the prefix map is dropped, and so are the hop-group
-// memos, which a Clone starts without. Clone may then be called from any
-// number of goroutines. Seal itself writes the table, so it runs
+// ownership of its nodes; the prefix map is dropped, and the hop-group memos
+// are frozen for Clone to share (Memo.Seal). Clone may then be called from
+// any number of goroutines. Seal itself writes the table, so it runs
 // single-threaded, at Emulation.Checkpoint; sealing again after further
 // writes re-freezes them.
 func (f *FIB) Seal() {
@@ -266,7 +278,9 @@ func (f *FIB) Seal() {
 		f.byPrefix = nil
 		f.logStart = f.version
 	}
-	f.hopSets, f.scratch, f.sorted = HopSetTable{}, nil, nil
+	f.hopSets.Seal()
+	f.sorted.Seal()
+	f.scratch = nil
 }
 
 // Len returns the number of installed prefixes.
@@ -340,17 +354,14 @@ func (f *FIB) canonical(nhs []NextHop) []NextHop {
 // fresh sort and canonicalisation.
 func (f *FIB) sortedGroup(nhs []NextHop) []NextHop {
 	key := &nhs[0]
-	if g, ok := f.sorted[key]; ok {
+	if g, ok := f.sorted.Get(key); ok {
 		if debugEntries {
 			checkSortedGroup(g, f.canonical(nhs), nhs)
 		}
 		return g
 	}
 	g := f.canonical(nhs)
-	if f.sorted == nil {
-		f.sorted = map[*NextHop][]NextHop{}
-	}
-	f.sorted[key] = g
+	f.sorted.Put(key, g)
 	return g
 }
 
@@ -685,14 +696,21 @@ func nextHopsMatch(a, b []NextHop, mode CompareMode) bool {
 // reads.
 //
 // Entries and the hop groups they alias are immutable (see Entry), so the
-// clone goes on sharing both; it interns the groups it installs itself in a
-// table of its own. It continues f's Mark with a write log of its own,
-// empty: Since(f.Mark()) on the clone is what the clone wrote.
+// clone goes on sharing both. It shares the hop-group memos frozen at Seal
+// too, read-only: reprogramming a prefix over a group f had seen finds f's
+// canonical group and costs the clone the Entry alone. What the clone adds
+// to them goes to layers of its own, which f and the clone's siblings never
+// see. It continues f's Mark with a write log of its own, empty:
+// Since(f.Mark()) on the clone is what the clone wrote.
 func (f *FIB) Clone() *FIB {
 	if !f.sealed() {
 		panic("rib: Clone of an unsealed FIB")
 	}
-	return &FIB{t: f.t.Clone(), Capacity: f.Capacity, version: f.version, logStart: f.version, lineage: f.lineage}
+	return &FIB{
+		t: f.t.Clone(), Capacity: f.Capacity,
+		hopSets: f.hopSets.Fork(), sorted: f.sorted.Fork(),
+		version: f.version, logStart: f.version, lineage: f.lineage,
+	}
 }
 
 // Copies returns the copy-on-write cost the table has paid since it was

@@ -595,6 +595,32 @@ func TestRehearseBypassForUnforkableSpec(t *testing.T) {
 	}
 }
 
+// TestRehearseAttachOfANewVendor attaches a ToR of a vendor the fabric does
+// not run yet, so the emulation provisions a VM for it mid-run; the request
+// used to end in a 500 (the VM had no fabric host to place the ToR on).
+func TestRehearseAttachOfANewVendor(t *testing.T) {
+	sp := tinySpec("new-vendor", 7)
+	sp.Steps = append(sp.Steps,
+		scenario.Step{Op: scenario.OpAttachDevice, NewDevice: &scenario.NewDevice{
+			Name: "tor-new", Layer: "tor", Vendor: "vma",
+			Peers: []string{"leaf-p0-0", "leaf-p0-1"},
+		}},
+		scenario.Step{Op: scenario.OpWaitConverge},
+	)
+	_, ts := newTestServer(t, Config{})
+	resp, body := rehearse(t, ts, sp, "")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("rehearse: %d: %s", resp.StatusCode, body)
+	}
+	want, err := scenario.Run(sp.Clone(), scenario.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(body, want.JSON()) {
+		t.Fatalf("report differs from the batch run")
+	}
+}
+
 func TestWarmPreconverges(t *testing.T) {
 	s, ts := newTestServer(t, Config{PoolSize: 2})
 	if err := s.Warm(tinySpec("prewarm", 7)); err != nil {

@@ -74,17 +74,19 @@ func (d *diamond) boot(name string) *rib.FIB {
 	d.t.Helper()
 	cfg := d.cfgs[name]
 	fib := rib.NewFIB()
-	fwd := dataplane.NewForwarder(fib, 1)
+	local := map[netpkt.IP]bool{}
 	for _, ic := range cfg.Interfaces {
-		fwd.AddLocal(ic.Addr.Addr)
+		local[ic.Addr.Addr] = true
 	}
+	in, out := map[string]*dataplane.ACL{}, map[string]*dataplane.ACL{}
 	for _, b := range cfg.Bindings {
 		if b.Direction == config.In {
-			fwd.SetInACL(b.Interface, cfg.ACLs[b.ACLName])
+			in[b.Interface] = cfg.ACLs[b.ACLName]
 		} else {
-			fwd.SetOutACL(b.Interface, cfg.ACLs[b.ACLName])
+			out[b.Interface] = cfg.ACLs[b.ACLName]
 		}
 	}
+	fwd := dataplane.NewForwarder(fib, 1, local, in, out)
 	routes := map[string]map[string][]rib.NextHop{
 		"a":  {"100.65.0.0/16": {hop("10.128.0.1", "et0"), hop("10.128.0.3", "et1")}},
 		"b":  {"100.64.0.0/16": {hop("10.128.0.5", "et0"), hop("10.128.0.7", "et1")}},

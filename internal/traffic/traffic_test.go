@@ -42,7 +42,7 @@ func twoNode(t *testing.T) (*config.Index, map[string]*dataplane.Forwarder) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		return dataplane.NewForwarder(fib, 1)
+		return dataplane.NewForwarder(fib, 1, nil, nil, nil)
 	}
 	fwds := map[string]*dataplane.Forwarder{
 		"a": mkFwd(pfx("100.65.0.0/24"), ip("10.128.0.1")),
@@ -232,11 +232,11 @@ func TestSettleCountsACLLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := pfx("100.64.0.0/24")
-	fwds["b"].SetInACL("et0", &dataplane.ACL{
+	fwds["b"] = dataplane.NewForwarder(fwds["b"].FIB(), 1, nil, map[string]*dataplane.ACL{"et0": {
 		Name:          "GUARD",
 		Rules:         []dataplane.ACLRule{{Action: dataplane.ACLDeny, Src: &src}},
 		DefaultAction: dataplane.ACLPermit,
-	})
+	}}, nil)
 	m.Settle(view(cfgs, fwds, sim.Time(time.Second)))
 	c := m.Report().Classes[0]
 	// The a->b half (sourced from 100.64.0.0/24) is denied at b's ingress;
