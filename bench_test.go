@@ -22,6 +22,7 @@ import (
 	"crystalnet/internal/experiments"
 	"crystalnet/internal/scenario"
 	"crystalnet/internal/topo"
+	"crystalnet/internal/traffic"
 )
 
 func full() bool { return os.Getenv("CRYSTALNET_FULL") != "" }
@@ -256,6 +257,28 @@ var forkSink *core.Emulation
 // reported cow-copies/op is what the flap made the fork copy.
 func BenchmarkForkFlapSweepSDC(b *testing.B) {
 	sp := sdcFlapSpec()
+	cv, err := scenario.Converge(sp, scenario.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rehearseFlaps(b, sp, cv)
+}
+
+// BenchmarkForkFlapTrafficSDC is the in-process form of bench/'s
+// warm_traffic_sdc request: BenchmarkForkFlapSweepSDC's flap under a
+// 1M-flow matrix of two classes, web and bulk at shares 3:1, with the flow
+// SLO asserted beside the no-blackhole sweep at each convergence point. The
+// traffic settle after each step is the larger part of the rehearsal.
+func BenchmarkForkFlapTrafficSDC(b *testing.B) {
+	sp := sdcFlapSpec()
+	pct := 0.1
+	sp.Traffic = &traffic.Spec{Flows: 1_000_000, Classes: []traffic.ClassSpec{
+		{Name: "web", Share: 3, DstPort: 80},
+		{Name: "bulk", Share: 1, DstPort: 443},
+	}}
+	sp.Invariants = append(sp.Invariants, scenario.Step{
+		Op: scenario.OpAssertFlowSLO, MaxBlackholedPct: &pct, Window: scenario.Duration(2 * time.Second),
+	})
 	cv, err := scenario.Converge(sp, scenario.Options{})
 	if err != nil {
 		b.Fatal(err)

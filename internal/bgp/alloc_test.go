@@ -49,9 +49,9 @@ func TestAllocBudgetUpdateRoundTrip(t *testing.T) {
 func TestAllocBudgetFlush(t *testing.T) {
 	const k = 1000
 	sent := 0
-	r := New(Config{Name: "r", AS: 65001, RouterID: 1}, sim.NewEngine(1), Hooks{
-		SendToPeer: func(int, []byte) { sent++ },
-	})
+	r := New(Config{Name: "r", AS: 65001, RouterID: 1}, sim.NewEngine(1), &testHooks{
+		send: func(int, []byte) { sent++ },
+	}, nil)
 	p := r.AddPeer(PeerConfig{Name: "n", LocalIP: 1, RemoteIP: 2, RemoteAS: 65002, Interface: "et0"})
 	p.state = StateEstablished
 	sets := [2]*Attrs{
@@ -101,9 +101,7 @@ func mallocsOf(f func()) uint64 {
 // buffer — so re-announcing a route the router already holds allocates
 // nothing at all.
 func TestAllocBudgetHandleMessage(t *testing.T) {
-	r := New(Config{Name: "r", AS: 65001, RouterID: 1}, sim.NewEngine(1), Hooks{
-		SendToPeer: func(int, []byte) {},
-	})
+	r := New(Config{Name: "r", AS: 65001, RouterID: 1}, sim.NewEngine(1), &testHooks{}, nil)
 	p := r.AddPeer(PeerConfig{Name: "n", LocalIP: 1, RemoteIP: 2, RemoteAS: 65002, Interface: "et0"})
 	p.state = StateEstablished
 	msg := MarshalUpdate(&Update{

@@ -46,9 +46,9 @@ func (r *Router) Seal() {
 	r.cow, r.indexShared, r.owned = true, true, nil
 }
 
-// Fork returns the router of a forked emulation, rebound to the fork's engine
-// and hooks. hooks.Attrs must be a fork of the router's table taken after the
-// table's last Seal (AttrTable.Fork): the canonical objects the router's RIBs
+// Fork returns the router of a forked emulation, rebound to the fork's engine,
+// hooks and attribute table. attrs must be a fork of the router's table taken
+// after the table's last Seal (AttrTable.Fork): the canonical objects the router's RIBs
 // hold are in its frozen layer, so the fork's decodes come to those same
 // pointers. It costs one router and one slab of sessions: the entries and
 // the vector holding them, the prefix index, the id-to-prefix and aggregate
@@ -72,23 +72,18 @@ func (r *Router) Seal() {
 // a group it had used, finds the result instead of rebuilding it. Neither
 // changes output bytes (both are pure memoization), only how much work a
 // decide or a flush does.
-func (r *Router) Fork(eng *sim.Engine, hooks Hooks) *Router {
+func (r *Router) Fork(eng *sim.Engine, hooks Hooks, attrs *AttrTable) *Router {
 	if !r.cow || r.owned != nil {
 		panic("bgp: Fork of a router written since its last Seal")
 	}
-	if hooks.Attrs == nil {
+	if attrs == nil {
 		panic("bgp: Fork without the forked emulation's attribute table")
-	}
-	if hooks.Logf == nil {
-		hooks.Logf = func(string, ...any) {}
-	}
-	if hooks.SessionEvent == nil {
-		hooks.SessionEvent = func(int, SessionState, SessionState) {}
 	}
 	c := &Router{
 		cfg:   r.cfg,
 		eng:   eng,
 		hooks: hooks,
+		attrs: attrs,
 		seq:   r.seq,
 		// The entry vector shares its pages until the fork writes them
 		// (rib.Dense copies a page on its first write). The append-only

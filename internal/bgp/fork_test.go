@@ -13,8 +13,7 @@ import (
 // router it was forked from reads on unchanged.
 func TestForkUpdateCopiesOnePage(t *testing.T) {
 	tbl := NewAttrTable()
-	hooks := func(attrs *AttrTable) Hooks { return Hooks{Attrs: attrs, SendToPeer: func(int, []byte) {}} }
-	r := New(Config{Name: "r", AS: 65001, RouterID: 1}, sim.NewEngine(1), hooks(tbl))
+	r := New(Config{Name: "r", AS: 65001, RouterID: 1}, sim.NewEngine(1), &testHooks{}, tbl)
 	p := r.AddPeer(PeerConfig{Name: "n", LocalIP: 1, RemoteIP: 2, RemoteAS: 65002, Interface: "et0"})
 	p.state = StateEstablished
 	const n = 1000
@@ -31,7 +30,7 @@ func TestForkUpdateCopiesOnePage(t *testing.T) {
 	r.Seal()
 	tbl.Seal()
 
-	f := r.Fork(sim.NewEngine(1), hooks(tbl.Fork()))
+	f := r.Fork(sim.NewEngine(1), &testHooks{}, tbl.Fork())
 	moved := nlri[500]
 	f.Peer(0).HandleMessage(MarshalUpdate(&Update{Attrs: &Attrs{Origin: OriginIGP, Path: NewPath(65002, 65100)}, NextHop: 2, NLRI: []netpkt.Prefix{moved}}))
 	if entries, pages := f.Copies(); entries != 1 || pages != 1 {

@@ -210,7 +210,7 @@ func (p *Peer) HandleMessage(data []byte) {
 	p.MsgsIn++
 	p.router.mMsgsIn.Inc()
 	var buf [smallPrefixes]netpkt.Prefix
-	m, withdrawn, nlri, err := decodeBody(data, buf[:], p.router.hooks.Attrs)
+	m, withdrawn, nlri, err := decodeBody(data, buf[:], p.router.attrs)
 	if err != nil {
 		p.send(MarshalNotification(&Notification{Code: NotifMsgHeader}))
 		p.reset(fmt.Sprintf("decode error: %v", err))
@@ -319,7 +319,7 @@ func (p *Peer) handleUpdate(withdrawn []netpkt.Prefix, attrs *Attrs, nlri []netp
 			// The import policy derived a modified attribute set; intern it
 			// so policy-heavy fabrics share those too (attrs itself is
 			// already canonical from the decoder).
-			imported = p.router.hooks.Attrs.Intern(imported)
+			imported = p.router.attrs.Intern(imported)
 		}
 		if !permit {
 			// Treat as unfeasible: remove any previous acceptance.

@@ -57,13 +57,15 @@ type Config struct {
 }
 
 // Hooks connect the router to its hosting firmware: message transport, FIB
-// programming and logging. All hooks must be non-nil.
-type Hooks struct {
+// programming, session monitoring and logging. Firmware implements them
+// with one small value per boot, not a closure per hook, because a fork
+// builds every device's hooks anew.
+type Hooks interface {
 	// SendToPeer transmits an encoded BGP message towards peer i: the
 	// message is frame[netpkt.FrameHeadroom:], and the bytes in front of it
 	// are headroom the transport writes its own headers into, in place
 	// (DESIGN.md §10). Ownership of frame passes to the hook.
-	SendToPeer func(peerIdx int, frame []byte)
+	SendToPeer(peerIdx int, frame []byte)
 	// InstallRoute programs the FIB. An error is logged; the route stays in
 	// the RIB (mirroring firmware that keeps RIB state when FIB programming
 	// fails — the §2 black-hole incident comes from a vendor hook that
@@ -71,18 +73,14 @@ type Hooks struct {
 	// the route's hops, in decision order: immutable and shared by every
 	// entry over the same hops, so the callee may retain it and key on its
 	// identity (rib.FIB.InstallGroup), but must never edit it.
-	InstallRoute func(p netpkt.Prefix, nhs []rib.NextHop) error
+	InstallRoute(p netpkt.Prefix, nhs []rib.NextHop) error
 	// RemoveRoute removes a previously installed route.
-	RemoveRoute func(p netpkt.Prefix)
+	RemoveRoute(p netpkt.Prefix)
 	// SessionEvent reports a session's state transition from one state to
 	// another (for monitoring).
-	SessionEvent func(peerIdx int, from, to SessionState)
+	SessionEvent(peerIdx int, from, to SessionState)
 	// Logf records diagnostics.
-	Logf func(format string, args ...any)
-	// Attrs is the emulation's attribute table: every attrs the router
-	// decodes, imports, exports or originates is its canonical object.
-	// New gives a router without one a private table; Fork requires one.
-	Attrs *AttrTable
+	Logf(format string, args ...any)
 }
 
 // candidate is one usable route for a prefix. The struct is kept to 16
@@ -128,6 +126,9 @@ type Router struct {
 	cfg   Config
 	eng   *sim.Engine
 	hooks Hooks
+	// attrs is the emulation's attribute table: every attrs the router
+	// decodes, imports, exports or originates is its canonical object.
+	attrs *AttrTable
 	peers []*Peer
 
 	// The Loc-RIB is addressed by dense entry id: ids are assigned in
@@ -208,23 +209,18 @@ type aggState struct {
 	covered []int32
 }
 
-// New creates a router that schedules its timers on eng and binds its
-// counters to eng's recorder. Defaults: MaxPaths 1.
-func New(cfg Config, eng *sim.Engine, hooks Hooks) *Router {
+// New creates a router that schedules its timers on eng, binds its
+// counters to eng's recorder, calls hooks and interns into attrs, the
+// emulation's attribute table (nil for a private one). Defaults: MaxPaths 1.
+func New(cfg Config, eng *sim.Engine, hooks Hooks, attrs *AttrTable) *Router {
 	if cfg.MaxPaths <= 0 {
 		cfg.MaxPaths = 1
 	}
-	if hooks.Logf == nil {
-		hooks.Logf = func(string, ...any) {}
-	}
-	if hooks.SessionEvent == nil {
-		hooks.SessionEvent = func(int, SessionState, SessionState) {}
-	}
-	if hooks.Attrs == nil {
-		hooks.Attrs = NewAttrTable()
+	if attrs == nil {
+		attrs = NewAttrTable()
 	}
 	r := &Router{
-		cfg: cfg, eng: eng, hooks: hooks,
+		cfg: cfg, eng: eng, hooks: hooks, attrs: attrs,
 		index: map[uint64]int32{},
 	}
 	for _, a := range cfg.Aggregates {
@@ -256,7 +252,7 @@ func (r *Router) Peer(i int) *Peer { return r.peers[i] }
 // Originate injects a locally originated route (network statement /
 // redistributed connected). It triggers advertisement to all peers.
 func (r *Router) Originate(p netpkt.Prefix) {
-	a := r.hooks.Attrs.Intern(&Attrs{Origin: OriginIGP, Path: EmptyPath, NextHop: 0})
+	a := r.attrs.Intern(&Attrs{Origin: OriginIGP, Path: EmptyPath, NextHop: 0})
 	r.upsertCandidate(p, nil, a)
 }
 
@@ -268,7 +264,7 @@ func (r *Router) InjectLocal(p netpkt.Prefix, a *Attrs) {
 	if a.Path == nil {
 		a = a.WithPath(EmptyPath)
 	}
-	r.upsertCandidate(p, nil, r.hooks.Attrs.Intern(a))
+	r.upsertCandidate(p, nil, r.attrs.Intern(a))
 }
 
 // LocRIB returns the number of prefixes with at least one usable candidate.
@@ -530,16 +526,14 @@ func (r *Router) decide(p netpkt.Prefix, e *ribEntry) {
 	hops := r.nextHops(e)
 	if !slices.Equal(hops, prevHops) {
 		if len(hops) == 0 {
-			if len(prevHops) > 0 && r.hooks.RemoveRoute != nil {
+			if len(prevHops) > 0 {
 				r.hooks.RemoveRoute(p)
 			}
 			e.installed = nil
 		} else {
 			e.installed = r.hopSets.Canonical(hops)
-			if r.hooks.InstallRoute != nil {
-				if err := r.hooks.InstallRoute(p, e.installed); err != nil {
-					r.hooks.Logf("bgp %s: FIB install %s failed: %v", r.cfg.Name, p, err)
-				}
+			if err := r.hooks.InstallRoute(p, e.installed); err != nil {
+				r.hooks.Logf("bgp %s: FIB install %s failed: %v", r.cfg.Name, p, err)
 			}
 		}
 	}
@@ -662,7 +656,7 @@ func (r *Router) buildAggregate(st *aggState) (*Attrs, int) {
 		a.Path = EmptyPath
 		a.Atomic = true
 	}
-	return r.hooks.Attrs.Intern(a), n
+	return r.attrs.Intern(a), n
 }
 
 // setSuppression flips the suppressed flag of contributors under a
@@ -761,7 +755,7 @@ func (r *Router) exportTemplate(p netpkt.Prefix, best *candidate, pol *Policy) (
 	// Intern the export: the same route exported by every device in a tier
 	// produces the same attribute set, so the per-export allocation
 	// collapses to the canonical object everyone shares.
-	a := r.hooks.Attrs.Intern(c)
+	a := r.attrs.Intern(c)
 	if MaxNLRIPerUpdate(a) < 1 {
 		// The attributes alone overflow the 4096-octet message (an AS path of
 		// a thousand hops): no UPDATE can carry the route, and sending an

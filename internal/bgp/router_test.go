@@ -12,10 +12,52 @@ import (
 
 // ---- test harness: routers wired over a simulated message fabric ----
 
+// testHooks is the Hooks of a router under test, built from optional funcs
+// a test may swap: a nil one does nothing.
+type testHooks struct {
+	send    func(peerIdx int, frame []byte)
+	install func(p netpkt.Prefix, nhs []rib.NextHop) error
+	remove  func(p netpkt.Prefix)
+	session func(peerIdx int, from, to SessionState)
+	logf    func(format string, args ...any)
+}
+
+func (h *testHooks) SendToPeer(i int, frame []byte) {
+	if h.send != nil {
+		h.send(i, frame)
+	}
+}
+
+func (h *testHooks) InstallRoute(p netpkt.Prefix, nhs []rib.NextHop) error {
+	if h.install != nil {
+		return h.install(p, nhs)
+	}
+	return nil
+}
+
+func (h *testHooks) RemoveRoute(p netpkt.Prefix) {
+	if h.remove != nil {
+		h.remove(p)
+	}
+}
+
+func (h *testHooks) SessionEvent(i int, from, to SessionState) {
+	if h.session != nil {
+		h.session(i, from, to)
+	}
+}
+
+func (h *testHooks) Logf(format string, args ...any) {
+	if h.logf != nil {
+		h.logf(format, args...)
+	}
+}
+
 type tnode struct {
-	name string
-	r    *Router
-	fib  map[netpkt.Prefix][]rib.NextHop
+	name  string
+	r     *Router
+	hooks *testHooks
+	fib   map[netpkt.Prefix][]rib.NextHop
 	// peerWire[i] = delivery function towards the remote end of peer i.
 	peerWire   []func(data []byte)
 	installErr error // injected FIB error
@@ -42,20 +84,21 @@ func (n *tnet) add(name string, as uint32, mutate func(*Config)) *tnode {
 		mutate(&cfg)
 	}
 	nd := &tnode{name: name, fib: map[netpkt.Prefix][]rib.NextHop{}}
-	nd.r = New(cfg, n.eng, Hooks{
-		SendToPeer: func(i int, frame []byte) {
+	nd.hooks = &testHooks{
+		send: func(i int, frame []byte) {
 			wire, msg := nd.peerWire[i], frame[netpkt.FrameHeadroom:]
 			n.eng.After(n.delay, func() { wire(msg) })
 		},
-		InstallRoute: func(p netpkt.Prefix, nhs []rib.NextHop) error {
+		install: func(p netpkt.Prefix, nhs []rib.NextHop) error {
 			if nd.installErr != nil {
 				return nd.installErr
 			}
 			nd.fib[p] = append([]rib.NextHop(nil), nhs...)
 			return nil
 		},
-		RemoveRoute: func(p netpkt.Prefix) { delete(nd.fib, p) },
-	})
+		remove: func(p netpkt.Prefix) { delete(nd.fib, p) },
+	}
+	nd.r = New(cfg, n.eng, nd.hooks, nil)
 	n.nodes[name] = nd
 	return nd
 }
@@ -376,7 +419,7 @@ func TestDecisionLocalPrefBeatsPathLength(t *testing.T) {
 }
 
 func TestDecisionOriginAndMED(t *testing.T) {
-	r := New(Config{Name: "x", AS: 65000, MaxPaths: 1}, sim.NewEngine(1), Hooks{})
+	r := New(Config{Name: "x", AS: 65000, MaxPaths: 1}, sim.NewEngine(1), &testHooks{}, nil)
 	p1 := r.AddPeer(PeerConfig{Name: "p1", RemoteAS: 65001, RemoteIP: 1, Interface: "et0"})
 	p2 := r.AddPeer(PeerConfig{Name: "p2", RemoteAS: 65001, RemoteIP: 2, Interface: "et1"})
 	p1.remoteID, p2.remoteID = 10, 20
@@ -685,7 +728,7 @@ func TestLargeTableBatching(t *testing.T) {
 }
 
 func TestNonDeterministicTiesFollowArrival(t *testing.T) {
-	r := New(Config{Name: "x", AS: 65000, MaxPaths: 1, NonDeterministicTies: true}, sim.NewEngine(1), Hooks{})
+	r := New(Config{Name: "x", AS: 65000, MaxPaths: 1, NonDeterministicTies: true}, sim.NewEngine(1), &testHooks{}, nil)
 	pA := r.AddPeer(PeerConfig{Name: "A", RemoteAS: 65001, RemoteIP: 9, Interface: "et0"})
 	pB := r.AddPeer(PeerConfig{Name: "B", RemoteAS: 65002, RemoteIP: 1, Interface: "et1"})
 	pA.remoteID, pB.remoteID = 9, 1
@@ -700,7 +743,7 @@ func TestNonDeterministicTiesFollowArrival(t *testing.T) {
 }
 
 func BenchmarkDecisionProcess(b *testing.B) {
-	r := New(Config{Name: "bench", AS: 65000, MaxPaths: 8}, sim.NewEngine(1), Hooks{})
+	r := New(Config{Name: "bench", AS: 65000, MaxPaths: 8}, sim.NewEngine(1), &testHooks{}, nil)
 	var peers []*Peer
 	for i := 0; i < 8; i++ {
 		p := r.AddPeer(PeerConfig{Name: "p", RemoteAS: uint32(65001 + i), RemoteIP: netpkt.IP(i + 1), Interface: "et0"})

@@ -335,10 +335,10 @@ func TestOversizedAttrsAreNotAdvertised(t *testing.T) {
 	n := newTnet(t)
 	var logs []string
 	a := n.add("a", 65001, nil)
-	a.r.hooks.Logf = func(format string, args ...any) { logs = append(logs, format) }
+	a.hooks.logf = func(format string, args ...any) { logs = append(logs, format) }
 	b := n.add("b", 65002, nil)
 	resets := 0
-	b.r.hooks.SessionEvent = func(_ int, _, s SessionState) {
+	b.hooks.session = func(_ int, _, s SessionState) {
 		if s == StateIdle {
 			resets++
 		}
@@ -405,7 +405,7 @@ func TestFramedUpdateIsMarshalUpdate(t *testing.T) {
 	n.add("a", 65001, nil)
 	n.add("b", 65002, nil)
 	var frames [][]byte
-	n.nodes["a"].r.hooks.SendToPeer = func(i int, frame []byte) {
+	n.nodes["a"].hooks.send = func(i int, frame []byte) {
 		frames = append(frames, frame)
 		wire, msg := n.nodes["a"].peerWire[i], frame[netpkt.FrameHeadroom:]
 		n.eng.After(n.delay, func() { wire(msg) })

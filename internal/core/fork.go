@@ -56,8 +56,10 @@ func (em *Emulation) Checkpoint() (*checkpoint.Snapshot, error) {
 		d.Seal()
 	}
 	// The attribute table too: what it holds now is what the sealed RIBs
-	// point at, and every fork reads it from here without a lock.
+	// point at, and every fork reads it from here without a lock. And the
+	// traffic matrix's settle results, which forks share frozen.
 	em.attrs.Seal()
+	em.traffic.Seal()
 	// Likewise the fabric index: brought up to date here, it is what every
 	// fork starts from, and no fork has to write the parent to get one.
 	em.Index()

@@ -20,7 +20,7 @@ func ecmpHops() []rib.NextHop {
 func TestSpreadFlowsConserves(t *testing.T) {
 	nhs := ecmpHops()
 	for _, n := range []uint64{0, 1, 3, 4, 5, 1000, 1001, 1 << 40} {
-		counts := SpreadFlows(9, nhs, n)
+		counts := SpreadFlows(nil, 9, nhs, n)
 		if len(counts) != len(nhs) {
 			t.Fatalf("n=%d: %d buckets, want %d", n, len(counts), len(nhs))
 		}
@@ -46,7 +46,7 @@ func TestSpreadFlowsReanchorsOnGroupChange(t *testing.T) {
 	repro[3] = rib.NextHop{IP: ip("10.128.0.9"), Interface: "et4"}
 	moved := false
 	for key := uint64(0); key < 32; key++ {
-		if !reflect.DeepEqual(SpreadFlows(key, orig, 5), SpreadFlows(key, repro, 5)) {
+		if !reflect.DeepEqual(SpreadFlows(nil, key, orig, 5), SpreadFlows(nil, key, repro, 5)) {
 			moved = true
 			break
 		}

@@ -210,25 +210,30 @@ func (f *Forwarder) DeniesIngress(iface string, m *PacketMeta) (string, bool) {
 // with SpreadFlows keyed by key (the aggregate's seeded identity). Egress
 // ACLs are evaluated per share, so a deny on one ECMP branch loses only
 // that branch's flows. Non-forward verdicts apply to the whole aggregate
-// and return nil shares.
-func (f *Forwarder) ForwardBatch(ingress string, m *PacketMeta, n uint64, key uint64) (Decision, []FlowShare) {
+// and return dst unchanged.
+//
+// The shares are appended to dst, given as a buffer's empty prefix
+// (buf[:0]...) or not at all: a caller that reuses one buffer across
+// aggregates forwards without allocating, for groups of up to spreadOnStack
+// hops.
+func (f *Forwarder) ForwardBatch(ingress string, m *PacketMeta, n uint64, key uint64, dst ...FlowShare) (Decision, []FlowShare) {
 	if ingress != "" {
 		if acl := f.inACL[ingress]; acl.Eval(m) == ACLDeny {
-			return Decision{Verdict: VerdictACLDenied, ACL: acl.Name}, nil
+			return Decision{Verdict: VerdictACLDenied, ACL: acl.Name}, dst
 		}
 	}
 	if f.local[m.Dst] {
-		return Decision{Verdict: VerdictLocal}, nil
+		return Decision{Verdict: VerdictLocal}, dst
 	}
 	if m.TTL <= 1 {
-		return Decision{Verdict: VerdictTTLExpired}, nil
+		return Decision{Verdict: VerdictTTLExpired}, dst
 	}
 	entry, ok := f.fib.Lookup(m.Dst)
 	if !ok || len(entry.NextHops) == 0 {
-		return Decision{Verdict: VerdictNoRoute}, nil
+		return Decision{Verdict: VerdictNoRoute}, dst
 	}
-	counts := SpreadFlows(key, entry.NextHops, n)
-	shares := make([]FlowShare, 0, len(entry.NextHops))
+	var buf [spreadOnStack]uint64
+	counts := SpreadFlows(buf[:0], key, entry.NextHops, n)
 	for i, nh := range entry.NextHops {
 		if counts[i] == 0 {
 			continue
@@ -237,28 +242,29 @@ func (f *Forwarder) ForwardBatch(ingress string, m *PacketMeta, n uint64, key ui
 		if acl := f.outACL[nh.Interface]; acl.Eval(m) == ACLDeny {
 			s.Denied, s.ACL = true, acl.Name
 		}
-		shares = append(shares, s)
+		dst = append(dst, s)
 	}
-	return Decision{Verdict: VerdictForward, Entry: entry}, shares
+	return Decision{Verdict: VerdictForward, Entry: entry}, dst
 }
 
+// spreadOnStack is the widest hop group ForwardBatch splits without a heap
+// allocation; the evaluation fabrics' groups are a few hops wide.
+const spreadOnStack = 16
+
 // SpreadFlows deterministically spreads n flows across a hop group's
-// buckets: every bucket gets n/k, and the n%k remainder lands on a rotation
-// anchored by mixing the aggregate key with rib.HashHops over the group's
-// *content*. Hashing values rather than the slice identity keeps the split
-// byte-identical across forks and runs, and any FIB reprogram that changes
-// the group re-anchors the rotation — flows visibly re-spread, as real ECMP
-// rehashing does.
-func SpreadFlows(key uint64, nhs []rib.NextHop, n uint64) []uint64 {
+// buckets, appending one count per hop to dst: every bucket gets n/k, and
+// the n%k remainder lands on a rotation anchored by mixing the aggregate key
+// with rib.HashHops over the group's *content*. Hashing values rather than
+// the slice identity keeps the split byte-identical across forks and runs,
+// and any FIB reprogram that changes the group re-anchors the rotation —
+// flows visibly re-spread, as real ECMP rehashing does.
+func SpreadFlows(dst []uint64, key uint64, nhs []rib.NextHop, n uint64) []uint64 {
 	k := uint64(len(nhs))
-	counts := make([]uint64, k)
-	if k == 0 || n == 0 {
-		return counts
+	if k == 0 {
+		return dst
 	}
 	base, rem := n/k, n%k
-	for i := range counts {
-		counts[i] = base
-	}
+	var start uint64
 	if rem > 0 {
 		// splitmix64 finalizer over (key ⊕ group content) anchors the rotation.
 		x := key ^ rib.HashHops(nhs)
@@ -267,12 +273,16 @@ func SpreadFlows(key uint64, nhs []rib.NextHop, n uint64) []uint64 {
 		x ^= x >> 27
 		x *= 0x94d049bb133111eb
 		x ^= x >> 31
-		start := x % k
-		for i := uint64(0); i < rem; i++ {
-			counts[(start+i)%k]++
-		}
+		start = x % k
 	}
-	return counts
+	for i := uint64(0); i < k; i++ {
+		c := base
+		if (i+k-start)%k < rem {
+			c++ // bucket i is among the rem that follow start, cyclically
+		}
+		dst = append(dst, c)
+	}
+	return dst
 }
 
 // ecmpIndex hashes the 5-tuple to pick one of n next hops. The hash is

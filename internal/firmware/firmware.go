@@ -227,7 +227,7 @@ func (d *Device) AssignVM(vm *cloud.VM) { d.vm = vm }
 // interfaces must already exist (the PhyNet layer owns them). vm, when
 // non-nil, is the cloud VM the device's CPU work is charged to; attrs, when
 // non-nil, is the emulation's attribute table its BGP routers intern into
-// (bgp.Hooks.Attrs).
+// (bgp.New).
 func New(name string, image VendorImage, cfg *config.DeviceConfig,
 	eng *sim.Engine, fabric *phynet.Fabric, container *phynet.Container, vm *cloud.VM, attrs *bgp.AttrTable) *Device {
 	return &Device{
@@ -389,7 +389,7 @@ func (d *Device) startBGP() {
 	for _, a := range d.cfg.Aggregates {
 		rcfg.Aggregates = append(rcfg.Aggregates, bgp.AggregateSpec{Prefix: a.Prefix, SummaryOnly: a.SummaryOnly})
 	}
-	d.bgp = bgp.New(rcfg, d.eng, d.bgpHooks())
+	d.bgp = bgp.New(rcfg, d.eng, d.bgpHooks(), d.attrs)
 	byIP := make(map[netpkt.IP]int, len(d.cfg.Neighbors))
 	for _, n := range d.cfg.Neighbors {
 		local := netpkt.IP(0)
@@ -450,37 +450,44 @@ func (d *Device) scheduleSessionRetry(peer *bgp.Peer, epoch, attempt int) {
 // flush a crash left armed, or the rest of a session reset that crashed the
 // device midway — is dropped, so a hook that acts is always called by d.bgp.
 // Boot and Fork both build their router's hooks here.
-func (d *Device) bgpHooks() bgp.Hooks {
-	epoch := d.epoch
-	return bgp.Hooks{
-		SendToPeer: func(i int, frame []byte) {
-			if d.epoch == epoch {
-				d.sendBGP(i, frame)
-			}
-		},
-		InstallRoute: func(p netpkt.Prefix, nhs []rib.NextHop) error {
-			if d.epoch != epoch {
-				return nil
-			}
-			return d.installBGPRoute(p, nhs)
-		},
-		RemoveRoute: func(p netpkt.Prefix) {
-			if d.epoch == epoch {
-				d.fib.Remove(p)
-				d.LastFIBChange = d.eng.Now()
-			}
-		},
-		SessionEvent: func(_ int, from, to bgp.SessionState) {
-			if d.epoch == epoch {
-				d.onSessionEvent(from, to)
-			}
-		},
-		Logf: func(f string, a ...any) {
-			if d.epoch == epoch {
-				d.logf(f, a...)
-			}
-		},
-		Attrs: d.attrs,
+func (d *Device) bgpHooks() bgp.Hooks { return &bgpBoot{d, d.epoch} }
+
+// bgpBoot is the bgp.Hooks of one boot of d: each hook acts only while d
+// still runs that boot.
+type bgpBoot struct {
+	d     *Device
+	epoch int
+}
+
+func (h *bgpBoot) SendToPeer(i int, frame []byte) {
+	if h.d.epoch == h.epoch {
+		h.d.sendBGP(i, frame)
+	}
+}
+
+func (h *bgpBoot) InstallRoute(p netpkt.Prefix, nhs []rib.NextHop) error {
+	if h.d.epoch != h.epoch {
+		return nil
+	}
+	return h.d.installBGPRoute(p, nhs)
+}
+
+func (h *bgpBoot) RemoveRoute(p netpkt.Prefix) {
+	if h.d.epoch == h.epoch {
+		h.d.fib.Remove(p)
+		h.d.LastFIBChange = h.d.eng.Now()
+	}
+}
+
+func (h *bgpBoot) SessionEvent(_ int, from, to bgp.SessionState) {
+	if h.d.epoch == h.epoch {
+		h.d.onSessionEvent(from, to)
+	}
+}
+
+func (h *bgpBoot) Logf(f string, a ...any) {
+	if h.d.epoch == h.epoch {
+		h.d.logf(f, a...)
 	}
 }
 

@@ -174,7 +174,7 @@ func (d *Device) Fork(eng *sim.Engine, fabric *phynet.Fabric, container *phynet.
 		c.asic = d.asic.Clone()
 	}
 	if d.bgp != nil {
-		c.bgp = d.bgp.Fork(eng, c.bgpHooks())
+		c.bgp = d.bgp.Fork(eng, c.bgpHooks(), attrs)
 	}
 	if d.osp != nil {
 		c.osp = d.osp.Fork(eng, c.ospfHooks())

@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"crystalnet/internal/config"
+	"crystalnet/internal/dataplane"
 	"crystalnet/internal/netpkt"
 	"crystalnet/internal/rib"
 )
@@ -19,7 +20,9 @@ import (
 // consulted has a table that cannot account for what changed since its mark
 // (rib.FIB.Since: another lineage, a device that went down or came up, writes
 // the table did not log) or wrote more than maxScannedWrites times, or
-// logged a write to a prefix containing the aggregate's destination. A
+// logged a write to a prefix containing the aggregate's destination — which
+// a settle answers from one bitset per device over the matrix's destinations
+// (changes.cover). A
 // different index pointer — some config pointer or the device set changed
 // (config.Index.Same) — discards the memo whole. The rule is exact, not a
 // heuristic, because of four facts held elsewhere: installed FIB entries are
@@ -55,10 +58,26 @@ type latObs struct {
 
 // changes is what moved between the previous settle and this one, per device
 // id: stale devices invalidate every aggregate that consulted them, writes
-// only those whose destination a written prefix contains.
+// only those whose destination a written prefix contains. written holds the
+// latter as one bitset per device over the matrix's destinations (dsts),
+// words words each.
 type changes struct {
-	stale  []bool
-	writes [][]netpkt.Prefix
+	stale   []bool
+	written []uint64
+	words   int
+}
+
+// cover marks in device id's bitset every destination a prefix of writes
+// contains: dsts is sorted, so each prefix's destinations are one run, found
+// with one binary search.
+func (ch *changes) cover(id int, writes []netpkt.Prefix, dsts []netpkt.IP) {
+	set := ch.written[id*ch.words : (id+1)*ch.words]
+	for _, p := range writes {
+		j, _ := slices.BinarySearch(dsts, p.Addr&p.MaskIP())
+		for ; j < len(dsts) && p.Contains(dsts[j]); j++ {
+			set[j>>6] |= 1 << (j & 63)
+		}
+	}
 }
 
 // maxScannedWrites is the longest write list moved will match destinations
@@ -69,28 +88,38 @@ type changes struct {
 const maxScannedWrites = 64
 
 // observe brings the device marks up to date with v and reports what
-// changed on the way. When nothing recorded can survive — first settle, a
-// config or device-set change, or every table stale — the memo is discarded
-// up front instead of being superseded record by record.
-func (m *Matrix) observe(v View) changes {
+// changed on the way; it resolves every device's forwarder and config into
+// log, once per settle, for the walks to read by id. When nothing recorded
+// can survive — first settle, a config or device-set change, or every table
+// stale — the memo is discarded up front instead of being superseded record
+// by record.
+func (m *Matrix) observe(v View, log *walkLog) changes {
 	fresh := v.Index != m.ix
 	if fresh {
 		// Device ids change with the index: nothing recorded under the old
 		// ones survives (discard, below).
 		m.ix, m.marks = v.Index, make([]rib.Mark, v.Index.Len())
 	}
-	ch := changes{stale: make([]bool, len(m.marks)), writes: make([][]netpkt.Prefix, len(m.marks))}
+	n := len(m.marks)
+	ch := changes{stale: make([]bool, n), words: (len(m.dsts) + 63) / 64}
+	ch.written = make([]uint64, n*ch.words)
+	log.fwds, log.cfgs = make([]*dataplane.Forwarder, n), make([]*config.DeviceConfig, n)
 	// A fork shares the marks it was forked with: replace, never edit.
-	marks := make([]rib.Mark, len(m.marks))
+	marks := make([]rib.Mark, n)
 	survivors := false
 	for i, was := range m.marks {
+		name := m.ix.Name(i)
 		var fib *rib.FIB
-		if fwd := v.Forwarder(m.ix.Name(i)); fwd != nil {
-			fib = fwd.FIB()
+		log.fwds[i], log.cfgs[i] = v.Forwarder(name), m.ix.Config(name)
+		if log.fwds[i] != nil {
+			fib = log.fwds[i].FIB()
 		}
 		w, ok := fib.Since(was)
-		ch.writes[i], ch.stale[i] = w, !ok || len(w) > maxScannedWrites
-		survivors = survivors || !ch.stale[i]
+		ch.stale[i] = !ok || len(w) > maxScannedWrites
+		if !ch.stale[i] {
+			survivors = true
+			ch.cover(i, w, m.dsts)
+		}
 		marks[i] = fib.Mark()
 	}
 	m.marks = marks
@@ -104,25 +133,22 @@ func (m *Matrix) observe(v View) changes {
 // walks them all (moved), and starts the arenas over.
 func (m *Matrix) discard() {
 	m.consulted, m.latency = arena[uint32]{}, arena[latObs]{}
-	for i := range m.aggs {
-		m.aggs[i].consulted, m.aggs[i].latency = span{}, span{}
+	st := m.states.private()
+	for i := range st {
+		st[i].consulted, st[i].latency = span{}, span{}
 	}
 }
 
-// moved reports whether a has to be walked again: it never was, or ch
-// touches something its last walk read.
-func (m *memo) moved(a *aggregate, ch changes) bool {
-	if a.consulted.n == 0 {
+// moved reports whether a, whose state is s, has to be walked again: it
+// never was, or ch touches something its last walk read.
+func (m *memo) moved(a *aggregate, s *aggState, ch *changes) bool {
+	if s.consulted.n == 0 {
 		return true
 	}
-	for _, id := range m.consulted.get(a.consulted) {
-		if ch.stale[id] {
+	w, bit := int(a.dst)>>6, uint64(1)<<(a.dst&63)
+	for _, id := range m.consulted.get(s.consulted) {
+		if ch.stale[id] || ch.written[int(id)*ch.words+w]&bit != 0 {
 			return true
-		}
-		for _, p := range ch.writes[id] {
-			if p.Contains(a.dstIP) {
-				return true
-			}
 		}
 	}
 	return false
@@ -130,12 +156,12 @@ func (m *memo) moved(a *aggregate, ch changes) bool {
 
 // crossCheck is the memo's oracle (-tags crystaldebug): walk a reused
 // aggregate anyway and panic unless the walk reproduces what was kept.
-func (m *Matrix) crossCheck(a *aggregate, v View, w *walkLog) {
+func (m *Matrix) crossCheck(a *aggregate, s *aggState, v View, w *walkLog) {
 	got := m.walk(a, v, w)
-	if got != a.result || !slices.Equal(w.devs, m.consulted.get(a.consulted)) || !slices.Equal(w.lat, m.latency.get(a.latency)) {
+	if got != s.result || !slices.Equal(w.devs, m.consulted.get(s.consulted)) || !slices.Equal(w.lat, m.latency.get(s.latency)) {
 		panic(fmt.Sprintf("traffic: memo kept a stale result for %s %s->%s class %d: kept %+v %v %v, walk gives %+v %v %v",
 			a.src, a.srcIP, a.dstIP, a.class,
-			a.result, m.consulted.get(a.consulted), m.latency.get(a.latency), got, w.devs, w.lat))
+			s.result, m.consulted.get(s.consulted), m.latency.get(s.latency), got, w.devs, w.lat))
 	}
 }
 
@@ -169,25 +195,33 @@ func (m *Matrix) compact() {
 	}
 	var devs arena[uint32]
 	var lat arena[latObs]
-	for i := range m.aggs {
-		a := &m.aggs[i]
-		a.consulted = devs.put(span{}, m.consulted.get(a.consulted))
-		a.latency = lat.put(span{}, m.latency.get(a.latency))
+	st := m.states.private()
+	for i := range st {
+		s := &st[i]
+		s.consulted = devs.put(span{}, m.consulted.get(s.consulted))
+		s.latency = lat.put(span{}, m.latency.get(s.latency))
 	}
 	m.consulted, m.latency = devs, lat
 }
 
-// walkLog collects what one walk read; Settle reuses one across walks.
+// walkLog collects what one walk read, and holds what walks read and the
+// buffers they work in; Settle reuses one across walks.
 type walkLog struct {
 	devs []uint32
 	lat  []latObs
+
+	// The forwarder (nil for a device that is down) and config of every
+	// device of the index, by id, as this settle sees them (observe).
+	fwds []*dataplane.Forwarder
+	cfgs []*config.DeviceConfig
+
+	frontier, next []node
+	shares         []dataplane.FlowShare
 }
 
-// consult notes that the walk is about to read device dev. A name the index
-// does not know has no state to go stale: it appears only by a device-set
-// change, which is a new index and discards the memo.
-func (l *walkLog) consult(ix *config.Index, dev string) {
-	if id, ok := ix.ID(dev); ok && !slices.Contains(l.devs, uint32(id)) {
+// consult notes that the walk is about to read device id.
+func (l *walkLog) consult(id int) {
+	if !slices.Contains(l.devs, uint32(id)) {
 		l.devs = append(l.devs, uint32(id))
 	}
 }

@@ -104,6 +104,35 @@ func (d *diamond) boot(name string) *rib.FIB {
 
 func (d *diamond) fib(name string) *rib.FIB { return d.fwds[name].FIB() }
 
+// fork returns the fabric of a forked emulation: the same configs and index,
+// over clones of d's tables as core.Fork makes them (the same lineages,
+// continued) or, rebooted, over fresh tables of new lineages.
+func (d *diamond) fork(rebooted bool) *diamond {
+	c := &diamond{t: d.t, cfgs: d.cfgs, ix: d.ix, fwds: map[string]*dataplane.Forwarder{}, now: d.now}
+	for name, fwd := range d.fwds {
+		if rebooted {
+			c.boot(name).Seal()
+		} else {
+			c.fwds[name] = fwd.Clone(fwd.FIB().Clone())
+		}
+	}
+	return c
+}
+
+// widen gives a and b n server prefixes each, 100.64.i.0/24 and
+// 100.65.i.0/24, all inside the /16s the fabric routes: a matrix then has
+// 2n² aggregates per class. Call it before the first index.
+func (d *diamond) widen(n int) {
+	for name, base := range map[string]netpkt.IP{"a": ip("100.64.0.0"), "b": ip("100.65.0.0")} {
+		cfg := d.cfgs[name].Clone()
+		cfg.Networks = []netpkt.Prefix{cfg.Loopback}
+		for i := 0; i < n; i++ {
+			cfg.Networks = append(cfg.Networks, netpkt.Prefix{Addr: base + netpkt.IP(i)<<8, Len: 24})
+		}
+		d.cfgs[name] = cfg
+	}
+}
+
 // index returns the fabric's index the way core.Emulation.Index keeps it:
 // cached, and rebuilt once a config pointer has been swapped.
 func (d *diamond) index() *config.Index {
@@ -142,8 +171,8 @@ func (d *diamond) settle(m *Matrix, spec Spec) uint64 {
 		if got.src != want.src || got.dstIP != want.dstIP || got.class != want.class {
 			d.t.Fatalf("aggregate %d is %s->%s, fresh matrix has %s->%s", i, got.src, got.dstIP, want.src, want.dstIP)
 		}
-		if got.result != want.result {
-			d.t.Fatalf("aggregate %d (%s->%s): incremental %+v, from scratch %+v", i, got.src, got.dstIP, got.result, want.result)
+		if g, w := m.states.at(i).result, fresh.states.at(i).result; g != w {
+			d.t.Fatalf("aggregate %d (%s->%s): incremental %+v, from scratch %+v", i, got.src, got.dstIP, g, w)
 		}
 	}
 	after, _ := m.Walks()
@@ -278,19 +307,13 @@ func TestMemoForkContinuesLineage(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.settle(m, spec)
-	parentAggs := append([]aggregate(nil), m.aggs...)
-
-	fork := func(rebooted bool) (*diamond, *Matrix) {
-		c := &diamond{t: t, cfgs: d.cfgs, ix: d.ix, fwds: map[string]*dataplane.Forwarder{}, now: d.now}
-		for name, fwd := range d.fwds {
-			if rebooted {
-				c.boot(name).Seal()
-			} else {
-				c.fwds[name] = fwd.Clone(fwd.FIB().Clone())
-			}
-		}
-		return c, m.Fork()
+	m.Seal()
+	parentStates := make([]aggState, len(m.aggs))
+	for i := range parentStates {
+		parentStates[i] = *m.states.at(i)
 	}
+
+	fork := func(rebooted bool) (*diamond, *Matrix) { return d.fork(rebooted), m.Fork() }
 
 	c1, m1 := fork(false)
 	if got := c1.settle(m1, spec); got != 0 {
@@ -322,13 +345,96 @@ func TestMemoForkContinuesLineage(t *testing.T) {
 		t.Fatalf("fork of a parent written since its settle walked %d aggregates, want every consulter of b (8)", got)
 	}
 
-	for i := range parentAggs {
-		if m.aggs[i] != parentAggs[i] {
+	for i := range parentStates {
+		if *m.states.at(i) != parentStates[i] {
 			t.Fatalf("a fork's settle reached the parent's aggregate %d", i)
 		}
 	}
 	if got := d.settle(m, spec); got != 4 {
 		t.Fatalf("parent's own settle after its write walked %d aggregates, want 4", got)
+	}
+}
+
+// TestSealedMatrixSidesStayApart: after Seal, the parent and two sibling
+// forks each settle a different write, and each ends where a matrix settled
+// from scratch on its own fabric ends — none sees another's results, though
+// all three started from one shared set of them.
+func TestSealedMatrixSidesStayApart(t *testing.T) {
+	d := newDiamond(t)
+	spec := Spec{Flows: 8000, Seed: 3}
+	m, err := NewMatrix(spec, d.index())
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.settle(m, spec)
+	m.Seal()
+	c1, m1 := d.fork(false), m.Fork()
+	c2, m2 := d.fork(false), m.Fork()
+
+	// The parent loses m1's route down to a, the first fork shrinks a's
+	// group towards b to m1, the second gives b a more-specific route.
+	if !d.fib("m1").Remove(pfx("100.64.0.0/16")) {
+		t.Fatal("m1 had no 100.64.0.0/16")
+	}
+	if err := c1.fib("a").InstallHops(pfx("100.65.0.0/16"), rib.ProtoBGP, []rib.NextHop{hop("10.128.0.1", "et0")}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c2.fib("b").InstallHops(pfx("100.64.1.0/24"), rib.ProtoBGP, []rib.NextHop{hop("10.128.0.7", "et1")}); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []struct {
+		name string
+		d    *diamond
+		m    *Matrix
+		want uint64
+	}{{"parent", d, m, 4}, {"first fork", c1, m1, 4}, {"second fork", c2, m2, 2}} {
+		if got := s.d.settle(s.m, spec); got != s.want {
+			t.Fatalf("%s walked %d aggregates, want %d", s.name, got, s.want)
+		}
+	}
+	// Settled again in the opposite order, each still matches its own
+	// fabric and walks nothing.
+	for _, s := range []struct {
+		d *diamond
+		m *Matrix
+	}{{c2, m2}, {c1, m1}, {d, m}} {
+		if got := s.d.settle(s.m, spec); got != 0 {
+			t.Fatalf("an unchanged settle walked %d aggregates", got)
+		}
+	}
+	if m.Report().Classes[0].Blackholed == 0 || m1.Report().Classes[0].Blackholed != 0 || m2.Report().Classes[0].Blackholed != 0 {
+		t.Fatal("the parent's black hole is not the parent's alone")
+	}
+}
+
+// TestFrontierVisitsInNameOrder: flows reach b on two interfaces, and with
+// b's interface names swapped the walk adds them to its frontier in the
+// opposite of (device name, interface) order — m1, visited first, hands its
+// flows to b:et1. The fingerprints are pinned: a walk that visited its
+// frontier in any other order, or keyed it otherwise, would hash a different
+// sequence of decisions.
+func TestFrontierVisitsInNameOrder(t *testing.T) {
+	d := newDiamond(t)
+	b := d.cfgs["b"].Clone()
+	b.Interfaces = []config.InterfaceConfig{link("et1", "10.128.0.4"), link("et0", "10.128.0.6")}
+	d.cfgs["b"] = b
+	d.boot("b").Seal()
+	m, err := NewMatrix(Spec{Flows: 8003, Seed: 3}, d.index())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Settle(d.view(nil))
+	want := []uint64{
+		0x10b287e443fbc18f, 0xd07166614a74ccb6, 0xd07166614a74ccb6, 0xd07166614a74ccb6,
+		0xfa1be2bbd9bb6a13, 0xfa1be2bbd9bb6a13, 0x1a290390f00308, 0x1a290390f00308,
+	}
+	for i := range m.aggs {
+		if got := m.states.at(i).fp; got != want[i] {
+			t.Errorf("aggregate %d (%s->%s): fingerprint %#x, want %#x", i, m.aggs[i].src, m.aggs[i].dstIP, got, want[i])
+		}
+	}
+	if rep := m.Report().Classes[0]; rep.Delivered != 8003 {
+		t.Fatalf("delivered %d of 8003", rep.Delivered)
 	}
 }
 

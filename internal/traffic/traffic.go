@@ -20,8 +20,10 @@
 // aggregate identity, hop-group content) — and walks devices in sorted
 // order, so reports are byte-identical across worker counts and
 // fork-vs-fresh, and attaching traffic never perturbs convergence
-// event order. A forked rehearsal carries its load with it: Fork copies the
-// per-aggregate results and shares the rest.
+// event order. A forked rehearsal carries its load with it. The aggregates
+// are immutable once built and every matrix of a lineage shares them; their
+// results are sealed at each checkpoint (Seal) and shared frozen with the
+// forks taken after, each of which copies only the results it rewrites.
 //
 // A settle walks only what moved (memo.go): each aggregate remembers the
 // devices its last walk consulted, and is walked again only when one of
@@ -34,9 +36,10 @@
 package traffic
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 	"time"
 
 	"crystalnet/internal/config"
@@ -181,15 +184,20 @@ type View struct {
 }
 
 // aggregate is one (ingress device, prefix pair, class) bundle of flows —
-// the unit of batched forwarding. All fields are plain values so Fork is a
-// slice copy.
+// the unit of batched forwarding. It is fixed when the matrix is built, so
+// a matrix and all its forks share one slice of them; what settles write
+// is its aggState, at the same index.
 type aggregate struct {
 	src          string
-	class        int
+	class        int32
+	dst          int32 // dstIP's index in the matrix's dsts
 	srcIP, dstIP netpkt.IP
 	flows        uint64
 	key          uint64 // seeded identity; anchors ECMP spreading
+}
 
+// aggState is what settles have made of an aggregate.
+type aggState struct {
 	result              // of the last walk
 	blackSince sim.Time // first settle of the current black-hole streak
 	// What the last walk read, as spans of the matrix's arenas of the same
@@ -210,8 +218,12 @@ type result struct {
 // It is mutated only by Settle, which the core layer calls at each
 // convergence point, single-threaded.
 type Matrix struct {
-	spec      Spec // normalized
-	aggs      []aggregate
+	spec Spec        // normalized
+	aggs []aggregate // shared by every matrix of the lineage, never written
+	// dsts is every aggregate's destination host, sorted, once: a settle
+	// indexes the FIB writes it checks by destination (memo.go).
+	dsts      []netpkt.IP
+	states    states // by aggregate index
 	settles   uint64
 	settledAt sim.Time
 	rerouted  []uint64 // cumulative flows rerouted, per class
@@ -285,6 +297,11 @@ func NewMatrix(spec Spec, ix *config.Index) (*Matrix, error) {
 	}
 
 	m := &Matrix{spec: sp, rerouted: make([]uint64, len(sp.Classes))}
+	for _, e := range eps {
+		m.dsts = append(m.dsts, e.host)
+	}
+	slices.Sort(m.dsts)
+	m.dsts = slices.Compact(m.dsts)
 	nPairs := uint64(len(pairs))
 	for ci, c := range sp.Classes {
 		base, rem := classFlows[ci]/nPairs, classFlows[ci]%nPairs
@@ -304,9 +321,11 @@ func NewMatrix(spec Spec, ix *config.Index) (*Matrix, error) {
 			id = fnvU64(id, uint64(src.host))
 			id = fnvU64(id, uint64(dst.host))
 			id = fnvStr(id, c.Name)
+			dsti, _ := slices.BinarySearch(m.dsts, dst.host)
 			m.aggs = append(m.aggs, aggregate{
 				src:   src.dev,
-				class: ci,
+				class: int32(ci),
+				dst:   int32(dsti),
 				srcIP: src.host,
 				dstIP: dst.host,
 				flows: n,
@@ -314,6 +333,7 @@ func NewMatrix(spec Spec, ix *config.Index) (*Matrix, error) {
 			})
 		}
 	}
+	m.states.base = make([]aggState, len(m.aggs))
 	return m, nil
 }
 
@@ -324,10 +344,13 @@ func inRotation(i, start, rem, n uint64) bool {
 	return d < rem
 }
 
-// Fork copies the matrix for a forked emulation: the aggregates and the
-// cumulative counters are the child's own, the memo is shared under the
-// write rule (memo.fork). Fork only reads m, so concurrent forks of one
-// matrix are safe.
+// Fork returns the matrix of a forked emulation. The aggregates are shared;
+// the results of the last settle are shared frozen when m is sealed and
+// unwritten since (states.fork), and the child copies one only when it
+// rewrites it; the memo is shared under the write rule (memo.fork); the
+// cumulative counters are the child's own. A fork's settle after a one-link
+// flap so copies a few hundred results, not the matrix. Fork only reads m, so
+// concurrent forks of one matrix are safe.
 // Nil-safe: a parent without traffic forks to a child without traffic.
 func (m *Matrix) Fork() *Matrix {
 	if m == nil {
@@ -335,10 +358,20 @@ func (m *Matrix) Fork() *Matrix {
 	}
 	c := *m
 	c.spec.Classes = append([]ClassSpec(nil), m.spec.Classes...)
-	c.aggs = append([]aggregate(nil), m.aggs...)
+	c.states = m.states.fork()
 	c.rerouted = append([]uint64(nil), m.rerouted...)
 	c.memo = m.memo.fork()
 	return &c
+}
+
+// Seal freezes the results of the last settle for sharing: forks taken from
+// now on read them without copying, and this matrix, like each fork, writes
+// a result by copying it into a layer of its own. core.Emulation.Checkpoint
+// calls it beside the devices' and the attribute table's Seal. Nil-safe.
+func (m *Matrix) Seal() {
+	if m != nil {
+		m.states.seal()
+	}
 }
 
 // Flows returns the total modeled flow count.
@@ -371,9 +404,34 @@ func (m *Matrix) Aggregates() int {
 	return len(m.aggs)
 }
 
-// nodeKey addresses one step of a flow walk: a device plus the ingress
-// interface the flows arrived on (ingress ACLs bind per interface).
-type nodeKey struct{ dev, iface string }
+// node is one bucket of a walk's frontier: flows that arrived at a device,
+// by config.Index id, on one ingress interface (ingress ACLs bind per
+// interface).
+type node struct {
+	dev   int
+	iface string
+	flows uint64
+}
+
+// compareNodes orders a frontier by device, then interface. Ids are in name
+// order, so this is (name, interface) order.
+func compareNodes(x, y node) int {
+	if c := cmp.Compare(x.dev, y.dev); c != 0 {
+		return c
+	}
+	return cmp.Compare(x.iface, y.iface)
+}
+
+// add puts flows flows arriving at (dev, iface) into frontier f.
+func add(f []node, dev int, iface string, flows uint64) []node {
+	for i := range f {
+		if f[i].dev == dev && f[i].iface == iface {
+			f[i].flows += flows
+			return f
+		}
+	}
+	return append(f, node{dev: dev, iface: iface, flows: flows})
+}
 
 // Settle brings every aggregate up to date with the current FIBs —
 // delivery/black-hole/loss accounting, reroute fingerprints and the
@@ -385,7 +443,8 @@ func (m *Matrix) Settle(v View) {
 	if m == nil {
 		return
 	}
-	ch := m.observe(v)
+	var w walkLog
+	ch := m.observe(v, &w)
 
 	reroutedNow := make([]uint64, len(m.spec.Classes))
 	hists := make([]*obs.Histogram, len(m.spec.Classes))
@@ -394,39 +453,46 @@ func (m *Matrix) Settle(v View) {
 			hists[ci] = v.Rec.Histogram("traffic.flow_latency", c.Name)
 		}
 	}
-	var w walkLog
 	for i := range m.aggs {
-		a := &m.aggs[i]
-		prevFP, prevSettled := a.fp, m.settles > 0
-		if m.moved(a, ch) {
-			a.result = m.walk(a, v, &w)
-			a.consulted = m.consulted.put(a.consulted, w.devs)
-			a.latency = m.latency.put(a.latency, w.lat)
+		a, s := &m.aggs[i], m.states.at(i)
+		next := s
+		if m.moved(a, s, &ch) {
+			n := aggState{result: m.walk(a, v, &w), consulted: s.consulted, latency: s.latency}
+			if !slices.Equal(w.devs, m.consulted.get(s.consulted)) {
+				n.consulted = m.consulted.put(s.consulted, w.devs)
+			}
+			if !slices.Equal(w.lat, m.latency.get(s.latency)) {
+				n.latency = m.latency.put(s.latency, w.lat)
+			}
+			n.blackSince = streak(&n.result, s.blackSince, v.Now)
+			next = &n
 			m.walked++
 		} else {
 			m.reused++
 			if debugMemo {
-				m.crossCheck(a, v, &w)
+				m.crossCheck(a, s, v, &w)
+			}
+			if since := streak(&s.result, s.blackSince, v.Now); since != s.blackSince {
+				n := *s
+				n.blackSince = since
+				next = &n
 			}
 		}
 		// Walked or reused, the histogram sees the same observations in the
 		// same order: float sums depend on it, and trace bytes on them.
 		if h := hists[a.class]; h != nil {
-			for _, o := range m.latency.get(a.latency) {
+			for _, o := range m.latency.get(next.latency) {
 				h.ObserveN(float64(o.hop)*HopLatency.Seconds(), o.flows)
 			}
 		}
-		if prevSettled && a.fp != prevFP {
+		if m.settles > 0 && next.fp != s.fp {
 			reroutedNow[a.class] += a.flows
 		}
-		if a.blackholed > 0 {
-			if a.blackSince == 0 {
-				a.blackSince = v.Now
-			}
-		} else {
-			a.blackSince = 0
+		if *next != *s {
+			m.states.set(i, *next)
 		}
 	}
+	m.states.flush()
 	m.compact()
 	m.settles++
 	m.settledAt = v.Now
@@ -434,10 +500,10 @@ func (m *Matrix) Settle(v View) {
 	if v.Rec != nil {
 		totals := make([]struct{ delivered, blackholed, lost uint64 }, len(m.spec.Classes))
 		for i := range m.aggs {
-			a := &m.aggs[i]
-			totals[a.class].delivered += a.delivered
-			totals[a.class].blackholed += a.blackholed
-			totals[a.class].lost += a.lost
+			r, t := m.states.at(i), &totals[m.aggs[i].class]
+			t.delivered += r.delivered
+			t.blackholed += r.blackholed
+			t.lost += r.lost
 		}
 		for ci, c := range m.spec.Classes {
 			v.Rec.Gauge("traffic.flows_active", c.Name).Set(float64(totals[ci].delivered))
@@ -451,44 +517,57 @@ func (m *Matrix) Settle(v View) {
 	}
 }
 
+// streak returns when the black-hole streak of an aggregate that yields r
+// began, as of a settle at now, given that its last settle put the start at
+// since (0 for no streak).
+func streak(r *result, since, now sim.Time) sim.Time {
+	switch {
+	case r.blackholed == 0:
+		return 0
+	case since == 0:
+		return now
+	}
+	return since
+}
+
 // walk drives one aggregate's flows hop by hop through the live FIBs and
 // returns what became of them; log receives the devices consulted and the
 // latency observations made. The frontier is a set of (device, ingress
-// interface) → flow-count buckets; each hop forwards every bucket with one
-// batched decision. The fingerprint hashes every decision the walk
-// observes, so any path change — different hops, different split, new loss
-// point — changes it.
+// interface) → flow-count buckets, visited in (device name, interface)
+// order; each hop forwards every bucket with one batched decision. The
+// fingerprint hashes every decision the walk observes, so any path change —
+// different hops, different split, new loss point — changes it.
 //
 // Everything a walk reads of a device — whether it is up, its ACL bindings,
 // local addresses and Networks, the FIB entry matching dstIP — it reads
-// after log.consult(device); the memo's staleness rule rests on that.
+// after log.consult(device); the memo's staleness rule rests on that. It
+// reads devices through log's per-settle tables by index id and allocates
+// nothing once log's buffers have grown to the fabric's widest frontier.
 func (m *Matrix) walk(a *aggregate, v View, log *walkLog) result {
 	cls := &m.spec.Classes[a.class]
 	var r result
 	log.devs, log.lat = log.devs[:0], log.lat[:0]
 	fp := fnvOffset
 
-	frontier := map[nodeKey]uint64{{dev: a.src}: a.flows}
-	keys := make([]nodeKey, 0, 4)
+	src, ok := v.Index.ID(a.src)
+	if !ok {
+		// The ingress device left the fabric: its flows have nowhere to go.
+		r.blackholed = a.flows
+		r.fp = fnvU64(fnvU64(fnvStr(fp, a.src), a.flows), 'X')
+		return r
+	}
+	frontier := append(log.frontier[:0], node{dev: src, flows: a.flows})
+	next := log.next[:0]
 	for hop := 0; hop <= m.spec.MaxHops && len(frontier) > 0; hop++ {
-		keys = keys[:0]
-		for k := range frontier {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool {
-			if keys[i].dev != keys[j].dev {
-				return keys[i].dev < keys[j].dev
-			}
-			return keys[i].iface < keys[j].iface
-		})
-		next := make(map[nodeKey]uint64, len(frontier))
-		for _, k := range keys {
-			n := frontier[k]
-			fp = fnvStr(fp, k.dev)
+		slices.SortFunc(frontier, compareNodes)
+		next = next[:0]
+		for _, k := range frontier {
+			n := k.flows
+			fp = fnvStr(fp, v.Index.Name(k.dev))
 			fp = fnvStr(fp, k.iface)
 			fp = fnvU64(fp, n)
-			log.consult(v.Index, k.dev)
-			fwd := v.Forwarder(k.dev)
+			log.consult(k.dev)
+			fwd := log.fwds[k.dev]
 			if fwd == nil {
 				r.blackholed += n
 				fp = fnvU64(fp, 'X')
@@ -508,14 +587,15 @@ func (m *Matrix) walk(a *aggregate, v View, log *walkLog) result {
 				fp = fnvU64(fp, 'A')
 				continue
 			}
-			if cfg := v.Index.Config(k.dev); cfg != nil && containsHost(cfg.Networks, cfg.Loopback, a.dstIP) {
+			if cfg := log.cfgs[k.dev]; containsHost(cfg.Networks, cfg.Loopback, a.dstIP) {
 				r.delivered += n
 				r.hopSum += uint64(hop) * n
 				fp = fnvU64(fp, 'D')
 				log.observe(hop, n)
 				continue
 			}
-			dec, shares := fwd.ForwardBatch("", &meta, n, a.key)
+			var dec dataplane.Decision
+			dec, log.shares = fwd.ForwardBatch("", &meta, n, a.key, log.shares[:0]...)
 			fp = fnvU64(fp, uint64(dec.Verdict))
 			switch dec.Verdict {
 			case dataplane.VerdictLocal:
@@ -527,7 +607,7 @@ func (m *Matrix) walk(a *aggregate, v View, log *walkLog) result {
 			case dataplane.VerdictTTLExpired:
 				r.lost += n
 			case dataplane.VerdictForward:
-				for _, s := range shares {
+				for _, s := range log.shares {
 					fp = fnvU64(fp, uint64(s.Hop.IP))
 					fp = fnvStr(fp, s.Hop.Interface)
 					fp = fnvU64(fp, s.Flows)
@@ -541,7 +621,7 @@ func (m *Matrix) walk(a *aggregate, v View, log *walkLog) result {
 						// An emulated device owning the address picks the
 						// flows up; otherwise they reach a server — delivered.
 						if o, ok := v.Index.Owner(a.dstIP); ok {
-							next[nodeKey{dev: v.Index.Name(o.Dev), iface: o.Iface}] += s.Flows
+							next = add(next, o.Dev, o.Iface, s.Flows)
 						} else {
 							r.delivered += s.Flows
 							r.hopSum += uint64(hop+1) * s.Flows
@@ -554,17 +634,18 @@ func (m *Matrix) walk(a *aggregate, v View, log *walkLog) result {
 						r.blackholed += s.Flows
 						continue
 					}
-					next[nodeKey{dev: v.Index.Name(o.Dev), iface: o.Iface}] += s.Flows
+					next = add(next, o.Dev, o.Iface, s.Flows)
 				}
 			}
 		}
-		frontier = next
+		frontier, next = next, frontier
 	}
 	// Flows still in flight hit the hop bound: a forwarding loop.
-	for _, n := range frontier {
-		r.blackholed += n
+	for _, k := range frontier {
+		r.blackholed += k.flows
 		fp = fnvU64(fp, 'L')
 	}
+	log.frontier, log.next = frontier, next
 	r.fp = fp
 	return r
 }
@@ -603,14 +684,14 @@ func (m *Matrix) SLO(window time.Duration) SLO {
 	}
 	var total, black, lost uint64
 	for i := range m.aggs {
-		a := &m.aggs[i]
-		total += a.flows
-		lost += a.lost
-		if a.blackholed == 0 {
+		s := m.states.at(i)
+		total += m.aggs[i].flows
+		lost += s.lost
+		if s.blackholed == 0 {
 			continue
 		}
-		if window <= 0 || (a.blackSince != 0 && m.settledAt.Sub(a.blackSince) >= window) {
-			black += a.blackholed
+		if window <= 0 || (s.blackSince != 0 && m.settledAt.Sub(s.blackSince) >= window) {
+			black += s.blackholed
 		}
 	}
 	if total == 0 {
@@ -654,13 +735,13 @@ func (m *Matrix) Report() *Report {
 	type tot struct{ flows, delivered, blackholed, lost, hopSum uint64 }
 	totals := make([]tot, len(m.spec.Classes))
 	for i := range m.aggs {
-		a := &m.aggs[i]
+		a, s := &m.aggs[i], m.states.at(i)
 		t := &totals[a.class]
 		t.flows += a.flows
-		t.delivered += a.delivered
-		t.blackholed += a.blackholed
-		t.lost += a.lost
-		t.hopSum += a.hopSum
+		t.delivered += s.delivered
+		t.blackholed += s.blackholed
+		t.lost += s.lost
+		t.hopSum += s.hopSum
 	}
 	for ci, c := range m.spec.Classes {
 		t := totals[ci]

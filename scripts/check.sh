@@ -84,8 +84,8 @@ if [ "${SHORT:-}" != "1" ]; then
     # The budgets build only without -race and without crystaldebug (both
     # allocate on their own account), so the plain pass above is the one
     # run that has them; -count=1 keeps a cached result from standing in.
-    echo "== allocation budgets of the per-UPDATE path (flush = its messages, delivery to HandleMessage = 0, FIB reinstall = the Entry, dropped timer and lane = 0)"
-    go test -count=1 ./internal/bgp/ ./internal/sim/ ./internal/phynet/ ./internal/firmware/ ./internal/rib/ -run 'TestAllocBudget'
+    echo "== allocation budgets of the per-UPDATE path (flush = its messages, delivery to HandleMessage = 0, FIB reinstall = the Entry, dropped timer and lane = 0) and of the traffic settle (ForwardBatch into a buffer = 0, forked settle < 1/10 of the aggregates)"
+    go test -count=1 ./internal/bgp/ ./internal/sim/ ./internal/phynet/ ./internal/firmware/ ./internal/rib/ ./internal/dataplane/ ./internal/traffic/ -run 'TestAllocBudget'
 else
     echo "== persistent-trie, paged-Dense, BGP-decoder, netpkt, OSPF-packet and scenario-parser fuzz, allocation budgets skipped (SHORT=1)"
 fi
