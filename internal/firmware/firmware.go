@@ -555,30 +555,37 @@ func (d *Device) startOSPF() {
 // ospfHooks returns the hooks of the OSPF instance the current boot runs,
 // bound to the boot as bgpHooks' are: an SPF run or election an earlier boot
 // left armed neither floods nor programs the FIB.
-func (d *Device) ospfHooks() ospf.Hooks {
-	epoch := d.epoch
-	return ospf.Hooks{
-		Send: func(i int, dst ospf.RouterID, data []byte) {
-			if d.epoch == epoch {
-				d.sendOSPF(i, dst, data)
-			}
-		},
-		InstallRoute: func(p netpkt.Prefix, nhs []rib.NextHop) error {
-			if d.epoch != epoch {
-				return nil
-			}
-			return d.fib.InstallHops(p, rib.ProtoOSPF, nhs)
-		},
-		RemoveRoute: func(p netpkt.Prefix) {
-			if d.epoch == epoch {
-				d.fib.Remove(p)
-			}
-		},
-		Logf: func(f string, a ...any) {
-			if d.epoch == epoch {
-				d.logf(f, a...)
-			}
-		},
+func (d *Device) ospfHooks() ospf.Hooks { return &ospfBoot{d, d.epoch} }
+
+// ospfBoot is the ospf.Hooks of one boot of d: each hook acts only while d
+// still runs that boot.
+type ospfBoot struct {
+	d     *Device
+	epoch int
+}
+
+func (h *ospfBoot) Send(i int, dst ospf.RouterID, data []byte) {
+	if h.d.epoch == h.epoch {
+		h.d.sendOSPF(i, dst, data)
+	}
+}
+
+func (h *ospfBoot) InstallRoute(p netpkt.Prefix, nhs []rib.NextHop) error {
+	if h.d.epoch != h.epoch {
+		return nil
+	}
+	return h.d.fib.InstallHops(p, rib.ProtoOSPF, nhs)
+}
+
+func (h *ospfBoot) RemoveRoute(p netpkt.Prefix) {
+	if h.d.epoch == h.epoch {
+		h.d.fib.Remove(p)
+	}
+}
+
+func (h *ospfBoot) Logf(f string, a ...any) {
+	if h.d.epoch == h.epoch {
+		h.d.logf(f, a...)
 	}
 }
 

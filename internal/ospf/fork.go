@@ -14,9 +14,6 @@ import (
 // when any pending recomputation has already run. LSAs are deep-copied via
 // LSA.Clone so a fork's flooding cannot mutate the parent's database.
 func (in *Instance) Fork(eng *sim.Engine, hooks Hooks) *Instance {
-	if hooks.Logf == nil {
-		hooks.Logf = func(string, ...any) {}
-	}
 	c := &Instance{
 		cfg:       in.cfg,
 		eng:       eng,

@@ -69,13 +69,16 @@ type Config struct {
 }
 
 // Hooks connect the instance to its hosting firmware.
-type Hooks struct {
+type Hooks interface {
 	// Send transmits a packet out interface i. dst 0 means every neighbor
 	// on the segment (multicast).
-	Send         func(ifaceIdx int, dst RouterID, data []byte)
-	InstallRoute func(p netpkt.Prefix, nhs []rib.NextHop) error
-	RemoveRoute  func(p netpkt.Prefix)
-	Logf         func(format string, args ...any)
+	Send(ifaceIdx int, dst RouterID, data []byte)
+	// InstallRoute programs the FIB; an error is logged.
+	InstallRoute(p netpkt.Prefix, nhs []rib.NextHop) error
+	// RemoveRoute removes a previously installed route.
+	RemoveRoute(p netpkt.Prefix)
+	// Logf records diagnostics.
+	Logf(format string, args ...any)
 }
 
 // Instance is one OSPF router.
@@ -114,9 +117,6 @@ func (in *Instance) send(ifaceIdx int, dst RouterID, data []byte) {
 // New creates an instance that schedules its timers on eng and binds its
 // counters to eng's recorder.
 func New(cfg Config, eng *sim.Engine, hooks Hooks) *Instance {
-	if hooks.Logf == nil {
-		hooks.Logf = func(string, ...any) {}
-	}
 	in := &Instance{
 		cfg: cfg, eng: eng, hooks: hooks,
 		lsdb:      map[Key]*LSA{},

@@ -86,13 +86,35 @@ func TestDecodeErrors(t *testing.T) {
 
 // ---- harness: instances over a simulated fabric ----
 
+// onode is one instance on the test fabric, and its Hooks.
 type onode struct {
 	name string
+	net  *onet
 	in   *Instance
 	fib  map[netpkt.Prefix][]rib.NextHop
 	// wires[i] maps local iface i to the segment it attaches to.
 	wires []*segment
 }
+
+func (nd *onode) Send(ifaceIdx int, dst RouterID, data []byte) {
+	for _, m := range nd.wires[ifaceIdx].members {
+		if m.node == nd || dst != 0 && m.rid != dst {
+			continue
+		}
+		nd.net.eng.After(time.Millisecond, func() {
+			m.node.in.HandlePacket(m.iface, data)
+		})
+	}
+}
+
+func (nd *onode) InstallRoute(p netpkt.Prefix, nhs []rib.NextHop) error {
+	nd.fib[p] = nhs
+	return nil
+}
+
+func (nd *onode) RemoveRoute(p netpkt.Prefix) { delete(nd.fib, p) }
+
+func (nd *onode) Logf(string, ...any) {}
 
 type segment struct {
 	// members: (node, ifaceIdx, router ID)
@@ -116,29 +138,8 @@ func newOnet(t *testing.T) *onet {
 }
 
 func (n *onet) add(name string, rid string) *onode {
-	nd := &onode{name: name, fib: map[netpkt.Prefix][]rib.NextHop{}}
-	nd.in = New(Config{Name: name, RouterID: ip(rid)}, n.eng, Hooks{
-		Send: func(ifaceIdx int, dst RouterID, data []byte) {
-			seg := nd.wires[ifaceIdx]
-			for _, m := range seg.members {
-				m := m
-				if m.node == nd {
-					continue
-				}
-				if dst != 0 && m.rid != dst {
-					continue
-				}
-				n.eng.After(time.Millisecond, func() {
-					m.node.in.HandlePacket(m.iface, data)
-				})
-			}
-		},
-		InstallRoute: func(p netpkt.Prefix, nhs []rib.NextHop) error {
-			nd.fib[p] = nhs
-			return nil
-		},
-		RemoveRoute: func(p netpkt.Prefix) { delete(nd.fib, p) },
-	})
+	nd := &onode{name: name, net: n, fib: map[netpkt.Prefix][]rib.NextHop{}}
+	nd.in = New(Config{Name: name, RouterID: ip(rid)}, n.eng, nd)
 	nd.in.AddStub(netpkt.Prefix{Addr: ip(rid), Len: 32})
 	n.nodes[name] = nd
 	return nd
