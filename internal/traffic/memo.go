@@ -3,6 +3,7 @@ package traffic
 import (
 	"fmt"
 	"slices"
+	"sync"
 
 	"crystalnet/internal/config"
 	"crystalnet/internal/dataplane"
@@ -103,7 +104,7 @@ func (m *Matrix) observe(v View, log *walkLog) changes {
 	n := len(m.marks)
 	ch := changes{stale: make([]bool, n), words: (len(m.dsts) + 63) / 64}
 	ch.written = make([]uint64, n*ch.words)
-	log.fwds, log.cfgs = make([]*dataplane.Forwarder, n), make([]*config.DeviceConfig, n)
+	log.fwds, log.cfgs = slices.Grow(log.fwds[:0], n)[:n], slices.Grow(log.cfgs[:0], n)[:n]
 	// A fork shares the marks it was forked with: replace, never edit.
 	marks := make([]rib.Mark, n)
 	survivors := false
@@ -205,7 +206,9 @@ func (m *Matrix) compact() {
 }
 
 // walkLog collects what one walk read, and holds what walks read and the
-// buffers they work in; Settle reuses one across walks.
+// buffers a settle works in. A settle takes one from logs and gives it back
+// when done, so the buffers keep the size they grew to across settles and
+// across forks: a fork's settle grows none of them again.
 type walkLog struct {
 	devs []uint32
 	lat  []latObs
@@ -217,6 +220,30 @@ type walkLog struct {
 
 	frontier, next []node
 	shares         []dataplane.FlowShare
+
+	// What a settle puts in the matrix's arenas and states until it commits
+	// them, each to storage of exactly that size (arena.commit,
+	// states.flush).
+	putDevs []uint32
+	putLat  []latObs
+	added   []ownState
+}
+
+// logs holds the walkLogs no settle is using.
+var logs = sync.Pool{New: func() any { return new(walkLog) }}
+
+// lend hands m the buffers of w a settle puts records and first writes in.
+func (w *walkLog) lend(m *Matrix) {
+	m.consulted.settle, m.latency.settle, m.states.added = w.putDevs, w.putLat, w.added
+}
+
+// reclaim takes back from m what lend handed it, emptied, and lets go of
+// the emulation's forwarders and configs before w goes back to logs.
+func (w *walkLog) reclaim(m *Matrix) {
+	w.putDevs, w.putLat = m.consulted.commit(), m.latency.commit()
+	w.added, m.states.added = m.states.added[:0], nil
+	clear(w.fwds)
+	clear(w.cfgs)
 }
 
 // consult notes that the walk is about to read device id.
@@ -231,13 +258,16 @@ func (l *walkLog) observe(hop int, flows uint64) {
 	l.lat = append(l.lat, latObs{hop: uint32(hop), flows: flows})
 }
 
-// arena stores the memo's variable-length records in append-only chunks,
-// addressed by span. A record is written once, by put, and superseded by
-// putting its successor, never edited, so a matrix and its forks share
-// chunks freely; fork leaves the child no room in the chunks it shares, so a
-// child never appends into a backing array its parent or a sibling can see.
+// arena stores the memo's variable-length records in chunks, addressed by
+// span: one chunk per settle that put any, holding exactly what it put. A
+// record is written once, by put, and superseded by putting its successor,
+// never edited, and a chunk is never appended to once committed, so a matrix
+// and its forks share chunks freely.
 type arena[T any] struct {
 	chunks [][]T
+	// settle holds the records put since the last commit: the chunk commit
+	// adds next.
+	settle []T
 	// size counts the records in chunks, live those a span still names.
 	size, live int
 }
@@ -245,44 +275,44 @@ type arena[T any] struct {
 // span addresses one record of an arena.
 type span struct{ chunk, off, n uint32 }
 
-// arenaChunk is the record capacity of one chunk: small enough that a fork
-// which re-walks a handful of aggregates allocates little, large enough that
-// the chunk list of a 300k-aggregate matrix stays in the hundreds.
-const arenaChunk = 4096
-
 // put appends rec as the successor of the record at old (the zero span for
 // none) and returns where it went.
 func (a *arena[T]) put(old span, rec []T) span {
 	a.live += len(rec) - int(old.n)
 	a.size += len(rec)
-	last := len(a.chunks) - 1
-	if last < 0 || len(a.chunks[last])+len(rec) > cap(a.chunks[last]) {
-		a.chunks = append(a.chunks, make([]T, 0, max(arenaChunk, len(rec))))
-		last++
-	}
-	off := len(a.chunks[last])
-	a.chunks[last] = append(a.chunks[last], rec...)
-	return span{chunk: uint32(last), off: uint32(off), n: uint32(len(rec))}
+	off := len(a.settle)
+	a.settle = append(a.settle, rec...)
+	return span{chunk: uint32(len(a.chunks)), off: uint32(off), n: uint32(len(rec))}
 }
 
 // get returns the record at s: shared, read-only.
 func (a *arena[T]) get(s span) []T {
-	if s.n == 0 {
+	switch {
+	case s.n == 0:
 		return nil
+	case int(s.chunk) == len(a.chunks):
+		return a.settle[s.off : s.off+s.n]
 	}
 	return a.chunks[s.chunk][s.off : s.off+s.n]
 }
 
-// fork returns an arena naming the same records whose appends go to chunks
+// commit moves the records put since the last commit into a chunk of
+// exactly their size, and returns the buffer they were put in, emptied.
+func (a *arena[T]) commit() []T {
+	if len(a.settle) > 0 {
+		a.chunks = append(a.chunks, slices.Clone(a.settle))
+	}
+	buf := a.settle[:0]
+	a.settle = nil
+	return buf
+}
+
+// fork returns an arena naming the same records whose chunks go to a list
 // of its own.
 func (a arena[T]) fork() arena[T] {
-	a.chunks = slices.Clone(a.chunks)
-	if last := len(a.chunks) - 1; last >= 0 {
-		a.chunks[last] = slices.Clip(a.chunks[last])
-	}
+	a.chunks = slices.Clip(a.chunks)
 	return a
 }
 
-// slack reports whether superseded records outweigh live ones by more than
-// a chunk.
-func (a *arena[T]) slack() bool { return a.size > 2*a.live+arenaChunk }
+// slack reports whether superseded records outweigh live ones.
+func (a *arena[T]) slack() bool { return a.size > 2*a.live }

@@ -491,20 +491,21 @@ func TestMemoStaysBounded(t *testing.T) {
 	}
 	d.settle(m, spec)
 	groups := [][]rib.NextHop{{hop("10.128.0.1", "et0")}, {hop("10.128.0.3", "et1")}}
-	for i := 0; i < 2*arenaChunk; i++ {
+	const settles = 8192
+	for i := 0; i < settles; i++ {
 		if err := d.fib("a").InstallHops(pfx("100.65.0.0/16"), rib.ProtoBGP, groups[i%2]); err != nil {
 			t.Fatal(err)
 		}
 		m.Settle(d.view(nil))
 	}
-	if walked, _ := m.Walks(); walked != 8+4*2*arenaChunk {
-		t.Fatalf("walked %d aggregate-settles, want %d", walked, 8+4*2*arenaChunk)
+	if walked, _ := m.Walks(); walked != 8+4*settles {
+		t.Fatalf("walked %d aggregate-settles, want %d", walked, 8+4*settles)
 	}
 	for name, a := range map[string]struct{ size, live int }{
 		"consulted": {m.consulted.size, m.consulted.live},
 		"latency":   {m.latency.size, m.latency.live},
 	} {
-		if a.live <= 0 || a.size > 2*a.live+arenaChunk {
+		if a.live <= 0 || a.size > 2*a.live {
 			t.Fatalf("%s arena holds %d records for %d live ones", name, a.size, a.live)
 		}
 	}

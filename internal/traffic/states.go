@@ -19,7 +19,7 @@ type states struct {
 	rank   []uint32 // set bits of own before each of its words
 	slab   []aggState
 	// added holds the first writes since flush, in aggregate order; own and
-	// slab take them in at flush.
+	// slab take them in at flush. A settle lends it its buffer (walkLog).
 	added []ownState
 }
 

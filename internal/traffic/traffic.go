@@ -443,8 +443,10 @@ func (m *Matrix) Settle(v View) {
 	if m == nil {
 		return
 	}
-	var w walkLog
-	ch := m.observe(v, &w)
+	w := logs.Get().(*walkLog)
+	defer logs.Put(w)
+	ch := m.observe(v, w)
+	w.lend(m)
 
 	reroutedNow := make([]uint64, len(m.spec.Classes))
 	hists := make([]*obs.Histogram, len(m.spec.Classes))
@@ -457,7 +459,7 @@ func (m *Matrix) Settle(v View) {
 		a, s := &m.aggs[i], m.states.at(i)
 		next := s
 		if m.moved(a, s, &ch) {
-			n := aggState{result: m.walk(a, v, &w), consulted: s.consulted, latency: s.latency}
+			n := aggState{result: m.walk(a, v, w), consulted: s.consulted, latency: s.latency}
 			if !slices.Equal(w.devs, m.consulted.get(s.consulted)) {
 				n.consulted = m.consulted.put(s.consulted, w.devs)
 			}
@@ -470,7 +472,7 @@ func (m *Matrix) Settle(v View) {
 		} else {
 			m.reused++
 			if debugMemo {
-				m.crossCheck(a, s, v, &w)
+				m.crossCheck(a, s, v, w)
 			}
 			if since := streak(&s.result, s.blackSince, v.Now); since != s.blackSince {
 				n := *s
@@ -494,6 +496,7 @@ func (m *Matrix) Settle(v View) {
 	}
 	m.states.flush()
 	m.compact()
+	w.reclaim(m)
 	m.settles++
 	m.settledAt = v.Now
 
