@@ -83,9 +83,10 @@ Commands:
                             submit a rehearsal spec to a running crystald
                             daemon (cmd/crystald); prints the same report
                             bytes run-scenario would, exits 1 on failure
-  chaos [file.json]         expand a base spec into -n seeded fault sequences
-                            and run them on -workers cores (default base: the
-                            sdc fabric with the no-blackhole invariant)
+  chaos [file.json]         converge a base spec once at -seed, expand it into
+                            -n seeded fault sequences and run each on a fork
+                            of that baseline, on -workers cores (default base:
+                            the sdc fabric with the no-blackhole invariant)
 
 run-scenario and chaos take their fabric from the spec file; -dc, -ldcscale,
 -must and -vms apply to the other commands. -trace/-tracejson/-obs attach
@@ -152,7 +153,6 @@ func main() {
 	n := flag.Int("n", 20, "chaos: number of fault sequences")
 	workers := flag.Int("workers", 0, "chaos: worker pool size (0 = all cores, 1 = serial)")
 	faults := flag.Int("faults", 6, "chaos: fault events per sequence")
-	reuse := flag.Bool("reuse", false, "chaos: converge the base fabric once and fork it per run")
 	mtbf := flag.Duration("mtbf", 0, "arm seeded random VM failures with this mean time between failures (0 = off)")
 	bootDeadline := flag.Duration("bootdeadline", 0, "supervise VM boots: per-attempt deadline before retry (0 = unsupervised)")
 	maxAttempts := flag.Int("maxattempts", 0, "supervised boots: attempts before replacing the VM (0 = default 3)")
@@ -301,7 +301,7 @@ func main() {
 			base = sp
 		}
 		cfg := crystalnet.CampaignConfig{
-			N: *n, Seed: *seed, FaultsPerRun: *faults, Workers: *workers, Reuse: *reuse,
+			N: *n, Seed: *seed, FaultsPerRun: *faults, Workers: *workers,
 			Trace: tracing,
 			MTBF:  *mtbf, Retry: retry, RecoveryDeadline: *recoveryDeadline,
 		}

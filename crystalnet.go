@@ -277,13 +277,6 @@ func ChaosCampaign(base *Scenario, cfg CampaignConfig) (*CampaignReport, error) 
 	return scenario.Chaos(base, cfg)
 }
 
-// CheckScenarioForkable reports whether sp can run against a forked
-// converged baseline (no MTBF faults, no attach-device steps) — the test
-// the warm pool and chaos Reuse apply before forking.
-func CheckScenarioForkable(sp *Scenario, opts ScenarioOptions) error {
-	return scenario.CheckForkable(sp, opts)
-}
-
 // ErrCanceled is returned (wrapped) by scenario runs whose
 // ScenarioOptions.Cancel channel fired; the abandoned emulation has been
 // torn down deterministically.

@@ -14,6 +14,7 @@ package cloud
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"crystalnet/internal/obs"
@@ -87,6 +88,11 @@ type VM struct {
 	// bootAttempts counts boot attempts for the VM's current provisioning
 	// episode (reset on each Provision/Reboot, grown by retry).
 	bootAttempts int
+
+	// failures are the VM's armed background failures (MTBF), by the key
+	// each fires under, until it fires: what Fork re-arms. A VM that fails
+	// and reboots arms another before its stale one has fired.
+	failures []sim.Key
 
 	provider *Provider
 }
@@ -274,7 +280,8 @@ type Provider struct {
 
 	// MTBF enables random VM failures when positive: each running VM fails
 	// after an exponentially distributed interval with this mean. Failure
-	// timers are daemon events — they never block convergence.
+	// timers are daemon events — they never block convergence — and each
+	// VM keeps its armed ones as data, so a fork re-arms them.
 	MTBF time.Duration
 
 	// Retry supervises Provision/Reboot; zero value = unsupervised.
@@ -436,12 +443,26 @@ func (p *Provider) scheduleFailure(vm *VM) {
 	// armed failure timer must not keep Run from converging, or an
 	// emulation with MTBF set could never finish a wait-converge.
 	d := time.Duration(p.eng.Rand().ExpFloat64() * float64(p.MTBF))
-	p.eng.Daemon(d, func() {
-		if vm.state != VMRunning {
-			return
-		}
-		p.Fail(vm)
-	})
+	var k sim.Key
+	k = p.eng.Daemon(d, func() { p.failureFired(vm, k) }).Key()
+	vm.failures = append(vm.failures, k)
+}
+
+// failureFired retires vm's armed failure k and fails the VM if it is
+// running.
+func (p *Provider) failureFired(vm *VM, k sim.Key) {
+	vm.failures = slices.DeleteFunc(vm.failures, func(f sim.Key) bool { return f == k })
+	p.Fail(vm)
+}
+
+// ArmedFailures counts the background failures armed on every VM: each is
+// a pending daemon event, and nothing else in an emulation arms one.
+func (p *Provider) ArmedFailures() int {
+	n := 0
+	for _, vm := range p.vms {
+		n += len(vm.failures)
+	}
+	return n
 }
 
 // Fail marks a running VM as failed and notifies the orchestrator. It

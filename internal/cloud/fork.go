@@ -1,12 +1,20 @@
 package cloud
 
-import "crystalnet/internal/sim"
+import (
+	"slices"
+
+	"crystalnet/internal/sim"
+)
 
 // Fork returns a deep copy of the provider on eng — every VM's lifecycle
 // state, CPU accounting and core schedule — plus a translation map from the
 // source's VMs to their clones for the orchestration layer's placement
-// bookkeeping. The source provider is read strictly read-only, so
-// concurrent forks are safe.
+// bookkeeping. Each VM's armed background failures are re-armed on eng
+// under the keys they were armed with, so they fire at the same instants,
+// and break same-instant ties the same way, as in the source: eng is
+// restored from a snapshot of the source's engine, taken with nothing but
+// those failures pending. The source provider is read strictly read-only,
+// so concurrent forks are safe.
 //
 // OnFailure (and the other hooks) are left nil for the caller to wire to
 // the fork's own recovery path. Boot waiters are not copied: they are
@@ -34,7 +42,11 @@ func (p *Provider) Fork(eng *sim.Engine) (*Provider, map[*VM]*VM) {
 			runAccum:     vm.runAccum,
 			coreFree:     append([]sim.Time(nil), vm.coreFree...),
 			bootAttempts: vm.bootAttempts,
+			failures:     slices.Clone(vm.failures),
 			provider:     c,
+		}
+		for _, k := range nv.failures {
+			eng.DaemonAt(k, func() { c.failureFired(nv, k) })
 		}
 		if vm.busy != nil {
 			nv.busy = make(map[int]float64, len(vm.busy))

@@ -1,6 +1,8 @@
 package cloud
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -235,6 +237,50 @@ func TestMTBFTimersAreDaemons(t *testing.T) {
 	fired := eng.Fired()
 	if _, err := eng.Run(0); err != nil || eng.Pending() == 0 || eng.Fired() != fired {
 		t.Fatalf("pending=%d, Run fired %d more (%v); want only daemon failure timers queued", eng.Pending(), eng.Fired()-fired, err)
+	}
+}
+
+// TestForkRearmsArmedFailures: a fork of a provider taken with background
+// failures armed — live ones and the stale ones of VMs that failed and
+// rebooted — fails the same VMs at the same instants as the source does
+// from the same point.
+func TestForkRearmsArmedFailures(t *testing.T) {
+	eng := sim.NewEngine(7)
+	p := NewProvider(eng)
+	p.MTBF = 10 * time.Minute
+	var log []string
+	watch := func(p *Provider) {
+		p.OnFailure = func(vm *VM) {
+			log = append(log, fmt.Sprintf("%s@%s", vm.Name, p.eng.Now()))
+			p.Reboot(vm, nil)
+		}
+	}
+	watch(p)
+	p.Provision(5, SKUStandard, "g", nil)
+	eng.RunFor(15 * time.Minute)
+	if _, err := eng.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	if len(log) == 0 {
+		t.Fatal("no failure before the snapshot")
+	}
+	if eng.Pending() != p.ArmedFailures() {
+		t.Fatalf("%d events pending, %d failures armed", eng.Pending(), p.ArmedFailures())
+	}
+	st, err := eng.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, _ := p.Fork(sim.NewEngineFrom(st))
+	watch(c)
+	log = nil
+	eng.RunFor(2 * time.Hour)
+	want := log
+
+	log = nil
+	c.eng.RunFor(2 * time.Hour)
+	if len(want) == 0 || !slices.Equal(log, want) {
+		t.Fatalf("fork failed %v, source %v", log, want)
 	}
 }
 

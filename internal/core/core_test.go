@@ -651,7 +651,7 @@ func TestFlapStormSettlesToBaseline(t *testing.T) {
 // configs, and the fabric learns the new prefixes.
 func TestAttachNewDeviceIncrementally(t *testing.T) {
 	o, em := fullEmulation(t, Options{Seed: 6})
-	n := em.Network()
+	n := em.Network().Clone()
 
 	// The operator's topology change: a new ToR in pod 0.
 	newTor := n.AddDevice("tor-p0-new", topo.LayerToR, topo.ToRAS(999), "ctnrb")
@@ -660,8 +660,11 @@ func TestAttachNewDeviceIncrementally(t *testing.T) {
 	n.Connect(newTor, n.MustDevice("leaf-p0-0"))
 	n.Connect(newTor, n.MustDevice("leaf-p0-1"))
 
-	if err := em.AttachNewDevice("tor-p0-new", fastImages()["ctnrb"], nil, nil); err != nil {
+	if err := em.AttachNewDevice(n, "tor-p0-new", fastImages()["ctnrb"], nil, nil); err != nil {
 		t.Fatal(err)
+	}
+	if em.Network() != n {
+		t.Fatal("attach did not make the grown topology the emulation's")
 	}
 	// Reload the leaves with regenerated configs (now including the new
 	// neighbor), as production would.
@@ -688,10 +691,10 @@ func TestAttachNewDeviceIncrementally(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Double-attach and unknown names are rejected.
-	if err := em.AttachNewDevice("tor-p0-new", fastImages()["ctnrb"], nil, nil); err == nil {
+	if err := em.AttachNewDevice(n, "tor-p0-new", fastImages()["ctnrb"], nil, nil); err == nil {
 		t.Fatal("double attach accepted")
 	}
-	if err := em.AttachNewDevice("ghost", fastImages()["ctnrb"], nil, nil); err == nil {
+	if err := em.AttachNewDevice(n, "ghost", fastImages()["ctnrb"], nil, nil); err == nil {
 		t.Fatal("unknown device accepted")
 	}
 	_ = o
@@ -702,14 +705,14 @@ func TestAttachNewDeviceIncrementally(t *testing.T) {
 // to hold its container, before the ToR boots and peers with its leaves.
 func TestAttachNewDeviceOfANewVendor(t *testing.T) {
 	_, em := fullEmulation(t, Options{Seed: 6})
-	n := em.Network()
+	n := em.Network().Clone()
 	newTor := n.AddDevice("tor-p0-new", topo.LayerToR, topo.ToRAS(999), "ctnrc")
 	newTor.Pod = 0
 	n.Connect(newTor, n.MustDevice("leaf-p0-0"))
 	n.Connect(newTor, n.MustDevice("leaf-p0-1"))
 	img := fastImages()["ctnrb"]
 	img.Name = "ctnrc"
-	if err := em.AttachNewDevice("tor-p0-new", img, nil, nil); err != nil {
+	if err := em.AttachNewDevice(n, "tor-p0-new", img, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	for _, leaf := range []string{"leaf-p0-0", "leaf-p0-1"} {

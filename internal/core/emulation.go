@@ -240,15 +240,16 @@ func (em *Emulation) connect(li, ri *phynet.VIface) {
 
 // AttachNewDevice incrementally adds a device to a RUNNING emulation (§3.2:
 // "quick incremental changes to the emulation") — the new-rack-deployment
-// rehearsal. The device must already exist in the (mutated) topology with
-// its links wired to emulated devices. Its container is placed on the
-// least-loaded VM of its vendor group (spawning a fresh VM if the vendor is
-// new), links are built, and the firmware boots. Neighbors learn the new
-// sessions when the operator reloads them with updated configurations, as
-// in production.
-func (em *Emulation) AttachNewDevice(name string, img firmware.VendorImage, cfg *config.DeviceConfig, onReady func()) error {
-	n := em.prep.Plan.Network
-	d := n.Device(name)
+// rehearsal. net is the topology grown by the device and its links to
+// emulated devices: a copy of Network() (topo.Network.Clone), which the
+// emulation shares with its checkpoint and forks and so never edits; it
+// becomes the emulation's topology. The device's container is placed on
+// the least-loaded VM of its vendor group (spawning a fresh VM if the
+// vendor is new), links are built, and the firmware boots. Neighbors learn
+// the new sessions when the operator reloads them with updated
+// configurations, as in production.
+func (em *Emulation) AttachNewDevice(net *topo.Network, name string, img firmware.VendorImage, cfg *config.DeviceConfig, onReady func()) error {
+	d := net.Device(name)
 	if d == nil {
 		return fmt.Errorf("core: device %q not in topology", name)
 	}
@@ -281,6 +282,7 @@ func (em *Emulation) AttachNewDevice(name string, img firmware.VendorImage, cfg 
 	// of this emulation (Preparation.fork), so growing them means replacing
 	// them: nothing another emulation can reach is edited.
 	plan := *em.prep.Plan
+	plan.Network = net
 	plan.Emulated = withEntry(plan.Emulated, name, true)
 	em.prep.Plan = &plan
 	em.prep.Configs = withEntry(em.prep.Configs, name, cfg)

@@ -24,11 +24,13 @@ import (
 // written since its checkpoint. Once the forks exist the parent is free to
 // move on: its writes copy what they touch, like a fork's.
 //
-// It fails unless the event queue is empty (RunUntilConverged drains it):
-// pending events are closures that cannot be duplicated into a fork, and
-// an empty queue is also what guarantees no protocol timer or boot
-// callback is in flight. A sharded emulation's checkpoint records every
-// domain engine's state (Snapshot.Shards) to be read, not forked.
+// It fails unless the emulation is quiescent (RunUntilConverged leaves it
+// so): pending events are closures that cannot be duplicated into a fork,
+// so nothing may be pending but the VMs' armed background failures, which
+// the cloud keeps as data and a fork re-arms (cloud.Provider.Fork).
+// Quiescence is also what guarantees no protocol timer or boot callback is
+// in flight. A sharded emulation's checkpoint records every domain
+// engine's state (Snapshot.Shards) to be read, not forked.
 func (em *Emulation) Checkpoint() (*checkpoint.Snapshot, error) {
 	if em.cleared {
 		return nil, fmt.Errorf("core: cannot checkpoint a cleared emulation")
@@ -40,6 +42,9 @@ func (em *Emulation) Checkpoint() (*checkpoint.Snapshot, error) {
 	st, err := em.orch.Eng.Snapshot()
 	if err != nil {
 		return nil, fmt.Errorf("core: checkpoint requires a quiescent emulation: %w", err)
+	}
+	if n, armed := em.orch.Eng.Pending(), em.orch.Cloud.ArmedFailures(); n != armed {
+		return nil, fmt.Errorf("core: checkpoint: %d background events pending, but the cloud re-arms %d VM failures in a fork", n, armed)
 	}
 	var shardStates []sim.EngineState
 	if em.shards != nil {

@@ -17,6 +17,12 @@ func TestCheckpointRequiresQuiescence(t *testing.T) {
 		t.Fatal("checkpoint with pending events succeeded")
 	}
 	o.Eng.Run(0)
+	// A daemon the cloud does not re-arm would be lost in a fork.
+	stray := o.Eng.Daemon(time.Hour, func() {})
+	if _, err := em.Checkpoint(); err == nil {
+		t.Fatal("checkpoint with a daemon the cloud does not own succeeded")
+	}
+	stray.Cancel()
 	snap, err := em.Checkpoint()
 	if err != nil {
 		t.Fatal(err)

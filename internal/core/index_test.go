@@ -15,20 +15,23 @@ import (
 	"crystalnet/internal/traffic"
 )
 
-// addRack grows the topology by one ToR under pod 0's leaves — the
-// operator's half of the new-rack rehearsal; AttachNewDevice is the other.
-func addRack(n *topo.Network, name string) {
+// addRack returns a copy of the topology grown by one ToR under pod 0's
+// leaves — the operator's half of the new-rack rehearsal; AttachNewDevice
+// is the other.
+func addRack(n *topo.Network, name string) *topo.Network {
+	n = n.Clone()
 	d := n.AddDevice(name, topo.LayerToR, topo.ToRAS(999), "ctnrb")
 	d.Pod = 0
 	d.Originated = append(d.Originated, netpkt.MustParsePrefix("100.64.99.0/24"))
 	n.Connect(d, n.MustDevice("leaf-p0-0"))
 	n.Connect(d, n.MustDevice("leaf-p0-1"))
+	return n
 }
 
 // attachRack boots the added ToR and reloads the leaves so they learn it.
-func attachRack(t *testing.T, em *Emulation, name string) {
+func attachRack(t *testing.T, em *Emulation, net *topo.Network, name string) {
 	t.Helper()
-	if err := em.AttachNewDevice(name, fastImages()["ctnrb"], nil, nil); err != nil {
+	if err := em.AttachNewDevice(net, name, fastImages()["ctnrb"], nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	for _, leaf := range []string{"leaf-p0-0", "leaf-p0-1"} {
@@ -98,9 +101,9 @@ func TestIndexTracksRunningConfigs(t *testing.T) {
 		t.Fatal("rollback did not reinstall the saved configuration itself")
 	}
 
-	addRack(em.Network(), "tor-p0-new")
+	grown := addRack(em.Network(), "tor-p0-new")
 	same("topology grown, nothing attached")
-	attachRack(t, em, "tor-p0-new")
+	attachRack(t, em, grown, "tor-p0-new")
 	moved("attach")
 	if id, ok := em.Index().ID("tor-p0-new"); !ok || em.Index().Name(id) != "tor-p0-new" {
 		t.Fatal("attached device missing from the index")
@@ -145,15 +148,16 @@ type forkOutcome struct {
 // TestForksNeverSeeParentAttach: forks share the preparation's maps, the plan
 // and the fabric index with their parent, so the parent growing them must
 // replace, never edit. Eight forks of one checkpoint flap a link, settle
-// their traffic and sweep reachability while the parent attaches a rack that
-// was in the topology before the checkpoint; under -race any edit of shared
-// state is a report, and every fork must see the fabric as it was.
+// their traffic and sweep reachability while the parent attaches a rack
+// grown into a copy of the topology before the checkpoint; under -race any
+// edit of shared state is a report, and every fork must see the fabric as
+// it was.
 func TestForksNeverSeeParentAttach(t *testing.T) {
 	o, parent := fullEmulation(t, Options{Seed: 9})
 	if err := parent.AttachTraffic(traffic.Spec{Flows: 100_000, Seed: 5}); err != nil {
 		t.Fatal(err)
 	}
-	addRack(parent.Network(), "tor-p0-new")
+	grown := addRack(parent.Network(), "tor-p0-new")
 	snap, err := parent.Checkpoint()
 	if err != nil {
 		t.Fatal(err)
@@ -212,14 +216,14 @@ func TestForksNeverSeeParentAttach(t *testing.T) {
 			got[i] = run(em)
 		}()
 	}
-	attachRack(t, parent, "tor-p0-new")
+	attachRack(t, parent, grown, "tor-p0-new")
 	wg.Wait()
 
 	if parent.Index() == ix || parent.Plan() == plan || parent.Configs()["tor-p0-new"] == nil || !parent.Plan().Emulated["tor-p0-new"] {
 		t.Fatal("parent's attach did not give it a new index and plan holding the rack")
 	}
-	if plan.Emulated["tor-p0-new"] {
-		t.Fatal("parent's attach edited the plan its forks share")
+	if plan.Emulated["tor-p0-new"] || plan.Network.Device("tor-p0-new") != nil {
+		t.Fatal("parent's attach edited the plan or topology its forks share")
 	}
 	for i, g := range got {
 		if !slices.Equal(g.devices, want.devices) || !slices.Equal(g.plan, want.plan) ||

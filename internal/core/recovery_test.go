@@ -212,6 +212,18 @@ func TestMTBFConvergesWithDaemonTimers(t *testing.T) {
 			t.Fatalf("%s not running after converge with MTBF armed", name)
 		}
 	}
+	// The armed failures cross a checkpoint: the fork re-arms every one.
+	snap, err := em.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fork, err := o.Fork(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fork.Orchestrator().Eng.Pending(); got != o.Eng.Pending() {
+		t.Fatalf("fork has %d failures armed, parent %d", got, o.Eng.Pending())
+	}
 }
 
 // TestSupervisedMockupConverges turns the retry layer on for the initial

@@ -20,12 +20,14 @@ const (
 
 // CampaignConfig parameterizes a chaos campaign: N randomized fault
 // sequences expanded from one base spec, seeded so the whole campaign is
-// reproducible, fanned across cores with the experiment worker pool.
+// reproducible, run on forks of one converged baseline fanned across cores
+// with the experiment worker pool.
 type CampaignConfig struct {
 	// N is the number of fault sequences (runs; default 20).
 	N int
-	// Seed seeds the campaign; run i derives its own seed from it, so
-	// reports are identical for any worker count.
+	// Seed seeds the campaign: it is every run's emulation seed (the runs
+	// share one convergence), and run i derives its fault draws' seed from
+	// it, so reports are identical for any worker count.
 	Seed int64
 	// FaultsPerRun is the number of fault events per sequence (default 6).
 	FaultsPerRun int
@@ -33,22 +35,14 @@ type CampaignConfig struct {
 	Workers int
 	// MaxEvents caps each convergence drive (0 = default).
 	MaxEvents uint64
-	// Reuse converges the base fabric once and forks the checkpoint per
-	// run instead of re-converging N times (crystalctl chaos -reuse).
-	// Fault sequences and reports are unchanged except for the per-run
-	// seed field: every run shares the campaign seed's convergence, and
-	// the fault draws keep their own per-run derived seeds.
-	Reuse bool
 	// Trace gives every run a private obs.Recorder and collects them in
 	// CampaignReport.Traces, in run order regardless of worker count —
-	// the same determinism contract the reports already have. Under Reuse
-	// the shared convergence is traced once and each run's trace starts
-	// with a copy of it, exactly as a fresh traced run would look.
+	// the same determinism contract the reports already have. The shared
+	// convergence is traced once and each run's trace starts with a copy
+	// of it, exactly as a fresh traced run would look.
 	Trace bool
 	// MTBF arms seeded random VM failures in every run (Options.MTBF),
 	// layering background faults on top of the injected sequences.
-	// Incompatible with Reuse: the failure timers are daemon events that
-	// cannot cross the shared checkpoint.
 	MTBF time.Duration
 	// Retry supervises VM boots in every run (Options.Retry).
 	Retry cloud.RetryPolicy
@@ -97,17 +91,12 @@ var benignPrefixes = []string{
 	"192.0.2.0/24", "198.51.100.0/25", "203.0.113.0/24", "198.18.0.0/15",
 }
 
-// runSeed derives run i's seed from the campaign seed (splitmix64-style
-// constant keeps neighboring runs decorrelated).
-func runSeed(campaignSeed int64, i int) int64 {
-	return campaignSeed + int64(i+1)*-0x61c8864680b583eb
-}
-
 // Chaos expands the base spec into cfg.N seeded fault sequences and runs
-// them across the worker pool. Runs are fully independent — each owns its
-// engine, cloud and emulation — so the aggregated report is byte-identical
-// no matter how many workers execute it (the determinism contract the
-// experiment harness already provides for figures).
+// them across the worker pool, each on its own fork of the base fabric
+// converged once at the campaign seed. A fork owns its engine, cloud and
+// emulation, so the aggregated report is byte-identical no matter how many
+// workers execute it (the determinism contract the experiment harness
+// already provides for figures).
 func Chaos(base *Spec, cfg CampaignConfig) (*CampaignReport, error) {
 	if err := base.Validate(); err != nil {
 		return nil, err
@@ -122,7 +111,7 @@ func Chaos(base *Spec, cfg CampaignConfig) (*CampaignReport, error) {
 		cfg.Seed = 1
 	}
 	// Enumerate fault candidates once, deterministically, from the base
-	// fabric (every run rebuilds the same topology).
+	// fabric (every run forks the same topology).
 	net, _, err := base.BuildNetwork()
 	if err != nil {
 		return nil, err
@@ -132,44 +121,24 @@ func Chaos(base *Spec, cfg CampaignConfig) (*CampaignReport, error) {
 		return nil, err
 	}
 
-	var traces []*tracedReport
-	if cfg.Reuse {
-		if err := CheckForkable(base, cfg.runOptions()); err != nil {
-			return nil, fmt.Errorf("scenario: chaos Reuse: %w", err)
-		}
-		// Converge the base fabric exactly once, then fork it per run. The
-		// emulation seed is the campaign seed for every run (they share one
-		// convergence); only the fault draws stay per-run.
-		convBase := base.Clone()
-		convBase.Seed = cfg.Seed
-		// runOptions traces the shared convergence when cfg.Trace; every
-		// fork starts from a deep copy of that recorder, so each run's
-		// trace is complete.
-		conv, err := Converge(convBase, cfg.runOptions())
-		if err != nil {
-			return nil, err
-		}
-		traces = parallel.Map(cfg.N, cfg.Workers, func(i int) *tracedReport {
-			sp := expandRun(base, cand, i, cfg.Seed, runSeed(cfg.Seed, i), cfg.FaultsPerRun)
-			opts := cfg.runOptions()
-			rep, err := conv.Run(sp, opts)
-			if err != nil {
-				return &tracedReport{rep: &Report{Scenario: sp.Name, Seed: cfg.Seed, Error: err.Error()}, rec: opts.Rec}
-			}
-			return &tracedReport{rep: rep, rec: opts.Rec}
-		})
-	} else {
-		traces = parallel.Map(cfg.N, cfg.Workers, func(i int) *tracedReport {
-			seed := runSeed(cfg.Seed, i)
-			sp := expandRun(base, cand, i, seed, seed, cfg.FaultsPerRun)
-			opts := cfg.runOptions()
-			rep, err := Run(sp, opts)
-			if err != nil {
-				return &tracedReport{rep: &Report{Scenario: sp.Name, Seed: seed, Error: err.Error()}, rec: opts.Rec}
-			}
-			return &tracedReport{rep: rep, rec: opts.Rec}
-		})
+	convBase := base.Clone()
+	convBase.Seed = cfg.Seed
+	// runOptions traces the shared convergence when cfg.Trace; every fork
+	// starts from a deep copy of that recorder, so each run's trace is
+	// complete.
+	conv, err := Converge(convBase, cfg.runOptions())
+	if err != nil {
+		return nil, err
 	}
+	traces := parallel.Map(cfg.N, cfg.Workers, func(i int) *tracedReport {
+		sp := expandRun(base, cand, i, cfg.Seed, cfg.FaultsPerRun)
+		opts := cfg.runOptions()
+		rep, err := conv.Run(sp, opts)
+		if err != nil {
+			return &tracedReport{rep: &Report{Scenario: sp.Name, Seed: cfg.Seed, Error: err.Error()}, rec: opts.Rec}
+		}
+		return &tracedReport{rep: rep, rec: opts.Rec}
+	})
 
 	reports := make([]*Report, len(traces))
 	out := &CampaignReport{Scenario: base.Name, Seed: cfg.Seed, Runs: reports}
@@ -240,14 +209,15 @@ func faultCandidates(net *topo.Network) (*candidates, error) {
 // faultsPerRun randomized fault events (each followed by convergence and
 // the invariant sweep), then a final FIB diff against the initial baseline
 // — every fault in the campaign is repaired, so a clean run ends exactly
-// where it started. emSeed seeds the emulation (the spec's seed field);
-// faultSeed seeds the fault draws. Classic campaigns pass the same per-run
-// seed for both; reuse campaigns share one emulation seed across runs.
-func expandRun(base *Spec, cand *candidates, i int, emSeed, faultSeed int64, faultsPerRun int) *Spec {
+// where it started. The campaign seed is the spec's seed (every run forks
+// one convergence); the fault draws are seeded per run, from the campaign
+// seed and i (a splitmix64-style constant keeps neighboring runs
+// decorrelated).
+func expandRun(base *Spec, cand *candidates, i int, campaignSeed int64, faultsPerRun int) *Spec {
 	sp := base.Clone()
 	sp.Name = fmt.Sprintf("%s/run-%03d", base.Name, i)
-	sp.Seed = emSeed
-	rng := rand.New(rand.NewSource(faultSeed))
+	sp.Seed = campaignSeed
+	rng := rand.New(rand.NewSource(campaignSeed + int64(i+1)*-0x61c8864680b583eb))
 
 	up, down := true, false
 	kills := 0

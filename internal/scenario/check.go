@@ -323,8 +323,9 @@ func (r *runner) sweepTargets(st *Step) (sources, unknown []string, dests []dest
 
 	// Destinations are attributed to their owning device so self-pairs are
 	// skipped.
+	net := r.em.Network()
 	for _, name := range fabric {
-		d := r.net.Device(name)
+		d := net.Device(name)
 		if d == nil {
 			continue
 		}

@@ -11,7 +11,6 @@ import (
 	"crystalnet/internal/core"
 	"crystalnet/internal/firmware"
 	"crystalnet/internal/obs"
-	"crystalnet/internal/topo"
 	"crystalnet/internal/vendors"
 )
 
@@ -46,7 +45,7 @@ type Options struct {
 	// MTBF arms seeded random VM failures on every provisioned VM
 	// (core.Options.MTBF); zero disables them. The failure timers are
 	// daemon events, so convergence drives still terminate with them
-	// armed — but they preclude checkpointing (Converge rejects it).
+	// armed, and a fork of a converged baseline re-arms them.
 	MTBF time.Duration
 	// Retry supervises VM boots with per-attempt deadlines, backoff and
 	// replacement (core.Options.Retry). The zero value reproduces
@@ -73,7 +72,6 @@ type runner struct {
 
 	orch *core.Orchestrator
 	em   *core.Emulation
-	net  *topo.Network
 
 	// origConfigs are the post-mockup device configurations — the initial
 	// baseline's map, whatever save-baseline later stores under that name.
@@ -210,7 +208,6 @@ func (r *runner) mockup(seed int64) error {
 	if err != nil {
 		return err
 	}
-	r.net = net
 	r.report.Fabric = clos.Name
 
 	images := map[string]firmware.VendorImage{}

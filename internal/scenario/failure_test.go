@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"crystalnet/internal/cloud"
+	"crystalnet/internal/core"
 )
 
 // mtbfSpec layers background MTBF faults under the driven steps: a long
@@ -23,18 +24,46 @@ func mtbfSpec() *Spec {
 	)
 }
 
+// mtbfCampaign is the failure-path campaign over mtbfSpec.
+func mtbfCampaign() CampaignConfig {
+	return CampaignConfig{
+		N: 4, Seed: 99, FaultsPerRun: 2,
+		MTBF:             2 * time.Hour,
+		Retry:            cloud.RetryPolicy{MaxAttempts: 3, BootDeadline: 90 * time.Second},
+		RecoveryDeadline: 30 * time.Minute,
+	}
+}
+
+// failureCounts counts a report's injected VM failures and the failure
+// alerts it raised: background faults raise the same failure alerts as
+// injected ones, so any beyond the injected count came from MTBF.
+func failureCounts(r *Report) (injected, failures int) {
+	for _, st := range r.Steps {
+		if st.Op == string(OpInjectVMFailure) {
+			injected++
+		}
+	}
+	return injected, alertsFailed(r.Alerts)
+}
+
+// alertsFailed counts failure alerts.
+func alertsFailed(alerts []string) int {
+	n := 0
+	for _, a := range alerts {
+		if strings.Contains(a, "failed") {
+			n++
+		}
+	}
+	return n
+}
+
 // TestMTBFCampaignSerialParallelIdentical is the failure-path chaos
 // contract: a campaign with background MTBF faults layered on top of the
 // injected sequences completes with zero lost faults, bounded alert
 // growth, and byte-identical reports for any worker count.
 func TestMTBFCampaignSerialParallelIdentical(t *testing.T) {
 	base := mtbfSpec()
-	cfg := CampaignConfig{
-		N: 4, Seed: 99, FaultsPerRun: 2,
-		MTBF:             2 * time.Hour,
-		Retry:            cloud.RetryPolicy{MaxAttempts: 3, BootDeadline: 90 * time.Second},
-		RecoveryDeadline: 30 * time.Minute,
-	}
+	cfg := mtbfCampaign()
 
 	cfg.Workers = 1
 	serial, err := Chaos(base.Clone(), cfg)
@@ -65,19 +94,7 @@ func TestMTBFCampaignSerialParallelIdentical(t *testing.T) {
 		if len(r.Alerts) > 60 {
 			t.Fatalf("%s: %d alerts — unbounded growth", r.Scenario, len(r.Alerts))
 		}
-		// Background faults raise the same failure alerts as injected ones;
-		// any failure alert beyond the injected count came from MTBF.
-		injected, failures := 0, 0
-		for _, st := range r.Steps {
-			if st.Op == string(OpInjectVMFailure) {
-				injected++
-			}
-		}
-		for _, a := range r.Alerts {
-			if strings.Contains(a, "failed") {
-				failures++
-			}
-		}
+		injected, failures := failureCounts(r)
 		if failures < injected {
 			t.Fatalf("%s: %d injected faults but only %d failure alerts — a fault vanished",
 				r.Scenario, injected, failures)
@@ -89,14 +106,44 @@ func TestMTBFCampaignSerialParallelIdentical(t *testing.T) {
 	}
 }
 
-// TestChaosReuseRejectsMTBF: daemon failure timers cannot cross the shared
-// checkpoint, so the combination must be an explicit error rather than a
-// cryptic snapshot failure N runs in.
-func TestChaosReuseRejectsMTBF(t *testing.T) {
-	base := tinySpec(Step{Op: OpWaitConverge})
-	_, err := Chaos(base, CampaignConfig{N: 2, Seed: 1, Reuse: true, MTBF: time.Hour})
-	if err == nil || !strings.Contains(err.Error(), "MTBF") {
-		t.Fatalf("Chaos(Reuse, MTBF) = %v, want MTBF incompatibility error", err)
+// TestMTBFCampaignForksMatchFresh: the background failures armed when the
+// campaign's shared convergence is checkpointed cross into every fork. Each
+// run of the MTBF campaign byte-equals a fresh run of its expanded spec at
+// the campaign seed, and background failures fire after the checkpoint.
+func TestMTBFCampaignForksMatchFresh(t *testing.T) {
+	base := mtbfSpec()
+	cfg := mtbfCampaign()
+	cfg.Workers = 2
+	camp, err := Chaos(base, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{MTBF: cfg.MTBF, Retry: cfg.Retry, RecoveryDeadline: cfg.RecoveryDeadline}
+	convBase := base.Clone()
+	convBase.Seed = cfg.Seed
+	conv, err := Converge(convBase, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if conv.orch.Eng.Pending() == 0 {
+		t.Fatal("no background failure armed at the checkpoint")
+	}
+	atCheckpoint := alertsFailed(conv.snap.Origin.(*core.Emulation).Alerts)
+	cand := chaosCandidates(t, base)
+	after := 0
+	for i, got := range camp.Runs {
+		fresh, err := Run(expandRun(base, cand, i, cfg.Seed, cfg.FaultsPerRun), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.JSON(), fresh.JSON()) {
+			t.Fatalf("campaign run %d differs from fresh run\ncampaign:\n%s\nfresh:\n%s", i, got.JSON(), fresh.JSON())
+		}
+		injected, failures := failureCounts(got)
+		after += failures - injected - atCheckpoint
+	}
+	if after <= 0 {
+		t.Fatal("no background failure fired after the checkpoint")
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"crystalnet/internal/checkpoint"
 	"crystalnet/internal/cloud"
 	"crystalnet/internal/core"
-	"crystalnet/internal/topo"
 )
 
 // Converged is a reusable converged baseline for a spec: the fabric has
@@ -27,12 +26,12 @@ type Converged struct {
 	// The options the mockup ran with, beside the seed: a fork cannot run
 	// with others (fork checks).
 	images           map[string]ImageRef
+	mtbf             time.Duration
 	retry            cloud.RetryPolicy
 	recoveryDeadline time.Duration
 
 	orch *core.Orchestrator
 	snap *checkpoint.Snapshot
-	net  *topo.Network
 
 	baseline *core.State // its Configs are the rollback anchors of every fork
 	// sweep is the verdict table of the step-0 no-blackhole sweep (nil when
@@ -73,13 +72,13 @@ func Converge(sp *Spec, opts Options) (*Converged, error) {
 		seed:     seed,
 		orch:     r.orch,
 		snap:     snap,
-		net:      r.net,
 		baseline: r.baselines[DefaultBaseline],
 		sweep:    r.sweep,
 		step0:    r.report.Steps[0],
 		header:   header,
 
 		images:           maps.Clone(opts.Images),
+		mtbf:             opts.MTBF,
 		retry:            opts.Retry,
 		recoveryDeadline: opts.RecoveryDeadline,
 	}, nil
@@ -92,9 +91,8 @@ func Converge(sp *Spec, opts Options) (*Converged, error) {
 // count matches.
 //
 // sp must resolve to the Converged's seed and opts must carry the Images,
-// Retry and RecoveryDeadline Converge was given (forking cannot replay a
-// different convergence), and sp must not contain attach-device steps —
-// those grow the topology, which forks share copy-on-write with the parent.
+// MTBF, Retry and RecoveryDeadline Converge was given: forking cannot
+// replay a different convergence.
 func (cv *Converged) Run(sp *Spec, opts Options) (*Report, error) {
 	r, err := cv.fork(sp, opts)
 	if err != nil {
@@ -117,6 +115,8 @@ func (cv *Converged) fork(sp *Spec, opts Options) (*runner, error) {
 	switch {
 	case !maps.Equal(opts.Images, cv.images):
 		mismatch = "Images"
+	case opts.MTBF != cv.mtbf:
+		mismatch = "MTBF"
 	case opts.Retry != cv.retry:
 		mismatch = "Retry"
 	case opts.RecoveryDeadline != cv.recoveryDeadline:
@@ -124,9 +124,6 @@ func (cv *Converged) fork(sp *Spec, opts Options) (*runner, error) {
 	}
 	if mismatch != "" {
 		return nil, fmt.Errorf("scenario %s: option %s does not match the converged baseline's", sp.Name, mismatch)
-	}
-	if err := CheckForkable(sp, opts); err != nil {
-		return nil, err
 	}
 	em, err := cv.orch.Fork(cv.snap)
 	if err != nil {
@@ -150,7 +147,6 @@ func (cv *Converged) fork(sp *Spec, opts Options) (*runner, error) {
 		sp: sp, opts: opts,
 		orch:        em.Orchestrator(),
 		em:          em,
-		net:         cv.net,
 		origConfigs: cv.baseline.Configs,
 		baselines:   map[string]*core.State{DefaultBaseline: cv.baseline},
 		sweep:       cv.sweep,
@@ -168,24 +164,6 @@ func (cv *Converged) fork(sp *Spec, opts Options) (*runner, error) {
 // stale handles cannot revive state the pool has given up on. In-flight
 // forks already materialized are unaffected. Safe from any goroutine.
 func (cv *Converged) Invalidate() { cv.snap.Invalidate() }
-
-// CheckForkable reports whether sp can run against a forked baseline
-// instead of a fresh convergence. Two things disqualify it: armed MTBF
-// failures (daemon timers cannot cross a checkpoint — Converge would have
-// refused) and attach-device steps (they grow the topology, which forks
-// share copy-on-write with the parent). Both the chaos Reuse path and the
-// rehearsal service use this to decide fork-vs-fresh up front.
-func CheckForkable(sp *Spec, opts Options) error {
-	if opts.MTBF > 0 {
-		return fmt.Errorf("scenario %s: MTBF failure injection cannot run on a forked emulation (daemon timers cannot cross a checkpoint)", sp.Name)
-	}
-	for i := range sp.Steps {
-		if sp.Steps[i].Op == OpAttachDevice {
-			return fmt.Errorf("scenario %s: attach-device cannot run on a forked emulation (mutates the shared topology)", sp.Name)
-		}
-	}
-	return nil
-}
 
 // resolveSeed applies the same seed-resolution rules as Run: override,
 // spec, then the default seed 1.

@@ -3,6 +3,7 @@ package scenario
 import (
 	"bytes"
 	"maps"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -10,6 +11,7 @@ import (
 
 	"crystalnet/internal/bgp"
 	"crystalnet/internal/cloud"
+	"crystalnet/internal/core"
 	"crystalnet/internal/netpkt"
 	"crystalnet/internal/parallel"
 )
@@ -144,12 +146,6 @@ func TestConvergedRunRejectsMismatches(t *testing.T) {
 	if _, err := conv.Run(other, Options{}); err == nil {
 		t.Fatal("seed mismatch accepted")
 	}
-	attach := tinySpec(Step{Op: OpAttachDevice, NewDevice: &NewDevice{
-		Name: "tor-new", Layer: "tor", Vendor: "ctnra", Peers: []string{"leaf-p0-0", "leaf-p0-1"},
-	}})
-	if _, err := conv.Run(attach, Options{}); err == nil {
-		t.Fatal("attach-device step accepted on a fork")
-	}
 
 	// A fork runs with the options the baseline converged with, or not at
 	// all: each of these would otherwise be ignored.
@@ -157,6 +153,7 @@ func TestConvergedRunRejectsMismatches(t *testing.T) {
 	sp := tinySpec(rehearsalSteps()[:2]...)
 	for field, opts := range map[string]Options{
 		"Images":           {Images: trap},
+		"MTBF":             {MTBF: time.Hour},
 		"Retry":            {Retry: cloud.DefaultRetryPolicy},
 		"RecoveryDeadline": {RecoveryDeadline: time.Minute},
 	} {
@@ -176,58 +173,95 @@ func TestConvergedRunRejectsMismatches(t *testing.T) {
 	}
 }
 
-func TestChaosReuseMatchesClassicFaults(t *testing.T) {
-	// Reuse keeps the exact fault sequences of a classic campaign (fault
-	// draws stay seeded per run) and every run must still pass; only the
-	// per-run emulation seed differs by design, so compare structure, not
-	// bytes.
-	base := tinySpec(Step{Op: OpWaitConverge})
-	cfg := CampaignConfig{N: 4, Seed: 42, FaultsPerRun: 3, Workers: 2}
-	classic, err := Chaos(base, cfg)
+// TestAttachingForksStayApart: a fork grows its own topology. Eight
+// concurrent forks of one rack_addition baseline each attach the new rack;
+// afterwards the baseline's topology holds the devices, links and peer
+// interfaces it held, every fork reported the same bytes, and so does a
+// later fork. Under -race (scripts/check.sh) a write to the shared topology
+// is a report.
+func TestAttachingForksStayApart(t *testing.T) {
+	sp, err := Load("../../scenarios/rack_addition.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Reuse = true
-	reused, err := Chaos(base, cfg)
+	conv, err := Converge(sp, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reused.Passed != classic.Passed || reused.Failed != classic.Failed {
-		t.Fatalf("reuse pass/fail %d/%d, classic %d/%d",
-			reused.Passed, reused.Failed, classic.Passed, classic.Failed)
+	net := conv.snap.Origin.(*core.Emulation).Network()
+	devices, links := net.NumDevices(), len(net.Links)
+	peers := map[string]int{}
+	for _, p := range sp.Steps[0].NewDevice.Peers {
+		peers[p] = len(net.MustDevice(p).Interfaces)
 	}
-	if len(reused.Runs) != len(classic.Runs) {
-		t.Fatalf("runs %d vs %d", len(reused.Runs), len(classic.Runs))
+
+	reports := parallel.Map(8, 8, func(int) []byte {
+		rep, err := conv.Run(sp.Clone(), Options{})
+		if err != nil {
+			t.Error(err)
+			return nil
+		}
+		if !rep.Passed {
+			t.Errorf("attaching fork failed:\n%s", rep.JSON())
+		}
+		return rep.JSON()
+	})
+	for i, r := range reports {
+		if !bytes.Equal(r, reports[0]) {
+			t.Fatalf("fork %d reported differently from fork 0", i)
+		}
 	}
-	for i := range reused.Runs {
-		a, b := reused.Runs[i], classic.Runs[i]
-		if a.Scenario != b.Scenario {
-			t.Fatalf("run %d name %q vs %q", i, a.Scenario, b.Scenario)
+	if net.NumDevices() != devices || len(net.Links) != links || net.Device(sp.Steps[0].NewDevice.Name) != nil {
+		t.Fatalf("baseline topology grew: %d devices, %d links, want %d and %d", net.NumDevices(), len(net.Links), devices, links)
+	}
+	for p, n := range peers {
+		if got := len(net.MustDevice(p).Interfaces); got != n {
+			t.Fatalf("baseline peer %s has %d interfaces, want %d", p, got, n)
 		}
-		if len(a.Steps) != len(b.Steps) {
-			t.Fatalf("run %d: %d steps vs %d", i, len(a.Steps), len(b.Steps))
-		}
-		for j := range a.Steps {
-			if a.Steps[j].Op != b.Steps[j].Op || a.Steps[j].Label != b.Steps[j].Label {
-				t.Fatalf("run %d step %d: %s/%s vs %s/%s — fault sequence changed",
-					i, j, a.Steps[j].Op, a.Steps[j].Label, b.Steps[j].Op, b.Steps[j].Label)
-			}
-		}
-		if a.Seed != cfg.Seed {
-			t.Fatalf("reuse run %d seed %d, want campaign seed %d", i, a.Seed, cfg.Seed)
-		}
+	}
+	later, err := conv.Run(sp, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(later.JSON(), reports[0]) {
+		t.Fatalf("later fork differs from the first\nlater:\n%s\nfirst:\n%s", later.JSON(), reports[0])
 	}
 }
 
-func TestChaosReuseMatchesFreshRunBytes(t *testing.T) {
-	// The fresh==forked chaos contract: every report in a reuse campaign
-	// must byte-match a fresh from-scratch Run of the same expanded spec.
+// TestChaosRunsShareTheCampaignSeed: every run of a campaign forks one
+// convergence at the campaign seed, and its fault sequence is the one its
+// per-run fault seed draws.
+func TestChaosRunsShareTheCampaignSeed(t *testing.T) {
 	base := tinySpec(Step{Op: OpWaitConverge})
-	cfg := CampaignConfig{N: 2, Seed: 11, FaultsPerRun: 2, Workers: 1, Reuse: true}
+	cfg := CampaignConfig{N: 4, Seed: 42, FaultsPerRun: 3, Workers: 2}
 	camp, err := Chaos(base, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	cand := chaosCandidates(t, base)
+	for i, got := range camp.Runs {
+		if got.Seed != cfg.Seed {
+			t.Fatalf("run %d seed %d, want campaign seed %d", i, got.Seed, cfg.Seed)
+		}
+		sp := expandRun(base, cand, i, cfg.Seed, cfg.FaultsPerRun)
+		if got.Scenario != sp.Name || len(got.Steps) != len(sp.Steps)+1 {
+			t.Fatalf("run %d: %q with %d steps, want %q with %d", i, got.Scenario, len(got.Steps), sp.Name, len(sp.Steps)+1)
+		}
+		for j, st := range sp.Steps {
+			if r := got.Steps[j+1]; r.Op != string(st.Op) || r.Label != st.Label {
+				t.Fatalf("run %d step %d: %s/%s, want %s/%s — fault sequence changed", i, j+1, r.Op, r.Label, st.Op, st.Label)
+			}
+		}
+	}
+	if camp.Failed != 0 {
+		t.Fatalf("campaign had failing runs:\n%s", camp.JSON())
+	}
+}
+
+// chaosCandidates enumerates the fault candidates of base's fabric, as
+// Chaos does.
+func chaosCandidates(t *testing.T, base *Spec) *candidates {
+	t.Helper()
 	net, _, err := base.BuildNetwork()
 	if err != nil {
 		t.Fatal(err)
@@ -236,31 +270,28 @@ func TestChaosReuseMatchesFreshRunBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return cand
+}
+
+func TestChaosMatchesFreshRunBytes(t *testing.T) {
+	// The fresh==forked chaos contract: every report in a campaign must
+	// byte-match a fresh from-scratch Run of the same expanded spec.
+	base := tinySpec(Step{Op: OpWaitConverge})
+	cfg := CampaignConfig{N: 2, Seed: 11, FaultsPerRun: 2, Workers: 1}
+	camp, err := Chaos(base, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cand := chaosCandidates(t, base)
 	for i, got := range camp.Runs {
-		sp := expandRun(base, cand, i, cfg.Seed, runSeed(cfg.Seed, i), cfg.FaultsPerRun)
-		fresh, err := Run(sp, Options{})
+		fresh, err := Run(expandRun(base, cand, i, cfg.Seed, cfg.FaultsPerRun), Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got.JSON(), fresh.JSON()) {
-			t.Fatalf("reuse run %d differs from fresh run\nreuse:\n%s\nfresh:\n%s",
+			t.Fatalf("campaign run %d differs from fresh run\ncampaign:\n%s\nfresh:\n%s",
 				i, got.JSON(), fresh.JSON())
 		}
-	}
-}
-
-func TestChaosReuseSerialParallelIdentical(t *testing.T) {
-	base := tinySpec(Step{Op: OpWaitConverge})
-	serial, err := Chaos(base, CampaignConfig{N: 4, Seed: 21, FaultsPerRun: 2, Workers: 1, Reuse: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := Chaos(base, CampaignConfig{N: 4, Seed: 21, FaultsPerRun: 2, Workers: 4, Reuse: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(serial.JSON(), par.JSON()) {
-		t.Fatal("reuse campaign not byte-identical across worker counts")
 	}
 }
 
@@ -268,23 +299,19 @@ func TestChaosReuseSerialParallelIdentical(t *testing.T) {
 // the spec and seed alone. Another tenant of the process — here 131,073
 // distinct attribute sets pushed through bgp.Decode, more than a bounded
 // process-wide attribute table would hold — must not change what a fork of
-// a converged baseline reports: both forks taken around the flood, and a
-// fresh run, are byte-identical. It covers every forkable shipped scenario.
+// a converged baseline reports: both forks taken around the flood, a fresh
+// run and the scenario's golden are byte-identical. It covers every
+// shipped scenario.
 func TestOtherTenantsCannotChangeAForkedReport(t *testing.T) {
 	paths, err := filepath.Glob("../../scenarios/*.json")
 	if err != nil || len(paths) == 0 {
 		t.Fatalf("no shipped scenarios: %v", err)
 	}
-	forkable := 0
 	for _, path := range paths {
 		sp, err := Load(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if CheckForkable(sp, Options{}) != nil {
-			continue
-		}
-		forkable++
 		t.Run(filepath.Base(path), func(t *testing.T) {
 			fresh, err := Run(sp, Options{})
 			if err != nil {
@@ -309,10 +336,14 @@ func TestOtherTenantsCannotChangeAForkedReport(t *testing.T) {
 			if !bytes.Equal(fresh.JSON(), after.JSON()) {
 				t.Fatalf("forked report differs from fresh run\nfresh:\n%s\nforked:\n%s", fresh.JSON(), after.JSON())
 			}
+			golden, err := os.ReadFile(filepath.Join("testdata", "golden", filepath.Base(path)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(golden, after.JSON()) {
+				t.Fatalf("forked report differs from the golden\n%s", after.JSON())
+			}
 		})
-	}
-	if forkable == 0 {
-		t.Fatal("no forkable shipped scenario")
 	}
 }
 

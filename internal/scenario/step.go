@@ -199,13 +199,14 @@ func (r *runner) attachTraffic(spec *traffic.Spec, seed int64) error {
 // attachDevice grows the topology and the running emulation (the new-rack
 // rehearsal): add the device and its links, boot it, and reload each peer
 // with a regenerated configuration so it learns the new sessions — exactly
-// the operator workflow in production.
+// the operator workflow in production. The topology grows in a copy: the
+// emulation's own is shared with its checkpoint and every fork of it.
 func (r *runner) attachDevice(nd *NewDevice) error {
 	layer, err := parseLayer(nd.Layer)
 	if err != nil {
 		return err
 	}
-	if r.net.Device(nd.Name) != nil {
+	if r.em.Network().Device(nd.Name) != nil {
 		return fmt.Errorf("device %q already in topology", nd.Name)
 	}
 	for _, peer := range nd.Peers {
@@ -213,11 +214,12 @@ func (r *runner) attachDevice(nd *NewDevice) error {
 			return fmt.Errorf("peer %q is not emulated", peer)
 		}
 	}
+	net := r.em.Network().Clone()
 	asn := nd.ASN
 	if asn == 0 {
-		asn = topo.ToRAS(r.net.NumDevices())
+		asn = topo.ToRAS(net.NumDevices())
 	}
-	d := r.net.AddDevice(nd.Name, layer, asn, nd.Vendor)
+	d := net.AddDevice(nd.Name, layer, asn, nd.Vendor)
 	for _, p := range nd.Originated {
 		pfx, err := netpkt.ParsePrefix(p)
 		if err != nil {
@@ -226,7 +228,7 @@ func (r *runner) attachDevice(nd *NewDevice) error {
 		d.Originated = append(d.Originated, pfx)
 	}
 	for _, peer := range nd.Peers {
-		r.net.Connect(d, r.net.MustDevice(peer))
+		net.Connect(d, net.MustDevice(peer))
 	}
 	var img firmware.VendorImage
 	if nd.Version == "" {
@@ -237,14 +239,14 @@ func (r *runner) attachDevice(nd *NewDevice) error {
 	if err != nil {
 		return err
 	}
-	if err := r.em.AttachNewDevice(nd.Name, img, nil, nil); err != nil {
+	if err := r.em.AttachNewDevice(net, nd.Name, img, nil, nil); err != nil {
 		return err
 	}
 	// Neighbors learn the new sessions via operator reloads, as in
 	// production (§3.2).
 	for _, peer := range nd.Peers {
 		cur := r.em.Devices[peer].Config()
-		cfg := config.GenerateDevice(r.net.MustDevice(peer))
+		cfg := config.GenerateDevice(net.MustDevice(peer))
 		cfg.Credential = cur.Credential
 		if err := r.em.ReloadDevice(peer, cfg, nil); err != nil {
 			return err
@@ -263,7 +265,7 @@ func (r *runner) resolveDst(st *Step) (netpkt.IP, error) {
 		}
 		return ip, nil
 	}
-	d := r.net.Device(st.DstDevice)
+	d := r.em.Network().Device(st.DstDevice)
 	if d == nil {
 		return 0, fmt.Errorf("dstDevice %q not in topology", st.DstDevice)
 	}

@@ -151,12 +151,11 @@ func TestTraceHasPhaseAndConvergeSpans(t *testing.T) {
 
 func TestChaosTraceDeterminism(t *testing.T) {
 	// Traced campaigns keep the serial == parallel contract for the traces
-	// too, and Reuse traces must match classic traces of... note: reuse
-	// changes per-run emulation seeds, so only serial-vs-parallel equality
-	// holds for a given mode.
+	// too: each run's trace is a copy of the shared convergence's plus its
+	// own steps.
 	base := tinySpec(Step{Op: OpWaitConverge})
-	run := func(workers int, reuse bool) [][]byte {
-		cfg := CampaignConfig{N: 3, Seed: 5, FaultsPerRun: 2, Workers: workers, Reuse: reuse, Trace: true}
+	run := func(workers int) [][]byte {
+		cfg := CampaignConfig{N: 3, Seed: 5, FaultsPerRun: 2, Workers: workers, Trace: true}
 		rep, err := Chaos(base, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -170,16 +169,10 @@ func TestChaosTraceDeterminism(t *testing.T) {
 		}
 		return out
 	}
-	serial, par := run(1, false), run(3, false)
+	serial, par := run(1), run(3)
 	for i := range serial {
 		if !bytes.Equal(serial[i], par[i]) {
-			t.Fatalf("classic campaign: run %d trace differs between serial and parallel", i)
-		}
-	}
-	serialR, parR := run(1, true), run(3, true)
-	for i := range serialR {
-		if !bytes.Equal(serialR[i], parR[i]) {
-			t.Fatalf("reuse campaign: run %d trace differs between serial and parallel", i)
+			t.Fatalf("run %d trace differs between serial and parallel", i)
 		}
 	}
 }

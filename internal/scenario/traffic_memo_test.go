@@ -163,29 +163,22 @@ func TestTrafficConcurrentForks(t *testing.T) {
 // the spot.
 func TestTrafficChaosReuseMatchesFresh(t *testing.T) {
 	base := trafficSpec(Step{Op: OpWaitConverge})
-	cfg := CampaignConfig{N: 4, Seed: 11, FaultsPerRun: 4, Workers: 2, Reuse: true}
+	cfg := CampaignConfig{N: 4, Seed: 11, FaultsPerRun: 4, Workers: 2}
 	camp, err := Chaos(base, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	net, _, err := base.BuildNetwork()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cand, err := faultCandidates(net)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cand := chaosCandidates(t, base)
 	for i, got := range camp.Runs {
 		if got.Traffic == nil || got.Traffic.Settles < 2 {
-			t.Fatalf("reuse run %d settled its matrix %+v times", i, got.Traffic)
+			t.Fatalf("campaign run %d settled its matrix %+v times", i, got.Traffic)
 		}
-		fresh, err := Run(expandRun(base, cand, i, cfg.Seed, runSeed(cfg.Seed, i), cfg.FaultsPerRun), Options{})
+		fresh, err := Run(expandRun(base, cand, i, cfg.Seed, cfg.FaultsPerRun), Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got.JSON(), fresh.JSON()) {
-			t.Fatalf("reuse run %d under load differs from fresh run\nreuse:\n%s\nfresh:\n%s", i, got.JSON(), fresh.JSON())
+			t.Fatalf("campaign run %d under load differs from fresh run\ncampaign:\n%s\nfresh:\n%s", i, got.JSON(), fresh.JSON())
 		}
 	}
 }

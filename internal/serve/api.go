@@ -17,8 +17,8 @@ const (
 	// RequestHeader returns the server-assigned request/session ID.
 	RequestHeader = "X-Crystalnet-Request"
 	// PoolHeader reports how the warm pool served a rehearsal: "hit"
-	// (forked a pooled baseline), "miss" (converged a new baseline, now
-	// pooled), or "bypass" (spec not forkable — ran from scratch).
+	// (forked a pooled baseline) or "miss" (converged a new baseline, now
+	// pooled, and forked it).
 	PoolHeader = "X-Crystalnet-Pool"
 )
 

@@ -155,11 +155,7 @@ func (s *Server) Pool() *Pool { return s.pool }
 // Warm pre-converges a baseline for sp so the first rehearsal against its
 // fabric is already a pool hit. crystald -warm uses it at boot.
 func (s *Server) Warm(sp *scenario.Spec) error {
-	opts := scenario.Options{MaxEvents: s.cfg.MaxEvents}
-	if err := scenario.CheckForkable(sp, opts); err != nil {
-		return err
-	}
-	_, release, _, err := s.pool.Acquire(sp, opts, nil)
+	_, release, _, err := s.pool.Acquire(sp, scenario.Options{MaxEvents: s.cfg.MaxEvents}, nil)
 	if err != nil {
 		return err
 	}
@@ -291,7 +287,7 @@ func runErrorStatus(err error) int {
 //	POST /v1/rehearse          body: scenario spec JSON
 //	→ 200 scenario.Report JSON (exact crystalctl run-scenario bytes)
 //	  X-Crystalnet-Request: session ID
-//	  X-Crystalnet-Pool: hit | miss | bypass
+//	  X-Crystalnet-Pool: hit | miss
 func (s *Server) handleRehearse(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, errors.New("serve: POST only"))
@@ -311,38 +307,26 @@ func (s *Server) handleRehearse(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set(RequestHeader, sess.ID)
 
 	opts := scenario.Options{MaxEvents: s.cfg.MaxEvents, Cancel: r.Context().Done()}
+	cv, release, hit, err := s.pool.Acquire(sp, opts, r.Context().Done())
 	var rep *scenario.Report
-	mode := "bypass"
-	if scenario.CheckForkable(sp, opts) == nil {
-		cv, release, hit, aerr := s.pool.Acquire(sp, opts, r.Context().Done())
-		if aerr != nil {
-			if errors.Is(aerr, core.ErrCanceled) {
-				return // client gone; nothing to write
-			}
-			writeError(w, runErrorStatus(aerr), aerr)
-			return
-		}
+	if err == nil {
 		defer release()
-		if hit {
-			mode = "hit"
-		} else {
-			mode = "miss"
-		}
-		if rep, err = cv.Run(sp, opts); err == nil {
-			// How much of the shared baseline this request had to copy: the
-			// figure that says a spec has stopped being cheap to rehearse.
-			s.live.HistogramWith("serve.fork_cow_copies", "", cowCopyBounds).Observe(float64(rep.CowCopies.Total()))
-		}
-	} else {
-		rep, err = scenario.Run(sp, opts)
+		rep, err = cv.Run(sp, opts)
 	}
 	if err != nil {
 		if errors.Is(err, core.ErrCanceled) {
-			return // torn down deterministically; client gone
+			return // client gone (a canceled run is torn down deterministically)
 		}
 		writeError(w, runErrorStatus(err), err)
 		return
 	}
+	mode := "miss"
+	if hit {
+		mode = "hit"
+	}
+	// How much of the shared baseline this request had to copy: the figure
+	// that says a spec has stopped being cheap to rehearse.
+	s.live.HistogramWith("serve.fork_cow_copies", "", cowCopyBounds).Observe(float64(rep.CowCopies.Total()))
 	w.Header().Set(PoolHeader, mode)
 	w.Header().Set("Content-Type", "application/json")
 	_, _ = w.Write(rep.JSON())
@@ -363,12 +347,10 @@ func queryInt(r *http.Request, name string, def int64) (int64, error) {
 
 // handleChaos runs a chaos campaign against the posted base spec.
 //
-//	POST /v1/chaos?n=20&faults=6&seed=1&workers=0&reuse=true
+//	POST /v1/chaos?n=20&faults=6&seed=1&workers=0
 //	  body: base scenario spec JSON
 //	→ 200 scenario.CampaignReport JSON (exact crystalctl chaos bytes)
 //
-// reuse defaults to true (converge once, fork per run) and silently
-// falls back to per-run convergence when the spec is not forkable.
 // n × faults above maxChaosFaultSteps is a 400.
 func (s *Server) handleChaos(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
@@ -410,8 +392,6 @@ func (s *Server) handleChaos(w http.ResponseWriter, r *http.Request) {
 	cfg.N, cfg.FaultsPerRun = int(n), int(faults)
 	cfg.MaxEvents = s.cfg.MaxEvents
 	cfg.Cancel = r.Context().Done()
-	cfg.Reuse = r.URL.Query().Get("reuse") != "false" &&
-		scenario.CheckForkable(sp, scenario.Options{}) == nil
 
 	sess, code, err := s.begin("chaos", r.Header.Get(TenantHeader), sp.Name)
 	if err != nil {

@@ -506,7 +506,7 @@ func TestOversizedBodyGets413(t *testing.T) {
 func TestChaosEndpointMatchesBatch(t *testing.T) {
 	base := tinySpec("chaos-http", 7)
 	want, err := scenario.Chaos(base, scenario.CampaignConfig{
-		N: 2, Seed: 7, FaultsPerRun: 2, Workers: 1, Reuse: true,
+		N: 2, Seed: 7, FaultsPerRun: 2, Workers: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -563,10 +563,11 @@ func TestPoolInvalidateEndpoint(t *testing.T) {
 	}
 }
 
-func TestRehearseBypassForUnforkableSpec(t *testing.T) {
-	// An attach-device spec cannot fork; the server must run it from
-	// scratch and say so, with bytes matching the batch run.
-	sp := tinySpec("bypass", 7)
+// TestRehearseAttachSpecForks: an attach-device spec forks a pooled
+// baseline like any other — posted twice it is a miss, then a hit — and
+// both answers are the bytes of a fresh batch run.
+func TestRehearseAttachSpecForks(t *testing.T) {
+	sp := tinySpec("attach", 7)
 	sp.Steps = append(sp.Steps,
 		scenario.Step{Op: scenario.OpAttachDevice, NewDevice: &scenario.NewDevice{
 			Name: "tor-new", Layer: "tor", Vendor: "ctnra",
@@ -579,19 +580,18 @@ func TestRehearseBypassForUnforkableSpec(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s, ts := newTestServer(t, Config{})
-	resp, body := rehearse(t, ts, sp, "")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("bypass rehearse: %d: %s", resp.StatusCode, body)
-	}
-	if got := resp.Header.Get(PoolHeader); got != "bypass" {
-		t.Fatalf("%s = %q, want bypass", PoolHeader, got)
-	}
-	if !bytes.Equal(body, want.JSON()) {
-		t.Fatalf("bypass report differs from batch run")
-	}
-	if st := s.Pool().Status(); st.Hits+st.Misses != 0 {
-		t.Fatalf("bypass touched the pool: %+v", st)
+	_, ts := newTestServer(t, Config{})
+	for _, mode := range []string{"miss", "hit"} {
+		resp, body := rehearse(t, ts, sp, "")
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("attach rehearse: %d: %s", resp.StatusCode, body)
+		}
+		if got := resp.Header.Get(PoolHeader); got != mode {
+			t.Fatalf("%s = %q, want %s", PoolHeader, got, mode)
+		}
+		if !bytes.Equal(body, want.JSON()) {
+			t.Fatalf("%s: report differs from batch run\nbatch:\n%s\nserved:\n%s", mode, want.JSON(), body)
+		}
 	}
 }
 

@@ -230,9 +230,10 @@ func NewEngine(seed int64) *Engine {
 
 // EngineState is the serializable scalar state of a quiescent engine: the
 // clock, the scheduling and fired counters, and the RNG stream position.
-// It deliberately excludes the event queue — an engine can only be
-// snapshotted when the queue is empty, because pending events are closures
-// that cannot be duplicated into another run.
+// It deliberately excludes the event queue: pending events are closures
+// that cannot be duplicated into another run. The only ones a snapshot
+// allows are daemon events, which their owner keeps as data (their Keys)
+// and re-arms on the restored engine with DaemonAt.
 type EngineState struct {
 	Now   Time
 	Seq   uint64
@@ -241,22 +242,21 @@ type EngineState struct {
 }
 
 // Snapshot captures the engine's state. It fails unless the engine is
-// quiescent (no pending events): quiescence is the contract that makes a
-// restored engine's future identical to the original's.
+// quiescent — nothing but daemon events pending, as Run leaves it —
+// which is the contract that makes a restored engine's future identical
+// to the original's once the daemons' owner has re-armed them.
 func (e *Engine) Snapshot() (EngineState, error) {
-	if n := e.Pending(); n != 0 {
-		if e.daemons == n {
-			return EngineState{}, fmt.Errorf("sim: cannot snapshot engine with %d pending daemon events (background failure/health timers cannot cross a snapshot)", e.daemons)
-		}
-		return EngineState{}, fmt.Errorf("sim: cannot snapshot engine with %d pending events", n)
+	if n := e.Pending(); n != e.daemons {
+		return EngineState{}, fmt.Errorf("sim: cannot snapshot engine with %d pending events (%d of them daemons)", n, e.daemons)
 	}
 	return EngineState{Now: e.now, Seq: e.seq, Fired: e.fired, RNG: e.rng.State()}, nil
 }
 
 // NewEngineFrom restores an engine from a snapshot. The restored engine has
 // an empty queue, the captured clock/counters, and an RNG that continues
-// the captured draw stream — scheduling the same events on it produces the
-// same execution the original engine would have produced.
+// the captured draw stream — re-arming the captured daemons (DaemonAt) and
+// scheduling the same events on it produces the same execution the
+// original engine would have produced.
 func NewEngineFrom(st EngineState) *Engine {
 	return &Engine{now: st.Now, seq: st.Seq, fired: st.Fired, rng: NewRNGFrom(st.RNG)}
 }
@@ -346,22 +346,48 @@ func (e *Engine) schedule(t Time, fn func()) *event {
 	return ev
 }
 
+// Key is where an event stands in the queue: when it fires, then its
+// insertion sequence, which orders events of one instant.
+type Key struct {
+	At  Time
+	Seq uint64
+}
+
+// Key returns the key of the timer's event, which must still be pending.
+func (t *Timer) Key() Key {
+	s := &t.ev.eng.queue[t.ev.index]
+	return Key{At: s.at, Seq: s.seq}
+}
+
 // Daemon schedules fn like After, but marks the event as a background
 // (daemon) event: Run treats a queue holding only daemon events as
 // quiescent and returns instead of chasing them forever. MTBF failure
-// timers and health-monitor ticks are daemons — they are always armed, so
-// without this marker an emulation with random failures enabled could
-// never "converge" (the queue would never drain). Daemon events still fire
-// normally whenever ordinary events scheduled after them keep the run
-// alive, and always fire under RunUntil/RunFor within the deadline.
+// timers are daemons — they are always armed, so without this marker an
+// emulation with random failures enabled could never "converge" (the queue
+// would never drain). Daemon events still fire normally whenever ordinary
+// events scheduled after them keep the run alive, and always fire under
+// RunUntil/RunFor within the deadline.
 //
-// Work that a daemon event spawns should be scheduled as ordinary events
-// (or further daemons, for the recurring timer itself) so that convergence
-// tracks real pending work.
+// A daemon's owner keeps its Key to re-arm it on an engine restored from
+// a snapshot (DaemonAt). Work that a daemon event spawns should be
+// scheduled as ordinary events (or further daemons, for the recurring
+// timer itself) so that convergence tracks real pending work.
 func (e *Engine) Daemon(d time.Duration, fn func()) *Timer {
 	t := e.After(d, fn)
 	t.ev.daemon = true
 	e.daemons++
+	return t
+}
+
+// DaemonAt queues fn as a daemon event under k: the Key of a daemon that
+// was pending on the engine this one was restored from when it was
+// snapshotted. The event fires when, and in the order among same-instant
+// events, it would have fired there.
+func (e *Engine) DaemonAt(k Key, fn func()) *Timer {
+	next := e.seq
+	e.seq = k.Seq // schedule queues under e.seq
+	t := e.Daemon(k.At.Sub(e.now), fn)
+	e.seq = next
 	return t
 }
 
@@ -448,7 +474,7 @@ func (e *Engine) run(maxEvents uint64) (uint64, error) {
 		}
 		// Quiescent when only daemon events (recurring background timers)
 		// remain: the emulation has no real work left, so Run converges
-		// instead of firing failure/health timers until the end of time.
+		// instead of firing failure timers until the end of time.
 		if len(e.queue) == e.daemons {
 			break
 		}

@@ -2,6 +2,9 @@ package sim
 
 import (
 	"errors"
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -395,10 +398,44 @@ func TestDaemonCancelRestoresQuiescence(t *testing.T) {
 	}
 }
 
-func TestSnapshotRefusesPendingDaemons(t *testing.T) {
+// TestSnapshotCarriesDaemons: a snapshot is taken with daemons pending, and
+// a restored engine that re-arms them by key (in any order) fires them, and
+// the events scheduled after the restore, in the order the original does:
+// same instants, same ties.
+func TestSnapshotCarriesDaemons(t *testing.T) {
 	e := NewEngine(1)
-	e.Daemon(time.Hour, func() {})
+	var order []string
+	log := func(eng *Engine, name string) func() {
+		return func() { order = append(order, fmt.Sprintf("%s@%s", name, eng.Now())) }
+	}
+	e.After(time.Second, func() {})
+	keys := []Key{
+		e.Daemon(time.Hour, log(e, "a")).Key(),
+		e.Daemon(time.Minute, log(e, "b")).Key(),
+		e.Daemon(time.Hour, log(e, "c")).Key(),
+	}
 	if _, err := e.Snapshot(); err == nil {
-		t.Fatal("Snapshot succeeded with a pending daemon event; want error")
+		t.Fatal("Snapshot succeeded with an ordinary event pending")
+	}
+	e.Run(0)
+	st, err := e.Snapshot()
+	if err != nil {
+		t.Fatalf("Snapshot with only daemons pending: %v", err)
+	}
+	f := NewEngineFrom(st)
+	names := []string{"a", "b", "c"}
+	for i := len(keys) - 1; i >= 0; i-- {
+		f.DaemonAt(keys[i], log(f, names[i]))
+	}
+	if f.Pending() != 3 || f.daemons != 3 {
+		t.Fatalf("restored engine: Pending %d, daemons %d, want 3 and 3", f.Pending(), f.daemons)
+	}
+	for _, eng := range []*Engine{e, f} {
+		eng.At(Time(time.Hour), log(eng, "d"))
+		eng.RunFor(2 * time.Hour)
+	}
+	want := []string{"b@1m0s", "a@1h0m0s", "c@1h0m0s", "d@1h0m0s"}
+	if got := strings.Join(order, " "); got != strings.Join(slices.Concat(want, want), " ") {
+		t.Fatalf("firing order %s, want %v twice", got, want)
 	}
 }

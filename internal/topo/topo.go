@@ -10,6 +10,7 @@ package topo
 
 import (
 	"fmt"
+	"slices"
 
 	"crystalnet/internal/netpkt"
 )
@@ -177,6 +178,38 @@ func (n *Network) AddDevice(name string, layer Layer, asn uint32, vendor string)
 	n.devices[name] = d
 	n.order = append(n.order, d)
 	return d
+}
+
+// Clone returns a deep copy of the network — devices, interfaces, links and
+// address allocators — that can be grown without writing anything n holds.
+func (n *Network) Clone() *Network {
+	c := *n
+	c.devices = make(map[string]*Device, len(n.order))
+	c.order = make([]*Device, len(n.order))
+	intfs := make(map[*Interface]*Interface)
+	for i, d := range n.order {
+		nd := *d
+		nd.Originated = slices.Clone(d.Originated)
+		nd.Interfaces = make([]*Interface, len(d.Interfaces))
+		for j, in := range d.Interfaces {
+			ni := *in
+			ni.Device = &nd
+			nd.Interfaces[j] = &ni
+			intfs[in] = &ni
+		}
+		c.order[i] = &nd
+		c.devices[nd.Name] = &nd
+	}
+	for _, ni := range intfs {
+		if ni.Peer != nil {
+			ni.Peer = intfs[ni.Peer]
+		}
+	}
+	c.Links = make([]*Link, len(n.Links))
+	for i, l := range n.Links {
+		c.Links[i] = &Link{A: intfs[l.A], B: intfs[l.B], Subnet: l.Subnet}
+	}
+	return &c
 }
 
 // Device returns the named device, or nil.

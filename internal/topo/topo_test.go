@@ -1,6 +1,8 @@
 package topo
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"crystalnet/internal/netpkt"
@@ -383,5 +385,48 @@ func TestValidateDetectsAsymmetry(t *testing.T) {
 	l.B.Peer = nil // corrupt
 	if err := n.Validate(); err == nil {
 		t.Fatal("Validate missed asymmetric link")
+	}
+}
+
+// TestCloneGrowsApart: a clone reads as its source does, grows exactly as
+// the source would (same indices, addresses and MACs), and growing it
+// writes nothing the source holds.
+func TestCloneGrowsApart(t *testing.T) {
+	describe := func(n *Network) string {
+		var b strings.Builder
+		for _, d := range n.Devices() {
+			fmt.Fprintf(&b, "%s %d %v %v %v %v\n", d.Name, d.Index, d.Loopback, d.MgmtIP, d.Originated, n.Device(d.Name) == d)
+			for _, in := range d.Interfaces {
+				peer := ""
+				if in.Peer != nil {
+					peer = in.Peer.FullName()
+				}
+				fmt.Fprintf(&b, "  %s %d %v %v %s %v\n", in.FullName(), in.Index, in.Addr, in.MAC, peer, in.Device == d)
+			}
+		}
+		for _, l := range n.Links {
+			fmt.Fprintf(&b, "%s %v\n", l, l.A.Peer == l.B && l.B.Peer == l.A)
+		}
+		return b.String()
+	}
+	grow := func(n *Network) {
+		d := n.AddDevice("tor-new", LayerToR, ToRAS(999), "ctnrb")
+		d.Originated = append(d.Originated, netpkt.MustParsePrefix("100.64.99.0/24"))
+		n.Connect(d, n.MustDevice("leaf-p0-0"))
+		n.Connect(d, n.MustDevice("leaf-p0-1"))
+	}
+	n := GenerateClos(SDC())
+	before := describe(n)
+	c := n.Clone()
+	if describe(c) != before {
+		t.Fatal("clone reads differently from its source")
+	}
+	grow(c)
+	if describe(n) != before {
+		t.Fatal("growing the clone wrote its source")
+	}
+	grow(n)
+	if got, want := describe(c), describe(n); got != want {
+		t.Fatalf("clone grew differently from its source:\n%s\nwant:\n%s", got, want)
 	}
 }

@@ -50,7 +50,7 @@ go test -tags crystaldebug ./internal/bgp/ ./internal/rib/
 echo "== settle memo and sweep table vs full walk: traffic plane, chaos campaigns, fork-vs-fresh, sweep properties (-tags crystaldebug)"
 go test -tags crystaldebug ./internal/traffic/
 go test -tags crystaldebug ./internal/core/ -run 'Traffic'
-go test -tags crystaldebug ./internal/scenario/ -run 'TestTraffic|TestChaos|TestForkedRunMatchesFreshRun|TestSweep|TestNoBlackhole'
+go test -tags crystaldebug ./internal/scenario/ -run 'TestTraffic|TestChaos|TestForkedRunMatchesFreshRun|TestAttachingForksStayApart|TestMTBFCampaignForksMatchFresh|TestSweep|TestNoBlackhole'
 
 # TestFork* covers the copy-on-write fork: TestForkIsolation (what is shared,
 # what is not), TestForkSharingIsIsolated (S-DC, one fork per operation kind
@@ -94,13 +94,16 @@ echo "== scenario smoke under -race"
 go test -race ./internal/scenario/ -run 'TestSmoke|TestChaosSerialParallelIdentical'
 
 # TestOtherTenantsCannotChangeAForkedReport floods the process with
-# 131,073 distinct attribute sets between two forks of every forkable
-# shipped scenario: a fork's report must not depend on other tenants.
+# 131,073 distinct attribute sets between two forks of every shipped
+# scenario: a fork's report must not depend on other tenants.
 # TestSweepTableSharedByConcurrentForks: forks of one baseline flap
 # different links on parallel goroutines, each updating the sweep table
-# they all start from.
-echo "== fork-determinism smoke under -race (fresh vs forked, byte-compare; shared baseline configs; other tenants' attrs; shared sweep table)"
-go test -race ./internal/scenario/ -run 'TestForkedRunMatchesFreshRun|TestForkedReloadChecksMatchFreshRun|TestChaosReuse|TestReloadConfigLeavesSharedBaselineIntact|TestOtherTenantsCannotChangeAForkedReport|TestSweepTableSharedByConcurrentForks'
+# they all start from. TestAttachingForksStayApart: eight forks of one
+# baseline each attach a rack, growing topologies of their own.
+# TestMTBFCampaignForksMatchFresh: background VM failures armed at the
+# checkpoint fire in every fork as in a fresh run.
+echo "== fork-determinism smoke under -race (fresh vs forked, byte-compare; shared baseline configs; other tenants' attrs; shared sweep table; attach and MTBF on forks)"
+go test -race ./internal/scenario/ -run 'TestForkedRunMatchesFreshRun|TestForkedReloadChecksMatchFreshRun|TestChaosMatchesFreshRunBytes|TestChaosRunsShareTheCampaignSeed|TestAttachingForksStayApart|TestMTBFCampaignForksMatchFresh|TestReloadConfigLeavesSharedBaselineIntact|TestOtherTenantsCannotChangeAForkedReport|TestSweepTableSharedByConcurrentForks'
 
 # A sharded emulation is a cold mockup only (its checkpoints cannot be
 # forked): the bar is the mockup plus one link cut at worker counts
