@@ -64,7 +64,7 @@ func (s VMState) String() string {
 
 // VM is one provisioned virtual machine.
 type VM struct {
-	ID    int
+	ID    int // its position in its provider's VMs
 	Name  string
 	SKU   SKU
 	Group string // vendor group label (§6.2 anti-affinity)
@@ -448,8 +448,7 @@ func (p *Provider) scheduleFailure(vm *VM) {
 	vm.failures = append(vm.failures, k)
 }
 
-// failureFired retires vm's armed failure k and fails the VM if it is
-// running.
+// failureFired retires vm's armed failure k and fails vm if it runs.
 func (p *Provider) failureFired(vm *VM, k sim.Key) {
 	vm.failures = slices.DeleteFunc(vm.failures, func(f sim.Key) bool { return f == k })
 	p.Fail(vm)

@@ -1,15 +1,15 @@
 package cloud
 
 import (
+	"maps"
 	"slices"
 
 	"crystalnet/internal/sim"
 )
 
 // Fork returns a deep copy of the provider on eng — every VM's lifecycle
-// state, CPU accounting and core schedule — plus a translation map from the
-// source's VMs to their clones for the orchestration layer's placement
-// bookkeeping. Each VM's armed background failures are re-armed on eng
+// state, CPU accounting and core schedule; a VM's clone is the fork's VM of
+// the same ID. Each VM's armed background failures are re-armed on eng
 // under the keys they were armed with, so they fire at the same instants,
 // and break same-instant ties the same way, as in the source: eng is
 // restored from a snapshot of the source's engine, taken with nothing but
@@ -20,14 +20,13 @@ import (
 // the fork's own recovery path. Boot waiters are not copied: they are
 // pending closures, and forks are only taken at quiescence, when every
 // boot callback has already fired.
-func (p *Provider) Fork(eng *sim.Engine) (*Provider, map[*VM]*VM) {
+func (p *Provider) Fork(eng *sim.Engine) *Provider {
 	c := &Provider{
 		eng:   eng,
 		next:  p.next,
 		MTBF:  p.MTBF,
 		Retry: p.Retry,
 	}
-	vmMap := make(map[*VM]*VM, len(p.vms))
 	c.vms = make([]*VM, len(p.vms))
 	for i, vm := range p.vms {
 		nv := &VM{
@@ -40,7 +39,8 @@ func (p *Provider) Fork(eng *sim.Engine) (*Provider, map[*VM]*VM) {
 			started:      vm.started,
 			stopped:      vm.stopped,
 			runAccum:     vm.runAccum,
-			coreFree:     append([]sim.Time(nil), vm.coreFree...),
+			busy:         maps.Clone(vm.busy),
+			coreFree:     slices.Clone(vm.coreFree),
 			bootAttempts: vm.bootAttempts,
 			failures:     slices.Clone(vm.failures),
 			provider:     c,
@@ -48,14 +48,7 @@ func (p *Provider) Fork(eng *sim.Engine) (*Provider, map[*VM]*VM) {
 		for _, k := range nv.failures {
 			eng.DaemonAt(k, func() { c.failureFired(nv, k) })
 		}
-		if vm.busy != nil {
-			nv.busy = make(map[int]float64, len(vm.busy))
-			for minute, cs := range vm.busy {
-				nv.busy[minute] = cs
-			}
-		}
 		c.vms[i] = nv
-		vmMap[vm] = nv
 	}
-	return c, vmMap
+	return c
 }

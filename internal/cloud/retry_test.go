@@ -271,7 +271,7 @@ func TestForkRearmsArmedFailures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, _ := p.Fork(sim.NewEngineFrom(st))
+	c := p.Fork(sim.NewEngineFrom(st))
 	watch(c)
 	log = nil
 	eng.RunFor(2 * time.Hour)

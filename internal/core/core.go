@@ -11,6 +11,8 @@ package core
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"time"
 
@@ -153,12 +155,7 @@ type Preparation struct {
 // VMs returns all spawned VMs.
 func (p *Preparation) VMs() []*cloud.VM {
 	var out []*cloud.VM
-	keys := make([]string, 0, len(p.groupVMs))
-	for g := range p.groupVMs {
-		keys = append(keys, g)
-	}
-	sort.Strings(keys)
-	for _, g := range keys {
+	for _, g := range slices.Sorted(maps.Keys(p.groupVMs)) {
 		out = append(out, p.groupVMs[g]...)
 	}
 	return out
@@ -365,11 +362,7 @@ func (o *Orchestrator) planVMs(prep *Preparation) {
 		byVendor[v] = append(byVendor[v], name)
 	}
 
-	vendorsSorted := make([]string, 0, len(byVendor))
-	for v := range byVendor {
-		vendorsSorted = append(vendorsSorted, v)
-	}
-	sort.Strings(vendorsSorted)
+	vendorsSorted := slices.Sorted(maps.Keys(byVendor))
 
 	// Distribute an explicit VMCount across vendor groups proportionally.
 	totalDevices := len(emulatedNames)

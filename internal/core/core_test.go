@@ -660,7 +660,7 @@ func TestAttachNewDeviceIncrementally(t *testing.T) {
 	n.Connect(newTor, n.MustDevice("leaf-p0-0"))
 	n.Connect(newTor, n.MustDevice("leaf-p0-1"))
 
-	if err := em.AttachNewDevice(n, "tor-p0-new", fastImages()["ctnrb"], nil, nil); err != nil {
+	if err := em.AttachNewDevice(n, "tor-p0-new", fastImages()["ctnrb"]); err != nil {
 		t.Fatal(err)
 	}
 	if em.Network() != n {
@@ -691,10 +691,10 @@ func TestAttachNewDeviceIncrementally(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Double-attach and unknown names are rejected.
-	if err := em.AttachNewDevice(n, "tor-p0-new", fastImages()["ctnrb"], nil, nil); err == nil {
+	if err := em.AttachNewDevice(n, "tor-p0-new", fastImages()["ctnrb"]); err == nil {
 		t.Fatal("double attach accepted")
 	}
-	if err := em.AttachNewDevice(n, "ghost", fastImages()["ctnrb"], nil, nil); err == nil {
+	if err := em.AttachNewDevice(n, "ghost", fastImages()["ctnrb"]); err == nil {
 		t.Fatal("unknown device accepted")
 	}
 	_ = o
@@ -712,7 +712,7 @@ func TestAttachNewDeviceOfANewVendor(t *testing.T) {
 	n.Connect(newTor, n.MustDevice("leaf-p0-1"))
 	img := fastImages()["ctnrb"]
 	img.Name = "ctnrc"
-	if err := em.AttachNewDevice(n, "tor-p0-new", img, nil, nil); err != nil {
+	if err := em.AttachNewDevice(n, "tor-p0-new", img); err != nil {
 		t.Fatal(err)
 	}
 	for _, leaf := range []string{"leaf-p0-0", "leaf-p0-1"} {

@@ -245,10 +245,10 @@ func (em *Emulation) connect(li, ri *phynet.VIface) {
 // emulation shares with its checkpoint and forks and so never edits; it
 // becomes the emulation's topology. The device's container is placed on
 // the least-loaded VM of its vendor group (spawning a fresh VM if the
-// vendor is new), links are built, and the firmware boots. Neighbors learn
-// the new sessions when the operator reloads them with updated
-// configurations, as in production.
-func (em *Emulation) AttachNewDevice(net *topo.Network, name string, img firmware.VendorImage, cfg *config.DeviceConfig, onReady func()) error {
+// vendor is new), links are built, and the firmware boots with a generated
+// configuration. Neighbors learn the new sessions when the operator reloads
+// them with updated configurations, as in production.
+func (em *Emulation) AttachNewDevice(net *topo.Network, name string, img firmware.VendorImage) error {
 	d := net.Device(name)
 	if d == nil {
 		return fmt.Errorf("core: device %q not in topology", name)
@@ -256,9 +256,7 @@ func (em *Emulation) AttachNewDevice(net *topo.Network, name string, img firmwar
 	if em.Devices[name] != nil {
 		return fmt.Errorf("core: device %q already emulated", name)
 	}
-	if cfg == nil {
-		cfg = config.GenerateDevice(d)
-	}
+	cfg := config.GenerateDevice(d)
 	cfg.Credential = credential
 	if err := cfg.Validate(); err != nil {
 		return err
@@ -301,7 +299,7 @@ func (em *Emulation) AttachNewDevice(net *topo.Network, name string, img firmwar
 		dev := firmware.New(name, img, cfg, em.deviceEng(name), em.Fabric, c, vm, em.attrs)
 		em.Devices[name] = dev
 		em.Mgmt.Register(dev, d.MgmtIP, credential)
-		vm.Submit(host.SetupCost()/10, func() { dev.Boot(onReady) })
+		vm.Submit(host.SetupCost()/10, func() { dev.Boot(nil) })
 		// Classify: the plan gains the device as internal or boundary.
 		isBoundary := false
 		for _, nb := range d.Neighbors() {

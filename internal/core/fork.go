@@ -117,12 +117,12 @@ func (o *Orchestrator) Fork(snap *checkpoint.Snapshot) (*Emulation, error) {
 	// with everything recorded up to the snapshot and diverges from there,
 	// exactly like the rest of the emulation.
 	eng.SetRecorder(o.Eng.Recorder().Fork())
-	cloudFork, vmMap := o.Cloud.Fork(eng)
+	cloudFork := o.Cloud.Fork(eng)
 	fabric := parent.Fabric.Fork(eng)
 
 	em := &Emulation{
 		orch: &Orchestrator{Eng: eng, Cloud: cloudFork, opts: o.opts},
-		prep: parent.prep.fork(vmMap),
+		prep: parent.prep.fork(cloudFork.VMs()),
 
 		Fabric:   fabric,
 		Devices:  make(map[string]*firmware.Device, len(parent.Devices)),
@@ -194,16 +194,16 @@ func (em *Emulation) CowCopies() CowCopies {
 // lists is shared with the parent — topology, plan, parsed configs, vendor
 // images, recorded speaker routes, device assignments: whoever grows one
 // replaces it (AttachNewDevice), nobody edits it. The lists name VM objects,
-// which are per emulation, so they are remapped through vmMap and are the
-// fork's own to edit (onVMReplaced); every assignment resolves through them,
-// so this is the only placement a fork remaps.
-func (p *Preparation) fork(vmMap map[*cloud.VM]*cloud.VM) *Preparation {
+// which are per emulation, so they are remapped to forked, the fork's VMs by
+// ID, and are the fork's own to edit (onVMReplaced); every assignment
+// resolves through them, so this is the only placement a fork remaps.
+func (p *Preparation) fork(forked []*cloud.VM) *Preparation {
 	c := *p
 	c.groupVMs = make(map[string][]*cloud.VM, len(p.groupVMs))
 	for g, vms := range p.groupVMs {
 		nv := make([]*cloud.VM, len(vms))
 		for i, vm := range vms {
-			nv[i] = vmMap[vm]
+			nv[i] = forked[vm.ID]
 		}
 		c.groupVMs[g] = nv
 	}

@@ -31,7 +31,7 @@ func addRack(n *topo.Network, name string) *topo.Network {
 // attachRack boots the added ToR and reloads the leaves so they learn it.
 func attachRack(t *testing.T, em *Emulation, net *topo.Network, name string) {
 	t.Helper()
-	if err := em.AttachNewDevice(net, name, fastImages()["ctnrb"], nil, nil); err != nil {
+	if err := em.AttachNewDevice(net, name, fastImages()["ctnrb"]); err != nil {
 		t.Fatal(err)
 	}
 	for _, leaf := range []string{"leaf-p0-0", "leaf-p0-1"} {

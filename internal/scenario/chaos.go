@@ -68,14 +68,6 @@ func (cfg *CampaignConfig) runOptions() Options {
 	return opts
 }
 
-// tracedReport pairs one run's report with its recorder (nil unless the
-// campaign traces). parallel.Map keeps input order, so traces line up with
-// runs whatever the worker count.
-type tracedReport struct {
-	rep *Report
-	rec *obs.Recorder
-}
-
 // Fault kinds the expander draws from.
 const (
 	faultLinkFlap = iota
@@ -130,25 +122,24 @@ func Chaos(base *Spec, cfg CampaignConfig) (*CampaignReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	traces := parallel.Map(cfg.N, cfg.Workers, func(i int) *tracedReport {
+	// Run i's recorder goes to slot i (nil unless the campaign traces), so
+	// traces line up with runs whatever the worker count.
+	recs := make([]*obs.Recorder, cfg.N)
+	out := &CampaignReport{Scenario: base.Name, Seed: cfg.Seed}
+	out.Runs = parallel.Map(cfg.N, cfg.Workers, func(i int) *Report {
 		sp := expandRun(base, cand, i, cfg.Seed, cfg.FaultsPerRun)
 		opts := cfg.runOptions()
+		recs[i] = opts.Rec
 		rep, err := conv.Run(sp, opts)
 		if err != nil {
-			return &tracedReport{rep: &Report{Scenario: sp.Name, Seed: cfg.Seed, Error: err.Error()}, rec: opts.Rec}
+			return &Report{Scenario: sp.Name, Seed: cfg.Seed, Error: err.Error()}
 		}
-		return &tracedReport{rep: rep, rec: opts.Rec}
+		return rep
 	})
-
-	reports := make([]*Report, len(traces))
-	out := &CampaignReport{Scenario: base.Name, Seed: cfg.Seed, Runs: reports}
-	for i, tr := range traces {
-		reports[i] = tr.rep
-		if cfg.Trace {
-			out.Traces = append(out.Traces, tr.rec)
-		}
+	if cfg.Trace {
+		out.Traces = recs
 	}
-	for _, r := range reports {
+	for _, r := range out.Runs {
 		if r.Passed {
 			out.Passed++
 		} else {

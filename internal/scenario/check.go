@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"strings"
@@ -226,11 +227,7 @@ func (r *runner) fibDiffCheck(st *Step, diffs map[string][]rib.Diff) Check {
 		total += len(d)
 	}
 	if total > st.MaxDiffs {
-		names := make([]string, 0, len(diffs))
-		for n := range diffs {
-			names = append(names, n)
-		}
-		sort.Strings(names)
+		names := slices.Sorted(maps.Keys(diffs))
 		if len(names) > maxDetail {
 			names = names[:maxDetail]
 		}
@@ -245,13 +242,8 @@ func (r *runner) fibDiffCheck(st *Step, diffs map[string][]rib.Diff) Check {
 
 // fibDiffStrings renders bounded, deterministic diff lines for the report.
 func fibDiffStrings(diffs map[string][]rib.Diff) []string {
-	names := make([]string, 0, len(diffs))
-	for n := range diffs {
-		names = append(names, n)
-	}
-	sort.Strings(names)
 	var out []string
-	for _, name := range names {
+	for _, name := range slices.Sorted(maps.Keys(diffs)) {
 		for _, d := range diffs[name] {
 			if len(out) >= 2*maxDetail {
 				out = append(out, "...")

@@ -11,7 +11,6 @@ import (
 	"crystalnet/internal/core"
 	"crystalnet/internal/firmware"
 	"crystalnet/internal/obs"
-	"crystalnet/internal/vendors"
 )
 
 // Probe defaults: traceroute-style UDP with a generous TTL, one packet.
@@ -98,17 +97,8 @@ type runner struct {
 // fully determined by (spec, seed): identically-seeded runs produce
 // byte-identical JSON.
 func Run(sp *Spec, opts Options) (*Report, error) {
-	if err := sp.Validate(); err != nil {
-		return nil, err
-	}
-	seed := resolveSeed(sp, opts)
-
-	r := &runner{
-		sp: sp, opts: opts,
-		baselines: map[string]*core.State{},
-		report:    &Report{Scenario: sp.Name, Seed: seed},
-	}
-	if err := r.mockup(seed); err != nil {
+	r, err := mockedUp(sp, opts)
+	if err != nil {
 		return nil, err
 	}
 	return r.drive()
@@ -200,6 +190,24 @@ func (r *runner) passed() bool {
 	return true
 }
 
+// mockedUp validates sp and returns a runner for it whose emulation is
+// mocked up (runner.mockup): the shared front half of Run and Converge.
+func mockedUp(sp *Spec, opts Options) (*runner, error) {
+	if err := sp.Validate(); err != nil {
+		return nil, err
+	}
+	seed := EffectiveSeed(sp, opts)
+	r := &runner{
+		sp: sp, opts: opts,
+		baselines: map[string]*core.State{},
+		report:    &Report{Scenario: sp.Name, Seed: seed},
+	}
+	if err := r.mockup(seed); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
 // mockup builds the fabric and drives the emulation to route-ready,
 // recording the synthetic step-0 result with the §8.1 metrics and the
 // first invariant sweep.
@@ -216,13 +224,7 @@ func (r *runner) mockup(seed int64) error {
 		if name == "" {
 			name = vendor
 		}
-		var img firmware.VendorImage
-		var err error
-		if ref.Version == "" {
-			img, err = vendors.Default(name)
-		} else {
-			img, err = vendors.Get(name, ref.Version)
-		}
+		img, err := image(name, ref.Version)
 		if err != nil {
 			return fmt.Errorf("scenario %s: image %s: %w", r.sp.Name, vendor, err)
 		}

@@ -4,11 +4,9 @@ import (
 	"fmt"
 	"maps"
 	"slices"
-	"time"
 
 	"crystalnet/internal/batfish"
 	"crystalnet/internal/checkpoint"
-	"crystalnet/internal/cloud"
 	"crystalnet/internal/core"
 )
 
@@ -22,13 +20,9 @@ import (
 // read. It must not be used after its parent emulation is advanced,
 // mutated or cleared by other means.
 type Converged struct {
-	seed int64
-	// The options the mockup ran with, beside the seed: a fork cannot run
-	// with others (fork checks).
-	images           map[string]ImageRef
-	mtbf             time.Duration
-	retry            cloud.RetryPolicy
-	recoveryDeadline time.Duration
+	// opts holds the Images, MTBF, Retry and RecoveryDeadline the mockup
+	// ran with: a fork cannot run with others (fork checks).
+	opts Options
 
 	orch *core.Orchestrator
 	snap *checkpoint.Snapshot
@@ -50,16 +44,8 @@ type Converged struct {
 // every forked report starts from, exactly as a fresh run would record
 // them.
 func Converge(sp *Spec, opts Options) (*Converged, error) {
-	if err := sp.Validate(); err != nil {
-		return nil, err
-	}
-	seed := resolveSeed(sp, opts)
-	r := &runner{
-		sp: sp, opts: opts,
-		baselines: map[string]*core.State{},
-		report:    &Report{Scenario: sp.Name, Seed: seed},
-	}
-	if err := r.mockup(seed); err != nil {
+	r, err := mockedUp(sp, opts)
+	if err != nil {
 		return nil, err
 	}
 	snap, err := r.em.Checkpoint()
@@ -69,18 +55,16 @@ func Converge(sp *Spec, opts Options) (*Converged, error) {
 	header := *r.report
 	header.Steps = nil
 	return &Converged{
-		seed:     seed,
+		opts: Options{
+			Images: maps.Clone(opts.Images), MTBF: opts.MTBF,
+			Retry: opts.Retry, RecoveryDeadline: opts.RecoveryDeadline,
+		},
 		orch:     r.orch,
 		snap:     snap,
 		baseline: r.baselines[DefaultBaseline],
 		sweep:    r.sweep,
 		step0:    r.report.Steps[0],
 		header:   header,
-
-		images:           maps.Clone(opts.Images),
-		mtbf:             opts.MTBF,
-		retry:            opts.Retry,
-		recoveryDeadline: opts.RecoveryDeadline,
 	}, nil
 }
 
@@ -107,19 +91,19 @@ func (cv *Converged) fork(sp *Spec, opts Options) (*runner, error) {
 	if err := sp.Validate(); err != nil {
 		return nil, err
 	}
-	if seed := resolveSeed(sp, opts); seed != cv.seed {
+	if seed := EffectiveSeed(sp, opts); seed != cv.header.Seed {
 		return nil, fmt.Errorf("scenario %s: seed %d does not match converged baseline seed %d",
-			sp.Name, seed, cv.seed)
+			sp.Name, seed, cv.header.Seed)
 	}
 	mismatch := ""
 	switch {
-	case !maps.Equal(opts.Images, cv.images):
+	case !maps.Equal(opts.Images, cv.opts.Images):
 		mismatch = "Images"
-	case opts.MTBF != cv.mtbf:
+	case opts.MTBF != cv.opts.MTBF:
 		mismatch = "MTBF"
-	case opts.Retry != cv.retry:
+	case opts.Retry != cv.opts.Retry:
 		mismatch = "Retry"
-	case opts.RecoveryDeadline != cv.recoveryDeadline:
+	case opts.RecoveryDeadline != cv.opts.RecoveryDeadline:
 		mismatch = "RecoveryDeadline"
 	}
 	if mismatch != "" {
@@ -165,9 +149,9 @@ func (cv *Converged) fork(sp *Spec, opts Options) (*runner, error) {
 // forks already materialized are unaffected. Safe from any goroutine.
 func (cv *Converged) Invalidate() { cv.snap.Invalidate() }
 
-// resolveSeed applies the same seed-resolution rules as Run: override,
-// spec, then the default seed 1.
-func resolveSeed(sp *Spec, opts Options) int64 {
+// EffectiveSeed resolves a spec/options pair's seed as Run does: override,
+// spec, then the default seed 1. The serving layer keys its warm pool on it.
+func EffectiveSeed(sp *Spec, opts Options) int64 {
 	seed := sp.Seed
 	if opts.SeedOverride != nil {
 		seed = *opts.SeedOverride
@@ -177,8 +161,3 @@ func resolveSeed(sp *Spec, opts Options) int64 {
 	}
 	return seed
 }
-
-// EffectiveSeed exposes the resolved (override → spec → default) seed for
-// a spec/options pair without running anything; the serving layer keys its
-// warm pool on it.
-func EffectiveSeed(sp *Spec, opts Options) int64 { return resolveSeed(sp, opts) }

@@ -22,6 +22,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"time"
 
@@ -505,12 +506,7 @@ func (sp *Spec) Clone() *Spec {
 	c.MustEmulate = append([]string(nil), sp.MustEmulate...)
 	c.MustEmulatePods = append([]int(nil), sp.MustEmulatePods...)
 	c.Emulate = append([]string(nil), sp.Emulate...)
-	if sp.Images != nil {
-		c.Images = make(map[string]ImageRef, len(sp.Images))
-		for k, v := range sp.Images {
-			c.Images[k] = v
-		}
-	}
+	c.Images = maps.Clone(sp.Images)
 	if sp.Topology.Clos != nil {
 		cl := *sp.Topology.Clos
 		c.Topology.Clos = &cl

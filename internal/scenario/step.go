@@ -230,16 +230,11 @@ func (r *runner) attachDevice(nd *NewDevice) error {
 	for _, peer := range nd.Peers {
 		net.Connect(d, net.MustDevice(peer))
 	}
-	var img firmware.VendorImage
-	if nd.Version == "" {
-		img, err = vendors.Default(nd.Vendor)
-	} else {
-		img, err = vendors.Get(nd.Vendor, nd.Version)
-	}
+	img, err := image(nd.Vendor, nd.Version)
 	if err != nil {
 		return err
 	}
-	if err := r.em.AttachNewDevice(net, nd.Name, img, nil, nil); err != nil {
+	if err := r.em.AttachNewDevice(net, nd.Name, img); err != nil {
 		return err
 	}
 	// Neighbors learn the new sessions via operator reloads, as in
@@ -253,6 +248,15 @@ func (r *runner) attachDevice(nd *NewDevice) error {
 		}
 	}
 	return nil
+}
+
+// image returns a vendor's image of the given version, or its production
+// image for an empty version.
+func image(vendor, version string) (firmware.VendorImage, error) {
+	if version == "" {
+		return vendors.Default(vendor)
+	}
+	return vendors.Get(vendor, version)
 }
 
 // resolveDst resolves a step's probe destination: a literal IP or an

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"log"
+	"maps"
 	"runtime/debug"
 	"slices"
 	"sync"
@@ -266,9 +267,7 @@ func (p *Pool) Invalidate(sp *scenario.Spec, opts scenario.Options) int {
 	defer p.mu.Unlock()
 	var victims []*poolEntry
 	if sp == nil {
-		for _, e := range p.entries {
-			victims = append(victims, e)
-		}
+		victims = slices.Collect(maps.Values(p.entries))
 	} else if e, ok := p.entries[PoolKey(sp, opts)]; ok {
 		victims = append(victims, e)
 	}
@@ -319,10 +318,7 @@ func (p *Pool) Status() PoolStatus {
 		Misses:    p.live.Counter("pool.misses", "").Value(),
 		Evictions: p.live.Counter("pool.evictions", "").Value(),
 	}
-	order := make([]*poolEntry, 0, len(p.entries))
-	for _, e := range p.entries {
-		order = append(order, e)
-	}
+	order := slices.Collect(maps.Values(p.entries))
 	// Most recently used first; lastUse values are unique (monotonic
 	// clock), so the order is deterministic.
 	slices.SortFunc(order, func(a, b *poolEntry) int { return cmp.Compare(b.lastUse, a.lastUse) })

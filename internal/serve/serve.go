@@ -27,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"slices"
 	"strconv"
@@ -426,10 +427,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	st := StatusResponse{
 		Draining: s.draining,
 		InFlight: s.inFlight,
-		Served:   map[string]uint64{},
-	}
-	for k, v := range s.served {
-		st.Served[k] = v
+		Served:   maps.Clone(s.served),
 	}
 	for _, sess := range s.sessions {
 		st.Sessions = append(st.Sessions, SessionInfo{

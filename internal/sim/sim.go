@@ -368,10 +368,10 @@ func (t *Timer) Key() Key {
 // events scheduled after them keep the run alive, and always fire under
 // RunUntil/RunFor within the deadline.
 //
-// A daemon's owner keeps its Key to re-arm it on an engine restored from
-// a snapshot (DaemonAt). Work that a daemon event spawns should be
-// scheduled as ordinary events (or further daemons, for the recurring
-// timer itself) so that convergence tracks real pending work.
+// Its owner keeps its Key to re-arm it on a restored engine (DaemonAt).
+// Work that a daemon event spawns should be scheduled as ordinary events
+// (or further daemons, for the recurring timer itself) so that convergence
+// tracks real pending work.
 func (e *Engine) Daemon(d time.Duration, fn func()) *Timer {
 	t := e.After(d, fn)
 	t.ev.daemon = true
@@ -379,16 +379,14 @@ func (e *Engine) Daemon(d time.Duration, fn func()) *Timer {
 	return t
 }
 
-// DaemonAt queues fn as a daemon event under k: the Key of a daemon that
-// was pending on the engine this one was restored from when it was
-// snapshotted. The event fires when, and in the order among same-instant
-// events, it would have fired there.
-func (e *Engine) DaemonAt(k Key, fn func()) *Timer {
+// DaemonAt queues fn as a daemon event under k, the Key of a daemon pending
+// at the Snapshot this engine was restored from: it fires when, and in the
+// order among same-instant events, it would have fired there.
+func (e *Engine) DaemonAt(k Key, fn func()) {
 	next := e.seq
 	e.seq = k.Seq // schedule queues under e.seq
-	t := e.Daemon(k.At.Sub(e.now), fn)
+	e.Daemon(k.At.Sub(e.now), fn)
 	e.seq = next
-	return t
 }
 
 // Jitter returns a duration drawn uniformly from [d, d+spread).

@@ -184,8 +184,7 @@ func (n *Network) AddDevice(name string, layer Layer, asn uint32, vendor string)
 // address allocators — that can be grown without writing anything n holds.
 func (n *Network) Clone() *Network {
 	c := *n
-	c.devices = make(map[string]*Device, len(n.order))
-	c.order = make([]*Device, len(n.order))
+	c.devices, c.order = make(map[string]*Device, len(n.order)), make([]*Device, len(n.order))
 	intfs := make(map[*Interface]*Interface)
 	for i, d := range n.order {
 		nd := *d
@@ -194,11 +193,9 @@ func (n *Network) Clone() *Network {
 		for j, in := range d.Interfaces {
 			ni := *in
 			ni.Device = &nd
-			nd.Interfaces[j] = &ni
-			intfs[in] = &ni
+			nd.Interfaces[j], intfs[in] = &ni, &ni
 		}
-		c.order[i] = &nd
-		c.devices[nd.Name] = &nd
+		c.order[i], c.devices[nd.Name] = &nd, &nd
 	}
 	for _, ni := range intfs {
 		if ni.Peer != nil {

@@ -167,11 +167,13 @@ func (m *Matrix) crossCheck(a *aggregate, s *aggState, v View, w *walkLog) {
 }
 
 // fork returns the memo of a forked matrix: the index, the marks and the
-// arena records are shared (none is ever edited), the counters restart. The
-// fork's clones continue the tables the marks were taken of, so the fork's
-// first settle walks only what the fork's own steps moved.
+// arena records are shared (none is ever edited; the chunk lists are
+// clipped, so each side's next chunk goes to a list of its own), the
+// counters restart. The fork's clones continue the tables the marks were
+// taken of, so the fork's first settle walks only what the fork's own steps
+// moved.
 func (m memo) fork() memo {
-	m.consulted, m.latency = m.consulted.fork(), m.latency.fork()
+	m.consulted.chunks, m.latency.chunks = slices.Clip(m.consulted.chunks), slices.Clip(m.latency.chunks)
 	m.walked, m.reused = 0, 0
 	return m
 }
@@ -222,8 +224,7 @@ type walkLog struct {
 	shares         []dataplane.FlowShare
 
 	// What a settle puts in the matrix's arenas and states until it commits
-	// them, each to storage of exactly that size (arena.commit,
-	// states.flush).
+	// them to storage of exactly their size (arena.commit, states.flush).
 	putDevs []uint32
 	putLat  []latObs
 	added   []ownState
@@ -231,20 +232,6 @@ type walkLog struct {
 
 // logs holds the walkLogs no settle is using.
 var logs = sync.Pool{New: func() any { return new(walkLog) }}
-
-// lend hands m the buffers of w a settle puts records and first writes in.
-func (w *walkLog) lend(m *Matrix) {
-	m.consulted.settle, m.latency.settle, m.states.added = w.putDevs, w.putLat, w.added
-}
-
-// reclaim takes back from m what lend handed it, emptied, and lets go of
-// the emulation's forwarders and configs before w goes back to logs.
-func (w *walkLog) reclaim(m *Matrix) {
-	w.putDevs, w.putLat = m.consulted.commit(), m.latency.commit()
-	w.added, m.states.added = m.states.added[:0], nil
-	clear(w.fwds)
-	clear(w.cfgs)
-}
 
 // consult notes that the walk is about to read device id.
 func (l *walkLog) consult(id int) {
@@ -265,9 +252,7 @@ func (l *walkLog) observe(hop int, flows uint64) {
 // and its forks share chunks freely.
 type arena[T any] struct {
 	chunks [][]T
-	// settle holds the records put since the last commit: the chunk commit
-	// adds next.
-	settle []T
+	settle []T // the records put since the last commit
 	// size counts the records in chunks, live those a span still names.
 	size, live int
 }
@@ -305,13 +290,6 @@ func (a *arena[T]) commit() []T {
 	buf := a.settle[:0]
 	a.settle = nil
 	return buf
-}
-
-// fork returns an arena naming the same records whose chunks go to a list
-// of its own.
-func (a arena[T]) fork() arena[T] {
-	a.chunks = slices.Clip(a.chunks)
-	return a
 }
 
 // slack reports whether superseded records outweigh live ones.

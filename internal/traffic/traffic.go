@@ -446,7 +446,9 @@ func (m *Matrix) Settle(v View) {
 	w := logs.Get().(*walkLog)
 	defer logs.Put(w)
 	ch := m.observe(v, w)
-	w.lend(m)
+	// The settle puts records and first writes in w's buffers, and gives
+	// them back below.
+	m.consulted.settle, m.latency.settle, m.states.added = w.putDevs, w.putLat, w.added
 
 	reroutedNow := make([]uint64, len(m.spec.Classes))
 	hists := make([]*obs.Histogram, len(m.spec.Classes))
@@ -496,7 +498,10 @@ func (m *Matrix) Settle(v View) {
 	}
 	m.states.flush()
 	m.compact()
-	w.reclaim(m)
+	w.putDevs, w.putLat = m.consulted.commit(), m.latency.commit()
+	w.added, m.states.added = m.states.added[:0], nil
+	clear(w.fwds) // the pool holds no emulation's devices
+	clear(w.cfgs)
 	m.settles++
 	m.settledAt = v.Now
 
