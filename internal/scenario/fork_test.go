@@ -295,6 +295,23 @@ func TestChaosMatchesFreshRunBytes(t *testing.T) {
 	}
 }
 
+func TestChaosReuseSerialParallelIdentical(t *testing.T) {
+	// Forks of the one baseline a campaign reuses give the same bytes
+	// whatever the worker count.
+	base := tinySpec(Step{Op: OpWaitConverge})
+	serial, err := Chaos(base, CampaignConfig{N: 4, Seed: 21, FaultsPerRun: 2, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	par, err := Chaos(base, CampaignConfig{N: 4, Seed: 21, FaultsPerRun: 2, Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(serial.JSON(), par.JSON()) {
+		t.Fatal("campaign not byte-identical across worker counts")
+	}
+}
+
 // TestOtherTenantsCannotChangeAForkedReport: a rehearsal report depends on
 // the spec and seed alone. Another tenant of the process — here 131,073
 // distinct attribute sets pushed through bgp.Decode, more than a bounded

@@ -103,7 +103,7 @@ go test -race ./internal/scenario/ -run 'TestSmoke|TestChaosSerialParallelIdenti
 # TestMTBFCampaignForksMatchFresh: background VM failures armed at the
 # checkpoint fire in every fork as in a fresh run.
 echo "== fork-determinism smoke under -race (fresh vs forked, byte-compare; shared baseline configs; other tenants' attrs; shared sweep table; attach and MTBF on forks)"
-go test -race ./internal/scenario/ -run 'TestForkedRunMatchesFreshRun|TestForkedReloadChecksMatchFreshRun|TestChaosMatchesFreshRunBytes|TestChaosRunsShareTheCampaignSeed|TestAttachingForksStayApart|TestMTBFCampaignForksMatchFresh|TestReloadConfigLeavesSharedBaselineIntact|TestOtherTenantsCannotChangeAForkedReport|TestSweepTableSharedByConcurrentForks'
+go test -race ./internal/scenario/ -run 'TestForkedRunMatchesFreshRun|TestForkedReloadChecksMatchFreshRun|TestChaosMatchesFreshRunBytes|TestChaosRunsShareTheCampaignSeed|TestChaosReuseSerialParallelIdentical|TestAttachingForksStayApart|TestMTBFCampaignForksMatchFresh|TestReloadConfigLeavesSharedBaselineIntact|TestOtherTenantsCannotChangeAForkedReport|TestSweepTableSharedByConcurrentForks'
 
 # A sharded emulation is a cold mockup only (its checkpoints cannot be
 # forked): the bar is the mockup plus one link cut at worker counts
