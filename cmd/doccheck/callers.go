@@ -33,12 +33,13 @@ var callerAllowlist = map[string]string{
 	"netpkt.IPv4Packet.Marshal":  "test oracle: FuzzNetpkt's reference encoder for the in-place IPv4 header writer",
 	"netpkt.VXLANHeader.Marshal": "test oracle: FuzzNetpkt's reference encoder for the in-place VXLAN header writer",
 	"phynet.Fabric.Validate":     "test oracle: the overlay's wiring invariants, which phynet and core fork tests check",
+	"rib.FIB.InstallHops":        "test oracle: the copying install TestInstallGroupMatchesInstallHops holds InstallGroup's memoised path to",
 	"phynet.Fabric.WireCounts":   "test oracle: the frame counters the sharded-convergence determinism test compares across worker counts",
 	"traffic.Matrix.Walks":       "test oracle: the settle memo's walked/reused counts, which traffic, core and scenario memo tests check",
 
 	"config.Render":                    "paper reproduction driven by tests: the §2 ACL dialect drift",
-	"config.Parse":                     "paper reproduction driven by tests: the §2 ACL dialect drift",
-	"boundary.Plan.CheckProposition54": "paper reproduction driven by tests: Proposition 5.4; ROADMAP item 9(b) is its first caller",
+	"config.Parse":                     "paper reproduction driven by tests and FuzzConfigParse: the §2 ACL dialect drift",
+	"boundary.Plan.CheckProposition54": "graph predicate driven by tests: Proposition 5.4; no link-state IGP stack exists to run it against",
 }
 
 // benchPin is the allowlist reason of a function only bench/ calls.

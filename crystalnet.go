@@ -23,9 +23,9 @@
 //	o.Destroy(prep)
 //
 // The facade re-exports the orchestration API from internal/core plus the
-// domain types a validation workflow needs. Deeper substrates (the BGP and
-// OSPF stacks, the PhyNet layer, the boundary theory) live in internal/
-// packages and are documented there.
+// domain types a validation workflow needs. Deeper substrates (the BGP
+// stack, the PhyNet layer, the boundary theory) live in internal/ packages
+// and are documented there.
 package crystalnet
 
 import (
@@ -266,7 +266,10 @@ func RunScenario(sp *Scenario, opts ScenarioOptions) (*ScenarioReport, error) {
 
 // ConvergeScenario builds sp's fabric and drives it to route-ready once,
 // returning a baseline whose Run method forks the converged emulation per
-// variant. Forked reports are byte-identical to fresh same-seed runs.
+// variant. Forked reports are byte-identical to fresh same-seed runs. A
+// variant may differ from sp only in its name, description and steps: Run
+// refuses one whose convergence key (fabric, scope, images, invariants,
+// traffic, seed and the convergence options) differs.
 func ConvergeScenario(sp *Scenario, opts ScenarioOptions) (*ConvergedScenario, error) {
 	return scenario.Converge(sp, opts)
 }

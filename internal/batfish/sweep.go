@@ -92,8 +92,10 @@ func (s *Sweep) Update(ix *config.Index, dsts []netpkt.IP, table func(dev string
 	moved := make([]bool, len(u.dsts))
 	stamp := make([]int32, len(u.dsts))
 	resolved := 0
+	var writes []netpkt.Prefix
 	for id, was := range s.marks {
-		writes, ok := res.fibs[id].Since(was)
+		var ok bool
+		writes, ok = res.fibs[id].Since(was, writes[:0])
 		if ok && len(writes) == 0 {
 			continue
 		}

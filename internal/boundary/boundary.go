@@ -195,7 +195,8 @@ type OSPFChange struct {
 
 // CheckProposition54 applies Proposition 5.4: an OSPF boundary is safe if
 // no changed link touches a speaker (links between boundary and speaker
-// devices remain unchanged) and every DR and BDR is emulated.
+// devices remain unchanged) and every DR and BDR is emulated. It is a
+// predicate over the plan alone: the emulator runs no OSPF stack.
 func (p *Plan) CheckProposition54(ch OSPFChange) error {
 	for _, l := range ch.ChangedLinks {
 		for _, end := range l {

@@ -11,9 +11,9 @@
 // The contract that makes this sound is quiescence: a snapshot can only be
 // taken when the engine's event queue is empty (RunUntilConverged drains it).
 // An empty queue means there are no pending closures to duplicate, every
-// protocol timer (BGP MRAI flush, OSPF SPF debounce, session retries) has
-// fired or been canceled, and no VM boot callbacks are outstanding. Forks
-// therefore restore only data, never control flow.
+// protocol timer (BGP MRAI flush, session retries) has fired or been
+// canceled, and no VM boot callbacks are outstanding. Forks therefore
+// restore only data, never control flow.
 //
 // What is shared, shared copy-on-write, and deep-copied:
 //
@@ -26,7 +26,7 @@
 //     at Checkpoint (so a fork's decodes come to those same objects),
 //     installed FIB entries and hop groups, ACL rule objects and bindings,
 //     P4 table rows, BGP session configs, and what a device's boot alone
-//     writes (interface addresses, session and OSPF interface indexes).
+//     writes (interface addresses, the session index).
 //   - Shared frozen (sealed at Checkpoint, read without a lock): the memos
 //     of routers and FIBs — export templates, hop-group tables, sorted
 //     groups (rib.Memo). Each side adds to a layer of its own.
@@ -35,10 +35,10 @@
 //     caches. Each side copies exactly what it later writes; a cloned FIB
 //     keeps its table's lineage and version, so readers keyed on them
 //     follow it into the fork.
-//   - Deep-copied (small mutable state): BGP session state, OSPF LSDBs and
-//     adjacency state, phynet hosts/containers/links, VM accounting,
-//     pending frames, telemetry counters. Protocol hooks are rebuilt
-//     against the fork's device by the builder its boot uses.
+//   - Deep-copied (small mutable state): BGP session state, phynet
+//     hosts/containers/links, VM accounting, pending frames, telemetry
+//     counters. Protocol hooks are rebuilt against the fork's device by the
+//     builder its boot uses.
 //
 // DESIGN.md §6 is the full snapshot-model write-up this comment summarizes.
 package checkpoint

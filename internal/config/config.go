@@ -60,19 +60,6 @@ type ACLBinding struct {
 	Direction ACLDirection
 }
 
-// OSPFIfaceConfig enables OSPF on an interface.
-type OSPFIfaceConfig struct {
-	Name      string
-	Cost      uint16
-	Priority  uint8
-	Broadcast bool
-}
-
-// OSPFConfig is the device's OSPF section.
-type OSPFConfig struct {
-	Interfaces []OSPFIfaceConfig
-}
-
 // DeviceConfig is the vendor-neutral configuration of one device.
 type DeviceConfig struct {
 	Hostname string
@@ -92,8 +79,6 @@ type DeviceConfig struct {
 	RouteMaps map[string]*bgp.Policy
 	ACLs      map[string]*dataplane.ACL
 	Bindings  []ACLBinding
-
-	OSPF *OSPFConfig
 
 	// Credential is the unified SSH credential Prepare injects (§6.1).
 	Credential string
@@ -118,11 +103,6 @@ func (c *DeviceConfig) Clone() *DeviceConfig {
 		acl := *v
 		acl.Rules = append([]dataplane.ACLRule(nil), v.Rules...)
 		d.ACLs[k] = &acl
-	}
-	if c.OSPF != nil {
-		o := *c.OSPF
-		o.Interfaces = append([]OSPFIfaceConfig(nil), c.OSPF.Interfaces...)
-		d.OSPF = &o
 	}
 	return &d
 }

@@ -54,7 +54,6 @@ func sampleConfig() *DeviceConfig {
 			},
 		},
 		Bindings:   []ACLBinding{{ACLName: "EDGE", Interface: "et0", Direction: In}},
-		OSPF:       &OSPFConfig{Interfaces: []OSPFIfaceConfig{{Name: "et0", Cost: 10, Priority: 1, Broadcast: true}}},
 		Credential: "crystal-ops",
 	}
 }
@@ -72,13 +71,7 @@ func TestRenderParseRoundTripNeutral(t *testing.T) {
 
 func TestRoundTripAllDialects(t *testing.T) {
 	c := sampleConfig()
-	for _, d := range []Dialect{
-		{Vendor: "ctnra", Version: "1.0"},
-		{Vendor: "ctnra", Version: "2.0"}, // swapped ACLs, but self-consistent
-		{Vendor: "ctnrb", Version: "1.0"},
-		{Vendor: "vma", Version: "3.1"},
-		{Vendor: "vmb", Version: "7.2"},
-	} {
+	for _, d := range dialects {
 		text := Render(c, d)
 		got, err := Parse(text, d)
 		if err != nil {
@@ -251,11 +244,9 @@ func TestCloneIsDeep(t *testing.T) {
 	d.Neighbors[0].RemoteAS = 1
 	d.RouteMaps["GUARD"].Rules[0].Action = bgp.Permit
 	d.ACLs["EDGE"].Rules[0].Action = dataplane.ACLPermit
-	d.OSPF.Interfaces[0].Cost = 999
 	if c.Neighbors[0].RemoteAS == 1 ||
 		c.RouteMaps["GUARD"].Rules[0].Action == bgp.Permit ||
-		c.ACLs["EDGE"].Rules[0].Action == dataplane.ACLPermit ||
-		c.OSPF.Interfaces[0].Cost == 999 {
+		c.ACLs["EDGE"].Rules[0].Action == dataplane.ACLPermit {
 		t.Fatal("Clone shares state with original")
 	}
 }
@@ -311,9 +302,6 @@ func assertEqualConfig(t *testing.T, want, got *DeviceConfig) {
 	}
 	if len(got.Bindings) != 1 || got.Bindings[0] != want.Bindings[0] {
 		t.Fatal("bindings mismatch")
-	}
-	if got.OSPF == nil || got.OSPF.Interfaces[0] != want.OSPF.Interfaces[0] {
-		t.Fatal("ospf mismatch")
 	}
 }
 

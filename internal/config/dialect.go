@@ -48,7 +48,9 @@ func Render(c *DeviceConfig, d Dialect) string {
 	w := func(format string, args ...any) { fmt.Fprintf(&b, format+"\n", args...) }
 
 	w("hostname %s", c.Hostname)
-	w("vendor %s version %s", c.Vendor, c.Version)
+	if c.Vendor != "" {
+		w("vendor %s version %s", c.Vendor, c.Version)
+	}
 	w("asn %d", c.ASN)
 	w("router-id %s", c.RouterID)
 	if c.Credential != "" {
@@ -83,7 +85,7 @@ func Render(c *DeviceConfig, d Dialect) string {
 			w("bgp aggregate %s", a.Prefix)
 		}
 	}
-	if c.MaxPaths > 0 {
+	if c.MaxPaths != 0 {
 		w("bgp %s %d", d.maxPathsKeyword(), c.MaxPaths)
 	}
 
@@ -99,14 +101,15 @@ func Render(c *DeviceConfig, d Dialect) string {
 			if r.Action == bgp.Deny {
 				verb = "deny"
 			}
-			line := fmt.Sprintf("route-map %s %s %d", name, verb, (i+1)*10)
+			line := fmt.Sprintf("route-map %s %s %s", name, verb, ruleSeq(r.Name, i))
 			if r.Match.Prefix != nil {
 				line += " match " + r.Match.Prefix.String()
-				if r.Match.Exact {
-					line += " exact"
-				} else if r.Match.GE != 0 || r.Match.LE != 0 {
-					line += fmt.Sprintf(" ge %d le %d", r.Match.GE, r.Match.LE)
-				}
+			}
+			if r.Match.Exact {
+				line += " exact"
+			}
+			if r.Match.GE != 0 || r.Match.LE != 0 {
+				line += fmt.Sprintf(" ge %d le %d", r.Match.GE, r.Match.LE)
 			}
 			if r.Match.PathContains != 0 {
 				line += fmt.Sprintf(" match-as %d", r.Match.PathContains)
@@ -117,7 +120,7 @@ func Render(c *DeviceConfig, d Dialect) string {
 			if r.SetMED != nil {
 				line += fmt.Sprintf(" set-med %d", *r.SetMED)
 			}
-			if r.PrependCount > 0 {
+			if r.PrependAS != 0 || r.PrependCount != 0 {
 				line += fmt.Sprintf(" prepend %d %d", r.PrependAS, r.PrependCount)
 			}
 			w("%s", line)
@@ -175,15 +178,6 @@ func Render(c *DeviceConfig, d Dialect) string {
 			dir = "out"
 		}
 		w("apply-acl %s %s %s", bind.ACLName, dir, bind.Interface)
-	}
-	if c.OSPF != nil {
-		for _, i := range c.OSPF.Interfaces {
-			kind := "p2p"
-			if i.Broadcast {
-				kind = "broadcast"
-			}
-			w("ospf interface %s cost %d priority %d %s", i.Name, i.Cost, i.Priority, kind)
-		}
 	}
 	return b.String()
 }
@@ -258,30 +252,14 @@ func parseLine(c *DeviceConfig, d Dialect, f []string) error {
 	case "acl":
 		return parseACLLine(c, d, f[1:])
 	case "apply-acl":
+		if arg(f, 1) == "" {
+			return fmt.Errorf("apply-acl needs an acl name")
+		}
 		dir := In
 		if arg(f, 2) == "out" {
 			dir = Out
 		}
 		c.Bindings = append(c.Bindings, ACLBinding{ACLName: arg(f, 1), Direction: dir, Interface: arg(f, 3)})
-	case "ospf":
-		if arg(f, 1) != "interface" {
-			return fmt.Errorf("unknown ospf statement")
-		}
-		cost, err := strconv.ParseUint(arg(f, 4), 10, 16)
-		if err != nil {
-			return err
-		}
-		prio, err := strconv.ParseUint(arg(f, 6), 10, 8)
-		if err != nil {
-			return err
-		}
-		if c.OSPF == nil {
-			c.OSPF = &OSPFConfig{}
-		}
-		c.OSPF.Interfaces = append(c.OSPF.Interfaces, OSPFIfaceConfig{
-			Name: arg(f, 2), Cost: uint16(cost), Priority: uint8(prio),
-			Broadcast: arg(f, 7) == "broadcast",
-		})
 	default:
 		return fmt.Errorf("unknown statement %q", f[0])
 	}
@@ -340,6 +318,15 @@ func parseBGPLine(c *DeviceConfig, d Dialect, f []string) error {
 	return nil
 }
 
+// ruleSeq is the sequence token of the i-th rule of a route-map: its name,
+// or 10, 20, ... for a rule that has none.
+func ruleSeq(name string, i int) string {
+	if name != "" {
+		return name
+	}
+	return strconv.Itoa((i + 1) * 10)
+}
+
 func parseRouteMapLine(c *DeviceConfig, f []string) error {
 	name := arg(f, 0)
 	if name == "" {
@@ -358,7 +345,7 @@ func parseRouteMapLine(c *DeviceConfig, f []string) error {
 		}
 		return nil
 	}
-	r := bgp.Rule{Name: arg(f, 2)}
+	r := bgp.Rule{Name: ruleSeq(arg(f, 2), len(pol.Rules))}
 	if arg(f, 1) == "deny" {
 		r.Action = bgp.Deny
 	}

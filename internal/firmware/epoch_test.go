@@ -9,10 +9,8 @@ import (
 	"time"
 
 	"crystalnet/internal/bgp"
-	"crystalnet/internal/config"
 	"crystalnet/internal/netpkt"
 	"crystalnet/internal/sim"
-	"crystalnet/internal/topo"
 )
 
 // bootSorted boots the rig's devices in name order, so that same-seed rigs
@@ -54,46 +52,6 @@ func TestCrashSilencesPendingMRAIFlush(t *testing.T) {
 	}
 	if len(a.Logs) != logs {
 		t.Fatalf("crashed a kept logging:\n%s", logsSince(a, logs))
-	}
-}
-
-// ospfLine is TestOSPFOverFabric's three-router line, OSPF only, converged.
-func ospfLine(t *testing.T) *rig {
-	n := topo.NewNetwork("ospf-line")
-	a := n.AddDevice("a", topo.LayerWAN, 0, "test")
-	b := n.AddDevice("b", topo.LayerWAN, 0, "test")
-	c := n.AddDevice("c", topo.LayerWAN, 0, "test")
-	n.Connect(a, b)
-	n.Connect(b, c)
-	r := buildRig(t, n, nil)
-	for _, cfg := range r.cfgs {
-		cfg.Neighbors, cfg.Networks = nil, nil
-		cfg.OSPF = &config.OSPFConfig{}
-		for _, ic := range cfg.Interfaces {
-			if ic.Name != "lo" {
-				cfg.OSPF.Interfaces = append(cfg.OSPF.Interfaces, config.OSPFIfaceConfig{Name: ic.Name, Cost: 10})
-			}
-		}
-	}
-	r.bootAll()
-	return r
-}
-
-// TestCrashSilencesPendingSPF: a link failure arms an SPF run; the device
-// crashes before it fires. The run belongs to the crashed boot's instance, so
-// it programs nothing (the FIB is gone) and the device stays silent.
-func TestCrashSilencesPendingSPF(t *testing.T) {
-	r := ospfLine(t)
-	b := r.devices["b"]
-	b.LinkDown("et0")
-	b.Crash("test")
-	logs := len(b.Logs)
-	r.run()
-	if b.State() != DeviceCrashed || b.FIB() != nil {
-		t.Fatalf("b state %v, FIB %v", b.State(), b.FIB())
-	}
-	if len(b.Logs) != logs {
-		t.Fatalf("crashed b kept logging:\n%s", logsSince(b, logs))
 	}
 }
 

@@ -1,5 +1,5 @@
 // Package firmware implements the emulated device runtime: the "vendor
-// image" that boots inside a PhyNet container sandbox, speaks BGP/OSPF over
+// image" that boots inside a PhyNet container sandbox, speaks BGP over
 // the virtual links, programs a FIB, forwards data-plane packets, and
 // exhibits the vendor-specific behaviours and injectable bugs that make
 // CrystalNet "bug compatible" with production (§2, §7).
@@ -25,7 +25,6 @@ import (
 	"crystalnet/internal/dataplane"
 	"crystalnet/internal/netpkt"
 	"crystalnet/internal/obs"
-	"crystalnet/internal/ospf"
 	"crystalnet/internal/p4"
 	"crystalnet/internal/phynet"
 	"crystalnet/internal/rib"
@@ -177,14 +176,12 @@ type Device struct {
 	fib *rib.FIB
 	fwd *dataplane.Forwarder
 	bgp *bgp.Router
-	osp *ospf.Instance
 
-	// A boot builds these three in fresh maps and nothing writes them
+	// A boot builds these two in fresh maps and nothing writes them
 	// afterwards, so a fork shares them with its parent outright. peerByIP
 	// is a BGP session's index by remote address.
-	peerByIP   map[netpkt.IP]int
-	ifaceAddr  map[string]netpkt.Prefix
-	ospfIfaces map[string]int
+	peerByIP  map[netpkt.IP]int
+	ifaceAddr map[string]netpkt.Prefix
 	// The ARP cache and resolution attempts are shared with a checkpoint's
 	// forks until written (cowMap). Queued frames' IP payloads wait in
 	// arpPending, nil until one does.
@@ -316,7 +313,7 @@ func (d *Device) finishBoot() {
 	d.fib = rib.NewFIB()
 	d.fib.Capacity = d.Image.FIBCapacity
 	seed := uint32(d.eng.Rand().Int63())
-	d.peerByIP, d.ospfIfaces = nil, nil
+	d.peerByIP = nil
 	if !d.Image.Bugs.ARPRefreshBroken {
 		d.arp = cowMap[netpkt.IP, netpkt.MAC]{}
 	}
@@ -368,7 +365,6 @@ func (d *Device) finishBoot() {
 	d.fwd = dataplane.NewForwarder(d.fib, seed, local, in, out)
 
 	d.startBGP()
-	d.startOSPF()
 
 	// Attach to the namespace last: the device now receives frames.
 	d.container.Attach(d.handleFrame)
@@ -526,69 +522,6 @@ func (d *Device) onSessionEvent(from, to bgp.SessionState) {
 	}
 }
 
-// startOSPF builds the OSPF instance if configured.
-func (d *Device) startOSPF() {
-	if d.cfg.OSPF == nil {
-		return
-	}
-	d.osp = ospf.New(ospf.Config{Name: d.Name, RouterID: d.cfg.RouterID}, d.eng, d.ospfHooks())
-	d.osp.AddStub(d.cfg.Loopback)
-	ifaces := make(map[string]int, len(d.cfg.OSPF.Interfaces))
-	for _, oi := range d.cfg.OSPF.Interfaces {
-		ic := d.cfg.Interface(oi.Name)
-		if ic == nil {
-			continue
-		}
-		typ := ospf.P2P
-		if oi.Broadcast {
-			typ = ospf.Broadcast
-		}
-		idx := d.osp.AddInterface(ospf.IfaceConfig{
-			Name: oi.Name, Addr: ic.Addr, Type: typ, Cost: oi.Cost, Priority: oi.Priority,
-		})
-		ifaces[oi.Name] = idx
-	}
-	d.ospfIfaces = ifaces
-	d.osp.Start()
-}
-
-// ospfHooks returns the hooks of the OSPF instance the current boot runs,
-// bound to the boot as bgpHooks' are: an SPF run or election an earlier boot
-// left armed neither floods nor programs the FIB.
-func (d *Device) ospfHooks() ospf.Hooks { return &ospfBoot{d, d.epoch} }
-
-// ospfBoot is the ospf.Hooks of one boot of d: each hook acts only while d
-// still runs that boot.
-type ospfBoot struct {
-	d     *Device
-	epoch int
-}
-
-func (h *ospfBoot) Send(i int, dst ospf.RouterID, data []byte) {
-	if h.d.epoch == h.epoch {
-		h.d.sendOSPF(i, dst, data)
-	}
-}
-
-func (h *ospfBoot) InstallRoute(p netpkt.Prefix, nhs []rib.NextHop) error {
-	if h.d.epoch != h.epoch {
-		return nil
-	}
-	return h.d.fib.InstallHops(p, rib.ProtoOSPF, nhs)
-}
-
-func (h *ospfBoot) RemoveRoute(p netpkt.Prefix) {
-	if h.d.epoch == h.epoch {
-		h.d.fib.Remove(p)
-	}
-}
-
-func (h *ospfBoot) Logf(f string, a ...any) {
-	if h.d.epoch == h.epoch {
-		h.d.logf(f, a...)
-	}
-}
-
 // Stop halts the firmware (administrative shutdown). The PhyNet container
 // and its interfaces survive.
 func (d *Device) Stop(reason string) {
@@ -604,7 +537,7 @@ func (d *Device) Stop(reason string) {
 	d.container.Detach()
 	d.state = DeviceStopped
 	d.epoch++
-	d.bgp, d.osp, d.fib, d.fwd = nil, nil, nil, nil
+	d.bgp, d.fib, d.fwd = nil, nil, nil
 }
 
 // Crash models a firmware crash: like Stop, but without graceful session
@@ -619,7 +552,7 @@ func (d *Device) Crash(reason string) {
 	d.container.Detach()
 	d.state = DeviceCrashed
 	d.epoch++
-	d.bgp, d.osp, d.fib, d.fwd = nil, nil, nil, nil
+	d.bgp, d.fib, d.fwd = nil, nil, nil
 }
 
 // ReloadDuration is the two-layer-design reload time measured in §8.3: the
@@ -651,7 +584,7 @@ func (d *Device) Reload(newCfg *config.DeviceConfig, onReady func()) {
 }
 
 // LinkDown tells the firmware one of its interfaces lost carrier: BGP
-// sessions on it reset; OSPF re-floods.
+// sessions on it reset.
 func (d *Device) LinkDown(iface string) {
 	if d.state != DeviceRunning {
 		return
@@ -662,11 +595,6 @@ func (d *Device) LinkDown(iface string) {
 			if p.Config.Interface == iface {
 				p.Stop("link down")
 			}
-		}
-	}
-	if d.osp != nil {
-		if idx, ok := d.ospfIfaces[iface]; ok {
-			d.osp.InterfaceDown(idx)
 		}
 	}
 }
@@ -684,11 +612,6 @@ func (d *Device) LinkUp(iface string) {
 				p.Start()
 				d.scheduleSessionRetry(p, epoch, 0)
 			}
-		}
-	}
-	if d.osp != nil {
-		if idx, ok := d.ospfIfaces[iface]; ok {
-			d.osp.InterfaceUp(idx)
 		}
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"crystalnet/internal/dataplane"
 	"crystalnet/internal/netpkt"
 	"crystalnet/internal/phynet"
-	"crystalnet/internal/rib"
 	"crystalnet/internal/sim"
 	"crystalnet/internal/topo"
 )
@@ -599,61 +598,6 @@ func TestVendorImageSemantics(t *testing.T) {
 	}
 }
 
-// TestOSPFOverFabric boots a line of three OSPF-only routers (a WAN-style
-// deployment) and verifies LSDB flooding and SPF routes end to end over
-// real frames.
-func TestOSPFOverFabric(t *testing.T) {
-	n := topo.NewNetwork("ospf-line")
-	a := n.AddDevice("a", topo.LayerWAN, 0, "test")
-	b := n.AddDevice("b", topo.LayerWAN, 0, "test")
-	c := n.AddDevice("c", topo.LayerWAN, 0, "test")
-	n.Connect(a, b)
-	n.Connect(b, c)
-	r := buildRig(t, n, nil)
-	// Strip the generated BGP sessions; enable OSPF on every fabric port.
-	for name, cfg := range r.cfgs {
-		cfg.Neighbors = nil
-		cfg.Networks = nil
-		cfg.OSPF = &config.OSPFConfig{}
-		for _, ic := range cfg.Interfaces {
-			if ic.Name == "lo" {
-				continue
-			}
-			cfg.OSPF.Interfaces = append(cfg.OSPF.Interfaces, config.OSPFIfaceConfig{
-				Name: ic.Name, Cost: 10,
-			})
-		}
-		_ = name
-	}
-	r.bootAll()
-
-	da, dc := r.devices["a"], r.devices["c"]
-	if da.osp == nil {
-		t.Fatal("OSPF not started")
-	}
-	// a reaches c's loopback two hops away via OSPF routes in the FIB.
-	e, ok := da.FIB().Lookup(dc.Config().Loopback.Addr)
-	if !ok {
-		t.Fatalf("a missing OSPF route to c: %v", da.FIB().Snapshot())
-	}
-	if e.Proto != rib.ProtoOSPF {
-		t.Fatalf("route proto = %v, want ospf", e.Proto)
-	}
-	// Link failure reroutes... no alternate path here: the route vanishes.
-	lk := n.Links[0]
-	for _, vl := range r.links {
-		if vl.A.Container.Name == "a" {
-			r.fabric.SetLinkState(vl, false)
-		}
-	}
-	r.devices["a"].LinkDown(lk.A.Name)
-	r.devices["b"].LinkDown(lk.B.Name)
-	r.run()
-	if _, ok := da.FIB().Lookup(dc.Config().Loopback.Addr); ok {
-		t.Fatal("route survived the only link's failure")
-	}
-}
-
 // TestSoftASICTrapPipeline boots a SoftASIC image and checks the ARP trap
 // flows through the P4 pipeline: the healthy build establishes sessions and
 // shows pipeline hits; the dev build's missing trap entry blocks ARP.
@@ -691,52 +635,6 @@ func TestSoftASICTrapPipeline(t *testing.T) {
 	buggy.bootAll()
 	if buggy.devices["a"].PullStates().Established != 0 {
 		t.Fatal("session established despite missing pipeline trap entry")
-	}
-}
-
-// TestDualProtocolDevice runs BGP and OSPF side by side on one box (a
-// border router speaking eBGP to the fabric and OSPF into the WAN), with
-// both protocols programming the same FIB.
-func TestDualProtocolDevice(t *testing.T) {
-	n := topo.NewNetwork("dual")
-	border := n.AddDevice("border", topo.LayerBorder, 65000, "test")
-	spine := n.AddDevice("spine", topo.LayerSpine, 65100, "test")
-	wan := n.AddDevice("wan", topo.LayerWAN, 0, "test")
-	spine.Originated = append(spine.Originated, netpkt.MustParsePrefix("100.64.0.0/24"))
-	n.Connect(border, spine) // eBGP side
-	n.Connect(border, wan)   // OSPF side
-	r := buildRig(t, n, nil)
-
-	// border: drop the generated BGP session toward the WAN, add OSPF there.
-	bc := r.cfgs["border"]
-	var kept []config.BGPNeighbor
-	for _, nb := range bc.Neighbors {
-		if nb.Desc == "spine" {
-			kept = append(kept, nb)
-		}
-	}
-	bc.Neighbors = kept
-	bc.OSPF = &config.OSPFConfig{Interfaces: []config.OSPFIfaceConfig{{Name: "et1", Cost: 10}}}
-	// wan: OSPF only.
-	wc := r.cfgs["wan"]
-	wc.Neighbors = nil
-	wc.Networks = nil
-	wc.OSPF = &config.OSPFConfig{Interfaces: []config.OSPFIfaceConfig{{Name: "et0", Cost: 10}}}
-	r.bootAll()
-
-	b := r.devices["border"]
-	// BGP route from the spine side.
-	e, ok := b.FIB().Lookup(netpkt.MustParseIP("100.64.0.1"))
-	if !ok || e.Proto != rib.ProtoBGP {
-		t.Fatalf("BGP route: %+v %v", e, ok)
-	}
-	// OSPF route to the WAN loopback.
-	e, ok = b.FIB().Lookup(r.devices["wan"].Config().Loopback.Addr)
-	if !ok || e.Proto != rib.ProtoOSPF {
-		t.Fatalf("OSPF route: %+v %v", e, ok)
-	}
-	if b.PullStates().Established != 1 {
-		t.Fatal("BGP session count wrong")
 	}
 }
 

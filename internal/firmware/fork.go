@@ -104,16 +104,16 @@ func (d *Device) CowCopies() CowCopies {
 // engine, fabric, container clone, VM clone and BGP attribute table (the
 // fork of the table the device's router interns into, bgp.AttrTable.Fork
 // after its last Seal), with its protocol hooks built by the same
-// bgpHooks/ospfHooks a boot uses, against the clone (the hooks built at boot
+// bgpHooks a boot uses, against the clone (the hooks built at boot
 // close over the parent and must not leak into the fork). The clone keeps
 // the parent's epoch, so its hooks serve the boot it continues.
 //
 // The shell shares what it can. What only a boot writes — the interface
-// addresses, the OSPF interface and BGP session indexes, the forwarder's
+// addresses, the BGP session index, the forwarder's
 // local addresses and ACL bindings — is shared outright. The bulk routing
 // state (FIB and BGP RIBs, with their memos) and the ARP tables are shared
 // and copied on write, which requires Seal to have run with no write since.
-// OSPF state, queued frames and captures are copied. The source device is
+// Queued frames and captures are copied. The source device is
 // read strictly read-only, so concurrent forks are safe.
 //
 // The device's configuration pointer is shared copy-on-write: config
@@ -136,7 +136,6 @@ func (d *Device) Fork(eng *sim.Engine, fabric *phynet.Fabric, container *phynet.
 
 		peerByIP:    d.peerByIP,
 		ifaceAddr:   d.ifaceAddr,
-		ospfIfaces:  d.ospfIfaces,
 		arp:         d.arp.fork(),
 		arpAttempts: d.arpAttempts.fork(),
 
@@ -175,9 +174,6 @@ func (d *Device) Fork(eng *sim.Engine, fabric *phynet.Fabric, container *phynet.
 	}
 	if d.bgp != nil {
 		c.bgp = d.bgp.Fork(eng, c.bgpHooks(), attrs)
-	}
-	if d.osp != nil {
-		c.osp = d.osp.Fork(eng, c.ospfHooks())
 	}
 	// Re-attach the frame handler exactly when the parent's firmware was
 	// live on the wire.

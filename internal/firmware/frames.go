@@ -54,38 +54,6 @@ func (d *Device) sendIP(iface string, nextHop netpkt.IP, ip *netpkt.IPv4Packet) 
 	}
 }
 
-// sendOSPF transmits an OSPF packet out the instance's interface idx. dst 0
-// multicasts to the segment (broadcast MAC, no ARP needed).
-func (d *Device) sendOSPF(ospfIdx int, _ netpkt.IP, data []byte) {
-	var ifaceName string
-	for name, idx := range d.ospfIfaces {
-		if idx == ospfIdx {
-			ifaceName = name
-			break
-		}
-	}
-	if ifaceName == "" {
-		return
-	}
-	local, ok := d.ifaceAddr[ifaceName]
-	if !ok {
-		return
-	}
-	pkt := netpkt.IPv4Packet{
-		TTL: 1, Protocol: netpkt.ProtoOSPF,
-		Src: local.Addr, Dst: netpkt.IPFromBytes(224, 0, 0, 5),
-		Payload: data,
-	}
-	vi := d.container.Iface(ifaceName)
-	frame := pkt.MarshalFramed(ipOff)
-	if vi == nil || frame == nil {
-		return
-	}
-	const ethOff = ipOff - netpkt.EthernetHeaderLen
-	netpkt.PutEthernetHeader(frame[ethOff:], netpkt.BroadcastMAC, vi.MAC, netpkt.EtherTypeIPv4)
-	d.fabric.SendFramed(vi, frame, ethOff)
-}
-
 // sendIPFrame routes an IP packet out the given interface towards an on-link
 // next hop, resolving its MAC via ARP (queueing while unresolved). buf is a
 // single buffer holding the encoded IP packet at offset at (at least
@@ -279,10 +247,10 @@ func (d *Device) handleIP(iface string, ip *netpkt.IPv4Packet) {
 		return
 	}
 
-	if d.fwd.IsLocal(ip.Dst) || ip.Protocol == netpkt.ProtoOSPF {
-		// Terminates here (a BGP or OSPF message, a ping): no forwarding
+	if d.fwd.IsLocal(ip.Dst) {
+		// Terminates here (a BGP message, a ping): no forwarding
 		// decision, so no 5-tuple.
-		d.handleLocal(iface, ip)
+		d.handleLocal(ip)
 		return
 	}
 	dec := d.fwd.Forward(iface, metaFromIP(ip))
@@ -305,7 +273,7 @@ func (d *Device) emitForward(ip *netpkt.IPv4Packet, dec dataplane.Decision) {
 }
 
 // handleLocal terminates a packet addressed to the device.
-func (d *Device) handleLocal(iface string, ip *netpkt.IPv4Packet) {
+func (d *Device) handleLocal(ip *netpkt.IPv4Packet) {
 	switch ip.Protocol {
 	case netpkt.ProtoTCP:
 		// BGP: look up the session by remote address.
@@ -324,20 +292,6 @@ func (d *Device) handleLocal(iface string, ip *netpkt.IPv4Packet) {
 		// per-route cost approximated from message size.
 		work := d.Image.MsgWork + d.Image.RouteWork*float64(len(data))/5
 		d.submitRx(work, rxMsg{peer: peer, data: data, epoch: d.epoch})
-	case netpkt.ProtoOSPF:
-		if d.osp == nil {
-			return
-		}
-		if idx, ok := d.ospfIfaces[iface]; ok {
-			data := ip.Payload
-			epoch := d.epoch
-			d.submit(d.Image.MsgWork, func() {
-				if d.epoch != epoch || d.state != DeviceRunning {
-					return
-				}
-				d.osp.HandlePacket(idx, data)
-			})
-		}
 	case netpkt.ProtoICMP:
 		icmp, err := netpkt.UnmarshalICMP(ip.Payload)
 		if err != nil || icmp.Type != netpkt.ICMPEchoRequest {

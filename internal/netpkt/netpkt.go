@@ -180,7 +180,6 @@ const (
 	ProtoICMP uint8 = 1
 	ProtoTCP  uint8 = 6
 	ProtoUDP  uint8 = 17
-	ProtoOSPF uint8 = 89
 )
 
 // VXLANPort is the IANA-assigned UDP destination port for VXLAN.

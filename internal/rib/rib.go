@@ -26,12 +26,11 @@ type Proto uint8
 const (
 	ProtoConnected Proto = iota
 	ProtoStatic
-	ProtoOSPF
 	ProtoBGP
 	ProtoAggregate
 )
 
-var protoNames = [...]string{"connected", "static", "ospf", "bgp", "aggregate"}
+var protoNames = [...]string{"connected", "static", "bgp", "aggregate"}
 
 // String returns the lower-case protocol name.
 func (p Proto) String() string {
@@ -445,33 +444,33 @@ func (f *FIB) Mark() Mark {
 	return Mark{f.lineage, f.version}
 }
 
-// Since is the one account of what changed in a table — nil for none —
-// since a reader took mark of it (or of the table it was cloned from, up to
-// the clone). It returns (nil, true) when the table stands at mark, sealed
-// or not, and the prefix of every write since, oldest first, when mark is an
-// earlier mark of its lineage that the sealed table's write log still
-// covers. Entries are immutable, so that is exact: a longest-prefix match for
-// an address no returned prefix contains resolves to the entry it resolved
-// to at mark.
+// Since is the one account of what changed in a table since a reader took
+// mark of it (or of the table it was cloned from, up to the clone). It
+// appends to dst, and returns, nothing with ok when the table stands at
+// mark, sealed or not, and the prefix of every write since, oldest first,
+// when mark is an earlier mark of its lineage that the sealed table's write
+// log still covers. Entries are immutable, so that is exact: a
+// longest-prefix match for an address no appended prefix contains resolves
+// to the entry it resolved to at mark. A reader of many tables passes one
+// buffer, truncated, for all of them.
 //
 // ok is false when the table cannot give the whole history — another lineage
 // or none, writes while unsealed (only a sealed table logs, so mark must not
 // predate Seal or Clone), or more writes than the log's last writeLogCap. It
-// never returns part of one; a reader told false treats the whole table as
+// never appends part of one; a reader told false treats the whole table as
 // changed. How many writes are worth reading instead is the reader's call.
-func (f *FIB) Since(mark Mark) (writes []netpkt.Prefix, ok bool) {
+func (f *FIB) Since(mark Mark, dst []netpkt.Prefix) (writes []netpkt.Prefix, ok bool) {
 	now := f.Mark()
 	switch {
 	case mark == now:
-		return nil, true
+		return dst, true
 	case mark.lineage != now.lineage || !f.sealed() || mark.version < f.logStart || mark.version > f.version || f.version-mark.version > writeLogCap:
-		return nil, false
+		return dst, false
 	}
-	writes = make([]netpkt.Prefix, 0, f.version-mark.version)
 	for v := mark.version; v < f.version; v++ {
-		writes = append(writes, f.log[(v-f.logStart)%writeLogCap])
+		dst = append(dst, f.log[(v-f.logStart)%writeLogCap])
 	}
-	return writes, true
+	return dst, true
 }
 
 // Get returns the entry for exactly p: shared, read-only (see Entry).

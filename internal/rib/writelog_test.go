@@ -65,30 +65,30 @@ func TestVersionCountsEveryWrite(t *testing.T) {
 
 func TestSinceIsExactOrRefuses(t *testing.T) {
 	f := NewFIB()
-	if w, ok := (*FIB)(nil).Since(Mark{}); !ok || w != nil {
+	if w, ok := (*FIB)(nil).Since(Mark{}, nil); !ok || len(w) != 0 {
 		t.Fatalf("no table since no table = %v, %v; want unchanged", w, ok)
 	}
-	if _, ok := (*FIB)(nil).Since(f.Mark()); ok {
+	if _, ok := (*FIB)(nil).Since(f.Mark(), nil); ok {
 		t.Fatal("a device that went down claimed its table unchanged")
 	}
-	if _, ok := f.Since(Mark{}); ok {
+	if _, ok := f.Since(Mark{}, nil); ok {
 		t.Fatal("a device that came up claimed its table unchanged")
 	}
 	mustInstall(t, f, "10.0.0.0/8")
 	early := f.Mark()
-	if w, ok := f.Since(early); !ok || w != nil {
+	if w, ok := f.Since(early, nil); !ok || len(w) != 0 {
 		t.Fatalf("unsealed table at its own mark = %v, %v; want unchanged", w, ok)
 	}
 	mustInstall(t, f, "10.1.0.0/16")
-	if _, ok := f.Since(early); ok {
+	if _, ok := f.Since(early, nil); ok {
 		t.Fatal("an unsealed table that was written claimed to have a write log")
 	}
 	f.Seal()
 	sealedAt := f.Mark()
-	if _, ok := f.Since(early); ok {
+	if _, ok := f.Since(early, nil); ok {
 		t.Fatal("Since accepted a mark with unlogged (unsealed) writes after it")
 	}
-	if w, ok := f.Since(sealedAt); !ok || len(w) != 0 {
+	if w, ok := f.Since(sealedAt, nil); !ok || len(w) != 0 {
 		t.Fatalf("Since(mark at Seal) = %v, %v; want none, true", w, ok)
 	}
 
@@ -97,25 +97,34 @@ func TestSinceIsExactOrRefuses(t *testing.T) {
 	mid := f.Mark()
 	mustInstall(t, f, "10.2.0.0/16")
 	want := []netpkt.Prefix{pfx("10.2.0.0/16"), pfx("10.1.0.0/16"), pfx("10.2.0.0/16")}
-	if w, ok := f.Since(sealedAt); !ok || !slices.Equal(w, want) {
+	if w, ok := f.Since(sealedAt, nil); !ok || !slices.Equal(w, want) {
 		t.Fatalf("Since(seal) = %v, %v; want %v in order", w, ok, want)
 	}
-	if w, ok := f.Since(mid); !ok || !slices.Equal(w, want[2:]) {
+	if w, ok := f.Since(mid, nil); !ok || !slices.Equal(w, want[2:]) {
 		t.Fatalf("Since(mid) = %v, %v; want %v", w, ok, want[2:])
+	}
+	// A reader's buffer is appended to, never overwritten, and a refusal
+	// appends nothing.
+	buf := []netpkt.Prefix{pfx("192.0.2.0/24")}
+	if w, ok := f.Since(mid, buf); !ok || !slices.Equal(w, append(buf[:1:1], want[2:]...)) {
+		t.Fatalf("Since(mid, buf) = %v, %v; want %v then %v", w, ok, buf, want[2:])
+	}
+	if w, ok := f.Since(Mark{}, buf); ok || !slices.Equal(w, buf) {
+		t.Fatalf("refused Since(mark, buf) = %v, %v; want buf untouched", w, ok)
 	}
 	ahead := f.Mark()
 	ahead.version++
-	if _, ok := f.Since(ahead); ok {
+	if _, ok := f.Since(ahead, nil); ok {
 		t.Fatal("Since accepted a mark the table has not reached")
 	}
 	other := NewFIB()
 	other.Seal()
-	if _, ok := f.Since(other.Mark()); ok {
+	if _, ok := f.Since(other.Mark(), nil); ok {
 		t.Fatal("Since accepted another lineage's mark")
 	}
 	// Sealing again keeps the history: the table was logging all along.
 	f.Seal()
-	if w, ok := f.Since(sealedAt); !ok || !slices.Equal(w, want) {
+	if w, ok := f.Since(sealedAt, nil); !ok || !slices.Equal(w, want) {
 		t.Fatalf("after re-Seal Since(seal) = %v, %v; want %v", w, ok, want)
 	}
 }
@@ -129,18 +138,18 @@ func TestSinceRefusesOnceTheRingWraps(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	w, ok := f.Since(start)
+	w, ok := f.Since(start, nil)
 	if !ok || len(w) != writeLogCap || w[0] != slash24(0) || w[writeLogCap-1] != slash24(writeLogCap-1) {
 		t.Fatalf("a full ring lost writes: ok=%v len=%d", ok, len(w))
 	}
 	f.Remove(slash24(7))
-	if _, ok := f.Since(start); ok {
+	if _, ok := f.Since(start, nil); ok {
 		t.Fatal("Since returned a history whose first write the ring has overwritten")
 	}
 	// The newest writeLogCap writes are still whole, in order, across the wrap.
 	next := start
 	next.version++
-	w, ok = f.Since(next)
+	w, ok = f.Since(next, nil)
 	if !ok || len(w) != writeLogCap || w[0] != slash24(1) || w[writeLogCap-1] != slash24(7) {
 		t.Fatalf("Since across the wrap: ok=%v len=%d first=%v last=%v", ok, len(w), w[0], w[len(w)-1])
 	}
@@ -168,10 +177,10 @@ func TestCloneLogsItsOwnWrites(t *testing.T) {
 		if other := NewFIB().Mark(); other.lineage == f.lineage || other == (Mark{}) {
 			t.Fatalf("new table's mark %+v: parent's is %+v, zero means none", other, f.Mark())
 		}
-		if w, ok := c.Since(f.Mark()); !ok || len(w) != 0 {
+		if w, ok := c.Since(f.Mark(), nil); !ok || len(w) != 0 {
 			t.Fatalf("fresh clone's log = %v, %v; want empty, true", w, ok)
 		}
-		if _, ok := c.Since(sealedAt); ok {
+		if _, ok := c.Since(sealedAt, nil); ok {
 			t.Fatal("clone answered for writes its parent made before the clone existed")
 		}
 		wg.Add(1)
@@ -186,12 +195,12 @@ func TestCloneLogsItsOwnWrites(t *testing.T) {
 	}
 	wg.Wait()
 	for i, c := range clones {
-		w, ok := c.Since(f.Mark())
+		w, ok := c.Since(f.Mark(), nil)
 		if !ok || len(w) != 100 || w[0] != slash24(100*i) || w[99] != slash24(100*i+99) {
 			t.Fatalf("clone %d: ok=%v, %d writes", i, ok, len(w))
 		}
 	}
-	if w, ok := f.Since(sealedAt); !ok || !slices.Equal(w, parentWrites) {
+	if w, ok := f.Since(sealedAt, nil); !ok || !slices.Equal(w, parentWrites) {
 		t.Fatalf("parent's log after its clones wrote = %v, %v; want %v", w, ok, parentWrites)
 	}
 }

@@ -1,12 +1,17 @@
 package scenario
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
-	"maps"
+	"reflect"
 	"slices"
+	"strings"
+	"time"
 
 	"crystalnet/internal/batfish"
 	"crystalnet/internal/checkpoint"
+	"crystalnet/internal/cloud"
 	"crystalnet/internal/core"
 )
 
@@ -20,9 +25,9 @@ import (
 // read. It must not be used after its parent emulation is advanced,
 // mutated or cleared by other means.
 type Converged struct {
-	// opts holds the Images, MTBF, Retry and RecoveryDeadline the mockup
-	// ran with: a fork cannot run with others (fork checks).
-	opts Options
+	// key is the ConvergenceKey of the spec and options Converge ran: a
+	// fork runs only a spec with the same key (fork checks).
+	key string
 
 	orch *core.Orchestrator
 	snap *checkpoint.Snapshot
@@ -55,10 +60,7 @@ func Converge(sp *Spec, opts Options) (*Converged, error) {
 	header := *r.report
 	header.Steps = nil
 	return &Converged{
-		opts: Options{
-			Images: maps.Clone(opts.Images), MTBF: opts.MTBF,
-			Retry: opts.Retry, RecoveryDeadline: opts.RecoveryDeadline,
-		},
+		key:      ConvergenceKey(sp, opts),
 		orch:     r.orch,
 		snap:     snap,
 		baseline: r.baselines[DefaultBaseline],
@@ -74,11 +76,18 @@ func Converge(sp *Spec, opts Options) (*Converged, error) {
 // sequence and RNG stream, so every step latency, jitter draw and event
 // count matches.
 //
-// sp must resolve to the Converged's seed and opts must carry the Images,
-// MTBF, Retry and RecoveryDeadline Converge was given: forking cannot
-// replay a different convergence.
+// sp under opts must have the ConvergenceKey of the spec and options
+// Converge was given: forking cannot replay a different convergence, so
+// sp may differ from that spec only in its name, description and steps.
 func (cv *Converged) Run(sp *Spec, opts Options) (*Report, error) {
-	r, err := cv.fork(sp, opts)
+	return cv.RunKey(ConvergenceKey(sp, opts), sp, opts)
+}
+
+// RunKey is Run for a caller that already holds key, ConvergenceKey(sp,
+// opts): crystald's warm pool looked the baseline up by it, so a rehearsal
+// computes its key once.
+func (cv *Converged) RunKey(key string, sp *Spec, opts Options) (*Report, error) {
+	r, err := cv.fork(key, sp, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -87,27 +96,12 @@ func (cv *Converged) Run(sp *Spec, opts Options) (*Report, error) {
 
 // fork is Run up to the first step: the checks, the forked emulation and a
 // runner holding the baseline's step-0 report, ready to drive.
-func (cv *Converged) fork(sp *Spec, opts Options) (*runner, error) {
+func (cv *Converged) fork(key string, sp *Spec, opts Options) (*runner, error) {
 	if err := sp.Validate(); err != nil {
 		return nil, err
 	}
-	if seed := EffectiveSeed(sp, opts); seed != cv.header.Seed {
-		return nil, fmt.Errorf("scenario %s: seed %d does not match converged baseline seed %d",
-			sp.Name, seed, cv.header.Seed)
-	}
-	mismatch := ""
-	switch {
-	case !maps.Equal(opts.Images, cv.opts.Images):
-		mismatch = "Images"
-	case opts.MTBF != cv.opts.MTBF:
-		mismatch = "MTBF"
-	case opts.Retry != cv.opts.Retry:
-		mismatch = "Retry"
-	case opts.RecoveryDeadline != cv.opts.RecoveryDeadline:
-		mismatch = "RecoveryDeadline"
-	}
-	if mismatch != "" {
-		return nil, fmt.Errorf("scenario %s: option %s does not match the converged baseline's", sp.Name, mismatch)
+	if key != cv.key {
+		return nil, fmt.Errorf("scenario %s: %s does not match the converged baseline's", sp.Name, keyField(key, cv.key))
 	}
 	em, err := cv.orch.Fork(cv.snap)
 	if err != nil {
@@ -150,7 +144,7 @@ func (cv *Converged) fork(sp *Spec, opts Options) (*runner, error) {
 func (cv *Converged) Invalidate() { cv.snap.Invalidate() }
 
 // EffectiveSeed resolves a spec/options pair's seed as Run does: override,
-// spec, then the default seed 1. The serving layer keys its warm pool on it.
+// spec, then the default seed 1.
 func EffectiveSeed(sp *Spec, opts Options) int64 {
 	seed := sp.Seed
 	if opts.SeedOverride != nil {
@@ -160,4 +154,56 @@ func EffectiveSeed(sp *Spec, opts Options) int64 {
 		seed = 1
 	}
 	return seed
+}
+
+// ConvergenceKey is everything that shapes the convergence of sp under
+// opts, as one string: the spec without its name, description and steps
+// (only a fork runs those), with the seed resolved, then the Images, MTBF,
+// Retry and RecoveryDeadline options that are set. It marshals through
+// encoding/json, which orders struct fields by declaration and map keys
+// lexically, so equal fabrics produce equal keys. Converge records it, a
+// fork must match it, and crystald's warm pool is keyed by it.
+func ConvergenceKey(sp *Spec, opts Options) string {
+	c := sp.Clone()
+	c.Name, c.Description, c.Steps = "", "", nil
+	c.Seed = EffectiveSeed(sp, opts)
+	k := convergenceKey{Spec: c, Images: opts.Images, MTBF: opts.MTBF, RecoveryDeadline: opts.RecoveryDeadline}
+	if opts.Retry != (cloud.RetryPolicy{}) {
+		k.Retry = &opts.Retry
+	}
+	b, err := json.Marshal(k)
+	if err != nil {
+		// Specs arrive through Parse; plain data cannot fail.
+		panic(fmt.Sprintf("scenario: marshal convergence key: %v", err))
+	}
+	return string(b)
+}
+
+// convergenceKey is what ConvergenceKey marshals: the spec's fields, then
+// the options that shape a convergence, each omitted when unset so that a
+// spec under zero options keys as the spec alone.
+type convergenceKey struct {
+	*Spec
+	Images           map[string]ImageRef `json:"Options.Images,omitempty"`
+	MTBF             time.Duration       `json:"Options.MTBF,omitempty"`
+	Retry            *cloud.RetryPolicy  `json:"Options.Retry,omitempty"`
+	RecoveryDeadline time.Duration       `json:"Options.RecoveryDeadline,omitempty"`
+}
+
+// keyField names the first top-level field, in declaration order, in which
+// the convergence keys a and b differ.
+func keyField(a, b string) string {
+	var fa, fb map[string]json.RawMessage
+	if json.Unmarshal([]byte(a), &fa) != nil || json.Unmarshal([]byte(b), &fb) != nil {
+		return "convergence key"
+	}
+	for _, t := range []reflect.Type{reflect.TypeFor[Spec](), reflect.TypeFor[convergenceKey]()} {
+		for i := range t.NumField() {
+			name, _, _ := strings.Cut(t.Field(i).Tag.Get("json"), ",")
+			if name != "" && !bytes.Equal(fa[name], fb[name]) {
+				return name
+			}
+		}
+	}
+	return "convergence key"
 }

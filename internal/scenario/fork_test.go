@@ -14,6 +14,7 @@ import (
 	"crystalnet/internal/core"
 	"crystalnet/internal/netpkt"
 	"crystalnet/internal/parallel"
+	"crystalnet/internal/traffic"
 )
 
 // rehearsalSteps is a broad-surface step mix (link flap, ACL reload +
@@ -136,40 +137,159 @@ func TestConvergedRunsConcurrently(t *testing.T) {
 	}
 }
 
+// TestConvergedRunRejectsMismatches: a converged baseline forks only a spec
+// with its convergence key. Each case differs from the baseline in one field
+// that shapes the convergence, and the refusal names that field; specs
+// that differ only in name, description and steps fork.
 func TestConvergedRunRejectsMismatches(t *testing.T) {
 	conv, err := Converge(tinySpec(rehearsalSteps()...), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	other := tinySpec()
-	other.Seed = 99
-	if _, err := conv.Run(other, Options{}); err == nil {
-		t.Fatal("seed mismatch accepted")
-	}
-
-	// A fork runs with the options the baseline converged with, or not at
-	// all: each of these would otherwise be ignored.
 	trap := map[string]ImageRef{"ctnrb": {Name: "ctnrb", Version: "dev-arp-trap"}}
-	sp := tinySpec(rehearsalSteps()[:2]...)
-	for field, opts := range map[string]Options{
-		"Images":           {Images: trap},
-		"MTBF":             {MTBF: time.Hour},
-		"Retry":            {Retry: cloud.DefaultRetryPolicy},
-		"RecoveryDeadline": {RecoveryDeadline: time.Minute},
+	for _, tc := range []struct {
+		name, field string
+		edit        func(*Spec)
+		opts        Options
+	}{
+		{"dc", "topology", func(sp *Spec) { sp.Topology = Topology{DC: "sdc"} }, Options{}},
+		{"clos shape", "topology", func(sp *Spec) { sp.Topology.Clos.ToRsPerPod = 3 }, Options{}},
+		{"wanPerGroup", "topology", func(sp *Spec) { sp.Topology.WANPerGroup = 2 }, Options{}},
+		{"ldcScale", "topology", func(sp *Spec) { sp.Topology.LDCScale = 4 }, Options{}},
+		{"invariants", "invariants", func(sp *Spec) { sp.Invariants = nil }, Options{}},
+		{"traffic", "traffic", func(sp *Spec) { sp.Traffic = &traffic.Spec{Flows: 1000} }, Options{}},
+		{"emulate", "emulate", func(sp *Spec) { sp.Emulate = []string{"tor-p0-0", "leaf-p0-0"} }, Options{}},
+		{"mustEmulate", "mustEmulate", func(sp *Spec) { sp.MustEmulate = []string{"tor-p0-0"} }, Options{}},
+		{"mustEmulatePods", "mustEmulatePods", func(sp *Spec) { sp.MustEmulatePods = []int{0} }, Options{}},
+		{"spec images", "images", func(sp *Spec) { sp.Images = trap }, Options{}},
+		{"seed", "seed", func(sp *Spec) { sp.Seed = 99 }, Options{}},
+		{"seed override", "seed", func(*Spec) {}, Options{SeedOverride: new(int64)}}, // resolves to 1
+		{"option images", "Options.Images", func(*Spec) {}, Options{Images: trap}},
+		{"mtbf", "Options.MTBF", func(*Spec) {}, Options{MTBF: time.Hour}},
+		{"retry", "Options.Retry", func(*Spec) {}, Options{Retry: cloud.DefaultRetryPolicy}},
+		{"recovery deadline", "Options.RecoveryDeadline", func(*Spec) {}, Options{RecoveryDeadline: time.Minute}},
 	} {
-		if _, err := conv.Run(sp, opts); err == nil || !strings.Contains(err.Error(), field) {
-			t.Fatalf("%s mismatch: err = %v, want one naming the field", field, err)
+		sp := tinySpec(rehearsalSteps()[:2]...)
+		tc.edit(sp)
+		_, err := conv.Run(sp, tc.opts)
+		if want := tc.field + " does not match"; err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s mismatch: err = %v, want %q", tc.name, err, want)
 		}
 	}
+	// Name, description and steps are not part of the key, and neither
+	// are MaxEvents, Rec and Cancel.
+	other := tinySpec(Step{Op: OpWaitConverge})
+	other.Name, other.Description = "other", "same fabric, other steps"
+	if _, err := conv.Run(other, Options{MaxEvents: 1 << 30}); err != nil {
+		t.Fatalf("a spec differing only in name and steps was refused: %v", err)
+	}
+
+	sp := tinySpec(Step{Op: OpWaitConverge})
 	trapped, err := Converge(sp, Options{Images: trap})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := trapped.Run(sp, Options{}); err == nil {
-		t.Fatal("fork without the baseline's Images accepted")
+	if _, err := trapped.Run(sp, Options{}); err == nil || !strings.Contains(err.Error(), "Options.Images") {
+		t.Fatalf("fork without the baseline's Images: err = %v", err)
 	}
 	if _, err := trapped.Run(sp, Options{Images: maps.Clone(trap)}); err != nil {
 		t.Fatalf("fork with equal Images refused: %v", err)
+	}
+}
+
+// TestForkRefusesAnotherFabric is the regression case of a baseline forked
+// with a spec it did not converge: a 3-pod spec without invariants, forked
+// from a 2-pod baseline, used to report the baseline's 14 emulated devices
+// and its step-0 invariant. It is refused, and forked from its own baseline
+// it reports what a fresh run does: 18 devices and no invariant.
+func TestForkRefusesAnotherFabric(t *testing.T) {
+	conv, err := Converge(tinySpec(Step{Op: OpWaitConverge}), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe := tinySpec(Step{Op: OpWaitConverge})
+	probe.Topology.Clos.Pods = 3
+	probe.Invariants = nil
+	if _, err := conv.Run(probe, Options{}); err == nil || !strings.Contains(err.Error(), "topology does not match") {
+		t.Fatalf("3-pod spec forked a 2-pod baseline: err = %v", err)
+	}
+	fresh, err := Run(probe, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	own, err := Converge(probe, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	forked, err := own.Run(probe, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fresh.Emulated != 18 || len(fresh.Steps[0].Invariants) != 0 {
+		t.Fatalf("fresh 3-pod run: %d emulated, %d step-0 invariants; want 18 and 0", fresh.Emulated, len(fresh.Steps[0].Invariants))
+	}
+	if !bytes.Equal(forked.JSON(), fresh.JSON()) {
+		t.Fatalf("fork of its own baseline differs from fresh:\n%s\nfresh:\n%s", forked.JSON(), fresh.JSON())
+	}
+}
+
+// TestStepsAreNotPartOfTheKey: every shipped scenario and every chaos
+// fault variant keys like its baseline — the spec with its name,
+// description and steps replaced, as crystald's pool converges it and a
+// chaos campaign forks it — so each of them forks that baseline.
+func TestStepsAreNotPartOfTheKey(t *testing.T) {
+	paths, err := filepath.Glob("../../scenarios/*.json")
+	if err != nil || len(paths) != 7 {
+		t.Fatalf("shipped scenarios: %v, %v", paths, err)
+	}
+	stripped := func(sp *Spec) *Spec {
+		c := sp.Clone()
+		c.Name, c.Description, c.Steps = "baseline", "", []Step{{Op: OpWaitConverge}}
+		return c
+	}
+	for _, p := range paths {
+		sp, err := Load(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ConvergenceKey(sp, Options{}) != ConvergenceKey(stripped(sp), Options{}) {
+			t.Errorf("%s: key depends on name, description or steps", p)
+		}
+	}
+	base := tinySpec(Step{Op: OpWaitConverge})
+	cand := chaosCandidates(t, base)
+	convBase := base.Clone()
+	convBase.Seed = 5
+	want := ConvergenceKey(convBase, Options{})
+	kinds := map[string]bool{}
+	for i := 0; i < 32; i++ {
+		sp := expandRun(base, cand, i, 5, 3)
+		for _, st := range sp.Steps {
+			if _, kind, ok := strings.Cut(st.Label, ": "); ok && strings.HasPrefix(st.Label, "fault ") {
+				kinds[kind] = true
+			}
+		}
+		if got := ConvergenceKey(sp, Options{}); got != want {
+			t.Fatalf("chaos run %d keys apart from its campaign baseline: %s", i, keyField(got, want))
+		}
+	}
+	if len(kinds) != numFaultKinds {
+		t.Fatalf("32 chaos runs drew fault kinds %v; want all %d", kinds, numFaultKinds)
+	}
+}
+
+// TestConvergenceKeyUnderZeroOptions pins the key's bytes: under zero
+// options it is the spec alone without name, description and steps, seed
+// resolved — the poolKey crystald's /v1/plan has always returned.
+func TestConvergenceKeyUnderZeroOptions(t *testing.T) {
+	sp := tinySpec(Step{Op: OpWaitConverge})
+	sp.Seed = 0
+	want := `{"name":"","seed":1,"topology":{"wanPerGroup":1,"clos":{"name":"tiny","pods":2,"torsPerPod":2,"leavesPerPod":2,"spineGroups":1,"spinesPerPlane":2,"bordersPerGroup":2,"prefixesPerToR":1}},"invariants":[{"op":"assert-no-blackhole"}],"steps":null}`
+	if got := ConvergenceKey(sp, Options{MaxEvents: 9}); got != want {
+		t.Fatalf("key = %s\nwant  %s", got, want)
+	}
+	if got := ConvergenceKey(sp, Options{MTBF: time.Hour}); got != strings.TrimSuffix(want, "}")+`,"Options.MTBF":3600000000000}` {
+		t.Fatalf("key with MTBF = %s", got)
 	}
 }
 

@@ -62,7 +62,7 @@ func TestSweepCostTracksWrites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := conv.fork(sp, Options{})
+	r, err := conv.fork(ConvergenceKey(sp, Options{}), sp, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestSweepTableMatchesFullWalk(t *testing.T) {
 		}
 		sp := sweepSpec(steps...)
 		sp.Name = fmt.Sprintf("sweep-property-%d", seed)
-		r, err := conv.fork(sp, Options{})
+		r, err := conv.fork(ConvergenceKey(sp, Options{}), sp, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

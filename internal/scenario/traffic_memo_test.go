@@ -46,7 +46,7 @@ func flapUnderLoad(t *testing.T, dc string, flows uint64) *Spec {
 // fork's matrix.
 func runForked(t *testing.T, conv *Converged, sp *Spec) (*Report, *traffic.Matrix) {
 	t.Helper()
-	r, err := conv.fork(sp, Options{})
+	r, err := conv.fork(ConvergenceKey(sp, Options{}), sp, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,11 +12,10 @@ import (
 )
 
 // Prewarm starts converging a baseline for sp in the background without
-// borrowing it: a no-op when the key is already pooled or warming. It
-// never blocks on the convergence. Reports whether an entry for the key
-// exists (false only when the pool is closed).
-func (p *Pool) Prewarm(sp *scenario.Spec, opts scenario.Options) bool {
-	key := PoolKey(sp, opts)
+// borrowing it: a no-op when key, PoolKey(sp, opts), is already pooled or
+// warming. It never blocks on the convergence. Reports whether an entry for
+// the key exists (false only when the pool is closed).
+func (p *Pool) Prewarm(key string, sp *scenario.Spec, opts scenario.Options) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
@@ -96,9 +95,10 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	spec.Emulate = res.Best.Emulated
 
 	opts := scenario.Options{MaxEvents: s.cfg.MaxEvents}
+	key := PoolKey(spec, opts)
 	warming := false
 	if req.Warm {
-		warming = s.pool.Prewarm(spec, opts)
+		warming = s.pool.Prewarm(key, spec, opts)
 	}
 
 	resp := PlanResponse{
@@ -111,7 +111,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		FullHourlyUSD: res.FullHourlyUSD,
 		CostReduction: res.CostReduction,
 		Spec:          spec,
-		PoolKey:       PoolKey(spec, opts),
+		PoolKey:       key,
 		Warming:       warming,
 	}
 	for _, alt := range res.Alternatives {

@@ -159,10 +159,10 @@ func TestPrewarmIdempotentAndClosed(t *testing.T) {
 	p := NewPool(2, 0, true, nil)
 	sp := tinySpec("prewarm", 3)
 	opts := scenario.Options{}
-	if !p.Prewarm(sp, opts) {
+	if !p.Prewarm(PoolKey(sp, opts), sp, opts) {
 		t.Fatal("first prewarm refused")
 	}
-	if !p.Prewarm(sp, opts) {
+	if !p.Prewarm(PoolKey(sp, opts), sp, opts) {
 		t.Fatal("repeat prewarm refused (should be a no-op, not an error)")
 	}
 	st := p.Status()
@@ -170,7 +170,8 @@ func TestPrewarmIdempotentAndClosed(t *testing.T) {
 		t.Fatalf("prewarm duplicated the entry: %d entries", len(st.Entries))
 	}
 	p.Close()
-	if p.Prewarm(tinySpec("late", 4), opts) {
+	late := tinySpec("late", 4)
+	if p.Prewarm(PoolKey(late, opts), late, opts) {
 		t.Fatal("prewarm accepted after close")
 	}
 }

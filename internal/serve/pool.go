@@ -2,7 +2,6 @@ package serve
 
 import (
 	"cmp"
-	"encoding/json"
 	"fmt"
 	"log"
 	"maps"
@@ -18,10 +17,10 @@ import (
 // Pool keeps converged, checkpointed base fabrics warm so rehearsal
 // requests fork instead of re-converging. Entries are keyed by everything
 // that shapes a convergence — topology, image pins, emulation boundary,
-// invariants and the resolved seed — and deliberately NOT by the spec's
-// name, description or steps, which only affect the forked portion of a
-// run. Two requests rehearsing different step sequences against the same
-// fabric therefore share one baseline.
+// invariants, traffic and the resolved seed (PoolKey) — and deliberately
+// NOT by the spec's name, description or steps, which only affect the
+// forked portion of a run. Two requests rehearsing different step sequences
+// against the same fabric therefore share one baseline.
 //
 // Concurrency model: one mutex guards the entry table; convergences run
 // outside it in per-entry warm goroutines. Concurrent requests for the
@@ -84,23 +83,13 @@ func NewPool(size int, maxEvents uint64, rewarm bool, live *obs.Registry) *Pool 
 	}
 }
 
-// PoolKey canonicalizes the convergence-shaping part of a spec: name,
-// description and steps are dropped (they only affect the forked run),
-// the seed is resolved, and the rest marshals through encoding/json,
-// which orders struct fields by declaration and map keys lexically — so
-// equal fabrics produce equal keys.
+// PoolKey is the warm pool's key for sp under opts: its
+// scenario.ConvergenceKey, which the baseline converged for it records and
+// every fork of it must match. Name, description and steps are not part of
+// it, so rehearsals of different step sequences against one fabric share a
+// baseline.
 func PoolKey(sp *scenario.Spec, opts scenario.Options) string {
-	c := sp.Clone()
-	c.Name = ""
-	c.Description = ""
-	c.Steps = nil
-	c.Seed = scenario.EffectiveSeed(sp, opts)
-	b, err := json.Marshal(c)
-	if err != nil {
-		// Specs arrive through scenario.Parse; plain data cannot fail.
-		panic(fmt.Sprintf("serve: marshal pool key: %v", err))
-	}
-	return string(b)
+	return scenario.ConvergenceKey(sp, opts)
 }
 
 // baseSpec derives the spec a pooled baseline converges from: the
@@ -133,7 +122,11 @@ func fabricName(sp *scenario.Spec) string {
 // cancel aborts the wait (not the shared convergence — other waiters may
 // still want it); the returned error then wraps core.ErrCanceled.
 func (p *Pool) Acquire(sp *scenario.Spec, opts scenario.Options, cancel <-chan struct{}) (cv *scenario.Converged, release func(), hit bool, err error) {
-	key := PoolKey(sp, opts)
+	return p.acquire(PoolKey(sp, opts), sp, opts, cancel)
+}
+
+// acquire is Acquire for a caller that already holds key, PoolKey(sp, opts).
+func (p *Pool) acquire(key string, sp *scenario.Spec, opts scenario.Options, cancel <-chan struct{}) (cv *scenario.Converged, release func(), hit bool, err error) {
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()

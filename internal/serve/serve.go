@@ -308,11 +308,12 @@ func (s *Server) handleRehearse(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set(RequestHeader, sess.ID)
 
 	opts := scenario.Options{MaxEvents: s.cfg.MaxEvents, Cancel: r.Context().Done()}
-	cv, release, hit, err := s.pool.Acquire(sp, opts, r.Context().Done())
+	key := PoolKey(sp, opts)
+	cv, release, hit, err := s.pool.acquire(key, sp, opts, r.Context().Done())
 	var rep *scenario.Report
 	if err == nil {
 		defer release()
-		rep, err = cv.Run(sp, opts)
+		rep, err = cv.RunKey(key, sp, opts)
 	}
 	if err != nil {
 		if errors.Is(err, core.ErrCanceled) {

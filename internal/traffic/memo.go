@@ -108,6 +108,7 @@ func (m *Matrix) observe(v View, log *walkLog) changes {
 	// A fork shares the marks it was forked with: replace, never edit.
 	marks := make([]rib.Mark, n)
 	survivors := false
+	var w []netpkt.Prefix
 	for i, was := range m.marks {
 		name := m.ix.Name(i)
 		var fib *rib.FIB
@@ -115,7 +116,8 @@ func (m *Matrix) observe(v View, log *walkLog) changes {
 		if log.fwds[i] != nil {
 			fib = log.fwds[i].FIB()
 		}
-		w, ok := fib.Since(was)
+		var ok bool
+		w, ok = fib.Since(was, w[:0])
 		ch.stale[i] = !ok || len(w) > maxScannedWrites
 		if !ch.stale[i] {
 			survivors = true

@@ -75,8 +75,8 @@ if [ "${SHORT:-}" != "1" ]; then
     echo "== netpkt decoder fuzz (no panic; round trips; in-place header writers vs encoders; 5s)"
     go test ./internal/netpkt -run '^$' -fuzz=FuzzNetpkt -fuzztime=5s
 
-    echo "== OSPF packet decoder fuzz (no panic; Hello and LS Update round trips; 5s)"
-    go test ./internal/ospf -run '^$' -fuzz=FuzzOSPFPacket -fuzztime=5s
+    echo "== config dialect parser fuzz (no panic; what a dialect accepts renders and re-parses to the same config; 5s)"
+    go test ./internal/config -run '^$' -fuzz=FuzzConfigParse -fuzztime=5s
 
     echo "== scenario spec parser fuzz (no panic; accepted spec marshals, re-parses and re-marshals to the same bytes; 5s)"
     go test ./internal/scenario -run '^$' -fuzz=FuzzScenarioParse -fuzztime=5s
@@ -87,7 +87,7 @@ if [ "${SHORT:-}" != "1" ]; then
     echo "== allocation budgets of the per-UPDATE path (flush = its messages, delivery to HandleMessage = 0, FIB reinstall = the Entry, dropped timer and lane = 0) and of the traffic settle (ForwardBatch into a buffer = 0, forked settle < 1/10 of the aggregates)"
     go test -count=1 ./internal/bgp/ ./internal/sim/ ./internal/phynet/ ./internal/firmware/ ./internal/rib/ ./internal/dataplane/ ./internal/traffic/ -run 'TestAllocBudget'
 else
-    echo "== persistent-trie, paged-Dense, BGP-decoder, netpkt, OSPF-packet and scenario-parser fuzz, allocation budgets skipped (SHORT=1)"
+    echo "== persistent-trie, paged-Dense, BGP-decoder, netpkt, config-parser and scenario-parser fuzz, allocation budgets skipped (SHORT=1)"
 fi
 
 echo "== scenario smoke under -race"
