@@ -176,8 +176,8 @@ func TestConvergedRunRejectsMismatches(t *testing.T) {
 			t.Errorf("%s mismatch: err = %v, want %q", tc.name, err, want)
 		}
 	}
-	// Name, description and steps are not part of the key, and neither
-	// are MaxEvents, Rec and Cancel.
+	// Name, description and steps are not part of the key, and neither is
+	// MaxEvents.
 	other := tinySpec(Step{Op: OpWaitConverge})
 	other.Name, other.Description = "other", "same fabric, other steps"
 	if _, err := conv.Run(other, Options{MaxEvents: 1 << 30}); err != nil {
