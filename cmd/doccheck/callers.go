@@ -14,8 +14,8 @@ import (
 	"strings"
 )
 
-// callerAllowlist names the functions, types and vars under internal/ that
-// may stand without a non-test use, keyed "pkg.Name" or "pkg.Type.Method",
+// callerAllowlist names the functions, types, vars and constants under
+// internal/ that may stand without a non-test use, keyed "pkg.Name" or "pkg.Type.Method",
 // each with why. A "bench pin" must still be used from bench/; every entry
 // must still lack any other use.
 var callerAllowlist = map[string]string{
@@ -40,6 +40,15 @@ var callerAllowlist = map[string]string{
 	"config.Render":                    "paper reproduction driven by tests: the §2 ACL dialect drift",
 	"config.Parse":                     "paper reproduction driven by tests and FuzzConfigParse: the §2 ACL dialect drift",
 	"boundary.Plan.CheckProposition54": "graph predicate driven by tests: Proposition 5.4; no link-state IGP stack exists to run it against",
+
+	// Wire codes: each names a value a peer or a packet can carry, which
+	// decoders and String render whether or not a model sends it.
+	"bgp.OriginIncomplete":    "wire code: ORIGIN value 2 (RFC 4271 §5.1.1); Decode reads any value, no model originates this one",
+	"bgp.NotifUpdateError":    "wire code: NOTIFICATION error code 3 (RFC 4271 §4.5); peers send only Cease, header and OPEN errors",
+	"bgp.NotifHoldTimer":      "wire code: NOTIFICATION error code 4 (RFC 4271 §4.5); the emulator runs no hold timer",
+	"bgp.NotifFSMError":       "wire code: NOTIFICATION error code 5 (RFC 4271 §4.5); peers send only Cease, header and OPEN errors",
+	"netpkt.ICMPUnreachable":  "wire code: ICMP type 3 (RFC 792); devices answer echo requests only",
+	"netpkt.ICMPTimeExceeded": "wire code: ICMP type 11 (RFC 792); devices answer echo requests only",
 }
 
 // benchPin is the allowlist reason of a function only bench/ calls.
@@ -79,11 +88,9 @@ type declUse struct {
 	benchUsed bool   // referred to from bench/
 }
 
-// callerProblems reports each func, method, type and var declared at package
-// level under internal/ that no non-test code outside its own declaration
-// refers to, in any of buildTags. Constants are exempt: they enumerate wire
-// codes and states whose unused members still document the protocol.
-// References from bench/ do not count, and neither do a method's receiver
+// callerProblems reports each func, method, type, var and constant declared
+// at package level under internal/ that no non-test code outside its own
+// declaration refers to, in any of buildTags. References from bench/ do not count, and neither do a method's receiver
 // naming its type or a method that implements a standard-library interface
 // (stdInterfaces) or one of the module's own interfaces whose method some
 // code calls. allow exempts "pkg.Name" and "pkg.Type.Method" keys. An entry
@@ -199,9 +206,6 @@ func scanCallers(root, tags string, decls map[string]*declUse) error {
 							case *ast.TypeSpec:
 								spans[info.Defs[sp.Name]] = span{sp.Pos(), sp.End()}
 							case *ast.ValueSpec:
-								if d.Tok != token.VAR {
-									continue
-								}
 								for _, name := range sp.Names {
 									if name.Name != "_" {
 										spans[info.Defs[name]] = span{sp.Pos(), sp.End()}
@@ -217,7 +221,7 @@ func scanCallers(root, tags string, decls map[string]*declUse) error {
 			switch o := obj.(type) {
 			case *types.Func:
 				obj = o.Origin()
-			case *types.TypeName, *types.Var:
+			case *types.TypeName, *types.Var, *types.Const:
 			default:
 				continue
 			}

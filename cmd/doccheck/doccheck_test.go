@@ -24,10 +24,10 @@ func TestCallerRule(t *testing.T) {
 	slices.Sort(flagged)
 	// Uncalled has only a test and bench/ calling it, BenchOnly only bench/;
 	// the type Unused only a test and its own method's receiver, the var
-	// unusedLimit only a test. The allowlisted, called, recursive, Stringer
-	// and interface-dispatched functions, the var cmd/app reads and the
-	// constants pass.
-	if want := []string{"a.BenchOnly", "a.Uncalled", "a.Unused", "a.unusedLimit"}; !slices.Equal(flagged, want) {
+	// unusedLimit and the constant CodeB only a test. The allowlisted,
+	// called, recursive, Stringer and interface-dispatched functions and the
+	// var and constant cmd/app reads pass.
+	if want := []string{"a.BenchOnly", "a.CodeB", "a.Uncalled", "a.Unused", "a.unusedLimit"}; !slices.Equal(flagged, want) {
 		t.Fatalf("flagged %v, want %v (all problems: %q)", flagged, want, got)
 	}
 }
@@ -42,6 +42,7 @@ func TestCallerAllowlistCannotRot(t *testing.T) {
 		"a.Pinned":      benchPin,
 		"a.Unused":      "test oracle: the fixture's exemption",
 		"a.unusedLimit": "test oracle: the fixture's exemption",
+		"a.CodeB":       "wire code: the fixture's exemption",
 	})
 	want := []string{
 		"caller allowlist: a.Called has a use now; drop its entry",
@@ -50,7 +51,7 @@ func TestCallerAllowlistCannotRot(t *testing.T) {
 	if !sameSet(got, want) {
 		t.Fatalf("problems %q, want %q", got, want)
 	}
-	got = callerProblems(fixture, map[string]string{"a.Allowed": benchPin, "a.Uncalled": "x", "a.BenchOnly": "x", "a.Pinned": "x", "a.Unused": "x", "a.unusedLimit": "x"})
+	got = callerProblems(fixture, map[string]string{"a.Allowed": benchPin, "a.Uncalled": "x", "a.BenchOnly": "x", "a.Pinned": "x", "a.Unused": "x", "a.unusedLimit": "x", "a.CodeB": "x"})
 	if want := []string{"caller allowlist: bench/ no longer calls a.Allowed; delete it"}; !sameSet(got, want) {
 		t.Fatalf("problems %q, want %q", got, want)
 	}

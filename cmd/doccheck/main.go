@@ -22,8 +22,8 @@
 // still declares it, so a deleted function, type, field or method cannot
 // survive in prose.
 //
-// Code is held to the same standard (callers.go): every func, method, type
-// and var declared at package level in a non-test file under internal/
+// Code is held to the same standard (callers.go): every func, method, type,
+// var and constant declared at package level in a non-test file under internal/
 // needs a use in non-test code outside bench/, or an allowlist entry saying
 // why not, so surface no path reaches cannot accumulate. And every Test/Fuzz/Benchmark name in
 // scripts/check.sh's -run, -fuzz and -bench patterns must match a declared

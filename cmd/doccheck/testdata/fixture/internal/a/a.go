@@ -57,7 +57,7 @@ var Limit = 3
 // unusedLimit is a var nothing reads.
 var unusedLimit = 4
 
-// Codes are constants, which the rule exempts.
+// Codes are constants: cmd/app reads CodeA, and only a test reads CodeB.
 const (
 	CodeA = iota
 	CodeB

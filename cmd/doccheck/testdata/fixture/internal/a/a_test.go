@@ -6,4 +6,4 @@ func TestUncalled(t *testing.T) { Uncalled() }
 
 func TestCalled(t *testing.T) { Called() }
 
-func TestUnused(t *testing.T) { _ = Unused{n: unusedLimit}.String() }
+func TestUnused(t *testing.T) { _ = Unused{n: unusedLimit + CodeB}.String() }

@@ -43,7 +43,6 @@ import (
 	"crystalnet/internal/rib"
 	"crystalnet/internal/scenario"
 	"crystalnet/internal/serve"
-	"crystalnet/internal/speaker"
 	"crystalnet/internal/telemetry"
 	"crystalnet/internal/topo"
 	"crystalnet/internal/vendors"
@@ -122,7 +121,7 @@ type (
 	// Snapshot is a pulled forwarding table.
 	Snapshot = rib.Snapshot
 	// Announcement is a recorded boundary route a speaker replays.
-	Announcement = speaker.Announcement
+	Announcement = core.Announcement
 	// Plan classifies devices around an emulation boundary.
 	Plan = boundary.Plan
 	// BoundarySolveOptions tunes SolveBoundary; BoundarySolveResult is its

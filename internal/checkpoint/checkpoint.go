@@ -25,8 +25,8 @@
 //     preserved exactly), the layer of the emulation's bgp.AttrTable sealed
 //     at Checkpoint (so a fork's decodes come to those same objects),
 //     installed FIB entries and hop groups, ACL rule objects and bindings,
-//     P4 table rows, BGP session configs, and what a device's boot alone
-//     writes (interface addresses, the session index).
+//     BGP session configs, and what a device's boot alone writes
+//     (interface addresses, the session index).
 //   - Shared frozen (sealed at Checkpoint, read without a lock): the memos
 //     of routers and FIBs — export templates, hop-group tables, sorted
 //     groups (rib.Memo). Each side adds to a layer of its own.

@@ -1,9 +1,10 @@
 // Package core implements the CrystalNet orchestrator — the "brain" of §3.2
 // and the paper's primary contribution. It reads a production snapshot,
 // computes a safe emulation boundary, plans and spawns cloud VMs with
-// vendor-group anti-affinity, mocks up the PhyNet overlay and the
-// management plane, boots firmware, surrounds the emulation with static
-// speakers, and exposes the Prepare/Mockup/Control/Monitor API of Table 2.
+// vendor-group anti-affinity, mocks up the PhyNet overlay, boots firmware,
+// surrounds the emulation with static speakers that replay recorded routes
+// (speaker.go), and exposes the Prepare/Mockup/Control/Monitor API of
+// Table 2, management logins included.
 //
 // DESIGN.md §2 (core layer) inventories what Prepare/Mockup build; the
 // Monitor plane it hosts is DESIGN.md §7 and docs/OBSERVABILITY.md.
@@ -23,7 +24,6 @@ import (
 	"crystalnet/internal/netpkt"
 	"crystalnet/internal/obs"
 	"crystalnet/internal/sim"
-	"crystalnet/internal/speaker"
 	"crystalnet/internal/topo"
 	"crystalnet/internal/vendors"
 )
@@ -71,7 +71,7 @@ type Options struct {
 }
 
 // credential is the one SSH credential Prepare injects into every config
-// and the management plane dials with (§6.1).
+// (§6.1).
 const credential = "crystalnet-ops"
 
 // Orchestrator runs on a single machine and drives everything through the
@@ -112,10 +112,11 @@ type PrepareInput struct {
 	// Images pins vendor images by vendor name; missing vendors use the
 	// production default.
 	Images map[string]firmware.VendorImage
-	// BoundaryRoutes are the recorded announcements per speaker device;
-	// nil synthesizes a snapshot (default route plus every excluded
-	// device's originated prefixes).
-	BoundaryRoutes map[string][]speaker.Announcement
+	// BoundaryRoutes are the announcements recorded from production per
+	// speaker device (§5.1); Prepare refuses one whose AS path does not
+	// lead with its speaker's AS. nil synthesizes a snapshot (default route
+	// plus every excluded device's originated prefixes).
+	BoundaryRoutes map[string][]Announcement
 	// Hardware names emulated devices that are real switches plugged in
 	// through a fanout server (§4.1): they get no cloud VM, and their links
 	// traverse the Internet overlay.
@@ -137,7 +138,9 @@ type Preparation struct {
 	Plan    *boundary.Plan
 	Configs map[string]*config.DeviceConfig
 	Images  map[string]firmware.VendorImage // per device name
-	Routes  map[string][]speaker.Announcement
+	// Routes are the announcements each speaker replays at every boot
+	// (Emulation.boot), validated here once.
+	Routes map[string][]Announcement
 
 	// VM planning: per vendor-group VM lists and device placements, a
 	// (group, index) slot in those lists — the one record of which VM runs
@@ -211,7 +214,7 @@ func (o *Orchestrator) Prepare(in PrepareInput) (*Preparation, error) {
 		Input: in, Plan: plan,
 		Configs:  map[string]*config.DeviceConfig{},
 		Images:   map[string]firmware.VendorImage{},
-		Routes:   map[string][]speaker.Announcement{},
+		Routes:   map[string][]Announcement{},
 		hardware: map[string]bool{},
 	}
 	if exact {
@@ -269,7 +272,13 @@ func (o *Orchestrator) Prepare(in PrepareInput) (*Preparation, error) {
 		cfg.Credential = credential
 		prep.Configs[name] = cfg
 		prep.Images[name] = vendors.MustGet(vendors.Speaker, "3.4.17")
-		prep.Routes[name] = o.boundaryRoutes(in, plan, d)
+		routes := o.boundaryRoutes(in, plan, d)
+		for _, a := range routes {
+			if err := a.validate(cfg.ASN); err != nil {
+				return nil, fmt.Errorf("core: speaker %s: %w", name, err)
+			}
+		}
+		prep.Routes[name] = routes
 	}
 
 	// 3. VM planning and spawning (§6.2 vendor-group anti-affinity).
@@ -312,11 +321,11 @@ func (o *Orchestrator) deviceByIP(n *topo.Network, ip netpkt.IP) string {
 // real network a speaker only ever announced what was reachable *through*
 // it, and announcing more would let traffic short-circuit into the wrong
 // region of the boundary.
-func (o *Orchestrator) boundaryRoutes(in PrepareInput, plan *boundary.Plan, sp *topo.Device) []speaker.Announcement {
+func (o *Orchestrator) boundaryRoutes(in PrepareInput, plan *boundary.Plan, sp *topo.Device) []Announcement {
 	if in.BoundaryRoutes != nil {
 		return in.BoundaryRoutes[sp.Name]
 	}
-	anns := []speaker.Announcement{{
+	anns := []Announcement{{
 		Prefix: netpkt.Prefix{Addr: 0, Len: 0},
 		Path:   []uint32{sp.ASN},
 	}}
@@ -334,7 +343,7 @@ func (o *Orchestrator) boundaryRoutes(in PrepareInput, plan *boundary.Plan, sp *
 			visited[nb.Name] = true
 			queue = append(queue, nb)
 			for _, p := range nb.Originated {
-				anns = append(anns, speaker.Announcement{
+				anns = append(anns, Announcement{
 					Prefix: p,
 					Path:   []uint32{sp.ASN, nb.ASN},
 				})

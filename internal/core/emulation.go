@@ -17,7 +17,6 @@ import (
 	"crystalnet/internal/phynet"
 	"crystalnet/internal/rib"
 	"crystalnet/internal/sim"
-	"crystalnet/internal/speaker"
 	"crystalnet/internal/telemetry"
 	"crystalnet/internal/topo"
 	"crystalnet/internal/traffic"
@@ -43,8 +42,6 @@ type Emulation struct {
 
 	Fabric   *phynet.Fabric
 	Devices  map[string]*firmware.Device
-	Speakers map[string]*speaker.Speaker
-	Mgmt     *mgmt.Plane
 	Injector *telemetry.Injector
 
 	// shards, when non-nil, holds the §10 sharded-execution ensemble: one
@@ -298,7 +295,6 @@ func (em *Emulation) AttachNewDevice(net *topo.Network, name string, img firmwar
 		})
 		dev := firmware.New(name, img, cfg, em.deviceEng(name), em.Fabric, c, vm, em.attrs)
 		em.Devices[name] = dev
-		em.Mgmt.Register(dev, d.MgmtIP, credential)
 		vm.Submit(host.SetupCost()/10, func() { dev.Boot(nil) })
 		// Classify: the plan gains the device as internal or boundary.
 		isBoundary := false
@@ -422,10 +418,11 @@ func (em *Emulation) PullPackets() []firmware.CaptureRecord {
 	return telemetry.Collect(devs)
 }
 
-// Login opens a management session to a device (the paper's Login helper /
-// IP access path).
+// Login opens a management session to a device (the paper's Login helper):
+// the device map is the jumpbox's name service, so a device attached on a
+// fork answers there and nowhere else.
 func (em *Emulation) Login(name string) (*mgmt.Session, error) {
-	return em.Mgmt.DialByName(name, credential)
+	return mgmt.Login(name, em.Devices[name])
 }
 
 // List returns all emulated device names (the List helper).

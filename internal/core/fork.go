@@ -10,7 +10,6 @@ import (
 	"crystalnet/internal/cloud"
 	"crystalnet/internal/firmware"
 	"crystalnet/internal/sim"
-	"crystalnet/internal/speaker"
 )
 
 // Checkpoint captures the emulation at quiescence so it can be forked.
@@ -79,8 +78,7 @@ func (em *Emulation) Orchestrator() *Orchestrator { return em.orch }
 // Fork materializes an independent emulation from a snapshot taken on this
 // orchestrator: a fresh engine restored to the captured clock and RNG
 // stream, plus copies of the small mutable state — cloud VMs, the phynet
-// overlay, device firmware shells, speakers, the management plane and
-// telemetry counters. The bulk is shared with the parent: immutable
+// overlay, device firmware shells and telemetry counters. The bulk is shared with the parent: immutable
 // structures (topology, parsed configs, BGP policies, path attributes)
 // outright, the layers of the attribute table and of the routers' and FIBs'
 // memos sealed at Checkpoint read-only, and the routing state sealed there
@@ -126,7 +124,6 @@ func (o *Orchestrator) Fork(snap *checkpoint.Snapshot) (*Emulation, error) {
 
 		Fabric:   fabric,
 		Devices:  make(map[string]*firmware.Device, len(parent.Devices)),
-		Speakers: make(map[string]*speaker.Speaker, len(parent.Speakers)),
 		Injector: parent.Injector.Fork(eng),
 
 		MockupStart:    parent.MockupStart,
@@ -165,10 +162,6 @@ func (o *Orchestrator) Fork(snap *checkpoint.Snapshot) (*Emulation, error) {
 		d := parent.Devices[name]
 		em.Devices[name] = d.Fork(eng, fabric, em.container(name), em.vmFor(name), em.attrs)
 	}
-	for name, sp := range parent.Speakers {
-		em.Speakers[name] = sp.Fork(em.Devices[name])
-	}
-	em.Mgmt = parent.Mgmt.Fork(func(name string) *firmware.Device { return em.Devices[name] })
 	cloudFork.OnFailure = em.onVMFailure
 	cloudFork.OnReplace = em.onVMReplaced
 	cloudFork.OnBootAborted = em.onBootAborted

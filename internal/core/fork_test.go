@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -207,6 +208,8 @@ func TestForkIsolation(t *testing.T) {
 // endpoints in slabs and shared P4 table rows: 2,288, and the bound came
 // down by as much, keeping its margin of 3,746. Building each router's hooks
 // as one value per boot instead of five closures took it to 1,808, and the
+// bound with it. Dropping the per-fork copies of the P4 trap pipeline, the
+// speaker wrappers and the management endpoints took it to 1,500, and the
 // bound with it.
 func TestForkCostTracksWrites(t *testing.T) {
 	o, parent := sdcEmulation(t, 1)
@@ -218,7 +221,7 @@ func TestForkCostTracksWrites(t *testing.T) {
 	for _, d := range parent.Devices {
 		routes += d.FIB().Len()
 	}
-	const maxForkAllocs = 5554
+	const maxForkAllocs = 5246
 	allocs := testing.AllocsPerRun(5, func() {
 		if _, err := o.Fork(snap); err != nil {
 			t.Fatal(err)
@@ -405,5 +408,88 @@ func TestConcurrentForksReprogramThroughFrozenMemos(t *testing.T) {
 	}
 	if diffs := parent.DiffAgainst(saved); len(diffs) != 0 {
 		t.Fatalf("the forks changed the parent: %v", diffs)
+	}
+}
+
+// loginState is what the jumpbox gets from em for name: "ok", or the
+// error text a failed exec step would write into a report.
+func loginState(em *Emulation, name string) string {
+	if _, err := em.Login(name); err != nil {
+		return err.Error()
+	}
+	return "ok"
+}
+
+// TestForkLoginShutdownStaysOnItsSide: a device halted through its
+// management session (`exec … shutdown`) on a fork still answers Login on
+// the parent and on a sibling fork, and one halted on the parent after the
+// forks were taken still answers on both forks.
+func TestForkLoginShutdownStaysOnItsSide(t *testing.T) {
+	o, parent := fullEmulation(t, Options{Seed: 3})
+	snap, err := parent.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := o.Fork(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := o.Fork(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shutdown := func(em *Emulation, name string) {
+		t.Helper()
+		s, err := em.Login(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out, err := s.Exec("shutdown"); err != nil || out != "device halted" {
+			t.Fatalf("shutdown %s: %q %v", name, out, err)
+		}
+	}
+
+	shutdown(a, "leaf-p0-0")
+	if got, want := loginState(a, "leaf-p0-0"), "mgmt: leaf-p0-0 unreachable (firmware stopped)"; got != want {
+		t.Fatalf("fork login after shutdown: %q, want %q", got, want)
+	}
+	if loginState(parent, "leaf-p0-0") != "ok" || loginState(b, "leaf-p0-0") != "ok" {
+		t.Fatal("a fork's shutdown reached the parent or a sibling")
+	}
+
+	shutdown(parent, "spine-g0-pl0-0")
+	if got := loginState(parent, "spine-g0-pl0-0"); got == "ok" {
+		t.Fatal("parent still answers after its shutdown")
+	}
+	if loginState(a, "spine-g0-pl0-0") != "ok" || loginState(b, "spine-g0-pl0-0") != "ok" {
+		t.Fatal("the parent's shutdown reached a fork")
+	}
+}
+
+// TestForkLoginAttachedDeviceOnlyThere: a device attached on a fork can be
+// logged into and driven there, and the parent's jumpbox has never heard of
+// it.
+func TestForkLoginAttachedDeviceOnlyThere(t *testing.T) {
+	o, parent := fullEmulation(t, Options{Seed: 3})
+	grown := addRack(parent.Network(), "tor-p0-new")
+	snap, err := parent.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fork, err := o.Fork(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	attachRack(t, fork, grown, "tor-p0-new")
+
+	s, err := fork.Login("tor-p0-new")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out, err := s.Exec("show bgp"); err != nil || !strings.Contains(out, "state Established") {
+		t.Fatalf("show bgp on the attached device: %q %v", out, err)
+	}
+	if got, want := loginState(parent, "tor-p0-new"), `mgmt: NXDOMAIN "tor-p0-new"`; got != want {
+		t.Fatalf("parent login: %q, want %q", got, want)
 	}
 }

@@ -7,15 +7,13 @@ import (
 	"crystalnet/internal/bgp"
 	"crystalnet/internal/cloud"
 	"crystalnet/internal/firmware"
-	"crystalnet/internal/mgmt"
 	"crystalnet/internal/phynet"
 	"crystalnet/internal/sim"
-	"crystalnet/internal/speaker"
 	"crystalnet/internal/telemetry"
 )
 
 // Mockup executes the paper's Mockup API on a preparation: PhyNet build,
-// management plane, firmware boot and speaker injection, all scheduled on
+// firmware boot and speaker injection, all scheduled on
 // the simulation clock. Unsafe boundaries are refused unless force is set.
 // Run the engine (em.RunUntilConverged) to drive it to route-ready.
 func (o *Orchestrator) Mockup(prep *Preparation, force bool) (*Emulation, error) {
@@ -26,8 +24,6 @@ func (o *Orchestrator) Mockup(prep *Preparation, force bool) (*Emulation, error)
 		orch: o, prep: prep,
 		Fabric:        phynet.NewFabric(o.Eng, phynet.LinuxBridge),
 		Devices:       map[string]*firmware.Device{},
-		Speakers:      map[string]*speaker.Speaker{},
-		Mgmt:          mgmt.NewPlane(),
 		Injector:      telemetry.NewInjector(o.Eng),
 		recovering:    map[*cloud.VM]*vmRecovery{},
 		pendingFaults: map[string]int{},
@@ -112,29 +108,18 @@ func (em *Emulation) build() {
 // networkReady records the milestone and boots all firmware (§8.1: route-
 // ready latency starts here).
 func (em *Emulation) networkReady() {
-	o := em.orch
-	em.NetworkReadyAt = o.Eng.Now()
-	n := em.prep.Plan.Network
+	em.NetworkReadyAt = em.orch.Eng.Now()
 
 	for _, name := range em.allNames() {
-		dev := firmware.New(name, em.prep.Images[name], em.prep.Configs[name], em.deviceEng(name),
+		em.Devices[name] = firmware.New(name, em.prep.Images[name], em.prep.Configs[name], em.deviceEng(name),
 			em.Fabric, em.container(name), em.vmFor(name), em.attrs)
-		em.Devices[name] = dev
-		em.Mgmt.Register(dev, n.MustDevice(name).MgmtIP, credential)
 	}
-	// Boot emulated devices.
-	for _, name := range append(append([]string{}, em.prep.Plan.Internal...), em.prep.Plan.Boundary...) {
-		em.Devices[name].Boot(nil)
-	}
-	// Boot speakers and inject recorded routes.
-	for _, name := range em.prep.Plan.Speakers {
-		sp, err := speaker.New(em.Devices[name], em.prep.Routes[name])
-		if err != nil {
-			em.alert("speaker %s: %v", name, err)
-			continue
+	// Boot emulated devices, then the speakers.
+	plan := em.prep.Plan
+	for _, names := range [][]string{plan.Internal, plan.Boundary, plan.Speakers} {
+		for _, name := range names {
+			em.boot(name)
 		}
-		em.Speakers[name] = sp
-		sp.Start(nil)
 	}
 }
 

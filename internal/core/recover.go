@@ -107,14 +107,7 @@ func (em *Emulation) beginDeviceReset(host *cloud.VM, rec *vmRecovery) {
 				return
 			}
 			em.rebuildContainer(name)
-			// Speakers must replay their recorded announcements after the
-			// reboot, or the boundary routes they stand in for are silently
-			// lost until the run ends (Start = Boot + Inject).
-			if sp := em.Speakers[name]; sp != nil {
-				sp.Start(nil)
-			} else {
-				em.Devices[name].Boot(nil)
-			}
+			em.boot(name)
 			rec.pending--
 			if rec.pending == 0 {
 				em.finishRecovery(host, rec)

@@ -287,8 +287,8 @@ func TestSpeakerVMRecoveryReinjectsRoutes(t *testing.T) {
 	defer o.Destroy(em.prep)
 
 	spk := em.prep.Plan.Speakers[0]
-	if em.Speakers[spk] == nil {
-		t.Fatalf("no speaker wrapper for %s", spk)
+	if !em.Devices[spk].Image.StaticSpeaker {
+		t.Fatalf("%s does not run the speaker image", spk)
 	}
 	base := em.Save()
 

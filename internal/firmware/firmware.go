@@ -25,7 +25,6 @@ import (
 	"crystalnet/internal/dataplane"
 	"crystalnet/internal/netpkt"
 	"crystalnet/internal/obs"
-	"crystalnet/internal/p4"
 	"crystalnet/internal/phynet"
 	"crystalnet/internal/rib"
 	"crystalnet/internal/sim"
@@ -107,12 +106,7 @@ type VendorImage struct {
 	// announcement arrival order — the §9 behaviour the FIB comparator
 	// must tolerate.
 	NonDeterministicTies bool
-	// SoftASIC runs the image's control-plane trap path through a P4
-	// behavioural-model pipeline (the §6.2 BMv2 integration for the
-	// open-source OS); the ARP-trap bug then manifests as a missing
-	// pipeline entry rather than a hardcoded branch.
-	SoftASIC bool
-	Bugs     Bugs
+	Bugs                 Bugs
 }
 
 // DeviceState is the firmware lifecycle state.
@@ -194,9 +188,6 @@ type Device struct {
 	// rxLanes queue received BGP messages for processing, one lane per core
 	// of the hosting VM, on the device's engine (see submitRx).
 	rxLanes []*sim.Lane[rxMsg]
-
-	// asic is the P4 trap pipeline for SoftASIC images (nil otherwise).
-	asic *p4.Program
 
 	// Captures accumulates signature-matched packet observations until
 	// PullPackets drains them.
@@ -318,11 +309,6 @@ func (d *Device) finishBoot() {
 		d.arp = cowMap[netpkt.IP, netpkt.MAC]{}
 	}
 	d.arpPending, d.arpAttempts = nil, cowMap[netpkt.IP, int]{}
-	if d.Image.SoftASIC {
-		// Program the behavioural-model ASIC: a buggy build simply lacks
-		// the ARP trap entry (§7 Case 2).
-		d.asic = p4.TrapProgram(!d.Image.Bugs.ARPTrapBroken, true)
-	}
 	d.logf("%s %s (%s) boot complete", d.Image.Name, d.Image.Version, d.Name)
 
 	// Connected routes + local addresses.

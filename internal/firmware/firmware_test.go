@@ -1,7 +1,6 @@
 package firmware
 
 import (
-	"crystalnet/internal/p4"
 	"strings"
 	"testing"
 	"time"
@@ -595,46 +594,6 @@ func TestMistypedACLDropsLegitimateTraffic(t *testing.T) {
 func TestVendorImageSemantics(t *testing.T) {
 	if DeviceRunning.String() != "running" || DeviceState(9).String() != "unknown" {
 		t.Fatal("state names")
-	}
-}
-
-// TestSoftASICTrapPipeline boots a SoftASIC image and checks the ARP trap
-// flows through the P4 pipeline: the healthy build establishes sessions and
-// shows pipeline hits; the dev build's missing trap entry blocks ARP.
-func TestSoftASICTrapPipeline(t *testing.T) {
-	build := func(arpBug bool) *rig {
-		return buildRig(t, pairTopo(), func(d *topo.Device) VendorImage {
-			img := testImage()
-			if d.Name == "b" {
-				img.SoftASIC = true
-				img.Bugs.ARPTrapBroken = arpBug
-			}
-			return img
-		})
-	}
-	healthy := build(false)
-	healthy.bootAll()
-	b := healthy.devices["b"]
-	if b.asic == nil {
-		t.Fatal("soft ASIC not programmed")
-	}
-	if b.PullStates().Established != 1 {
-		t.Fatal("healthy soft-ASIC build failed to establish")
-	}
-	var trap *p4.Table
-	for _, tb := range b.asic.Tables {
-		if tb.Name == "cpu_trap" {
-			trap = tb
-		}
-	}
-	if trap == nil || trap.Hits == 0 {
-		t.Fatal("ARP never traversed the trap table")
-	}
-
-	buggy := build(true)
-	buggy.bootAll()
-	if buggy.devices["a"].PullStates().Established != 0 {
-		t.Fatal("session established despite missing pipeline trap entry")
 	}
 }
 

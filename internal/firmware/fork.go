@@ -169,9 +169,6 @@ func (d *Device) Fork(eng *sim.Engine, fabric *phynet.Fabric, container *phynet.
 	if d.fwd != nil {
 		c.fwd = d.fwd.Clone(c.fib)
 	}
-	if d.asic != nil {
-		c.asic = d.asic.Clone()
-	}
 	if d.bgp != nil {
 		c.bgp = d.bgp.Fork(eng, c.bgpHooks(), attrs)
 	}

@@ -8,15 +8,8 @@ import (
 	"crystalnet/internal/bgp"
 	"crystalnet/internal/dataplane"
 	"crystalnet/internal/netpkt"
-	"crystalnet/internal/p4"
 	"crystalnet/internal/sim"
 )
-
-// BGPPort is the conventional BGP transport port; the emulator carries BGP
-// messages directly as the payload of protocol-6 datagrams over the virtual
-// links (the byte-level message codec is exercised on every hop; the TCP
-// reliable-stream machinery is subsumed by the reliable virtual link).
-const BGPPort = 179
 
 // arpRetryInterval and arpMaxAttempts bound next-hop resolution.
 const (
@@ -33,6 +26,9 @@ const ipOff = netpkt.FrameHeadroom - netpkt.IPv4HeaderLen
 // sendBGP transmits the BGP message frame[netpkt.FrameHeadroom:] to the peer
 // with the given index, writing its IPv4 header into the headroom in front.
 // Only d.bgp calls it (bgpHooks), so the index names one of its peers.
+// The message is the whole payload of a protocol-6 datagram, with no TCP
+// header or port (BGP's 179): the byte-level codec runs on every hop, and
+// the reliable virtual link stands in for TCP's reliable stream.
 func (d *Device) sendBGP(peerIdx int, frame []byte) {
 	pc := d.bgp.Peer(peerIdx).Config
 	local, ok := d.ifaceAddr[pc.Interface]
@@ -154,17 +150,9 @@ func (d *Device) handleFrame(iface string, data []byte) {
 }
 
 func (d *Device) handleARP(iface string, myMAC netpkt.MAC, payload []byte) {
-	if d.asic != nil {
-		// SoftASIC images decide the trap in the P4 pipeline (ARP parses
-		// as protocol 0 in the header vector).
-		res := d.asic.Run(p4.NewPacket(0, 0, 0, 0, 0, 0, 0))
-		if res.Verdict != p4.PuntedToCPU {
-			// §7 Case 2: the dev build's pipeline lacks the ARP trap entry;
-			// the frame never reaches the CPU.
-			return
-		}
-	} else if d.Image.Bugs.ARPTrapBroken {
-		// Fixed-function images model the same defect as a dead trap.
+	if d.Image.Bugs.ARPTrapBroken {
+		// §7 Case 2: the dev build's ASIC lacks the ARP trap entry, so the
+		// frame never reaches the CPU.
 		return
 	}
 	if d.Image.Bugs.ARPRefreshBroken && d.epoch > 1 {

@@ -1,12 +1,13 @@
 // Package mgmt implements CrystalNet's out-of-band management plane (§4.2,
-// Figure 6): a jumpbox-rooted overlay joining every emulated device's
-// management interface, DNS for management names, credentialed SSH-style
-// sessions, and the per-vendor CLI operators' existing tools drive.
+// Figure 6): sessions from the jumpbox to every emulated device, and the
+// per-vendor CLI operators' existing tools drive.
 //
-// Structure mirrors the paper: each VM has a management bridge VXLAN-
-// tunneled to the Linux jumpbox (a tree, never an L2 mesh), and tools run
-// on the jumpbox addressing devices by name or management IP — unchanged
-// from production.
+// In the paper each VM has a management bridge VXLAN-tunneled to the Linux
+// jumpbox (a tree, never an L2 mesh), and tools on the jumpbox reach
+// devices by name, unchanged from production. The package keeps no copy of
+// that tree: the emulation's own device map is the name service
+// (core.Emulation.Login), and a session holds the device it reached, so a
+// fork has nothing here to copy.
 //
 // DESIGN.md §2 (substrates) places the management overlay in the system
 // inventory.
@@ -20,82 +21,30 @@ import (
 	"crystalnet/internal/netpkt"
 )
 
-// Plane is the management overlay rooted at the jumpbox.
-type Plane struct {
-	byName map[string]*endpoint
-	byIP   map[netpkt.IP]*endpoint
-}
-
-type endpoint struct {
-	dev  *firmware.Device
-	ip   netpkt.IP
-	cred string
-}
-
-// NewPlane returns an empty management plane (jumpbox only).
-func NewPlane() *Plane {
-	return &Plane{byName: map[string]*endpoint{}, byIP: map[netpkt.IP]*endpoint{}}
-}
-
-// Register attaches a device's management interface to its VM's bridge.
-// The credential is the unified one Prepare injects into configs (§6.1).
-func (p *Plane) Register(dev *firmware.Device, ip netpkt.IP, cred string) error {
-	if _, dup := p.byName[dev.Name]; dup {
-		return fmt.Errorf("mgmt: %s already registered", dev.Name)
-	}
-	if _, dup := p.byIP[ip]; dup {
-		return fmt.Errorf("mgmt: management IP %s already in use", ip)
-	}
-	ep := &endpoint{dev: dev, ip: ip, cred: cred}
-	p.byName[dev.Name] = ep
-	p.byIP[ip] = ep
-	return nil
-}
-
-// Resolve is the jumpbox DNS: device name to management IP.
-func (p *Plane) Resolve(name string) (netpkt.IP, error) {
-	ep, ok := p.byName[name]
-	if !ok {
-		return 0, fmt.Errorf("mgmt: NXDOMAIN %q", name)
-	}
-	return ep.ip, nil
-}
-
 // Session is an authenticated CLI session to one device.
 type Session struct {
-	ep *endpoint
+	dev *firmware.Device
 }
 
-// Dial opens a session to a management IP with the given credential —
-// Telnet/SSH in production, and the same authentication semantics here.
-func (p *Plane) Dial(ip netpkt.IP, cred string) (*Session, error) {
-	ep, ok := p.byIP[ip]
-	if !ok {
-		return nil, fmt.Errorf("mgmt: no route to host %s", ip)
+// Login opens a session to the device the jumpbox resolves name to — nil
+// when the emulation runs no such device. Every device answers on the
+// unified credential Prepare injects (§6.1), so the only checks left are
+// the jumpbox DNS and that the firmware is up to answer.
+func Login(name string, dev *firmware.Device) (*Session, error) {
+	if dev == nil {
+		return nil, fmt.Errorf("mgmt: NXDOMAIN %q", name)
 	}
-	if ep.cred != cred {
-		return nil, fmt.Errorf("mgmt: authentication failed for %s", ep.dev.Name)
+	if dev.State() != firmware.DeviceRunning {
+		return nil, fmt.Errorf("mgmt: %s unreachable (firmware %s)", dev.Name, dev.State())
 	}
-	if ep.dev.State() != firmware.DeviceRunning {
-		return nil, fmt.Errorf("mgmt: %s unreachable (firmware %s)", ep.dev.Name, ep.dev.State())
-	}
-	return &Session{ep: ep}, nil
-}
-
-// DialByName resolves and dials in one step.
-func (p *Plane) DialByName(name, cred string) (*Session, error) {
-	ip, err := p.Resolve(name)
-	if err != nil {
-		return nil, err
-	}
-	return p.Dial(ip, cred)
+	return &Session{dev: dev}, nil
 }
 
 // Exec runs one CLI command and returns its output. The command verb is
 // vendor-dialect sensitive: CTNR/VM-A vendors use "show", VM-B uses
 // "display" — exactly the heterogeneity operators' tools must cope with.
 func (s *Session) Exec(cmd string) (string, error) {
-	dev := s.ep.dev
+	dev := s.dev
 	if dev.State() != firmware.DeviceRunning {
 		return "", fmt.Errorf("mgmt: connection to %s lost", dev.Name)
 	}
@@ -135,7 +84,7 @@ func (s *Session) Exec(cmd string) (string, error) {
 }
 
 func (s *Session) shutdownNeighbor(ip netpkt.IP) (string, error) {
-	dev := s.ep.dev
+	dev := s.dev
 	if dev.BGP() == nil {
 		return "", fmt.Errorf("%% BGP not running")
 	}
@@ -149,7 +98,7 @@ func (s *Session) shutdownNeighbor(ip netpkt.IP) (string, error) {
 }
 
 func (s *Session) execShow(f []string) (string, error) {
-	dev := s.ep.dev
+	dev := s.dev
 	if len(f) == 0 {
 		return "", fmt.Errorf("%% incomplete command")
 	}
@@ -200,23 +149,4 @@ func (s *Session) execShow(f []string) (string, error) {
 	default:
 		return "", fmt.Errorf("%% unknown show target %q", f[0])
 	}
-}
-
-// Fork returns a copy of the plane with every endpoint's device pointer
-// swapped via devOf (device name -> the forked emulation's device).
-// Addressing and credentials are value state and copy directly; the source
-// plane is read strictly read-only.
-func (p *Plane) Fork(devOf func(name string) *firmware.Device) *Plane {
-	c := &Plane{
-		byName: make(map[string]*endpoint, len(p.byName)),
-		byIP:   make(map[netpkt.IP]*endpoint, len(p.byIP)),
-	}
-	eps := make([]endpoint, 0, len(p.byName))
-	for name, ep := range p.byName {
-		eps = append(eps, endpoint{dev: devOf(name), ip: ep.ip, cred: ep.cred})
-		ne := &eps[len(eps)-1]
-		c.byName[name] = ne
-		c.byIP[ep.ip] = ne
-	}
-	return c
 }

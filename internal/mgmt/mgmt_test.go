@@ -13,9 +13,7 @@ import (
 	"crystalnet/internal/topo"
 )
 
-const cred = "crystal-ops"
-
-func build(t *testing.T) (*sim.Engine, *Plane, map[string]*firmware.Device) {
+func build(t *testing.T) (*sim.Engine, map[string]*firmware.Device) {
 	n := topo.NewNetwork("pair")
 	a := n.AddDevice("a", topo.LayerToR, 65001, "test")
 	b := n.AddDevice("b", topo.LayerLeaf, 65002, "vmb")
@@ -26,7 +24,6 @@ func build(t *testing.T) (*sim.Engine, *Plane, map[string]*firmware.Device) {
 	fabric := phynet.NewFabric(eng, phynet.LinuxBridge)
 	host := fabric.AddHost("vm-0")
 	devs := map[string]*firmware.Device{}
-	plane := NewPlane()
 	containers := map[string]*phynet.Container{}
 	for _, d := range n.Devices() {
 		ct := host.AddContainer(d.Name)
@@ -40,64 +37,67 @@ func build(t *testing.T) (*sim.Engine, *Plane, map[string]*firmware.Device) {
 	}
 	for _, d := range n.Devices() {
 		img := firmware.VendorImage{Name: d.Vendor, Version: "1", BootFixed: time.Second, BootJitter: time.Second}
-		cfg := config.GenerateDevice(d)
-		cfg.Credential = cred
-		dev := firmware.New(d.Name, img, cfg, eng, fabric, containers[d.Name], nil, nil)
+		dev := firmware.New(d.Name, img, config.GenerateDevice(d), eng, fabric, containers[d.Name], nil, nil)
 		devs[d.Name] = dev
-		if err := plane.Register(dev, d.MgmtIP, cred); err != nil {
-			t.Fatal(err)
-		}
 		dev.Boot(nil)
 	}
 	if _, err := eng.Run(5_000_000); err != nil {
 		t.Fatal(err)
 	}
-	return eng, plane, devs
+	return eng, devs
 }
 
-func TestResolveAndDial(t *testing.T) {
-	_, plane, _ := build(t)
-	ip, err := plane.Resolve("a")
+// login opens a session to devs[name] or fails the test.
+func login(t *testing.T, devs map[string]*firmware.Device, name string) *Session {
+	t.Helper()
+	s, err := Login(name, devs[name])
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := plane.Dial(ip, cred)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.ep.dev.Name != "a" {
+	return s
+}
+
+func TestLoginOpensASessionOnARunningDevice(t *testing.T) {
+	_, devs := build(t)
+	if s := login(t, devs, "a"); s.dev != devs["a"] {
 		t.Fatal("wrong device")
 	}
-	if _, err := plane.Resolve("zz"); err == nil {
-		t.Fatal("NXDOMAIN expected")
-	}
-	if _, err := plane.Dial(netpkt.MustParseIP("9.9.9.9"), cred); err == nil {
-		t.Fatal("no route expected")
-	}
-	if _, err := plane.Dial(ip, "wrong"); err == nil {
-		t.Fatal("auth failure expected")
-	}
-	if _, ok := plane.byName["a"]; !ok || len(plane.byName) != 2 {
-		t.Fatalf("registered %d devices, want a and one more", len(plane.byName))
+	devs["b"].Stop("test")
+	_, err := Login("b", devs["b"])
+	if err == nil || err.Error() != "mgmt: b unreachable (firmware stopped)" {
+		t.Fatalf("login to a stopped device: %v", err)
 	}
 }
 
-func TestRegisterConflicts(t *testing.T) {
-	_, plane, devs := build(t)
-	if err := plane.Register(devs["a"], 999, cred); err == nil {
-		t.Fatal("duplicate name accepted")
+func TestLoginNXDOMAIN(t *testing.T) {
+	_, devs := build(t)
+	_, err := Login("no-such-device", devs["no-such-device"])
+	if err == nil || err.Error() != `mgmt: NXDOMAIN "no-such-device"` {
+		t.Fatalf("login to an unknown name: %v", err)
 	}
-	other := *devs["a"]
-	other.Name = "x"
-	ip, _ := plane.Resolve("a")
-	if err := plane.Register(&other, ip, cred); err == nil {
-		t.Fatal("duplicate IP accepted")
+}
+
+func TestNeighborCommandUsage(t *testing.T) {
+	_, devs := build(t)
+	s := login(t, devs, "a")
+	if _, err := s.Exec("neighbor 10.0.0.2"); err == nil {
+		t.Fatal("incomplete neighbor command accepted")
+	}
+	if _, err := s.Exec("neighbor 10.0.0.2 frobnicate"); err == nil {
+		t.Fatal("unknown neighbor action accepted")
+	}
+	if _, err := s.Exec("neighbor not-an-ip shutdown"); err == nil {
+		t.Fatal("unparseable neighbor IP accepted")
+	}
+	// show route with a bad address takes the parse-error path too.
+	if _, err := s.Exec("show route not-an-ip"); err == nil {
+		t.Fatal("unparseable route target accepted")
 	}
 }
 
 func TestShowCommands(t *testing.T) {
-	_, plane, _ := build(t)
-	s, _ := plane.DialByName("a", cred)
+	_, devs := build(t)
+	s := login(t, devs, "a")
 
 	out, err := s.Exec("show version")
 	if err != nil || !strings.Contains(out, "a test 1") {
@@ -139,12 +139,9 @@ func TestShowCommands(t *testing.T) {
 }
 
 func TestVendorCLIDialect(t *testing.T) {
-	_, plane, _ := build(t)
+	_, devs := build(t)
 	// b runs the vmb image: "display", not "show".
-	s, err := plane.DialByName("b", cred)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := login(t, devs, "b")
 	if _, err := s.Exec("show version"); err == nil {
 		t.Fatal("vmb accepted 'show' — dialect divergence lost")
 	}
@@ -155,8 +152,8 @@ func TestVendorCLIDialect(t *testing.T) {
 }
 
 func TestNeighborShutdownVsDeviceShutdown(t *testing.T) {
-	eng, plane, devs := build(t)
-	s, _ := plane.DialByName("a", cred)
+	eng, devs := build(t)
+	s := login(t, devs, "a")
 	peerIP := devs["a"].Config().Neighbors[0].IP
 
 	// Correct surgical action: one session down, device alive.
@@ -185,14 +182,14 @@ func TestNeighborShutdownVsDeviceShutdown(t *testing.T) {
 	if _, err := s.Exec("show version"); err == nil {
 		t.Fatal("exec on halted device succeeded")
 	}
-	if _, err := plane.DialByName("a", cred); err == nil {
+	if _, err := Login("a", devs["a"]); err == nil {
 		t.Fatal("dial to halted device succeeded")
 	}
 }
 
 func TestReloadViaCLI(t *testing.T) {
-	eng, plane, devs := build(t)
-	s, _ := plane.DialByName("a", cred)
+	eng, devs := build(t)
+	s := login(t, devs, "a")
 	if _, err := s.Exec("reload"); err != nil {
 		t.Fatal(err)
 	}
@@ -206,8 +203,8 @@ func TestReloadViaCLI(t *testing.T) {
 }
 
 func TestShowLog(t *testing.T) {
-	_, plane, _ := build(t)
-	s, _ := plane.DialByName("a", cred)
+	_, devs := build(t)
+	s := login(t, devs, "a")
 	out, err := s.Exec("show log")
 	if err != nil || !strings.Contains(out, "boot complete") {
 		t.Fatalf("show log: %q %v", out, err)
@@ -215,23 +212,20 @@ func TestShowLog(t *testing.T) {
 }
 
 func TestExecAfterDeviceCrash(t *testing.T) {
-	_, plane, devs := build(t)
-	s, err := plane.DialByName("a", cred)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, devs := build(t)
+	s := login(t, devs, "a")
 	devs["a"].Crash("test")
 	if _, err := s.Exec("show version"); err == nil {
 		t.Fatal("exec on crashed device succeeded")
 	}
-	if _, err := plane.DialByName("a", cred); err == nil {
+	if _, err := Login("a", devs["a"]); err == nil {
 		t.Fatal("dial to crashed device succeeded")
 	}
 }
 
 func TestNeighborShutdownWithoutBGP(t *testing.T) {
-	_, plane, devs := build(t)
-	s, _ := plane.DialByName("a", cred)
+	_, devs := build(t)
+	s := login(t, devs, "a")
 	// Stop-and-restart strips the BGP instance briefly; calling into a
 	// device whose BGP is gone must error cleanly, not panic.
 	devs["a"].Stop("test")

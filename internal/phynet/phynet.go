@@ -1,7 +1,7 @@
 // Package phynet implements CrystalNet's mock physical network (§4): the
 // unified layer of PhyNet containers that hold virtual interfaces, the
 // veth/bridge/VXLAN plumbing that joins them into the production topology
-// (Figure 5), and the out-of-band management overlay (Figure 6).
+// (Figure 5). The out-of-band management plane (Figure 6) is internal/mgmt.
 //
 // The two-layer design is the §4.1 contribution this package preserves:
 // interfaces and links belong to PhyNet containers whose lifetime is

@@ -34,7 +34,7 @@ func TestEntryMutationCaught(t *testing.T) {
 
 	f := install()
 	e, _ := f.Get(pfx("10.0.0.0/8"))
-	e.Proto = ProtoStatic
+	e.Proto = ProtoConnected
 	caught("Snapshot", func() { f.Snapshot() })
 	caught("Seal", func() { f.Seal() })
 

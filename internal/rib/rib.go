@@ -25,12 +25,10 @@ type Proto uint8
 // Route sources, in ascending administrative distance.
 const (
 	ProtoConnected Proto = iota
-	ProtoStatic
 	ProtoBGP
-	ProtoAggregate
 )
 
-var protoNames = [...]string{"connected", "static", "bgp", "aggregate"}
+var protoNames = [...]string{"connected", "bgp"}
 
 // String returns the lower-case protocol name.
 func (p Proto) String() string {

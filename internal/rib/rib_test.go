@@ -144,7 +144,7 @@ func TestCapacity(t *testing.T) {
 
 func TestRemove(t *testing.T) {
 	f := NewFIB()
-	f.Install(entry("10.0.0.0/8", ProtoStatic, "1.1.1.1"))
+	f.Install(entry("10.0.0.0/8", ProtoBGP, "1.1.1.1"))
 	if !f.Remove(pfx("10.0.0.0/8")) {
 		t.Fatal("Remove existing = false")
 	}
@@ -176,7 +176,7 @@ func TestSnapshotStableUnderWrites(t *testing.T) {
 		case 0:
 			f.InstallHops(p, ProtoBGP, hops(rng))
 		case 1:
-			f.Install(&Entry{Prefix: p, Proto: ProtoStatic, NextHops: hops(rng)})
+			f.Install(&Entry{Prefix: p, Proto: ProtoConnected, NextHops: hops(rng)})
 		case 2:
 			f.Remove(p)
 		}

@@ -97,6 +97,9 @@ type runner struct {
 // fully determined by (spec, seed): identically-seeded runs produce
 // byte-identical JSON.
 func Run(sp *Spec, opts Options) (*Report, error) {
+	if err := sp.Validate(); err != nil {
+		return nil, err
+	}
 	r, err := mockedUp(sp, opts)
 	if err != nil {
 		return nil, err
@@ -190,12 +193,10 @@ func (r *runner) passed() bool {
 	return true
 }
 
-// mockedUp validates sp and returns a runner for it whose emulation is
-// mocked up (runner.mockup): the shared front half of Run and Converge.
+// mockedUp returns a runner for sp, validated by its caller, whose
+// emulation is mocked up (runner.mockup): the shared front half of Run and
+// Converge.
 func mockedUp(sp *Spec, opts Options) (*runner, error) {
-	if err := sp.Validate(); err != nil {
-		return nil, err
-	}
 	seed := EffectiveSeed(sp, opts)
 	r := &runner{
 		sp: sp, opts: opts,

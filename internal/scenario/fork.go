@@ -44,11 +44,15 @@ type Converged struct {
 
 // Converge builds sp's fabric and drives it to route-ready, returning a
 // forkable baseline. Only the mockup prologue runs — sp's steps are left
-// for Converged.Run, which executes them on a fork. The spec's invariants
+// for Converged.Run, which validates and executes them on a fork, so sp may
+// have none. The spec's invariants
 // are swept once at the converged point and recorded in the step-0 result
 // every forked report starts from, exactly as a fresh run would record
 // them.
 func Converge(sp *Spec, opts Options) (*Converged, error) {
+	if err := sp.validateFabric(); err != nil {
+		return nil, err
+	}
 	r, err := mockedUp(sp, opts)
 	if err != nil {
 		return nil, err

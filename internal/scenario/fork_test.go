@@ -278,6 +278,45 @@ func TestStepsAreNotPartOfTheKey(t *testing.T) {
 	}
 }
 
+// TestConvergeNeedsNoSteps: Converge validates the fabric only, so a
+// baseline converges from a spec without steps (crystald's warm pool does),
+// and a fork of it reports what a fresh run does. Run, Parse and the fork
+// still refuse a spec without steps, and Converge still refuses a bad fabric.
+func TestConvergeNeedsNoSteps(t *testing.T) {
+	cv, err := Converge(tinySpec(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp := tinySpec(Step{Op: OpWaitConverge})
+	forked, err := cv.Run(sp, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := Run(sp, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(forked.JSON(), fresh.JSON()) {
+		t.Fatalf("fork of a stepless baseline differs from a fresh run:\n%s\n%s", forked.JSON(), fresh.JSON())
+	}
+
+	const noSteps = "scenario unit: no steps"
+	if _, err := cv.Run(tinySpec(), Options{}); err == nil || err.Error() != noSteps {
+		t.Fatalf("fork without steps: %v", err)
+	}
+	if _, err := Run(tinySpec(), Options{}); err == nil || err.Error() != noSteps {
+		t.Fatalf("run without steps: %v", err)
+	}
+	if _, err := Parse([]byte(`{"name":"unit","topology":{"dc":"sdc"}}`)); err == nil || err.Error() != noSteps {
+		t.Fatalf("parse without steps: %v", err)
+	}
+	bad := tinySpec()
+	bad.Topology = Topology{}
+	if _, err := Converge(bad, Options{}); err == nil || err.Error() != "scenario unit: topology needs dc or clos" {
+		t.Fatalf("converge of a spec without a fabric: %v", err)
+	}
+}
+
 // TestConvergenceKeyUnderZeroOptions pins the key's bytes: under zero
 // options it is the spec alone without name, description and steps, seed
 // resolved — the poolKey crystald's /v1/plan has always returned.

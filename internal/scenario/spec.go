@@ -389,8 +389,29 @@ func (s *Step) Validate() error {
 // errors.Is-able, so a server can answer 400 rather than 500.
 var ErrBadSpec = errors.New("bad spec")
 
-// Validate checks the whole spec.
+// Validate checks the whole spec: its fabric (validateFabric) and its steps.
 func (sp *Spec) Validate() error {
+	if err := sp.validateFabric(); err != nil {
+		return err
+	}
+	if len(sp.Steps) == 0 {
+		return fmt.Errorf("scenario %s: no steps", sp.Name)
+	}
+	if len(sp.Steps) > MaxSteps {
+		return fmt.Errorf("scenario %s: %d steps exceeds the limit of %d", sp.Name, len(sp.Steps), MaxSteps)
+	}
+	for i := range sp.Steps {
+		if err := sp.Steps[i].Validate(); err != nil {
+			return fmt.Errorf("scenario %s: step %d: %w", sp.Name, i, err)
+		}
+	}
+	return nil
+}
+
+// validateFabric checks everything Converge reads — the name, topology,
+// emulated set, invariants and traffic — and not the steps, which only a
+// run or a fork of the converged baseline executes.
+func (sp *Spec) validateFabric() error {
 	if sp.Name == "" {
 		return fmt.Errorf("scenario: spec needs a name")
 	}
@@ -455,17 +476,6 @@ func (sp *Spec) Validate() error {
 	if sp.Traffic != nil {
 		if err := sp.Traffic.Validate(); err != nil {
 			return fmt.Errorf("scenario %s: %w", sp.Name, err)
-		}
-	}
-	if len(sp.Steps) == 0 {
-		return fmt.Errorf("scenario %s: no steps", sp.Name)
-	}
-	if len(sp.Steps) > MaxSteps {
-		return fmt.Errorf("scenario %s: %d steps exceeds the limit of %d", sp.Name, len(sp.Steps), MaxSteps)
-	}
-	for i := range sp.Steps {
-		if err := sp.Steps[i].Validate(); err != nil {
-			return fmt.Errorf("scenario %s: step %d: %w", sp.Name, i, err)
 		}
 	}
 	return nil

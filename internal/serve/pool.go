@@ -93,13 +93,13 @@ func PoolKey(sp *scenario.Spec, opts scenario.Options) string {
 }
 
 // baseSpec derives the spec a pooled baseline converges from: the
-// request's fabric with the steps replaced by a placeholder (Validate
-// requires one; Converge never executes steps) and the seed pinned.
+// request's fabric without its steps (Converge runs none) and with the seed
+// pinned.
 func baseSpec(sp *scenario.Spec, opts scenario.Options) *scenario.Spec {
 	base := sp.Clone()
 	base.Name = "warm-pool"
 	base.Description = ""
-	base.Steps = []scenario.Step{{Op: scenario.OpWaitConverge}}
+	base.Steps = nil
 	base.Seed = scenario.EffectiveSeed(sp, opts)
 	return base
 }

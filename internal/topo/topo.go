@@ -78,8 +78,6 @@ type Device struct {
 	// Originated are the prefixes this device announces into BGP beyond its
 	// loopback (e.g. a ToR's server subnets).
 	Originated []netpkt.Prefix
-	// MgmtIP is the management-plane address (§4.2).
-	MgmtIP netpkt.IP
 }
 
 // AddInterface appends a new unconnected interface and returns it.
@@ -141,7 +139,6 @@ type Network struct {
 
 	nextP2P  uint32 // allocator for point-to-point /31 subnets
 	nextLoop uint32 // allocator for loopbacks
-	nextMgmt uint32 // allocator for management IPs
 }
 
 // NewNetwork returns an empty topology.
@@ -149,10 +146,9 @@ func NewNetwork(name string) *Network {
 	return &Network{
 		Name:    name,
 		devices: map[string]*Device{},
-		// 10.128.0.0/9 for p2p, 10.0.0.0/16 for loopbacks, 172.16.0.0/12 for mgmt
+		// 10.128.0.0/9 for p2p, 10.0.0.0/16 for loopbacks
 		nextP2P:  uint32(netpkt.IPFromBytes(10, 128, 0, 0)),
 		nextLoop: uint32(netpkt.IPFromBytes(10, 0, 0, 1)),
-		nextMgmt: uint32(netpkt.IPFromBytes(172, 16, 0, 1)),
 	}
 }
 
@@ -173,8 +169,6 @@ func (n *Network) AddDevice(name string, layer Layer, asn uint32, vendor string)
 	}
 	d.Loopback = netpkt.Prefix{Addr: netpkt.IP(n.nextLoop), Len: 32}
 	n.nextLoop++
-	d.MgmtIP = netpkt.IP(n.nextMgmt)
-	n.nextMgmt++
 	n.devices[name] = d
 	n.order = append(n.order, d)
 	return d

@@ -23,9 +23,6 @@ func TestAddDeviceAndLookup(t *testing.T) {
 	if d.Loopback.Len != 32 || d.Loopback.Addr == 0 {
 		t.Fatalf("loopback not assigned: %v", d.Loopback)
 	}
-	if d.MgmtIP == 0 {
-		t.Fatal("management IP not assigned")
-	}
 }
 
 func TestDuplicateDevicePanics(t *testing.T) {
@@ -395,7 +392,7 @@ func TestCloneGrowsApart(t *testing.T) {
 	describe := func(n *Network) string {
 		var b strings.Builder
 		for _, d := range n.Devices() {
-			fmt.Fprintf(&b, "%s %d %v %v %v %v\n", d.Name, d.Index, d.Loopback, d.MgmtIP, d.Originated, n.Device(d.Name) == d)
+			fmt.Fprintf(&b, "%s %d %v %v %v\n", d.Name, d.Index, d.Loopback, d.Originated, n.Device(d.Name) == d)
 			for _, in := range d.Interfaces {
 				peer := ""
 				if in.Peer != nil {

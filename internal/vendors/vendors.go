@@ -59,7 +59,7 @@ func init() {
 	})
 	// CTNR-B — the open-source OS under in-house development (§7 Case 2).
 	register(firmware.VendorImage{
-		Name: CTNRB, Version: "1.0", Kind: firmware.ContainerImage, SoftASIC: true,
+		Name: CTNRB, Version: "1.0", Kind: firmware.ContainerImage,
 		BootFixed: 2 * time.Minute, BootJitter: time.Minute, BootWork: 40,
 		MsgWork: 0.0003, RouteWork: 0.0015,
 		AggregationMode: bgp.AggInheritSelected,
@@ -67,21 +67,21 @@ func init() {
 	// CTNR-B dev builds with the three §7 Case-2 bugs, individually
 	// switchable for the validation pipeline.
 	register(firmware.VendorImage{
-		Name: CTNRB, Version: "dev-default-route", Kind: firmware.ContainerImage, SoftASIC: true,
+		Name: CTNRB, Version: "dev-default-route", Kind: firmware.ContainerImage,
 		BootFixed: 2 * time.Minute, BootJitter: time.Minute, BootWork: 40,
 		MsgWork: 0.0003, RouteWork: 0.0015,
 		AggregationMode: bgp.AggInheritSelected,
 		Bugs:            firmware.Bugs{DefaultRouteBroken: true},
 	})
 	register(firmware.VendorImage{
-		Name: CTNRB, Version: "dev-arp-trap", Kind: firmware.ContainerImage, SoftASIC: true,
+		Name: CTNRB, Version: "dev-arp-trap", Kind: firmware.ContainerImage,
 		BootFixed: 2 * time.Minute, BootJitter: time.Minute, BootWork: 40,
 		MsgWork: 0.0003, RouteWork: 0.0015,
 		AggregationMode: bgp.AggInheritSelected,
 		Bugs:            firmware.Bugs{ARPTrapBroken: true},
 	})
 	register(firmware.VendorImage{
-		Name: CTNRB, Version: "dev-flap-crash", Kind: firmware.ContainerImage, SoftASIC: true,
+		Name: CTNRB, Version: "dev-flap-crash", Kind: firmware.ContainerImage,
 		BootFixed: 2 * time.Minute, BootJitter: time.Minute, BootWork: 40,
 		MsgWork: 0.0003, RouteWork: 0.0015,
 		AggregationMode: bgp.AggInheritSelected,

@@ -123,19 +123,3 @@ func TestSpeakerImage(t *testing.T) {
 		}
 	}
 }
-
-func TestCTNRBRunsSoftASIC(t *testing.T) {
-	// §6.2: the open-source OS ships with the P4 behavioural-model ASIC.
-	for _, v := range []string{"1.0", "dev-default-route", "dev-arp-trap", "dev-flap-crash"} {
-		if !MustGet(CTNRB, v).SoftASIC {
-			t.Fatalf("ctnrb %s missing the soft ASIC", v)
-		}
-	}
-	// Closed-vendor images are fixed-function.
-	for _, name := range []string{CTNRA, VMA, VMB} {
-		img, _ := Default(name)
-		if img.SoftASIC {
-			t.Fatalf("%s should not run the P4 soft ASIC", name)
-		}
-	}
-}

@@ -119,9 +119,12 @@ go test -race ./internal/core/ -run 'Traffic'
 echo "== trace-determinism smoke (same-seed traces byte-identical, incl. across a fork and with a cancel channel armed)"
 go test ./internal/scenario/ -run 'TestTraceDeterminism|TestTraceSurvivesFork|TestTraceSameWithCancelArmed|TestChaosTraceDeterminism'
 
-echo "== failure-path smoke under -race (MTBF campaign, lost faults, bounded recovery, crashed firmware stays silent)"
+# Recorded boundary routes replay through Prepare and are refused there when
+# a speaker cannot announce them; a management login sees only its own
+# emulation's devices (a shutdown or an attach on a fork stays there).
+echo "== failure-path smoke under -race (MTBF campaign, lost faults, bounded recovery, crashed firmware stays silent, recorded boundary routes, fork logins)"
 go test -race ./internal/scenario/ -run 'TestMTBFCampaignSerialParallelIdentical|TestLostFaultFailsRun|TestFailurePathByteDeterminism'
-go test -race ./internal/core/ -run 'TestDoubleFailureDuringRecovery|TestDeprovisionMidRebootAbandonsRecovery|TestRecoveryDeadline|TestSupervisedMockupConverges|TestSpeakerVMRecoveryReinjectsRoutes'
+go test -race ./internal/core/ -run 'TestDoubleFailureDuringRecovery|TestDeprovisionMidRebootAbandonsRecovery|TestRecoveryDeadline|TestSupervisedMockupConverges|TestSpeakerVMRecoveryReinjectsRoutes|TestRecordedBoundaryRoutesReachTheFabric|TestPrepareRefusesBadBoundaryRoutes|TestForkLoginShutdownStaysOnItsSide|TestForkLoginAttachedDeviceOnlyThere'
 # A crash silences the boot it ends (pending MRAI flush, pending SPF run), and
 # a link failure resets the sessions on it in configuration order.
 go test -race ./internal/firmware/ -run 'TestCrashSilences|TestLinkDownResetsPeersInIndexOrder' -count=1
@@ -174,7 +177,7 @@ if ! cmp -s "$tmp/solve1.out" "$tmp/solve2.out"; then
 fi
 grep -q "safe-boundary solve" "$tmp/solve1.out"
 
-echo "== docs gate (package docs link the design docs; every func, type and var under internal/ has a non-test use; this script's -run/-fuzz names exist)"
+echo "== docs gate (package docs link the design docs; every func, type, var and constant under internal/ has a non-test use; this script's -run/-fuzz names exist)"
 go run ./cmd/doccheck
 
 # M-DC smoke: the benchmark's own sharded M-DC workload, with its output
