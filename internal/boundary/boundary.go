@@ -5,7 +5,7 @@
 // OSPF, and Algorithm 1's upward-BFS boundary search for Clos datacenters.
 //
 // Getting this right is what lets an emulation replace external routers
-// with static speakers (internal/speaker) while staying consistent with the
+// with static speakers (internal/core) while staying consistent with the
 // real network under arbitrary changes to the emulated devices — and what
 // cuts emulation cost by >90% (§8.4, Table 4).
 //
